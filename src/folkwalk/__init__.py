@@ -4,7 +4,7 @@ from .baselines import AlgorithmSpec
 from .dataset import Post, Split, TaggingDataset
 from .linalg import SparseMatrix
 from .similarity import SimilarityConfig, item_similarity, user_similarity
-from .walker import WalkConfig, WalkResult, run_walks
+from .walker import WalkConfig
 
 __version__ = "0.1.0"
 
@@ -16,9 +16,7 @@ __all__ = [
     "Split",
     "TaggingDataset",
     "WalkConfig",
-    "WalkResult",
     "item_similarity",
-    "run_walks",
     "user_similarity",
     "__version__",
 ]

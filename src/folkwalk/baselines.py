@@ -3,6 +3,7 @@ tag-extended fusion CF, and the ablation wiring for the walk variants."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,22 +43,13 @@ class AlgorithmSpec:
             raise ValueError(f"unknown params for {self.kind}: {sorted(extra)}")
 
 
-def _candidate_items(split: Split, user: int) -> list[int]:
-    csr = split.train_UI.csr()
-    held = set(csr.indices[csr.indptr[user]:csr.indptr[user + 1]])
-    return [j for j in range(split.train_UI.cols) if j not in held]
-
-
-def _rank(scores: np.ndarray, candidates: list[int], top_n: int) -> list[int]:
-    return sorted(candidates, key=lambda j: (-scores[j], j))[:top_n]
-
-
 def random_recommender(split: Split, seed: int, top_n: int) -> dict[int, list[int]]:
     """Uniform sample without replacement from each user's candidate items."""
     rng = np.random.default_rng(seed)
+    train = split.train_UI.to_dense()
     recs = {}
     for u in range(split.train_UI.rows):
-        candidates = _candidate_items(split, u)
+        candidates = np.flatnonzero(train[u] == 0)
         k = min(top_n, len(candidates))
         recs[u] = [int(j) for j in rng.choice(candidates, size=k, replace=False)] if k else []
     return recs
@@ -79,11 +71,10 @@ def _truncate_neighbors(sim: np.ndarray, k_neighbors: int | None) -> np.ndarray:
     keeps all neighbors."""
     if k_neighbors is None or k_neighbors >= sim.shape[1]:
         return sim
+    rows = np.arange(sim.shape[0])[:, None]
+    keep = np.argsort(-sim, axis=1, kind="stable")[:, :k_neighbors]
     out = np.zeros_like(sim)
-    for i in range(sim.shape[0]):
-        order = sorted(range(sim.shape[1]), key=lambda j: (-sim[i, j], j))
-        keep = order[:k_neighbors]
-        out[i, keep] = sim[i, keep]
+    out[rows, keep] = sim[rows, keep]
     return out
 
 
@@ -110,19 +101,12 @@ def item_cf_scores(
     return ui @ sim
 
 
-def _rank_all(split: Split, scores: np.ndarray, top_n: int) -> dict[int, list[int]]:
-    return {
-        u: _rank(scores[u], _candidate_items(split, u), top_n)
-        for u in range(split.train_UI.rows)
-    }
-
-
 def user_cf(split: Split, k_neighbors: int | None = None, top_n: int = 5) -> dict[int, list[int]]:
-    return _rank_all(split, user_cf_scores(split.train_UI, k_neighbors), top_n)
+    return recommend_all(user_cf_scores(split.train_UI, k_neighbors), split.train_UI, top_n)
 
 
 def item_cf(split: Split, k_neighbors: int | None = None, top_n: int = 5) -> dict[int, list[int]]:
-    return _rank_all(split, item_cf_scores(split.train_UI, k_neighbors), top_n)
+    return recommend_all(item_cf_scores(split.train_UI, k_neighbors), split.train_UI, top_n)
 
 
 def fusion_cf_scores(
@@ -141,7 +125,23 @@ def fusion_cf_scores(
 def fusion_cf(
     split: Split, ds: TaggingDataset, fuse_weight: float = 0.5, top_n: int = 5
 ) -> dict[int, list[int]]:
-    return _rank_all(split, fusion_cf_scores(split, ds, fuse_weight), top_n)
+    return recommend_all(fusion_cf_scores(split, ds, fuse_weight), split.train_UI, top_n)
+
+
+def _checked_walk(
+    side: str, walk_fn, ui_norm: SparseMatrix, s: SparseMatrix, damping: float, walk: WalkConfig
+) -> np.ndarray:
+    """Run one walk; warn when it stopped at max_iters without converging."""
+    trace: list[float] = []
+    scores, iters = walk_fn(ui_norm, s, damping, walk.tol, walk.max_iters, trace=trace)
+    if trace[-1] >= walk.tol:
+        warnings.warn(
+            f"{side} walk did not converge: change {trace[-1]:.3g} >= tol {walk.tol:g} "
+            f"after {iters} iterations",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return scores
 
 
 def ablation(
@@ -172,10 +172,10 @@ def ablation(
     ui_norm = row_normalize(split.train_UI)
     if mu > 0.0:
         s_item = item_similarity(ds, alpha, ui=split.train_UI)
-        ui_item, _ = walk_item(ui_norm, s_item, walk.eta, walk.tol, walk.max_iters)
+        ui_item = _checked_walk("item", walk_item, ui_norm, s_item, walk.eta, walk)
     if mu < 1.0:
         s_user = user_similarity(ds, beta, ui=split.train_UI)
-        ui_user, _ = walk_user(ui_norm, s_user, walk.lambda_, walk.tol, walk.max_iters)
+        ui_user = _checked_walk("user", walk_user, ui_norm, s_user, walk.lambda_, walk)
     if mu == 1.0:
         final = ui_item
     elif mu == 0.0:

@@ -15,16 +15,16 @@ import sys
 import time
 
 from . import __version__
-from .baselines import ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec
+from .baselines import ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec, run_algorithm
 from .dataset import (
     EmptyDatasetError,
     ParseError,
+    Split,
     dataset_from_json,
     dataset_to_json,
     format_stats_table,
     ingest,
     parse_triples,
-    split as make_split,
     stats,
 )
 from .evaluation import (
@@ -38,7 +38,7 @@ from .evaluation import (
     runs_to_csv,
 )
 from .similarity import SimilarityConfig
-from .walker import WalkConfig, recommend
+from .walker import WalkConfig
 
 
 class UsageError(Exception):
@@ -155,11 +155,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             return 1
     else:
         users = list(range(ds.num_users))
-    sp = make_split(ds, args.train_fraction, args.seed)
-    spec = _algorithm_spec(args.algorithm, args)
-    from .baselines import run_algorithm
-
-    recs = run_algorithm(spec, sp, ds, args.top_n)
+    # every save is training data, so no saved item is ever recommended
+    saved = Split(train_UI=ds.UI, test_sets={}, seed=args.seed, train_fraction=1.0)
+    recs = run_algorithm(_algorithm_spec(args.algorithm, args), saved, ds, args.top_n)
     payload = {ds.users[u]: [ds.items[j] for j in recs[u]] for u in users}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -330,19 +328,12 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--half-life", type=int, default=5)
     p.add_argument("--output-dir", default="out")
-    p.add_argument("--format", choices=("json", "table", "csv"), default="table")
     _add_walk_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="folkwalk", description=__doc__)
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("FOLKWALK_THREADS", "1")),
-        help="worker cap; 1 guarantees bit-stable output",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse triples, filter, build a dataset snapshot")
@@ -362,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--user", help="user id")
     group.add_argument("--all", action="store_true")
     p.add_argument("--top-n", type=int, default=5)
-    p.add_argument("--train-fraction", type=float, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "table"), default="table")
     _add_walk_flags(p)
@@ -373,10 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-test", action="store_true",
                    help="paired t-test of best vs second-best precision")
     _add_experiment_flags(p)
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="evaluate pRW-IT, pRW-UT, pRW-UI, pRW")
     _add_experiment_flags(p)
+    p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("sweep", help="evaluation across training-fraction levels")
@@ -407,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 _INT_KEYS = {
     "top_n", "runs", "seed", "half_life", "max_iters", "min_items_per_user",
     "min_users_per_item", "unqualified_threshold", "select_tags",
-    "k_neighbors", "threads",
+    "k_neighbors",
 }
 _FLOAT_KEYS = {
     "alpha", "beta", "eta", "lambda_", "mu", "tol", "train_fraction",

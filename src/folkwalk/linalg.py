@@ -3,7 +3,7 @@
 Storage is CSR (scipy) behind an immutable :class:`SparseMatrix` wrapper.
 Provides the small set of operations the recommender pipeline needs: row
 normalization, products, transpose, and a dense partial-pivot LU solver used
-by the closed-form walk paths. All functions are pure; matrices are never
+by the closed-form walk. All functions are pure; matrices are never
 mutated after construction.
 """
 
@@ -122,10 +122,6 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
-def identity(n: int) -> SparseMatrix:
-    return SparseMatrix._wrap(sp.identity(n, format="csr"))
-
-
 def row_normalize(m: SparseMatrix) -> SparseMatrix:
     """Scale each row to unit sum; rows with no entries stay all-zero.
 
@@ -144,16 +140,13 @@ def row_normalize(m: SparseMatrix) -> SparseMatrix:
     return SparseMatrix._wrap(sp.diags(scale) @ csr)
 
 
-def matmul(a: SparseMatrix, b: SparseMatrix, drop_tol: float = 0.0) -> SparseMatrix:
-    """Sparse product A @ B; entries with |value| < drop_tol are pruned."""
+def matmul(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
+    """Sparse product A @ B."""
     if a.cols != b.rows:
         raise ShapeError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}"
         )
-    c = a.csr() @ b.csr()
-    if drop_tol > 0.0:
-        c.data[np.abs(c.data) < drop_tol] = 0.0
-    return SparseMatrix._wrap(c)
+    return SparseMatrix._wrap(a.csr() @ b.csr())
 
 
 def transpose(m: SparseMatrix) -> SparseMatrix:
@@ -167,8 +160,8 @@ def lincomb(wa: float, a: SparseMatrix, wb: float, b: SparseMatrix) -> SparseMat
     return SparseMatrix._wrap(wa * a.csr() + wb * b.csr())
 
 
-def solve_dense(a: np.ndarray, b: np.ndarray, side: str = "left") -> np.ndarray:
-    """Solve A @ X = B (side="left") or X @ A = B (side="right") by LU.
+def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A @ X = B by LU.
 
     Uses partial-pivot LU; a pivot with absolute value below ``PIVOT_EPS``
     raises :class:`SingularMatrixError`. Intended for desk-scale validation
@@ -178,10 +171,6 @@ def solve_dense(a: np.ndarray, b: np.ndarray, side: str = "left") -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"coefficient matrix must be square, got {a.shape}")
-    if side == "right":
-        return solve_dense(a.T, np.atleast_2d(b).T, side="left").T
-    if side != "left":
-        raise ValueError(f"unknown side {side!r}")
     b2 = np.atleast_2d(b)
     if b2.shape[0] != a.shape[0]:
         raise ShapeError(f"rhs rows {b2.shape[0]} != system size {a.shape[0]}")

@@ -4,8 +4,8 @@ The item similarity blends two two-hop transition chains: item -> tag -> item
 (from the item-tag matrix) and item -> user -> item (from the interaction
 matrix). Each hop is row-normalized over its target set, so every chain is
 row-stochastic wherever the data gives the row any support. The user
-similarity mirrors this with user -> tag -> user and user -> item -> user
-chains.
+similarity is the same blend with roles swapped: user -> tag -> user and
+user -> item -> user chains.
 """
 
 from __future__ import annotations
@@ -44,6 +44,28 @@ def _blend(weight: float, first: SparseMatrix, second: SparseMatrix) -> SparseMa
     return lincomb(weight, first, 1.0 - weight, second)
 
 
+def _similarity(tags: SparseMatrix, interactions: SparseMatrix, weight: float) -> SparseMatrix:
+    """k x k transition matrix over the k rows of ``tags`` and ``interactions``.
+
+    weight blends the tag chain rownorm(T) @ rownorm(T^T) with the interaction
+    chain rownorm(X) @ rownorm(X^T).
+    """
+    k = tags.rows
+    # a completely empty component contributes no chain at all; its weight
+    # falls to the other component so tag-free data degrades gracefully
+    if tags.nnz == 0:
+        weight = 0.0
+    elif interactions.nnz == 0:
+        weight = 1.0
+    tag_chain = (
+        _two_hop(tags, transpose(tags)) if weight > 0.0 else SparseMatrix(k, k)
+    )
+    interaction_chain = (
+        _two_hop(interactions, transpose(interactions)) if weight < 1.0 else SparseMatrix(k, k)
+    )
+    return _blend(weight, tag_chain, interaction_chain)
+
+
 def item_similarity(
     ds: TaggingDataset, alpha: float, ui: SparseMatrix | None = None
 ) -> SparseMatrix:
@@ -54,47 +76,13 @@ def item_similarity(
     dataset's interaction matrix (used to restrict to training interactions).
     """
     _check_weight(alpha, "alpha")
-    ui = ds.UI if ui is None else ui
-    n = ds.num_items
-    # a completely empty component contributes no chain at all; its weight
-    # falls to the other component so tag-free data degrades gracefully
-    if ds.IT.nnz == 0:
-        alpha = 0.0
-    elif ui.nnz == 0:
-        alpha = 1.0
-    tag_chain = (
-        _two_hop(ds.IT, transpose(ds.IT)) if alpha > 0.0 else SparseMatrix(n, n)
-    )
-    user_chain = (
-        _two_hop(transpose(ui), ui) if alpha < 1.0 else SparseMatrix(n, n)
-    )
-    return _blend(alpha, tag_chain, user_chain)
+    return _similarity(ds.IT, transpose(ds.UI if ui is None else ui), alpha)
 
 
 def user_similarity(
     ds: TaggingDataset, beta: float, ui: SparseMatrix | None = None
 ) -> SparseMatrix:
-    """m x m user transition matrix; mirror of :func:`item_similarity` with
+    """m x m user transition matrix; the item similarity with roles swapped:
     chains rownorm(UT) @ rownorm(UT^T) and rownorm(UI) @ rownorm(UI^T)."""
     _check_weight(beta, "beta")
-    ui = ds.UI if ui is None else ui
-    m = ds.num_users
-    if ds.UT.nnz == 0:
-        beta = 0.0
-    elif ui.nnz == 0:
-        beta = 1.0
-    tag_chain = (
-        _two_hop(ds.UT, transpose(ds.UT)) if beta > 0.0 else SparseMatrix(m, m)
-    )
-    item_chain = (
-        _two_hop(ui, transpose(ui)) if beta < 1.0 else SparseMatrix(m, m)
-    )
-    return _blend(beta, tag_chain, item_chain)
-
-
-def dump_coordinates(mat: SparseMatrix, path: str) -> None:
-    """Write the matrix as ``row col value`` lines for inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {mat.rows} {mat.cols}\n")
-        for i, j, v in mat.entries:
-            fh.write(f"{i} {j} {v:.17g}\n")
+    return _similarity(ds.UT, ds.UI if ui is None else ui, beta)

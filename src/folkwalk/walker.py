@@ -1,10 +1,11 @@
 """Random walks with restart over the item and user graphs.
 
-The item-centric walk iterates X(t+1) = eta * X(t) @ S_item + (1 - eta) * R
-from X(0) = R, where R is the row-normalized interaction matrix; the
-user-centric walk multiplies from the left with S_user and damping lambda.
-Both converge geometrically for damping < 1 and admit closed forms via a
-linear solve, kept here as the desk-scale reference path.
+The user-centric walk iterates X(t+1) = lambda * S_user @ X(t) + (1 - lambda) * R
+from X(0) = R, where R is the row-normalized interaction matrix. The
+item-centric walk X(t+1) = eta * X(t) @ S_item + (1 - eta) * R is the same
+walk on transposed inputs, so both sides share one iteration and one closed
+form (a linear solve, kept here as the desk-scale reference path). Score
+matrices are dense ndarrays from the walk to the ranking.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import ShapeError, SparseMatrix, solve_dense
+from .linalg import ShapeError, SparseMatrix, solve_dense, transpose
 
 
 @dataclass(frozen=True)
@@ -37,39 +39,36 @@ class WalkConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-@dataclass(frozen=True)
-class WalkResult:
-    ui_item: SparseMatrix
-    ui_user: SparseMatrix
-    ui_final: SparseMatrix
-    iters_item: int
-    iters_user: int
-    converged: bool
-
-
 def _check_damping(value: float, name: str) -> None:
     if not 0.0 <= value < 1.0:
         raise ValueError(f"{name} must be in [0, 1), got {value}")
 
 
-def _iterate(
+def _check_similarity(s: SparseMatrix, size: int, side: str, scores_shape) -> None:
+    if s.rows != s.cols or s.rows != size:
+        raise ShapeError(f"{side} similarity {s.shape} incompatible with scores {scores_shape}")
+
+
+def _walk(
     restart: np.ndarray,
-    step,
+    s: sp.csr_matrix,
     damping: float,
     tol: float,
     max_iters: int,
     trace: list[float] | None,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int]:
+    """Iterate X <- damping * S @ X + (1 - damping) * R from X = R until the
+    max-abs change drops below ``tol`` or ``max_iters`` steps ran."""
     x = restart
     for it in range(1, max_iters + 1):
-        x_next = damping * step(x) + (1.0 - damping) * restart
+        x_next = damping * (s @ x) + (1.0 - damping) * restart
         change = float(np.max(np.abs(x_next - x))) if x.size else 0.0
         if trace is not None:
             trace.append(change)
         x = x_next
         if change < tol:
-            return x, it, True
-    return x, max_iters, False
+            return x, it
+    return x, max_iters
 
 
 def walk_item(
@@ -79,19 +78,16 @@ def walk_item(
     tol: float = 1e-6,
     max_iters: int = 100,
     trace: list[float] | None = None,
-) -> tuple[SparseMatrix, int]:
-    """Item-centric walk; returns the converged score matrix and the number
-    of iterations performed. ``trace`` collects per-iteration max-abs changes.
+) -> tuple[np.ndarray, int]:
+    """Item-centric walk; returns the score matrix and the number of
+    iterations performed. ``trace`` collects per-iteration max-abs changes.
     """
     _check_damping(eta, "eta")
-    if s_item.rows != s_item.cols or s_item.rows != ui_norm.cols:
-        raise ShapeError(
-            f"item similarity {s_item.shape} incompatible with scores {ui_norm.shape}"
-        )
-    restart = ui_norm.to_dense()
-    s = s_item.csr()
-    x, iters, _ = _iterate(restart, lambda x: x @ s, eta, tol, max_iters, trace)
-    return SparseMatrix.from_dense(x), iters
+    _check_similarity(s_item, ui_norm.cols, "item", ui_norm.shape)
+    x, iters = _walk(
+        transpose(ui_norm).to_dense(), transpose(s_item).csr(), eta, tol, max_iters, trace
+    )
+    return x.T, iters
 
 
 def walk_user(
@@ -101,103 +97,52 @@ def walk_user(
     tol: float = 1e-6,
     max_iters: int = 100,
     trace: list[float] | None = None,
-) -> tuple[SparseMatrix, int]:
+) -> tuple[np.ndarray, int]:
     """User-centric walk: left multiplication by the user similarity."""
     _check_damping(lambda_, "lambda")
-    if s_user.rows != s_user.cols or s_user.cols != ui_norm.rows:
-        raise ShapeError(
-            f"user similarity {s_user.shape} incompatible with scores {ui_norm.shape}"
-        )
-    restart = ui_norm.to_dense()
-    s = s_user.csr()
-    x, iters, _ = _iterate(restart, lambda x: s @ x, lambda_, tol, max_iters, trace)
-    return SparseMatrix.from_dense(x), iters
+    _check_similarity(s_user, ui_norm.rows, "user", ui_norm.shape)
+    return _walk(ui_norm.to_dense(), s_user.csr(), lambda_, tol, max_iters, trace)
 
 
-def closed_form_item(ui_norm: SparseMatrix, s_item: SparseMatrix, eta: float) -> SparseMatrix:
-    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1},
-    computed by a right-hand linear solve (never an explicit inverse)."""
-    _check_damping(eta, "eta")
-    a = np.eye(s_item.rows) - eta * s_item.to_dense()
-    x = solve_dense(a, (1.0 - eta) * ui_norm.to_dense(), side="right")
-    return SparseMatrix.from_dense(x)
-
-
-def closed_form_user(ui_norm: SparseMatrix, s_user: SparseMatrix, lambda_: float) -> SparseMatrix:
-    """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R."""
+def closed_form_user(ui_norm: SparseMatrix, s_user: SparseMatrix, lambda_: float) -> np.ndarray:
+    """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R,
+    computed by a linear solve (never an explicit inverse)."""
     _check_damping(lambda_, "lambda")
     a = np.eye(s_user.rows) - lambda_ * s_user.to_dense()
-    x = solve_dense(a, (1.0 - lambda_) * ui_norm.to_dense(), side="left")
-    return SparseMatrix.from_dense(x)
+    return solve_dense(a, (1.0 - lambda_) * ui_norm.to_dense())
 
 
-def fuse(ui_item: SparseMatrix, ui_user: SparseMatrix, mu: float) -> SparseMatrix:
+def closed_form_item(ui_norm: SparseMatrix, s_item: SparseMatrix, eta: float) -> np.ndarray:
+    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}."""
+    _check_damping(eta, "eta")
+    return closed_form_user(transpose(ui_norm), transpose(s_item), eta).T
+
+
+def fuse(ui_item: np.ndarray, ui_user: np.ndarray, mu: float) -> np.ndarray:
     """Entrywise convex combination mu * item scores + (1 - mu) * user scores."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if ui_item.shape != ui_user.shape:
         raise ShapeError(f"shape mismatch {ui_item.shape} vs {ui_user.shape}")
-    return SparseMatrix.from_dense(
-        mu * ui_item.to_dense() + (1.0 - mu) * ui_user.to_dense()
-    )
-
-
-def run_walks(
-    ui_norm: SparseMatrix,
-    s_item: SparseMatrix,
-    s_user: SparseMatrix,
-    config: WalkConfig,
-) -> WalkResult:
-    """Run both walks and fuse their converged score matrices."""
-    trace_item: list[float] = []
-    trace_user: list[float] = []
-    ui_item, iters_item = walk_item(
-        ui_norm, s_item, config.eta, config.tol, config.max_iters, trace=trace_item
-    )
-    ui_user, iters_user = walk_user(
-        ui_norm, s_user, config.lambda_, config.tol, config.max_iters, trace=trace_user
-    )
-    return WalkResult(
-        ui_item=ui_item,
-        ui_user=ui_user,
-        ui_final=fuse(ui_item, ui_user, config.mu),
-        iters_item=iters_item,
-        iters_user=iters_user,
-        converged=trace_item[-1] < config.tol and trace_user[-1] < config.tol,
-    )
-
-
-def recommend(
-    ui_final: SparseMatrix,
-    train_ui: SparseMatrix,
-    user: int,
-    top_n: int,
-) -> list[int]:
-    """Top-N items for one user by descending score, excluding training
-    items; ties broken by ascending item index."""
-    if not 0 <= user < ui_final.rows:
-        raise IndexError(f"user index {user} out of range [0, {ui_final.rows})")
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    scores = np.asarray(ui_final.csr()[user].todense()).ravel()
-    train_csr = train_ui.csr()
-    held = set(train_csr.indices[train_csr.indptr[user]:train_csr.indptr[user + 1]])
-    candidates = [j for j in range(ui_final.cols) if j not in held]
-    candidates.sort(key=lambda j: (-scores[j], j))
-    return candidates[:top_n]
+    return mu * ui_item + (1.0 - mu) * ui_user
 
 
 def recommend_all(
-    ui_final: SparseMatrix, train_ui: SparseMatrix, top_n: int
+    scores: np.ndarray, train_ui: SparseMatrix, top_n: int
 ) -> dict[int, list[int]]:
-    return {
-        u: recommend(ui_final, train_ui, u, top_n) for u in range(ui_final.rows)
-    }
-
-
-def write_trace_csv(trace: list[float], path: str) -> None:
-    """Convergence trace as ``iteration,max_abs_change`` CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,max_abs_change\n")
-        for it, change in enumerate(trace, start=1):
-            fh.write(f"{it},{change:.17g}\n")
+    """Top-N items per user by descending score, excluding the user's
+    training items; ties broken by ascending item index. A user with fewer
+    than ``top_n`` candidates gets all of them."""
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != train_ui.shape:
+        raise ShapeError(f"scores {scores.shape} do not match training matrix {train_ui.shape}")
+    train = train_ui.csr()
+    rows, cols = train.nonzero()
+    # scores are finite, so +inf sorts every training item behind all candidates
+    key = -scores
+    key[rows, cols] = np.inf
+    order = np.argsort(key, axis=1, kind="stable")[:, :top_n]
+    counts = np.minimum(top_n, scores.shape[1] - np.diff(train.indptr))
+    return {u: order[u, :k].tolist() for u, k in enumerate(counts.tolist())}

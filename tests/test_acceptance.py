@@ -60,10 +60,10 @@ def test_01_closed_form_iterative_equivalence():
         lam = rng.uniform(0.0, 0.95)
         x, _ = walk_item(ui_norm, s_item, eta, tol=1e-12, max_iters=2000)
         cf = closed_form_item(ui_norm, s_item, eta)
-        assert np.abs(x.to_dense() - cf.to_dense()).max() < 1e-8
+        assert np.abs(x - cf).max() < 1e-8
         y, _ = walk_user(ui_norm, s_user, lam, tol=1e-12, max_iters=2000)
         cfu = closed_form_user(ui_norm, s_user, lam)
-        assert np.abs(y.to_dense() - cfu.to_dense()).max() < 1e-8
+        assert np.abs(y - cfu).max() < 1e-8
     assert time.perf_counter() - start < 10.0
     report("1 closed-form/iterative equivalence")
 
@@ -80,7 +80,7 @@ def test_02_neumann_series_oracle():
             total += power
             power = power @ (eta * sd)
         series = (1 - eta) * ui_norm.to_dense() @ total
-        cf = closed_form_item(ui_norm, s_item, eta).to_dense()
+        cf = closed_form_item(ui_norm, s_item, eta)
         assert np.abs(cf - series).max() < 1e-10
     report("2 Neumann-series oracle")
 
@@ -221,7 +221,7 @@ def test_09_cli_determinism(tmp_path):
     for name in ("a", "b"):
         out = tmp_path / name
         code = main([
-            "--threads", "1", "evaluate", "--dataset", str(ds_path),
+            "evaluate", "--dataset", str(ds_path),
             "--algorithms", "Random,UserCF,ItemCF,Fusion,pRW", "--runs", "3",
             "--seed", "11", "--output-dir", str(out),
         ])

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folkwalk.baselines import (
     ABLATION_KINDS,
     AlgorithmSpec,
+    _truncate_neighbors,
     ablation,
     fusion_cf,
     fusion_cf_scores,
@@ -17,7 +21,7 @@ from folkwalk.baselines import (
 from folkwalk.dataset import Post, TaggingDataset, build_matrices, split
 from folkwalk.linalg import SparseMatrix
 from folkwalk.similarity import SimilarityConfig
-from folkwalk.walker import WalkConfig
+from folkwalk.walker import WalkConfig, recommend_all
 
 from gen import random_dataset
 
@@ -164,9 +168,7 @@ class TestFusionCF:
         sp = make_split(ds)
         got = fusion_cf(sp, ds, fuse_weight=1.0, top_n=3)
         expected_scores = user_cf_scores(sp.train_UI, profile_ext=ds.UT.to_dense())
-        from folkwalk.baselines import _rank_all
-
-        assert got == _rank_all(sp, expected_scores, 3)
+        assert got == recommend_all(expected_scores, sp.train_UI, 3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_concatenation_oracle(self, seed):
@@ -233,6 +235,22 @@ class TestAblation:
         with pytest.raises(ValueError):
             ablation("pRW-XX", make_split(ds), ds)
 
+    def test_non_convergence_warns(self):
+        ds = random_dataset(np.random.default_rng(10), n_users=6, n_items=8, n_tags=4)
+        with pytest.warns(RuntimeWarning) as caught:
+            ablation("pRW", make_split(ds), ds, walk=WalkConfig(max_iters=1))
+        messages = sorted(str(w.message) for w in caught)
+        assert len(messages) == 2
+        for side, message in zip(("item", "user"), messages):
+            assert message.startswith(f"{side} walk did not converge")
+            assert "after 1 iterations" in message and "tol 1e-06" in message
+
+    def test_default_settings_converge_silently(self):
+        ds = random_dataset(np.random.default_rng(10), n_users=6, n_items=8, n_tags=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ablation("pRW", make_split(ds), ds)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("kind", ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS)
@@ -245,6 +263,22 @@ class TestInvariants:
         for u, lst in recs.items():
             assert len(lst) == min(5, int((train[u] == 0).sum()))
             assert all(train[u, j] == 0 for j in lst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_truncate_neighbors_matches_row_sort(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 8), label="n")
+        cells = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=m * n, max_size=m * n)
+        sim = np.array(data.draw(cells, label="sim")).reshape(m, n)
+        k = data.draw(st.integers(0, n + 1), label="k")
+        expected = np.zeros_like(sim) if k < n else sim
+        if k < n:
+            for i in range(m):
+                keep = sorted(range(n), key=lambda j: (-sim[i, j], j))[:k]
+                expected[i, keep] = sim[i, keep]
+        np.testing.assert_array_equal(_truncate_neighbors(sim, k), expected)
+        np.testing.assert_array_equal(_truncate_neighbors(sim, None), sim)
 
     def test_cosine_symmetric_and_bounded(self):
         rng = np.random.default_rng(14)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from folkwalk.baselines import ALGORITHM_KINDS
 from folkwalk.cli import main
+from folkwalk.dataset import dataset_to_json
 
-from gen import random_posts
+from gen import random_dataset, random_posts
 
 
 @pytest.fixture()
@@ -91,6 +93,21 @@ class TestRecommend:
         assert code == 1
         assert "nobody" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ALGORITHM_KINDS)
+    def test_never_recommends_saved_items(self, kind, tmp_path, capsys):
+        ds = random_dataset(np.random.default_rng(3), 6, 12, 4, items_per_user=(6, 8))
+        path = tmp_path / "ds.json"
+        path.write_text(dataset_to_json(ds))
+        assert main([
+            "recommend", "--dataset", str(path), "--algorithm", kind, "--all",
+            "--format", "json",
+        ]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        ui = ds.UI.to_dense()
+        for u, user in enumerate(ds.users):
+            saved = {ds.items[j] for j in np.flatnonzero(ui[u])}
+            assert doc[user] and not saved & set(doc[user])
+
     def test_json_output_for_one_user(self, dataset_file, capsys):
         assert main([
             "recommend", "--dataset", dataset_file, "--algorithm", "pRW",
@@ -116,7 +133,7 @@ class TestEvaluate:
         for name in ("r1", "r2"):
             out = str(tmp_path / name)
             assert main([
-                "--threads", "1", "evaluate", "--dataset", dataset_file,
+                "evaluate", "--dataset", dataset_file,
                 "--algorithms", "Random,UserCF,pRW", "--runs", "2",
                 "--seed", "3", "--output-dir", out,
             ]) == 0

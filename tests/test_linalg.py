@@ -6,7 +6,6 @@ from folkwalk.linalg import (
     ShapeError,
     SingularMatrixError,
     SparseMatrix,
-    identity,
     lincomb,
     matmul,
     row_normalize,
@@ -100,7 +99,8 @@ class TestMatmul:
     def test_identity_law(self):
         rng = np.random.default_rng(1)
         m = rand_sparse(rng, 3, 3)
-        np.testing.assert_allclose(dense(matmul(identity(3), m)), dense(m))
+        eye = SparseMatrix.from_dense(np.eye(3))
+        np.testing.assert_allclose(dense(matmul(eye, m)), dense(m))
 
     def test_hand_checked(self):
         a = SparseMatrix.from_dense([[1, 2], [0, 1]])
@@ -123,11 +123,6 @@ class TestMatmul:
                 for k in range(12):
                     expected[i, j] += da[i, k] * db[k, j]
         assert np.abs(dense(matmul(a, b)) - expected).max() < 1e-12
-
-    def test_drop_tolerance_prunes(self):
-        a = SparseMatrix.from_dense([[1e-8, 0], [0, 1.0]])
-        c = matmul(a, identity(2), drop_tol=1e-6)
-        assert c.entries == [(1, 1, 1.0)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_associativity(self, seed):
@@ -168,9 +163,10 @@ class TestSolveDense:
         np.testing.assert_allclose(solve_dense(np.eye(3), b), b)
 
     def test_right_solve_diagonal(self):
+        # X @ A = B is the left solve on transposed inputs
         a = np.array([[2.0, 0.0], [0.0, 4.0]])
         b = np.array([[2.0, 4.0]])
-        np.testing.assert_allclose(solve_dense(a, b, side="right"), [[1.0, 1.0]])
+        np.testing.assert_allclose(solve_dense(a.T, b.T).T, [[1.0, 1.0]])
 
     def test_random_residual(self):
         rng = np.random.default_rng(8)
@@ -178,7 +174,7 @@ class TestSolveDense:
         b = rng.random((15, 4))
         x = solve_dense(a, b)
         assert np.abs(a @ x - b).max() < 1e-9
-        xr = solve_dense(a, b.T, side="right")
+        xr = solve_dense(a.T, b).T
         assert np.abs(xr @ a - b.T).max() < 1e-9
 
     def test_singular_raises(self):

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from folkwalk.dataset import Post, build_matrices
-from folkwalk.linalg import SparseMatrix
-from folkwalk.similarity import (
-    SimilarityConfig,
-    dump_coordinates,
-    item_similarity,
-    user_similarity,
-)
+from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
 
 from gen import random_dataset
 
@@ -150,11 +144,3 @@ def test_similarity_config_validation():
     with pytest.raises(ValueError):
         SimilarityConfig(beta=1.5)
 
-
-def test_dump_coordinates(tmp_path):
-    m = SparseMatrix.from_dense([[0.0, 1.5], [2.0, 0.0]])
-    path = tmp_path / "mat.coo"
-    dump_coordinates(m, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# 2 2"
-    assert lines[1:] == ["0 1 1.5", "1 0 2"]

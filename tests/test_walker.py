@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from folkwalk.linalg import (
     ShapeError,
     SingularMatrixError,
     SparseMatrix,
-    identity,
     row_normalize,
 )
 from folkwalk.similarity import item_similarity, user_similarity
@@ -14,15 +14,16 @@ from folkwalk.walker import (
     closed_form_item,
     closed_form_user,
     fuse,
-    recommend,
     recommend_all,
-    run_walks,
     walk_item,
     walk_user,
-    write_trace_csv,
 )
 
 from gen import random_dataset, slow_mix_dataset
+
+
+def eye_matrix(n):
+    return SparseMatrix.from_dense(np.eye(n))
 
 
 def random_instance(seed, n_users=8, n_items=8):
@@ -60,66 +61,62 @@ class TestWalkItem:
         ui_norm, s, _ = random_instance(0)
         x, iters = walk_item(ui_norm, s, eta=0.0)
         assert iters == 1
-        np.testing.assert_allclose(x.to_dense(), ui_norm.to_dense())
+        np.testing.assert_allclose(x, ui_norm.to_dense())
 
     def test_identity_similarity_is_stationary(self):
         ui_norm, _, _ = random_instance(1)
-        x, _ = walk_item(ui_norm, identity(ui_norm.cols), eta=0.7, tol=1e-12)
-        assert np.abs(x.to_dense() - ui_norm.to_dense()).max() < 1e-10
+        x, _ = walk_item(ui_norm, eye_matrix(ui_norm.cols), eta=0.7, tol=1e-12)
+        assert np.abs(x - ui_norm.to_dense()).max() < 1e-10
 
     def test_converges_to_closed_form(self):
         ui_norm, s, _ = random_instance(2)
         x, _ = walk_item(ui_norm, s, eta=0.8, tol=1e-12, max_iters=1000)
         cf = closed_form_item(ui_norm, s, 0.8)
-        assert np.abs(x.to_dense() - cf.to_dense()).max() < 1e-8
+        assert np.abs(x - cf).max() < 1e-8
 
     def test_dimension_and_damping_validation(self):
         ui_norm, s, _ = random_instance(3)
         with pytest.raises(ValueError):
             walk_item(ui_norm, s, eta=1.0)
         with pytest.raises(ShapeError):
-            walk_item(ui_norm, identity(ui_norm.cols + 1), eta=0.5)
+            walk_item(ui_norm, eye_matrix(ui_norm.cols + 1), eta=0.5)
 
 
 class TestWalkUser:
     def test_zero_damping_is_pure_restart(self):
         ui_norm, _, s = random_instance(4)
         x, _ = walk_user(ui_norm, s, lambda_=0.0)
-        np.testing.assert_allclose(x.to_dense(), ui_norm.to_dense())
+        np.testing.assert_allclose(x, ui_norm.to_dense())
 
     def test_identity_similarity_is_stationary(self):
         ui_norm, _, _ = random_instance(5)
-        x, _ = walk_user(ui_norm, identity(ui_norm.rows), lambda_=0.6, tol=1e-12)
-        assert np.abs(x.to_dense() - ui_norm.to_dense()).max() < 1e-10
+        x, _ = walk_user(ui_norm, eye_matrix(ui_norm.rows), lambda_=0.6, tol=1e-12)
+        assert np.abs(x - ui_norm.to_dense()).max() < 1e-10
 
     def test_converges_to_closed_form(self):
         ui_norm, _, s = random_instance(6)
         x, _ = walk_user(ui_norm, s, lambda_=0.8, tol=1e-12, max_iters=1000)
         cf = closed_form_user(ui_norm, s, 0.8)
-        assert np.abs(x.to_dense() - cf.to_dense()).max() < 1e-8
+        assert np.abs(x - cf).max() < 1e-8
 
 
 class TestClosedForms:
     def test_zero_damping_identity(self):
         ui_norm, s, s_u = random_instance(7)
-        np.testing.assert_allclose(
-            closed_form_item(ui_norm, s, 0.0).to_dense(), ui_norm.to_dense()
-        )
-        np.testing.assert_allclose(
-            closed_form_user(ui_norm, s_u, 0.0).to_dense(), ui_norm.to_dense()
-        )
+        np.testing.assert_allclose(closed_form_item(ui_norm, s, 0.0), ui_norm.to_dense())
+        np.testing.assert_allclose(closed_form_user(ui_norm, s_u, 0.0), ui_norm.to_dense())
 
     def test_identity_similarity_cancels(self):
         ui_norm, _, _ = random_instance(8)
-        out = closed_form_item(ui_norm, identity(ui_norm.cols), 0.5)
-        assert np.abs(out.to_dense() - ui_norm.to_dense()).max() < 1e-12
+        out = closed_form_item(ui_norm, eye_matrix(ui_norm.cols), 0.5)
+        assert np.abs(out - ui_norm.to_dense()).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_truncated_series(self, seed):
         ui_norm, s_item, s_user = random_instance(seed + 20)
-        cf = closed_form_item(ui_norm, s_item, 0.8).to_dense()
+        cf = closed_form_item(ui_norm, s_item, 0.8)
         assert np.abs(cf - truncated_neumann_item(ui_norm, s_item, 0.8)).max() < 1e-10
-        cfu = closed_form_user(ui_norm, s_user, 0.8).to_dense()
+        cfu = closed_form_user(ui_norm, s_user, 0.8)
         assert np.abs(cfu - truncated_neumann_user(ui_norm, s_user, 0.8)).max() < 1e-10
 
     def test_singular_system_raises(self):
@@ -131,43 +128,67 @@ class TestClosedForms:
 
 class TestFuse:
     def test_endpoints(self):
-        a = SparseMatrix.from_dense([[2.0, 0.0]])
-        b = SparseMatrix.from_dense([[0.0, 2.0]])
-        np.testing.assert_array_equal(fuse(a, b, 1.0).to_dense(), a.to_dense())
-        np.testing.assert_array_equal(fuse(a, b, 0.0).to_dense(), b.to_dense())
-        np.testing.assert_allclose(fuse(a, b, 0.5).to_dense(), [[1.0, 1.0]])
+        a = np.array([[2.0, 0.0]])
+        b = np.array([[0.0, 2.0]])
+        np.testing.assert_array_equal(fuse(a, b, 1.0), a)
+        np.testing.assert_array_equal(fuse(a, b, 0.0), b)
+        np.testing.assert_allclose(fuse(a, b, 0.5), [[1.0, 1.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            fuse(SparseMatrix(1, 2), SparseMatrix(2, 1), 0.5)
+            fuse(np.zeros((1, 2)), np.zeros((2, 1)), 0.5)
+
+
+def sort_oracle(scores, train, top_n):
+    """Per-user sort of the non-training items by (-score, item index)."""
+    return {
+        u: sorted(
+            (j for j in range(scores.shape[1]) if train[u, j] == 0.0),
+            key=lambda j: (-scores[u, j], j),
+        )[:top_n]
+        for u in range(scores.shape[0])
+    }
 
 
 class TestRecommend:
     def test_sort_and_exclusion(self):
-        scores = SparseMatrix.from_dense([[0.9, 0.1, 0.5]])
         train = SparseMatrix.from_dense([[1.0, 0.0, 0.0]])
-        assert recommend(scores, train, 0, 2) == [2, 1]
+        assert recommend_all(np.array([[0.9, 0.1, 0.5]]), train, 2) == {0: [2, 1]}
 
     def test_tie_rule(self):
-        scores = SparseMatrix.from_dense([[0.3, 0.3, 0.3, 0.3]])
         train = SparseMatrix.from_dense([[0.0, 1.0, 0.0, 0.0]])
-        assert recommend(scores, train, 0, 2) == [0, 2]
+        assert recommend_all(np.full((1, 4), 0.3), train, 2) == {0: [0, 2]}
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(33)
-        scores = SparseMatrix.from_dense(rng.random((5, 12)))
+        scores = rng.random((5, 12))
         train = SparseMatrix.from_dense((rng.random((5, 12)) < 0.3).astype(float))
-        dense = scores.to_dense()
-        tr = train.to_dense()
-        for u in range(5):
-            pairs = sorted(
-                ((float(-dense[u, j]), j) for j in range(12) if tr[u, j] == 0.0)
-            )
-            assert recommend(scores, train, u, 4) == [j for _, j in pairs[:4]]
+        assert recommend_all(scores, train, 4) == sort_oracle(scores, train.to_dense(), 4)
 
-    def test_out_of_range_user(self):
-        with pytest.raises(IndexError):
-            recommend(SparseMatrix(2, 2), SparseMatrix(2, 2), 5, 1)
+    def test_scarce_and_empty_candidates(self):
+        train = SparseMatrix.from_dense([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        assert recommend_all(np.ones((2, 3)), train, 5) == {0: [2], 1: []}
+
+    def test_argument_validation(self):
+        with pytest.raises(ValueError):
+            recommend_all(np.zeros((2, 2)), SparseMatrix(2, 2), 0)
+        with pytest.raises(ShapeError):
+            recommend_all(np.zeros((2, 3)), SparseMatrix(2, 2), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_sort_oracle_property(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 8), label="n")
+        cells = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=m * n, max_size=m * n)
+        scores = np.array(data.draw(cells, label="scores")).reshape(m, n)
+        held = np.array(data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n),
+                                  label="train")).reshape(m, n)
+        # some rows keep fewer than top_n candidates, some none at all
+        held[data.draw(st.integers(0, m - 1), label="full row")] = True
+        top_n = data.draw(st.integers(1, n + 1), label="top_n")
+        train = SparseMatrix.from_dense(held.astype(float))
+        assert recommend_all(scores, train, top_n) == sort_oracle(scores, held, top_n)
 
 
 class TestProperties:
@@ -195,23 +216,23 @@ class TestProperties:
     def test_iterates_stay_non_negative(self):
         ui_norm, s, _ = random_instance(50)
         x, _ = walk_item(ui_norm, s, eta=0.9, tol=1e-12, max_iters=300)
-        assert x.to_dense().min() >= 0.0
+        assert x.min() >= 0.0
 
-    def test_run_walks_fusion_invariant(self):
+    def test_fusion_invariant(self):
         ui_norm, s_item, s_user = random_instance(51)
-        cfg = WalkConfig(eta=0.6, lambda_=0.6, mu=0.3, tol=1e-10, max_iters=500)
-        result = run_walks(ui_norm, s_item, s_user, cfg)
-        assert result.converged
-        expected = 0.3 * result.ui_item.to_dense() + 0.7 * result.ui_user.to_dense()
-        assert np.abs(result.ui_final.to_dense() - expected).max() < 1e-12
+        ui_item, _ = walk_item(ui_norm, s_item, 0.6, tol=1e-10, max_iters=500)
+        ui_user, _ = walk_user(ui_norm, s_user, 0.6, tol=1e-10, max_iters=500)
+        expected = 0.3 * ui_item + 0.7 * ui_user
+        assert np.abs(fuse(ui_item, ui_user, 0.3) - expected).max() < 1e-12
 
     def test_fusion_endpoint_rankings(self):
         ui_norm, s_item, s_user = random_instance(52)
         train = SparseMatrix(ui_norm.rows, ui_norm.cols)
-        for mu, side in ((1.0, "ui_item"), (0.0, "ui_user")):
-            res = run_walks(ui_norm, s_item, s_user, WalkConfig(mu=mu))
-            assert recommend_all(res.ui_final, train, 5) == recommend_all(
-                getattr(res, side), train, 5
+        ui_item, _ = walk_item(ui_norm, s_item, 0.8)
+        ui_user, _ = walk_user(ui_norm, s_user, 0.8)
+        for mu, side in ((1.0, ui_item), (0.0, ui_user)):
+            assert recommend_all(fuse(ui_item, ui_user, mu), train, 5) == recommend_all(
+                side, train, 5
             )
 
 
@@ -223,13 +244,3 @@ def test_walk_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(tol=0.0)
 
-
-def test_trace_csv(tmp_path):
-    ui_norm, s, _ = random_instance(60)
-    trace = []
-    walk_item(ui_norm, s, 0.5, trace=trace)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,max_abs_change"
-    assert len(lines) == len(trace) + 1
