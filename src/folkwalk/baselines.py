@@ -3,7 +3,6 @@ tag-extended fusion CF, and the ablation wiring for the walk variants."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .dataset import Split, TaggingDataset
 from .linalg import SparseMatrix, row_normalize
 from .similarity import SimilarityConfig, item_similarity, user_similarity
-from .walker import WalkConfig, fuse, recommend_all, walk_item, walk_user
+from .walker import WalkConfig, closed_form_item, closed_form_user, fuse, recommend_all
 
 ABLATION_KINDS = ("pRW-IT", "pRW-UT", "pRW-UI", "pRW")
 ALGORITHM_KINDS = ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS
@@ -128,35 +127,19 @@ def fusion_cf(
     return recommend_all(fusion_cf_scores(split, ds, fuse_weight), split.train_UI, top_n)
 
 
-def _checked_walk(
-    side: str, walk_fn, ui_norm: SparseMatrix, s: SparseMatrix, damping: float, walk: WalkConfig
-) -> np.ndarray:
-    """Run one walk; warn when it stopped at max_iters without converging."""
-    trace: list[float] = []
-    scores, iters = walk_fn(ui_norm, s, damping, walk.tol, walk.max_iters, trace=trace)
-    if trace[-1] >= walk.tol:
-        warnings.warn(
-            f"{side} walk did not converge: change {trace[-1]:.3g} >= tol {walk.tol:g} "
-            f"after {iters} iterations",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return scores
-
-
-def ablation(
+def ablation_scores(
     kind: str,
     split: Split,
     ds: TaggingDataset,
     walk: WalkConfig | None = None,
     similarity: SimilarityConfig | None = None,
-    top_n: int = 5,
-) -> dict[int, list[int]]:
-    """Run one walk variant on the training interactions.
+) -> np.ndarray:
+    """Score matrix of one walk variant on the training interactions.
 
     pRW-IT: tag-only item similarity, item walk alone. pRW-UT: tag-only user
     similarity, user walk alone. pRW-UI: interaction-only similarities, both
-    walks fused. pRW: the full configured pipeline.
+    walks fused. pRW: the full configured pipeline. Each walk is solved
+    exactly in closed form.
     """
     if kind not in ABLATION_KINDS:
         raise ValueError(f"unknown ablation kind {kind!r}")
@@ -172,17 +155,27 @@ def ablation(
     ui_norm = row_normalize(split.train_UI)
     if mu > 0.0:
         s_item = item_similarity(ds, alpha, ui=split.train_UI)
-        ui_item = _checked_walk("item", walk_item, ui_norm, s_item, walk.eta, walk)
+        ui_item = closed_form_item(ui_norm, s_item, walk.eta)
     if mu < 1.0:
         s_user = user_similarity(ds, beta, ui=split.train_UI)
-        ui_user = _checked_walk("user", walk_user, ui_norm, s_user, walk.lambda_, walk)
+        ui_user = closed_form_user(ui_norm, s_user, walk.lambda_)
     if mu == 1.0:
-        final = ui_item
-    elif mu == 0.0:
-        final = ui_user
-    else:
-        final = fuse(ui_item, ui_user, mu)
-    return recommend_all(final, split.train_UI, top_n)
+        return ui_item
+    if mu == 0.0:
+        return ui_user
+    return fuse(ui_item, ui_user, mu)
+
+
+def ablation(
+    kind: str,
+    split: Split,
+    ds: TaggingDataset,
+    walk: WalkConfig | None = None,
+    similarity: SimilarityConfig | None = None,
+    top_n: int = 5,
+) -> dict[int, list[int]]:
+    """Top-N lists of one walk variant (see :func:`ablation_scores`)."""
+    return recommend_all(ablation_scores(kind, split, ds, walk, similarity), split.train_UI, top_n)
 
 
 def run_algorithm(

@@ -18,6 +18,7 @@ from . import __version__
 from .baselines import ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec, run_algorithm
 from .dataset import (
     EmptyDatasetError,
+    InvalidDatasetError,
     ParseError,
     Split,
     dataset_from_json,
@@ -88,14 +89,18 @@ def _csv_floats(text: str) -> list[float]:
         raise UsageError(f"bad numeric list {text!r}") from exc
 
 
-def _walk_config(args: argparse.Namespace) -> WalkConfig:
-    return WalkConfig(
-        eta=args.eta,
-        lambda_=getattr(args, "lambda_"),
-        mu=args.mu,
-        tol=args.tol,
-        max_iters=args.max_iters,
-    )
+_HYPERPARAMETERS = ("alpha", "beta", "eta", "lambda_", "mu")
+
+
+def _hyperparameters(values: dict[str, float]) -> dict:
+    """Walk and similarity configs from hyperparameter values by name (a
+    missing one takes its default); an out-of-range value is a usage error."""
+    similarity = {k: v for k, v in values.items() if k in ("alpha", "beta")}
+    walk = {k: v for k, v in values.items() if k not in similarity}
+    try:
+        return {"walk": WalkConfig(**walk), "similarity": SimilarityConfig(**similarity)}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _algorithm_spec(kind: str, args: argparse.Namespace) -> AlgorithmSpec:
@@ -107,16 +112,16 @@ def _algorithm_spec(kind: str, args: argparse.Namespace) -> AlgorithmSpec:
         return AlgorithmSpec(kind, {"fuse_weight": args.fuse_weight})
     return AlgorithmSpec(
         kind,
-        {
-            "walk": _walk_config(args),
-            "similarity": SimilarityConfig(alpha=args.alpha, beta=args.beta),
-        },
+        _hyperparameters({name: getattr(args, name) for name in _HYPERPARAMETERS}),
     )
 
 
 def _load_dataset(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return dataset_from_json(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return dataset_from_json(fh.read())
+    except (UnicodeDecodeError, InvalidDatasetError) as exc:
+        raise InvalidDatasetError(f"{path}: invalid dataset: {exc}") from None
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -130,7 +135,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         num_tags=args.select_tags,
     )
     if ds.num_users == 0 or ds.num_items == 0:
-        print("dataset empty after filtering", file=sys.stderr)
+        print("error: dataset empty after filtering", file=sys.stderr)
         return 2
     with open(args.dataset, "w", encoding="utf-8") as fh:
         fh.write(dataset_to_json(ds))
@@ -146,18 +151,19 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_recommend(args: argparse.Namespace) -> int:
     if args.top_n < 1:
         raise UsageError("--top-n must be >= 1")
+    spec = _algorithm_spec(args.algorithm, args)
     ds = _load_dataset(args.dataset)
     if args.user is not None:
         try:
             users = [ds.user_index(args.user)]
         except KeyError:
-            print(f"unknown user id {args.user!r}", file=sys.stderr)
+            print(f"error: unknown user id {args.user!r}", file=sys.stderr)
             return 1
     else:
         users = list(range(ds.num_users))
     # every save is training data, so no saved item is ever recommended
     saved = Split(train_UI=ds.UI, test_sets={}, seed=args.seed, train_fraction=1.0)
-    recs = run_algorithm(_algorithm_spec(args.algorithm, args), saved, ds, args.top_n)
+    recs = run_algorithm(spec, saved, ds, args.top_n)
     payload = {ds.users[u]: [ds.items[j] for j in recs[u]] for u in users}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -167,28 +173,28 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_algorithms(text: str) -> list[str]:
+def _parse_algorithms(text: str, args: argparse.Namespace) -> list[AlgorithmSpec]:
     kinds = [k.strip() for k in text.split(",") if k.strip()]
     for k in kinds:
         if k not in ALGORITHM_KINDS:
             raise UsageError(f"unknown algorithm {k!r}; choose from {ALGORITHM_KINDS}")
     if not kinds:
         raise UsageError("no algorithms given")
-    return kinds
+    return [_algorithm_spec(k, args) for k in kinds]
 
 
-def _run_reports(ds, kinds, args) -> list:
+def _run_reports(ds, specs, args) -> list:
     return [
         run_experiment(
             ds,
-            _algorithm_spec(kind, args),
+            spec,
             train_fraction=args.train_fraction,
             top_n=args.top_n,
             n_runs=args.runs,
             base_seed=args.seed,
             half_life=args.half_life,
         )
-        for kind in kinds
+        for spec in specs
     ]
 
 
@@ -215,9 +221,9 @@ def _emit_reports(reports, args, command: str, extras: dict | None = None) -> No
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    specs = _parse_algorithms(args.algorithms, args)
     ds = _load_dataset(args.dataset)
-    kinds = _parse_algorithms(args.algorithms)
-    reports = _run_reports(ds, kinds, args)
+    reports = _run_reports(ds, specs, args)
     extras = None
     if args.t_test and len(reports) >= 2:
         ordered = sorted(reports, key=lambda r: -r.means.precision)
@@ -239,8 +245,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    specs = [_algorithm_spec(kind, args) for kind in ABLATION_KINDS]
     ds = _load_dataset(args.dataset)
-    reports = _run_reports(ds, list(ABLATION_KINDS), args)
+    reports = _run_reports(ds, specs, args)
     _emit_reports(reports, args, "ablate")
     return 0
 
@@ -249,11 +256,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fractions = _csv_floats(args.fractions)
     if not fractions or not all(0.0 < f < 1.0 for f in fractions):
         raise UsageError("--fractions must be a non-empty list within (0, 1)")
+    specs = _parse_algorithms(args.algorithms, args)
     ds = _load_dataset(args.dataset)
-    kinds = _parse_algorithms(args.algorithms)
     grid = density_sweep(
         ds,
-        [_algorithm_spec(k, args) for k in kinds],
+        specs,
         fractions,
         top_n=args.top_n,
         n_runs=args.runs,
@@ -276,10 +283,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     grid_axes = {}
-    for name in ("alpha", "beta", "eta", "lambda", "mu"):
-        raw = getattr(args, "lambda_" if name == "lambda" else name)
+    for key in _HYPERPARAMETERS:
+        raw = getattr(args, key)
         if raw is not None:
+            name = key.rstrip("_")
             grid_axes[name] = _csv_floats(raw)
+            for value in grid_axes[name]:
+                _hyperparameters({key: value})
     if not grid_axes:
         raise UsageError("give at least one grid axis (--alpha/--beta/--eta/--lambda/--mu)")
     ds = _load_dataset(args.dataset)
@@ -314,8 +324,6 @@ def _add_walk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=float, default=0.8)
     p.add_argument("--lambda", dest="lambda_", type=float, default=0.8)
     p.add_argument("--mu", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--k-neighbors", type=int, default=None)
     p.add_argument("--fuse-weight", type=float, default=0.5)
 
@@ -396,34 +404,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_INT_KEYS = {
-    "top_n", "runs", "seed", "half_life", "max_iters", "min_items_per_user",
-    "min_users_per_item", "unqualified_threshold", "select_tags",
-    "k_neighbors",
-}
-_FLOAT_KEYS = {
-    "alpha", "beta", "eta", "lambda_", "mu", "tol", "train_fraction",
-    "fuse_weight",
-}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(args: argparse.Namespace, cfg: dict[str, str], argv: list[str]) -> None:
-    """Overlay config-file values onto flags not given on the command line."""
+def _config_value(action: argparse.Action, key: str, raw: str) -> object:
+    """Parse a config-file value as the option's own flag would."""
+    if action.nargs == 0:  # a store_true switch
+        if raw.lower() not in _BOOLEANS:
+            raise UsageError(f"config key {key!r}: expected true or false, got {raw!r}")
+        return _BOOLEANS[raw.lower()]
+    if action.type is None:
+        value: object = raw
+    else:
+        try:
+            value = action.type(raw)
+        except ValueError:
+            raise UsageError(
+                f"config key {key!r}: expected {action.type.__name__}, got {raw!r}"
+            ) from None
+    if action.choices is not None and value not in action.choices:
+        raise UsageError(f"config key {key!r}: {raw!r} is not one of {list(action.choices)}")
+    return value
+
+
+def _apply_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, cfg: dict[str, str], argv: list[str]
+) -> None:
+    """Overlay config-file values onto the command's options not given on the
+    command line. A key that names no option of any command is an error."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {
+        a.dest for sub in subparsers.choices.values() for a in sub._actions if a.option_strings
+    } - {"help"}
+    own = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, raw in cfg.items():
         if key == "lambda":
             key = "lambda_"
-        flag = "--" + ("lambda" if key == "lambda_" else key).replace("_", "-")
-        if flag in argv or not hasattr(args, key):
+        if key not in known:
+            raise UsageError(f"unknown config key {key!r}")
+        action = own.get(key)
+        if action is None:
             continue
-        if key in _INT_KEYS:
-            value: object = int(raw)
-        elif key in _FLOAT_KEYS:
-            value = float(raw)
-        elif isinstance(getattr(args, key), bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        else:
-            value = raw
-        setattr(args, key, value)
+        value = _config_value(action, key, raw)
+        if not any(
+            arg == opt or arg.startswith(opt + "=") for opt in action.option_strings for arg in argv
+        ):
+            setattr(args, key, value)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -432,12 +459,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args, _load_config_file(args.config), argv)
+            _apply_config(parser, args, _load_config_file(args.config), argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, EmptyDatasetError, FileNotFoundError) as exc:
+    except (ParseError, EmptyDatasetError, InvalidDatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,10 @@ class ParseError(ValueError):
 
 class EmptyDatasetError(ValueError):
     """Operation requires a non-empty dataset."""
+
+
+class InvalidDatasetError(ValueError):
+    """Text is not a dataset snapshot written by :func:`dataset_to_json`."""
 
 
 @dataclass(frozen=True)
@@ -76,10 +81,14 @@ class TaggingDataset:
     def num_tags(self) -> int:
         return len(self.tags)
 
+    @cached_property
+    def _user_positions(self) -> dict[str, int]:
+        return {user: u for u, user in enumerate(self.users)}
+
     def user_index(self, user: str) -> int:
         try:
-            return self.users.index(user)
-        except ValueError:
+            return self._user_positions[user]
+        except KeyError:
             raise KeyError(f"unknown user id {user!r}") from None
 
 
@@ -298,17 +307,50 @@ def dataset_to_json(ds: TaggingDataset) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+_SNAPSHOT_FIELDS = ("format_version", "users", "items", "tags", "total_tag_count", "UI", "UT", "IT")
+
+
 def dataset_from_json(text: str) -> TaggingDataset:
-    d = json.loads(text)
-    if d.get("format_version") != 1:
-        raise ValueError(f"unsupported dataset format_version {d.get('format_version')!r}")
+    """Read a snapshot written by :func:`dataset_to_json`.
+
+    Raises :class:`InvalidDatasetError` for malformed JSON, another format
+    version, missing or mistyped fields, duplicate ids, and matrix entries
+    that are out of range, repeated, non-finite or negative.
+    """
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidDatasetError(f"not JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise InvalidDatasetError("expected a JSON object")
+    missing = [key for key in _SNAPSHOT_FIELDS if key not in d]
+    if missing:
+        raise InvalidDatasetError(f"missing fields {missing}")
+    if d["format_version"] != 1:
+        raise InvalidDatasetError(f"unsupported dataset format_version {d['format_version']!r}")
+    for key in ("users", "items", "tags"):
+        ids = d[key]
+        if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
+            raise InvalidDatasetError(f"{key} must be a list of strings")
+        if len(set(ids)) != len(ids):
+            repeated = next(x for x, count in Counter(ids).items() if count > 1)
+            raise InvalidDatasetError(f"duplicate {key[:-1]} id {repeated!r}")
+    if not isinstance(d["total_tag_count"], int):
+        raise InvalidDatasetError("total_tag_count must be an integer")
     m, n, l = len(d["users"]), len(d["items"]), len(d["tags"])
+    matrices = {}
+    for key, rows, cols in (("UI", m, n), ("UT", m, l), ("IT", n, l)):
+        try:
+            matrix = SparseMatrix(rows, cols, [tuple(e) for e in d[key]])
+        except (TypeError, ValueError, IndexError) as exc:
+            raise InvalidDatasetError(f"{key}: {exc}") from None
+        if matrix.nnz and matrix.csr().data.min() < 0:
+            raise InvalidDatasetError(f"{key}: negative entry")
+        matrices[key] = matrix
     return TaggingDataset(
         users=tuple(d["users"]),
         items=tuple(d["items"]),
         tags=tuple(d["tags"]),
-        UI=SparseMatrix(m, n, [tuple(e) for e in d["UI"]]),
-        UT=SparseMatrix(m, l, [tuple(e) for e in d["UT"]]),
-        IT=SparseMatrix(n, l, [tuple(e) for e in d["IT"]]),
         total_tag_count=d["total_tag_count"],
+        **matrices,
     )

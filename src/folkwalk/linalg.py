@@ -3,8 +3,8 @@
 Storage is CSR (scipy) behind an immutable :class:`SparseMatrix` wrapper.
 Provides the small set of operations the recommender pipeline needs: row
 normalization, products, transpose, and a dense partial-pivot LU solver used
-by the closed-form walk. All functions are pure; matrices are never
-mutated after construction.
+by the closed-form walk. Matrices are never mutated after construction, and
+no function writes to its arguments except ``solve_dense`` when asked to.
 """
 
 from __future__ import annotations
@@ -160,12 +160,14 @@ def lincomb(wa: float, a: SparseMatrix, wb: float, b: SparseMatrix) -> SparseMat
     return SparseMatrix._wrap(wa * a.csr() + wb * b.csr())
 
 
-def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Solve A @ X = B by LU.
 
     Uses partial-pivot LU; a pivot with absolute value below ``PIVOT_EPS``
-    raises :class:`SingularMatrixError`. Intended for desk-scale validation
-    and closed-form paths, not large systems.
+    raises :class:`SingularMatrixError`. With ``overwrite`` the factorization
+    and the solve may use ``a`` and ``b`` as their workspace (they do so
+    without a copy when both are float64 and Fortran-ordered), leaving
+    their contents undefined.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -177,10 +179,10 @@ def solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with warnings.catch_warnings():
         # singularity is reported via SingularMatrixError below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=True)
+        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite, check_finite=True)
     if np.abs(np.diag(lu)).min() < PIVOT_EPS:
         raise SingularMatrixError(
             f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
         )
-    x = scipy.linalg.lu_solve((lu, piv), b2)
+    x = scipy.linalg.lu_solve((lu, piv), b2, overwrite_b=overwrite, check_finite=True)
     return x if b.ndim == 2 else x.ravel()

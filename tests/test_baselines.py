@@ -9,6 +9,7 @@ from folkwalk.baselines import (
     AlgorithmSpec,
     _truncate_neighbors,
     ablation,
+    ablation_scores,
     fusion_cf,
     fusion_cf_scores,
     item_cf,
@@ -19,11 +20,11 @@ from folkwalk.baselines import (
     user_cf_scores,
 )
 from folkwalk.dataset import Post, TaggingDataset, build_matrices, split
-from folkwalk.linalg import SparseMatrix
-from folkwalk.similarity import SimilarityConfig
-from folkwalk.walker import WalkConfig, recommend_all
+from folkwalk.linalg import SparseMatrix, row_normalize
+from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
+from folkwalk.walker import WalkConfig, fuse, recommend_all, walk_item, walk_user
 
-from gen import random_dataset
+from gen import planted_cluster_posts, random_dataset
 
 
 def make_split(ds, fraction=0.4, seed=7):
@@ -192,6 +193,27 @@ class TestFusionCF:
             assert all(0 <= j < ds.num_items for j in lst)
 
 
+def iterated_scores(sp, ds, walk, sim):
+    """The pRW scores from the reference iteration run to tol=1e-12."""
+    ui_norm = row_normalize(sp.train_UI)
+    s_item = item_similarity(ds, sim.alpha, ui=sp.train_UI)
+    s_user = user_similarity(ds, sim.beta, ui=sp.train_UI)
+    x, _ = walk_item(ui_norm, s_item, walk.eta, tol=1e-12, max_iters=10_000)
+    y, _ = walk_user(ui_norm, s_user, walk.lambda_, tol=1e-12, max_iters=10_000)
+    return fuse(x, y, walk.mu)
+
+
+def assert_same_top_n(got, want, train, top_n=5):
+    """Equal top-N lists, except that items whose reference scores agree
+    within the 1e-9 score tolerance may trade places: the tie rule then
+    sees rounding noise."""
+    got_lists = recommend_all(got, train, top_n)
+    want_lists = recommend_all(want, train, top_n)
+    for u, lst in got_lists.items():
+        if lst != want_lists[u]:
+            np.testing.assert_allclose(want[u, lst], want[u, want_lists[u]], rtol=0, atol=1e-9)
+
+
 class TestAblation:
     def test_item_only_variant_ignores_user_tags(self):
         rng = np.random.default_rng(7)
@@ -235,15 +257,35 @@ class TestAblation:
         with pytest.raises(ValueError):
             ablation("pRW-XX", make_split(ds), ds)
 
-    def test_non_convergence_warns(self):
-        ds = random_dataset(np.random.default_rng(10), n_users=6, n_items=8, n_tags=4)
-        with pytest.warns(RuntimeWarning) as caught:
-            ablation("pRW", make_split(ds), ds, walk=WalkConfig(max_iters=1))
-        messages = sorted(str(w.message) for w in caught)
-        assert len(messages) == 2
-        for side, message in zip(("item", "user"), messages):
-            assert message.startswith(f"{side} walk did not converge")
-            assert "after 1 iterations" in message and "tol 1e-06" in message
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        damping=st.tuples(st.floats(0.0, 0.95), st.floats(0.0, 0.95)),
+        weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+        fraction=st.floats(0.1, 0.9),
+    )
+    def test_pipeline_matches_iterative_walks(self, seed, damping, weights, fraction):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, int(rng.integers(2, 15)), int(rng.integers(2, 15)),
+                            int(rng.integers(1, 6)))
+        sp = make_split(ds, fraction, seed)
+        walk = WalkConfig(eta=damping[0], lambda_=damping[1], mu=weights[0])
+        sim = SimilarityConfig(alpha=weights[1], beta=weights[2])
+        got = ablation_scores("pRW", sp, ds, walk, sim)
+        want = iterated_scores(sp, ds, walk, sim)
+        assert np.abs(got - want).max() < 1e-9
+        assert_same_top_n(got, want, sp.train_UI)
+
+    def test_pipeline_matches_iterative_walks_on_planted_clusters(self):
+        ds = build_matrices(planted_cluster_posts(np.random.default_rng(7)))
+        walk = WalkConfig(eta=0.9, lambda_=0.8, mu=0.7)
+        sim = SimilarityConfig(alpha=1.0, beta=0.5)
+        for seed in range(3):
+            sp = make_split(ds, 0.2, seed)
+            got = ablation_scores("pRW", sp, ds, walk, sim)
+            want = iterated_scores(sp, ds, walk, sim)
+            assert np.abs(got - want).max() < 1e-9
+            assert recommend_all(got, sp.train_UI, 5) == recommend_all(want, sp.train_UI, 5)
 
     def test_default_settings_converge_silently(self):
         ds = random_dataset(np.random.default_rng(10), n_users=6, n_items=8, n_tags=4)

@@ -213,3 +213,87 @@ class TestConfigFile:
         assert len(doc[0]["runs"]) == 1  # flag beats config
         assert doc[0]["seeds"] == [9]  # config beats default
         assert doc[0]["top_n"] == 4
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", ["recommend", "evaluate", "ablate", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value", [("--eta", "1.0"), ("--lambda", "1"), ("--alpha", "2"), ("--mu", "-1"),
+                        ("--beta", "-0.5")]
+    )
+    def test_out_of_range_hyperparameter_exits_2(self, dataset_file, tmp_path, capsys,
+                                                 command, flag, value):
+        argv = [command, "--dataset", dataset_file, flag, value]
+        if command != "recommend":
+            argv += ["--runs", "1", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert flag.lstrip("-") in one_line_error(capsys)
+
+    def test_out_of_range_grid_axis_exits_2(self, dataset_file, tmp_path, capsys):
+        assert main([
+            "grid", "--dataset", dataset_file, "--eta", "0.5,1.0",
+            "--output-dir", str(tmp_path / "g"),
+        ]) == 2
+        assert "eta" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"format_version": 1, "users": [', "not JSON"),
+            (b"\xff\xfe\x00", "utf-8"),
+            (b'{"format_version": 1}', "missing fields"),
+            (b'{"format_version": 1, "users": ["a", "a"], "items": [], "tags": [], '
+             b'"total_tag_count": 0, "UI": [], "UT": [], "IT": []}', "duplicate user id 'a'"),
+        ],
+    )
+    def test_bad_dataset_file_exits_1(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["recommend", "--dataset", str(path), "--all"]) == 1
+        err = one_line_error(capsys)
+        assert str(path) in err and message in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("bogus = 1", "unknown config key 'bogus'"),
+            ("tol = 1e-6", "unknown config key 'tol'"),
+            ("max-iters = 5", "unknown config key 'max_iters'"),
+            ("eta = abc", "config key 'eta': expected float, got 'abc'"),
+            ("runs = 2.5", "config key 'runs': expected int, got '2.5'"),
+            ("format = xml", "config key 'format'"),
+            ("t-test = maybe", "config key 't_test'"),
+        ],
+    )
+    def test_bad_config_line_exits_2(self, dataset_file, tmp_path, capsys, line, message):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text(line + "\n")
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", dataset_file,
+            "--algorithms", "Random", "--runs", "1", "--output-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert message in one_line_error(capsys)
+
+    def test_config_keys_of_other_commands_are_accepted(self, dataset_file, tmp_path):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text("select-tags = 10\nobjective = recall\n")
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", dataset_file,
+            "--algorithms", "Random", "--runs", "1", "--output-dir", str(tmp_path / "o"),
+        ]) == 0
+
+    def test_flag_given_with_equals_beats_config(self, dataset_file, tmp_path):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text("runs = 2\n")
+        out = tmp_path / "o"
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", dataset_file,
+            "--algorithms", "Random", "--runs=1", "--output-dir", str(out),
+        ]) == 0
+        assert len(json.loads((out / "report.json").read_text())[0]["runs"]) == 1

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from folkwalk.dataset import (
     EmptyDatasetError,
+    InvalidDatasetError,
     ParseError,
     Post,
     TaggingDataset,
@@ -266,6 +268,45 @@ class TestSnapshot:
         assert again.UI.entries == ds.UI.entries
         assert again.UT.entries == ds.UT.entries
         assert again.IT.entries == ds.IT.entries
+
+    @pytest.mark.parametrize("key", ["users", "items", "tags"])
+    def test_duplicate_ids_rejected(self, key):
+        doc = json.loads(dataset_to_json(build_matrices(random_posts(np.random.default_rng(2)))))
+        doc[key][-1] = doc[key][0]
+        with pytest.raises(InvalidDatasetError, match=f"duplicate {key[:-1]} id {doc[key][0]!r}"):
+            dataset_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d.pop("UI"), "missing fields"),
+            (lambda d: d.update(format_version=2), "format_version 2"),
+            (lambda d: d.update(users="u0"), "users must be a list of strings"),
+            (lambda d: d.update(items=[1, 2]), "items must be a list of strings"),
+            (lambda d: d.update(total_tag_count="3"), "total_tag_count"),
+            (lambda d: d["UI"].append(d["UI"][0]), "UI: duplicate"),
+            (lambda d: d["UI"].append([len(d["users"]), 0, 1.0]), "UI: entry index out of bounds"),
+            (lambda d: d["UT"][0].__setitem__(2, -1.0), "UT: negative entry"),
+            (lambda d: d["IT"].__setitem__(0, [0]), "IT: "),
+            (lambda d: d["IT"].__setitem__(0, [0, 0, "x"]), "IT: "),
+        ],
+    )
+    def test_invalid_snapshots_rejected(self, corrupt, message):
+        doc = json.loads(dataset_to_json(build_matrices(random_posts(np.random.default_rng(2)))))
+        corrupt(doc)
+        with pytest.raises(InvalidDatasetError, match=message):
+            dataset_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["", '{"format_version": 1', "[1, 2]", "null"])
+    def test_non_snapshot_text_rejected(self, text):
+        with pytest.raises(InvalidDatasetError):
+            dataset_from_json(text)
+
+    def test_user_index(self):
+        ds = build_matrices(random_posts(np.random.default_rng(3)))
+        assert [ds.user_index(user) for user in ds.users] == list(range(ds.num_users))
+        with pytest.raises(KeyError, match="nobody"):
+            ds.user_index("nobody")
 
     def test_ingest_pipeline_records_total_tags(self):
         posts = parse_triples("u1\ti1\ta\nu1\ti2\tb\nu2\ti1\tc\nu2\ti2\ta\n")

@@ -177,6 +177,15 @@ class TestSolveDense:
         xr = solve_dense(a.T, b).T
         assert np.abs(xr @ a - b.T).max() < 1e-9
 
+    def test_overwrite_solves_in_fortran_buffers(self):
+        rng = np.random.default_rng(11)
+        a = np.asfortranarray(rng.random((15, 15)) + 15 * np.eye(15))
+        b = np.asfortranarray(rng.random((15, 4)))
+        expected = solve_dense(a, b)
+        x = solve_dense(a, b, overwrite=True)
+        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
+        assert np.shares_memory(x, b)
+
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
