@@ -6,11 +6,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dataset import Split, TaggingDataset
 from .linalg import SparseMatrix, row_normalize
 from .similarity import SimilarityConfig, item_similarity, user_similarity
-from .walker import WalkConfig, closed_form_item, closed_form_user, fuse, recommend_all
+from .walker import (
+    WalkConfig,
+    closed_form_item,
+    closed_form_user,
+    fuse,
+    recommend_all,
+    smallest_k_mask,
+)
 
 ABLATION_KINDS = ("pRW-IT", "pRW-UT", "pRW-UI", "pRW")
 ALGORITHM_KINDS = ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS
@@ -40,27 +48,34 @@ class AlgorithmSpec:
         extra = set(self.params) - known
         if extra:
             raise ValueError(f"unknown params for {self.kind}: {sorted(extra)}")
+        k_neighbors = self.params.get("k_neighbors")
+        if k_neighbors is not None and k_neighbors < 1:
+            raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
 
 
 def random_recommender(split: Split, seed: int, top_n: int) -> dict[int, list[int]]:
     """Uniform sample without replacement from each user's candidate items."""
     rng = np.random.default_rng(seed)
-    train = split.train_UI.to_dense()
+    train = split.train_UI.csr()
     recs = {}
-    for u in range(split.train_UI.rows):
-        candidates = np.flatnonzero(train[u] == 0)
+    for u in range(train.shape[0]):
+        unsaved = np.ones(train.shape[1], dtype=bool)
+        unsaved[train.indices[train.indptr[u]:train.indptr[u + 1]]] = False
+        candidates = np.flatnonzero(unsaved)
         k = min(top_n, len(candidates))
         recs[u] = [int(j) for j in rng.choice(candidates, size=k, replace=False)] if k else []
     return recs
 
 
-def _cosine(rows: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarity between the rows; zero rows give zero
-    similarity; the diagonal is zeroed (no self-neighbors)."""
-    norms = np.linalg.norm(rows, axis=1)
+def _cosine(profile: sp.csr_matrix) -> np.ndarray:
+    """Dense pairwise cosine similarity between the rows of a sparse profile;
+    zero rows give zero similarity; the diagonal is zeroed (no
+    self-neighbors). One sparse product, so the cost follows co-occurrences."""
+    norms = np.sqrt(np.asarray(profile.multiply(profile).sum(axis=1)).ravel())
     safe = np.where(norms > 0, norms, 1.0)
-    unit = rows / safe[:, None]
-    sim = unit @ unit.T
+    data = profile.data / np.repeat(safe, np.diff(profile.indptr))
+    unit = sp.csr_matrix((data, profile.indices, profile.indptr), shape=profile.shape)
+    sim = (unit @ unit.T).toarray()
     np.fill_diagonal(sim, 0.0)
     return sim
 
@@ -70,33 +85,41 @@ def _truncate_neighbors(sim: np.ndarray, k_neighbors: int | None) -> np.ndarray:
     keeps all neighbors."""
     if k_neighbors is None or k_neighbors >= sim.shape[1]:
         return sim
-    rows = np.arange(sim.shape[0])[:, None]
-    keep = np.argsort(-sim, axis=1, kind="stable")[:, :k_neighbors]
-    out = np.zeros_like(sim)
-    out[rows, keep] = sim[rows, keep]
-    return out
+    return np.where(smallest_k_mask(-sim, k_neighbors), sim, 0.0)
+
+
+def _profile(
+    interactions: sp.csr_matrix, profile_ext: sp.csr_matrix | np.ndarray | None
+) -> sp.csr_matrix:
+    """Interaction rows, optionally extended with extra profile columns (a
+    CSR matrix or an ndarray)."""
+    if profile_ext is None:
+        return interactions
+    return sp.hstack([interactions, sp.csr_matrix(profile_ext)], format="csr")
 
 
 def user_cf_scores(
-    train_ui: SparseMatrix, k_neighbors: int | None = None, profile_ext: np.ndarray | None = None
+    train_ui: SparseMatrix,
+    k_neighbors: int | None = None,
+    profile_ext: sp.csr_matrix | np.ndarray | None = None,
 ) -> np.ndarray:
     """score(u, j) = sum over neighbors v of sim(u, v) * train[v, j], with
     cosine similarity over user rows (optionally extended with extra profile
     columns that do not contribute to the scored items)."""
-    ui = train_ui.to_dense()
-    profile = ui if profile_ext is None else np.hstack([ui, profile_ext])
-    sim = _truncate_neighbors(_cosine(profile), k_neighbors)
-    return sim @ ui
+    ui = train_ui.csr()
+    sim = _truncate_neighbors(_cosine(_profile(ui, profile_ext)), k_neighbors)
+    return (ui.T @ sim.T).T
 
 
 def item_cf_scores(
-    train_ui: SparseMatrix, k_neighbors: int | None = None, profile_ext: np.ndarray | None = None
+    train_ui: SparseMatrix,
+    k_neighbors: int | None = None,
+    profile_ext: sp.csr_matrix | np.ndarray | None = None,
 ) -> np.ndarray:
     """score(u, j) = sum over u's training items i of sim(i, j), with cosine
     similarity over item columns (optionally extended)."""
-    ui = train_ui.to_dense()
-    profile = ui.T if profile_ext is None else np.hstack([ui.T, profile_ext])
-    sim = _truncate_neighbors(_cosine(profile), k_neighbors)
+    ui = train_ui.csr()
+    sim = _truncate_neighbors(_cosine(_profile(ui.T.tocsr(), profile_ext)), k_neighbors)
     return ui @ sim
 
 
@@ -116,8 +139,8 @@ def fusion_cf_scores(
     profile features; scores cover real items only."""
     if not 0.0 <= fuse_weight <= 1.0:
         raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
-    user_scores = user_cf_scores(split.train_UI, profile_ext=ds.UT.to_dense())
-    item_scores = item_cf_scores(split.train_UI, profile_ext=ds.IT.to_dense())
+    user_scores = user_cf_scores(split.train_UI, profile_ext=ds.UT.csr())
+    item_scores = item_cf_scores(split.train_UI, profile_ext=ds.IT.csr())
     return fuse_weight * user_scores + (1.0 - fuse_weight) * item_scores
 
 

@@ -91,6 +91,24 @@ def _csv_floats(text: str) -> list[float]:
 
 _HYPERPARAMETERS = ("alpha", "beta", "eta", "lambda_", "mu")
 
+# (option, valid range as text, predicate); an option a command lacks is skipped
+_OPTION_RANGES = (
+    ("train_fraction", "in (0, 1)", lambda v: 0.0 < v < 1.0),
+    ("runs", ">= 1", lambda v: v >= 1),
+    ("half_life", ">= 2", lambda v: v >= 2),
+    ("fuse_weight", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    ("top_n", ">= 1", lambda v: v >= 1),
+    ("k_neighbors", ">= 1", lambda v: v >= 1),
+)
+
+
+def _check_option_ranges(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric options before any input is read."""
+    for name, rule, ok in _OPTION_RANGES:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+
 
 def _hyperparameters(values: dict[str, float]) -> dict:
     """Walk and similarity configs from hyperparameter values by name (a
@@ -149,8 +167,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
-    if args.top_n < 1:
-        raise UsageError("--top-n must be >= 1")
     spec = _algorithm_spec(args.algorithm, args)
     ds = _load_dataset(args.dataset)
     if args.user is not None:
@@ -460,6 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             _apply_config(parser, args, _load_config_file(args.config), argv)
+        _check_option_ranges(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

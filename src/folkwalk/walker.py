@@ -130,6 +130,28 @@ def fuse(ui_item: np.ndarray, ui_user: np.ndarray, mu: float) -> np.ndarray:
     return mu * ui_item + (1.0 - mu) * ui_user
 
 
+def smallest_k_mask(keys: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of each row's k smallest keys, ties broken by lower
+    column index: every key below the row's k-th smallest, then the
+    lowest-indexed keys equal to it. Selects by partition, not a sort."""
+    m, n = keys.shape
+    if k >= n:
+        return np.ones((m, n), dtype=bool)
+    if k < 1:
+        return np.zeros((m, n), dtype=bool)
+    # fancy indexing copies the k-th column, so the partitioned copy is freed
+    kth = np.partition(keys, k - 1, axis=1)[:, [k - 1]]
+    mask = keys <= kth
+    # where ties at the k-th key overflow a row, keep its lowest-indexed ones
+    excess = np.count_nonzero(mask, axis=1) - k
+    over = np.flatnonzero(excess > 0)
+    if len(over):
+        tied = (keys == kth)[over]
+        keep = np.count_nonzero(tied, axis=1) - excess[over]
+        mask[over] &= ~tied | (np.cumsum(tied, axis=1, dtype=np.int32) <= keep[:, None])
+    return mask
+
+
 def recommend_all(
     scores: np.ndarray, train_ui: SparseMatrix, top_n: int
 ) -> dict[int, list[int]]:
@@ -144,8 +166,13 @@ def recommend_all(
     train = train_ui.csr()
     rows, cols = train.nonzero()
     # scores are finite, so +inf sorts every training item behind all candidates
-    key = -scores
+    key = np.negative(scores, order="C")
     key[rows, cols] = np.inf
-    order = np.argsort(key, axis=1, kind="stable")[:, :top_n]
-    counts = np.minimum(top_n, scores.shape[1] - np.diff(train.indptr))
-    return {u: order[u, :k].tolist() for u, k in enumerate(counts.tolist())}
+    m, n = key.shape
+    # the selected columns come out ascending per row, so a stable sort of
+    # their keys keeps the lower index first among ties
+    picked = np.nonzero(smallest_k_mask(key, top_n))[1].reshape(m, min(top_n, n))
+    order = np.argsort(np.take_along_axis(key, picked, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(picked, order, axis=1)
+    counts = np.minimum(top_n, n - np.diff(train.indptr))
+    return {u: top[u, :k].tolist() for u, k in enumerate(counts.tolist())}

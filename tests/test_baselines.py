@@ -2,11 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from folkwalk.baselines import (
     ABLATION_KINDS,
     AlgorithmSpec,
+    _cosine,
+    _profile,
     _truncate_neighbors,
     ablation,
     ablation_scores,
@@ -61,6 +64,22 @@ class TestRandomRecommender:
         sp = make_split(ds)
         assert random_recommender(sp, 11, 4) == random_recommender(sp, 11, 4)
 
+    def test_matches_dense_candidate_lists(self):
+        # the candidates are each user's unsaved items in ascending order, so
+        # the generator makes the same draws as when they came from a dense row
+        rng = np.random.default_rng(3)
+        ds = random_dataset(rng, n_users=9, n_items=14)
+        sp = make_split(ds)
+        train = sp.train_UI.to_dense()
+        for seed in range(5):
+            draws = np.random.default_rng(seed)
+            expected = {}
+            for u in range(train.shape[0]):
+                candidates = np.flatnonzero(train[u] == 0)
+                k = min(4, len(candidates))
+                expected[u] = draws.choice(candidates, size=k, replace=False).tolist() if k else []
+            assert random_recommender(sp, seed, 4) == expected
+
     def test_top1_frequency_is_uniform(self):
         # one user, 1 train item, 10 candidates: each should lead ~10% of trials
         ds = dense_ds(np.ones((1, 11)))
@@ -85,6 +104,51 @@ def cosine_oracle(rows: np.ndarray) -> np.ndarray:
             if na > 0 and nb > 0:
                 sim[a, b] = float(rows[a] @ rows[b]) / (na * nb)
     return sim
+
+
+def dense_cf_scores(train, side, k_neighbors=None, profile_ext=None):
+    """Dense reference of the CF scores: cosine over dense profiles, per-row
+    sort truncation (ties by lower index) and dense products."""
+    profile = train if side == "user" else train.T
+    if profile_ext is not None:
+        profile = np.hstack([profile, profile_ext])
+    norms = np.linalg.norm(profile, axis=1)
+    unit = profile / np.where(norms > 0, norms, 1.0)[:, None]
+    sim = unit @ unit.T
+    np.fill_diagonal(sim, 0.0)
+    if k_neighbors is not None and k_neighbors < sim.shape[1]:
+        truncated = np.zeros_like(sim)
+        for r, row in enumerate(sim):
+            keep = sorted(range(len(row)), key=lambda c: (-row[c], c))[:k_neighbors]
+            truncated[r, keep] = row[keep]
+        sim = truncated
+    return sim @ train if side == "user" else train @ sim
+
+
+class TestCosine:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle(self, data):
+        rows = data.draw(st.integers(1, 7), label="rows")
+        cols = data.draw(st.integers(1, 7), label="cols")
+        ext_cols = data.draw(st.integers(0, 4), label="ext cols")
+        values = st.sampled_from([0.0, 0.0, 1.0, 2.0, 0.3])
+
+        def matrix(m, n, label):
+            cells = data.draw(st.lists(values, min_size=m * n, max_size=m * n), label=label)
+            return np.array(cells).reshape(m, n)
+
+        profile = matrix(rows, cols, "profile")
+        profile[data.draw(st.integers(0, rows - 1), label="zero row")] = 0.0
+        ext = matrix(rows, ext_cols, "ext")
+        form = data.draw(st.sampled_from(["none", "ndarray", "csr"]), label="profile_ext")
+        if form == "none":
+            ext, profile_ext = ext[:, :0], None
+        else:
+            profile_ext = ext if form == "ndarray" else scipy.sparse.csr_matrix(ext)
+        got = _cosine(_profile(scipy.sparse.csr_matrix(profile), profile_ext))
+        want = cosine_oracle(np.hstack([profile, ext]))
+        assert np.abs(got - want).max() < 1e-12
 
 
 class TestUserCF:
@@ -191,6 +255,25 @@ class TestFusionCF:
         recs = fusion_cf(sp, ds, top_n=6)
         for lst in recs.values():
             assert all(0 <= j < ds.num_items for j in lst)
+
+
+def test_cf_lists_match_dense_oracle_on_planted_clusters():
+    ds = build_matrices(planted_cluster_posts(np.random.default_rng(7)))
+    ut, it = ds.UT.to_dense(), ds.IT.to_dense()
+    for seed in range(3):
+        sp = make_split(ds, 0.2, seed)
+        train = sp.train_UI.to_dense()
+        for k in (None, 20):
+            assert user_cf(sp, k) == recommend_all(
+                dense_cf_scores(train, "user", k), sp.train_UI, 5
+            )
+            assert item_cf(sp, k) == recommend_all(
+                dense_cf_scores(train, "item", k), sp.train_UI, 5
+            )
+        fused = 0.5 * dense_cf_scores(train, "user", profile_ext=ut) + 0.5 * dense_cf_scores(
+            train, "item", profile_ext=it
+        )
+        assert fusion_cf(sp, ds) == recommend_all(fused, sp.train_UI, 5)
 
 
 def iterated_scores(sp, ds, walk, sim):
@@ -336,3 +419,9 @@ def test_algorithm_spec_validation():
         AlgorithmSpec("PLSA")
     with pytest.raises(ValueError):
         AlgorithmSpec("UserCF", {"fuse_weight": 0.5})
+    AlgorithmSpec("ItemCF", {"k_neighbors": None})
+    AlgorithmSpec("ItemCF", {"k_neighbors": 1})
+    for kind in ("UserCF", "ItemCF"):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k_neighbors"):
+                AlgorithmSpec(kind, {"k_neighbors": k})

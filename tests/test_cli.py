@@ -221,6 +221,14 @@ def one_line_error(capsys) -> str:
     return err
 
 
+BAD_OPTIONS = [
+    ("--train-fraction", "1.5"), ("--train-fraction", "0"), ("--runs", "0"),
+    ("--half-life", "1"), ("--half-life", "0"), ("--fuse-weight", "2"),
+    ("--fuse-weight", "-0.1"), ("--top-n", "0"), ("--k-neighbors", "0"),
+    ("--k-neighbors", "-1"),
+]
+
+
 class TestBadInput:
     @pytest.mark.parametrize("command", ["recommend", "evaluate", "ablate", "sweep"])
     @pytest.mark.parametrize(
@@ -234,6 +242,32 @@ class TestBadInput:
             argv += ["--runs", "1", "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 2
         assert flag.lstrip("-") in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [(command, flag, value)
+         for command in ("evaluate", "ablate", "sweep", "grid")
+         for flag, value in BAD_OPTIONS
+         if command != "grid" or flag not in ("--fuse-weight", "--k-neighbors")],
+    )
+    def test_out_of_range_option_exits_2_before_loading(self, tmp_path, capsys,
+                                                        command, flag, value):
+        # the dataset does not exist: reading it would exit 1, not 2
+        argv = [command, "--dataset", str(tmp_path / "missing.json"), flag, value,
+                "--output-dir", str(tmp_path / "out")]
+        if command == "grid":
+            argv += ["--eta", "0.5"]
+        assert main(argv) == 2
+        assert f"{flag} must be" in one_line_error(capsys)
+
+    def test_out_of_range_option_from_config_exits_2(self, dataset_file, tmp_path, capsys):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text("k-neighbors = 0\n")
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", dataset_file,
+            "--algorithms", "UserCF", "--runs", "1", "--output-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert "--k-neighbors must be >= 1" in one_line_error(capsys)
 
     def test_out_of_range_grid_axis_exits_2(self, dataset_file, tmp_path, capsys):
         assert main([

@@ -193,9 +193,13 @@ class TestRecommend:
         scores = np.array(data.draw(cells, label="scores")).reshape(m, n)
         held = np.array(data.draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n),
                                   label="train")).reshape(m, n)
+        # in one row every candidate ties, so any top_n short of its candidate
+        # count cuts a run of tied scores
+        tied_row = data.draw(st.integers(0, m - 1), label="tied row")
+        scores[tied_row] = data.draw(st.sampled_from([0.0, 0.5]), label="tied score")
         # some rows keep fewer than top_n candidates, some none at all
         held[data.draw(st.integers(0, m - 1), label="full row")] = True
-        top_n = data.draw(st.integers(1, n + 1), label="top_n")
+        top_n = data.draw(st.integers(1, n + 2), label="top_n")
         train = SparseMatrix.from_dense(held.astype(float))
         assert recommend_all(scores, train, top_n) == sort_oracle(scores, held, top_n)
 
