@@ -99,15 +99,29 @@ _OPTION_RANGES = (
     ("fuse_weight", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     ("top_n", ">= 1", lambda v: v >= 1),
     ("k_neighbors", ">= 1", lambda v: v >= 1),
+    ("min_items_per_user", ">= 1", lambda v: v >= 1),
+    ("min_users_per_item", ">= 1", lambda v: v >= 1),
+    ("unqualified_threshold", ">= 1", lambda v: v >= 1),
+    ("select_tags", ">= 1", lambda v: v >= 1),
 )
+
+# the density filter needs both minimum degrees: one alone would do nothing
+_DENSITY_MINIMUMS = ("min_items_per_user", "min_users_per_item")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _check_option_ranges(args: argparse.Namespace) -> None:
-    """Reject out-of-range numeric options before any input is read."""
+    """Reject out-of-range and unpaired options before any input is read."""
     for name, rule, ok in _OPTION_RANGES:
         value = getattr(args, name, None)
         if value is not None and not ok(value):
-            raise UsageError(f"--{name.replace('_', '-')} must be {rule}, got {value}")
+            raise UsageError(f"{_flag(name)} must be {rule}, got {value}")
+    for name, other in (_DENSITY_MINIMUMS, _DENSITY_MINIMUMS[::-1]):
+        if getattr(args, name, None) is not None and getattr(args, other, None) is None:
+            raise UsageError(f"{_flag(name)} must be given with {_flag(other)}")
 
 
 def _hyperparameters(values: dict[str, float]) -> dict:

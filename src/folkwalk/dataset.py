@@ -6,8 +6,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
+from typing import NoReturn
 
 import numpy as np
 
@@ -32,7 +35,8 @@ class InvalidDatasetError(ValueError):
 
 @dataclass(frozen=True)
 class Post:
-    """One (user, item) save event with the tags applied to it.
+    """One (user, item) save event with the tags applied to it, for building
+    a dataset in code (see :meth:`PostTable.from_posts`).
 
     ``tags`` is a multiset stored as a tuple; repeats count toward tag
     frequencies.
@@ -45,6 +49,53 @@ class Post:
     def __post_init__(self):
         if not self.user or not self.item:
             raise ValueError("user and item ids must be non-empty")
+
+
+@dataclass(frozen=True, eq=False)
+class PostTable:
+    """Posts as integer codes into id tables.
+
+    Post p saves ``items[item[p]]`` for ``users[user[p]]``. Tag assignment a
+    applies ``tags[tag[a]]`` to post ``tag_post[a]``; assignments are ordered
+    by post, then by input order, and a repeated tag counts once per
+    assignment. The id tables keep every id read, in order of first
+    appearance, including ids whose posts were filtered away. ``len()`` is
+    the number of posts.
+    """
+
+    users: tuple[str, ...]
+    items: tuple[str, ...]
+    tags: tuple[str, ...]
+    user: np.ndarray
+    item: np.ndarray
+    tag_post: np.ndarray
+    tag: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    @classmethod
+    def from_posts(cls, posts: Iterable[Post]) -> "PostTable":
+        """Table of the posts in order; posts of the same (user, item) pair
+        stay separate posts."""
+        posts = list(posts)
+        users, user = _factorize([p.user for p in posts])
+        items, item = _factorize([p.item for p in posts])
+        tags, tag = _factorize([t for p in posts for t in p.tags])
+        tag_post = np.repeat(np.arange(len(posts)), [len(p.tags) for p in posts])
+        return cls(users, items, tags, user, item, tag_post, tag)
+
+    def _keep_posts(self, keep: np.ndarray) -> "PostTable":
+        """The posts where ``keep`` is true, with their tag assignments."""
+        renumber = np.cumsum(keep) - 1
+        kept = keep[self.tag_post]
+        return replace(
+            self,
+            user=self.user[keep],
+            item=self.item[keep],
+            tag_post=renumber[self.tag_post[kept]],
+            tag=self.tag[kept],
+        )
 
 
 @dataclass(frozen=True)
@@ -126,107 +177,170 @@ class Split:
     train_fraction: float
 
 
-def parse_triples(text: str, fmt: str = "tsv") -> list[Post]:
-    """Parse (user, item, tag) triples into posts, merging per (user, item).
+def _factorize(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Distinct values in first-appearance order, and each value's code."""
+    ids = tuple(dict.fromkeys(values))
+    index = dict(zip(ids, range(len(ids))))
+    return ids, np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
 
-    The tab format is one ``user\\titem\\ttag`` triple per line; the tag field
-    may be empty (a tagless save). Duplicate triples accumulate tag frequency.
-    """
-    if fmt != "tsv":
-        raise ValueError(f"unknown triple format {fmt!r}")
-    merged: dict[tuple[str, str], list[str]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
+
+def _factorize_stripped(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """:func:`_factorize` of the values stripped of surrounding whitespace,
+    stripping each distinct value once."""
+    raw, raw_code = _factorize(values)
+    ids, code = _factorize([value.strip() for value in raw])
+    return ids, code[raw_code]
+
+
+def _raise_first_bad_line(lines: list[str]) -> NoReturn:
+    """Raise :class:`ParseError` naming the first malformed line; called
+    only after a whole-input check has found one."""
+    for line_no, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ParseError(line_no, f"expected 3 tab-separated fields, got {len(parts)}")
-        user, item, tag = (p.strip() for p in parts)
-        if not user or not item:
+        if not parts[0].strip() or not parts[1].strip():
             raise ParseError(line_no, "empty user or item id")
-        tags = merged.setdefault((user, item), [])
-        if tag:
-            tags.append(tag)
-    return [Post(user, item, tuple(tags)) for (user, item), tags in merged.items()]
+    raise AssertionError("no malformed line found")
+
+
+def parse_triples(text: str, fmt: str = "tsv") -> PostTable:
+    """Parse (user, item, tag) triples into posts, merging per (user, item).
+
+    The tab format is one ``user\\titem\\ttag`` triple per line; the tag field
+    may be empty (a tagless save). Duplicate triples accumulate tag frequency.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only (as text read with
+    universal newlines has them); other line separators such as ``\\x85``
+    belong to a field. Posts are ordered by their pair's first triple.
+    """
+    if fmt != "tsv":
+        raise ValueError(f"unknown triple format {fmt!r}")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    triples = [line for line in lines if line.strip()]
+    if set(map(str.count, triples, repeat("\t"))) - {2}:
+        _raise_first_bad_line(lines)
+    # one split of all triples at once: field k of triple r is fields[3 * r + k]
+    fields = "\t".join(triples).split("\t") if triples else []
+    users, user = _factorize_stripped(fields[0::3])
+    items, item = _factorize_stripped(fields[1::3])
+    if "" in users or "" in items:
+        _raise_first_bad_line(lines)
+    tags, tag = _factorize_stripped(fields[2::3])
+    tagged = np.ones(len(tag), dtype=bool)
+    if "" in tags:  # tagless saves carry no tag assignment
+        empty = tags.index("")
+        tags = tags[:empty] + tags[empty + 1:]
+        tagged = tag != empty
+        tag = tag - (tag > empty)
+    _, first, pair = np.unique(user * len(items) + item, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    post_of_pair = np.empty_like(order)
+    post_of_pair[order] = np.arange(len(order))
+    tag_post = post_of_pair[pair.ravel()][tagged]
+    by_post = np.argsort(tag_post, kind="stable")
+    return PostTable(
+        users=users,
+        items=items,
+        tags=tags,
+        user=user[first[order]],
+        item=item[first[order]],
+        tag_post=tag_post[by_post],
+        tag=tag[tagged][by_post],
+    )
 
 
 def density_filter(
-    posts: list[Post],
+    posts: PostTable,
     min_items_per_user: int,
     min_users_per_item: int,
     unqualified_item_threshold: int,
-) -> list[Post]:
+) -> PostTable:
     """Alternately drop sparse users then sparse items until the number of
     items below ``min_users_per_item`` falls under the threshold, or a full
-    pass removes nothing."""
+    pass removes nothing. Degrees count posts."""
     if min(min_items_per_user, min_users_per_item, unqualified_item_threshold) < 1:
         raise ValueError("thresholds must be >= 1")
-    current = list(posts)
+    user, item = posts.user, posts.item
+    alive = np.ones(len(posts), dtype=bool)
     while True:
-        before = len(current)
-        user_deg = Counter(p.user for p in current)
-        current = [p for p in current if user_deg[p.user] >= min_items_per_user]
-        item_deg = Counter(p.item for p in current)
-        current = [p for p in current if item_deg[p.item] >= min_users_per_item]
-        item_deg = Counter(p.item for p in current)
-        unqualified = sum(1 for c in item_deg.values() if c < min_users_per_item)
-        if unqualified < unqualified_item_threshold or len(current) == before:
-            return current
+        before = np.count_nonzero(alive)
+        alive &= np.bincount(user[alive], minlength=len(posts.users))[user] >= min_items_per_user
+        alive &= np.bincount(item[alive], minlength=len(posts.items))[item] >= min_users_per_item
+        item_deg = np.bincount(item[alive], minlength=len(posts.items))
+        unqualified = np.count_nonzero((item_deg > 0) & (item_deg < min_users_per_item))
+        if unqualified < unqualified_item_threshold or np.count_nonzero(alive) == before:
+            return posts._keep_posts(alive)
 
 
-def select_tags(posts: list[Post], l: int) -> list[Post]:
+def select_tags(posts: PostTable, l: int) -> PostTable:
     """Keep only the ``l`` globally most frequent tags (ties broken
     lexicographically); posts stripped of all tags are retained."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    freq = Counter(t for p in posts for t in p.tags)
-    keep = {t for t, _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:l]}
-    return [
-        Post(p.user, p.item, tuple(t for t in p.tags if t in keep)) for p in posts
-    ]
+    freq = np.bincount(posts.tag, minlength=len(posts.tags))
+    used = np.flatnonzero(freq)
+    names = np.array(posts.tags, dtype=object)[used]
+    keep = np.zeros(len(posts.tags), dtype=bool)
+    keep[used[np.lexsort((names, -freq[used]))[:l]]] = True
+    kept = keep[posts.tag]
+    return replace(posts, tag_post=posts.tag_post[kept], tag=posts.tag[kept])
 
 
-def build_matrices(posts: list[Post], total_tag_count: int | None = None) -> TaggingDataset:
-    """Index ids by first appearance and assemble UI/UT/IT."""
-    users: dict[str, int] = {}
-    items: dict[str, int] = {}
-    tags: dict[str, int] = {}
-    ui: dict[tuple[int, int], float] = {}
-    ut: Counter = Counter()
-    it: Counter = Counter()
-    for p in posts:
-        u = users.setdefault(p.user, len(users))
-        i = items.setdefault(p.item, len(items))
-        ui[(u, i)] = 1.0
-        for t in p.tags:
-            k = tags.setdefault(t, len(tags))
-            ut[(u, k)] += 1
-            it[(i, k)] += 1
+def _first_appearance(codes: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Renumber ``codes`` 0, 1, ... in order of first appearance; return the
+    new codes and the ids they index."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first)]
+    renumber = np.empty(len(ids), dtype=np.int64)
+    renumber[used] = np.arange(len(used))
+    return renumber[codes], tuple(map(ids.__getitem__, used.tolist()))
+
+
+def _count_matrix(rows: int, cols: int, i: np.ndarray, j: np.ndarray, binary: bool = False) -> SparseMatrix:
+    """rows x cols matrix counting each (i, j) pair, or 1.0 per pair if binary."""
+    keys, counts = np.unique(i * cols + j, return_counts=True)
+    values = np.ones(len(keys)) if binary else counts.astype(np.float64)
+    return SparseMatrix.from_coo(rows, cols, keys // cols, keys % cols, values)
+
+
+def build_matrices(posts: PostTable, total_tag_count: int | None = None) -> TaggingDataset:
+    """Index ids by first appearance among the posts and assemble UI/UT/IT."""
+    user, users = _first_appearance(posts.user, posts.users)
+    item, items = _first_appearance(posts.item, posts.items)
+    tag, tags = _first_appearance(posts.tag, posts.tags)
     m, n, l = len(users), len(items), len(tags)
     return TaggingDataset(
-        users=tuple(users),
-        items=tuple(items),
-        tags=tuple(tags),
-        UI=SparseMatrix(m, n, [(u, i, v) for (u, i), v in ui.items()]),
-        UT=SparseMatrix(m, l, [(u, k, float(v)) for (u, k), v in ut.items()]),
-        IT=SparseMatrix(n, l, [(i, k, float(v)) for (i, k), v in it.items()]),
+        users=users,
+        items=items,
+        tags=tags,
+        UI=_count_matrix(m, n, user, item, binary=True),
+        UT=_count_matrix(m, l, user[posts.tag_post], tag),
+        IT=_count_matrix(n, l, item[posts.tag_post], tag),
         total_tag_count=l if total_tag_count is None else total_tag_count,
     )
 
 
 def ingest(
-    posts: list[Post],
+    posts: PostTable,
     min_items_per_user: int | None = None,
     min_users_per_item: int | None = None,
     unqualified_item_threshold: int = 20,
     num_tags: int | None = None,
 ) -> TaggingDataset:
-    """Full preprocessing pipeline: density filter, tag selection, matrices."""
-    if min_items_per_user is not None and min_users_per_item is not None:
+    """Full preprocessing pipeline: density filter, tag selection, matrices.
+
+    The density filter runs when both minimum degrees are given; giving
+    only one is an error.
+    """
+    if (min_items_per_user is None) != (min_users_per_item is None):
+        raise ValueError("min_items_per_user and min_users_per_item go together")
+    if min_items_per_user is not None:
         posts = density_filter(
             posts, min_items_per_user, min_users_per_item, unqualified_item_threshold
         )
-    total = len({t for p in posts for t in p.tags})
+    total = len(np.unique(posts.tag))
     if num_tags is not None:
         posts = select_tags(posts, num_tags)
     return build_matrices(posts, total_tag_count=total)
@@ -272,20 +386,24 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     ui = ds.UI.csr()
-    train_entries: list[tuple[int, int, float]] = []
+    train_items: list[np.ndarray] = []
     test_sets: dict[int, frozenset[int]] = {}
     for u in range(ds.num_users):
-        support = ui.indices[ui.indptr[u]:ui.indptr[u + 1]]
+        support = np.sort(ui.indices[ui.indptr[u]:ui.indptr[u + 1]])
         if len(support) == 0:
+            train_items.append(support)
             test_sets[u] = frozenset()
             continue
         n_train = min(len(support), max(1, math.ceil(train_fraction * len(support))))
-        chosen = rng.choice(np.sort(support), size=n_train, replace=False)
-        chosen_set = set(int(j) for j in chosen)
-        train_entries.extend((u, j, 1.0) for j in sorted(chosen_set))
-        test_sets[u] = frozenset(int(j) for j in support if int(j) not in chosen_set)
+        chosen = np.sort(rng.choice(support, size=n_train, replace=False))
+        train_items.append(chosen)
+        test_sets[u] = frozenset(np.setdiff1d(support, chosen, assume_unique=True).tolist())
+    train_users = np.repeat(np.arange(ds.num_users), [len(items) for items in train_items])
+    train_cols = np.concatenate(train_items) if train_items else np.empty(0, dtype=np.int64)
     return Split(
-        train_UI=SparseMatrix(ds.num_users, ds.num_items, train_entries),
+        train_UI=SparseMatrix.from_coo(
+            ds.num_users, ds.num_items, train_users, train_cols, np.ones(len(train_cols))
+        ),
         test_sets=test_sets,
         seed=seed,
         train_fraction=train_fraction,

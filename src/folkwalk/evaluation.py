@@ -9,7 +9,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .baselines import AlgorithmSpec, run_algorithm
 from .dataset import TaggingDataset, split as make_split
@@ -189,6 +188,9 @@ def paired_t_test(runs_a: list[float], runs_b: list[float]) -> tuple[float, floa
         if mean == 0.0:
             return 0.0, 1.0
         return math.copysign(math.inf, mean), 0.0
+    # imported here, not at module load: no other command path needs it
+    from scipy.special import stdtr
+
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * (1.0 - float(stdtr(n - 1, abs(t))))
     return t, p

@@ -13,7 +13,6 @@ import warnings
 from collections.abc import Iterable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 PIVOT_EPS = 1e-12
@@ -31,6 +30,29 @@ class SingularMatrixError(ArithmeticError):
     """Dense solve hit a pivot below the singularity threshold."""
 
 
+def _checked_csr(rows: int, cols: int, i, j, values) -> sp.csr_matrix:
+    """CSR matrix with ``values[k]`` at ``(i[k], j[k])`` after the
+    constructor checks: shape, index bounds, no repeated coordinate, finite
+    values. Stored zeros are dropped."""
+    if rows < 0 or cols < 0:
+        raise ShapeError(f"negative dimensions ({rows}, {cols})")
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    v = np.asarray(values, dtype=np.float64)
+    if not len(i):
+        return sp.csr_matrix((rows, cols), dtype=np.float64)
+    if i.min() < 0 or j.min() < 0 or i.max() >= rows or j.max() >= cols:
+        raise ShapeError(f"entry index out of bounds for shape ({rows}, {cols})")
+    flat = i * cols + j
+    if len(np.unique(flat)) != len(flat):
+        raise ValueError("duplicate (row, col) coordinates in entry list")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite value in entry list")
+    mat = sp.coo_matrix((v, (i, j)), shape=(rows, cols)).tocsr()
+    mat.eliminate_zeros()
+    return mat
+
+
 class SparseMatrix:
     """Immutable sparse real matrix with explicit dimensions.
 
@@ -42,25 +64,18 @@ class SparseMatrix:
     __slots__ = ("_csr",)
 
     def __init__(self, rows: int, cols: int, entries: Iterable[tuple[int, int, float]] = ()):
-        if rows < 0 or cols < 0:
-            raise ShapeError(f"negative dimensions ({rows}, {cols})")
         triples = list(entries)
-        if triples:
-            i = np.asarray([t[0] for t in triples], dtype=np.int64)
-            j = np.asarray([t[1] for t in triples], dtype=np.int64)
-            v = np.asarray([t[2] for t in triples], dtype=np.float64)
-            if i.min() < 0 or j.min() < 0 or i.max() >= rows or j.max() >= cols:
-                raise ShapeError(f"entry index out of bounds for shape ({rows}, {cols})")
-            flat = i * cols + j
-            if len(np.unique(flat)) != len(flat):
-                raise ValueError("duplicate (row, col) coordinates in entry list")
-            if not np.all(np.isfinite(v)):
-                raise ValueError("non-finite value in entry list")
-            mat = sp.coo_matrix((v, (i, j)), shape=(rows, cols)).tocsr()
-            mat.eliminate_zeros()
-        else:
-            mat = sp.csr_matrix((rows, cols), dtype=np.float64)
-        self._csr = mat
+        self._csr = _checked_csr(
+            rows, cols, [t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples]
+        )
+
+    @classmethod
+    def from_coo(cls, rows: int, cols: int, i, j, values) -> "SparseMatrix":
+        """Matrix with ``values[k]`` at ``(i[k], j[k])`` from coordinate
+        arrays, checked as the entry-list constructor checks its entries."""
+        obj = cls.__new__(cls)
+        obj._csr = _checked_csr(rows, cols, i, j, values)
+        return obj
 
     @classmethod
     def _wrap(cls, mat: sp.spmatrix) -> "SparseMatrix":
@@ -103,10 +118,9 @@ class SparseMatrix:
         """Stored entries as (row, col, value), sorted by (row, col)."""
         coo = self._csr.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        return [
-            (int(coo.row[k]), int(coo.col[k]), float(coo.data[k]))
-            for k in order
-        ]
+        return list(
+            zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist())
+        )
 
     def csr(self) -> sp.csr_matrix:
         """Read-only view of the underlying CSR storage."""
@@ -169,6 +183,9 @@ def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.nda
     without a copy when both are float64 and Fortran-ordered), leaving
     their contents undefined.
     """
+    # imported here, not at module load: only the pRW walks solve
+    import scipy.linalg
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from folkwalk.dataset import Post, TaggingDataset, build_matrices
+from folkwalk.dataset import Post, PostTable, TaggingDataset, build_matrices
 
 
 def random_posts(
@@ -45,7 +45,7 @@ def random_dataset(
     for p in posts:
         merged.setdefault((p.user, p.item), []).extend(p.tags)
     flat = [Post(u, i, tuple(t)) for (u, i), t in merged.items()]
-    return build_matrices(flat)
+    return build_matrices(PostTable.from_posts(flat))
 
 
 def slow_mix_dataset(rng: np.random.Generator) -> TaggingDataset:
@@ -66,7 +66,7 @@ def slow_mix_dataset(rng: np.random.Generator) -> TaggingDataset:
     merged: dict[tuple[str, str], list[str]] = {}
     for p in posts:
         merged.setdefault((p.user, p.item), []).extend(p.tags)
-    return build_matrices([Post(u, i, tuple(t)) for (u, i), t in merged.items()])
+    return build_matrices(PostTable.from_posts(Post(u, i, tuple(t)) for (u, i), t in merged.items()))
 
 
 def planted_cluster_posts(

@@ -22,7 +22,7 @@ from folkwalk.baselines import (
     user_cf,
     user_cf_scores,
 )
-from folkwalk.dataset import Post, TaggingDataset, build_matrices, split
+from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
 from folkwalk.linalg import SparseMatrix, row_normalize
 from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
 from folkwalk.walker import WalkConfig, fuse, recommend_all, walk_item, walk_user
@@ -258,7 +258,7 @@ class TestFusionCF:
 
 
 def test_cf_lists_match_dense_oracle_on_planted_clusters():
-    ds = build_matrices(planted_cluster_posts(np.random.default_rng(7)))
+    ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
     ut, it = ds.UT.to_dense(), ds.IT.to_dense()
     for seed in range(3):
         sp = make_split(ds, 0.2, seed)
@@ -360,7 +360,7 @@ class TestAblation:
         assert_same_top_n(got, want, sp.train_UI)
 
     def test_pipeline_matches_iterative_walks_on_planted_clusters(self):
-        ds = build_matrices(planted_cluster_posts(np.random.default_rng(7)))
+        ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
         walk = WalkConfig(eta=0.9, lambda_=0.8, mu=0.7)
         sim = SimilarityConfig(alpha=1.0, beta=0.5)
         for seed in range(3):

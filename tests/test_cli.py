@@ -227,6 +227,12 @@ BAD_OPTIONS = [
     ("--fuse-weight", "-0.1"), ("--top-n", "0"), ("--k-neighbors", "0"),
     ("--k-neighbors", "-1"),
 ]
+# out of range, or a density minimum given without the other one
+BAD_INGEST_OPTIONS = [
+    ("--select-tags", "0"), ("--min-items-per-user", "0"), ("--min-users-per-item", "0"),
+    ("--unqualified-threshold", "0"), ("--min-items-per-user", "2"),
+    ("--min-users-per-item", "2"),
+]
 
 
 class TestBadInput:
@@ -248,13 +254,18 @@ class TestBadInput:
         [(command, flag, value)
          for command in ("evaluate", "ablate", "sweep", "grid")
          for flag, value in BAD_OPTIONS
-         if command != "grid" or flag not in ("--fuse-weight", "--k-neighbors")],
+         if command != "grid" or flag not in ("--fuse-weight", "--k-neighbors")]
+        + [("ingest", flag, value) for flag, value in BAD_INGEST_OPTIONS],
     )
     def test_out_of_range_option_exits_2_before_loading(self, tmp_path, capsys,
                                                         command, flag, value):
-        # the dataset does not exist: reading it would exit 1, not 2
-        argv = [command, "--dataset", str(tmp_path / "missing.json"), flag, value,
-                "--output-dir", str(tmp_path / "out")]
+        # the dataset (or ingest's input) does not exist: reading it would exit 1, not 2
+        if command == "ingest":
+            argv = ["ingest", "--input", str(tmp_path / "missing.tsv"),
+                    "--dataset", str(tmp_path / "ds.json"), flag, value]
+        else:
+            argv = [command, "--dataset", str(tmp_path / "missing.json"), flag, value,
+                    "--output-dir", str(tmp_path / "out")]
         if command == "grid":
             argv += ["--eta", "0.5"]
         assert main(argv) == 2

@@ -3,12 +3,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_ingest as reference
 from folkwalk.dataset import (
     EmptyDatasetError,
     InvalidDatasetError,
     ParseError,
     Post,
+    PostTable,
     TaggingDataset,
     build_matrices,
     dataset_from_json,
@@ -26,13 +29,28 @@ from folkwalk.linalg import SparseMatrix
 from gen import random_posts
 
 
+def as_posts(table: PostTable) -> list[Post]:
+    """The table's posts as records, tags in assignment order."""
+    tags = [[] for _ in range(len(table))]
+    for p, k in zip(table.tag_post.tolist(), table.tag.tolist()):
+        tags[p].append(table.tags[k])
+    return [
+        Post(table.users[u], table.items[i], tuple(t))
+        for u, i, t in zip(table.user.tolist(), table.item.tolist(), tags)
+    ]
+
+
+def table(posts: list[Post]) -> PostTable:
+    return PostTable.from_posts(posts)
+
+
 class TestParseTriples:
     def test_merges_tags_per_save(self):
         posts = parse_triples("u1\ti1\tml\nu1\ti1\tweb\n")
-        assert posts == [Post("u1", "i1", ("ml", "web"))]
+        assert as_posts(posts) == [Post("u1", "i1", ("ml", "web"))]
 
     def test_tagless_save_allowed(self):
-        assert parse_triples("u1\ti1\t\n") == [Post("u1", "i1", ())]
+        assert as_posts(parse_triples("u1\ti1\t\n")) == [Post("u1", "i1", ())]
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -41,11 +59,54 @@ class TestParseTriples:
             parse_triples("u1\ti1\tml\nu2\ti2\n")
 
     def test_empty_stream(self):
-        assert parse_triples("") == []
+        assert as_posts(parse_triples("")) == []
+        assert len(parse_triples(" \n\t\n")) == 0
 
     def test_duplicate_triples_accumulate(self):
         posts = parse_triples("u1\ti1\tml\nu1\ti1\tml\n")
-        assert posts == [Post("u1", "i1", ("ml", "ml"))]
+        assert as_posts(posts) == [Post("u1", "i1", ("ml", "ml"))]
+
+    def test_posts_in_order_of_first_triple(self):
+        posts = parse_triples("u2\ti1\tb\nu1\ti2\ta\nu2\ti1\tc\nu1\ti1\t\n")
+        assert as_posts(posts) == [
+            Post("u2", "i1", ("b", "c")), Post("u1", "i2", ("a",)), Post("u1", "i1", ()),
+        ]
+        assert len(posts) == 3
+
+    def test_fields_are_stripped(self):
+        posts = parse_triples(" u1 \t i1\t ml \nu1\ti1 \tml\n")
+        assert as_posts(posts) == [Post("u1", "i1", ("ml", "ml"))]
+
+    @pytest.mark.parametrize("text, line", [
+        ("u1\ti1\ta\n\t \tb\n", 2),
+        ("u1\ti1\ta\n\n \ti2\tb\n", 3),
+        ("u1\ti1\ta\nu2\ti2\tb\tc\n", 2),
+    ])
+    def test_empty_id_or_extra_field_reports_number(self, text, line):
+        with pytest.raises(ParseError, match=f"line {line}:"):
+            parse_triples(text)
+
+    @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028", "\x1e"])
+    def test_other_line_separators_stay_in_the_field(self, separator):
+        posts = parse_triples(f"u1\ti1\tfoo{separator}bar\n")
+        assert as_posts(posts) == [Post("u1", "i1", (f"foo{separator}bar",))]
+
+    def test_line_numbers_count_crlf_and_cr_endings(self):
+        with pytest.raises(ParseError, match="line 3:"):
+            parse_triples("u1\ti1\ta\r\n\r\nbad\r\n")
+        with pytest.raises(ParseError, match="line 2:"):
+            parse_triples("u1\ti1\ta\rbad\r")
+        crlf = parse_triples("u1\ti1\ta\r\nu1\ti2\tb\r\n")
+        assert as_posts(crlf) == [Post("u1", "i1", ("a",)), Post("u1", "i2", ("b",))]
+
+
+class TestPostTable:
+    def test_from_posts_keeps_posts_and_order(self):
+        posts = [Post("u1", "i1", ("a", "a")), Post("u2", "i1"), Post("u1", "i1", ("b",))]
+        t = table(posts)
+        assert len(t) == 3
+        assert as_posts(t) == posts
+        assert (t.users, t.items, t.tags) == (("u1", "u2"), ("i1",), ("a", "b"))
 
 
 def brute_force_filter(posts, min_u, min_i, theta):
@@ -72,38 +133,42 @@ def brute_force_filter(posts, min_u, min_i, theta):
 class TestDensityFilter:
     def test_fixed_point_when_all_qualified(self):
         posts = [Post(f"u{u}", f"i{i}") for u in range(3) for i in range(3)]
-        assert density_filter(posts, 2, 2, 1) == posts
+        assert as_posts(density_filter(table(posts), 2, 2, 1)) == posts
 
     def test_cascade_to_empty(self):
-        assert density_filter([Post("u1", "i1")], 2, 2, 1) == []
+        assert as_posts(density_filter(table([Post("u1", "i1")]), 2, 2, 1)) == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_brute_force_oracle(self, seed):
         rng = np.random.default_rng(seed)
         posts = random_posts(rng, n_users=50, n_items=30, items_per_user=(1, 8))
-        got = density_filter(posts, 3, 3, 2)
+        got = as_posts(density_filter(table(posts), 3, 3, 2))
         expected = brute_force_filter(posts, 3, 3, 2)
         assert {(p.user, p.item) for p in got} == {(p.user, p.item) for p in expected}
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            density_filter([], 0, 1, 1)
+            density_filter(table([]), 0, 1, 1)
+
+    def test_tags_follow_their_posts(self):
+        posts = [Post("u1", "i1", ("a",)), Post("u2", "i2", ("b", "c")), Post("u2", "i1", ("d",))]
+        assert as_posts(density_filter(table(posts), 1, 2, 1)) == [posts[0], posts[2]]
 
 
 class TestSelectTags:
     def test_large_l_is_identity(self):
         posts = [Post("u1", "i1", ("a", "b"))]
-        assert select_tags(posts, 10) == posts
+        assert as_posts(select_tags(table(posts), 10)) == posts
 
     def test_keeps_most_frequent(self):
         posts = [
             Post("u1", "i1", ("a",) * 5 + ("b",) * 3 + ("c",)),
         ]
-        assert select_tags(posts, 2) == [Post("u1", "i1", ("a",) * 5 + ("b",) * 3)]
+        assert as_posts(select_tags(table(posts), 2)) == [Post("u1", "i1", ("a",) * 5 + ("b",) * 3)]
 
     def test_ties_broken_lexicographically(self):
         posts = [Post("u1", "i1", ("b", "a"))]
-        assert select_tags(posts, 1) == [Post("u1", "i1", ("a",))]
+        assert as_posts(select_tags(table(posts), 1)) == [Post("u1", "i1", ("a",))]
 
     def test_matches_histogram_oracle(self):
         rng = np.random.default_rng(5)
@@ -111,26 +176,26 @@ class TestSelectTags:
         l = 4
         freq = Counter(t for p in posts for t in p.tags)
         expected = set(sorted(freq, key=lambda t: (-freq[t], t))[:l])
-        surviving = {t for p in select_tags(posts, l) for t in p.tags}
+        surviving = {t for p in as_posts(select_tags(table(posts), l)) for t in p.tags}
         assert surviving == expected
 
     def test_tagless_posts_retained(self):
         posts = [Post("u1", "i1", ("x",)), Post("u2", "i2", ("y",) * 3)]
-        out = select_tags(posts, 1)
+        out = as_posts(select_tags(table(posts), 1))
         assert len(out) == 2 and out[0].tags == ()
 
 
 class TestBuildMatrices:
     def test_multiset_repeats_counted(self):
-        ds = build_matrices([Post("u1", "i1", ("t1", "t1"))])
+        ds = build_matrices(table([Post("u1", "i1", ("t1", "t1"))]))
         assert ds.UI.to_dense().tolist() == [[1.0]]
         assert ds.UT.to_dense().tolist() == [[2.0]]
         assert ds.IT.to_dense().tolist() == [[2.0]]
 
     def test_disjoint_posts_block_diagonal(self):
-        ds = build_matrices(
+        ds = build_matrices(table(
             [Post("u1", "i1", ("t1",)), Post("u2", "i2", ("t2",))]
-        )
+        ))
         np.testing.assert_array_equal(ds.UI.to_dense(), np.eye(2))
         np.testing.assert_array_equal(ds.UT.to_dense(), np.eye(2))
         np.testing.assert_array_equal(ds.IT.to_dense(), np.eye(2))
@@ -138,7 +203,7 @@ class TestBuildMatrices:
     def test_matches_dictionary_count_oracle(self):
         rng = np.random.default_rng(6)
         posts = random_posts(rng, n_users=15, n_items=12, n_tags=7)
-        ds = build_matrices(posts)
+        ds = build_matrices(table(posts))
         ut = Counter((p.user, t) for p in posts for t in p.tags)
         it = Counter((p.item, t) for p in posts for t in p.tags)
         for (u, t), c in ut.items():
@@ -150,7 +215,7 @@ class TestBuildMatrices:
     def test_row_and_column_sum_invariants(self):
         rng = np.random.default_rng(13)
         posts = random_posts(rng, n_users=10, n_items=10)
-        ds = build_matrices(posts)
+        ds = build_matrices(table(posts))
         per_user_tags = Counter()
         for p in posts:
             per_user_tags[p.user] += len(p.tags)
@@ -161,6 +226,98 @@ class TestBuildMatrices:
         for i, name in enumerate(ds.items):
             assert col_sums[i] == item_pop[name]
         assert ds.UI.nnz == stats(ds).p
+
+    def test_ids_indexed_by_first_appearance_among_kept_posts(self):
+        # i1 is filtered away, so u2's post comes before u1's first kept one
+        posts = [Post("u1", "i1", ("a",)), Post("u2", "i2", ("b",)), Post("u1", "i2", ("a",))]
+        ds = build_matrices(density_filter(table(posts), 1, 2, 1))
+        assert (ds.users, ds.items, ds.tags) == (("u2", "u1"), ("i2",), ("b", "a"))
+
+    def test_repeated_pair_posts_are_one_save(self):
+        posts = [Post("u1", "i1", ("a",)), Post("u1", "i1", ("a", "b"))]
+        ds = build_matrices(table(posts))
+        assert ds.UI.entries == [(0, 0, 1.0)]
+        assert ds.UT.entries == [(0, 0, 2.0), (0, 1, 1.0)]
+
+
+# Fields drawn from small pools so that triples repeat; padding and line
+# endings are those the reference's str.splitlines splits the same way.
+_ids = st.sampled_from(["u0", "u1", "u2", "u3", "a", "b b", "ü"])
+_tags = st.sampled_from(["", "", "x", "y", "z", "x y", "Z", "é", "t1", "t10"])
+_pad = st.sampled_from(["", "", " ", "  "])
+_eol = st.sampled_from(["\n", "\n", "\r\n"])
+
+
+@st.composite
+def tsv_text(draw) -> str:
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", " \t ", "\t\t"])))
+            continue
+        user, item, tag = draw(_ids), draw(_ids).replace("u", "i"), draw(_tags)
+        lines.append("\t".join(draw(_pad) + f + draw(_pad) for f in (user, item, tag)))
+    return "".join(line + draw(_eol) for line in lines)
+
+
+_options = st.fixed_dictionaries({
+    "min_degrees": st.none() | st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    "unqualified_item_threshold": st.integers(1, 3),
+    "num_tags": st.none() | st.integers(1, 5),
+})
+
+
+class TestAgainstReferencePipeline:
+    @settings(max_examples=300, deadline=None)
+    @given(text=tsv_text(), options=_options)
+    def test_same_dataset_json(self, text, options):
+        min_u, min_i = options.pop("min_degrees") or (None, None)
+        kwargs = dict(options, min_items_per_user=min_u, min_users_per_item=min_i)
+        got = ingest(parse_triples(text), **kwargs)
+        want = reference.ingest(reference.parse_triples(text), **kwargs)
+        assert got.total_tag_count == want.total_tag_count
+        assert dataset_to_json(got) == dataset_to_json(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), options=_options)
+    def test_same_dataset_from_post_records(self, seed, options):
+        # Post lists may repeat a (user, item) pair: each repeat is a post
+        rng = np.random.default_rng(seed)
+        posts = random_posts(rng, n_users=6, n_items=5, n_tags=4, items_per_user=(1, 4),
+                             tags_per_save=(0, 3))
+        posts += [posts[k] for k in rng.integers(len(posts), size=3)]
+        min_u, min_i = options.pop("min_degrees") or (None, None)
+        kwargs = dict(options, min_items_per_user=min_u, min_users_per_item=min_i)
+        got = ingest(table(posts), **kwargs)
+        want = reference.ingest(posts, **kwargs)
+        assert got.total_tag_count == want.total_tag_count
+        assert dataset_to_json(got) == dataset_to_json(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=tsv_text())
+    def test_same_posts(self, text):
+        assert as_posts(parse_triples(text)) == reference.parse_triples(text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=tsv_text(), line=st.integers(0, 40), bad=st.sampled_from(
+        ["u1\ti1", "u1\ti1\ta\tb", " \ti1\ta", "u1\t \ta", "no tabs"]))
+    def test_same_first_bad_line(self, text, line, bad):
+        lines = text.splitlines(keepends=True)
+        lines.insert(min(line, len(lines)), bad + "\n")
+        text = "".join(lines)
+        with pytest.raises(ParseError) as want:
+            reference.parse_triples(text)
+        with pytest.raises(ParseError) as got:
+            parse_triples(text)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_matches_entry_list_split(self, seed):
+        ds = build_matrices(table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
+        for fraction in (0.2, 0.5, 0.9):
+            got, want = split(ds, fraction, seed), reference.split(ds, fraction, seed)
+            assert got.train_UI.entries == want.train_UI.entries
+            assert got.test_sets == want.test_sets
 
 
 def synthetic_ds(m, n, p, seed=0):
@@ -260,7 +417,7 @@ class TestSplit:
 class TestSnapshot:
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
-        ds = build_matrices(random_posts(rng))
+        ds = build_matrices(table(random_posts(rng)))
         again = dataset_from_json(dataset_to_json(ds))
         assert again.users == ds.users
         assert again.items == ds.items
@@ -271,7 +428,7 @@ class TestSnapshot:
 
     @pytest.mark.parametrize("key", ["users", "items", "tags"])
     def test_duplicate_ids_rejected(self, key):
-        doc = json.loads(dataset_to_json(build_matrices(random_posts(np.random.default_rng(2)))))
+        doc = json.loads(dataset_to_json(build_matrices(table(random_posts(np.random.default_rng(2))))))
         doc[key][-1] = doc[key][0]
         with pytest.raises(InvalidDatasetError, match=f"duplicate {key[:-1]} id {doc[key][0]!r}"):
             dataset_from_json(json.dumps(doc))
@@ -292,7 +449,7 @@ class TestSnapshot:
         ],
     )
     def test_invalid_snapshots_rejected(self, corrupt, message):
-        doc = json.loads(dataset_to_json(build_matrices(random_posts(np.random.default_rng(2)))))
+        doc = json.loads(dataset_to_json(build_matrices(table(random_posts(np.random.default_rng(2))))))
         corrupt(doc)
         with pytest.raises(InvalidDatasetError, match=message):
             dataset_from_json(json.dumps(doc))
@@ -303,7 +460,7 @@ class TestSnapshot:
             dataset_from_json(text)
 
     def test_user_index(self):
-        ds = build_matrices(random_posts(np.random.default_rng(3)))
+        ds = build_matrices(table(random_posts(np.random.default_rng(3))))
         assert [ds.user_index(user) for user in ds.users] == list(range(ds.num_users))
         with pytest.raises(KeyError, match="nobody"):
             ds.user_index("nobody")
@@ -313,3 +470,8 @@ class TestSnapshot:
         ds = ingest(posts, num_tags=1)
         assert ds.total_tag_count == 3
         assert ds.num_tags == 1
+
+    @pytest.mark.parametrize("minimums", [{"min_items_per_user": 2}, {"min_users_per_item": 2}])
+    def test_ingest_rejects_one_density_minimum(self, minimums):
+        with pytest.raises(ValueError, match="go together"):
+            ingest(parse_triples("u1\ti1\ta\n"), **minimums)

@@ -54,6 +54,36 @@ class TestSparseMatrix:
         again = SparseMatrix(6, 4, m.entries)
         np.testing.assert_array_equal(dense(m), dense(again))
 
+    def test_entries_are_sorted_python_scalars(self):
+        m = SparseMatrix(3, 3, [(2, 0, 1.5), (0, 2, 2.0), (0, 1, 1.0)])
+        assert m.entries == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 1.5)]
+        assert all(type(x) is t for e in m.entries for x, t in zip(e, (int, int, float)))
+
+    def test_from_coo_matches_entry_constructor(self):
+        rng = np.random.default_rng(1)
+        entries = rand_sparse(rng, 5, 7).entries + [(4, 6, 0.0)]
+        i, j, v = (np.array(column) for column in zip(*entries))
+        got = SparseMatrix.from_coo(5, 7, i, j, v)
+        assert got.entries == SparseMatrix(5, 7, entries).entries
+        assert got.shape == (5, 7) and SparseMatrix.from_coo(2, 3, [], [], []).shape == (2, 3)
+
+    @pytest.mark.parametrize(
+        "shape, i, j, v, error",
+        [
+            ((2, 2), [0, 0], [0, 0], [1.0, 2.0], "duplicate"),
+            ((2, 2), [0], [2], [1.0], "out of bounds"),
+            ((2, 2), [-1], [0], [1.0], "out of bounds"),
+            ((1, 1), [0], [0], [np.nan], "non-finite"),
+            ((1, 1), [0], [0], [np.inf], "non-finite"),
+            ((-1, 2), [], [], [], "negative dimensions"),
+        ],
+    )
+    def test_from_coo_runs_the_entry_checks(self, shape, i, j, v, error):
+        with pytest.raises(ValueError, match=error):
+            SparseMatrix.from_coo(*shape, np.array(i), np.array(j), np.array(v))
+        with pytest.raises(ValueError, match=error):
+            SparseMatrix(*shape, list(zip(i, j, v)))
+
 
 class TestRowNormalize:
     def test_basic(self):

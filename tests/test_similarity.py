@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from folkwalk.dataset import Post, build_matrices
+from folkwalk.dataset import Post, PostTable, build_matrices
 from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
 
 from gen import random_dataset
@@ -42,16 +42,16 @@ def user_oracle(ds, beta):
 class TestItemSimilarity:
     def test_unique_tags_give_identity(self):
         # each item carries its own tag only: no inter-item tag paths
-        ds = build_matrices(
+        ds = build_matrices(PostTable.from_posts(
             [Post(f"u{i}", f"i{i}", (f"t{i}",)) for i in range(3)]
-        )
+        ))
         s = item_similarity(ds, alpha=1.0)
         np.testing.assert_allclose(s.to_dense(), np.eye(3))
 
     def test_shared_tag_splits_mass(self):
-        ds = build_matrices(
+        ds = build_matrices(PostTable.from_posts(
             [Post("u1", "i1", ("t",)), Post("u2", "i2", ("t",))]
-        )
+        ))
         s = item_similarity(ds, alpha=1.0)
         np.testing.assert_allclose(s.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
 
@@ -69,16 +69,16 @@ class TestItemSimilarity:
 
 class TestUserSimilarity:
     def test_identical_tag_usage_splits_mass(self):
-        ds = build_matrices(
+        ds = build_matrices(PostTable.from_posts(
             [Post("u1", "i1", ("t",)), Post("u2", "i2", ("t",))]
-        )
+        ))
         s = user_similarity(ds, beta=1.0)
         np.testing.assert_allclose(s.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_disjoint_users_are_identity_patterned(self):
-        ds = build_matrices(
+        ds = build_matrices(PostTable.from_posts(
             [Post("u1", "i1", ("a",)), Post("u2", "i2", ("b",))]
-        )
+        ))
         for beta in (0.0, 0.5, 1.0):
             s = user_similarity(ds, beta)
             np.testing.assert_allclose(s.to_dense(), np.eye(2))
@@ -114,7 +114,7 @@ class TestProperties:
             Post("u1", "i2", ("a",)),
             Post("u2", "lone", ("only",)),
         ]
-        ds = build_matrices(posts)
+        ds = build_matrices(PostTable.from_posts(posts))
         lone = ds.items.index("lone")
         for alpha in (0.0, 0.5, 1.0):
             row = item_similarity(ds, alpha).to_dense()[lone]
