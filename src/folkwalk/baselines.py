@@ -108,7 +108,9 @@ def user_cf_scores(
     columns that do not contribute to the scored items)."""
     ui = train_ui.csr()
     sim = _truncate_neighbors(_cosine(_profile(ui, profile_ext)), k_neighbors)
-    return (ui.T @ sim.T).T
+    # the sparse operand must lead the product, which then comes out
+    # transposed; rows are read whole downstream, so return C order
+    return np.ascontiguousarray((ui.T @ sim.T).T)
 
 
 def item_cf_scores(

@@ -122,6 +122,8 @@ def _check_option_ranges(args: argparse.Namespace) -> None:
     for name, other in (_DENSITY_MINIMUMS, _DENSITY_MINIMUMS[::-1]):
         if getattr(args, name, None) is not None and getattr(args, other, None) is None:
             raise UsageError(f"{_flag(name)} must be given with {_flag(other)}")
+    if getattr(args, "t_test", False) and args.runs < 2:
+        raise UsageError(f"--t-test needs --runs >= 2, got {args.runs}")
 
 
 def _hyperparameters(values: dict[str, float]) -> dict:
@@ -213,34 +215,28 @@ def _parse_algorithms(text: str, args: argparse.Namespace) -> list[AlgorithmSpec
     return [_algorithm_spec(k, args) for k in kinds]
 
 
-def _run_reports(ds, specs, args) -> list:
-    return [
-        run_experiment(
-            ds,
-            spec,
-            train_fraction=args.train_fraction,
-            top_n=args.top_n,
-            n_runs=args.runs,
-            base_seed=args.seed,
-            half_life=args.half_life,
-        )
-        for spec in specs
-    ]
+def _run_options(args: argparse.Namespace) -> dict:
+    """The repeated-split options, as the experiment functions name them."""
+    return {"top_n": args.top_n, "n_runs": args.runs, "base_seed": args.seed,
+            "half_life": args.half_life}
+
+
+def _write_output(args: argparse.Namespace, name: str, text: str) -> None:
+    """Write one file into --output-dir, creating the directory if needed."""
+    os.makedirs(args.output_dir, exist_ok=True)
+    with open(os.path.join(args.output_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _emit_reports(reports, args, command: str, extras: dict | None = None) -> None:
-    os.makedirs(args.output_dir, exist_ok=True)
     report_json = report_to_json(reports)
     if extras:
         doc = json.loads(report_json)
         doc = {"reports": doc, **extras}
         report_json = json.dumps(doc, sort_keys=True, indent=2)
-    with open(os.path.join(args.output_dir, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report_json + "\n")
-    with open(os.path.join(args.output_dir, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(format_report_table(reports) + "\n")
-    with open(os.path.join(args.output_dir, "runs.csv"), "w", encoding="utf-8") as fh:
-        fh.write(runs_to_csv(reports))
+    _write_output(args, "report.json", report_json + "\n")
+    _write_output(args, "report.txt", format_report_table(reports) + "\n")
+    _write_output(args, "runs.csv", runs_to_csv(reports))
     _write_manifest(
         os.path.join(args.output_dir, "manifest.json"), command, args, [args.dataset]
     )
@@ -253,14 +249,11 @@ def _emit_reports(reports, args, command: str, extras: dict | None = None) -> No
 def cmd_evaluate(args: argparse.Namespace) -> int:
     specs = _parse_algorithms(args.algorithms, args)
     ds = _load_dataset(args.dataset)
-    reports = _run_reports(ds, specs, args)
+    reports = run_experiment(ds, specs, args.train_fraction, **_run_options(args))
     extras = None
     if args.t_test and len(reports) >= 2:
-        ordered = sorted(reports, key=lambda r: -r.means.precision)
-        best, second = ordered[0], ordered[1]
-        t, p = paired_t_test(
-            [r.precision for r in best.runs], [r.precision for r in second.runs]
-        )
+        best, second = sorted(reports, key=lambda r: -r.means.precision)[:2]
+        t, p = paired_t_test([r.precision for r in best.runs], [r.precision for r in second.runs])
         extras = {
             "t_test": {
                 "best": best.algorithm.kind,
@@ -277,7 +270,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_ablate(args: argparse.Namespace) -> int:
     specs = [_algorithm_spec(kind, args) for kind in ABLATION_KINDS]
     ds = _load_dataset(args.dataset)
-    reports = _run_reports(ds, specs, args)
+    reports = run_experiment(ds, specs, args.train_fraction, **_run_options(args))
     _emit_reports(reports, args, "ablate")
     return 0
 
@@ -288,24 +281,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--fractions must be a non-empty list within (0, 1)")
     specs = _parse_algorithms(args.algorithms, args)
     ds = _load_dataset(args.dataset)
-    grid = density_sweep(
-        ds,
-        specs,
-        fractions,
-        top_n=args.top_n,
-        n_runs=args.runs,
-        base_seed=args.seed,
-        half_life=args.half_life,
-    )
-    os.makedirs(args.output_dir, exist_ok=True)
+    grid = density_sweep(ds, specs, fractions, **_run_options(args))
     table = format_sweep_table(grid)
     doc = {
         f"{kind}@{frac:g}": report.to_dict() for (kind, frac), report in grid.items()
     }
-    with open(os.path.join(args.output_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    with open(os.path.join(args.output_dir, "sweep.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table + "\n")
+    _write_output(args, "sweep.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_output(args, "sweep.txt", table + "\n")
     _write_manifest(os.path.join(args.output_dir, "manifest.json"), "sweep", args, [args.dataset])
     print(table)
     return 0
@@ -318,22 +300,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
         if raw is not None:
             name = key.rstrip("_")
             grid_axes[name] = _csv_floats(raw)
+            if not grid_axes[name]:
+                raise UsageError(f"--{name} needs at least one value")
             for value in grid_axes[name]:
                 _hyperparameters({key: value})
     if not grid_axes:
         raise UsageError("give at least one grid axis (--alpha/--beta/--eta/--lambda/--mu)")
     ds = _load_dataset(args.dataset)
     best, results = grid_search(
-        ds,
-        grid_axes,
-        objective=args.objective,
-        train_fraction=args.train_fraction,
-        top_n=args.top_n,
-        n_runs=args.runs,
-        base_seed=args.seed,
-        half_life=args.half_life,
+        ds, grid_axes, args.objective, args.train_fraction, **_run_options(args)
     )
-    os.makedirs(args.output_dir, exist_ok=True)
     doc = {
         "best": best,
         "objective": args.objective,
@@ -341,8 +317,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             {"params": point, "means": report.means.as_dict()} for point, report in results
         ],
     }
-    with open(os.path.join(args.output_dir, "grid.json"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_output(args, "grid.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     _write_manifest(os.path.join(args.output_dir, "manifest.json"), "grid", args, [args.dataset])
     print(json.dumps({"best": best, "objective": args.objective}, sort_keys=True))
     return 0
@@ -358,15 +333,14 @@ def _add_walk_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fuse-weight", type=float, default=0.5)
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(p: argparse.ArgumentParser, runs: int = 10) -> None:
     p.add_argument("--dataset", required=True)
     p.add_argument("--train-fraction", type=float, default=0.2)
     p.add_argument("--top-n", type=int, default=5)
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--runs", type=int, default=runs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--half-life", type=int, default=5)
     p.add_argument("--output-dir", default="out")
-    _add_walk_flags(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,11 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-test", action="store_true",
                    help="paired t-test of best vs second-best precision")
     _add_experiment_flags(p)
+    _add_walk_flags(p)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="evaluate pRW-IT, pRW-UT, pRW-UI, pRW")
     _add_experiment_flags(p)
+    _add_walk_flags(p)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_ablate)
 
@@ -413,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="0.05,0.10,0.20")
     p.add_argument("--algorithms", default="UserCF,ItemCF,Fusion,pRW")
     _add_experiment_flags(p)
+    _add_walk_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("grid", help="exhaustive hyperparameter search for pRW")
-    p.add_argument("--dataset", required=True)
     p.add_argument("--alpha", default=None, help="comma list, e.g. 0,0.5,1")
     p.add_argument("--beta", default=None)
     p.add_argument("--eta", default=None)
@@ -424,12 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", default=None)
     p.add_argument("--objective", default="precision",
                    choices=("precision", "recall", "f_measure", "rankscore"))
-    p.add_argument("--train-fraction", type=float, default=0.2)
-    p.add_argument("--top-n", type=int, default=5)
-    p.add_argument("--runs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--half-life", type=int, default=5)
-    p.add_argument("--output-dir", default="out")
+    _add_experiment_flags(p, runs=1)
     p.set_defaults(func=cmd_grid)
     return parser
 

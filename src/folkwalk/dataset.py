@@ -425,6 +425,19 @@ def dataset_to_json(ds: TaggingDataset) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _matrix_from_entries(rows: int, cols: int, entries: list) -> SparseMatrix:
+    """Matrix from a snapshot's [row, col, value] entries, read as one array
+    per column: the indices must be integers and the values numbers."""
+    if set(map(len, entries)) - {3}:
+        raise ValueError("each entry must be [row, col, value]")
+    i, j, v = (np.array([e[k] for e in entries]) for k in range(3))
+    if entries and not i.dtype.kind == j.dtype.kind == "i":
+        raise ValueError("entry index is not an integer")
+    if entries and v.dtype.kind not in "if":
+        raise ValueError("entry value is not a number")
+    return SparseMatrix.from_coo(rows, cols, i, j, v)
+
+
 _SNAPSHOT_FIELDS = ("format_version", "users", "items", "tags", "total_tag_count", "UI", "UT", "IT")
 
 
@@ -433,7 +446,8 @@ def dataset_from_json(text: str) -> TaggingDataset:
 
     Raises :class:`InvalidDatasetError` for malformed JSON, another format
     version, missing or mistyped fields, duplicate ids, and matrix entries
-    that are out of range, repeated, non-finite or negative.
+    that are not three numbers, have a non-integer index, or are out of
+    range, repeated, non-finite or negative.
     """
     try:
         d = json.loads(text)
@@ -459,8 +473,8 @@ def dataset_from_json(text: str) -> TaggingDataset:
     matrices = {}
     for key, rows, cols in (("UI", m, n), ("UT", m, l), ("IT", n, l)):
         try:
-            matrix = SparseMatrix(rows, cols, [tuple(e) for e in d[key]])
-        except (TypeError, ValueError, IndexError) as exc:
+            matrix = _matrix_from_entries(rows, cols, d[key])
+        except (TypeError, ValueError, LookupError) as exc:
             raise InvalidDatasetError(f"{key}: {exc}") from None
         if matrix.nnz and matrix.csr().data.min() < 0:
             raise InvalidDatasetError(f"{key}: negative entry")

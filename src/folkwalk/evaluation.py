@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -122,30 +122,34 @@ def evaluate_lists(
 
 def run_experiment(
     ds: TaggingDataset,
-    algorithm: AlgorithmSpec,
+    algorithms: list[AlgorithmSpec],
     train_fraction: float = 0.2,
     top_n: int = 5,
     n_runs: int = 10,
     base_seed: int = 0,
     half_life: int = 5,
-) -> EvalReport:
-    """Evaluate an algorithm over n_runs independent splits seeded
-    base_seed, base_seed+1, ..."""
+) -> list[EvalReport]:
+    """One report per algorithm over n_runs splits seeded base_seed,
+    base_seed+1, ...; each seed's split is drawn once for every algorithm."""
+    if not algorithms:
+        raise ValueError("no algorithms given")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     seeds = [base_seed + r for r in range(n_runs)]
-    runs = []
+    runs: list[list[MetricTuple]] = [[] for _ in algorithms]
     for seed in seeds:
         sp = make_split(ds, train_fraction, seed)
-        recs = run_algorithm(algorithm, sp, ds, top_n)
-        runs.append(evaluate_lists(recs, sp.test_sets, top_n, half_life))
-    means = MetricTuple(
-        precision=float(np.mean([r.precision for r in runs])),
-        recall=float(np.mean([r.recall for r in runs])),
-        f_measure=float(np.mean([r.f_measure for r in runs])),
-        rankscore=float(np.mean([r.rankscore for r in runs])),
-    )
-    return EvalReport(algorithm, runs, means, top_n, seeds)
+        for spec, spec_runs in zip(algorithms, runs):
+            recs = run_algorithm(spec, sp, ds, top_n)
+            spec_runs.append(evaluate_lists(recs, sp.test_sets, top_n, half_life))
+    return [
+        EvalReport(spec, spec_runs, _means(spec_runs), top_n, seeds)
+        for spec, spec_runs in zip(algorithms, runs)
+    ]
+
+
+def _means(runs: list[MetricTuple]) -> MetricTuple:
+    return MetricTuple(*(float(np.mean(column)) for column in zip(*map(astuple, runs))))
 
 
 def density_sweep(
@@ -157,16 +161,15 @@ def density_sweep(
     base_seed: int = 0,
     half_life: int = 5,
 ) -> dict[tuple[str, float], EvalReport]:
-    """run_experiment per (algorithm, training fraction)."""
+    """One run_experiment of all algorithms per training fraction, keyed by
+    (algorithm kind, fraction)."""
     for f in fractions:
         if not 0.0 < f < 1.0:
             raise ValueError(f"training fraction {f} outside (0, 1)")
     return {
-        (spec.kind, frac): run_experiment(
-            ds, spec, frac, top_n, n_runs, base_seed, half_life
-        )
-        for spec in algorithms
+        (report.algorithm.kind, frac): report
         for frac in fractions
+        for report in run_experiment(ds, algorithms, frac, top_n, n_runs, base_seed, half_life)
     }
 
 
@@ -196,6 +199,10 @@ def paired_t_test(runs_a: list[float], runs_b: list[float]) -> tuple[float, floa
     return t, p
 
 
+# grid axis -> WalkConfig field; the other axes, alpha and beta, configure the similarity
+_WALK_AXES = {"eta": "eta", "lambda": "lambda_", "mu": "mu"}
+
+
 def grid_search(
     ds: TaggingDataset,
     param_grid: dict[str, list[float]],
@@ -211,34 +218,25 @@ def grid_search(
     beta, eta, lambda, mu."""
     if not param_grid:
         raise ValueError("param_grid must be non-empty")
-    allowed = {"alpha", "beta", "eta", "lambda", "mu"}
-    unknown = set(param_grid) - allowed
+    unknown = set(param_grid) - {"alpha", "beta", *_WALK_AXES}
     if unknown:
         raise ValueError(f"unknown grid parameters: {sorted(unknown)}")
+    if objective not in MetricTuple.__dataclass_fields__:
+        raise ValueError(f"unknown objective {objective!r}")
     keys = list(param_grid)
-    results: list[tuple[dict[str, float], EvalReport]] = []
-    best: tuple[dict[str, float], float] | None = None
-    for values in itertools.product(*(param_grid[k] for k in keys)):
-        point = dict(zip(keys, values))
-        spec = AlgorithmSpec(
-            "pRW",
-            {
-                "walk": WalkConfig(
-                    eta=point.get("eta", 0.8),
-                    lambda_=point.get("lambda", 0.8),
-                    mu=point.get("mu", 0.5),
-                ),
-                "similarity": SimilarityConfig(
-                    alpha=point.get("alpha", 0.5), beta=point.get("beta", 0.5)
-                ),
-            },
-        )
-        report = run_experiment(ds, spec, train_fraction, top_n, n_runs, base_seed, half_life)
-        results.append((point, report))
-        score = report.means.get(objective)
-        if best is None or score > best[1]:
-            best = (point, score)
-    return best[0], results
+    points = [
+        dict(zip(keys, values)) for values in itertools.product(*(param_grid[k] for k in keys))
+    ]
+    specs = [
+        AlgorithmSpec("pRW", {
+            "walk": WalkConfig(**{_WALK_AXES[k]: v for k, v in p.items() if k in _WALK_AXES}),
+            "similarity": SimilarityConfig(**{k: v for k, v in p.items() if k not in _WALK_AXES}),
+        })
+        for p in points
+    ]
+    reports = run_experiment(ds, specs, train_fraction, top_n, n_runs, base_seed, half_life)
+    scores = [report.means.get(objective) for report in reports]
+    return points[scores.index(max(scores))], list(zip(points, reports))
 
 
 def report_to_json(reports: list[EvalReport]) -> str:
@@ -248,21 +246,8 @@ def report_to_json(reports: list[EvalReport]) -> str:
 def format_report_table(reports: list[EvalReport]) -> str:
     """Aligned text table: one row per algorithm, one column per metric."""
     header = ["Alg.", "Precision (%)", "Recall (%)", "F-measure (%)", "Rankscore (%)"]
-    rows = [
-        [
-            r.algorithm.kind,
-            f"{r.means.precision:.2f}",
-            f"{r.means.recall:.2f}",
-            f"{r.means.f_measure:.2f}",
-            f"{r.means.rankscore:.2f}",
-        ]
-        for r in reports
-    ]
-    widths = [max(len(h), *(len(row[c]) for row in rows)) if rows else len(h)
-              for c, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[c]) for c, h in enumerate(header))]
-    lines += ["  ".join(row[c].ljust(widths[c]) for c in range(len(header))) for row in rows]
-    return "\n".join(lines)
+    rows = [[r.algorithm.kind] + [f"{v:.2f}" for v in astuple(r.means)] for r in reports]
+    return _aligned(header, rows)
 
 
 def format_sweep_table(
@@ -276,11 +261,13 @@ def format_sweep_table(
         [kind] + [f"{grid[(kind, f)].means.get(metric):.2f}" for f in fractions]
         for kind in kinds
     ]
-    widths = [max(len(header[c]), *(len(row[c]) for row in rows)) if rows else len(header[c])
-              for c in range(len(header))]
-    lines = ["  ".join(header[c].ljust(widths[c]) for c in range(len(header)))]
-    lines += ["  ".join(row[c].ljust(widths[c]) for c in range(len(header))) for row in rows]
-    return "\n".join(lines)
+    return _aligned(header, rows)
+
+
+def _aligned(header: list[str], rows: list[list[str]]) -> str:
+    """Columns left-justified to their widest cell, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    return "\n".join("  ".join(map(str.ljust, row, widths)) for row in [header, *rows])
 
 
 def runs_to_csv(reports: list[EvalReport]) -> str:

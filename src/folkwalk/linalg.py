@@ -56,9 +56,11 @@ def _checked_csr(rows: int, cols: int, i, j, values) -> sp.csr_matrix:
 class SparseMatrix:
     """Immutable sparse real matrix with explicit dimensions.
 
-    Invariants enforced at construction: no duplicate coordinates, indices
-    within the declared shape, all values finite. Explicitly stored zeros
-    are dropped, so the stored pattern equals the nonzero pattern.
+    Invariants enforced where a matrix enters the program (entry lists,
+    coordinate arrays, dense arrays): no duplicate coordinates, indices
+    within the declared shape, all values finite. Results of the operations
+    below are not re-checked. Explicitly stored zeros are dropped, so the
+    stored pattern equals the nonzero pattern.
     """
 
     __slots__ = ("_csr",)
@@ -79,13 +81,11 @@ class SparseMatrix:
 
     @classmethod
     def _wrap(cls, mat: sp.spmatrix) -> "SparseMatrix":
-        """Wrap a scipy matrix produced by a trusted internal operation."""
+        """Wrap a scipy matrix produced by a trusted internal operation; its
+        operands were checked where they entered the program."""
         obj = cls.__new__(cls)
-        csr = sp.csr_matrix(mat, dtype=np.float64)
-        csr.eliminate_zeros()
-        if csr.nnz and not np.all(np.isfinite(csr.data)):
-            raise ValueError("non-finite value produced by matrix operation")
-        obj._csr = csr
+        obj._csr = sp.csr_matrix(mat, dtype=np.float64)
+        obj._csr.eliminate_zeros()
         return obj
 
     @classmethod

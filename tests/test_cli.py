@@ -287,6 +287,27 @@ class TestBadInput:
         ]) == 2
         assert "eta" in one_line_error(capsys)
 
+    def test_empty_grid_axis_exits_2(self, tmp_path, capsys):
+        assert main([
+            "grid", "--dataset", str(tmp_path / "missing.json"), "--eta", ",",
+            "--output-dir", str(tmp_path / "g"),
+        ]) == 2
+        assert "--eta needs at least one value" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [("", ["--t-test", "--runs", "1"]), ("t-test = true\nruns = 1\n", [])],
+    )
+    def test_t_test_with_one_run_exits_2_before_loading(self, tmp_path, capsys, config, flags):
+        # the dataset does not exist: reading it would exit 1, not 2
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text(config)
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", str(tmp_path / "missing.json"),
+            *flags, "--output-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert "--t-test needs --runs >= 2, got 1" in one_line_error(capsys)
+
     @pytest.mark.parametrize(
         "content, message",
         [
@@ -295,6 +316,9 @@ class TestBadInput:
             (b'{"format_version": 1}', "missing fields"),
             (b'{"format_version": 1, "users": ["a", "a"], "items": [], "tags": [], '
              b'"total_tag_count": 0, "UI": [], "UT": [], "IT": []}', "duplicate user id 'a'"),
+            (b'{"format_version": 1, "users": ["a"], "items": ["x", "y"], "tags": [], '
+             b'"total_tag_count": 0, "UI": [[0, 0.7, 1.0]], "UT": [], "IT": []}',
+             "UI: entry index is not an integer"),
         ],
     )
     def test_bad_dataset_file_exits_1(self, tmp_path, capsys, content, message):

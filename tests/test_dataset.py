@@ -446,6 +446,10 @@ class TestSnapshot:
             (lambda d: d["UT"][0].__setitem__(2, -1.0), "UT: negative entry"),
             (lambda d: d["IT"].__setitem__(0, [0]), "IT: "),
             (lambda d: d["IT"].__setitem__(0, [0, 0, "x"]), "IT: "),
+            (lambda d: d["UI"].__setitem__(0, [0, 0.7, 1.0]), "UI: entry index is not an integer"),
+            (lambda d: d["UI"].__setitem__(0, [0, 0, 1.0, 9]), "UI: each entry must be"),
+            (lambda d: d["UT"].__setitem__(0, [0, 0, "1"]), "UT: entry value is not a number"),
+            (lambda d: d["UI"].__setitem__(0, [0, 0, float("nan")]), "UI: non-finite"),
         ],
     )
     def test_invalid_snapshots_rejected(self, corrupt, message):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from folkwalk import evaluation
 from folkwalk.baselines import AlgorithmSpec
+from folkwalk.dataset import split
 from folkwalk.evaluation import (
     EvalReport,
     density_sweep,
@@ -124,15 +126,15 @@ class TestRankscore:
 class TestRunExperiment:
     def test_single_run_means_equal_run(self):
         ds = random_dataset(np.random.default_rng(0), n_users=8, n_items=10)
-        rep = run_experiment(ds, AlgorithmSpec("Random"), 0.3, 3, 1, 5)
+        rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.3, 3, 1, 5)[0]
         assert rep.means == rep.runs[0]
         assert rep.seed_list == [5]
 
     def test_deterministic(self):
         ds = random_dataset(np.random.default_rng(1), n_users=8, n_items=10)
         spec = AlgorithmSpec("pRW")
-        a = run_experiment(ds, spec, 0.3, 3, 3, 7)
-        b = run_experiment(ds, spec, 0.3, 3, 3, 7)
+        a = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
+        b = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
         assert report_to_json([a]) == report_to_json([b])
 
     def test_random_baseline_matches_analytic_expectation(self):
@@ -151,7 +153,7 @@ class TestRunExperiment:
             UT=SparseMatrix(100, 0),
             IT=SparseMatrix(100, 0),
         )
-        rep = run_experiment(ds, AlgorithmSpec("Random"), 0.2, 5, 10, 0)
+        rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.2, 5, 10, 0)[0]
         per_user = []
         for u in range(100):
             saved = int(ui[u].sum())
@@ -164,7 +166,54 @@ class TestRunExperiment:
     def test_runs_validated(self):
         ds = random_dataset(np.random.default_rng(3))
         with pytest.raises(ValueError):
-            run_experiment(ds, AlgorithmSpec("Random"), n_runs=0)
+            run_experiment(ds, [AlgorithmSpec("Random")], n_runs=0)
+
+
+@pytest.fixture()
+def split_calls(monkeypatch):
+    """(training fraction, seed) of every split the experiment loop draws."""
+    calls = []
+
+    def counting_split(ds, train_fraction, seed):
+        calls.append((train_fraction, seed))
+        return split(ds, train_fraction, seed)
+
+    monkeypatch.setattr(evaluation, "make_split", counting_split)
+    return calls
+
+
+class TestOneSplitPerSeed:
+    def test_run_experiment_splits_once_per_seed(self, split_calls):
+        ds = random_dataset(np.random.default_rng(12), n_users=8, n_items=10)
+        specs = [AlgorithmSpec(kind) for kind in ("Random", "UserCF", "ItemCF", "Fusion")]
+        reports = run_experiment(ds, specs, 0.3, 3, 3, 4)
+        assert split_calls == [(0.3, 4), (0.3, 5), (0.3, 6)]
+        assert [r.algorithm for r in reports] == specs
+
+    def test_shared_split_reports_equal_single_algorithm_reports(self):
+        ds = random_dataset(np.random.default_rng(13), n_users=8, n_items=10)
+        specs = [AlgorithmSpec(kind) for kind in ("Random", "UserCF", "ItemCF", "Fusion", "pRW")]
+        together = run_experiment(ds, specs, 0.3, 3, 2, 1)
+        alone = [run_experiment(ds, [spec], 0.3, 3, 2, 1)[0] for spec in specs]
+        assert report_to_json(together) == report_to_json(alone)
+
+    def test_grid_search_splits_once(self, split_calls):
+        ds = random_dataset(np.random.default_rng(14), n_users=8, n_items=10)
+        grid = {"alpha": [0.0, 0.5, 1.0], "mu": [0.3, 0.5, 0.7]}
+        _, results = grid_search(ds, grid, train_fraction=0.3, n_runs=1, base_seed=2)
+        assert len(results) == 9
+        assert split_calls == [(0.3, 2)]
+
+    def test_density_sweep_splits_once_per_fraction_and_seed(self, split_calls):
+        ds = random_dataset(np.random.default_rng(15), n_users=8, n_items=10)
+        specs = [AlgorithmSpec("Random"), AlgorithmSpec("UserCF")]
+        density_sweep(ds, specs, [0.2, 0.4], top_n=3, n_runs=2)
+        assert split_calls == [(0.2, 0), (0.2, 1), (0.4, 0), (0.4, 1)]
+
+    def test_no_algorithms(self):
+        ds = random_dataset(np.random.default_rng(16))
+        with pytest.raises(ValueError, match="no algorithms"):
+            run_experiment(ds, [])
 
 
 class TestDensitySweep:
@@ -172,7 +221,7 @@ class TestDensitySweep:
         ds = random_dataset(np.random.default_rng(4), n_users=8, n_items=10)
         spec = AlgorithmSpec("Random")
         grid = density_sweep(ds, [spec], [0.3], top_n=3, n_runs=2, base_seed=1)
-        direct = run_experiment(ds, spec, 0.3, 3, 2, 1)
+        direct = run_experiment(ds, [spec], 0.3, 3, 2, 1)[0]
         assert grid[("Random", 0.3)].means == direct.means
 
     def test_layout(self):
@@ -243,12 +292,14 @@ class TestGridSearch:
             grid_search(ds, {})
         with pytest.raises(ValueError):
             grid_search(ds, {"gamma": [1.0]})
+        with pytest.raises(ValueError, match="unknown objective 'bogus'"):
+            grid_search(ds, {"eta": [0.5]}, objective="bogus")
 
 
 class TestReports:
     def make_report(self):
         ds = random_dataset(np.random.default_rng(11), n_users=8, n_items=10)
-        return run_experiment(ds, AlgorithmSpec("Random"), 0.3, 3, 3, 0)
+        return run_experiment(ds, [AlgorithmSpec("Random")], 0.3, 3, 3, 0)[0]
 
     def test_means_and_bounds_invariant(self):
         rep = self.make_report()
