@@ -425,11 +425,17 @@ def dataset_to_json(ds: TaggingDataset) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _matrix_from_entries(rows: int, cols: int, entries: list) -> SparseMatrix:
+def _matrix_from_entries(
+    rows: int, cols: int, entries: list, check_booleans: bool
+) -> SparseMatrix:
     """Matrix from a snapshot's [row, col, value] entries, read as one array
-    per column: the indices must be integers and the values numbers."""
+    per column: the indices must be integers and the values numbers. A
+    boolean among numbers would read as 0 or 1, so ``check_booleans`` scans
+    every field for one."""
     if set(map(len, entries)) - {3}:
         raise ValueError("each entry must be [row, col, value]")
+    if check_booleans and any(type(x) is bool for e in entries for x in e):
+        raise ValueError("entry holds a boolean")
     i, j, v = (np.array([e[k] for e in entries]) for k in range(3))
     if entries and not i.dtype.kind == j.dtype.kind == "i":
         raise ValueError("entry index is not an integer")
@@ -446,8 +452,8 @@ def dataset_from_json(text: str) -> TaggingDataset:
 
     Raises :class:`InvalidDatasetError` for malformed JSON, another format
     version, missing or mistyped fields, duplicate ids, and matrix entries
-    that are not three numbers, have a non-integer index, or are out of
-    range, repeated, non-finite or negative.
+    that are not three numbers (a JSON boolean is not one), have a
+    non-integer index, or are out of range, repeated, non-finite or negative.
     """
     try:
         d = json.loads(text)
@@ -471,9 +477,11 @@ def dataset_from_json(text: str) -> TaggingDataset:
         raise InvalidDatasetError("total_tag_count must be an integer")
     m, n, l = len(d["users"]), len(d["items"]), len(d["tags"])
     matrices = {}
+    # only text that spells a JSON boolean can hold one
+    check_booleans = "true" in text or "false" in text
     for key, rows, cols in (("UI", m, n), ("UT", m, l), ("IT", n, l)):
         try:
-            matrix = _matrix_from_entries(rows, cols, d[key])
+            matrix = _matrix_from_entries(rows, cols, d[key], check_booleans)
         except (TypeError, ValueError, LookupError) as exc:
             raise InvalidDatasetError(f"{key}: {exc}") from None
         if matrix.nnz and matrix.csr().data.min() < 0:

@@ -9,7 +9,6 @@ no function writes to its arguments except ``solve_dense`` when asked to.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable
 
 import numpy as np
@@ -178,28 +177,36 @@ def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.nda
     """Solve A @ X = B by LU.
 
     Uses partial-pivot LU; a pivot with absolute value below ``PIVOT_EPS``
-    raises :class:`SingularMatrixError`. With ``overwrite`` the factorization
+    raises :class:`SingularMatrixError`, and a non-finite entry in ``a`` or
+    ``b`` raises ``ValueError``. With ``overwrite`` the factorization
     and the solve may use ``a`` and ``b`` as their workspace (they do so
     without a copy when both are float64 and Fortran-ordered), leaving
-    their contents undefined.
+    their contents undefined. Safe to call from several threads at once:
+    LAPACK's status codes are read directly, so no warning filter changes.
     """
     # imported here, not at module load: only the pRW walks solve
     import scipy.linalg
 
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray_chkfinite(a, dtype=np.float64)
+    b = np.asarray_chkfinite(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"coefficient matrix must be square, got {a.shape}")
-    b2 = np.atleast_2d(b)
-    if b2.shape[0] != a.shape[0]:
-        raise ShapeError(f"rhs rows {b2.shape[0]} != system size {a.shape[0]}")
-    with warnings.catch_warnings():
-        # singularity is reported via SingularMatrixError below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite, check_finite=True)
+    b2 = b.reshape(-1, 1) if b.ndim < 2 else b
+    if b2.ndim != 2 or b2.shape[0] != a.shape[0]:
+        raise ShapeError(f"rhs shape {b.shape} does not match system size {a.shape[0]}")
+    if not len(a):
+        # LAPACK rejects an empty system; its solution is empty
+        return np.zeros(b.shape)
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a, b2))
+    lu, piv, info = getrf(a, overwrite_a=overwrite)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    # info > 0 marks an exactly zero pivot, which the threshold also catches
     if np.abs(np.diag(lu)).min() < PIVOT_EPS:
         raise SingularMatrixError(
             f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
         )
-    x = scipy.linalg.lu_solve((lu, piv), b2, overwrite_b=overwrite, check_finite=True)
+    x, info = getrs(lu, piv, b2, overwrite_b=overwrite)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
     return x if b.ndim == 2 else x.ravel()

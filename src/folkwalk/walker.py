@@ -5,8 +5,10 @@ from X(0) = R, where R is the row-normalized interaction matrix. The
 item-centric walk X(t+1) = eta * X(t) @ S_item + (1 - eta) * R is the same
 walk on transposed inputs, so both sides share one iteration and one closed
 form. The pipeline runs the closed form, one dense LU solve per walk; the
-iteration is the reference implementation of the paper's algorithm. Score
-matrices are dense ndarrays from the walk to the ranking.
+iteration is the reference implementation of the paper's algorithm. The two
+walks are independent until fused, so the pipeline solves them on two
+threads at once (LAPACK releases the GIL) and fuses into the user walk's
+buffer. Score matrices are dense ndarrays from the walk to the ranking.
 """
 
 from __future__ import annotations
@@ -99,35 +101,56 @@ def walk_user(
     return _walk(ui_norm.to_dense(), s_user.csr(), lambda_, tol, max_iters, trace)
 
 
+def _solve_walk(s_dense: np.ndarray, restart: np.ndarray, damping: float) -> np.ndarray:
+    """(1 - damping) * (I - damping * S)^{-1} @ R, built in the Fortran-ordered
+    dense buffers of S and R, which the LU factorization and solve then
+    overwrite: no further dense copy is made."""
+    s_dense *= -damping
+    s_dense[np.diag_indices_from(s_dense)] += 1.0
+    restart *= 1.0 - damping
+    return solve_dense(s_dense, restart, overwrite=True)
+
+
 def closed_form_user(ui_norm: SparseMatrix, s_user: SparseMatrix, lambda_: float) -> np.ndarray:
     """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R,
     computed by a linear solve (never an explicit inverse).
 
-    The system is built in two fresh Fortran-ordered buffers, one dense S_user
-    and one dense R, which the LU factorization and solve then overwrite: no
-    further dense copy is made and the inputs are left unchanged."""
+    The system is built in fresh dense buffers, so the inputs are left
+    unchanged. The reference to ``s_user`` is dropped once it is dense: a
+    caller that passes the similarity without keeping it holds no sparse
+    copy during the LU."""
     _check_damping(lambda_, "lambda")
     a = s_user.csr().toarray(order="F")
-    a *= -lambda_
-    a[np.diag_indices_from(a)] += 1.0
-    b = ui_norm.csr().toarray(order="F")
-    b *= 1.0 - lambda_
-    return solve_dense(a, b, overwrite=True)
+    del s_user
+    return _solve_walk(a, ui_norm.csr().toarray(order="F"), lambda_)
 
 
 def closed_form_item(ui_norm: SparseMatrix, s_item: SparseMatrix, eta: float) -> np.ndarray:
-    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}."""
+    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}, the
+    user walk's system on transposed inputs; ``s_item`` is dropped as in
+    :func:`closed_form_user`."""
     _check_damping(eta, "eta")
-    return closed_form_user(transpose(ui_norm), transpose(s_item), eta).T
+    # the transpose of a C-ordered dense matrix is its Fortran-ordered
+    # dense transpose, so no sparse transpose is built
+    a = s_item.csr().toarray().T
+    del s_item
+    return _solve_walk(a, ui_norm.csr().toarray().T, eta).T
 
 
-def fuse(ui_item: np.ndarray, ui_user: np.ndarray, mu: float) -> np.ndarray:
-    """Entrywise convex combination mu * item scores + (1 - mu) * user scores."""
+def fuse(
+    ui_item: np.ndarray, ui_user: np.ndarray, mu: float, overwrite: bool = False
+) -> np.ndarray:
+    """Entrywise convex combination mu * item scores + (1 - mu) * user scores.
+
+    With ``overwrite`` the result is written into ``ui_user`` (a float64
+    array) and returned instead of into a new matrix."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if ui_item.shape != ui_user.shape:
         raise ShapeError(f"shape mismatch {ui_item.shape} vs {ui_user.shape}")
-    return mu * ui_item + (1.0 - mu) * ui_user
+    fused = np.multiply(ui_user, 1.0 - mu, out=ui_user if overwrite else None)
+    fused += mu * ui_item
+    return fused
 
 
 def smallest_k_mask(keys: np.ndarray, k: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -23,9 +24,17 @@ from folkwalk.baselines import (
     user_cf_scores,
 )
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
-from folkwalk.linalg import SparseMatrix, row_normalize
+from folkwalk.linalg import SingularMatrixError, SparseMatrix, row_normalize
 from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
-from folkwalk.walker import WalkConfig, fuse, recommend_all, walk_item, walk_user
+from folkwalk.walker import (
+    WalkConfig,
+    closed_form_item,
+    closed_form_user,
+    fuse,
+    recommend_all,
+    walk_item,
+    walk_user,
+)
 
 from gen import planted_cluster_posts, random_dataset
 
@@ -369,6 +378,41 @@ class TestAblation:
             want = iterated_scores(sp, ds, walk, sim)
             assert np.abs(got - want).max() < 1e-9
             assert recommend_all(got, sp.train_UI, 5) == recommend_all(want, sp.train_UI, 5)
+
+    @pytest.mark.parametrize("kind", ["pRW", "pRW-UI"])
+    def test_concurrent_walks_equal_sequential_fusion(self, kind):
+        walk = WalkConfig(eta=0.9, lambda_=0.7, mu=0.3)
+        sim = SimilarityConfig(alpha=0.6, beta=0.4)
+        alpha, beta = (0.0, 0.0) if kind == "pRW-UI" else (sim.alpha, sim.beta)
+        planted = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+        fixtures = [random_dataset(np.random.default_rng(s), 9, 12, 4) for s in range(3)] + [planted]
+        filters = list(warnings.filters)
+        for ds in fixtures:
+            sp = make_split(ds, 0.3, 5)
+            ui_norm = row_normalize(sp.train_UI)
+            ui_item = closed_form_item(ui_norm, item_similarity(ds, alpha, ui=sp.train_UI), walk.eta)
+            ui_user = closed_form_user(
+                ui_norm, user_similarity(ds, beta, ui=sp.train_UI), walk.lambda_
+            )
+            want = fuse(ui_item, ui_user, walk.mu)
+            assert np.array_equal(ablation_scores(kind, sp, ds, walk, sim), want)
+        assert warnings.filters == filters
+
+    def test_worker_error_propagates_and_threads_end(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(11), n_users=6, n_items=8, n_tags=4)
+        sp = make_split(ds)
+
+        def blown_up(ds, alpha, ui=None):
+            # eta = 0.5 makes I - eta * S the zero matrix
+            return SparseMatrix.from_dense(2.0 * np.eye(ds.num_items))
+
+        monkeypatch.setattr("folkwalk.baselines.item_similarity", blown_up)
+        threads = threading.active_count()
+        filters = list(warnings.filters)
+        with pytest.raises(SingularMatrixError):
+            ablation_scores("pRW", sp, ds, WalkConfig(eta=0.5))
+        assert threading.active_count() == threads
+        assert warnings.filters == filters
 
     def test_default_settings_converge_silently(self):
         ds = random_dataset(np.random.default_rng(10), n_users=6, n_items=8, n_tags=4)

@@ -319,6 +319,9 @@ class TestBadInput:
             (b'{"format_version": 1, "users": ["a"], "items": ["x", "y"], "tags": [], '
              b'"total_tag_count": 0, "UI": [[0, 0.7, 1.0]], "UT": [], "IT": []}',
              "UI: entry index is not an integer"),
+            (b'{"format_version": 1, "users": ["a", "b"], "items": ["x", "y"], "tags": [], '
+             b'"total_tag_count": 0, "UI": [[0, 0, 1.0], [true, 1, 1.0]], "UT": [], "IT": []}',
+             "UI: entry holds a boolean"),
         ],
     )
     def test_bad_dataset_file_exits_1(self, tmp_path, capsys, content, message):

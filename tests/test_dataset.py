@@ -450,6 +450,9 @@ class TestSnapshot:
             (lambda d: d["UI"].__setitem__(0, [0, 0, 1.0, 9]), "UI: each entry must be"),
             (lambda d: d["UT"].__setitem__(0, [0, 0, "1"]), "UT: entry value is not a number"),
             (lambda d: d["UI"].__setitem__(0, [0, 0, float("nan")]), "UI: non-finite"),
+            (lambda d: d["UI"].append([True, 1, 1.0]), "UI: entry holds a boolean"),
+            (lambda d: d["UT"][0].__setitem__(1, False), "UT: entry holds a boolean"),
+            (lambda d: d["IT"][0].__setitem__(2, True), "IT: entry holds a boolean"),
         ],
     )
     def test_invalid_snapshots_rejected(self, corrupt, message):

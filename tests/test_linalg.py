@@ -1,3 +1,7 @@
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -224,6 +228,50 @@ class TestSolveDense:
     def test_non_square_raises(self):
         with pytest.raises(ShapeError):
             solve_dense(np.ones((2, 3)), np.ones(2))
+
+    def test_vector_rhs(self):
+        a = np.array([[2.0, 0.0], [1.0, 4.0]])
+        np.testing.assert_allclose(solve_dense(a, np.array([2.0, 9.0])), [1.0, 2.0])
+        with pytest.raises(ShapeError):
+            solve_dense(a, np.ones(3))
+
+    def test_empty_system(self):
+        assert solve_dense(np.zeros((0, 0)), np.zeros((0, 3))).shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", ["a", "b"])
+    def test_non_finite_raises(self, bad):
+        a, b = np.eye(2), np.ones((2, 1))
+        (a if bad == "a" else b)[0, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_dense(a, b)
+
+    def test_concurrent_solves_leave_warning_filters_alone(self):
+        # singular systems are where LAPACK reports a zero pivot; more
+        # threads than cores and a short switch interval expose a race on
+        # the process-wide filter list
+        rng = np.random.default_rng(12)
+        regular = rng.random((40, 40)) + 40 * np.eye(40)
+        singular = np.ones((40, 40))
+        b = rng.random((40, 3))
+        expected = solve_dense(regular, b)
+
+        def solve(k):
+            if k % 2:
+                with pytest.raises(SingularMatrixError):
+                    solve_dense(singular, b)
+                return None
+            return solve_dense(regular, b)
+
+        filters = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(solve, range(400), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert warnings.filters == filters
+        assert all(np.array_equal(x, expected) for x in results[::2])
 
 
 def test_lincomb():

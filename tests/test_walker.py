@@ -147,6 +147,27 @@ class TestFuse:
         with pytest.raises(ShapeError):
             fuse(np.zeros((1, 2)), np.zeros((2, 1)), 0.5)
 
+    def test_overwrite_writes_user_scores(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.random((5, 7)), rng.random((5, 7))
+        want = fuse(a, b, 0.3)
+        got = fuse(a, b, 0.3, overwrite=True)
+        assert got is b
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "item, user, mu, error",
+        [
+            (np.ones((2, 3)), np.ones((2, 3)), 1.5, ValueError),
+            (np.ones((2, 3)), np.ones((2, 3)), -0.1, ValueError),
+            (np.ones((3, 2)), np.ones((2, 3)), 0.5, ShapeError),
+        ],
+    )
+    def test_overwrite_validates_first(self, item, user, mu, error):
+        with pytest.raises(error):
+            fuse(item, user, mu, overwrite=True)
+        np.testing.assert_array_equal(user, np.ones((2, 3)))
+
 
 def sort_oracle(scores, train, top_n):
     """Per-user sort of the non-training items by (-score, item index)."""
