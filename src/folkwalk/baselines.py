@@ -199,7 +199,7 @@ def ablation_scores(
     with ThreadPoolExecutor(max_workers=2) as pool:
         item, user = pool.submit(item_scores), pool.submit(user_scores)
         ui_item, ui_user = item.result(), user.result()
-    return fuse(ui_item, ui_user, mu, overwrite=True)
+    return fuse(ui_item, ui_user, mu)
 
 
 def ablation(

@@ -191,12 +191,9 @@ def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.nda
     b = np.asarray_chkfinite(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"coefficient matrix must be square, got {a.shape}")
-    b2 = b.reshape(-1, 1) if b.ndim < 2 else b
-    if b2.ndim != 2 or b2.shape[0] != a.shape[0]:
-        raise ShapeError(f"rhs shape {b.shape} does not match system size {a.shape[0]}")
-    if not len(a):
-        # LAPACK rejects an empty system; its solution is empty
-        return np.zeros(b.shape)
+    b2 = np.atleast_2d(b)
+    if b2.shape[0] != a.shape[0]:
+        raise ShapeError(f"rhs rows {b2.shape[0]} != system size {a.shape[0]}")
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a, b2))
     lu, piv, info = getrf(a, overwrite_a=overwrite)
     if info < 0:

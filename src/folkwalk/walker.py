@@ -7,7 +7,7 @@ walk on transposed inputs, so both sides share one iteration and one closed
 form. The pipeline runs the closed form, one dense LU solve per walk; the
 iteration is the reference implementation of the paper's algorithm. The two
 walks are independent until fused, so the pipeline solves them on two
-threads at once (LAPACK releases the GIL) and fuses into the user walk's
+threads at once (LAPACK releases the GIL) and fuses into the item walk's
 buffer. Score matrices are dense ndarrays from the walk to the ranking.
 """
 
@@ -137,20 +137,20 @@ def closed_form_item(ui_norm: SparseMatrix, s_item: SparseMatrix, eta: float) ->
     return _solve_walk(a, ui_norm.csr().toarray().T, eta).T
 
 
-def fuse(
-    ui_item: np.ndarray, ui_user: np.ndarray, mu: float, overwrite: bool = False
-) -> np.ndarray:
+def fuse(ui_item: np.ndarray, ui_user: np.ndarray, mu: float) -> np.ndarray:
     """Entrywise convex combination mu * item scores + (1 - mu) * user scores.
 
-    With ``overwrite`` the result is written into ``ui_user`` (a float64
-    array) and returned instead of into a new matrix."""
+    Consumes its inputs: both float64 arrays are scaled in place, and the
+    sum is written into ``ui_item`` and returned, so no third score matrix
+    is allocated. The result keeps ``ui_item``'s memory order."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
     if ui_item.shape != ui_user.shape:
         raise ShapeError(f"shape mismatch {ui_item.shape} vs {ui_user.shape}")
-    fused = np.multiply(ui_user, 1.0 - mu, out=ui_user if overwrite else None)
-    fused += mu * ui_item
-    return fused
+    ui_item *= mu
+    ui_user *= 1.0 - mu
+    ui_item += ui_user
+    return ui_item
 
 
 def smallest_k_mask(keys: np.ndarray, k: int) -> np.ndarray:

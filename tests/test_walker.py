@@ -139,20 +139,20 @@ class TestFuse:
     def test_endpoints(self):
         a = np.array([[2.0, 0.0]])
         b = np.array([[0.0, 2.0]])
-        np.testing.assert_array_equal(fuse(a, b, 1.0), a)
-        np.testing.assert_array_equal(fuse(a, b, 0.0), b)
-        np.testing.assert_allclose(fuse(a, b, 0.5), [[1.0, 1.0]])
+        np.testing.assert_array_equal(fuse(a.copy(), b.copy(), 1.0), a)
+        np.testing.assert_array_equal(fuse(a.copy(), b.copy(), 0.0), b)
+        np.testing.assert_allclose(fuse(a.copy(), b.copy(), 0.5), [[1.0, 1.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             fuse(np.zeros((1, 2)), np.zeros((2, 1)), 0.5)
 
-    def test_overwrite_writes_user_scores(self):
+    def test_writes_into_item_scores(self):
         rng = np.random.default_rng(4)
-        a, b = rng.random((5, 7)), rng.random((5, 7))
-        want = fuse(a, b, 0.3)
-        got = fuse(a, b, 0.3, overwrite=True)
-        assert got is b
+        a, b = rng.random((5, 7)), np.asfortranarray(rng.random((5, 7)))
+        want = 0.3 * a + 0.7 * b
+        got = fuse(a, b, 0.3)
+        assert got is a and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -163,9 +163,10 @@ class TestFuse:
             (np.ones((3, 2)), np.ones((2, 3)), 0.5, ShapeError),
         ],
     )
-    def test_overwrite_validates_first(self, item, user, mu, error):
+    def test_validates_before_writing(self, item, user, mu, error):
         with pytest.raises(error):
-            fuse(item, user, mu, overwrite=True)
+            fuse(item, user, mu)
+        np.testing.assert_array_equal(item, np.ones(item.shape))
         np.testing.assert_array_equal(user, np.ones((2, 3)))
 
 
@@ -265,7 +266,8 @@ class TestProperties:
         ui_item, _ = walk_item(ui_norm, s_item, 0.8)
         ui_user, _ = walk_user(ui_norm, s_user, 0.8)
         for mu, side in ((1.0, ui_item), (0.0, ui_user)):
-            assert recommend_all(fuse(ui_item, ui_user, mu), train, 5) == recommend_all(
+            fused = fuse(ui_item.copy(), ui_user.copy(), mu)
+            assert recommend_all(fused, train, 5) == recommend_all(
                 side, train, 5
             )
 
