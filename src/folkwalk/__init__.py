@@ -2,7 +2,6 @@
 
 from .baselines import AlgorithmSpec
 from .dataset import Post, Split, TaggingDataset
-from .linalg import SparseMatrix
 from .similarity import SimilarityConfig, item_similarity, user_similarity
 from .walker import WalkConfig
 
@@ -12,7 +11,6 @@ __all__ = [
     "AlgorithmSpec",
     "Post",
     "SimilarityConfig",
-    "SparseMatrix",
     "Split",
     "TaggingDataset",
     "WalkConfig",

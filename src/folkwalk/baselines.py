@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import Split, TaggingDataset
-from .linalg import SparseMatrix, row_normalize
+from .linalg import row_normalize
 from .similarity import SimilarityConfig, item_similarity, user_similarity
 from .walker import (
     WalkConfig,
@@ -57,7 +57,7 @@ class AlgorithmSpec:
 def random_recommender(split: Split, seed: int, top_n: int) -> dict[int, list[int]]:
     """Uniform sample without replacement from each user's candidate items."""
     rng = np.random.default_rng(seed)
-    train = split.train_UI.csr()
+    train = split.train_UI
     recs = {}
     for u in range(train.shape[0]):
         unsaved = np.ones(train.shape[1], dtype=bool)
@@ -100,30 +100,28 @@ def _profile(
 
 
 def user_cf_scores(
-    train_ui: SparseMatrix,
+    train_ui: sp.csr_matrix,
     k_neighbors: int | None = None,
     profile_ext: sp.csr_matrix | np.ndarray | None = None,
 ) -> np.ndarray:
     """score(u, j) = sum over neighbors v of sim(u, v) * train[v, j], with
     cosine similarity over user rows (optionally extended with extra profile
     columns that do not contribute to the scored items)."""
-    ui = train_ui.csr()
-    sim = _truncate_neighbors(_cosine(_profile(ui, profile_ext)), k_neighbors)
+    sim = _truncate_neighbors(_cosine(_profile(train_ui, profile_ext)), k_neighbors)
     # the sparse operand must lead the product, which then comes out
     # transposed; rows are read whole downstream, so return C order
-    return np.ascontiguousarray((ui.T @ sim.T).T)
+    return np.ascontiguousarray((train_ui.T @ sim.T).T)
 
 
 def item_cf_scores(
-    train_ui: SparseMatrix,
+    train_ui: sp.csr_matrix,
     k_neighbors: int | None = None,
     profile_ext: sp.csr_matrix | np.ndarray | None = None,
 ) -> np.ndarray:
     """score(u, j) = sum over u's training items i of sim(i, j), with cosine
     similarity over item columns (optionally extended)."""
-    ui = train_ui.csr()
-    sim = _truncate_neighbors(_cosine(_profile(ui.T.tocsr(), profile_ext)), k_neighbors)
-    return ui @ sim
+    sim = _truncate_neighbors(_cosine(_profile(train_ui.T.tocsr(), profile_ext)), k_neighbors)
+    return train_ui @ sim
 
 
 def user_cf(split: Split, k_neighbors: int | None = None, top_n: int = 5) -> dict[int, list[int]]:
@@ -142,8 +140,8 @@ def fusion_cf_scores(
     profile features; scores cover real items only."""
     if not 0.0 <= fuse_weight <= 1.0:
         raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
-    user_scores = user_cf_scores(split.train_UI, profile_ext=ds.UT.csr())
-    item_scores = item_cf_scores(split.train_UI, profile_ext=ds.IT.csr())
+    user_scores = user_cf_scores(split.train_UI, profile_ext=ds.UT)
+    item_scores = item_cf_scores(split.train_UI, profile_ext=ds.IT)
     return fuse_weight * user_scores + (1.0 - fuse_weight) * item_scores
 
 

@@ -151,11 +151,16 @@ def _algorithm_spec(kind: str, args: argparse.Namespace) -> AlgorithmSpec:
 
 
 def _load_dataset(path: str):
+    """The dataset snapshot at ``path``; one with no users or no items is
+    rejected here, before any algorithm runs on it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return dataset_from_json(fh.read())
+            ds = dataset_from_json(fh.read())
     except (UnicodeDecodeError, InvalidDatasetError) as exc:
         raise InvalidDatasetError(f"{path}: invalid dataset: {exc}") from None
+    if ds.num_users == 0 or ds.num_items == 0:
+        raise EmptyDatasetError(f"{path}: dataset has no users or no items")
+    return ds
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -361,9 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recommend", help="top-N lists for one user or all users")
     p.add_argument("--dataset", required=True)
     p.add_argument("--algorithm", choices=ALGORITHM_KINDS, default="pRW")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--user", help="user id")
-    group.add_argument("--all", action="store_true")
+    p.add_argument("--user", help="user id (default: every user)")
     p.add_argument("--top-n", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "table"), default="table")

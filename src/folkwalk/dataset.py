@@ -13,8 +13,9 @@ from itertools import repeat
 from typing import NoReturn
 
 import numpy as np
+import scipy.sparse as sp
 
-from .linalg import SparseMatrix
+from .linalg import csr_from_coo
 
 
 class ParseError(ValueError):
@@ -98,22 +99,22 @@ class PostTable:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaggingDataset:
-    """Indexed posts plus the derived co-occurrence matrices.
+    """Indexed posts plus the derived co-occurrence matrices (CSR).
 
     UI is binary m x n (user saved item), UT is m x l tag-use frequencies per
     user, IT is n x l tag frequencies per item. ``total_tag_count`` is the
     distinct-tag count before any tag selection (equals len(tags) when no
-    selection was applied).
+    selection was applied). Datasets compare by identity.
     """
 
     users: tuple[str, ...]
     items: tuple[str, ...]
     tags: tuple[str, ...]
-    UI: SparseMatrix
-    UT: SparseMatrix
-    IT: SparseMatrix
+    UI: sp.csr_matrix
+    UT: sp.csr_matrix
+    IT: sp.csr_matrix
     total_tag_count: int = -1
 
     def __post_init__(self):
@@ -167,11 +168,12 @@ class DatasetStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
-    """Per-user partition of UI support into train and held-out test items."""
+    """Per-user partition of UI support into train and held-out test items.
+    Splits compare by identity."""
 
-    train_UI: SparseMatrix
+    train_UI: sp.csr_matrix
     test_sets: dict[int, frozenset[int]]
     seed: int
     train_fraction: float
@@ -298,11 +300,11 @@ def _first_appearance(codes: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarr
     return renumber[codes], tuple(map(ids.__getitem__, used.tolist()))
 
 
-def _count_matrix(rows: int, cols: int, i: np.ndarray, j: np.ndarray, binary: bool = False) -> SparseMatrix:
+def _count_matrix(rows: int, cols: int, i: np.ndarray, j: np.ndarray, binary: bool = False) -> sp.csr_matrix:
     """rows x cols matrix counting each (i, j) pair, or 1.0 per pair if binary."""
     keys, counts = np.unique(i * cols + j, return_counts=True)
     values = np.ones(len(keys)) if binary else counts.astype(np.float64)
-    return SparseMatrix.from_coo(rows, cols, keys // cols, keys % cols, values)
+    return csr_from_coo(rows, cols, keys // cols, keys % cols, values)
 
 
 def build_matrices(posts: PostTable, total_tag_count: int | None = None) -> TaggingDataset:
@@ -385,7 +387,7 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    ui = ds.UI.csr()
+    ui = ds.UI
     train_items: list[np.ndarray] = []
     test_sets: dict[int, frozenset[int]] = {}
     for u in range(ds.num_users):
@@ -401,13 +403,20 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     train_users = np.repeat(np.arange(ds.num_users), [len(items) for items in train_items])
     train_cols = np.concatenate(train_items) if train_items else np.empty(0, dtype=np.int64)
     return Split(
-        train_UI=SparseMatrix.from_coo(
+        train_UI=csr_from_coo(
             ds.num_users, ds.num_items, train_users, train_cols, np.ones(len(train_cols))
         ),
         test_sets=test_sets,
         seed=seed,
         train_fraction=train_fraction,
     )
+
+
+def _entry_list(m: sp.csr_matrix) -> list[tuple[int, int, float]]:
+    """Stored entries as (row, col, value) Python scalars, sorted by (row, col)."""
+    coo = m.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return list(zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()))
 
 
 def dataset_to_json(ds: TaggingDataset) -> str:
@@ -418,16 +427,16 @@ def dataset_to_json(ds: TaggingDataset) -> str:
         "items": list(ds.items),
         "tags": list(ds.tags),
         "total_tag_count": ds.total_tag_count,
-        "UI": ds.UI.entries,
-        "UT": ds.UT.entries,
-        "IT": ds.IT.entries,
+        "UI": _entry_list(ds.UI),
+        "UT": _entry_list(ds.UT),
+        "IT": _entry_list(ds.IT),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _matrix_from_entries(
     rows: int, cols: int, entries: list, check_booleans: bool
-) -> SparseMatrix:
+) -> sp.csr_matrix:
     """Matrix from a snapshot's [row, col, value] entries, read as one array
     per column: the indices must be integers and the values numbers. A
     boolean among numbers would read as 0 or 1, so ``check_booleans`` scans
@@ -441,7 +450,7 @@ def _matrix_from_entries(
         raise ValueError("entry index is not an integer")
     if entries and v.dtype.kind not in "if":
         raise ValueError("entry value is not a number")
-    return SparseMatrix.from_coo(rows, cols, i, j, v)
+    return csr_from_coo(rows, cols, i, j, v)
 
 
 _SNAPSHOT_FIELDS = ("format_version", "users", "items", "tags", "total_tag_count", "UI", "UT", "IT")
@@ -484,7 +493,7 @@ def dataset_from_json(text: str) -> TaggingDataset:
             matrix = _matrix_from_entries(rows, cols, d[key], check_booleans)
         except (TypeError, ValueError, LookupError) as exc:
             raise InvalidDatasetError(f"{key}: {exc}") from None
-        if matrix.nnz and matrix.csr().data.min() < 0:
+        if matrix.nnz and matrix.data.min() < 0:
             raise InvalidDatasetError(f"{key}: negative entry")
         matrices[key] = matrix
     return TaggingDataset(

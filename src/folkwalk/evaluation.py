@@ -11,7 +11,7 @@ from dataclasses import asdict, astuple, dataclass
 import numpy as np
 
 from .baselines import AlgorithmSpec, run_algorithm
-from .dataset import TaggingDataset, split as make_split
+from .dataset import EmptyDatasetError, TaggingDataset, split as make_split
 from .similarity import SimilarityConfig
 from .walker import WalkConfig
 
@@ -69,7 +69,7 @@ def _params_json(spec: AlgorithmSpec) -> dict:
 def _counted_users(recs: Recs, test_sets: TestSets) -> list[int]:
     users = [u for u, t in test_sets.items() if t]
     if not users:
-        raise ValueError("no user has a non-empty test set")
+        raise EmptyDatasetError("no user has a non-empty test set")
     for u in users:
         if u not in recs:
             raise KeyError(f"no recommendation list for user {u}")

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import scipy.sparse as sp
+
 from .dataset import TaggingDataset
-from .linalg import SparseMatrix, lincomb, matmul, row_normalize, transpose
+from .linalg import row_normalize
 
 
 @dataclass(frozen=True)
@@ -31,44 +33,42 @@ def _check_weight(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def _two_hop(out_hop: SparseMatrix, back_hop: SparseMatrix) -> SparseMatrix:
-    """rownorm(out_hop) @ rownorm(back_hop): probability of a two-step jump."""
-    return matmul(row_normalize(out_hop), row_normalize(back_hop))
+def _two_hop(out_hop: sp.csr_matrix) -> sp.csr_matrix:
+    """rownorm(out_hop) @ rownorm(out_hop^T): probability of a two-step jump
+    out over the columns and back."""
+    return row_normalize(out_hop) @ row_normalize(out_hop.T.tocsr())
 
 
-def _blend(weight: float, first: SparseMatrix, second: SparseMatrix) -> SparseMatrix:
+def _blend(weight: float, first: sp.csr_matrix, second: sp.csr_matrix) -> sp.csr_matrix:
     if weight == 1.0:
         return first
     if weight == 0.0:
         return second
-    return lincomb(weight, first, 1.0 - weight, second)
+    return weight * first + (1.0 - weight) * second
 
 
-def _similarity(tags: SparseMatrix, interactions: SparseMatrix, weight: float) -> SparseMatrix:
+def _similarity(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> sp.csr_matrix:
     """k x k transition matrix over the k rows of ``tags`` and ``interactions``.
 
     weight blends the tag chain rownorm(T) @ rownorm(T^T) with the interaction
     chain rownorm(X) @ rownorm(X^T).
     """
-    k = tags.rows
+    k = tags.shape[0]
     # a completely empty component contributes no chain at all; its weight
     # falls to the other component so tag-free data degrades gracefully
     if tags.nnz == 0:
         weight = 0.0
     elif interactions.nnz == 0:
         weight = 1.0
-    tag_chain = (
-        _two_hop(tags, transpose(tags)) if weight > 0.0 else SparseMatrix(k, k)
-    )
-    interaction_chain = (
-        _two_hop(interactions, transpose(interactions)) if weight < 1.0 else SparseMatrix(k, k)
-    )
+    empty = sp.csr_matrix((k, k))
+    tag_chain = _two_hop(tags) if weight > 0.0 else empty
+    interaction_chain = _two_hop(interactions) if weight < 1.0 else empty
     return _blend(weight, tag_chain, interaction_chain)
 
 
 def item_similarity(
-    ds: TaggingDataset, alpha: float, ui: SparseMatrix | None = None
-) -> SparseMatrix:
+    ds: TaggingDataset, alpha: float, ui: sp.csr_matrix | None = None
+) -> sp.csr_matrix:
     """n x n item transition matrix.
 
     alpha weights the tag chain rownorm(IT) @ rownorm(IT^T) against the
@@ -76,12 +76,12 @@ def item_similarity(
     dataset's interaction matrix (used to restrict to training interactions).
     """
     _check_weight(alpha, "alpha")
-    return _similarity(ds.IT, transpose(ds.UI if ui is None else ui), alpha)
+    return _similarity(ds.IT, (ds.UI if ui is None else ui).T.tocsr(), alpha)
 
 
 def user_similarity(
-    ds: TaggingDataset, beta: float, ui: SparseMatrix | None = None
-) -> SparseMatrix:
+    ds: TaggingDataset, beta: float, ui: sp.csr_matrix | None = None
+) -> sp.csr_matrix:
     """m x m user transition matrix; the item similarity with roles swapped:
     chains rownorm(UT) @ rownorm(UT^T) and rownorm(UI) @ rownorm(UI^T)."""
     _check_weight(beta, "beta")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, SparseMatrix, solve_dense, transpose
+from .linalg import ShapeError, solve_dense
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,8 @@ def _check_damping(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1), got {value}")
 
 
-def _check_similarity(s: SparseMatrix, size: int, side: str, scores_shape) -> None:
-    if s.rows != s.cols or s.rows != size:
+def _check_similarity(s: sp.csr_matrix, size: int, side: str, scores_shape) -> None:
+    if s.shape != (size, size):
         raise ShapeError(f"{side} similarity {s.shape} incompatible with scores {scores_shape}")
 
 
@@ -69,8 +69,8 @@ def _walk(
 
 
 def walk_item(
-    ui_norm: SparseMatrix,
-    s_item: SparseMatrix,
+    ui_norm: sp.csr_matrix,
+    s_item: sp.csr_matrix,
     eta: float,
     tol: float = 1e-6,
     max_iters: int = 100,
@@ -80,16 +80,14 @@ def walk_item(
     iterations performed. ``trace`` collects per-iteration max-abs changes.
     """
     _check_damping(eta, "eta")
-    _check_similarity(s_item, ui_norm.cols, "item", ui_norm.shape)
-    x, iters = _walk(
-        transpose(ui_norm).to_dense(), transpose(s_item).csr(), eta, tol, max_iters, trace
-    )
+    _check_similarity(s_item, ui_norm.shape[1], "item", ui_norm.shape)
+    x, iters = _walk(ui_norm.T.toarray(), s_item.T.tocsr(), eta, tol, max_iters, trace)
     return x.T, iters
 
 
 def walk_user(
-    ui_norm: SparseMatrix,
-    s_user: SparseMatrix,
+    ui_norm: sp.csr_matrix,
+    s_user: sp.csr_matrix,
     lambda_: float,
     tol: float = 1e-6,
     max_iters: int = 100,
@@ -97,8 +95,8 @@ def walk_user(
 ) -> tuple[np.ndarray, int]:
     """User-centric walk: left multiplication by the user similarity."""
     _check_damping(lambda_, "lambda")
-    _check_similarity(s_user, ui_norm.rows, "user", ui_norm.shape)
-    return _walk(ui_norm.to_dense(), s_user.csr(), lambda_, tol, max_iters, trace)
+    _check_similarity(s_user, ui_norm.shape[0], "user", ui_norm.shape)
+    return _walk(ui_norm.toarray(), s_user, lambda_, tol, max_iters, trace)
 
 
 def _solve_walk(s_dense: np.ndarray, restart: np.ndarray, damping: float) -> np.ndarray:
@@ -111,7 +109,7 @@ def _solve_walk(s_dense: np.ndarray, restart: np.ndarray, damping: float) -> np.
     return solve_dense(s_dense, restart, overwrite=True)
 
 
-def closed_form_user(ui_norm: SparseMatrix, s_user: SparseMatrix, lambda_: float) -> np.ndarray:
+def closed_form_user(ui_norm: sp.csr_matrix, s_user: sp.csr_matrix, lambda_: float) -> np.ndarray:
     """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R,
     computed by a linear solve (never an explicit inverse).
 
@@ -120,21 +118,21 @@ def closed_form_user(ui_norm: SparseMatrix, s_user: SparseMatrix, lambda_: float
     caller that passes the similarity without keeping it holds no sparse
     copy during the LU."""
     _check_damping(lambda_, "lambda")
-    a = s_user.csr().toarray(order="F")
+    a = s_user.toarray(order="F")
     del s_user
-    return _solve_walk(a, ui_norm.csr().toarray(order="F"), lambda_)
+    return _solve_walk(a, ui_norm.toarray(order="F"), lambda_)
 
 
-def closed_form_item(ui_norm: SparseMatrix, s_item: SparseMatrix, eta: float) -> np.ndarray:
+def closed_form_item(ui_norm: sp.csr_matrix, s_item: sp.csr_matrix, eta: float) -> np.ndarray:
     """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}, the
     user walk's system on transposed inputs; ``s_item`` is dropped as in
     :func:`closed_form_user`."""
     _check_damping(eta, "eta")
     # the transpose of a C-ordered dense matrix is its Fortran-ordered
     # dense transpose, so no sparse transpose is built
-    a = s_item.csr().toarray().T
+    a = s_item.toarray().T
     del s_item
-    return _solve_walk(a, ui_norm.csr().toarray().T, eta).T
+    return _solve_walk(a, ui_norm.toarray().T, eta).T
 
 
 def fuse(ui_item: np.ndarray, ui_user: np.ndarray, mu: float) -> np.ndarray:
@@ -176,7 +174,7 @@ def smallest_k_mask(keys: np.ndarray, k: int) -> np.ndarray:
 
 
 def recommend_all(
-    scores: np.ndarray, train_ui: SparseMatrix, top_n: int
+    scores: np.ndarray, train_ui: sp.csr_matrix, top_n: int
 ) -> dict[int, list[int]]:
     """Top-N items per user by descending score, excluding the user's
     training items; ties broken by ascending item index. A user with fewer
@@ -186,8 +184,7 @@ def recommend_all(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != train_ui.shape:
         raise ShapeError(f"scores {scores.shape} do not match training matrix {train_ui.shape}")
-    train = train_ui.csr()
-    rows, cols = train.nonzero()
+    rows, cols = train_ui.nonzero()
     # scores are finite, so +inf sorts every training item behind all candidates
     key = np.negative(scores, order="C")
     key[rows, cols] = np.inf
@@ -197,5 +194,5 @@ def recommend_all(
     picked = np.nonzero(smallest_k_mask(key, top_n))[1].reshape(m, min(top_n, n))
     order = np.argsort(np.take_along_axis(key, picked, axis=1), axis=1, kind="stable")
     top = np.take_along_axis(picked, order, axis=1)
-    counts = np.minimum(top_n, n - np.diff(train.indptr))
+    counts = np.minimum(top_n, n - np.diff(train_ui.indptr))
     return {u: top[u, :k].tolist() for u, k in enumerate(counts.tolist())}

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
+import scipy.sparse as sp
 
 from folkwalk.dataset import Post, PostTable, TaggingDataset, build_matrices
+from folkwalk.linalg import csr_from_coo
+
+
+def csr(rows: int, cols: int, entries: Iterable[tuple[int, int, float]] = ()) -> sp.csr_matrix:
+    """Checked rows x cols CSR matrix from (row, col, value) entries."""
+    entries = list(entries)
+    return csr_from_coo(rows, cols, *(np.array([e[k] for e in entries]) for k in range(3)))
 
 
 def random_posts(

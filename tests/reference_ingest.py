@@ -15,7 +15,8 @@ from collections import Counter
 import numpy as np
 
 from folkwalk.dataset import ParseError, Post, Split, TaggingDataset
-from folkwalk.linalg import SparseMatrix
+
+from gen import csr
 
 
 def parse_triples(text: str) -> list[Post]:
@@ -75,9 +76,9 @@ def build_matrices(posts: list[Post], total_tag_count: int | None = None) -> Tag
         users=tuple(users),
         items=tuple(items),
         tags=tuple(tags),
-        UI=SparseMatrix(m, n, [(u, i, v) for (u, i), v in ui.items()]),
-        UT=SparseMatrix(m, l, [(u, k, float(v)) for (u, k), v in ut.items()]),
-        IT=SparseMatrix(n, l, [(i, k, float(v)) for (i, k), v in it.items()]),
+        UI=csr(m, n, [(u, i, v) for (u, i), v in ui.items()]),
+        UT=csr(m, l, [(u, k, float(v)) for (u, k), v in ut.items()]),
+        IT=csr(n, l, [(i, k, float(v)) for (i, k), v in it.items()]),
         total_tag_count=l if total_tag_count is None else total_tag_count,
     )
 
@@ -97,7 +98,7 @@ def ingest(posts, min_items_per_user=None, min_users_per_item=None,
 def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     """The train/test split built from a list of (u, j, 1.0) entries."""
     rng = np.random.default_rng(seed)
-    ui = ds.UI.csr()
+    ui = ds.UI
     train_entries: list[tuple[int, int, float]] = []
     test_sets: dict[int, frozenset[int]] = {}
     for u in range(ds.num_users):
@@ -111,7 +112,7 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
         train_entries.extend((u, j, 1.0) for j in sorted(chosen_set))
         test_sets[u] = frozenset(int(j) for j in support if int(j) not in chosen_set)
     return Split(
-        train_UI=SparseMatrix(ds.num_users, ds.num_items, train_entries),
+        train_UI=csr(ds.num_users, ds.num_items, train_entries),
         test_sets=test_sets,
         seed=seed,
         train_fraction=train_fraction,

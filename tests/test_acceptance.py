@@ -23,7 +23,7 @@ from folkwalk.evaluation import (
     rankscore,
     run_experiment,
 )
-from folkwalk.linalg import SparseMatrix, row_normalize
+from folkwalk.linalg import row_normalize
 from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
 from folkwalk.walker import (
     WalkConfig,
@@ -33,7 +33,7 @@ from folkwalk.walker import (
     walk_user,
 )
 
-from gen import planted_cluster_posts, random_dataset, slow_mix_dataset
+from gen import csr, planted_cluster_posts, random_dataset, slow_mix_dataset
 
 
 def report(name: str) -> None:
@@ -74,13 +74,13 @@ def test_02_neumann_series_oracle():
     for _ in range(10):
         ui_norm, s_item, _ = random_walk_instance(rng)
         eta = rng.uniform(0.0, 0.9)
-        sd = s_item.to_dense()
+        sd = s_item.toarray()
         total = np.zeros_like(sd)
         power = np.eye(sd.shape[0])
         for _k in range(201):
             total += power
             power = power @ (eta * sd)
-        series = (1 - eta) * ui_norm.to_dense() @ total
+        series = (1 - eta) * ui_norm.toarray() @ total
         cf = closed_form_item(ui_norm, s_item, eta)
         assert np.abs(cf - series).max() < 1e-10
     report("2 Neumann-series oracle")
@@ -96,8 +96,8 @@ def test_03_row_stochasticity():
             n_tags=int(rng.integers(2, 8)),
         )
         for w in (0.0, 0.3, 0.7, 1.0):
-            assert np.abs(item_similarity(ds, w).row_sums() - 1.0).max() < 1e-10
-            assert np.abs(user_similarity(ds, w).row_sums() - 1.0).max() < 1e-10
+            assert np.abs(item_similarity(ds, w).sum(axis=1) - 1.0).max() < 1e-10
+            assert np.abs(user_similarity(ds, w).sum(axis=1) - 1.0).max() < 1e-10
     report("3 row-stochasticity")
 
 
@@ -126,9 +126,9 @@ def synthetic_interactions(m, n, p, seed=0):
         users=tuple(f"u{i}" for i in range(m)),
         items=tuple(f"i{j}" for j in range(n)),
         tags=(),
-        UI=SparseMatrix(m, n, [(int(f) // n, int(f) % n, 1.0) for f in flat]),
-        UT=SparseMatrix(m, 0),
-        IT=SparseMatrix(n, 0),
+        UI=csr(m, n, [(int(f) // n, int(f) % n, 1.0) for f in flat]),
+        UT=csr(m, 0),
+        IT=csr(n, 0),
     )
 
 
@@ -204,7 +204,7 @@ def test_08_ablation_identities():
         items=ds.items,
         tags=ds.tags,
         UI=ds.UI,
-        UT=SparseMatrix.from_dense(ds.UT.to_dense()[perm]),
+        UT=ds.UT[perm],
         IT=ds.IT,
     )
     assert ablation("pRW-IT", sp, ds) == ablation("pRW-IT", sp, permuted)
@@ -251,11 +251,11 @@ def test_10_baseline_score_oracles():
         n = int(rng.integers(4, 13))
         ds = random_dataset(rng, n_users=m, n_items=n, n_tags=4)
         sp = make_split(ds, 0.4, int(rng.integers(1000)))
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         assert np.abs(user_cf_scores(sp.train_UI) - cosine(train) @ train).max() < 1e-12
         assert np.abs(item_cf_scores(sp.train_UI) - train @ cosine(train.T)).max() < 1e-12
-        user_ext = np.hstack([train, ds.UT.to_dense()])
-        item_ext = np.hstack([train.T, ds.IT.to_dense()])
+        user_ext = np.hstack([train, ds.UT.toarray()])
+        item_ext = np.hstack([train.T, ds.IT.toarray()])
         expected = 0.5 * (cosine(user_ext) @ train) + 0.5 * (train @ cosine(item_ext))
         assert np.abs(fusion_cf_scores(sp, ds, 0.5) - expected).max() < 1e-12
     report("10 baseline score oracles")

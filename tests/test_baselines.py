@@ -24,7 +24,7 @@ from folkwalk.baselines import (
     user_cf_scores,
 )
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
-from folkwalk.linalg import SingularMatrixError, SparseMatrix, row_normalize
+from folkwalk.linalg import SingularMatrixError, row_normalize
 from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
 from folkwalk.walker import (
     WalkConfig,
@@ -52,9 +52,9 @@ def dense_ds(ui: np.ndarray, ut=None, it=None) -> TaggingDataset:
         users=tuple(f"u{i}" for i in range(m)),
         items=tuple(f"i{j}" for j in range(n)),
         tags=tuple(f"t{k}" for k in range(l)),
-        UI=SparseMatrix.from_dense(ui),
-        UT=SparseMatrix.from_dense(ut),
-        IT=SparseMatrix.from_dense(it),
+        UI=scipy.sparse.csr_matrix(ui, dtype=float),
+        UT=scipy.sparse.csr_matrix(ut),
+        IT=scipy.sparse.csr_matrix(it),
     )
 
 
@@ -64,7 +64,7 @@ class TestRandomRecommender:
         sp = make_split(ds, 0.5, 0)
         recs = random_recommender(sp, seed=3, top_n=5)
         assert sorted(recs[0]) == sorted(
-            j for j in range(4) if sp.train_UI.to_dense()[0, j] == 0
+            j for j in range(4) if sp.train_UI.toarray()[0, j] == 0
         )
 
     def test_deterministic_per_seed(self):
@@ -79,7 +79,7 @@ class TestRandomRecommender:
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n_users=9, n_items=14)
         sp = make_split(ds)
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         for seed in range(5):
             draws = np.random.default_rng(seed)
             expected = {}
@@ -167,7 +167,7 @@ class TestUserCF:
         )
         ds = dense_ds(ui)
         sp = make_split(ds, 0.5, 1)
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         scores = user_cf_scores(sp.train_UI)
         # user 0's top score among its candidates comes from its twin's items
         for j in np.flatnonzero(train[1]):
@@ -187,7 +187,7 @@ class TestUserCF:
         rng = np.random.default_rng(seed)
         ds = random_dataset(rng, n_users=6, n_items=8)
         sp = make_split(ds)
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         expected = cosine_oracle(train) @ train
         assert np.abs(user_cf_scores(sp.train_UI) - expected).max() < 1e-12
 
@@ -197,7 +197,7 @@ class TestUserCF:
         sp = make_split(ds)
         full = user_cf_scores(sp.train_UI)
         k1 = user_cf_scores(sp.train_UI, k_neighbors=1)
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         sim = cosine_oracle(train)
         for u in range(7):
             best = min(range(7), key=lambda v: (-sim[u, v], v))
@@ -208,7 +208,7 @@ class TestUserCF:
 class TestItemCF:
     def test_correlated_item_promoted_over_unrelated(self):
         # items 0 and 1 co-saved by user 1; user 0 holds item 0 only
-        train = SparseMatrix.from_dense([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        train = scipy.sparse.csr_matrix([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
         from folkwalk.dataset import Split
 
         sp = Split(train, {0: frozenset(), 1: frozenset()}, 0, 0.5)
@@ -221,7 +221,7 @@ class TestItemCF:
         rng = np.random.default_rng(seed + 10)
         ds = random_dataset(rng, n_users=6, n_items=8)
         sp = make_split(ds)
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         expected = train @ cosine_oracle(train.T)
         assert np.abs(item_cf_scores(sp.train_UI) - expected).max() < 1e-12
 
@@ -230,7 +230,7 @@ class TestFusionCF:
     def test_empty_tag_matrices_reduce_to_plain_combination(self):
         rng = np.random.default_rng(4)
         ds = random_dataset(rng, n_users=6, n_items=8)
-        bare = dense_ds(ds.UI.to_dense())
+        bare = dense_ds(ds.UI.toarray())
         sp = make_split(bare)
         got = fusion_cf_scores(sp, bare, 0.3)
         expected = 0.3 * user_cf_scores(sp.train_UI) + 0.7 * item_cf_scores(sp.train_UI)
@@ -241,7 +241,7 @@ class TestFusionCF:
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
         got = fusion_cf(sp, ds, fuse_weight=1.0, top_n=3)
-        expected_scores = user_cf_scores(sp.train_UI, profile_ext=ds.UT.to_dense())
+        expected_scores = user_cf_scores(sp.train_UI, profile_ext=ds.UT.toarray())
         assert got == recommend_all(expected_scores, sp.train_UI, 3)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -249,9 +249,9 @@ class TestFusionCF:
         rng = np.random.default_rng(seed + 20)
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=5)
         sp = make_split(ds)
-        train = sp.train_UI.to_dense()
-        user_ext = np.hstack([train, ds.UT.to_dense()])
-        item_ext = np.hstack([train.T, ds.IT.to_dense()])
+        train = sp.train_UI.toarray()
+        user_ext = np.hstack([train, ds.UT.toarray()])
+        item_ext = np.hstack([train.T, ds.IT.toarray()])
         expected = 0.5 * (cosine_oracle(user_ext) @ train) + 0.5 * (
             train @ cosine_oracle(item_ext)
         )
@@ -268,10 +268,10 @@ class TestFusionCF:
 
 def test_cf_lists_match_dense_oracle_on_planted_clusters():
     ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
-    ut, it = ds.UT.to_dense(), ds.IT.to_dense()
+    ut, it = ds.UT.toarray(), ds.IT.toarray()
     for seed in range(3):
         sp = make_split(ds, 0.2, seed)
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         for k in (None, 20):
             assert user_cf(sp, k) == recommend_all(
                 dense_cf_scores(train, "user", k), sp.train_UI, 5
@@ -316,7 +316,7 @@ class TestAblation:
             items=ds.items,
             tags=ds.tags,
             UI=ds.UI,
-            UT=SparseMatrix.from_dense(np.roll(ds.UT.to_dense(), 2, axis=0)),
+            UT=scipy.sparse.csr_matrix(np.roll(ds.UT.toarray(), 2, axis=0)),
             IT=ds.IT,
         )
         assert ablation("pRW-IT", sp, ds) == ablation("pRW-IT", sp, scrambled)
@@ -339,7 +339,7 @@ class TestAblation:
     def test_tag_free_dataset_makes_ui_variant_equal_full(self):
         rng = np.random.default_rng(9)
         base = random_dataset(rng, n_users=6, n_items=8)
-        ds = dense_ds(base.UI.to_dense())  # strip all tags
+        ds = dense_ds(base.UI.toarray())  # strip all tags
         sp = make_split(ds)
         assert ablation("pRW-UI", sp, ds) == ablation("pRW", sp, ds)
 
@@ -404,7 +404,7 @@ class TestAblation:
 
         def blown_up(ds, alpha, ui=None):
             # eta = 0.5 makes I - eta * S the zero matrix
-            return SparseMatrix.from_dense(2.0 * np.eye(ds.num_items))
+            return scipy.sparse.csr_matrix(2.0 * np.eye(ds.num_items))
 
         monkeypatch.setattr("folkwalk.baselines.item_similarity", blown_up)
         threads = threading.active_count()
@@ -428,7 +428,7 @@ class TestInvariants:
         ds = random_dataset(rng, n_users=7, n_items=9, n_tags=4)
         sp = make_split(ds)
         recs = run_algorithm(AlgorithmSpec(kind), sp, ds, top_n=5)
-        train = sp.train_UI.to_dense()
+        train = sp.train_UI.toarray()
         for u, lst in recs.items():
             assert len(lst) == min(5, int((train[u] == 0).sum()))
             assert all(train[u, j] == 0 for j in lst)
@@ -452,7 +452,7 @@ class TestInvariants:
     def test_cosine_symmetric_and_bounded(self):
         rng = np.random.default_rng(14)
         ds = random_dataset(rng, n_users=8, n_items=9)
-        sim = cosine_oracle(make_split(ds).train_UI.to_dense())
+        sim = cosine_oracle(make_split(ds).train_UI.toarray())
         assert np.abs(sim - sim.T).max() < 1e-12
         assert sim.min() >= 0.0 and sim.max() <= 1.0 + 1e-12
 

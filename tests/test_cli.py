@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,13 +57,13 @@ class TestIngest:
         assert "empty" in capsys.readouterr().err
 
     def test_reingest_is_byte_identical(self, triples_file, tmp_path):
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert main(["ingest", "--input", triples_file, "--dataset", a]) == 0
-        assert main(["ingest", "--input", triples_file, "--dataset", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["ingest", "--input", triples_file, "--dataset", str(a)]) == 0
+        assert main(["ingest", "--input", triples_file, "--dataset", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_manifest_written(self, dataset_file):
-        manifest = json.load(open(dataset_file + ".manifest.json"))
+        manifest = json.loads(Path(dataset_file + ".manifest.json").read_text())
         assert manifest["command"] == "ingest"
         assert manifest["tool_version"]
         assert len(manifest["inputs"]) == 1
@@ -77,7 +78,7 @@ class TestIngest:
 class TestRecommend:
     def test_deterministic(self, dataset_file, capsys):
         argv = ["recommend", "--dataset", dataset_file, "--algorithm", "Random",
-                "--seed", "7", "--all"]
+                "--seed", "7"]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert main(argv) == 0
@@ -99,11 +100,10 @@ class TestRecommend:
         path = tmp_path / "ds.json"
         path.write_text(dataset_to_json(ds))
         assert main([
-            "recommend", "--dataset", str(path), "--algorithm", kind, "--all",
-            "--format", "json",
+            "recommend", "--dataset", str(path), "--algorithm", kind, "--format", "json",
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
-        ui = ds.UI.to_dense()
+        ui = ds.UI.toarray()
         for u, user in enumerate(ds.users):
             saved = {ds.items[j] for j in np.flatnonzero(ui[u])}
             assert doc[user] and not saved & set(doc[user])
@@ -125,7 +125,7 @@ class TestEvaluate:
             "evaluate", "--dataset", dataset_file, "--algorithms", "Random",
             "--runs", "1", "--output-dir", out, "--format", "json",
         ]) == 0
-        doc = json.loads(open(out + "/report.json").read())
+        doc = json.loads(Path(out, "report.json").read_text())
         assert len(doc[0]["runs"]) == 1
 
     def test_byte_identical_reports(self, dataset_file, tmp_path):
@@ -137,7 +137,7 @@ class TestEvaluate:
                 "--algorithms", "Random,UserCF,pRW", "--runs", "2",
                 "--seed", "3", "--output-dir", out,
             ]) == 0
-            outs.append(open(out + "/report.json", "rb").read())
+            outs.append(Path(out, "report.json").read_bytes())
         assert outs[0] == outs[1]
 
     def test_t_test_appended(self, dataset_file, tmp_path):
@@ -146,7 +146,7 @@ class TestEvaluate:
             "evaluate", "--dataset", dataset_file, "--algorithms", "Random,pRW",
             "--runs", "3", "--output-dir", out, "--t-test",
         ]) == 0
-        doc = json.loads(open(out + "/report.json").read())
+        doc = json.loads(Path(out, "report.json").read_text())
         assert {"best", "second", "t", "p"} <= set(doc["t_test"])
 
 
@@ -157,7 +157,7 @@ class TestAblate:
             "ablate", "--dataset", dataset_file, "--runs", "1",
             "--alpha", "1.0", "--mu", "1.0", "--output-dir", out,
         ]) == 0
-        doc = json.loads(open(out + "/report.json").read())
+        doc = json.loads(Path(out, "report.json").read_text())
         kinds = [r["algorithm"]["kind"] for r in doc]
         assert kinds == ["pRW-IT", "pRW-UT", "pRW-UI", "pRW"]
         by_kind = {r["algorithm"]["kind"]: r["means"] for r in doc}
@@ -190,7 +190,7 @@ class TestGrid:
             "grid", "--dataset", dataset_file, "--alpha", "0,1",
             "--mu", "0.5,1", "--output-dir", out,
         ]) == 0
-        doc = json.loads(open(out + "/grid.json").read())
+        doc = json.loads(Path(out, "grid.json").read_text())
         assert len(doc["grid"]) == 4
         assert set(doc["best"]) == {"alpha", "mu"}
 
@@ -209,7 +209,7 @@ class TestConfigFile:
             "--config", str(cfg), "evaluate", "--dataset", dataset_file,
             "--algorithms", "Random", "--runs", "1", "--output-dir", out,
         ]) == 0
-        doc = json.loads(open(out + "/report.json").read())
+        doc = json.loads(Path(out, "report.json").read_text())
         assert len(doc[0]["runs"]) == 1  # flag beats config
         assert doc[0]["seeds"] == [9]  # config beats default
         assert doc[0]["top_n"] == 4
@@ -327,9 +327,39 @@ class TestBadInput:
     def test_bad_dataset_file_exits_1(self, tmp_path, capsys, content, message):
         path = tmp_path / "bad.json"
         path.write_bytes(content)
-        assert main(["recommend", "--dataset", str(path), "--all"]) == 1
+        assert main(["recommend", "--dataset", str(path)]) == 1
         err = one_line_error(capsys)
         assert str(path) in err and message in err
+
+    @pytest.mark.parametrize("users, items", [([], ["x"]), (["a"], [])])
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    def test_dataset_without_users_or_items_exits_1(self, tmp_path, capsys, command,
+                                                    users, items):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({
+            "format_version": 1, "users": users, "items": items, "tags": [],
+            "total_tag_count": 0, "UI": [], "UT": [], "IT": [],
+        }))
+        argv = [command, "--dataset", str(path)]
+        if command == "evaluate":
+            argv += ["--runs", "1", "--output-dir", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = one_line_error(capsys)
+        assert str(path) in err and "no users or no items" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep", "grid"])
+    def test_no_held_out_save_exits_1(self, tmp_path, capsys, command):
+        # each user saved one item, and a split trains on at least one per user
+        src = tmp_path / "one_each.tsv"
+        src.write_text("u1\ti1\t\nu2\ti2\t\nu3\ti1\t\n")
+        path = str(tmp_path / "one_each.json")
+        assert main(["ingest", "--input", str(src), "--dataset", path]) == 0
+        capsys.readouterr()
+        argv = [command, "--dataset", path, "--runs", "1", "--output-dir", str(tmp_path / "o")]
+        if command == "grid":
+            argv += ["--eta", "0.5"]
+        assert main(argv) == 1
+        assert "no user has a non-empty test set" in one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "line, message",

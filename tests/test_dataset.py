@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 import reference_ingest as reference
 from folkwalk.dataset import (
@@ -13,6 +14,7 @@ from folkwalk.dataset import (
     Post,
     PostTable,
     TaggingDataset,
+    _entry_list,
     build_matrices,
     dataset_from_json,
     dataset_to_json,
@@ -24,9 +26,8 @@ from folkwalk.dataset import (
     split,
     stats,
 )
-from folkwalk.linalg import SparseMatrix
 
-from gen import random_posts
+from gen import csr, random_posts
 
 
 def as_posts(table: PostTable) -> list[Post]:
@@ -188,17 +189,17 @@ class TestSelectTags:
 class TestBuildMatrices:
     def test_multiset_repeats_counted(self):
         ds = build_matrices(table([Post("u1", "i1", ("t1", "t1"))]))
-        assert ds.UI.to_dense().tolist() == [[1.0]]
-        assert ds.UT.to_dense().tolist() == [[2.0]]
-        assert ds.IT.to_dense().tolist() == [[2.0]]
+        assert ds.UI.toarray().tolist() == [[1.0]]
+        assert ds.UT.toarray().tolist() == [[2.0]]
+        assert ds.IT.toarray().tolist() == [[2.0]]
 
     def test_disjoint_posts_block_diagonal(self):
         ds = build_matrices(table(
             [Post("u1", "i1", ("t1",)), Post("u2", "i2", ("t2",))]
         ))
-        np.testing.assert_array_equal(ds.UI.to_dense(), np.eye(2))
-        np.testing.assert_array_equal(ds.UT.to_dense(), np.eye(2))
-        np.testing.assert_array_equal(ds.IT.to_dense(), np.eye(2))
+        np.testing.assert_array_equal(ds.UI.toarray(), np.eye(2))
+        np.testing.assert_array_equal(ds.UT.toarray(), np.eye(2))
+        np.testing.assert_array_equal(ds.IT.toarray(), np.eye(2))
 
     def test_matches_dictionary_count_oracle(self):
         rng = np.random.default_rng(6)
@@ -207,9 +208,9 @@ class TestBuildMatrices:
         ut = Counter((p.user, t) for p in posts for t in p.tags)
         it = Counter((p.item, t) for p in posts for t in p.tags)
         for (u, t), c in ut.items():
-            assert ds.UT.to_dense()[ds.users.index(u), ds.tags.index(t)] == c
+            assert ds.UT.toarray()[ds.users.index(u), ds.tags.index(t)] == c
         for (i, t), c in it.items():
-            assert ds.IT.to_dense()[ds.items.index(i), ds.tags.index(t)] == c
+            assert ds.IT.toarray()[ds.items.index(i), ds.tags.index(t)] == c
         assert ds.UI.nnz == len({(p.user, p.item) for p in posts})
 
     def test_row_and_column_sum_invariants(self):
@@ -220,9 +221,9 @@ class TestBuildMatrices:
         for p in posts:
             per_user_tags[p.user] += len(p.tags)
         for u, name in enumerate(ds.users):
-            assert ds.UT.row_sums()[u] == per_user_tags[name]
+            assert ds.UT[u].sum() == per_user_tags[name]
         item_pop = Counter(p.item for p in posts)
-        col_sums = ds.UI.to_dense().sum(axis=0)
+        col_sums = ds.UI.toarray().sum(axis=0)
         for i, name in enumerate(ds.items):
             assert col_sums[i] == item_pop[name]
         assert ds.UI.nnz == stats(ds).p
@@ -236,8 +237,8 @@ class TestBuildMatrices:
     def test_repeated_pair_posts_are_one_save(self):
         posts = [Post("u1", "i1", ("a",)), Post("u1", "i1", ("a", "b"))]
         ds = build_matrices(table(posts))
-        assert ds.UI.entries == [(0, 0, 1.0)]
-        assert ds.UT.entries == [(0, 0, 2.0), (0, 1, 1.0)]
+        assert _entry_list(ds.UI) == [(0, 0, 1.0)]
+        assert _entry_list(ds.UT) == [(0, 0, 2.0), (0, 1, 1.0)]
 
 
 # Fields drawn from small pools so that triples repeat; padding and line
@@ -316,7 +317,7 @@ class TestAgainstReferencePipeline:
         ds = build_matrices(table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
         for fraction in (0.2, 0.5, 0.9):
             got, want = split(ds, fraction, seed), reference.split(ds, fraction, seed)
-            assert got.train_UI.entries == want.train_UI.entries
+            assert _entry_list(got.train_UI) == _entry_list(want.train_UI)
             assert got.test_sets == want.test_sets
 
 
@@ -329,9 +330,9 @@ def synthetic_ds(m, n, p, seed=0):
         users=tuple(f"u{i}" for i in range(m)),
         items=tuple(f"i{j}" for j in range(n)),
         tags=(),
-        UI=SparseMatrix(m, n, entries),
-        UT=SparseMatrix(m, 0),
-        IT=SparseMatrix(n, 0),
+        UI=csr(m, n, entries),
+        UT=csr_matrix((m, 0)),
+        IT=csr_matrix((n, 0)),
     )
 
 
@@ -354,9 +355,9 @@ class TestStats:
             users=("a", "b", "c"),
             items=("w", "x", "y", "z"),
             tags=(),
-            UI=SparseMatrix.from_dense(np.ones((3, 4))),
-            UT=SparseMatrix(3, 0),
-            IT=SparseMatrix(4, 0),
+            UI=csr_matrix(np.ones((3, 4))),
+            UT=csr_matrix((3, 0)),
+            IT=csr_matrix((4, 0)),
         )
         s = stats(ds)
         assert s.density == 1.0
@@ -364,7 +365,7 @@ class TestStats:
         assert s.avg_users_per_item == 3
 
     def test_empty_dataset_errors(self):
-        ds = TaggingDataset((), (), (), SparseMatrix(0, 0), SparseMatrix(0, 0), SparseMatrix(0, 0))
+        ds = TaggingDataset((), (), (), csr_matrix((0, 0)), csr_matrix((0, 0)), csr_matrix((0, 0)))
         with pytest.raises(EmptyDatasetError):
             stats(ds)
 
@@ -383,14 +384,14 @@ class TestSplit:
     def test_deterministic(self):
         ds = synthetic_ds(20, 30, 200)
         a, b = split(ds, 0.2, 99), split(ds, 0.2, 99)
-        assert a.train_UI.entries == b.train_UI.entries
+        assert _entry_list(a.train_UI) == _entry_list(b.train_UI)
         assert a.test_sets == b.test_sets
 
     def test_partition_invariant(self):
         ds = synthetic_ds(15, 25, 150, seed=4)
         sp = split(ds, 0.3, 5)
-        ui = ds.UI.to_dense()
-        train = sp.train_UI.to_dense()
+        ui = ds.UI.toarray()
+        train = sp.train_UI.toarray()
         for u in range(15):
             support = set(np.flatnonzero(ui[u]))
             train_items = set(np.flatnonzero(train[u]))
@@ -402,9 +403,9 @@ class TestSplit:
             users=tuple(f"u{i}" for i in range(1000)),
             items=tuple(f"i{j}" for j in range(10)),
             tags=(),
-            UI=SparseMatrix.from_dense(np.ones((1000, 10))),
-            UT=SparseMatrix(1000, 0),
-            IT=SparseMatrix(10, 0),
+            UI=csr_matrix(np.ones((1000, 10))),
+            UT=csr_matrix((1000, 0)),
+            IT=csr_matrix((10, 0)),
         )
         sp = split(ds, 0.2, 1)
         assert sp.train_UI.nnz == 2000  # exactly 20% of 10 per user
@@ -422,9 +423,9 @@ class TestSnapshot:
         assert again.users == ds.users
         assert again.items == ds.items
         assert again.tags == ds.tags
-        assert again.UI.entries == ds.UI.entries
-        assert again.UT.entries == ds.UT.entries
-        assert again.IT.entries == ds.IT.entries
+        assert _entry_list(again.UI) == _entry_list(ds.UI)
+        assert _entry_list(again.UT) == _entry_list(ds.UT)
+        assert _entry_list(again.IT) == _entry_list(ds.IT)
 
     @pytest.mark.parametrize("key", ["users", "items", "tags"])
     def test_duplicate_ids_rejected(self, key):

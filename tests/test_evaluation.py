@@ -141,7 +141,7 @@ class TestRunExperiment:
         # dense uniform saves: precision of a random list ~ test share of candidates
         rng = np.random.default_rng(2)
         from folkwalk.dataset import TaggingDataset
-        from folkwalk.linalg import SparseMatrix
+        from scipy.sparse import csr_matrix
 
         ui = (rng.random((100, 100)) < 0.5).astype(float)
         ui[:, 0] = 1.0  # no empty users
@@ -149,9 +149,9 @@ class TestRunExperiment:
             users=tuple(f"u{i}" for i in range(100)),
             items=tuple(f"i{j}" for j in range(100)),
             tags=(),
-            UI=SparseMatrix.from_dense(ui),
-            UT=SparseMatrix(100, 0),
-            IT=SparseMatrix(100, 0),
+            UI=csr_matrix(ui),
+            UT=csr_matrix((100, 0)),
+            IT=csr_matrix((100, 0)),
         )
         rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.2, 5, 10, 0)[0]
         per_user = []

@@ -4,22 +4,28 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from folkwalk.dataset import _entry_list, _matrix_from_entries
 from folkwalk.linalg import (
     NegativeEntryError,
     ShapeError,
     SingularMatrixError,
-    SparseMatrix,
-    lincomb,
-    matmul,
+    csr_from_coo,
     row_normalize,
     solve_dense,
-    transpose,
 )
+
+from gen import csr
 
 
 def dense(m):
-    return m.to_dense()
+    """Dense copy of a matrix the pipeline computed, after checking it is
+    what every stage expects to receive: float64 CSR storing no zeros, so
+    the stored pattern is the nonzero pattern."""
+    assert m.format == "csr" and m.dtype == np.float64
+    assert np.all(m.data != 0)
+    return m.toarray()
 
 
 def rand_sparse(rng, rows, cols, density=0.4, nonneg=True):
@@ -27,49 +33,54 @@ def rand_sparse(rng, rows, cols, density=0.4, nonneg=True):
     vals = rng.random((rows, cols))
     if not nonneg:
         vals = vals - 0.5
-    return SparseMatrix.from_dense(np.where(mask, vals, 0.0))
+    return sp.csr_matrix(np.where(mask, vals, 0.0))
 
 
 class TestSparseMatrix:
+    """Where a sparse matrix enters the program: the :func:`csr_from_coo`
+    check, and the sorted entry lists a dataset snapshot stores."""
+
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SparseMatrix(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+            csr(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ShapeError):
-            SparseMatrix(2, 2, [(0, 2, 1.0)])
+            csr(2, 2, [(0, 2, 1.0)])
         with pytest.raises(ShapeError):
-            SparseMatrix(2, 2, [(2, 0, 1.0)])
+            csr(2, 2, [(2, 0, 1.0)])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            SparseMatrix(1, 1, [(0, 0, float("nan"))])
+            csr(1, 1, [(0, 0, float("nan"))])
         with pytest.raises(ValueError, match="non-finite"):
-            SparseMatrix(1, 1, [(0, 0, float("inf"))])
+            csr(1, 1, [(0, 0, float("inf"))])
 
     def test_explicit_zeros_dropped(self):
-        m = SparseMatrix(2, 2, [(0, 0, 0.0), (1, 1, 3.0)])
+        m = csr(2, 2, [(0, 0, 0.0), (1, 1, 3.0)])
         assert m.nnz == 1
-        assert m.entries == [(1, 1, 3.0)]
+        assert _entry_list(m) == [(1, 1, 3.0)]
 
     def test_entries_roundtrip(self):
         rng = np.random.default_rng(0)
         m = rand_sparse(rng, 6, 4)
-        again = SparseMatrix(6, 4, m.entries)
-        np.testing.assert_array_equal(dense(m), dense(again))
+        again = csr(6, 4, _entry_list(m))
+        np.testing.assert_array_equal(m.toarray(), dense(again))
 
     def test_entries_are_sorted_python_scalars(self):
-        m = SparseMatrix(3, 3, [(2, 0, 1.5), (0, 2, 2.0), (0, 1, 1.0)])
-        assert m.entries == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 1.5)]
-        assert all(type(x) is t for e in m.entries for x, t in zip(e, (int, int, float)))
+        m = csr(3, 3, [(2, 0, 1.5), (0, 2, 2.0), (0, 1, 1.0)])
+        assert _entry_list(m) == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 1.5)]
+        assert all(type(x) is t for e in _entry_list(m) for x, t in zip(e, (int, int, float)))
 
     def test_from_coo_matches_entry_constructor(self):
+        # the snapshot reader builds its matrices from [row, col, value] lists
         rng = np.random.default_rng(1)
-        entries = rand_sparse(rng, 5, 7).entries + [(4, 6, 0.0)]
+        entries = _entry_list(rand_sparse(rng, 5, 7)) + [(4, 6, 0.0)]
         i, j, v = (np.array(column) for column in zip(*entries))
-        got = SparseMatrix.from_coo(5, 7, i, j, v)
-        assert got.entries == SparseMatrix(5, 7, entries).entries
-        assert got.shape == (5, 7) and SparseMatrix.from_coo(2, 3, [], [], []).shape == (2, 3)
+        got = csr_from_coo(5, 7, i, j, v)
+        want = _matrix_from_entries(5, 7, [list(e) for e in entries], check_booleans=True)
+        assert _entry_list(got) == _entry_list(want)
+        assert got.shape == (5, 7) and csr_from_coo(2, 3, [], [], []).shape == (2, 3)
 
     @pytest.mark.parametrize(
         "shape, i, j, v, error",
@@ -84,33 +95,33 @@ class TestSparseMatrix:
     )
     def test_from_coo_runs_the_entry_checks(self, shape, i, j, v, error):
         with pytest.raises(ValueError, match=error):
-            SparseMatrix.from_coo(*shape, np.array(i), np.array(j), np.array(v))
+            csr_from_coo(*shape, np.array(i), np.array(j), np.array(v))
         with pytest.raises(ValueError, match=error):
-            SparseMatrix(*shape, list(zip(i, j, v)))
+            _matrix_from_entries(*shape, [list(e) for e in zip(i, j, v)], check_booleans=False)
 
 
 class TestRowNormalize:
     def test_basic(self):
-        m = SparseMatrix.from_dense([[1, 1], [0, 2]])
+        m = sp.csr_matrix([[1.0, 1.0], [0.0, 2.0]])
         np.testing.assert_allclose(dense(row_normalize(m)), [[0.5, 0.5], [0, 1]])
 
     def test_zero_row_stays_zero(self):
-        m = SparseMatrix.from_dense([[0, 0], [3, 1]])
+        m = sp.csr_matrix([[0.0, 0.0], [3.0, 1.0]])
         np.testing.assert_allclose(dense(row_normalize(m)), [[0, 0], [0.75, 0.25]])
 
     def test_negative_entry_names_coordinate(self):
-        m = SparseMatrix.from_dense([[1, 0], [0, -2]])
+        m = sp.csr_matrix([[1.0, 0.0], [0.0, -2.0]])
         with pytest.raises(NegativeEntryError, match=r"\(1, 1\)"):
             row_normalize(m)
 
     def test_random_matches_dense_oracle(self):
         rng = np.random.default_rng(42)
         m = rand_sparse(rng, 20, 15)
-        arr = dense(m)
+        arr = m.toarray()
         sums = arr.sum(axis=1, keepdims=True)
         expected = np.divide(arr, sums, out=np.zeros_like(arr), where=sums > 0)
         np.testing.assert_allclose(dense(row_normalize(m)), expected, atol=1e-15)
-        out_sums = row_normalize(m).row_sums()
+        out_sums = dense(row_normalize(m)).sum(axis=1)
         for i in range(20):
             if arr[i].sum() > 0:
                 assert abs(out_sums[i] - 1.0) < 1e-12
@@ -126,69 +137,68 @@ class TestRowNormalize:
         rng = np.random.default_rng(3)
         m = rand_sparse(rng, 10, 10)
         normed = row_normalize(m)
-        assert [(i, j) for i, j, _ in m.entries] == [(i, j) for i, j, _ in normed.entries]
+        assert [(i, j) for i, j, _ in _entry_list(m)] == [(i, j) for i, j, _ in _entry_list(normed)]
 
 
 class TestMatmul:
+    """The similarity chains are scipy ``@`` products of checked CSR
+    matrices; their results go on to the next stage unchecked."""
+
     def test_identity_law(self):
         rng = np.random.default_rng(1)
         m = rand_sparse(rng, 3, 3)
-        eye = SparseMatrix.from_dense(np.eye(3))
-        np.testing.assert_allclose(dense(matmul(eye, m)), dense(m))
+        eye = sp.csr_matrix(np.eye(3))
+        np.testing.assert_allclose(dense(eye @ m), m.toarray())
 
     def test_hand_checked(self):
-        a = SparseMatrix.from_dense([[1, 2], [0, 1]])
-        b = SparseMatrix.from_dense([[1], [1]])
-        np.testing.assert_allclose(dense(matmul(a, b)), [[3], [1]])
-
-    def test_dimension_mismatch_names_shapes(self):
-        a = SparseMatrix(2, 3)
-        b = SparseMatrix(4, 2)
-        with pytest.raises(ShapeError, match="2x3.*4x2"):
-            matmul(a, b)
+        a = sp.csr_matrix([[1.0, 2.0], [0.0, 1.0]])
+        b = sp.csr_matrix([[1.0], [1.0]])
+        np.testing.assert_allclose(dense(a @ b), [[3], [1]])
 
     def test_random_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(11)
         a, b = rand_sparse(rng, 10, 12), rand_sparse(rng, 12, 8)
-        da, db = dense(a), dense(b)
+        da, db = a.toarray(), b.toarray()
         expected = np.zeros((10, 8))
         for i in range(10):
             for j in range(8):
                 for k in range(12):
                     expected[i, j] += da[i, k] * db[k, j]
-        assert np.abs(dense(matmul(a, b)) - expected).max() < 1e-12
+        assert np.abs(dense(a @ b) - expected).max() < 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_associativity(self, seed):
         rng = np.random.default_rng(seed)
         a, b, c = rand_sparse(rng, 6, 7), rand_sparse(rng, 7, 5), rand_sparse(rng, 5, 4)
-        left = dense(matmul(matmul(a, b), c))
-        right = dense(matmul(a, matmul(b, c)))
+        left = dense((a @ b) @ c)
+        right = dense(a @ (b @ c))
         assert np.abs(left - right).max() < 1e-10
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_stochastic_product_is_stochastic(self, seed):
         rng = np.random.default_rng(seed)
-        a = row_normalize(SparseMatrix.from_dense(rng.random((6, 6)) + 0.01))
-        b = row_normalize(SparseMatrix.from_dense(rng.random((6, 6)) + 0.01))
-        sums = matmul(a, b).row_sums()
+        a = row_normalize(sp.csr_matrix(rng.random((6, 6)) + 0.01))
+        b = row_normalize(sp.csr_matrix(rng.random((6, 6)) + 0.01))
+        sums = dense(a @ b).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-10
 
 
 class TestTranspose:
+    """Transposes are taken as ``.T.tocsr()``, which stays CSR."""
+
     def test_basic(self):
-        m = SparseMatrix.from_dense([[1, 2], [3, 4]])
-        np.testing.assert_allclose(dense(transpose(m)), [[1, 3], [2, 4]])
+        m = sp.csr_matrix([[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_allclose(dense(m.T.tocsr()), [[1, 3], [2, 4]])
 
     def test_involution_exact(self):
         rng = np.random.default_rng(9)
         m = rand_sparse(rng, 30, 7)
-        np.testing.assert_array_equal(dense(transpose(transpose(m))), dense(m))
+        np.testing.assert_array_equal(dense(m.T.tocsr().T.tocsr()), m.toarray())
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(10)
         m = rand_sparse(rng, 30, 7)
-        np.testing.assert_array_equal(dense(transpose(m)), dense(m).T)
+        np.testing.assert_array_equal(dense(m.T.tocsr()), m.toarray().T)
 
 
 class TestSolveDense:
@@ -263,11 +273,3 @@ class TestSolveDense:
             sys.setswitchinterval(interval)
         assert warnings.filters == filters
         assert all(np.array_equal(x, expected) for x in results[::2])
-
-
-def test_lincomb():
-    a = SparseMatrix.from_dense([[2, 0]])
-    b = SparseMatrix.from_dense([[0, 2]])
-    np.testing.assert_allclose(dense(lincomb(0.5, a, 0.5, b)), [[1, 1]])
-    with pytest.raises(ShapeError):
-        lincomb(1, a, 1, SparseMatrix(2, 2))

@@ -28,14 +28,14 @@ def two_hop_oracle(out_hop: np.ndarray, back_hop: np.ndarray) -> np.ndarray:
 
 
 def item_oracle(ds, alpha):
-    it = ds.IT.to_dense()
-    ui = ds.UI.to_dense()
+    it = ds.IT.toarray()
+    ui = ds.UI.toarray()
     return alpha * two_hop_oracle(it, it.T) + (1 - alpha) * two_hop_oracle(ui.T, ui)
 
 
 def user_oracle(ds, beta):
-    ut = ds.UT.to_dense()
-    ui = ds.UI.to_dense()
+    ut = ds.UT.toarray()
+    ui = ds.UI.toarray()
     return beta * two_hop_oracle(ut, ut.T) + (1 - beta) * two_hop_oracle(ui, ui.T)
 
 
@@ -46,20 +46,20 @@ class TestItemSimilarity:
             [Post(f"u{i}", f"i{i}", (f"t{i}",)) for i in range(3)]
         ))
         s = item_similarity(ds, alpha=1.0)
-        np.testing.assert_allclose(s.to_dense(), np.eye(3))
+        np.testing.assert_allclose(s.toarray(), np.eye(3))
 
     def test_shared_tag_splits_mass(self):
         ds = build_matrices(PostTable.from_posts(
             [Post("u1", "i1", ("t",)), Post("u2", "i2", ("t",))]
         ))
         s = item_similarity(ds, alpha=1.0)
-        np.testing.assert_allclose(s.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(s.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_matches_probability_sum_oracle(self):
         rng = np.random.default_rng(17)
         ds = random_dataset(rng, n_users=5, n_items=6, n_tags=4)
         s = item_similarity(ds, alpha=0.4)
-        assert np.abs(s.to_dense() - item_oracle(ds, 0.4)).max() < 1e-12
+        assert np.abs(s.toarray() - item_oracle(ds, 0.4)).max() < 1e-12
 
     def test_alpha_out_of_range(self):
         ds = random_dataset(np.random.default_rng(0))
@@ -73,7 +73,7 @@ class TestUserSimilarity:
             [Post("u1", "i1", ("t",)), Post("u2", "i2", ("t",))]
         ))
         s = user_similarity(ds, beta=1.0)
-        np.testing.assert_allclose(s.to_dense(), [[0.5, 0.5], [0.5, 0.5]])
+        np.testing.assert_allclose(s.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_disjoint_users_are_identity_patterned(self):
         ds = build_matrices(PostTable.from_posts(
@@ -81,13 +81,13 @@ class TestUserSimilarity:
         ))
         for beta in (0.0, 0.5, 1.0):
             s = user_similarity(ds, beta)
-            np.testing.assert_allclose(s.to_dense(), np.eye(2))
+            np.testing.assert_allclose(s.toarray(), np.eye(2))
 
     def test_matches_probability_sum_oracle(self):
         rng = np.random.default_rng(23)
         ds = random_dataset(rng, n_users=5, n_items=7, n_tags=4)
         s = user_similarity(ds, beta=0.7)
-        assert np.abs(s.to_dense() - user_oracle(ds, 0.7)).max() < 1e-12
+        assert np.abs(s.toarray() - user_oracle(ds, 0.7)).max() < 1e-12
 
 
 class TestProperties:
@@ -96,16 +96,16 @@ class TestProperties:
     def test_row_stochastic_on_covered_data(self, seed, weight):
         rng = np.random.default_rng(seed)
         ds = random_dataset(rng, n_users=7, n_items=9, n_tags=5)
-        assert np.abs(item_similarity(ds, weight).row_sums() - 1.0).max() < 1e-10
-        assert np.abs(user_similarity(ds, weight).row_sums() - 1.0).max() < 1e-10
+        assert np.abs(item_similarity(ds, weight).sum(axis=1) - 1.0).max() < 1e-10
+        assert np.abs(user_similarity(ds, weight).sum(axis=1) - 1.0).max() < 1e-10
 
     def test_interpolation_linearity(self):
         rng = np.random.default_rng(31)
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=4)
-        s0 = item_similarity(ds, 0.0).to_dense()
-        s1 = item_similarity(ds, 1.0).to_dense()
+        s0 = item_similarity(ds, 0.0).toarray()
+        s1 = item_similarity(ds, 1.0).toarray()
         for alpha in (0.25, 0.6, 0.9):
-            s = item_similarity(ds, alpha).to_dense()
+            s = item_similarity(ds, alpha).toarray()
             assert np.abs(s - (alpha * s1 + (1 - alpha) * s0)).max() < 1e-12
 
     def test_isolated_item_keeps_unit_mass(self):
@@ -117,7 +117,7 @@ class TestProperties:
         ds = build_matrices(PostTable.from_posts(posts))
         lone = ds.items.index("lone")
         for alpha in (0.0, 0.5, 1.0):
-            row = item_similarity(ds, alpha).to_dense()[lone]
+            row = item_similarity(ds, alpha).toarray()[lone]
             expected = np.zeros(3)
             expected[lone] = 1.0
             np.testing.assert_allclose(row, expected)
@@ -126,8 +126,8 @@ class TestProperties:
         # alpha=1 entry (i, j) equals sum over tags of P(tag | i) P(j | tag)
         rng = np.random.default_rng(37)
         ds = random_dataset(rng, n_users=4, n_items=6, n_tags=3)
-        s = item_similarity(ds, 1.0).to_dense()
-        it = ds.IT.to_dense()
+        s = item_similarity(ds, 1.0).toarray()
+        it = ds.IT.toarray()
         for i in range(6):
             for j in range(6):
                 total = 0.0

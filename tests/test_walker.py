@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
 
 from folkwalk.linalg import (
     ShapeError,
     SingularMatrixError,
-    SparseMatrix,
     row_normalize,
 )
 from folkwalk.similarity import item_similarity, user_similarity
@@ -23,7 +23,7 @@ from gen import random_dataset, slow_mix_dataset
 
 
 def eye_matrix(n):
-    return SparseMatrix.from_dense(np.eye(n))
+    return csr_matrix(np.eye(n))
 
 
 def random_instance(seed, n_users=8, n_items=8):
@@ -37,23 +37,23 @@ def random_instance(seed, n_users=8, n_items=8):
 
 
 def truncated_neumann_item(ui_norm, s, eta, terms=200):
-    total = np.zeros((s.rows, s.cols))
-    power = np.eye(s.rows)
-    sd = s.to_dense()
+    total = np.zeros(s.shape)
+    power = np.eye(s.shape[0])
+    sd = s.toarray()
     for _ in range(terms + 1):
         total += power
         power = power @ (eta * sd)
-    return (1 - eta) * ui_norm.to_dense() @ total
+    return (1 - eta) * ui_norm.toarray() @ total
 
 
 def truncated_neumann_user(ui_norm, s, lam, terms=200):
-    total = np.zeros((s.rows, s.cols))
-    power = np.eye(s.rows)
-    sd = s.to_dense()
+    total = np.zeros(s.shape)
+    power = np.eye(s.shape[0])
+    sd = s.toarray()
     for _ in range(terms + 1):
         total += power
         power = (lam * sd) @ power
-    return (1 - lam) * total @ ui_norm.to_dense()
+    return (1 - lam) * total @ ui_norm.toarray()
 
 
 class TestWalkItem:
@@ -61,12 +61,12 @@ class TestWalkItem:
         ui_norm, s, _ = random_instance(0)
         x, iters = walk_item(ui_norm, s, eta=0.0)
         assert iters == 1
-        np.testing.assert_allclose(x, ui_norm.to_dense())
+        np.testing.assert_allclose(x, ui_norm.toarray())
 
     def test_identity_similarity_is_stationary(self):
         ui_norm, _, _ = random_instance(1)
-        x, _ = walk_item(ui_norm, eye_matrix(ui_norm.cols), eta=0.7, tol=1e-12)
-        assert np.abs(x - ui_norm.to_dense()).max() < 1e-10
+        x, _ = walk_item(ui_norm, eye_matrix(ui_norm.shape[1]), eta=0.7, tol=1e-12)
+        assert np.abs(x - ui_norm.toarray()).max() < 1e-10
 
     def test_converges_to_closed_form(self):
         ui_norm, s, _ = random_instance(2)
@@ -79,19 +79,19 @@ class TestWalkItem:
         with pytest.raises(ValueError):
             walk_item(ui_norm, s, eta=1.0)
         with pytest.raises(ShapeError):
-            walk_item(ui_norm, eye_matrix(ui_norm.cols + 1), eta=0.5)
+            walk_item(ui_norm, eye_matrix(ui_norm.shape[1] + 1), eta=0.5)
 
 
 class TestWalkUser:
     def test_zero_damping_is_pure_restart(self):
         ui_norm, _, s = random_instance(4)
         x, _ = walk_user(ui_norm, s, lambda_=0.0)
-        np.testing.assert_allclose(x, ui_norm.to_dense())
+        np.testing.assert_allclose(x, ui_norm.toarray())
 
     def test_identity_similarity_is_stationary(self):
         ui_norm, _, _ = random_instance(5)
-        x, _ = walk_user(ui_norm, eye_matrix(ui_norm.rows), lambda_=0.6, tol=1e-12)
-        assert np.abs(x - ui_norm.to_dense()).max() < 1e-10
+        x, _ = walk_user(ui_norm, eye_matrix(ui_norm.shape[0]), lambda_=0.6, tol=1e-12)
+        assert np.abs(x - ui_norm.toarray()).max() < 1e-10
 
     def test_converges_to_closed_form(self):
         ui_norm, _, s = random_instance(6)
@@ -103,13 +103,13 @@ class TestWalkUser:
 class TestClosedForms:
     def test_zero_damping_identity(self):
         ui_norm, s, s_u = random_instance(7)
-        np.testing.assert_allclose(closed_form_item(ui_norm, s, 0.0), ui_norm.to_dense())
-        np.testing.assert_allclose(closed_form_user(ui_norm, s_u, 0.0), ui_norm.to_dense())
+        np.testing.assert_allclose(closed_form_item(ui_norm, s, 0.0), ui_norm.toarray())
+        np.testing.assert_allclose(closed_form_user(ui_norm, s_u, 0.0), ui_norm.toarray())
 
     def test_identity_similarity_cancels(self):
         ui_norm, _, _ = random_instance(8)
-        out = closed_form_item(ui_norm, eye_matrix(ui_norm.cols), 0.5)
-        assert np.abs(out - ui_norm.to_dense()).max() < 1e-12
+        out = closed_form_item(ui_norm, eye_matrix(ui_norm.shape[1]), 0.5)
+        assert np.abs(out - ui_norm.toarray()).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_truncated_series(self, seed):
@@ -121,16 +121,16 @@ class TestClosedForms:
 
     def test_inputs_unchanged(self):
         ui_norm, s_item, s_user = random_instance(10)
-        before = [(m.csr().data.copy(), m.entries) for m in (ui_norm, s_item, s_user)]
+        before = [m.copy() for m in (ui_norm, s_item, s_user)]
         closed_form_item(ui_norm, s_item, 0.8)
         closed_form_user(ui_norm, s_user, 0.8)
-        for m, (data, entries) in zip((ui_norm, s_item, s_user), before):
-            np.testing.assert_array_equal(m.csr().data, data)
-            assert m.entries == entries
+        for m, copy in zip((ui_norm, s_item, s_user), before):
+            for part in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(m, part), getattr(copy, part))
 
     def test_singular_system_raises(self):
         ui_norm, _, _ = random_instance(9)
-        blown_up = SparseMatrix.from_dense(2.0 * np.eye(ui_norm.cols))
+        blown_up = csr_matrix(2.0 * np.eye(ui_norm.shape[1]))
         with pytest.raises(SingularMatrixError):
             closed_form_item(ui_norm, blown_up, 0.5)
 
@@ -183,28 +183,28 @@ def sort_oracle(scores, train, top_n):
 
 class TestRecommend:
     def test_sort_and_exclusion(self):
-        train = SparseMatrix.from_dense([[1.0, 0.0, 0.0]])
+        train = csr_matrix([[1.0, 0.0, 0.0]])
         assert recommend_all(np.array([[0.9, 0.1, 0.5]]), train, 2) == {0: [2, 1]}
 
     def test_tie_rule(self):
-        train = SparseMatrix.from_dense([[0.0, 1.0, 0.0, 0.0]])
+        train = csr_matrix([[0.0, 1.0, 0.0, 0.0]])
         assert recommend_all(np.full((1, 4), 0.3), train, 2) == {0: [0, 2]}
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(33)
         scores = rng.random((5, 12))
-        train = SparseMatrix.from_dense((rng.random((5, 12)) < 0.3).astype(float))
-        assert recommend_all(scores, train, 4) == sort_oracle(scores, train.to_dense(), 4)
+        train = csr_matrix((rng.random((5, 12)) < 0.3).astype(float))
+        assert recommend_all(scores, train, 4) == sort_oracle(scores, train.toarray(), 4)
 
     def test_scarce_and_empty_candidates(self):
-        train = SparseMatrix.from_dense([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        train = csr_matrix([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         assert recommend_all(np.ones((2, 3)), train, 5) == {0: [2], 1: []}
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            recommend_all(np.zeros((2, 2)), SparseMatrix(2, 2), 0)
+            recommend_all(np.zeros((2, 2)), csr_matrix((2, 2)), 0)
         with pytest.raises(ShapeError):
-            recommend_all(np.zeros((2, 3)), SparseMatrix(2, 2), 1)
+            recommend_all(np.zeros((2, 3)), csr_matrix((2, 2)), 1)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -222,7 +222,7 @@ class TestRecommend:
         # some rows keep fewer than top_n candidates, some none at all
         held[data.draw(st.integers(0, m - 1), label="full row")] = True
         top_n = data.draw(st.integers(1, n + 2), label="top_n")
-        train = SparseMatrix.from_dense(held.astype(float))
+        train = csr_matrix(held.astype(float))
         assert recommend_all(scores, train, top_n) == sort_oracle(scores, held, top_n)
 
 
@@ -262,7 +262,7 @@ class TestProperties:
 
     def test_fusion_endpoint_rankings(self):
         ui_norm, s_item, s_user = random_instance(52)
-        train = SparseMatrix(ui_norm.rows, ui_norm.cols)
+        train = csr_matrix(ui_norm.shape)
         ui_item, _ = walk_item(ui_norm, s_item, 0.8)
         ui_user, _ = walk_user(ui_norm, s_user, 0.8)
         for mu, side in ((1.0, ui_item), (0.0, ui_user)):
