@@ -54,6 +54,18 @@ class AlgorithmSpec:
             raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
 
 
+def walk_params(values: dict[str, float]) -> dict:
+    """A walk variant's ``walk`` and ``similarity`` params from hyperparameter
+    values named alpha, beta, eta, lambda or mu; a missing one takes its
+    default. An unknown name or an out-of-range value raises ``ValueError``."""
+    unknown = set(values) - {"alpha", "beta", "eta", "lambda", "mu"}
+    if unknown:
+        raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
+    similarity = {k: v for k, v in values.items() if k in ("alpha", "beta")}
+    walk = {"lambda_" if k == "lambda" else k: v for k, v in values.items() if k not in similarity}
+    return {"walk": WalkConfig(**walk), "similarity": SimilarityConfig(**similarity)}
+
+
 def random_recommender(split: Split, seed: int, top_n: int) -> dict[int, list[int]]:
     """Uniform sample without replacement from each user's candidate items."""
     rng = np.random.default_rng(seed)

@@ -13,9 +13,10 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
-from .baselines import ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec, run_algorithm
+from .baselines import ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec, run_algorithm, walk_params
 from .dataset import (
     EmptyDatasetError,
     InvalidDatasetError,
@@ -34,7 +35,6 @@ from .evaluation import (
     format_sweep_table,
     grid_search,
     paired_t_test,
-    report_to_json,
     run_experiment,
     runs_to_csv,
 )
@@ -54,9 +54,9 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(path: str, command: str, args: argparse.Namespace, inputs: list[str]) -> None:
+def _write_manifest(path: str, args: argparse.Namespace, inputs: list[str]) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config")},
         "inputs": {p: _sha256(p) for p in inputs},
         "tool_version": __version__,
@@ -89,7 +89,8 @@ def _csv_floats(text: str) -> list[float]:
         raise UsageError(f"bad numeric list {text!r}") from exc
 
 
-_HYPERPARAMETERS = ("alpha", "beta", "eta", "lambda_", "mu")
+# hyperparameter defaults by option dest (lambda_ is the --lambda flag)
+_HYPERPARAMETERS = {**asdict(SimilarityConfig()), **asdict(WalkConfig())}
 
 # (option, valid range as text, predicate); an option a command lacks is skipped
 _OPTION_RANGES = (
@@ -127,12 +128,10 @@ def _check_option_ranges(args: argparse.Namespace) -> None:
 
 
 def _hyperparameters(values: dict[str, float]) -> dict:
-    """Walk and similarity configs from hyperparameter values by name (a
-    missing one takes its default); an out-of-range value is a usage error."""
-    similarity = {k: v for k, v in values.items() if k in ("alpha", "beta")}
-    walk = {k: v for k, v in values.items() if k not in similarity}
+    """:func:`walk_params` of the values; an out-of-range value is a usage
+    error."""
     try:
-        return {"walk": WalkConfig(**walk), "similarity": SimilarityConfig(**similarity)}
+        return walk_params(values)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -145,8 +144,7 @@ def _algorithm_spec(kind: str, args: argparse.Namespace) -> AlgorithmSpec:
     if kind == "Fusion":
         return AlgorithmSpec(kind, {"fuse_weight": args.fuse_weight})
     return AlgorithmSpec(
-        kind,
-        _hyperparameters({name: getattr(args, name) for name in _HYPERPARAMETERS}),
+        kind, _hyperparameters({k.rstrip("_"): getattr(args, k) for k in _HYPERPARAMETERS})
     )
 
 
@@ -183,7 +181,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print(json.dumps(s.to_dict(), indent=2, sort_keys=True))
     else:
         print(format_stats_table(s))
-    _write_manifest(args.dataset + ".manifest.json", "ingest", args, [args.input])
+    _write_manifest(args.dataset + ".manifest.json", args, [args.input])
     return 0
 
 
@@ -199,7 +197,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     else:
         users = list(range(ds.num_users))
     # every save is training data, so no saved item is ever recommended
-    saved = Split(train_UI=ds.UI, test_sets={}, seed=args.seed, train_fraction=1.0)
+    saved = Split(train_UI=ds.UI, test_sets={}, seed=args.seed)
     recs = run_algorithm(spec, saved, ds, args.top_n)
     payload = {ds.users[u]: [ds.items[j] for j in recs[u]] for u in users}
     if args.format == "json":
@@ -226,29 +224,28 @@ def _run_options(args: argparse.Namespace) -> dict:
             "half_life": args.half_life}
 
 
-def _write_output(args: argparse.Namespace, name: str, text: str) -> None:
-    """Write one file into --output-dir, creating the directory if needed."""
+def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
+    """Write each named file, then manifest.json, into --output-dir,
+    creating the directory if needed."""
     os.makedirs(args.output_dir, exist_ok=True)
-    with open(os.path.join(args.output_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    for name, text in files.items():
+        with open(os.path.join(args.output_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    _write_manifest(os.path.join(args.output_dir, "manifest.json"), args, [args.dataset])
 
 
-def _emit_reports(reports, args, command: str, extras: dict | None = None) -> None:
-    report_json = report_to_json(reports)
+def _emit_reports(reports, args, extras: dict | None = None) -> None:
+    doc = [r.to_dict() for r in reports]
     if extras:
-        doc = json.loads(report_json)
         doc = {"reports": doc, **extras}
-        report_json = json.dumps(doc, sort_keys=True, indent=2)
-    _write_output(args, "report.json", report_json + "\n")
-    _write_output(args, "report.txt", format_report_table(reports) + "\n")
-    _write_output(args, "runs.csv", runs_to_csv(reports))
-    _write_manifest(
-        os.path.join(args.output_dir, "manifest.json"), command, args, [args.dataset]
-    )
-    if args.format == "json":
-        print(report_json)
-    else:
-        print(format_report_table(reports))
+    report_json = json.dumps(doc, sort_keys=True, indent=2)
+    table = format_report_table(reports)
+    _write_outputs(args, {
+        "report.json": report_json + "\n",
+        "report.txt": table + "\n",
+        "runs.csv": runs_to_csv(reports),
+    })
+    print(report_json if args.format == "json" else table)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -268,15 +265,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 "p": p,
             }
         }
-    _emit_reports(reports, args, "evaluate", extras)
-    return 0
-
-
-def cmd_ablate(args: argparse.Namespace) -> int:
-    specs = [_algorithm_spec(kind, args) for kind in ABLATION_KINDS]
-    ds = _load_dataset(args.dataset)
-    reports = run_experiment(ds, specs, args.train_fraction, **_run_options(args))
-    _emit_reports(reports, args, "ablate")
+    _emit_reports(reports, args, extras)
     return 0
 
 
@@ -291,9 +280,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     doc = {
         f"{kind}@{frac:g}": report.to_dict() for (kind, frac), report in grid.items()
     }
-    _write_output(args, "sweep.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    _write_output(args, "sweep.txt", table + "\n")
-    _write_manifest(os.path.join(args.output_dir, "manifest.json"), "sweep", args, [args.dataset])
+    _write_outputs(args, {
+        "sweep.json": json.dumps(doc, sort_keys=True, indent=2) + "\n", "sweep.txt": table + "\n",
+    })
     print(table)
     return 0
 
@@ -308,7 +297,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             if not grid_axes[name]:
                 raise UsageError(f"--{name} needs at least one value")
             for value in grid_axes[name]:
-                _hyperparameters({key: value})
+                _hyperparameters({name: value})
     if not grid_axes:
         raise UsageError("give at least one grid axis (--alpha/--beta/--eta/--lambda/--mu)")
     ds = _load_dataset(args.dataset)
@@ -322,25 +311,27 @@ def cmd_grid(args: argparse.Namespace) -> int:
             {"params": point, "means": report.means.as_dict()} for point, report in results
         ],
     }
-    _write_output(args, "grid.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    _write_manifest(os.path.join(args.output_dir, "manifest.json"), "grid", args, [args.dataset])
+    _write_outputs(args, {"grid.json": json.dumps(doc, sort_keys=True, indent=2) + "\n"})
     print(json.dumps({"best": best, "objective": args.objective}, sort_keys=True))
     return 0
 
 
 def _add_walk_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=0.8)
-    p.add_argument("--lambda", dest="lambda_", type=float, default=0.8)
-    p.add_argument("--mu", type=float, default=0.5)
+    for name, default in _HYPERPARAMETERS.items():
+        p.add_argument(_flag(name.rstrip("_")), dest=name, type=float, default=default)
+
+
+def _add_baseline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-neighbors", type=int, default=None)
     p.add_argument("--fuse-weight", type=float, default=0.5)
 
 
-def _add_experiment_flags(p: argparse.ArgumentParser, runs: int = 10) -> None:
+def _add_experiment_flags(
+    p: argparse.ArgumentParser, runs: int = 10, train_fraction: bool = True
+) -> None:
     p.add_argument("--dataset", required=True)
-    p.add_argument("--train-fraction", type=float, default=0.2)
+    if train_fraction:
+        p.add_argument("--train-fraction", type=float, default=0.2)
     p.add_argument("--top-n", type=int, default=5)
     p.add_argument("--runs", type=int, default=runs)
     p.add_argument("--seed", type=int, default=0)
@@ -371,6 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "table"), default="table")
     _add_walk_flags(p)
+    _add_baseline_flags(p)
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="repeated-split evaluation of algorithms")
@@ -379,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="paired t-test of best vs second-best precision")
     _add_experiment_flags(p)
     _add_walk_flags(p)
+    _add_baseline_flags(p)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_evaluate)
 
@@ -386,21 +379,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(p)
     _add_walk_flags(p)
     p.add_argument("--format", choices=("json", "table"), default="table")
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_evaluate, algorithms=",".join(ABLATION_KINDS), t_test=False)
 
     p = sub.add_parser("sweep", help="evaluation across training-fraction levels")
     p.add_argument("--fractions", default="0.05,0.10,0.20")
     p.add_argument("--algorithms", default="UserCF,ItemCF,Fusion,pRW")
-    _add_experiment_flags(p)
+    _add_experiment_flags(p, train_fraction=False)
     _add_walk_flags(p)
+    _add_baseline_flags(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("grid", help="exhaustive hyperparameter search for pRW")
-    p.add_argument("--alpha", default=None, help="comma list, e.g. 0,0.5,1")
-    p.add_argument("--beta", default=None)
-    p.add_argument("--eta", default=None)
-    p.add_argument("--lambda", dest="lambda_", default=None)
-    p.add_argument("--mu", default=None)
+    for name in _HYPERPARAMETERS:
+        p.add_argument(_flag(name.rstrip("_")), dest=name, default=None,
+                       help="comma list, e.g. 0,0.5,1")
     p.add_argument("--objective", default="precision",
                    choices=("precision", "recall", "f_measure", "rankscore"))
     _add_experiment_flags(p, runs=1)
@@ -432,29 +424,25 @@ def _config_value(action: argparse.Action, key: str, raw: str) -> object:
     return value
 
 
-def _apply_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, cfg: dict[str, str], argv: list[str]
-) -> None:
-    """Overlay config-file values onto the command's options not given on the
-    command line. A key that names no option of any command is an error."""
+def _apply_config(parser: argparse.ArgumentParser, command: str, cfg: dict[str, str]) -> None:
+    """Make config-file values the defaults of ``command``'s options, so a
+    flag on the command line, in any spelling argparse accepts, still wins.
+    A key that names no option of any command is an error."""
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     known = {
         a.dest for sub in subparsers.choices.values() for a in sub._actions if a.option_strings
     } - {"help"}
-    own = {a.dest: a for a in subparsers.choices[args.command]._actions}
+    subparser = subparsers.choices[command]
+    own = {a.dest: a for a in subparser._actions}
+    defaults = {}
     for key, raw in cfg.items():
         if key == "lambda":
             key = "lambda_"
         if key not in known:
             raise UsageError(f"unknown config key {key!r}")
-        action = own.get(key)
-        if action is None:
-            continue
-        value = _config_value(action, key, raw)
-        if not any(
-            arg == opt or arg.startswith(opt + "=") for opt in action.option_strings for arg in argv
-        ):
-            setattr(args, key, value)
+        if key in own:
+            defaults[key] = _config_value(own[key], key, raw)
+    subparser.set_defaults(**defaults)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -463,7 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(parser, args, _load_config_file(args.config), argv)
+            _apply_config(parser, args.command, _load_config_file(args.config))
+            args = parser.parse_args(argv)
         _check_option_ranges(args)
         return args.func(args)
     except UsageError as exc:

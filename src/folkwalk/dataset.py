@@ -176,7 +176,6 @@ class Split:
     train_UI: sp.csr_matrix
     test_sets: dict[int, frozenset[int]]
     seed: int
-    train_fraction: float
 
 
 def _factorize(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -208,7 +207,7 @@ def _raise_first_bad_line(lines: list[str]) -> NoReturn:
     raise AssertionError("no malformed line found")
 
 
-def parse_triples(text: str, fmt: str = "tsv") -> PostTable:
+def parse_triples(text: str) -> PostTable:
     """Parse (user, item, tag) triples into posts, merging per (user, item).
 
     The tab format is one ``user\\titem\\ttag`` triple per line; the tag field
@@ -217,8 +216,6 @@ def parse_triples(text: str, fmt: str = "tsv") -> PostTable:
     universal newlines has them); other line separators such as ``\\x85``
     belong to a field. Posts are ordered by their pair's first triple.
     """
-    if fmt != "tsv":
-        raise ValueError(f"unknown triple format {fmt!r}")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     triples = [line for line in lines if line.strip()]
     if set(map(str.count, triples, repeat("\t"))) - {2}:
@@ -408,7 +405,6 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
         ),
         test_sets=test_sets,
         seed=seed,
-        train_fraction=train_fraction,
     )
 
 

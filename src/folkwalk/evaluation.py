@@ -4,13 +4,12 @@ repeated-split experiments, density sweeps, paired t-tests, and grid search."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
-from .baselines import AlgorithmSpec, run_algorithm
+from .baselines import AlgorithmSpec, run_algorithm, walk_params
 from .dataset import EmptyDatasetError, TaggingDataset, split as make_split
 from .similarity import SimilarityConfig
 from .walker import WalkConfig
@@ -199,10 +198,6 @@ def paired_t_test(runs_a: list[float], runs_b: list[float]) -> tuple[float, floa
     return t, p
 
 
-# grid axis -> WalkConfig field; the other axes, alpha and beta, configure the similarity
-_WALK_AXES = {"eta": "eta", "lambda": "lambda_", "mu": "mu"}
-
-
 def grid_search(
     ds: TaggingDataset,
     param_grid: dict[str, list[float]],
@@ -218,29 +213,16 @@ def grid_search(
     beta, eta, lambda, mu."""
     if not param_grid:
         raise ValueError("param_grid must be non-empty")
-    unknown = set(param_grid) - {"alpha", "beta", *_WALK_AXES}
-    if unknown:
-        raise ValueError(f"unknown grid parameters: {sorted(unknown)}")
     if objective not in MetricTuple.__dataclass_fields__:
         raise ValueError(f"unknown objective {objective!r}")
     keys = list(param_grid)
     points = [
         dict(zip(keys, values)) for values in itertools.product(*(param_grid[k] for k in keys))
     ]
-    specs = [
-        AlgorithmSpec("pRW", {
-            "walk": WalkConfig(**{_WALK_AXES[k]: v for k, v in p.items() if k in _WALK_AXES}),
-            "similarity": SimilarityConfig(**{k: v for k, v in p.items() if k not in _WALK_AXES}),
-        })
-        for p in points
-    ]
+    specs = [AlgorithmSpec("pRW", walk_params(p)) for p in points]
     reports = run_experiment(ds, specs, train_fraction, top_n, n_runs, base_seed, half_life)
     scores = [report.means.get(objective) for report in reports]
     return points[scores.index(max(scores))], list(zip(points, reports))
-
-
-def report_to_json(reports: list[EvalReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], sort_keys=True, indent=2)
 
 
 def format_report_table(reports: list[EvalReport]) -> str:

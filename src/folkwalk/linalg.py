@@ -71,7 +71,8 @@ def row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Solve A @ X = B by LU.
+    """Solve A @ X = B by LU, for a square ``a`` and a 2-D ``b`` with as many
+    rows.
 
     Uses partial-pivot LU; a pivot with absolute value below ``PIVOT_EPS``
     raises :class:`SingularMatrixError`, and a non-finite entry in ``a`` or
@@ -88,10 +89,9 @@ def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.nda
     b = np.asarray_chkfinite(b, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"coefficient matrix must be square, got {a.shape}")
-    b2 = np.atleast_2d(b)
-    if b2.shape[0] != a.shape[0]:
-        raise ShapeError(f"rhs rows {b2.shape[0]} != system size {a.shape[0]}")
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a, b2))
+    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        raise ShapeError(f"right-hand side must be 2-D with {a.shape[0]} rows, got {b.shape}")
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a, b))
     lu, piv, info = getrf(a, overwrite_a=overwrite)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
@@ -100,7 +100,7 @@ def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.nda
         raise SingularMatrixError(
             f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
         )
-    x, info = getrs(lu, piv, b2, overwrite_b=overwrite)
+    x, info = getrs(lu, piv, b, overwrite_b=overwrite)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x if b.ndim == 2 else x.ravel()
+    return x

@@ -39,31 +39,23 @@ def _two_hop(out_hop: sp.csr_matrix) -> sp.csr_matrix:
     return row_normalize(out_hop) @ row_normalize(out_hop.T.tocsr())
 
 
-def _blend(weight: float, first: sp.csr_matrix, second: sp.csr_matrix) -> sp.csr_matrix:
-    if weight == 1.0:
-        return first
-    if weight == 0.0:
-        return second
-    return weight * first + (1.0 - weight) * second
-
-
 def _similarity(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> sp.csr_matrix:
     """k x k transition matrix over the k rows of ``tags`` and ``interactions``.
 
     weight blends the tag chain rownorm(T) @ rownorm(T^T) with the interaction
     chain rownorm(X) @ rownorm(X^T).
     """
-    k = tags.shape[0]
     # a completely empty component contributes no chain at all; its weight
     # falls to the other component so tag-free data degrades gracefully
     if tags.nnz == 0:
         weight = 0.0
     elif interactions.nnz == 0:
         weight = 1.0
-    empty = sp.csr_matrix((k, k))
-    tag_chain = _two_hop(tags) if weight > 0.0 else empty
-    interaction_chain = _two_hop(interactions) if weight < 1.0 else empty
-    return _blend(weight, tag_chain, interaction_chain)
+    if weight == 1.0:
+        return _two_hop(tags)
+    if weight == 0.0:
+        return _two_hop(interactions)
+    return weight * _two_hop(tags) + (1.0 - weight) * _two_hop(interactions)
 
 
 def item_similarity(

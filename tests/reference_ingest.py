@@ -115,5 +115,4 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
         train_UI=csr(ds.num_users, ds.num_items, train_entries),
         test_sets=test_sets,
         seed=seed,
-        train_fraction=train_fraction,
     )

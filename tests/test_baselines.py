@@ -211,7 +211,7 @@ class TestItemCF:
         train = scipy.sparse.csr_matrix([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
         from folkwalk.dataset import Split
 
-        sp = Split(train, {0: frozenset(), 1: frozenset()}, 0, 0.5)
+        sp = Split(train, {0: frozenset(), 1: frozenset()}, 0)
         scores = item_cf_scores(sp.train_UI)
         assert scores[0, 1] > scores[0, 2]
         assert item_cf(sp, top_n=1)[0] == [1]

@@ -164,6 +164,16 @@ class TestAblate:
         # with alpha=1, mu=1 the full walk is the item-only variant
         assert by_kind["pRW"] == by_kind["pRW-IT"]
 
+    def test_same_report_as_evaluate_of_the_walk_variants(self, dataset_file, tmp_path):
+        common = ["--dataset", dataset_file, "--runs", "2", "--alpha", "0.3", "--mu", "0.6"]
+        assert main(["ablate", *common, "--output-dir", str(tmp_path / "ab")]) == 0
+        assert main([
+            "evaluate", *common, "--algorithms", "pRW-IT,pRW-UT,pRW-UI,pRW",
+            "--output-dir", str(tmp_path / "ev"),
+        ]) == 0
+        assert (tmp_path / "ab" / "report.json").read_bytes() == (
+            tmp_path / "ev" / "report.json").read_bytes()
+
 
 class TestSweep:
     def test_table_layout(self, dataset_file, tmp_path, capsys):
@@ -194,6 +204,14 @@ class TestGrid:
         assert len(doc["grid"]) == 4
         assert set(doc["best"]) == {"alpha", "mu"}
 
+    def test_lambda_axis(self, dataset_file, tmp_path):
+        out = str(tmp_path / "gr")
+        assert main([
+            "grid", "--dataset", dataset_file, "--lambda", "0.5,0.9", "--output-dir", out,
+        ]) == 0
+        doc = json.loads(Path(out, "grid.json").read_text())
+        assert [point["params"] for point in doc["grid"]] == [{"lambda": 0.5}, {"lambda": 0.9}]
+
     def test_no_axis_usage_error(self, dataset_file, tmp_path):
         assert main([
             "grid", "--dataset", dataset_file, "--output-dir", str(tmp_path / "y"),
@@ -221,6 +239,12 @@ def one_line_error(capsys) -> str:
     return err
 
 
+# the experiment commands' range-checked options a command does not have
+ABSENT_OPTIONS = {
+    "ablate": ("--fuse-weight", "--k-neighbors"),
+    "sweep": ("--train-fraction",),
+    "grid": ("--fuse-weight", "--k-neighbors"),
+}
 BAD_OPTIONS = [
     ("--train-fraction", "1.5"), ("--train-fraction", "0"), ("--runs", "0"),
     ("--half-life", "1"), ("--half-life", "0"), ("--fuse-weight", "2"),
@@ -254,7 +278,7 @@ class TestBadInput:
         [(command, flag, value)
          for command in ("evaluate", "ablate", "sweep", "grid")
          for flag, value in BAD_OPTIONS
-         if command != "grid" or flag not in ("--fuse-weight", "--k-neighbors")]
+         if flag not in ABSENT_OPTIONS.get(command, ())]
         + [("ingest", flag, value) for flag, value in BAD_INGEST_OPTIONS],
     )
     def test_out_of_range_option_exits_2_before_loading(self, tmp_path, capsys,
@@ -270,6 +294,19 @@ class TestBadInput:
             argv += ["--eta", "0.5"]
         assert main(argv) == 2
         assert f"{flag} must be" in one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("sweep", "--train-fraction", "0.3"), ("ablate", "--k-neighbors", "5"),
+         ("ablate", "--fuse-weight", "0.3")],
+    )
+    def test_flag_the_command_does_not_use_exits_2(self, dataset_file, tmp_path, capsys,
+                                                    command, flag, value):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--dataset", dataset_file, flag, value,
+                  "--output-dir", str(tmp_path / "o")])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_out_of_range_option_from_config_exits_2(self, dataset_file, tmp_path, capsys):
         cfg = tmp_path / "folkwalk.cfg"
@@ -389,6 +426,16 @@ class TestBadInput:
             "--config", str(cfg), "evaluate", "--dataset", dataset_file,
             "--algorithms", "Random", "--runs", "1", "--output-dir", str(tmp_path / "o"),
         ]) == 0
+
+    def test_abbreviated_flag_beats_config(self, dataset_file, tmp_path):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text("runs = 3\n")
+        out = tmp_path / "o"
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", dataset_file,
+            "--algorithms", "Random", "--run", "1", "--output-dir", str(out),
+        ]) == 0
+        assert len(json.loads((out / "report.json").read_text())[0]["runs"]) == 1
 
     def test_flag_given_with_equals_beats_config(self, dataset_file, tmp_path):
         cfg = tmp_path / "folkwalk.cfg"

@@ -19,7 +19,6 @@ from folkwalk.evaluation import (
     paired_t_test,
     precision_recall,
     rankscore,
-    report_to_json,
     run_experiment,
     runs_to_csv,
 )
@@ -135,7 +134,7 @@ class TestRunExperiment:
         spec = AlgorithmSpec("pRW")
         a = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
         b = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
-        assert report_to_json([a]) == report_to_json([b])
+        assert a.to_dict() == b.to_dict()
 
     def test_random_baseline_matches_analytic_expectation(self):
         # dense uniform saves: precision of a random list ~ test share of candidates
@@ -195,7 +194,7 @@ class TestOneSplitPerSeed:
         specs = [AlgorithmSpec(kind) for kind in ("Random", "UserCF", "ItemCF", "Fusion", "pRW")]
         together = run_experiment(ds, specs, 0.3, 3, 2, 1)
         alone = [run_experiment(ds, [spec], 0.3, 3, 2, 1)[0] for spec in specs]
-        assert report_to_json(together) == report_to_json(alone)
+        assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]
 
     def test_grid_search_splits_once(self, split_calls):
         ds = random_dataset(np.random.default_rng(14), n_users=8, n_items=10)
@@ -310,7 +309,7 @@ class TestReports:
 
     def test_json_and_csv_shapes(self):
         rep = self.make_report()
-        doc = json.loads(report_to_json([rep]))
+        doc = json.loads(json.dumps([rep.to_dict()]))
         assert doc[0]["algorithm"]["kind"] == "Random"
         assert len(doc[0]["runs"]) == 3
         csv = runs_to_csv([rep]).splitlines()

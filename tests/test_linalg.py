@@ -230,6 +230,11 @@ class TestSolveDense:
         np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
         assert np.shares_memory(x, b)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_vector_rhs_raises(self, k):
+        with pytest.raises(ShapeError, match=rf"2-D with {k} rows, got \({k},\)"):
+            solve_dense(2 * np.eye(k), np.ones(k))
+
     def test_singular_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
