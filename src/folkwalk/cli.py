@@ -123,8 +123,11 @@ def _check_option_ranges(args: argparse.Namespace) -> None:
     for name, other in (_DENSITY_MINIMUMS, _DENSITY_MINIMUMS[::-1]):
         if getattr(args, name, None) is not None and getattr(args, other, None) is None:
             raise UsageError(f"{_flag(name)} must be given with {_flag(other)}")
-    if getattr(args, "t_test", False) and args.runs < 2:
-        raise UsageError(f"--t-test needs --runs >= 2, got {args.runs}")
+    if getattr(args, "t_test", False):
+        if args.runs < 2:
+            raise UsageError(f"--t-test needs --runs >= 2, got {args.runs}")
+        if len(_algorithm_kinds(args.algorithms)) < 2:
+            raise UsageError(f"--t-test needs at least two --algorithms, got {args.algorithms!r}")
 
 
 def _hyperparameters(values: dict[str, float]) -> dict:
@@ -208,8 +211,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     return 0
 
 
+def _algorithm_kinds(text: str) -> list[str]:
+    return [k.strip() for k in text.split(",") if k.strip()]
+
+
 def _parse_algorithms(text: str, args: argparse.Namespace) -> list[AlgorithmSpec]:
-    kinds = [k.strip() for k in text.split(",") if k.strip()]
+    kinds = _algorithm_kinds(text)
     for k in kinds:
         if k not in ALGORITHM_KINDS:
             raise UsageError(f"unknown algorithm {k!r}; choose from {ALGORITHM_KINDS}")
@@ -253,7 +260,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ds = _load_dataset(args.dataset)
     reports = run_experiment(ds, specs, args.train_fraction, **_run_options(args))
     extras = None
-    if args.t_test and len(reports) >= 2:
+    if args.t_test:
         best, second = sorted(reports, key=lambda r: -r.means.precision)[:2]
         t, p = paired_t_test([r.precision for r in best.runs], [r.precision for r in second.runs])
         extras = {

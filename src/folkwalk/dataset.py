@@ -408,57 +408,97 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     )
 
 
-def _entry_list(m: sp.csr_matrix) -> list[tuple[int, int, float]]:
-    """Stored entries as (row, col, value) Python scalars, sorted by (row, col)."""
-    coo = m.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    return list(zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()))
+def _csr_arrays(m: sp.csr_matrix) -> dict[str, list]:
+    """``m``'s canonical CSR arrays as lists: column indices sorted within
+    each row and no stored zeros. Works on a copy, so ``m`` is left as it
+    is."""
+    m = m.sorted_indices()
+    m.eliminate_zeros()
+    return {"indptr": m.indptr.tolist(), "indices": m.indices.tolist(), "data": m.data.tolist()}
 
 
 def dataset_to_json(ds: TaggingDataset) -> str:
-    """Portable snapshot: id tables plus coordinate lists for UI/UT/IT."""
+    """Portable snapshot, format version 2: id tables plus the CSR arrays
+    (``indptr``, ``indices``, ``data``) of UI/UT/IT."""
     payload = {
-        "format_version": 1,
+        "format_version": 2,
         "users": list(ds.users),
         "items": list(ds.items),
         "tags": list(ds.tags),
         "total_tag_count": ds.total_tag_count,
-        "UI": _entry_list(ds.UI),
-        "UT": _entry_list(ds.UT),
-        "IT": _entry_list(ds.IT),
+        "UI": _csr_arrays(ds.UI),
+        "UT": _csr_arrays(ds.UT),
+        "IT": _csr_arrays(ds.IT),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _matrix_from_entries(
-    rows: int, cols: int, entries: list, check_booleans: bool
-) -> sp.csr_matrix:
-    """Matrix from a snapshot's [row, col, value] entries, read as one array
-    per column: the indices must be integers and the values numbers. A
-    boolean among numbers would read as 0 or 1, so ``check_booleans`` scans
-    every field for one."""
+def _entry_columns(entries: list) -> tuple[list, list, list]:
+    """Row indices, column indices and values of format-1 ``[row, col,
+    value]`` entries."""
     if set(map(len, entries)) - {3}:
         raise ValueError("each entry must be [row, col, value]")
-    if check_booleans and any(type(x) is bool for e in entries for x in e):
+    return tuple([e[k] for e in entries] for k in range(3))
+
+
+def _csr_columns(rows: int, arrays: dict) -> tuple[np.ndarray, list, list]:
+    """Row indices, column indices and values of format-2 CSR arrays; the
+    row indices expand ``indptr``, which is checked here."""
+    if not isinstance(arrays, dict) or not arrays.keys() >= {"indptr", "indices", "data"}:
+        raise ValueError("expected an object with indptr, indices and data")
+    indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
+    if len(indptr) != rows + 1:
+        raise ValueError(f"indptr has length {len(indptr)}, expected {rows + 1}")
+    ptr = np.array(indptr)
+    if ptr.dtype.kind != "i":
+        raise ValueError("indptr is not a list of integers")
+    if bool in set(map(type, indptr)):
+        raise ValueError("indptr holds a boolean")
+    if ptr[0] != 0:
+        raise ValueError(f"indptr starts at {ptr[0]}, not 0")
+    counts = np.diff(ptr)
+    if len(counts) and counts.min() < 0:
+        raise ValueError("indptr decreases")
+    if ptr[-1] != len(indices) or len(indices) != len(data):
+        raise ValueError(
+            f"indptr ends at {ptr[-1]}, with {len(indices)} indices and {len(data)} values"
+        )
+    return np.repeat(np.arange(rows), counts), indices, data
+
+
+def _checked_matrix(rows: int, cols: int, i, j, v, check_booleans: bool) -> sp.csr_matrix:
+    """A snapshot matrix from its row indices, column indices and values, as
+    read (lists) or derived from checked arrays: the indices must be
+    integers and the values non-negative numbers. A boolean among numbers
+    would read as 0 or 1, so ``check_booleans`` scans the lists for one."""
+    if check_booleans and any(bool in set(map(type, c)) for c in (i, j, v) if isinstance(c, list)):
         raise ValueError("entry holds a boolean")
-    i, j, v = (np.array([e[k] for e in entries]) for k in range(3))
-    if entries and not i.dtype.kind == j.dtype.kind == "i":
+    i, j, v = np.asarray(i), np.asarray(j), np.asarray(v)
+    if len(v) and not (i.dtype.kind == j.dtype.kind == "i" and i.ndim == j.ndim == 1):
         raise ValueError("entry index is not an integer")
-    if entries and v.dtype.kind not in "if":
+    if len(v) and not (v.dtype.kind in "if" and v.ndim == 1):
         raise ValueError("entry value is not a number")
-    return csr_from_coo(rows, cols, i, j, v)
+    matrix = csr_from_coo(rows, cols, i, j, v)
+    if matrix.nnz and matrix.data.min() < 0:
+        raise ValueError("negative entry")
+    return matrix
 
 
 _SNAPSHOT_FIELDS = ("format_version", "users", "items", "tags", "total_tag_count", "UI", "UT", "IT")
 
 
 def dataset_from_json(text: str) -> TaggingDataset:
-    """Read a snapshot written by :func:`dataset_to_json`.
+    """Read a snapshot written by :func:`dataset_to_json`, in format version
+    2 or in version 1, which stores each matrix as ``[row, col, value]``
+    entries.
 
     Raises :class:`InvalidDatasetError` for malformed JSON, another format
-    version, missing or mistyped fields, duplicate ids, and matrix entries
-    that are not three numbers (a JSON boolean is not one), have a
-    non-integer index, or are out of range, repeated, non-finite or negative.
+    version, missing or mistyped fields, duplicate ids, a version-2
+    ``indptr`` of the wrong length, not of integers, not starting at 0,
+    decreasing or not ending at the number of indices and values, and
+    matrix entries that are not three numbers (a JSON boolean is not one),
+    have a non-integer index, or are out of range, repeated, non-finite or
+    negative.
     """
     try:
         d = json.loads(text)
@@ -469,8 +509,9 @@ def dataset_from_json(text: str) -> TaggingDataset:
     missing = [key for key in _SNAPSHOT_FIELDS if key not in d]
     if missing:
         raise InvalidDatasetError(f"missing fields {missing}")
-    if d["format_version"] != 1:
-        raise InvalidDatasetError(f"unsupported dataset format_version {d['format_version']!r}")
+    version = d["format_version"]
+    if type(version) is not int or version not in (1, 2):
+        raise InvalidDatasetError(f"unsupported dataset format_version {version!r}")
     for key in ("users", "items", "tags"):
         ids = d[key]
         if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
@@ -486,12 +527,10 @@ def dataset_from_json(text: str) -> TaggingDataset:
     check_booleans = "true" in text or "false" in text
     for key, rows, cols in (("UI", m, n), ("UT", m, l), ("IT", n, l)):
         try:
-            matrix = _matrix_from_entries(rows, cols, d[key], check_booleans)
+            columns = _entry_columns(d[key]) if version == 1 else _csr_columns(rows, d[key])
+            matrices[key] = _checked_matrix(rows, cols, *columns, check_booleans)
         except (TypeError, ValueError, LookupError) as exc:
             raise InvalidDatasetError(f"{key}: {exc}") from None
-        if matrix.nnz and matrix.data.min() < 0:
-            raise InvalidDatasetError(f"{key}: negative entry")
-        matrices[key] = matrix
     return TaggingDataset(
         users=tuple(d["users"]),
         items=tuple(d["items"]),

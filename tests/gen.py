@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable
 
 import numpy as np
@@ -15,6 +16,29 @@ def csr(rows: int, cols: int, entries: Iterable[tuple[int, int, float]] = ()) ->
     """Checked rows x cols CSR matrix from (row, col, value) entries."""
     entries = list(entries)
     return csr_from_coo(rows, cols, *(np.array([e[k] for e in entries]) for k in range(3)))
+
+
+def entry_list(m: sp.csr_matrix) -> list[tuple[int, int, float]]:
+    """Stored entries as (row, col, value) Python scalars, sorted by (row, col)."""
+    coo = m.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    return list(zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()))
+
+
+def v1_json(ds: TaggingDataset) -> str:
+    """The dataset as a format-1 snapshot, byte for byte as the format-1
+    writer produced it: each matrix is a list of [row, col, value] entries."""
+    payload = {
+        "format_version": 1,
+        "users": list(ds.users),
+        "items": list(ds.items),
+        "tags": list(ds.tags),
+        "total_tag_count": ds.total_tag_count,
+        "UI": entry_list(ds.UI),
+        "UT": entry_list(ds.UT),
+        "IT": entry_list(ds.IT),
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def random_posts(

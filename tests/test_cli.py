@@ -6,9 +6,11 @@ import pytest
 
 from folkwalk.baselines import ALGORITHM_KINDS
 from folkwalk.cli import main
-from folkwalk.dataset import dataset_to_json
+from folkwalk.dataset import dataset_from_json, dataset_to_json
 
 from gen import random_dataset, random_posts
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -61,6 +63,13 @@ class TestIngest:
         assert main(["ingest", "--input", triples_file, "--dataset", str(a)]) == 0
         assert main(["ingest", "--input", triples_file, "--dataset", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_writes_format_version_2(self, tmp_path):
+        out = tmp_path / "tiny.json"
+        assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["format_version"] == 2
+        assert set(doc["UI"]) == {"indptr", "indices", "data"}
 
     def test_manifest_written(self, dataset_file):
         manifest = json.loads(Path(dataset_file + ".manifest.json").read_text())
@@ -148,6 +157,19 @@ class TestEvaluate:
         ]) == 0
         doc = json.loads(Path(out, "report.json").read_text())
         assert {"best", "second", "t", "p"} <= set(doc["t_test"])
+
+
+    def test_v1_dataset_and_its_v2_rewrite_give_the_same_report(self, tmp_path):
+        v2 = tmp_path / "random_v2.json"
+        v2.write_text(dataset_to_json(dataset_from_json((DATA / "random_v1.json").read_text())))
+        reports = []
+        for name, path in (("v1", DATA / "random_v1.json"), ("v2", v2)):
+            out = tmp_path / name
+            assert main([
+                "evaluate", "--dataset", str(path), "--runs", "2", "--output-dir", str(out),
+            ]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestAblate:
@@ -346,6 +368,32 @@ class TestBadInput:
         assert "--t-test needs --runs >= 2, got 1" in one_line_error(capsys)
 
     @pytest.mark.parametrize(
+        "config, flags",
+        [("", ["--t-test", "--algorithms", "pRW"]),
+         ("t-test = true\nalgorithms = pRW,\n", [])],
+    )
+    def test_t_test_with_one_algorithm_exits_2_before_loading(self, tmp_path, capsys,
+                                                             config, flags):
+        # the dataset does not exist: reading it would exit 1, not 2
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text(config)
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", str(tmp_path / "missing.json"),
+            "--runs", "2", *flags, "--output-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert "--t-test needs at least two --algorithms" in one_line_error(capsys)
+
+    def test_t_test_in_config_leaves_ablate_alone(self, dataset_file, tmp_path):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text("t-test = true\n")
+        out = tmp_path / "o"
+        assert main([
+            "--config", str(cfg), "ablate", "--dataset", dataset_file, "--runs", "1",
+            "--output-dir", str(out),
+        ]) == 0
+        assert isinstance(json.loads((out / "report.json").read_text()), list)
+
+    @pytest.mark.parametrize(
         "content, message",
         [
             (b'{"format_version": 1, "users": [', "not JSON"),
@@ -359,6 +407,19 @@ class TestBadInput:
             (b'{"format_version": 1, "users": ["a", "b"], "items": ["x", "y"], "tags": [], '
              b'"total_tag_count": 0, "UI": [[0, 0, 1.0], [true, 1, 1.0]], "UT": [], "IT": []}',
              "UI: entry holds a boolean"),
+            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
+             b'"total_tag_count": 0, "UI": {"indptr": [0, 2], "indices": [0], "data": [1.0]}, '
+             b'"UT": {"indptr": [0, 0], "indices": [], "data": []}, '
+             b'"IT": {"indptr": [0, 0], "indices": [], "data": []}}',
+             "UI: indptr ends at 2"),
+            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
+             b'"total_tag_count": 0, "UI": {"indptr": [0, 1], "indices": [0], "data": [true]}, '
+             b'"UT": {"indptr": [0, 0], "indices": [], "data": []}, '
+             b'"IT": {"indptr": [0, 0], "indices": [], "data": []}}',
+             "UI: entry holds a boolean"),
+            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
+             b'"total_tag_count": 0, "UI": [[0, 0, 1.0]], "UT": [], "IT": []}',
+             "UI: expected an object with indptr, indices and data"),
         ],
     )
     def test_bad_dataset_file_exits_1(self, tmp_path, capsys, content, message):

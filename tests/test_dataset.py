@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from folkwalk.dataset import (
     Post,
     PostTable,
     TaggingDataset,
-    _entry_list,
     build_matrices,
     dataset_from_json,
     dataset_to_json,
@@ -27,7 +27,7 @@ from folkwalk.dataset import (
     stats,
 )
 
-from gen import csr, random_posts
+from gen import csr, entry_list, random_dataset, random_posts, v1_json
 
 
 def as_posts(table: PostTable) -> list[Post]:
@@ -237,8 +237,8 @@ class TestBuildMatrices:
     def test_repeated_pair_posts_are_one_save(self):
         posts = [Post("u1", "i1", ("a",)), Post("u1", "i1", ("a", "b"))]
         ds = build_matrices(table(posts))
-        assert _entry_list(ds.UI) == [(0, 0, 1.0)]
-        assert _entry_list(ds.UT) == [(0, 0, 2.0), (0, 1, 1.0)]
+        assert entry_list(ds.UI) == [(0, 0, 1.0)]
+        assert entry_list(ds.UT) == [(0, 0, 2.0), (0, 1, 1.0)]
 
 
 # Fields drawn from small pools so that triples repeat; padding and line
@@ -317,7 +317,7 @@ class TestAgainstReferencePipeline:
         ds = build_matrices(table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
         for fraction in (0.2, 0.5, 0.9):
             got, want = split(ds, fraction, seed), reference.split(ds, fraction, seed)
-            assert _entry_list(got.train_UI) == _entry_list(want.train_UI)
+            assert entry_list(got.train_UI) == entry_list(want.train_UI)
             assert got.test_sets == want.test_sets
 
 
@@ -384,7 +384,7 @@ class TestSplit:
     def test_deterministic(self):
         ds = synthetic_ds(20, 30, 200)
         a, b = split(ds, 0.2, 99), split(ds, 0.2, 99)
-        assert _entry_list(a.train_UI) == _entry_list(b.train_UI)
+        assert entry_list(a.train_UI) == entry_list(b.train_UI)
         assert a.test_sets == b.test_sets
 
     def test_partition_invariant(self):
@@ -415,6 +415,64 @@ class TestSplit:
             split(synthetic_ds(2, 2, 2), 1.0, 0)
 
 
+def planted_mid_dataset() -> TaggingDataset:
+    """A planted-cluster dataset at the benchmark's mid size: 1500 users and
+    2000 items in 5 x 5 clusters, saved with probability 0.05 within a
+    cluster and 0.002 across, each save tagged from its item cluster's block
+    of 40 of the 200 tags (:func:`gen.planted_cluster_posts`, drawn at once)."""
+    rng = np.random.default_rng(0)
+    m, n, l, clusters = 1500, 2000, 200, 5
+    same = (np.arange(m)[:, None] * clusters // m) == (np.arange(n) * clusters // n)
+    user, item = np.nonzero(rng.random((m, n)) < np.where(same, 0.05, 0.002))
+    block = l // clusters
+    tag = item * clusters // n * block + rng.integers(block, size=len(item))
+    return build_matrices(PostTable(
+        users=tuple(f"u{u}" for u in range(m)),
+        items=tuple(f"i{i}" for i in range(n)),
+        tags=tuple(f"t{t}" for t in range(l)),
+        user=user, item=item, tag_post=np.arange(len(user)), tag=tag,
+    ))
+
+
+ROUNDTRIP_DATASETS = {
+    **{f"random{seed}": lambda seed=seed: random_dataset(np.random.default_rng(seed), 30, 40, 8)
+       for seed in range(3)},
+    "planted_mid": planted_mid_dataset,
+}
+
+# written by the format-1 dataset_to_json (commit 63e3830) from
+# random_dataset(np.random.default_rng(12), n_users=10, n_items=14, n_tags=5)
+V1_FIXTURE = Path(__file__).parent / "data" / "random_v1.json"
+
+
+def assert_same_dataset(got: TaggingDataset, want: TaggingDataset) -> None:
+    assert (got.users, got.items, got.tags) == (want.users, want.items, want.tags)
+    assert got.total_tag_count == want.total_tag_count
+    for key in ("UI", "UT", "IT"):
+        a, b = getattr(got, key), getattr(want, key)
+        assert a.shape == b.shape, key
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (key, name)
+
+
+def snapshot_doc(version: int) -> dict:
+    ds = build_matrices(table(random_posts(np.random.default_rng(2))))
+    return json.loads(v1_json(ds) if version == 1 else dataset_to_json(ds))
+
+
+def v2_insert(arrays: dict, row: int, col: int, value) -> None:
+    """Add an entry at the end of ``row`` of a format-2 matrix."""
+    at = arrays["indptr"][row + 1]
+    arrays["indices"].insert(at, col)
+    arrays["data"].insert(at, value)
+    arrays["indptr"][row + 1:] = [p + 1 for p in arrays["indptr"][row + 1:]]
+
+
+def v2_set(key: str, name: str, k: int, value):
+    """Corruption setting ``doc[key][name][k] = value``."""
+    return lambda d: d[key][name].__setitem__(k, value)
+
+
 class TestSnapshot:
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
@@ -423,13 +481,40 @@ class TestSnapshot:
         assert again.users == ds.users
         assert again.items == ds.items
         assert again.tags == ds.tags
-        assert _entry_list(again.UI) == _entry_list(ds.UI)
-        assert _entry_list(again.UT) == _entry_list(ds.UT)
-        assert _entry_list(again.IT) == _entry_list(ds.IT)
+        assert entry_list(again.UI) == entry_list(ds.UI)
+        assert entry_list(again.UT) == entry_list(ds.UT)
+        assert entry_list(again.IT) == entry_list(ds.IT)
+
+    @pytest.mark.parametrize("name", ROUNDTRIP_DATASETS)
+    def test_v2_roundtrip_keeps_csr_arrays(self, name):
+        ds = ROUNDTRIP_DATASETS[name]()
+        text = dataset_to_json(ds)
+        assert json.loads(text)["format_version"] == 2
+        assert_same_dataset(dataset_from_json(text), ds)
+
+    def test_writer_canonicalizes_a_copy(self):
+        # unsorted column indices and a stored zero in the caller's matrix
+        ui = csr_matrix((np.array([2.0, 0.0, 1.0]), np.array([2, 1, 0]), np.array([0, 3])),
+                        shape=(1, 3))
+        ds = TaggingDataset(("u",), ("a", "b", "c"), (), ui, csr_matrix((1, 0)), csr_matrix((3, 0)))
+        doc = json.loads(dataset_to_json(ds))
+        assert doc["UI"] == {"data": [1.0, 2.0], "indices": [0, 2], "indptr": [0, 2]}
+        assert ui.indices.tolist() == [2, 1, 0] and ui.data.tolist() == [2.0, 0.0, 1.0]
+
+    def test_v1_fixture_reads_as_its_v2_rewrite(self):
+        old = dataset_from_json(V1_FIXTURE.read_text())
+        rewrite = dataset_to_json(old)
+        assert json.loads(rewrite)["format_version"] == 2
+        assert_same_dataset(dataset_from_json(rewrite), old)
+
+    def test_v1_fixture_is_the_format_1_snapshot_of_its_dataset(self):
+        ds = random_dataset(np.random.default_rng(12), n_users=10, n_items=14, n_tags=5)
+        assert V1_FIXTURE.read_text() == v1_json(ds)
+        assert_same_dataset(dataset_from_json(V1_FIXTURE.read_text()), ds)
 
     @pytest.mark.parametrize("key", ["users", "items", "tags"])
     def test_duplicate_ids_rejected(self, key):
-        doc = json.loads(dataset_to_json(build_matrices(table(random_posts(np.random.default_rng(2))))))
+        doc = snapshot_doc(2)
         doc[key][-1] = doc[key][0]
         with pytest.raises(InvalidDatasetError, match=f"duplicate {key[:-1]} id {doc[key][0]!r}"):
             dataset_from_json(json.dumps(doc))
@@ -438,7 +523,7 @@ class TestSnapshot:
         "corrupt, message",
         [
             (lambda d: d.pop("UI"), "missing fields"),
-            (lambda d: d.update(format_version=2), "format_version 2"),
+            (lambda d: d.update(format_version=3), "format_version 3"),
             (lambda d: d.update(users="u0"), "users must be a list of strings"),
             (lambda d: d.update(items=[1, 2]), "items must be a list of strings"),
             (lambda d: d.update(total_tag_count="3"), "total_tag_count"),
@@ -457,9 +542,80 @@ class TestSnapshot:
         ],
     )
     def test_invalid_snapshots_rejected(self, corrupt, message):
-        doc = json.loads(dataset_to_json(build_matrices(table(random_posts(np.random.default_rng(2))))))
+        doc = snapshot_doc(1)
         corrupt(doc)
         with pytest.raises(InvalidDatasetError, match=message):
+            dataset_from_json(json.dumps(doc))
+
+    # the format-1 cases above, in format 2; a format-2 entry has no fields
+    # of its own, so a missing or extra field is an indices/data length error
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d.pop("UI"), "missing fields"),
+            (lambda d: d.update(format_version=3), "format_version 3"),
+            (lambda d: d.update(users="u0"), "users must be a list of strings"),
+            (lambda d: d.update(items=[1, 2]), "items must be a list of strings"),
+            (lambda d: d.update(total_tag_count="3"), "total_tag_count"),
+            (lambda d: v2_insert(d["UI"], 0, d["UI"]["indices"][0], 1.0), "UI: duplicate"),
+            (lambda d: v2_insert(d["UI"], 0, len(d["items"]), 1.0),
+             "UI: entry index out of bounds"),
+            (v2_set("UT", "data", 0, -1.0), "UT: negative entry"),
+            (lambda d: d["IT"]["data"].pop(), "IT: "),
+            (v2_set("IT", "data", 0, "x"), "IT: "),
+            (v2_set("UI", "indices", 0, 0.7), "UI: entry index is not an integer"),
+            (lambda d: d["UI"]["data"].append(9), "UI: indptr ends at"),
+            (v2_set("UT", "data", 0, "1"), "UT: entry value is not a number"),
+            (v2_set("UI", "data", 0, float("nan")), "UI: non-finite"),
+            (v2_set("UI", "indices", 0, True), "UI: entry holds a boolean"),
+            (v2_set("UT", "indices", 0, False), "UT: entry holds a boolean"),
+            (v2_set("IT", "data", 0, True), "IT: entry holds a boolean"),
+        ],
+    )
+    def test_invalid_v2_snapshots_rejected(self, corrupt, message):
+        doc = snapshot_doc(2)
+        corrupt(doc)
+        with pytest.raises(InvalidDatasetError, match=message):
+            dataset_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda d: d["UI"]["indptr"].pop(), "UI: indptr has length"),
+            (lambda d: d["UT"]["indptr"].append(d["UT"]["indptr"][-1]), "UT: indptr has length"),
+            (v2_set("UI", "indptr", 1, 0.5), "UI: indptr is not a list of integers"),
+            (v2_set("IT", "indptr", 1, "1"), "IT: indptr is not a list of integers"),
+            (v2_set("UI", "indptr", 0, 1), "UI: indptr starts at 1, not 0"),
+            (lambda d: d["UT"]["indptr"].__setitem__(1, d["UT"]["indptr"][2] + 1),
+             "UT: indptr decreases"),
+            (lambda d: d["IT"]["indptr"].__setitem__(-1, d["IT"]["indptr"][-1] + 1),
+             "IT: indptr ends at"),
+            (lambda d: d["UI"]["indices"].pop(), "UI: indptr ends at"),
+        ],
+    )
+    def test_bad_indptr_rejected(self, corrupt, message):
+        doc = snapshot_doc(2)
+        corrupt(doc)
+        with pytest.raises(InvalidDatasetError, match=message):
+            dataset_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("indptr", "indptr holds a boolean"), ("indices", "entry holds a boolean"),
+         ("data", "entry holds a boolean")],
+    )
+    def test_boolean_in_any_v2_array_rejected(self, name, message):
+        # False in indptr[0] and True in the others read as valid numbers
+        doc = snapshot_doc(2)
+        doc["UT"][name][0] = name != "indptr"
+        with pytest.raises(InvalidDatasetError, match=f"UT: {message}"):
+            dataset_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("version, matrix", [(1, {"indptr": [0]}), (2, [[0, 0, 1.0]])])
+    def test_matrix_in_the_other_format_rejected(self, version, matrix):
+        doc = snapshot_doc(version)
+        doc["IT"] = matrix
+        with pytest.raises(InvalidDatasetError, match="IT: "):
             dataset_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("text", ["", '{"format_version": 1', "[1, 2]", "null"])

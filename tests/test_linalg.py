@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from folkwalk.dataset import _entry_list, _matrix_from_entries
+from folkwalk.dataset import _checked_matrix, _entry_columns
 from folkwalk.linalg import (
     NegativeEntryError,
     ShapeError,
@@ -16,7 +16,7 @@ from folkwalk.linalg import (
     solve_dense,
 )
 
-from gen import csr
+from gen import csr, entry_list
 
 
 def dense(m):
@@ -38,7 +38,7 @@ def rand_sparse(rng, rows, cols, density=0.4, nonneg=True):
 
 class TestSparseMatrix:
     """Where a sparse matrix enters the program: the :func:`csr_from_coo`
-    check, and the sorted entry lists a dataset snapshot stores."""
+    check, and the sorted entry lists a format-1 dataset snapshot stores."""
 
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -59,27 +59,27 @@ class TestSparseMatrix:
     def test_explicit_zeros_dropped(self):
         m = csr(2, 2, [(0, 0, 0.0), (1, 1, 3.0)])
         assert m.nnz == 1
-        assert _entry_list(m) == [(1, 1, 3.0)]
+        assert entry_list(m) == [(1, 1, 3.0)]
 
     def test_entries_roundtrip(self):
         rng = np.random.default_rng(0)
         m = rand_sparse(rng, 6, 4)
-        again = csr(6, 4, _entry_list(m))
+        again = csr(6, 4, entry_list(m))
         np.testing.assert_array_equal(m.toarray(), dense(again))
 
     def test_entries_are_sorted_python_scalars(self):
         m = csr(3, 3, [(2, 0, 1.5), (0, 2, 2.0), (0, 1, 1.0)])
-        assert _entry_list(m) == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 1.5)]
-        assert all(type(x) is t for e in _entry_list(m) for x, t in zip(e, (int, int, float)))
+        assert entry_list(m) == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 1.5)]
+        assert all(type(x) is t for e in entry_list(m) for x, t in zip(e, (int, int, float)))
 
     def test_from_coo_matches_entry_constructor(self):
         # the snapshot reader builds its matrices from [row, col, value] lists
         rng = np.random.default_rng(1)
-        entries = _entry_list(rand_sparse(rng, 5, 7)) + [(4, 6, 0.0)]
+        entries = entry_list(rand_sparse(rng, 5, 7)) + [(4, 6, 0.0)]
         i, j, v = (np.array(column) for column in zip(*entries))
         got = csr_from_coo(5, 7, i, j, v)
-        want = _matrix_from_entries(5, 7, [list(e) for e in entries], check_booleans=True)
-        assert _entry_list(got) == _entry_list(want)
+        want = _checked_matrix(5, 7, *_entry_columns([list(e) for e in entries]), check_booleans=True)
+        assert entry_list(got) == entry_list(want)
         assert got.shape == (5, 7) and csr_from_coo(2, 3, [], [], []).shape == (2, 3)
 
     @pytest.mark.parametrize(
@@ -97,7 +97,7 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match=error):
             csr_from_coo(*shape, np.array(i), np.array(j), np.array(v))
         with pytest.raises(ValueError, match=error):
-            _matrix_from_entries(*shape, [list(e) for e in zip(i, j, v)], check_booleans=False)
+            _checked_matrix(*shape, i, j, v, check_booleans=False)
 
 
 class TestRowNormalize:
@@ -137,7 +137,7 @@ class TestRowNormalize:
         rng = np.random.default_rng(3)
         m = rand_sparse(rng, 10, 10)
         normed = row_normalize(m)
-        assert [(i, j) for i, j, _ in _entry_list(m)] == [(i, j) for i, j, _ in _entry_list(normed)]
+        assert [(i, j) for i, j, _ in entry_list(m)] == [(i, j) for i, j, _ in entry_list(normed)]
 
 
 class TestMatmul:
