@@ -1,5 +1,10 @@
 """Comparison recommenders: random, user-based CF, item-based CF, the
-tag-extended fusion CF, and the ablation wiring for the walk variants."""
+tag-extended fusion CF, and the ablation wiring for the walk variants.
+
+Every recommender reads one dataset, which in an experiment is the split's
+training dataset (``Split.train``), so no held-out save reaches a model; its
+tag matrices are still the full dataset's. :func:`run_algorithm` is the one
+entry point, and it ranks every score matrix with :func:`recommend_all`."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Split, TaggingDataset
+from .dataset import TaggingDataset
 from .linalg import row_normalize
 from .similarity import SimilarityConfig, item_similarity, user_similarity
 from .walker import (
@@ -66,14 +71,14 @@ def walk_params(values: dict[str, float]) -> dict:
     return {"walk": WalkConfig(**walk), "similarity": SimilarityConfig(**similarity)}
 
 
-def random_recommender(split: Split, seed: int, top_n: int) -> dict[int, list[int]]:
-    """Uniform sample without replacement from each user's candidate items."""
+def random_recommender(ds: TaggingDataset, seed: int, top_n: int) -> dict[int, list[int]]:
+    """Uniform sample without replacement from each user's unsaved items."""
     rng = np.random.default_rng(seed)
-    train = split.train_UI
+    ui = ds.UI
     recs = {}
-    for u in range(train.shape[0]):
-        unsaved = np.ones(train.shape[1], dtype=bool)
-        unsaved[train.indices[train.indptr[u]:train.indptr[u + 1]]] = False
+    for u in range(ui.shape[0]):
+        unsaved = np.ones(ui.shape[1], dtype=bool)
+        unsaved[ui.indices[ui.indptr[u]:ui.indptr[u + 1]]] = False
         candidates = np.flatnonzero(unsaved)
         k = min(top_n, len(candidates))
         recs[u] = [int(j) for j in rng.choice(candidates, size=k, replace=False)] if k else []
@@ -136,41 +141,24 @@ def item_cf_scores(
     return train_ui @ sim
 
 
-def user_cf(split: Split, k_neighbors: int | None = None, top_n: int = 5) -> dict[int, list[int]]:
-    return recommend_all(user_cf_scores(split.train_UI, k_neighbors), split.train_UI, top_n)
-
-
-def item_cf(split: Split, k_neighbors: int | None = None, top_n: int = 5) -> dict[int, list[int]]:
-    return recommend_all(item_cf_scores(split.train_UI, k_neighbors), split.train_UI, top_n)
-
-
-def fusion_cf_scores(
-    split: Split, ds: TaggingDataset, fuse_weight: float
-) -> np.ndarray:
+def fusion_cf_scores(ds: TaggingDataset, fuse_weight: float) -> np.ndarray:
     """Convex combination of user-based CF with tag-extended user profiles
     and item-based CF with tag-extended item profiles. Tags act only as
     profile features; scores cover real items only."""
     if not 0.0 <= fuse_weight <= 1.0:
         raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
-    user_scores = user_cf_scores(split.train_UI, profile_ext=ds.UT)
-    item_scores = item_cf_scores(split.train_UI, profile_ext=ds.IT)
-    return fuse_weight * user_scores + (1.0 - fuse_weight) * item_scores
-
-
-def fusion_cf(
-    split: Split, ds: TaggingDataset, fuse_weight: float = 0.5, top_n: int = 5
-) -> dict[int, list[int]]:
-    return recommend_all(fusion_cf_scores(split, ds, fuse_weight), split.train_UI, top_n)
+    user_scores = user_cf_scores(ds.UI, profile_ext=ds.UT)
+    item_scores = item_cf_scores(ds.UI, profile_ext=ds.IT)
+    return fuse(user_scores, item_scores, fuse_weight)
 
 
 def ablation_scores(
     kind: str,
-    split: Split,
     ds: TaggingDataset,
     walk: WalkConfig | None = None,
     similarity: SimilarityConfig | None = None,
 ) -> np.ndarray:
-    """Score matrix of one walk variant on the training interactions.
+    """Score matrix of one walk variant on the dataset's interactions.
 
     pRW-IT: tag-only item similarity, item walk alone. pRW-UT: tag-only user
     similarity, user walk alone. pRW-UI: interaction-only similarities, both
@@ -188,17 +176,15 @@ def ablation_scores(
         beta, mu = 1.0, 0.0
     elif kind == "pRW-UI":
         alpha, beta = 0.0, 0.0
-    ui_norm = row_normalize(split.train_UI)
+    ui_norm = row_normalize(ds.UI)
 
     # each side passes its similarity on without keeping it, so no sparse
     # copy stays alive during the side's LU
     def item_scores() -> np.ndarray:
-        return closed_form_item(ui_norm, item_similarity(ds, alpha, ui=split.train_UI), walk.eta)
+        return closed_form_item(ui_norm, item_similarity(ds, alpha), walk.eta)
 
     def user_scores() -> np.ndarray:
-        return closed_form_user(
-            ui_norm, user_similarity(ds, beta, ui=split.train_UI), walk.lambda_
-        )
+        return closed_form_user(ui_norm, user_similarity(ds, beta), walk.lambda_)
 
     if mu == 1.0:
         return item_scores()
@@ -212,35 +198,21 @@ def ablation_scores(
     return fuse(ui_item, ui_user, mu)
 
 
-def ablation(
-    kind: str,
-    split: Split,
-    ds: TaggingDataset,
-    walk: WalkConfig | None = None,
-    similarity: SimilarityConfig | None = None,
-    top_n: int = 5,
-) -> dict[int, list[int]]:
-    """Top-N lists of one walk variant (see :func:`ablation_scores`)."""
-    return recommend_all(ablation_scores(kind, split, ds, walk, similarity), split.train_UI, top_n)
-
-
 def run_algorithm(
-    spec: AlgorithmSpec, split: Split, ds: TaggingDataset, top_n: int
+    spec: AlgorithmSpec, ds: TaggingDataset, top_n: int, seed: int
 ) -> dict[int, list[int]]:
-    """Dispatch an algorithm spec; Random defaults its seed to the split's."""
+    """Top-N lists of one algorithm trained on ``ds``, never naming an item
+    the user saved in ``ds``. Random draws with its own ``seed`` param if it
+    has one, else with ``seed``."""
+    params = spec.params
     if spec.kind == "Random":
-        return random_recommender(split, spec.params.get("seed", split.seed), top_n)
+        return random_recommender(ds, params.get("seed", seed), top_n)
     if spec.kind == "UserCF":
-        return user_cf(split, spec.params.get("k_neighbors"), top_n)
-    if spec.kind == "ItemCF":
-        return item_cf(split, spec.params.get("k_neighbors"), top_n)
-    if spec.kind == "Fusion":
-        return fusion_cf(split, ds, spec.params.get("fuse_weight", 0.5), top_n)
-    return ablation(
-        spec.kind,
-        split,
-        ds,
-        walk=spec.params.get("walk"),
-        similarity=spec.params.get("similarity"),
-        top_n=top_n,
-    )
+        scores = user_cf_scores(ds.UI, params.get("k_neighbors"))
+    elif spec.kind == "ItemCF":
+        scores = item_cf_scores(ds.UI, params.get("k_neighbors"))
+    elif spec.kind == "Fusion":
+        scores = fusion_cf_scores(ds, params.get("fuse_weight", 0.5))
+    else:
+        scores = ablation_scores(spec.kind, ds, params.get("walk"), params.get("similarity"))
+    return recommend_all(scores, ds.UI, top_n)

@@ -21,7 +21,6 @@ from .dataset import (
     EmptyDatasetError,
     InvalidDatasetError,
     ParseError,
-    Split,
     dataset_from_json,
     dataset_to_json,
     format_stats_table,
@@ -200,8 +199,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
     else:
         users = list(range(ds.num_users))
     # every save is training data, so no saved item is ever recommended
-    saved = Split(train_UI=ds.UI, test_sets={}, seed=args.seed)
-    recs = run_algorithm(spec, saved, ds, args.top_n)
+    recs = run_algorithm(spec, ds, args.top_n, args.seed)
     payload = {ds.users[u]: [ds.items[j] for j in recs[u]] for u in users}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -171,11 +171,14 @@ class DatasetStats:
 @dataclass(frozen=True, eq=False)
 class Split:
     """Per-user partition of UI support into train and held-out test items.
-    Splits compare by identity."""
 
-    train_UI: sp.csr_matrix
+    ``train`` is everything a model may read: the dataset with UI cut down
+    to the training saves. It shares the ids, UT and IT with the full
+    dataset, so UT and IT still count the tags of held-out posts. Splits
+    compare by identity."""
+
+    train: TaggingDataset
     test_sets: dict[int, frozenset[int]]
-    seed: int
 
 
 def _factorize(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -379,8 +382,8 @@ def format_stats_table(s: DatasetStats) -> str:
 
 def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     """Per user, sample ceil(train_fraction * |saved items|) items into the
-    training matrix; the rest are withheld for testing. Deterministic per
-    seed."""
+    training dataset's UI; the rest are withheld for testing. Deterministic
+    per seed."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -399,13 +402,10 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
         test_sets[u] = frozenset(np.setdiff1d(support, chosen, assume_unique=True).tolist())
     train_users = np.repeat(np.arange(ds.num_users), [len(items) for items in train_items])
     train_cols = np.concatenate(train_items) if train_items else np.empty(0, dtype=np.int64)
-    return Split(
-        train_UI=csr_from_coo(
-            ds.num_users, ds.num_items, train_users, train_cols, np.ones(len(train_cols))
-        ),
-        test_sets=test_sets,
-        seed=seed,
+    train_ui = csr_from_coo(
+        ds.num_users, ds.num_items, train_users, train_cols, np.ones(len(train_cols))
     )
+    return Split(train=replace(ds, UI=train_ui), test_sets=test_sets)
 
 
 def _csr_arrays(m: sp.csr_matrix) -> dict[str, list]:

@@ -75,9 +75,10 @@ def _counted_users(recs: Recs, test_sets: TestSets) -> list[int]:
     return users
 
 
-def precision_recall(recs: Recs, test_sets: TestSets, top_n: int) -> tuple[float, float]:
+def precision_recall(recs: Recs, test_sets: TestSets) -> tuple[float, float]:
     """Mean per-user precision and recall over users with non-empty test
-    sets, as percentages."""
+    sets, as percentages. A user's precision is hits over the length of the
+    user's list."""
     users = _counted_users(recs, test_sets)
     precisions, recalls = [], []
     for u in users:
@@ -112,10 +113,8 @@ def rankscore(recs: Recs, test_sets: TestSets, half_life: int = 5) -> float:
     return 100.0 * utility / max_utility if max_utility > 0 else 0.0
 
 
-def evaluate_lists(
-    recs: Recs, test_sets: TestSets, top_n: int, half_life: int = 5
-) -> MetricTuple:
-    p, r = precision_recall(recs, test_sets, top_n)
+def evaluate_lists(recs: Recs, test_sets: TestSets, half_life: int = 5) -> MetricTuple:
+    p, r = precision_recall(recs, test_sets)
     return MetricTuple(p, r, f_measure(p, r), rankscore(recs, test_sets, half_life))
 
 
@@ -139,8 +138,8 @@ def run_experiment(
     for seed in seeds:
         sp = make_split(ds, train_fraction, seed)
         for spec, spec_runs in zip(algorithms, runs):
-            recs = run_algorithm(spec, sp, ds, top_n)
-            spec_runs.append(evaluate_lists(recs, sp.test_sets, top_n, half_life))
+            recs = run_algorithm(spec, sp.train, top_n, seed)
+            spec_runs.append(evaluate_lists(recs, sp.test_sets, half_life))
     return [
         EvalReport(spec, spec_runs, _means(spec_runs), top_n, seeds)
         for spec, spec_runs in zip(algorithms, runs)

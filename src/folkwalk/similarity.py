@@ -58,23 +58,18 @@ def _similarity(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float)
     return weight * _two_hop(tags) + (1.0 - weight) * _two_hop(interactions)
 
 
-def item_similarity(
-    ds: TaggingDataset, alpha: float, ui: sp.csr_matrix | None = None
-) -> sp.csr_matrix:
+def item_similarity(ds: TaggingDataset, alpha: float) -> sp.csr_matrix:
     """n x n item transition matrix.
 
     alpha weights the tag chain rownorm(IT) @ rownorm(IT^T) against the
-    interaction chain rownorm(UI^T) @ rownorm(UI). ``ui`` overrides the
-    dataset's interaction matrix (used to restrict to training interactions).
+    interaction chain rownorm(UI^T) @ rownorm(UI).
     """
     _check_weight(alpha, "alpha")
-    return _similarity(ds.IT, (ds.UI if ui is None else ui).T.tocsr(), alpha)
+    return _similarity(ds.IT, ds.UI.T.tocsr(), alpha)
 
 
-def user_similarity(
-    ds: TaggingDataset, beta: float, ui: sp.csr_matrix | None = None
-) -> sp.csr_matrix:
+def user_similarity(ds: TaggingDataset, beta: float) -> sp.csr_matrix:
     """m x m user transition matrix; the item similarity with roles swapped:
     chains rownorm(UT) @ rownorm(UT^T) and rownorm(UI) @ rownorm(UI^T)."""
     _check_weight(beta, "beta")
-    return _similarity(ds.UT, ds.UI if ui is None else ui, beta)
+    return _similarity(ds.UT, ds.UI, beta)

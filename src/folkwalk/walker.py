@@ -9,6 +9,9 @@ iteration is the reference implementation of the paper's algorithm. The two
 walks are independent until fused, so the pipeline solves them on two
 threads at once (LAPACK releases the GIL) and fuses into the item walk's
 buffer. Score matrices are dense ndarrays from the walk to the ranking.
+:func:`fuse` and :func:`recommend_all` serve every algorithm: fuse also
+blends Fusion CF's user and item scores, and recommend_all ranks every
+non-random algorithm's score matrix.
 """
 
 from __future__ import annotations
@@ -135,20 +138,21 @@ def closed_form_item(ui_norm: sp.csr_matrix, s_item: sp.csr_matrix, eta: float) 
     return _solve_walk(a, ui_norm.toarray().T, eta).T
 
 
-def fuse(ui_item: np.ndarray, ui_user: np.ndarray, mu: float) -> np.ndarray:
-    """Entrywise convex combination mu * item scores + (1 - mu) * user scores.
+def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:
+    """Entrywise convex combination mu * first + (1 - mu) * second of two
+    score matrices of one shape.
 
     Consumes its inputs: both float64 arrays are scaled in place, and the
-    sum is written into ``ui_item`` and returned, so no third score matrix
-    is allocated. The result keeps ``ui_item``'s memory order."""
+    sum is written into ``first`` and returned, so no third score matrix is
+    allocated. The result keeps ``first``'s memory order."""
     if not 0.0 <= mu <= 1.0:
         raise ValueError(f"mu must be in [0, 1], got {mu}")
-    if ui_item.shape != ui_user.shape:
-        raise ShapeError(f"shape mismatch {ui_item.shape} vs {ui_user.shape}")
-    ui_item *= mu
-    ui_user *= 1.0 - mu
-    ui_item += ui_user
-    return ui_item
+    if first.shape != second.shape:
+        raise ShapeError(f"shape mismatch {first.shape} vs {second.shape}")
+    first *= mu
+    second *= 1.0 - mu
+    first += second
+    return first
 
 
 def smallest_k_mask(keys: np.ndarray, k: int) -> np.ndarray:

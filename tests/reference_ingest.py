@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 
@@ -112,7 +113,6 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
         train_entries.extend((u, j, 1.0) for j in sorted(chosen_set))
         test_sets[u] = frozenset(int(j) for j in support if int(j) not in chosen_set)
     return Split(
-        train_UI=csr(ds.num_users, ds.num_items, train_entries),
+        train=replace(ds, UI=csr(ds.num_users, ds.num_items, train_entries)),
         test_sets=test_sets,
-        seed=seed,
     )

@@ -3,11 +3,12 @@ tolerance and prints a PASS line on success (run with -s or check the test
 outcome)."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from folkwalk.baselines import AlgorithmSpec, ablation, fusion_cf_scores, item_cf_scores, user_cf_scores
+from folkwalk.baselines import AlgorithmSpec, fusion_cf_scores, item_cf_scores, run_algorithm, user_cf_scores
 from folkwalk.cli import main
 from folkwalk.dataset import (
     PostTable,
@@ -152,7 +153,7 @@ def test_05_reference_table_arithmetic():
 def test_06_metric_unit_suite():
     recs = {0: [1, 2, 3, 4, 5]}
     test_sets = {0: frozenset([5, 20, 21, 22, 23, 24, 25, 26])}
-    p, r = precision_recall(recs, test_sets, 5)
+    p, r = precision_recall(recs, test_sets)
     assert p == pytest.approx(20.0)
     assert r == pytest.approx(12.5)
     assert f_measure(p, r) == pytest.approx(15.384615384615385)
@@ -191,23 +192,20 @@ def test_07_ordering_on_planted_clusters():
 def test_08_ablation_identities():
     rng = np.random.default_rng(808)
     ds = random_dataset(rng, n_users=10, n_items=12, n_tags=6)
-    sp = make_split(ds, 0.3, 1)
-    assert ablation(
-        "pRW", sp, ds, walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0)
-    ) == ablation("pRW-IT", sp, ds)
-    assert ablation(
-        "pRW", sp, ds, walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0)
-    ) == ablation("pRW-UT", sp, ds)
+    train = make_split(ds, 0.3, 1).train
+
+    def lists(kind, ds, **params):
+        return run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
+
+    assert lists(
+        "pRW", train, walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0)
+    ) == lists("pRW-IT", train)
+    assert lists(
+        "pRW", train, walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0)
+    ) == lists("pRW-UT", train)
     perm = np.random.default_rng(5).permutation(ds.num_users)
-    permuted = TaggingDataset(
-        users=ds.users,
-        items=ds.items,
-        tags=ds.tags,
-        UI=ds.UI,
-        UT=ds.UT[perm],
-        IT=ds.IT,
-    )
-    assert ablation("pRW-IT", sp, ds) == ablation("pRW-IT", sp, permuted)
+    permuted = replace(train, UT=ds.UT[perm])
+    assert lists("pRW-IT", train) == lists("pRW-IT", permuted)
     report("8 ablation identities")
 
 
@@ -251,11 +249,11 @@ def test_10_baseline_score_oracles():
         n = int(rng.integers(4, 13))
         ds = random_dataset(rng, n_users=m, n_items=n, n_tags=4)
         sp = make_split(ds, 0.4, int(rng.integers(1000)))
-        train = sp.train_UI.toarray()
-        assert np.abs(user_cf_scores(sp.train_UI) - cosine(train) @ train).max() < 1e-12
-        assert np.abs(item_cf_scores(sp.train_UI) - train @ cosine(train.T)).max() < 1e-12
+        train = sp.train.UI.toarray()
+        assert np.abs(user_cf_scores(sp.train.UI) - cosine(train) @ train).max() < 1e-12
+        assert np.abs(item_cf_scores(sp.train.UI) - train @ cosine(train.T)).max() < 1e-12
         user_ext = np.hstack([train, ds.UT.toarray()])
         item_ext = np.hstack([train.T, ds.IT.toarray()])
         expected = 0.5 * (cosine(user_ext) @ train) + 0.5 * (train @ cosine(item_ext))
-        assert np.abs(fusion_cf_scores(sp, ds, 0.5) - expected).max() < 1e-12
+        assert np.abs(fusion_cf_scores(sp.train, 0.5) - expected).max() < 1e-12
     report("10 baseline score oracles")

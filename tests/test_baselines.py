@@ -1,5 +1,6 @@
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +13,11 @@ from folkwalk.baselines import (
     _cosine,
     _profile,
     _truncate_neighbors,
-    ablation,
     ablation_scores,
-    fusion_cf,
     fusion_cf_scores,
-    item_cf,
     item_cf_scores,
     random_recommender,
     run_algorithm,
-    user_cf,
     user_cf_scores,
 )
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
@@ -43,6 +40,10 @@ def make_split(ds, fraction=0.4, seed=7):
     return split(ds, fraction, seed)
 
 
+def top_n_lists(kind, ds, top_n=5, **params):
+    return run_algorithm(AlgorithmSpec(kind, params), ds, top_n, 0)
+
+
 def dense_ds(ui: np.ndarray, ut=None, it=None) -> TaggingDataset:
     m, n = ui.shape
     ut = np.zeros((m, 0)) if ut is None else np.asarray(ut, float)
@@ -62,16 +63,16 @@ class TestRandomRecommender:
     def test_returns_all_candidates_when_scarce(self):
         ds = dense_ds(np.array([[1.0, 1.0, 0.0, 0.0]]))
         sp = make_split(ds, 0.5, 0)
-        recs = random_recommender(sp, seed=3, top_n=5)
+        recs = random_recommender(sp.train, seed=3, top_n=5)
         assert sorted(recs[0]) == sorted(
-            j for j in range(4) if sp.train_UI.toarray()[0, j] == 0
+            j for j in range(4) if sp.train.UI.toarray()[0, j] == 0
         )
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, n_users=6, n_items=12)
         sp = make_split(ds)
-        assert random_recommender(sp, 11, 4) == random_recommender(sp, 11, 4)
+        assert random_recommender(sp.train, 11, 4) == random_recommender(sp.train, 11, 4)
 
     def test_matches_dense_candidate_lists(self):
         # the candidates are each user's unsaved items in ascending order, so
@@ -79,7 +80,7 @@ class TestRandomRecommender:
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n_users=9, n_items=14)
         sp = make_split(ds)
-        train = sp.train_UI.toarray()
+        train = sp.train.UI.toarray()
         for seed in range(5):
             draws = np.random.default_rng(seed)
             expected = {}
@@ -87,16 +88,16 @@ class TestRandomRecommender:
                 candidates = np.flatnonzero(train[u] == 0)
                 k = min(4, len(candidates))
                 expected[u] = draws.choice(candidates, size=k, replace=False).tolist() if k else []
-            assert random_recommender(sp, seed, 4) == expected
+            assert random_recommender(sp.train, seed, 4) == expected
 
     def test_top1_frequency_is_uniform(self):
         # one user, 1 train item, 10 candidates: each should lead ~10% of trials
         ds = dense_ds(np.ones((1, 11)))
         sp = make_split(ds, 0.05, 0)
-        assert sp.train_UI.nnz == 1
+        assert sp.train.UI.nnz == 1
         counts = np.zeros(11)
         for trial in range(10000):
-            counts[random_recommender(sp, trial, 3)[0][0]] += 1
+            counts[random_recommender(sp.train, trial, 3)[0][0]] += 1
         freqs = counts[counts > 0] / 10000
         assert len(freqs) == 10
         assert np.all(np.abs(freqs - 0.1) < 0.01)
@@ -167,8 +168,8 @@ class TestUserCF:
         )
         ds = dense_ds(ui)
         sp = make_split(ds, 0.5, 1)
-        train = sp.train_UI.toarray()
-        scores = user_cf_scores(sp.train_UI)
+        train = sp.train.UI.toarray()
+        scores = user_cf_scores(sp.train.UI)
         # user 0's top score among its candidates comes from its twin's items
         for j in np.flatnonzero(train[1]):
             if train[0, j] == 0:
@@ -177,9 +178,9 @@ class TestUserCF:
     def test_orthogonal_users_score_zero(self):
         ds = dense_ds(np.eye(3))
         sp = make_split(ds, 0.5, 0)
-        scores = user_cf_scores(sp.train_UI)
+        scores = user_cf_scores(sp.train.UI)
         assert np.all(scores == 0)
-        recs = user_cf(sp, top_n=2)
+        recs = top_n_lists("UserCF", sp.train, top_n=2)
         assert recs[0] == sorted(recs[0])  # tie rule: ascending index
 
     @pytest.mark.parametrize("seed", range(3))
@@ -187,17 +188,17 @@ class TestUserCF:
         rng = np.random.default_rng(seed)
         ds = random_dataset(rng, n_users=6, n_items=8)
         sp = make_split(ds)
-        train = sp.train_UI.toarray()
+        train = sp.train.UI.toarray()
         expected = cosine_oracle(train) @ train
-        assert np.abs(user_cf_scores(sp.train_UI) - expected).max() < 1e-12
+        assert np.abs(user_cf_scores(sp.train.UI) - expected).max() < 1e-12
 
     def test_k_neighbors_restricts(self):
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, n_users=7, n_items=9)
         sp = make_split(ds)
-        full = user_cf_scores(sp.train_UI)
-        k1 = user_cf_scores(sp.train_UI, k_neighbors=1)
-        train = sp.train_UI.toarray()
+        full = user_cf_scores(sp.train.UI)
+        k1 = user_cf_scores(sp.train.UI, k_neighbors=1)
+        train = sp.train.UI.toarray()
         sim = cosine_oracle(train)
         for u in range(7):
             best = min(range(7), key=lambda v: (-sim[u, v], v))
@@ -208,22 +209,19 @@ class TestUserCF:
 class TestItemCF:
     def test_correlated_item_promoted_over_unrelated(self):
         # items 0 and 1 co-saved by user 1; user 0 holds item 0 only
-        train = scipy.sparse.csr_matrix([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
-        from folkwalk.dataset import Split
-
-        sp = Split(train, {0: frozenset(), 1: frozenset()}, 0)
-        scores = item_cf_scores(sp.train_UI)
+        ds = dense_ds(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
+        scores = item_cf_scores(ds.UI)
         assert scores[0, 1] > scores[0, 2]
-        assert item_cf(sp, top_n=1)[0] == [1]
+        assert top_n_lists("ItemCF", ds, top_n=1)[0] == [1]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_oracle(self, seed):
         rng = np.random.default_rng(seed + 10)
         ds = random_dataset(rng, n_users=6, n_items=8)
         sp = make_split(ds)
-        train = sp.train_UI.toarray()
+        train = sp.train.UI.toarray()
         expected = train @ cosine_oracle(train.T)
-        assert np.abs(item_cf_scores(sp.train_UI) - expected).max() < 1e-12
+        assert np.abs(item_cf_scores(sp.train.UI) - expected).max() < 1e-12
 
 
 class TestFusionCF:
@@ -232,36 +230,36 @@ class TestFusionCF:
         ds = random_dataset(rng, n_users=6, n_items=8)
         bare = dense_ds(ds.UI.toarray())
         sp = make_split(bare)
-        got = fusion_cf_scores(sp, bare, 0.3)
-        expected = 0.3 * user_cf_scores(sp.train_UI) + 0.7 * item_cf_scores(sp.train_UI)
+        got = fusion_cf_scores(sp.train, 0.3)
+        expected = 0.3 * user_cf_scores(sp.train.UI) + 0.7 * item_cf_scores(sp.train.UI)
         assert np.abs(got - expected).max() < 1e-12
 
     def test_weight_one_is_tag_extended_user_ranking(self):
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
-        got = fusion_cf(sp, ds, fuse_weight=1.0, top_n=3)
-        expected_scores = user_cf_scores(sp.train_UI, profile_ext=ds.UT.toarray())
-        assert got == recommend_all(expected_scores, sp.train_UI, 3)
+        got = top_n_lists("Fusion", sp.train, top_n=3, fuse_weight=1.0)
+        expected_scores = user_cf_scores(sp.train.UI, profile_ext=ds.UT.toarray())
+        assert got == recommend_all(expected_scores, sp.train.UI, 3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_concatenation_oracle(self, seed):
         rng = np.random.default_rng(seed + 20)
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=5)
         sp = make_split(ds)
-        train = sp.train_UI.toarray()
+        train = sp.train.UI.toarray()
         user_ext = np.hstack([train, ds.UT.toarray()])
         item_ext = np.hstack([train.T, ds.IT.toarray()])
         expected = 0.5 * (cosine_oracle(user_ext) @ train) + 0.5 * (
             train @ cosine_oracle(item_ext)
         )
-        assert np.abs(fusion_cf_scores(sp, ds, 0.5) - expected).max() < 1e-12
+        assert np.abs(fusion_cf_scores(sp.train, 0.5) - expected).max() < 1e-12
 
     def test_tags_never_recommended(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, n_users=5, n_items=6, n_tags=4)
         sp = make_split(ds)
-        recs = fusion_cf(sp, ds, top_n=6)
+        recs = top_n_lists("Fusion", sp.train, top_n=6)
         for lst in recs.values():
             assert all(0 <= j < ds.num_items for j in lst)
 
@@ -271,25 +269,25 @@ def test_cf_lists_match_dense_oracle_on_planted_clusters():
     ut, it = ds.UT.toarray(), ds.IT.toarray()
     for seed in range(3):
         sp = make_split(ds, 0.2, seed)
-        train = sp.train_UI.toarray()
+        train = sp.train.UI.toarray()
         for k in (None, 20):
-            assert user_cf(sp, k) == recommend_all(
-                dense_cf_scores(train, "user", k), sp.train_UI, 5
+            assert top_n_lists("UserCF", sp.train, k_neighbors=k) == recommend_all(
+                dense_cf_scores(train, "user", k), sp.train.UI, 5
             )
-            assert item_cf(sp, k) == recommend_all(
-                dense_cf_scores(train, "item", k), sp.train_UI, 5
+            assert top_n_lists("ItemCF", sp.train, k_neighbors=k) == recommend_all(
+                dense_cf_scores(train, "item", k), sp.train.UI, 5
             )
         fused = 0.5 * dense_cf_scores(train, "user", profile_ext=ut) + 0.5 * dense_cf_scores(
             train, "item", profile_ext=it
         )
-        assert fusion_cf(sp, ds) == recommend_all(fused, sp.train_UI, 5)
+        assert top_n_lists("Fusion", sp.train) == recommend_all(fused, sp.train.UI, 5)
 
 
-def iterated_scores(sp, ds, walk, sim):
+def iterated_scores(ds, walk, sim):
     """The pRW scores from the reference iteration run to tol=1e-12."""
-    ui_norm = row_normalize(sp.train_UI)
-    s_item = item_similarity(ds, sim.alpha, ui=sp.train_UI)
-    s_user = user_similarity(ds, sim.beta, ui=sp.train_UI)
+    ui_norm = row_normalize(ds.UI)
+    s_item = item_similarity(ds, sim.alpha)
+    s_user = user_similarity(ds, sim.beta)
     x, _ = walk_item(ui_norm, s_item, walk.eta, tol=1e-12, max_iters=10_000)
     y, _ = walk_user(ui_norm, s_user, walk.lambda_, tol=1e-12, max_iters=10_000)
     return fuse(x, y, walk.mu)
@@ -311,43 +309,36 @@ class TestAblation:
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
-        scrambled = TaggingDataset(
-            users=ds.users,
-            items=ds.items,
-            tags=ds.tags,
-            UI=ds.UI,
-            UT=scipy.sparse.csr_matrix(np.roll(ds.UT.toarray(), 2, axis=0)),
-            IT=ds.IT,
+        scrambled = replace(
+            sp.train, UT=scipy.sparse.csr_matrix(np.roll(ds.UT.toarray(), 2, axis=0))
         )
-        assert ablation("pRW-IT", sp, ds) == ablation("pRW-IT", sp, scrambled)
+        assert top_n_lists("pRW-IT", sp.train) == top_n_lists("pRW-IT", scrambled)
 
     def test_parameter_identity_with_full_walk(self):
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
-        full_item = ablation(
-            "pRW", sp, ds,
-            walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0),
+        full_item = top_n_lists(
+            "pRW", sp.train, walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0)
         )
-        assert full_item == ablation("pRW-IT", sp, ds)
-        full_user = ablation(
-            "pRW", sp, ds,
-            walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0),
+        assert full_item == top_n_lists("pRW-IT", sp.train)
+        full_user = top_n_lists(
+            "pRW", sp.train, walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0)
         )
-        assert full_user == ablation("pRW-UT", sp, ds)
+        assert full_user == top_n_lists("pRW-UT", sp.train)
 
     def test_tag_free_dataset_makes_ui_variant_equal_full(self):
         rng = np.random.default_rng(9)
         base = random_dataset(rng, n_users=6, n_items=8)
         ds = dense_ds(base.UI.toarray())  # strip all tags
         sp = make_split(ds)
-        assert ablation("pRW-UI", sp, ds) == ablation("pRW", sp, ds)
+        assert top_n_lists("pRW-UI", sp.train) == top_n_lists("pRW", sp.train)
 
     def test_unknown_kind(self):
         rng = np.random.default_rng(1)
         ds = random_dataset(rng)
         with pytest.raises(ValueError):
-            ablation("pRW-XX", make_split(ds), ds)
+            ablation_scores("pRW-XX", make_split(ds).train)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -363,10 +354,10 @@ class TestAblation:
         sp = make_split(ds, fraction, seed)
         walk = WalkConfig(eta=damping[0], lambda_=damping[1], mu=weights[0])
         sim = SimilarityConfig(alpha=weights[1], beta=weights[2])
-        got = ablation_scores("pRW", sp, ds, walk, sim)
-        want = iterated_scores(sp, ds, walk, sim)
+        got = ablation_scores("pRW", sp.train, walk, sim)
+        want = iterated_scores(sp.train, walk, sim)
         assert np.abs(got - want).max() < 1e-9
-        assert_same_top_n(got, want, sp.train_UI)
+        assert_same_top_n(got, want, sp.train.UI)
 
     def test_pipeline_matches_iterative_walks_on_planted_clusters(self):
         ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
@@ -374,10 +365,10 @@ class TestAblation:
         sim = SimilarityConfig(alpha=1.0, beta=0.5)
         for seed in range(3):
             sp = make_split(ds, 0.2, seed)
-            got = ablation_scores("pRW", sp, ds, walk, sim)
-            want = iterated_scores(sp, ds, walk, sim)
+            got = ablation_scores("pRW", sp.train, walk, sim)
+            want = iterated_scores(sp.train, walk, sim)
             assert np.abs(got - want).max() < 1e-9
-            assert recommend_all(got, sp.train_UI, 5) == recommend_all(want, sp.train_UI, 5)
+            assert recommend_all(got, sp.train.UI, 5) == recommend_all(want, sp.train.UI, 5)
 
     @pytest.mark.parametrize("kind", ["pRW", "pRW-UI"])
     def test_concurrent_walks_equal_sequential_fusion(self, kind):
@@ -389,20 +380,18 @@ class TestAblation:
         filters = list(warnings.filters)
         for ds in fixtures:
             sp = make_split(ds, 0.3, 5)
-            ui_norm = row_normalize(sp.train_UI)
-            ui_item = closed_form_item(ui_norm, item_similarity(ds, alpha, ui=sp.train_UI), walk.eta)
-            ui_user = closed_form_user(
-                ui_norm, user_similarity(ds, beta, ui=sp.train_UI), walk.lambda_
-            )
+            ui_norm = row_normalize(sp.train.UI)
+            ui_item = closed_form_item(ui_norm, item_similarity(sp.train, alpha), walk.eta)
+            ui_user = closed_form_user(ui_norm, user_similarity(sp.train, beta), walk.lambda_)
             want = fuse(ui_item, ui_user, walk.mu)
-            assert np.array_equal(ablation_scores(kind, sp, ds, walk, sim), want)
+            assert np.array_equal(ablation_scores(kind, sp.train, walk, sim), want)
         assert warnings.filters == filters
 
     def test_worker_error_propagates_and_threads_end(self, monkeypatch):
         ds = random_dataset(np.random.default_rng(11), n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
 
-        def blown_up(ds, alpha, ui=None):
+        def blown_up(ds, alpha):
             # eta = 0.5 makes I - eta * S the zero matrix
             return scipy.sparse.csr_matrix(2.0 * np.eye(ds.num_items))
 
@@ -410,7 +399,7 @@ class TestAblation:
         threads = threading.active_count()
         filters = list(warnings.filters)
         with pytest.raises(SingularMatrixError):
-            ablation_scores("pRW", sp, ds, WalkConfig(eta=0.5))
+            ablation_scores("pRW", sp.train, WalkConfig(eta=0.5))
         assert threading.active_count() == threads
         assert warnings.filters == filters
 
@@ -418,7 +407,40 @@ class TestAblation:
         ds = random_dataset(np.random.default_rng(10), n_users=6, n_items=8, n_tags=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ablation("pRW", make_split(ds), ds)
+            top_n_lists("pRW", make_split(ds).train)
+
+
+def tag_matrices(posts, ds, saves):
+    """``ds``'s UT and IT counted over only the posts whose (user, item)
+    save is nonzero in the dense ``saves``."""
+    item_index = {item: j for j, item in enumerate(ds.items)}
+    tag_index = {tag: k for k, tag in enumerate(ds.tags)}
+    ut = np.zeros((ds.num_users, ds.num_tags))
+    it = np.zeros((ds.num_items, ds.num_tags))
+    for post in posts:
+        u, j = ds.user_index(post.user), item_index[post.item]
+        if saves[u, j]:
+            for tag in post.tags:
+                ut[u, tag_index[tag]] += 1
+                it[j, tag_index[tag]] += 1
+    return scipy.sparse.csr_matrix(ut), scipy.sparse.csr_matrix(it)
+
+
+def test_training_dataset_keeps_held_out_tags():
+    # a split's training dataset shares UT and IT with the full dataset, so
+    # the tags of held-out posts reach the walks: counting tags over the
+    # training posts alone moves the tag-driven pRW-IT lists and leaves the
+    # tag-free pRW-UI lists as they are
+    posts = planted_cluster_posts(np.random.default_rng(7))
+    ds = build_matrices(PostTable.from_posts(posts))
+    sp = make_split(ds, 0.2, 0)
+    assert sp.train.UT is ds.UT and sp.train.IT is ds.IT
+    ut, it = tag_matrices(posts, ds, ds.UI.toarray())
+    assert (ut != ds.UT).nnz == 0 and (it != ds.IT).nnz == 0
+    ut, it = tag_matrices(posts, ds, sp.train.UI.toarray())
+    train_tags = replace(sp.train, UT=ut, IT=it)
+    assert top_n_lists("pRW-IT", train_tags) != top_n_lists("pRW-IT", sp.train)
+    assert top_n_lists("pRW-UI", train_tags) == top_n_lists("pRW-UI", sp.train)
 
 
 class TestInvariants:
@@ -427,8 +449,8 @@ class TestInvariants:
         rng = np.random.default_rng(12)
         ds = random_dataset(rng, n_users=7, n_items=9, n_tags=4)
         sp = make_split(ds)
-        recs = run_algorithm(AlgorithmSpec(kind), sp, ds, top_n=5)
-        train = sp.train_UI.toarray()
+        recs = run_algorithm(AlgorithmSpec(kind), sp.train, top_n=5, seed=7)
+        train = sp.train.UI.toarray()
         for u, lst in recs.items():
             assert len(lst) == min(5, int((train[u] == 0).sum()))
             assert all(train[u, j] == 0 for j in lst)
@@ -452,7 +474,7 @@ class TestInvariants:
     def test_cosine_symmetric_and_bounded(self):
         rng = np.random.default_rng(14)
         ds = random_dataset(rng, n_users=8, n_items=9)
-        sim = cosine_oracle(make_split(ds).train_UI.toarray())
+        sim = cosine_oracle(make_split(ds).train.UI.toarray())
         assert np.abs(sim - sim.T).max() < 1e-12
         assert sim.min() >= 0.0 and sim.max() <= 1.0 + 1e-12
 

@@ -317,7 +317,7 @@ class TestAgainstReferencePipeline:
         ds = build_matrices(table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
         for fraction in (0.2, 0.5, 0.9):
             got, want = split(ds, fraction, seed), reference.split(ds, fraction, seed)
-            assert entry_list(got.train_UI) == entry_list(want.train_UI)
+            assert entry_list(got.train.UI) == entry_list(want.train.UI)
             assert got.test_sets == want.test_sets
 
 
@@ -378,20 +378,20 @@ class TestSplit:
     def test_counts(self):
         ds = synthetic_ds(1, 10, 10)
         sp = split(ds, 0.2, 0)
-        assert sp.train_UI.nnz == 2
+        assert sp.train.UI.nnz == 2
         assert len(sp.test_sets[0]) == 8
 
     def test_deterministic(self):
         ds = synthetic_ds(20, 30, 200)
         a, b = split(ds, 0.2, 99), split(ds, 0.2, 99)
-        assert entry_list(a.train_UI) == entry_list(b.train_UI)
+        assert entry_list(a.train.UI) == entry_list(b.train.UI)
         assert a.test_sets == b.test_sets
 
     def test_partition_invariant(self):
         ds = synthetic_ds(15, 25, 150, seed=4)
         sp = split(ds, 0.3, 5)
         ui = ds.UI.toarray()
-        train = sp.train_UI.toarray()
+        train = sp.train.UI.toarray()
         for u in range(15):
             support = set(np.flatnonzero(ui[u]))
             train_items = set(np.flatnonzero(train[u]))
@@ -408,7 +408,7 @@ class TestSplit:
             IT=csr_matrix((10, 0)),
         )
         sp = split(ds, 0.2, 1)
-        assert sp.train_UI.nnz == 2000  # exactly 20% of 10 per user
+        assert sp.train.UI.nnz == 2000  # exactly 20% of 10 per user
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):

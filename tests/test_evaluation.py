@@ -30,7 +30,7 @@ class TestPrecisionRecall:
     def test_worked_example(self):
         recs = {0: [1, 2, 3, 4, 5]}
         test_sets = {0: frozenset(range(10, 18)) | {3}}
-        p, r = precision_recall(recs, test_sets, 5)
+        p, r = precision_recall(recs, test_sets)
         assert p == pytest.approx(20.0)
         assert r == pytest.approx(100.0 / 9 * 1)  # 1 of 9 test items
 
@@ -38,23 +38,23 @@ class TestPrecisionRecall:
         # 1 hit in a 5-item list, 8 test items
         recs = {0: [1, 2, 3, 4, 5]}
         test_sets = {0: frozenset([5, 20, 21, 22, 23, 24, 25, 26])}
-        p, r = precision_recall(recs, test_sets, 5)
+        p, r = precision_recall(recs, test_sets)
         assert p == pytest.approx(20.0)
         assert r == pytest.approx(12.5)
 
     def test_perfect_list(self):
         recs = {0: [1, 2, 3, 4, 5]}
         test_sets = {0: frozenset([1, 2, 3, 4, 5])}
-        assert precision_recall(recs, test_sets, 5) == (100.0, 100.0)
+        assert precision_recall(recs, test_sets) == (100.0, 100.0)
 
     def test_empty_test_users_excluded(self):
         recs = {0: [1], 1: [2]}
         test_sets = {0: frozenset([1]), 1: frozenset()}
-        assert precision_recall(recs, test_sets, 1) == (100.0, 100.0)
+        assert precision_recall(recs, test_sets) == (100.0, 100.0)
 
     def test_all_empty_errors(self):
         with pytest.raises(ValueError):
-            precision_recall({0: [1]}, {0: frozenset()}, 1)
+            precision_recall({0: [1]}, {0: frozenset()})
 
     def test_matches_set_intersection_oracle(self):
         rng = np.random.default_rng(3)
@@ -63,7 +63,7 @@ class TestPrecisionRecall:
             u: frozenset(int(x) for x in rng.choice(30, size=rng.integers(1, 8), replace=False))
             for u in range(8)
         }
-        p, r = precision_recall(recs, test_sets, 5)
+        p, r = precision_recall(recs, test_sets)
         ps, rs = [], []
         for u in range(8):
             hits = sum(1 for j in recs[u] if j in test_sets[u])
@@ -325,6 +325,6 @@ class TestReports:
 def test_evaluate_lists_composite():
     recs = {0: [1, 2, 3, 4, 5]}
     test_sets = {0: frozenset([5, 20, 21, 22, 23, 24, 25, 26])}
-    m = evaluate_lists(recs, test_sets, 5)
+    m = evaluate_lists(recs, test_sets)
     assert (m.precision, m.recall) == (pytest.approx(20.0), pytest.approx(12.5))
     assert m.f_measure == pytest.approx(15.384615384615385)
