@@ -23,7 +23,6 @@ from .walker import (
     closed_form_user,
     fuse,
     recommend_all,
-    smallest_k_mask,
 )
 
 ABLATION_KINDS = ("pRW-IT", "pRW-UT", "pRW-UI", "pRW")
@@ -72,38 +71,66 @@ def walk_params(values: dict[str, float]) -> dict:
 
 
 def random_recommender(ds: TaggingDataset, seed: int, top_n: int) -> dict[int, list[int]]:
-    """Uniform sample without replacement from each user's unsaved items."""
+    """Uniform sample without replacement from each user's unsaved items.
+
+    Each user draws positions among their unsaved items in ascending item
+    order, which is what drawing from those items themselves draws; a
+    position maps to its item by counting the saved items below it."""
     rng = np.random.default_rng(seed)
-    ui = ds.UI
+    ui = ds.UI.sorted_indices()
     recs = {}
     for u in range(ui.shape[0]):
-        unsaved = np.ones(ui.shape[1], dtype=bool)
-        unsaved[ui.indices[ui.indptr[u]:ui.indptr[u + 1]]] = False
-        candidates = np.flatnonzero(unsaved)
-        k = min(top_n, len(candidates))
-        recs[u] = [int(j) for j in rng.choice(candidates, size=k, replace=False)] if k else []
+        saved = ui.indices[ui.indptr[u]:ui.indptr[u + 1]]
+        unsaved = ui.shape[1] - len(saved)
+        k = min(top_n, unsaved)
+        if not k:
+            recs[u] = []
+            continue
+        picked = rng.choice(unsaved, size=k, replace=False)
+        # saved[r] - r unsaved items lie below the r-th saved item
+        below = np.searchsorted(saved - np.arange(len(saved)), picked, side="right")
+        recs[u] = (picked + below).tolist()
     return recs
 
 
-def _cosine(profile: sp.csr_matrix) -> np.ndarray:
-    """Dense pairwise cosine similarity between the rows of a sparse profile;
-    zero rows give zero similarity; the diagonal is zeroed (no
-    self-neighbors). One sparse product, so the cost follows co-occurrences."""
+def _cosine(profile: sp.csr_matrix) -> sp.csr_matrix:
+    """Pairwise cosine similarity between the rows of a sparse profile, as
+    the CSR matrix of one sparse product, so the cost follows
+    co-occurrences; zero rows give zero similarity. The diagonal (a row's
+    similarity to itself) is still stored: :func:`_truncate_neighbors`
+    drops it."""
     norms = np.sqrt(np.asarray(profile.multiply(profile).sum(axis=1)).ravel())
     safe = np.where(norms > 0, norms, 1.0)
     data = profile.data / np.repeat(safe, np.diff(profile.indptr))
     unit = sp.csr_matrix((data, profile.indices, profile.indptr), shape=profile.shape)
-    sim = (unit @ unit.T).toarray()
-    np.fill_diagonal(sim, 0.0)
-    return sim
+    return unit @ unit.T
 
 
-def _truncate_neighbors(sim: np.ndarray, k_neighbors: int | None) -> np.ndarray:
-    """Keep each row's k largest similarities (ties by lower index); None
-    keeps all neighbors."""
-    if k_neighbors is None or k_neighbors >= sim.shape[1]:
-        return sim
-    return np.where(smallest_k_mask(-sim, k_neighbors), sim, 0.0)
+def _truncate_neighbors(
+    sim: sp.csr_matrix, k_neighbors: int | None
+) -> sp.csr_matrix | np.ndarray:
+    """Each row's neighborhood in a pairwise similarity, never the row
+    itself. With ``k_neighbors``, the row's k largest stored similarities
+    (ties by lower index) as CSR with ascending column indices, so a
+    product with it sums neighbors in index order as a dense one does.
+    None keeps all neighbors, densified: an untruncated similarity is too
+    dense for a sparse product to pay off."""
+    if k_neighbors is None:
+        dense = sim.toarray()
+        np.fill_diagonal(dense, 0.0)
+        return dense
+    sim = sim.sorted_indices()
+    rows = np.repeat(np.arange(sim.shape[0]), np.diff(sim.indptr))
+    off_diagonal = np.flatnonzero(sim.indices != rows)
+    # by row, then descending similarity; the sort is stable, so ties stay
+    # in ascending column order and a row's first k entries are its neighbors
+    order = off_diagonal[np.lexsort((-sim.data[off_diagonal], rows[off_diagonal]))]
+    counts = np.bincount(rows[off_diagonal], minlength=sim.shape[0])
+    rank = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    kept = np.zeros(sim.nnz, dtype=bool)
+    kept[order[rank < k_neighbors]] = True
+    indptr = np.concatenate([[0], np.cumsum(np.minimum(counts, k_neighbors))])
+    return sp.csr_matrix((sim.data[kept], sim.indices[kept], indptr), shape=sim.shape)
 
 
 def _profile(
@@ -116,6 +143,14 @@ def _profile(
     return sp.hstack([interactions, sp.csr_matrix(profile_ext)], format="csr")
 
 
+def _dense_scores(scores: sp.csr_matrix | np.ndarray) -> np.ndarray:
+    """A CF score product as a C-ordered array, whose rows are read whole
+    downstream. The product is sparse when the neighborhoods were
+    truncated; a dense similarity leading a sparse matrix comes out
+    transposed (scipy computes ``(B.T @ A.T).T``)."""
+    return scores.toarray() if sp.issparse(scores) else np.ascontiguousarray(scores)
+
+
 def user_cf_scores(
     train_ui: sp.csr_matrix,
     k_neighbors: int | None = None,
@@ -125,9 +160,7 @@ def user_cf_scores(
     cosine similarity over user rows (optionally extended with extra profile
     columns that do not contribute to the scored items)."""
     sim = _truncate_neighbors(_cosine(_profile(train_ui, profile_ext)), k_neighbors)
-    # the sparse operand must lead the product, which then comes out
-    # transposed; rows are read whole downstream, so return C order
-    return np.ascontiguousarray((train_ui.T @ sim.T).T)
+    return _dense_scores(sim @ train_ui)
 
 
 def item_cf_scores(
@@ -138,7 +171,7 @@ def item_cf_scores(
     """score(u, j) = sum over u's training items i of sim(i, j), with cosine
     similarity over item columns (optionally extended)."""
     sim = _truncate_neighbors(_cosine(_profile(train_ui.T.tocsr(), profile_ext)), k_neighbors)
-    return train_ui @ sim
+    return _dense_scores(train_ui @ sim)
 
 
 def fusion_cf_scores(ds: TaggingDataset, fuse_weight: float) -> np.ndarray:

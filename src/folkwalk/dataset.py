@@ -4,12 +4,11 @@ co-occurrence matrix construction, statistics, and train/test splitting."""
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NoReturn
 
 import numpy as np
@@ -383,28 +382,29 @@ def format_stats_table(s: DatasetStats) -> str:
 def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     """Per user, sample ceil(train_fraction * |saved items|) items into the
     training dataset's UI; the rest are withheld for testing. Deterministic
-    per seed."""
+    per seed.
+
+    Each user with saves draws positions in their ascending support, which
+    is what drawing from the support itself draws; the draws mark UI's
+    entries, and the marked and unmarked entries make the two sides."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
-    ui = ds.UI
-    train_items: list[np.ndarray] = []
-    test_sets: dict[int, frozenset[int]] = {}
-    for u in range(ds.num_users):
-        support = np.sort(ui.indices[ui.indptr[u]:ui.indptr[u + 1]])
-        if len(support) == 0:
-            train_items.append(support)
-            test_sets[u] = frozenset()
-            continue
-        n_train = min(len(support), max(1, math.ceil(train_fraction * len(support))))
-        chosen = np.sort(rng.choice(support, size=n_train, replace=False))
-        train_items.append(chosen)
-        test_sets[u] = frozenset(np.setdiff1d(support, chosen, assume_unique=True).tolist())
-    train_users = np.repeat(np.arange(ds.num_users), [len(items) for items in train_items])
-    train_cols = np.concatenate(train_items) if train_items else np.empty(0, dtype=np.int64)
+    ui = ds.UI.sorted_indices()
+    counts = np.diff(ui.indptr)
+    n_train = np.minimum(counts, np.maximum(1, np.ceil(train_fraction * counts))).astype(np.int64)
+    in_train = np.zeros(ui.nnz, dtype=bool)
+    savers = np.flatnonzero(counts)
+    for start, size, n in zip(*(a[savers].tolist() for a in (ui.indptr, counts, n_train))):
+        in_train[start + rng.choice(size, size=n, replace=False)] = True
+    rows = np.repeat(np.arange(ds.num_users), counts)
     train_ui = csr_from_coo(
-        ds.num_users, ds.num_items, train_users, train_cols, np.ones(len(train_cols))
+        ds.num_users, ds.num_items, rows[in_train], ui.indices[in_train],
+        np.ones(int(in_train.sum())),
     )
+    held = iter(ui.indices[~in_train].tolist())
+    held_counts = np.bincount(rows[~in_train], minlength=ds.num_users).tolist()
+    test_sets = {u: frozenset(islice(held, c)) for u, c in enumerate(held_counts)}
     return Split(train=replace(ds, UI=train_ui), test_sets=test_sets)
 
 

@@ -82,6 +82,32 @@ def random_dataset(
     return build_matrices(PostTable.from_posts(flat))
 
 
+def edge_user_dataset(rng: np.random.Generator, sorted_rows: bool = True) -> TaggingDataset:
+    """:func:`random_dataset` with three users appended: one with no saves,
+    one with a single save (every split trains on all of it) and one who
+    saved every item. Unless ``sorted_rows``, UI stores each row's column
+    indices in descending order."""
+    ds = random_dataset(rng, n_users=12, n_items=15, n_tags=4)
+    single = np.zeros(ds.num_items)
+    single[rng.integers(ds.num_items)] = 1.0
+    ui = np.vstack([ds.UI.toarray(), np.zeros(ds.num_items), single, np.ones(ds.num_items)])
+    ui = sp.csr_matrix(ui)
+    if not sorted_rows:
+        for u in range(ui.shape[0]):
+            row = slice(ui.indptr[u], ui.indptr[u + 1])
+            ui.indices[row] = ui.indices[row][::-1]
+        ui.has_sorted_indices = False
+    m = ui.shape[0]
+    return TaggingDataset(
+        users=tuple(f"u{u}" for u in range(m)),
+        items=ds.items,
+        tags=ds.tags,
+        UI=ui,
+        UT=sp.vstack([ds.UT, sp.csr_matrix((3, ds.num_tags))], format="csr"),
+        IT=ds.IT,
+    )
+
+
 def slow_mix_dataset(rng: np.random.Generator) -> TaggingDataset:
     """Dense save clusters joined by one bridge user: the similarity matrices
     mix slowly (second eigenvalue near 1), so the walk's successive-change

@@ -29,11 +29,12 @@ from folkwalk.walker import (
     closed_form_user,
     fuse,
     recommend_all,
+    smallest_k_mask,
     walk_item,
     walk_user,
 )
 
-from gen import planted_cluster_posts, random_dataset
+from gen import edge_user_dataset, planted_cluster_posts, random_dataset
 
 
 def make_split(ds, fraction=0.4, seed=7):
@@ -59,6 +60,21 @@ def dense_ds(ui: np.ndarray, ut=None, it=None) -> TaggingDataset:
     )
 
 
+def per_user_random(ds, seed, top_n):
+    """Random as a per-user loop: each user draws from a dense list of their
+    unsaved items."""
+    rng = np.random.default_rng(seed)
+    ui = ds.UI
+    recs = {}
+    for u in range(ui.shape[0]):
+        unsaved = np.ones(ui.shape[1], dtype=bool)
+        unsaved[ui.indices[ui.indptr[u]:ui.indptr[u + 1]]] = False
+        candidates = np.flatnonzero(unsaved)
+        k = min(top_n, len(candidates))
+        recs[u] = [int(j) for j in rng.choice(candidates, size=k, replace=False)] if k else []
+    return recs
+
+
 class TestRandomRecommender:
     def test_returns_all_candidates_when_scarce(self):
         ds = dense_ds(np.array([[1.0, 1.0, 0.0, 0.0]]))
@@ -75,20 +91,23 @@ class TestRandomRecommender:
         assert random_recommender(sp.train, 11, 4) == random_recommender(sp.train, 11, 4)
 
     def test_matches_dense_candidate_lists(self):
-        # the candidates are each user's unsaved items in ascending order, so
-        # the generator makes the same draws as when they came from a dense row
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n_users=9, n_items=14)
         sp = make_split(ds)
-        train = sp.train.UI.toarray()
         for seed in range(5):
-            draws = np.random.default_rng(seed)
-            expected = {}
-            for u in range(train.shape[0]):
-                candidates = np.flatnonzero(train[u] == 0)
-                k = min(4, len(candidates))
-                expected[u] = draws.choice(candidates, size=k, replace=False).tolist() if k else []
-            assert random_recommender(sp.train, seed, 4) == expected
+            assert random_recommender(sp.train, seed, 4) == per_user_random(sp.train, seed, 4)
+
+    @pytest.mark.parametrize("sorted_rows", [True, False])
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5, 0.95])
+    def test_matches_per_user_loop_on_edge_users(self, fraction, sorted_rows):
+        ds = edge_user_dataset(np.random.default_rng(8), sorted_rows)
+        full = ds.num_users - 1
+        for seed in range(5):
+            assert random_recommender(ds, seed, 4) == per_user_random(ds, seed, 4)
+            assert random_recommender(ds, seed, 4)[full] == []
+            train = make_split(ds, fraction, seed).train
+            for top_n in (1, 4, 20):
+                assert random_recommender(train, seed, top_n) == per_user_random(train, seed, top_n)
 
     def test_top1_frequency_is_uniform(self):
         # one user, 1 train item, 10 candidates: each should lead ~10% of trials
@@ -156,9 +175,11 @@ class TestCosine:
             ext, profile_ext = ext[:, :0], None
         else:
             profile_ext = ext if form == "ndarray" else scipy.sparse.csr_matrix(ext)
-        got = _cosine(_profile(scipy.sparse.csr_matrix(profile), profile_ext))
+        sim = _cosine(_profile(scipy.sparse.csr_matrix(profile), profile_ext))
         want = cosine_oracle(np.hstack([profile, ext]))
-        assert np.abs(got - want).max() < 1e-12
+        assert np.abs(_truncate_neighbors(sim, None) - want).max() < 1e-12
+        # k >= rows keeps every neighbor, sparse
+        assert np.abs(_truncate_neighbors(sim, rows).toarray() - want).max() < 1e-12
 
 
 class TestUserCF:
@@ -281,6 +302,35 @@ def test_cf_lists_match_dense_oracle_on_planted_clusters():
             train, "item", profile_ext=it
         )
         assert top_n_lists("Fusion", sp.train) == recommend_all(fused, sp.train.UI, 5)
+
+
+def dense_truncation_scores(train_ui, side, k_neighbors):
+    """UserCF/ItemCF scores from a dense similarity: the cosine densified
+    with its diagonal zeroed, each row truncated by partition (ties by lower
+    index), and a product of the dense similarity with the interactions."""
+    profile = train_ui if side == "user" else train_ui.T.tocsr()
+    norms = np.sqrt(np.asarray(profile.multiply(profile).sum(axis=1)).ravel())
+    safe = np.where(norms > 0, norms, 1.0)
+    data = profile.data / np.repeat(safe, np.diff(profile.indptr))
+    unit = scipy.sparse.csr_matrix((data, profile.indices, profile.indptr), shape=profile.shape)
+    sim = (unit @ unit.T).toarray()
+    np.fill_diagonal(sim, 0.0)
+    if k_neighbors is not None and k_neighbors < sim.shape[1]:
+        sim = np.where(smallest_k_mask(-sim, k_neighbors), sim, 0.0)
+    if side == "user":
+        return np.ascontiguousarray((train_ui.T @ sim.T).T)
+    return train_ui @ sim
+
+
+def test_cf_scores_bitwise_equal_dense_truncation():
+    # sparse neighborhoods sum the same terms in the same order as the dense
+    # product, so not even the last bit of a score moves
+    ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    for seed in range(3):
+        train = make_split(ds, 0.2, seed).train.UI
+        for k in (1, 5, 20, None):
+            assert np.array_equal(user_cf_scores(train, k), dense_truncation_scores(train, "user", k))
+            assert np.array_equal(item_cf_scores(train, k), dense_truncation_scores(train, "item", k))
 
 
 def iterated_scores(ds, walk, sim):
@@ -443,6 +493,17 @@ def test_training_dataset_keeps_held_out_tags():
     assert top_n_lists("pRW-UI", train_tags) == top_n_lists("pRW-UI", sp.train)
 
 
+def assert_neighborhoods(sim: scipy.sparse.csr_matrix, k: int) -> None:
+    """``sim`` is a CSR neighborhood: at most k neighbors per row, none on
+    the diagonal, column indices ascending within each row."""
+    assert scipy.sparse.issparse(sim) and sim.format == "csr"
+    counts = np.diff(sim.indptr)
+    assert counts.max(initial=0) <= k
+    rows = np.repeat(np.arange(sim.shape[0]), counts)
+    assert np.all(sim.indices != rows)
+    assert np.all(np.diff(sim.indices)[np.diff(rows) == 0] > 0)
+
+
 class TestInvariants:
     @pytest.mark.parametrize("kind", ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS)
     def test_never_recommends_training_items(self, kind):
@@ -463,13 +524,48 @@ class TestInvariants:
         cells = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=m * n, max_size=m * n)
         sim = np.array(data.draw(cells, label="sim")).reshape(m, n)
         k = data.draw(st.integers(0, n + 1), label="k")
-        expected = np.zeros_like(sim) if k < n else sim
-        if k < n:
-            for i in range(m):
-                keep = sorted(range(n), key=lambda j: (-sim[i, j], j))[:k]
-                expected[i, keep] = sim[i, keep]
-        np.testing.assert_array_equal(_truncate_neighbors(sim, k), expected)
-        np.testing.assert_array_equal(_truncate_neighbors(sim, None), sim)
+        # a sparse product leaves each row's column indices in no order
+        stored = scipy.sparse.csr_matrix(sim)
+        shuffle = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="shuffle"))
+        for i in range(m):
+            row = slice(stored.indptr[i], stored.indptr[i + 1])
+            order = shuffle.permutation(row.stop - row.start)
+            stored.indices[row], stored.data[row] = stored.indices[row][order], stored.data[row][order]
+        stored.has_sorted_indices = False
+        off_diagonal = sim.copy()
+        np.fill_diagonal(off_diagonal, 0.0)
+        expected = np.zeros_like(sim)
+        for i in range(m):
+            keep = sorted(range(n), key=lambda j: (-off_diagonal[i, j], j))[:k]
+            expected[i, keep] = off_diagonal[i, keep]
+        got = _truncate_neighbors(stored, k)
+        assert_neighborhoods(got, k)
+        np.testing.assert_array_equal(got.toarray(), expected)
+        np.testing.assert_array_equal(_truncate_neighbors(stored, None), off_diagonal)
+
+    @pytest.mark.parametrize(
+        "k,expected",
+        [
+            # row 0 ties at the 2nd value, row 1 has one neighbor, row 2 none
+            (2, [[0, 0.5, 0.5, 0, 0], [0.3, 0, 0, 0, 0], [0] * 5, [0, 0.9, 0.9, 0, 0]]),
+            (1, [[0, 0.5, 0, 0, 0], [0.3, 0, 0, 0, 0], [0] * 5, [0, 0.9, 0, 0, 0]]),
+            # k >= n keeps every neighbor
+            (5, [[0, 0.5, 0.5, 0.5, 0], [0.3, 0, 0, 0, 0], [0] * 5, [0.2, 0.9, 0.9, 0, 0.1]]),
+            (9, [[0, 0.5, 0.5, 0.5, 0], [0.3, 0, 0, 0, 0], [0] * 5, [0.2, 0.9, 0.9, 0, 0.1]]),
+        ],
+    )
+    def test_truncate_neighbors_edge_rows(self, k, expected):
+        sim = np.array(
+            [
+                [1.0, 0.5, 0.5, 0.5, 0.0],
+                [0.3, 1.0, 0.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0, 0.0],
+                [0.2, 0.9, 0.9, 1.0, 0.1],
+            ]
+        )
+        got = _truncate_neighbors(scipy.sparse.csr_matrix(sim), k)
+        assert_neighborhoods(got, k)
+        np.testing.assert_array_equal(got.toarray(), np.array(expected))
 
     def test_cosine_symmetric_and_bounded(self):
         rng = np.random.default_rng(14)

@@ -1,5 +1,7 @@
 import json
+import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from folkwalk.dataset import (
     ParseError,
     Post,
     PostTable,
+    Split,
     TaggingDataset,
     build_matrices,
     dataset_from_json,
@@ -26,8 +29,9 @@ from folkwalk.dataset import (
     split,
     stats,
 )
+from folkwalk.linalg import csr_from_coo
 
-from gen import csr, entry_list, random_dataset, random_posts, v1_json
+from gen import csr, edge_user_dataset, entry_list, random_dataset, random_posts, v1_json
 
 
 def as_posts(table: PostTable) -> list[Post]:
@@ -374,6 +378,31 @@ class TestStats:
         assert "4.55" in table and "17.84" in table
 
 
+def per_user_split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
+    """The split as a per-user loop: draw from the sorted support, then take
+    the held-out items as the set difference."""
+    rng = np.random.default_rng(seed)
+    ui = ds.UI
+    train_items: list[np.ndarray] = []
+    test_sets: dict[int, frozenset[int]] = {}
+    for u in range(ds.num_users):
+        support = np.sort(ui.indices[ui.indptr[u]:ui.indptr[u + 1]])
+        if len(support) == 0:
+            train_items.append(support)
+            test_sets[u] = frozenset()
+            continue
+        n_train = min(len(support), max(1, math.ceil(train_fraction * len(support))))
+        chosen = np.sort(rng.choice(support, size=n_train, replace=False))
+        train_items.append(chosen)
+        test_sets[u] = frozenset(np.setdiff1d(support, chosen, assume_unique=True).tolist())
+    train_users = np.repeat(np.arange(ds.num_users), [len(items) for items in train_items])
+    train_cols = np.concatenate(train_items)
+    train_ui = csr_from_coo(
+        ds.num_users, ds.num_items, train_users, train_cols, np.ones(len(train_cols))
+    )
+    return Split(train=replace(ds, UI=train_ui), test_sets=test_sets)
+
+
 class TestSplit:
     def test_counts(self):
         ds = synthetic_ds(1, 10, 10)
@@ -409,6 +438,20 @@ class TestSplit:
         )
         sp = split(ds, 0.2, 1)
         assert sp.train.UI.nnz == 2000  # exactly 20% of 10 per user
+
+    @pytest.mark.parametrize("sorted_rows", [True, False])
+    @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5, 0.95])
+    def test_matches_per_user_loop(self, fraction, sorted_rows):
+        ds = edge_user_dataset(np.random.default_rng(8), sorted_rows)
+        empty, single, full = range(ds.num_users - 3, ds.num_users)
+        for seed in range(5):
+            got, want = split(ds, fraction, seed), per_user_split(ds, fraction, seed)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.train.UI, name), getattr(want.train.UI, name))
+            assert got.test_sets == want.test_sets
+            assert got.test_sets[empty] == got.test_sets[single] == frozenset()
+            assert got.train.UI[single].nnz == 1
+            assert got.train.UI[full].nnz + len(got.test_sets[full]) == ds.num_items
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
