@@ -4,29 +4,25 @@ tag-extended fusion CF, and the ablation wiring for the walk variants.
 Every recommender reads one dataset, which in an experiment is the split's
 training dataset (``Split.train``), so no held-out save reaches a model; its
 tag matrices are still the full dataset's. :func:`run_algorithm` is the one
-entry point, and it ranks every score matrix with :func:`recommend_all`."""
+entry point, and it ranks every score matrix with :func:`recommend_all`,
+the walk variants' a block of users at a time."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dataset import TaggingDataset
-from .linalg import row_normalize
-from .similarity import SimilarityConfig, item_similarity, user_similarity
-from .walker import (
-    WalkConfig,
-    closed_form_item,
-    closed_form_user,
-    fuse,
-    recommend_all,
-)
+from .similarity import SimilarityConfig, chain_weight
+from .walker import FusedOperator, WalkConfig, fuse, fused_operator, recommend_all
 
 ABLATION_KINDS = ("pRW-IT", "pRW-UT", "pRW-UI", "pRW")
 ALGORITHM_KINDS = ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS
+
+# users whose walk scores are computed and ranked at once
+BLOCK_USERS = 128
 
 
 @dataclass(frozen=True)
@@ -185,19 +181,10 @@ def fusion_cf_scores(ds: TaggingDataset, fuse_weight: float) -> np.ndarray:
     return fuse(user_scores, item_scores, fuse_weight)
 
 
-def ablation_scores(
-    kind: str,
-    ds: TaggingDataset,
-    walk: WalkConfig | None = None,
-    similarity: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """Score matrix of one walk variant on the dataset's interactions.
-
-    pRW-IT: tag-only item similarity, item walk alone. pRW-UT: tag-only user
-    similarity, user walk alone. pRW-UI: interaction-only similarities, both
-    walks fused. pRW: the full configured pipeline. Each walk is solved
-    exactly in closed form; when both run, they run on two threads.
-    """
+def _walk_operator(
+    kind: str, ds: TaggingDataset, walk: WalkConfig | None, similarity: SimilarityConfig | None
+) -> FusedOperator:
+    """The fused score operator of one walk variant (see :func:`ablation_scores`)."""
     if kind not in ABLATION_KINDS:
         raise ValueError(f"unknown ablation kind {kind!r}")
     walk = walk or WalkConfig()
@@ -209,26 +196,27 @@ def ablation_scores(
         beta, mu = 1.0, 0.0
     elif kind == "pRW-UI":
         alpha, beta = 0.0, 0.0
-    ui_norm = row_normalize(ds.UI)
+    return fused_operator(
+        ds.UI, ds.UT, ds.IT, replace(walk, mu=mu),
+        chain_weight(ds.IT, ds.UI, alpha), chain_weight(ds.UT, ds.UI, beta),
+    )
 
-    # each side passes its similarity on without keeping it, so no sparse
-    # copy stays alive during the side's LU
-    def item_scores() -> np.ndarray:
-        return closed_form_item(ui_norm, item_similarity(ds, alpha), walk.eta)
 
-    def user_scores() -> np.ndarray:
-        return closed_form_user(ui_norm, user_similarity(ds, beta), walk.lambda_)
+def ablation_scores(
+    kind: str,
+    ds: TaggingDataset,
+    walk: WalkConfig | None = None,
+    similarity: SimilarityConfig | None = None,
+) -> np.ndarray:
+    """Score matrix of one walk variant on the dataset's interactions.
 
-    if mu == 1.0:
-        return item_scores()
-    if mu == 0.0:
-        return user_scores()
-    # the walks are independent until fused, and LAPACK and most of scipy's
-    # sparse products release the GIL, so the two sides run concurrently
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        item, user = pool.submit(item_scores), pool.submit(user_scores)
-        ui_item, ui_user = item.result(), user.result()
-    return fuse(ui_item, ui_user, mu)
+    pRW-IT: tag-only item similarity, item walk alone. pRW-UT: tag-only user
+    similarity, user walk alone. pRW-UI: interaction-only similarities, both
+    walks fused. pRW: the full configured pipeline. Each walk is solved
+    exactly; these are the scores :func:`run_algorithm` ranks, for every
+    user at once.
+    """
+    return _walk_operator(kind, ds, walk, similarity).scores(0, ds.num_users)
 
 
 def run_algorithm(
@@ -240,12 +228,18 @@ def run_algorithm(
     params = spec.params
     if spec.kind == "Random":
         return random_recommender(ds, params.get("seed", seed), top_n)
+    if spec.kind in ABLATION_KINDS:
+        operator = _walk_operator(spec.kind, ds, params.get("walk"), params.get("similarity"))
+        recs = {}
+        for lo in range(0, ds.num_users, BLOCK_USERS):
+            hi = min(lo + BLOCK_USERS, ds.num_users)
+            block = recommend_all(operator.scores(lo, hi), ds.UI[lo:hi], top_n)
+            recs.update((lo + u, items) for u, items in block.items())
+        return recs
     if spec.kind == "UserCF":
         scores = user_cf_scores(ds.UI, params.get("k_neighbors"))
     elif spec.kind == "ItemCF":
         scores = item_cf_scores(ds.UI, params.get("k_neighbors"))
-    elif spec.kind == "Fusion":
-        scores = fusion_cf_scores(ds, params.get("fuse_weight", 0.5))
     else:
-        scores = ablation_scores(spec.kind, ds, params.get("walk"), params.get("similarity"))
+        scores = fusion_cf_scores(ds, params.get("fuse_weight", 0.5))
     return recommend_all(scores, ds.UI, top_n)

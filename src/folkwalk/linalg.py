@@ -3,12 +3,17 @@
 Sparse matrices are plain scipy CSR (float64) throughout; products,
 transposes and blends are scipy's own operators. This module holds what
 scipy does not: the entry check where a matrix enters the program
-(:func:`csr_from_coo`), row normalization, and the dense partial-pivot LU
-solver of the closed-form walk. No function writes to its arguments except
-``solve_dense`` when asked to.
+(:func:`csr_from_coo`), row normalization, the dense partial-pivot LU
+solver of the closed-form walk, and the in-place LU inverse that turns
+each of the pRW kernel's systems into its inverse in the system's own
+buffer. No function writes to its arguments except ``solve_dense`` when
+asked to and ``invert_in_place``, which exists to.
 """
 
 from __future__ import annotations
+
+import ctypes
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,6 +100,15 @@ def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.nda
         raise ShapeError(f"right-hand side must be 2-D with {a.shape[0]} rows, got {b.shape}")
     getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a, b))
     lu, piv, info = getrf(a, overwrite_a=overwrite)
+    _check_pivots(lu, info)
+    x, info = getrs(lu, piv, b, overwrite_b=overwrite)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    return x
+
+
+def _check_pivots(lu: np.ndarray, info: int) -> None:
+    """Reject a failed or near-singular ``getrf`` factorization."""
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     # info > 0 marks an exactly zero pivot, which the threshold also catches
@@ -102,7 +116,64 @@ def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.nda
         raise SingularMatrixError(
             f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
         )
-    x, info = getrs(lu, piv, b, overwrite_b=overwrite)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
+
+
+@cache
+def _dgetri():
+    """LAPACK's ``dgetri`` as a ctypes function over scipy's Cython LAPACK
+    export. scipy's Python wrapper of ``getri`` holds the GIL for the whole
+    inversion; a ctypes call releases it, so inversions on two threads
+    overlap."""
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dgetri"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )(capsule, name)
+    # dgetri(n, a, lda, ipiv, work, lwork, info), every argument by pointer
+    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+    return ctypes.CFUNCTYPE(None, int_p, double_p, int_p, int_p, double_p, int_p, int_p)(address)
+
+
+def invert_in_place(a: np.ndarray) -> np.ndarray:
+    """A^-1 for a square, float64, Fortran-ordered ``a``, computed in ``a``'s
+    own buffer (``getrf``, then ``getri``) and returned: no second k × k
+    array is allocated.
+
+    A pivot with absolute value below ``PIVOT_EPS`` raises
+    :class:`SingularMatrixError`, leaving part of the LU factorization in
+    ``a``; a non-finite entry raises ``ValueError``. Each call has its own
+    pivot and work arrays and both LAPACK calls release the GIL, so
+    inversions of distinct matrices on several threads run at once.
+    """
+    import scipy.linalg
+
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"matrix to invert must be square, got {a.shape}")
+    if a.dtype != np.float64 or not a.flags.f_contiguous:
+        raise ValueError("matrix to invert must be a Fortran-ordered float64 array")
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    k = a.shape[0]
+    if not k:
+        return a
+    getrf, getri_lwork = scipy.linalg.get_lapack_funcs(("getrf", "getri_lwork"), (a,))
+    lu, piv, info = getrf(a, overwrite_a=True)
+    _check_pivots(lu, info)
+    # scipy returns pivot rows counted from 0; LAPACK counts them from 1
+    ipiv = np.add(piv, 1, dtype=np.intc)
+    lwork = max(int(getri_lwork(k)[0]), 1)
+    work = np.empty(lwork)
+    n, lw, status = ctypes.c_int(k), ctypes.c_int(lwork), ctypes.c_int(0)
+    double_p, int_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
+    _dgetri()(
+        ctypes.byref(n), lu.ctypes.data_as(double_p), ctypes.byref(n),
+        ipiv.ctypes.data_as(int_p), work.ctypes.data_as(double_p), ctypes.byref(lw),
+        ctypes.byref(status),
+    )
+    if status.value != 0:
+        raise ValueError(f"getri failed with status {status.value}")
+    return lu

@@ -39,18 +39,25 @@ def _two_hop(out_hop: sp.csr_matrix) -> sp.csr_matrix:
     return row_normalize(out_hop) @ row_normalize(out_hop.T.tocsr())
 
 
+def chain_weight(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> float:
+    """The weight the tag chain of ``tags`` gets against the interaction
+    chain of ``interactions``: ``weight``, unless a component is completely
+    empty. An empty component contributes no chain at all; its weight falls
+    to the other component, so tag-free data degrades gracefully."""
+    if tags.nnz == 0:
+        return 0.0
+    if interactions.nnz == 0:
+        return 1.0
+    return weight
+
+
 def _similarity(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> sp.csr_matrix:
     """k x k transition matrix over the k rows of ``tags`` and ``interactions``.
 
     weight blends the tag chain rownorm(T) @ rownorm(T^T) with the interaction
     chain rownorm(X) @ rownorm(X^T).
     """
-    # a completely empty component contributes no chain at all; its weight
-    # falls to the other component so tag-free data degrades gracefully
-    if tags.nnz == 0:
-        weight = 0.0
-    elif interactions.nnz == 0:
-        weight = 1.0
+    weight = chain_weight(tags, interactions, weight)
     if weight == 1.0:
         return _two_hop(tags)
     if weight == 0.0:

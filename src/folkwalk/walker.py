@@ -4,24 +4,35 @@ The user-centric walk iterates X(t+1) = lambda * S_user @ X(t) + (1 - lambda) * 
 from X(0) = R, where R is the row-normalized interaction matrix. The
 item-centric walk X(t+1) = eta * X(t) @ S_item + (1 - eta) * R is the same
 walk on transposed inputs, so both sides share one iteration and one closed
-form. The pipeline runs the closed form, one dense LU solve per walk; the
-iteration is the reference implementation of the paper's algorithm. The two
-walks are independent until fused, so the pipeline solves them on two
-threads at once (LAPACK releases the GIL) and fuses into the item walk's
-buffer. Score matrices are dense ndarrays from the walk to the ranking.
-:func:`fuse` and :func:`recommend_all` serve every algorithm: fuse also
-blends Fusion CF's user and item scores, and recommend_all ranks every
-non-random algorithm's score matrix.
+form (one dense LU solve per walk); these are the reference implementations
+of the paper's algorithm.
+
+The pipeline never forms either similarity. Both walks restart from R and
+both similarities hold the interaction chain R @ C (C = rownorm(UI^T)) or
+its mirror C @ R, so the fused score matrix is exactly
+F = s * R + G @ R + P @ Q, where G is one dense k x k matrix with
+k = min(users, items) and P @ Q carries the tag chains (rank at most twice
+the number of tags), folded in by the Woodbury identity. When there are
+fewer items than users, the same builder runs on transposed inputs and
+F's rows come from R @ G^T. A walk whose similarity is its tag chain alone
+(pRW-IT, pRW-UT, alpha or beta = 1) needs no k x k system, only a
+tags x tags solve. :class:`FusedOperator` evaluates F a block of users at
+a time, so no users x items score matrix is needed to rank. Score
+matrices are dense ndarrays. :func:`fuse` blends Fusion CF's user and item
+scores, and :func:`recommend_all` ranks every non-random algorithm's
+scores.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, solve_dense
+from .linalg import ShapeError, invert_in_place, row_normalize, solve_dense
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,175 @@ def closed_form_item(ui_norm: sp.csr_matrix, s_item: sp.csr_matrix, eta: float) 
     a = s_item.toarray().T
     del s_item
     return _solve_walk(a, ui_norm.toarray().T, eta).T
+
+
+@dataclass(frozen=True)
+class FusedOperator:
+    """The fused pRW score matrix F = scale * R + G @ R + left @ right, held
+    as its factors and evaluated a block of users at a time.
+
+    ``restart`` is R = rownorm(UI), m x n. ``system`` is G: m x m in user
+    space, or n x n in item space, where its term is R @ system^T; None when
+    neither walk needed a k x k system. ``left`` (m x r) and ``right``
+    (r x n) are the tag chains' low-rank term."""
+
+    restart: sp.csr_matrix
+    system: np.ndarray | None
+    item_space: bool
+    scale: float
+    left: np.ndarray
+    right: np.ndarray
+
+    def scores(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of F, as a C-ordered array."""
+        block = self.restart[lo:hi]
+        out = self.left[lo:hi] @ self.right
+        if self.system is not None:
+            if self.item_space:
+                out += block @ self.system.T
+            else:
+                out += self.system[lo:hi] @ self.restart
+        if self.scale:
+            entries = block.tocoo()
+            out[entries.row, entries.col] += self.scale * entries.data
+        return out
+
+
+@dataclass(frozen=True)
+class _Side:
+    """One walk of the fusion: its damping, its tag chain's weight in its
+    similarity, and its coefficient in F (fusion weight times 1 - damping)."""
+
+    damping: float
+    weight: float
+    coef: float
+
+
+def fused_operator(
+    ui: sp.csr_matrix,
+    ut: sp.csr_matrix,
+    it: sp.csr_matrix,
+    walk: WalkConfig,
+    alpha: float,
+    beta: float,
+) -> FusedOperator:
+    """mu * (item walk limit) + (1 - mu) * (user walk limit) on the
+    interactions ``ui``, exactly, as a :class:`FusedOperator`. ``alpha`` and
+    ``beta`` weight the tag chains of ``it`` and ``ut`` in the item and user
+    similarities; an empty chain's fallback weight must already be applied.
+
+    The dense system lives in the smaller side's space: users when there
+    are no more users than items, else items."""
+    r, c = row_normalize(ui), row_normalize(ui.T.tocsr())
+    item_tags = row_normalize(it), row_normalize(it.T.tocsr())
+    user_tags = row_normalize(ut), row_normalize(ut.T.tocsr())
+    item = _Side(walk.eta, alpha, walk.mu * (1.0 - walk.eta))
+    user = _Side(walk.lambda_, beta, (1.0 - walk.mu) * (1.0 - walk.lambda_))
+    if ui.shape[0] <= ui.shape[1]:
+        system, scale, p, q = _operator(r, c, item_tags, user_tags, item, user)
+        return FusedOperator(r, system, False, scale, p, q)
+    # F^T = c_u * R^T (I - lambda S_user^T)^-1 + c_i (I - eta S_item^T)^-1 R^T is
+    # the same operator on the transposed factors, with the two walks swapped
+    transposed = [(b.T, a.T) for a, b in (user_tags, item_tags)]
+    system, scale, p, q = _operator(r.T, c.T, *transposed, user, item)
+    return FusedOperator(r, system, True, scale, q.T, p.T)
+
+
+def _operator(r, c, pushed_tags, direct_tags, pushed: _Side, direct: _Side):
+    """(G, s, P, Q) with s * R + G @ R + P @ Q equal to
+
+        pushed.coef * R (I - d1 * (w1 * A1 B1 + (1 - w1) * C R))^-1
+      + direct.coef * (I - d2 * (w2 * A2 B2 + (1 - w2) * R C))^-1 R,
+
+    where R is k x n' with k <= n', (A1, B1) = ``pushed_tags`` and
+    (A2, B2) = ``direct_tags``. G is k x k, or None when neither side needs
+    a system. The two sides run on two threads."""
+    needs_rc = any(side.coef and side.damping * (1.0 - side.weight) for side in (pushed, direct))
+    rc = (r @ c).tocoo() if needs_rc else None
+    jobs = []
+    if pushed.coef:
+        jobs.append(partial(_pushed_side, r, c, rc, *pushed_tags, pushed))
+    if direct.coef:
+        jobs.append(partial(_direct_side, r, rc, *direct_tags, direct))
+    if len(jobs) == 2:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(job) for job in jobs]
+            parts = [future.result() for future in futures]
+    else:
+        parts = [job() for job in jobs]
+    systems = [g for g, _, _, _ in parts if g is not None]
+    if len(systems) == 2:
+        systems[0] += systems.pop()
+    return (
+        systems[0] if systems else None,
+        sum(s for _, s, _, _ in parts),
+        np.hstack([p for _, _, p, _ in parts]),
+        np.vstack([q for _, _, _, q in parts]),
+    )
+
+
+def _pushed_side(r, c, rc, a, b, side: _Side):
+    """The side c * R (I - d * (w * A B + (1 - w) * C R))^-1, pushed through
+    into R's row space: c * N^-1 R + c*d*w * N^-1 W B, where
+    K = (I - d*w * B A)^-1, W = R A K and
+    N = I - d*(1 - w) * (R C + d*w * W B C). With w = 1 (or no damping) N
+    is the identity and no k x k system is built."""
+    tag, interaction = side.damping * side.weight, side.damping * (1.0 - side.weight)
+    w_mat, q = np.zeros((r.shape[0], 0)), np.zeros((0, r.shape[1]))
+    if tag:
+        w_mat = (r @ a).toarray() @ _inner_inverse(a, b, tag)
+        q = b.toarray()
+    if not interaction:
+        return None, side.coef, side.coef * tag * w_mat, q
+    system = _system(rc, interaction, w_mat, (b @ c).toarray() if tag else None, interaction * tag)
+    invert_in_place(system)
+    p = (side.coef * tag) * (system @ w_mat)
+    system *= side.coef
+    return system, 0.0, p, q
+
+
+def _direct_side(r, rc, a, b, side: _Side):
+    """The side c * (I - d * (w * A B + (1 - w) * R C))^-1 R. With w = 1 (or
+    no damping) the inverse is Woodbury's, and no k x k system is built:
+    (I - d*w * A B)^-1 R = R + d*w * A (I - d*w * B A)^-1 (B R)."""
+    tag, interaction = side.damping * side.weight, side.damping * (1.0 - side.weight)
+    p, q = np.zeros((r.shape[0], 0)), np.zeros((0, r.shape[1]))
+    if interaction:
+        left, right = (a.toarray(), b.toarray()) if tag else (None, None)
+        system = _system(rc, interaction, left, right, tag)
+        invert_in_place(system)
+        system *= side.coef
+        return system, 0.0, p, q
+    if tag:
+        p = (side.coef * tag) * a.toarray()
+        q = _inner_inverse(a, b, tag) @ (b @ r).toarray()
+    return None, side.coef, p, q
+
+
+def _inner_inverse(a, b, tag: float) -> np.ndarray:
+    """(I - tag * B A)^-1, the tags x tags inverse of Woodbury's identity
+    for the tag chain A B."""
+    inner = np.asfortranarray((b @ a).toarray())
+    inner *= -tag
+    inner[np.diag_indices_from(inner)] += 1.0
+    return invert_in_place(inner)
+
+
+def _system(rc, rc_weight: float, left, right, weight: float) -> np.ndarray:
+    """I - rc_weight * RC - weight * left @ right, k x k, built in one
+    Fortran-ordered buffer: one dense product for the low-rank chain, then
+    RC's sparse entries added in place."""
+    k = rc.shape[0]
+    if weight:
+        system = np.empty((k, k), order="F")
+        # system^T is C-ordered, so the transposed product fills it in place
+        np.matmul(right.T, left.T, out=system.T)
+        system *= -weight
+    else:
+        system = np.zeros((k, k), order="F")
+    system[rc.row, rc.col] -= rc_weight * rc.data
+    system[np.diag_indices(k)] += 1.0
+    return system
 
 
 def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:

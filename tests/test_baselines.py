@@ -13,6 +13,7 @@ from folkwalk.baselines import (
     _cosine,
     _profile,
     _truncate_neighbors,
+    _walk_operator,
     ablation_scores,
     fusion_cf_scores,
     item_cf_scores,
@@ -21,7 +22,7 @@ from folkwalk.baselines import (
     user_cf_scores,
 )
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
-from folkwalk.linalg import SingularMatrixError, row_normalize
+from folkwalk.linalg import SingularMatrixError, invert_in_place, row_normalize
 from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
 from folkwalk.walker import (
     WalkConfig,
@@ -343,15 +344,31 @@ def iterated_scores(ds, walk, sim):
     return fuse(x, y, walk.mu)
 
 
-def assert_same_top_n(got, want, train, top_n=5):
+def closed_form_scores(kind, ds, walk, sim):
+    """The reference scores of a walk variant: each walk's closed form on
+    its similarity, then the two fused."""
+    alpha, beta, mu = sim.alpha, sim.beta, walk.mu
+    if kind == "pRW-IT":
+        alpha, mu = 1.0, 1.0
+    elif kind == "pRW-UT":
+        beta, mu = 1.0, 0.0
+    elif kind == "pRW-UI":
+        alpha, beta = 0.0, 0.0
+    ui_norm = row_normalize(ds.UI)
+    item = closed_form_item(ui_norm, item_similarity(ds, alpha), walk.eta)
+    user = closed_form_user(ui_norm, user_similarity(ds, beta), walk.lambda_)
+    return fuse(item, user, mu)
+
+
+def assert_same_top_n(got, want, train, top_n=5, atol=1e-9):
     """Equal top-N lists, except that items whose reference scores agree
-    within the 1e-9 score tolerance may trade places: the tie rule then
+    within the score tolerance ``atol`` may trade places: the tie rule then
     sees rounding noise."""
     got_lists = recommend_all(got, train, top_n)
     want_lists = recommend_all(want, train, top_n)
     for u, lst in got_lists.items():
         if lst != want_lists[u]:
-            np.testing.assert_allclose(want[u, lst], want[u, want_lists[u]], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(want[u, lst], want[u, want_lists[u]], rtol=0, atol=atol)
 
 
 class TestAblation:
@@ -420,36 +437,44 @@ class TestAblation:
             assert np.abs(got - want).max() < 1e-9
             assert recommend_all(got, sp.train.UI, 5) == recommend_all(want, sp.train.UI, 5)
 
-    @pytest.mark.parametrize("kind", ["pRW", "pRW-UI"])
-    def test_concurrent_walks_equal_sequential_fusion(self, kind):
+    @pytest.mark.parametrize("kind", ABLATION_KINDS)
+    def test_operator_matches_sequential_fusion(self, kind):
         walk = WalkConfig(eta=0.9, lambda_=0.7, mu=0.3)
         sim = SimilarityConfig(alpha=0.6, beta=0.4)
-        alpha, beta = (0.0, 0.0) if kind == "pRW-UI" else (sim.alpha, sim.beta)
         planted = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
         fixtures = [random_dataset(np.random.default_rng(s), 9, 12, 4) for s in range(3)] + [planted]
         filters = list(warnings.filters)
         for ds in fixtures:
             sp = make_split(ds, 0.3, 5)
-            ui_norm = row_normalize(sp.train.UI)
-            ui_item = closed_form_item(ui_norm, item_similarity(sp.train, alpha), walk.eta)
-            ui_user = closed_form_user(ui_norm, user_similarity(sp.train, beta), walk.lambda_)
-            want = fuse(ui_item, ui_user, walk.mu)
-            assert np.array_equal(ablation_scores(kind, sp.train, walk, sim), want)
+            want = closed_form_scores(kind, sp.train, walk, sim)
+            got = ablation_scores(kind, sp.train, walk, sim)
+            atol = 1e-12 * np.abs(want).max()
+            assert np.abs(got - want).max() <= atol
+            # items tied in exact arithmetic may trade places on rounding noise
+            assert_same_top_n(got, want, sp.train.UI, atol=atol)
         assert warnings.filters == filters
 
     def test_worker_error_propagates_and_threads_end(self, monkeypatch):
         ds = random_dataset(np.random.default_rng(11), n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
+        calls = []
+        lock = threading.Lock()
 
-        def blown_up(ds, alpha):
-            # eta = 0.5 makes I - eta * S the zero matrix
-            return scipy.sparse.csr_matrix(2.0 * np.eye(ds.num_items))
+        def first_call_fails(a):
+            with lock:
+                calls.append(a.shape)
+                fails = len(calls) == 1
+            if fails:
+                raise SingularMatrixError("injected")
+            return invert_in_place(a)
 
-        monkeypatch.setattr("folkwalk.baselines.item_similarity", blown_up)
+        monkeypatch.setattr("folkwalk.walker.invert_in_place", first_call_fails)
         threads = threading.active_count()
         filters = list(warnings.filters)
-        with pytest.raises(SingularMatrixError):
-            ablation_scores("pRW", sp.train, WalkConfig(eta=0.5))
+        with pytest.raises(SingularMatrixError, match="injected"):
+            ablation_scores("pRW", sp.train)
+        # the walk that did not fail went on to invert its own system
+        assert (ds.num_users, ds.num_users) in calls[1:]
         assert threading.active_count() == threads
         assert warnings.filters == filters
 
@@ -458,6 +483,57 @@ class TestAblation:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             top_n_lists("pRW", make_split(ds).train)
+
+
+class TestFusedOperator:
+    WALK = WalkConfig(eta=0.85, lambda_=0.6, mu=0.4)
+
+    @pytest.mark.parametrize("shape", [(9, 12), (12, 9), (10, 10)])
+    @pytest.mark.parametrize(
+        "kind,alpha,beta,systems",
+        [
+            ("pRW", 0.3, 0.7, 2),
+            ("pRW-UI", 0.3, 0.7, 2),
+            ("pRW-IT", 0.3, 0.7, 0),
+            ("pRW-UT", 0.3, 0.7, 0),
+            # a walk whose similarity is its tag chain alone needs no k x k system
+            ("pRW", 1.0, 0.7, 1),
+            ("pRW", 0.3, 1.0, 1),
+            ("pRW", 1.0, 1.0, 0),
+        ],
+    )
+    def test_systems_live_in_smaller_space(self, monkeypatch, shape, kind, alpha, beta, systems):
+        ds = make_split(random_dataset(np.random.default_rng(sum(shape)), *shape, n_tags=4)).train
+        assert ds.UI.shape == shape
+        k = min(shape)
+        inverted = []
+
+        def recording_inverse(a):
+            inverted.append(a.shape)
+            return invert_in_place(a)
+
+        monkeypatch.setattr("folkwalk.walker.invert_in_place", recording_inverse)
+        sim = SimilarityConfig(alpha=alpha, beta=beta)
+        got = ablation_scores(kind, ds, self.WALK, sim)
+        # the other inverses are the tags x tags ones of Woodbury's identity
+        assert inverted.count((k, k)) == systems
+        assert set(inverted) <= {(k, k), (ds.num_tags, ds.num_tags)}
+        want = closed_form_scores(kind, ds, self.WALK, sim)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        operator = _walk_operator(kind, ds, self.WALK, sim)
+        assert operator.item_space == (shape[0] > shape[1])
+        assert (operator.system is None) == (systems == 0)
+        if systems:
+            assert operator.system.shape == (k, k)
+
+    @pytest.mark.parametrize("shape", [(30, 20), (16, 25)])
+    def test_blocked_ranking_equals_ranking_all_scores(self, monkeypatch, shape):
+        # 7-user blocks: several whole blocks, then a partial one
+        monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
+        ds = make_split(random_dataset(np.random.default_rng(shape[0]), *shape, n_tags=5)).train
+        for kind in ABLATION_KINDS:
+            want = recommend_all(ablation_scores(kind, ds, self.WALK), ds.UI, 5)
+            assert run_algorithm(AlgorithmSpec(kind, {"walk": self.WALK}), ds, 5, 0) == want
 
 
 def tag_matrices(posts, ds, saves):

@@ -8,10 +8,12 @@ import scipy.sparse as sp
 
 from folkwalk.dataset import _checked_matrix, _entry_columns
 from folkwalk.linalg import (
+    PIVOT_EPS,
     NegativeEntryError,
     ShapeError,
     SingularMatrixError,
     csr_from_coo,
+    invert_in_place,
     row_normalize,
     solve_dense,
 )
@@ -278,3 +280,69 @@ class TestSolveDense:
             sys.setswitchinterval(interval)
         assert warnings.filters == filters
         assert all(np.array_equal(x, expected) for x in results[::2])
+
+
+class TestInvertInPlace:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_numpy_inverse_in_own_buffer(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 40))
+        # off-diagonal row sums stay below 1, the diagonal is 1 + k/2
+        a = np.asfortranarray(rng.random((k, k)) / k + (0.5 * k + 1.0) * np.eye(k))
+        expected = np.linalg.inv(a)
+        inv = invert_in_place(a)
+        assert np.shares_memory(inv, a)
+        np.testing.assert_allclose(inv, expected, rtol=0, atol=1e-12)
+
+    def test_one_by_one_and_empty(self):
+        a = np.full((1, 1), 4.0, order="F")
+        np.testing.assert_array_equal(invert_in_place(a), [[0.25]])
+        assert invert_in_place(np.zeros((0, 0), order="F")).shape == (0, 0)
+
+    def test_singular_raises(self):
+        a = np.asfortranarray([[1.0, 2.0], [2.0, 4.0 + PIVOT_EPS / 10]])
+        with pytest.raises(SingularMatrixError):
+            invert_in_place(a)
+
+    def test_non_finite_raises(self):
+        a = np.eye(3, order="F")
+        a[1, 2] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            invert_in_place(a)
+
+    @pytest.mark.parametrize(
+        "a,error",
+        [
+            (np.ones((2, 3), order="F"), ShapeError),
+            (np.eye(3), ValueError),  # C-ordered
+            (np.eye(3, dtype=np.float32, order="F"), ValueError),
+        ],
+    )
+    def test_rejects_other_buffers(self, a, error):
+        with pytest.raises(error):
+            invert_in_place(a)
+
+    def test_concurrent_inversions_match_sequential(self):
+        # getri runs without the GIL, so inversions on many threads overlap;
+        # each needs its own pivot and work arrays
+        rng = np.random.default_rng(13)
+        mats = [rng.random((60, 60)) + 60 * np.eye(60) for _ in range(6)]
+        expected = [invert_in_place(np.asfortranarray(m)) for m in mats]
+
+        def invert(i):
+            if i % 3 == 2:
+                with pytest.raises(SingularMatrixError):
+                    invert_in_place(np.ones((60, 60), order="F"))
+                return None
+            return invert_in_place(np.asfortranarray(mats[i % 6]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(invert, range(120), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, inv in enumerate(results):
+            if i % 3 != 2:
+                np.testing.assert_allclose(inv, expected[i % 6], rtol=0, atol=1e-12)
