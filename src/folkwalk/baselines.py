@@ -29,9 +29,9 @@ BLOCK_USERS = 128
 class AlgorithmSpec:
     """Algorithm selector plus its kind-specific parameters.
 
-    Recognized params: ``seed`` (Random), ``k_neighbors`` (UserCF/ItemCF),
-    ``fuse_weight`` (Fusion), ``walk`` (WalkConfig) and ``similarity``
-    (SimilarityConfig) for the walk variants.
+    Recognized params: ``k_neighbors`` (UserCF/ItemCF), ``fuse_weight``
+    (Fusion), ``walk`` (WalkConfig) and ``similarity`` (SimilarityConfig)
+    for the walk variants; Random takes none.
     """
 
     kind: str
@@ -41,7 +41,7 @@ class AlgorithmSpec:
         if self.kind not in ALGORITHM_KINDS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
         known = {
-            "Random": {"seed"},
+            "Random": set(),
             "UserCF": {"k_neighbors"},
             "ItemCF": {"k_neighbors"},
             "Fusion": {"fuse_weight"},
@@ -223,11 +223,10 @@ def run_algorithm(
     spec: AlgorithmSpec, ds: TaggingDataset, top_n: int, seed: int
 ) -> dict[int, list[int]]:
     """Top-N lists of one algorithm trained on ``ds``, never naming an item
-    the user saved in ``ds``. Random draws with its own ``seed`` param if it
-    has one, else with ``seed``."""
+    the user saved in ``ds``. Random draws with ``seed``."""
     params = spec.params
     if spec.kind == "Random":
-        return random_recommender(ds, params.get("seed", seed), top_n)
+        return random_recommender(ds, seed, top_n)
     if spec.kind in ABLATION_KINDS:
         operator = _walk_operator(spec.kind, ds, params.get("walk"), params.get("similarity"))
         recs = {}

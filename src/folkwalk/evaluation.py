@@ -11,8 +11,6 @@ import numpy as np
 
 from .baselines import AlgorithmSpec, run_algorithm, walk_params
 from .dataset import EmptyDatasetError, TaggingDataset, split as make_split
-from .similarity import SimilarityConfig
-from .walker import WalkConfig
 
 Recs = dict[int, list[int]]
 TestSets = dict[int, frozenset[int]]
@@ -47,22 +45,12 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {
-            "algorithm": {"kind": self.algorithm.kind, "params": _params_json(self.algorithm)},
+            "algorithm": asdict(self.algorithm),
             "top_n": self.top_n,
             "seeds": self.seed_list,
             "runs": [r.as_dict() for r in self.runs],
             "means": self.means.as_dict(),
         }
-
-
-def _params_json(spec: AlgorithmSpec) -> dict:
-    out = {}
-    for key, value in spec.params.items():
-        if isinstance(value, (WalkConfig, SimilarityConfig)):
-            out[key] = asdict(value)
-        else:
-            out[key] = value
-    return out
 
 
 def _counted_users(recs: Recs, test_sets: TestSets) -> list[int]:

@@ -3,11 +3,11 @@
 Sparse matrices are plain scipy CSR (float64) throughout; products,
 transposes and blends are scipy's own operators. This module holds what
 scipy does not: the entry check where a matrix enters the program
-(:func:`csr_from_coo`), row normalization, the dense partial-pivot LU
-solver of the closed-form walk, and the in-place LU inverse that turns
-each of the pRW kernel's systems into its inverse in the system's own
-buffer. No function writes to its arguments except ``solve_dense`` when
-asked to and ``invert_in_place``, which exists to.
+(:func:`csr_from_coo`), row normalization, and the one dense kernel: the
+in-place LU inverse that turns each walk system, the pRW operator's and
+the reference closed forms' alike, into its inverse in the system's own
+buffer. No function writes to its arguments except ``invert_in_place``,
+which exists to.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class NegativeEntryError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """Dense solve hit a pivot below the singularity threshold."""
+    """LU factorization hit a pivot below the singularity threshold."""
 
 
 def csr_from_coo(rows: int, cols: int, i, j, values) -> sp.csr_matrix:
@@ -77,47 +77,6 @@ def row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
     return sp.diags(scale) @ m
 
 
-def solve_dense(a: np.ndarray, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Solve A @ X = B by LU, for a square ``a`` and a 2-D ``b`` with as many
-    rows.
-
-    Uses partial-pivot LU; a pivot with absolute value below ``PIVOT_EPS``
-    raises :class:`SingularMatrixError`, and a non-finite entry in ``a`` or
-    ``b`` raises ``ValueError``. With ``overwrite`` the factorization
-    and the solve may use ``a`` and ``b`` as their workspace (they do so
-    without a copy when both are float64 and Fortran-ordered), leaving
-    their contents undefined. Safe to call from several threads at once:
-    LAPACK's status codes are read directly, so no warning filter changes.
-    """
-    # imported here, not at module load: only the pRW walks solve
-    import scipy.linalg
-
-    a = np.asarray_chkfinite(a, dtype=np.float64)
-    b = np.asarray_chkfinite(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"coefficient matrix must be square, got {a.shape}")
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
-        raise ShapeError(f"right-hand side must be 2-D with {a.shape[0]} rows, got {b.shape}")
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (a, b))
-    lu, piv, info = getrf(a, overwrite_a=overwrite)
-    _check_pivots(lu, info)
-    x, info = getrs(lu, piv, b, overwrite_b=overwrite)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    return x
-
-
-def _check_pivots(lu: np.ndarray, info: int) -> None:
-    """Reject a failed or near-singular ``getrf`` factorization."""
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of getrf")
-    # info > 0 marks an exactly zero pivot, which the threshold also catches
-    if np.abs(np.diag(lu)).min() < PIVOT_EPS:
-        raise SingularMatrixError(
-            f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
-        )
-
-
 @cache
 def _dgetri():
     """LAPACK's ``dgetri`` as a ctypes function over scipy's Cython LAPACK
@@ -162,7 +121,13 @@ def invert_in_place(a: np.ndarray) -> np.ndarray:
         return a
     getrf, getri_lwork = scipy.linalg.get_lapack_funcs(("getrf", "getri_lwork"), (a,))
     lu, piv, info = getrf(a, overwrite_a=True)
-    _check_pivots(lu, info)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    # info > 0 marks an exactly zero pivot, which the threshold also catches
+    if np.abs(np.diag(lu)).min() < PIVOT_EPS:
+        raise SingularMatrixError(
+            f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
+        )
     # scipy returns pivot rows counted from 0; LAPACK counts them from 1
     ipiv = np.add(piv, 1, dtype=np.intc)
     lwork = max(int(getri_lwork(k)[0]), 1)

@@ -3,9 +3,10 @@
 The user-centric walk iterates X(t+1) = lambda * S_user @ X(t) + (1 - lambda) * R
 from X(0) = R, where R is the row-normalized interaction matrix. The
 item-centric walk X(t+1) = eta * X(t) @ S_item + (1 - eta) * R is the same
-walk on transposed inputs, so both sides share one iteration and one closed
-form (one dense LU solve per walk); these are the reference implementations
-of the paper's algorithm.
+walk on transposed inputs, so both sides share one iteration and one
+closed form, R times (1 - d) * (I - d * S)^{-1} on the walk's side, an
+explicit inverse from :func:`linalg.invert_in_place`; these are the
+reference implementations of the paper's algorithm.
 
 The pipeline never forms either similarity. Both walks restart from R and
 both similarities hold the interaction chain R @ C (C = rownorm(UI^T)) or
@@ -16,7 +17,7 @@ the number of tags), folded in by the Woodbury identity. When there are
 fewer items than users, the same builder runs on transposed inputs and
 F's rows come from R @ G^T. A walk whose similarity is its tag chain alone
 (pRW-IT, pRW-UT, alpha or beta = 1) needs no k x k system, only a
-tags x tags solve. :class:`FusedOperator` evaluates F a block of users at
+tags x tags inverse. :class:`FusedOperator` evaluates F a block of users at
 a time, so no users x items score matrix is needed to rank. Score
 matrices are dense ndarrays. :func:`fuse` blends Fusion CF's user and item
 scores, and :func:`recommend_all` ranks every non-random algorithm's
@@ -32,7 +33,7 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, invert_in_place, row_normalize, solve_dense
+from .linalg import ShapeError, invert_in_place, row_normalize
 
 
 @dataclass(frozen=True)
@@ -113,40 +114,29 @@ def walk_user(
     return _walk(ui_norm.toarray(), s_user, lambda_, tol, max_iters, trace)
 
 
-def _solve_walk(s_dense: np.ndarray, restart: np.ndarray, damping: float) -> np.ndarray:
-    """(1 - damping) * (I - damping * S)^{-1} @ R, built in the Fortran-ordered
-    dense buffers of S and R, which the LU factorization and solve then
-    overwrite: no further dense copy is made."""
-    s_dense *= -damping
-    s_dense[np.diag_indices_from(s_dense)] += 1.0
-    restart *= 1.0 - damping
-    return solve_dense(s_dense, restart, overwrite=True)
+def _damped_inverse(x: sp.csr_matrix, damping: float) -> np.ndarray:
+    """(I - damping * X)^{-1} for a square sparse ``X``, built in one
+    Fortran-ordered buffer and inverted there."""
+    system = x.toarray(order="F")
+    system *= -damping
+    system[np.diag_indices_from(system)] += 1.0
+    return invert_in_place(system)
 
 
 def closed_form_user(ui_norm: sp.csr_matrix, s_user: sp.csr_matrix, lambda_: float) -> np.ndarray:
-    """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R,
-    computed by a linear solve (never an explicit inverse).
-
-    The system is built in fresh dense buffers, so the inputs are left
-    unchanged. The reference to ``s_user`` is dropped once it is dense: a
-    caller that passes the similarity without keeping it holds no sparse
-    copy during the LU."""
+    """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R.
+    The inputs are left unchanged."""
     _check_damping(lambda_, "lambda")
-    a = s_user.toarray(order="F")
-    del s_user
-    return _solve_walk(a, ui_norm.toarray(order="F"), lambda_)
+    _check_similarity(s_user, ui_norm.shape[0], "user", ui_norm.shape)
+    return (1.0 - lambda_) * _damped_inverse(s_user, lambda_) @ ui_norm
 
 
 def closed_form_item(ui_norm: sp.csr_matrix, s_item: sp.csr_matrix, eta: float) -> np.ndarray:
-    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}, the
-    user walk's system on transposed inputs; ``s_item`` is dropped as in
-    :func:`closed_form_user`."""
+    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}.
+    The inputs are left unchanged."""
     _check_damping(eta, "eta")
-    # the transpose of a C-ordered dense matrix is its Fortran-ordered
-    # dense transpose, so no sparse transpose is built
-    a = s_item.toarray().T
-    del s_item
-    return _solve_walk(a, ui_norm.toarray().T, eta).T
+    _check_similarity(s_item, ui_norm.shape[1], "item", ui_norm.shape)
+    return ui_norm @ ((1.0 - eta) * _damped_inverse(s_item, eta))
 
 
 @dataclass(frozen=True)
@@ -263,7 +253,7 @@ def _pushed_side(r, c, rc, a, b, side: _Side):
     tag, interaction = side.damping * side.weight, side.damping * (1.0 - side.weight)
     w_mat, q = np.zeros((r.shape[0], 0)), np.zeros((0, r.shape[1]))
     if tag:
-        w_mat = (r @ a).toarray() @ _inner_inverse(a, b, tag)
+        w_mat = (r @ a).toarray() @ _damped_inverse(b @ a, tag)
         q = b.toarray()
     if not interaction:
         return None, side.coef, side.coef * tag * w_mat, q
@@ -288,17 +278,8 @@ def _direct_side(r, rc, a, b, side: _Side):
         return system, 0.0, p, q
     if tag:
         p = (side.coef * tag) * a.toarray()
-        q = _inner_inverse(a, b, tag) @ (b @ r).toarray()
+        q = _damped_inverse(b @ a, tag) @ (b @ r).toarray()
     return None, side.coef, p, q
-
-
-def _inner_inverse(a, b, tag: float) -> np.ndarray:
-    """(I - tag * B A)^-1, the tags x tags inverse of Woodbury's identity
-    for the tag chain A B."""
-    inner = np.asfortranarray((b @ a).toarray())
-    inner *= -tag
-    inner[np.diag_indices_from(inner)] += 1.0
-    return invert_in_place(inner)
 
 
 def _system(rc, rc_weight: float, left, right, weight: float) -> np.ndarray:

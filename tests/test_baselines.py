@@ -515,7 +515,8 @@ class TestFusedOperator:
         monkeypatch.setattr("folkwalk.walker.invert_in_place", recording_inverse)
         sim = SimilarityConfig(alpha=alpha, beta=beta)
         got = ablation_scores(kind, ds, self.WALK, sim)
-        # the other inverses are the tags x tags ones of Woodbury's identity
+        # the other inverses are the tags x tags ones of Woodbury's identity;
+        # counted before the closed forms run, since they invert too
         assert inverted.count((k, k)) == systems
         assert set(inverted) <= {(k, k), (ds.num_tags, ds.num_tags)}
         want = closed_form_scores(kind, ds, self.WALK, sim)
@@ -652,7 +653,10 @@ class TestInvariants:
 
 
 def test_algorithm_spec_validation():
-    AlgorithmSpec("Random", {"seed": 1})
+    AlgorithmSpec("Random")
+    # Random draws with the split's seed; it takes no seed of its own
+    with pytest.raises(ValueError, match="unknown params for Random"):
+        AlgorithmSpec("Random", {"seed": 1})
     with pytest.raises(ValueError):
         AlgorithmSpec("PLSA")
     with pytest.raises(ValueError):

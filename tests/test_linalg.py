@@ -1,5 +1,4 @@
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +14,6 @@ from folkwalk.linalg import (
     csr_from_coo,
     invert_in_place,
     row_normalize,
-    solve_dense,
 )
 
 from gen import csr, entry_list
@@ -201,85 +199,6 @@ class TestTranspose:
         rng = np.random.default_rng(10)
         m = rand_sparse(rng, 30, 7)
         np.testing.assert_array_equal(dense(m.T.tocsr()), m.toarray().T)
-
-
-class TestSolveDense:
-    def test_identity(self):
-        b = np.arange(6.0).reshape(3, 2)
-        np.testing.assert_allclose(solve_dense(np.eye(3), b), b)
-
-    def test_right_solve_diagonal(self):
-        # X @ A = B is the left solve on transposed inputs
-        a = np.array([[2.0, 0.0], [0.0, 4.0]])
-        b = np.array([[2.0, 4.0]])
-        np.testing.assert_allclose(solve_dense(a.T, b.T).T, [[1.0, 1.0]])
-
-    def test_random_residual(self):
-        rng = np.random.default_rng(8)
-        a = rng.random((15, 15)) + 15 * np.eye(15)
-        b = rng.random((15, 4))
-        x = solve_dense(a, b)
-        assert np.abs(a @ x - b).max() < 1e-9
-        xr = solve_dense(a.T, b).T
-        assert np.abs(xr @ a - b.T).max() < 1e-9
-
-    def test_overwrite_solves_in_fortran_buffers(self):
-        rng = np.random.default_rng(11)
-        a = np.asfortranarray(rng.random((15, 15)) + 15 * np.eye(15))
-        b = np.asfortranarray(rng.random((15, 4)))
-        expected = solve_dense(a, b)
-        x = solve_dense(a, b, overwrite=True)
-        np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
-        assert np.shares_memory(x, b)
-
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_vector_rhs_raises(self, k):
-        with pytest.raises(ShapeError, match=rf"2-D with {k} rows, got \({k},\)"):
-            solve_dense(2 * np.eye(k), np.ones(k))
-
-    def test_singular_raises(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
-            solve_dense(a, np.eye(2))
-
-    def test_non_square_raises(self):
-        with pytest.raises(ShapeError):
-            solve_dense(np.ones((2, 3)), np.ones(2))
-
-    @pytest.mark.parametrize("bad", ["a", "b"])
-    def test_non_finite_raises(self, bad):
-        a, b = np.eye(2), np.ones((2, 1))
-        (a if bad == "a" else b)[0, 0] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_dense(a, b)
-
-    def test_concurrent_solves_leave_warning_filters_alone(self):
-        # singular systems are where LAPACK reports a zero pivot; more
-        # threads than cores and a short switch interval expose a race on
-        # the process-wide filter list
-        rng = np.random.default_rng(12)
-        regular = rng.random((40, 40)) + 40 * np.eye(40)
-        singular = np.ones((40, 40))
-        b = rng.random((40, 3))
-        expected = solve_dense(regular, b)
-
-        def solve(k):
-            if k % 2:
-                with pytest.raises(SingularMatrixError):
-                    solve_dense(singular, b)
-                return None
-            return solve_dense(regular, b)
-
-        filters = list(warnings.filters)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(solve, range(400), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert warnings.filters == filters
-        assert all(np.array_equal(x, expected) for x in results[::2])
 
 
 class TestInvertInPlace:

@@ -74,12 +74,20 @@ class TestWalkItem:
         cf = closed_form_item(ui_norm, s, 0.8)
         assert np.abs(x - cf).max() < 1e-8
 
-    def test_dimension_and_damping_validation(self):
-        ui_norm, s, _ = random_instance(3)
-        with pytest.raises(ValueError):
-            walk_item(ui_norm, s, eta=1.0)
-        with pytest.raises(ShapeError):
-            walk_item(ui_norm, eye_matrix(ui_norm.shape[1] + 1), eta=0.5)
+
+@pytest.mark.parametrize(
+    "limit", [walk_item, walk_user, closed_form_item, closed_form_user], ids=lambda f: f.__name__
+)
+def test_dimension_and_damping_validation(limit):
+    # more items than users, so a similarity of the other side is rejected too
+    ui_norm, s_item, s_user = random_instance(3, n_users=6, n_items=9)
+    user_side = limit.__name__.endswith("user")
+    s, other = (s_user, s_item) if user_side else (s_item, s_user)
+    with pytest.raises(ValueError, match="must be in"):
+        limit(ui_norm, s, 1.0)
+    for wrong in (other, eye_matrix(s.shape[0] + 1)):
+        with pytest.raises(ShapeError, match="similarity .* incompatible with scores"):
+            limit(ui_norm, wrong, 0.5)
 
 
 class TestWalkUser:
@@ -129,10 +137,11 @@ class TestClosedForms:
                 np.testing.assert_array_equal(getattr(m, part), getattr(copy, part))
 
     def test_singular_system_raises(self):
-        ui_norm, _, _ = random_instance(9)
-        blown_up = csr_matrix(2.0 * np.eye(ui_norm.shape[1]))
-        with pytest.raises(SingularMatrixError):
-            closed_form_item(ui_norm, blown_up, 0.5)
+        ui_norm, _, _ = random_instance(9, n_users=6, n_items=9)
+        # I - 0.5 * 2I is zero
+        for limit, size in ((closed_form_item, ui_norm.shape[1]), (closed_form_user, ui_norm.shape[0])):
+            with pytest.raises(SingularMatrixError):
+                limit(ui_norm, csr_matrix(2.0 * np.eye(size)), 0.5)
 
 
 class TestFuse:
