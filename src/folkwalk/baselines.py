@@ -4,11 +4,13 @@ tag-extended fusion CF, and the ablation wiring for the walk variants.
 Every recommender reads one dataset, which in an experiment is the split's
 training dataset (``Split.train``), so no held-out save reaches a model; its
 tag matrices are still the full dataset's. :func:`run_algorithm` is the one
-entry point, and it ranks every score matrix with :func:`recommend_all`,
-the walk variants' a block of users at a time."""
+entry point: every algorithm but Random has a row-block scorer, and
+:func:`run_algorithm` ranks its scores with :func:`recommend_all` a block of
+users at a time. The CF similarities stay CSR throughout."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +23,7 @@ from .walker import FusedOperator, WalkConfig, fuse, fused_operator, recommend_a
 ABLATION_KINDS = ("pRW-IT", "pRW-UT", "pRW-UI", "pRW")
 ALGORITHM_KINDS = ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS
 
-# users whose walk scores are computed and ranked at once
+# users whose scores are computed and ranked at once
 BLOCK_USERS = 128
 
 
@@ -66,8 +68,11 @@ def walk_params(values: dict[str, float]) -> dict:
     return {"walk": WalkConfig(**walk), "similarity": SimilarityConfig(**similarity)}
 
 
-def random_recommender(ds: TaggingDataset, seed: int, top_n: int) -> dict[int, list[int]]:
-    """Uniform sample without replacement from each user's unsaved items.
+def random_recommender(
+    ds: TaggingDataset, seed: int, top_n: int, stop: int | None = None
+) -> dict[int, list[int]]:
+    """Uniform sample without replacement from each user's unsaved items,
+    for users 0..stop-1 (default: every user).
 
     Each user draws positions among their unsaved items in ascending item
     order, which is what drawing from those items themselves draws; a
@@ -75,7 +80,7 @@ def random_recommender(ds: TaggingDataset, seed: int, top_n: int) -> dict[int, l
     rng = np.random.default_rng(seed)
     ui = ds.UI.sorted_indices()
     recs = {}
-    for u in range(ui.shape[0]):
+    for u in range(ui.shape[0] if stop is None else stop):
         saved = ui.indices[ui.indptr[u]:ui.indptr[u + 1]]
         unsaved = ui.shape[1] - len(saved)
         k = min(top_n, unsaved)
@@ -94,7 +99,7 @@ def _cosine(profile: sp.csr_matrix) -> sp.csr_matrix:
     the CSR matrix of one sparse product, so the cost follows
     co-occurrences; zero rows give zero similarity. The diagonal (a row's
     similarity to itself) is still stored: :func:`_truncate_neighbors`
-    drops it."""
+    drops or zeroes it."""
     norms = np.sqrt(np.asarray(profile.multiply(profile).sum(axis=1)).ravel())
     safe = np.where(norms > 0, norms, 1.0)
     data = profile.data / np.repeat(safe, np.diff(profile.indptr))
@@ -102,19 +107,18 @@ def _cosine(profile: sp.csr_matrix) -> sp.csr_matrix:
     return unit @ unit.T
 
 
-def _truncate_neighbors(
-    sim: sp.csr_matrix, k_neighbors: int | None
-) -> sp.csr_matrix | np.ndarray:
-    """Each row's neighborhood in a pairwise similarity, never the row
-    itself. With ``k_neighbors``, the row's k largest stored similarities
-    (ties by lower index) as CSR with ascending column indices, so a
+def _truncate_neighbors(sim: sp.csr_matrix, k_neighbors: int | None) -> sp.csr_matrix:
+    """Each row's neighborhood in a pairwise similarity, as CSR, never the
+    row itself. With ``k_neighbors``, the row's k largest stored
+    similarities (ties by lower index) with ascending column indices, so a
     product with it sums neighbors in index order as a dense one does.
-    None keeps all neighbors, densified: an untruncated similarity is too
-    dense for a sparse product to pay off."""
+    None keeps every neighbor: it zeroes ``sim``'s diagonal in place and
+    returns ``sim``, its sparsity structure unchanged."""
     if k_neighbors is None:
-        dense = sim.toarray()
-        np.fill_diagonal(dense, 0.0)
-        return dense
+        # only stored entries are written, so none is inserted
+        stored = np.flatnonzero(sim.diagonal())
+        sim[stored, stored] = 0.0
+        return sim
     sim = sim.sorted_indices()
     rows = np.repeat(np.arange(sim.shape[0]), np.diff(sim.indptr))
     off_diagonal = np.flatnonzero(sim.indices != rows)
@@ -139,12 +143,34 @@ def _profile(
     return sp.hstack([interactions, sp.csr_matrix(profile_ext)], format="csr")
 
 
-def _dense_scores(scores: sp.csr_matrix | np.ndarray) -> np.ndarray:
-    """A CF score product as a C-ordered array, whose rows are read whole
-    downstream. The product is sparse when the neighborhoods were
-    truncated; a dense similarity leading a sparse matrix comes out
-    transposed (scipy computes ``(B.T @ A.T).T``)."""
-    return scores.toarray() if sp.issparse(scores) else np.ascontiguousarray(scores)
+# rows lo:hi of a users x items score matrix
+BlockScorer = Callable[[int, int], np.ndarray]
+
+
+def _cf_scorer(
+    train_ui: sp.csr_matrix,
+    user_based: bool,
+    k_neighbors: int | None = None,
+    profile_ext: sp.csr_matrix | np.ndarray | None = None,
+) -> BlockScorer:
+    """Rows of user-based (sim @ UI) or item-based (UI @ sim) CF scores,
+    with the cosine similarity of user or item profiles kept as CSR. Every
+    score sums the same terms in the same order as the product with the
+    similarity densified, so the rows are bitwise those of that product."""
+    profile = train_ui if user_based else train_ui.T.tocsr()
+    sim = _truncate_neighbors(_cosine(_profile(profile, profile_ext)), k_neighbors)
+    if k_neighbors is not None:
+        # with k neighbors a row the product stays small: form it once
+        product = sim @ train_ui if user_based else train_ui @ sim
+        return lambda lo, hi: product[lo:hi].toarray()
+    # an untruncated similarity is too dense to multiply whole. A dense
+    # block leading sparse UI sums over neighbors in index order; scipy
+    # computes it as (UI^T @ block^T)^T, so a Fortran-ordered block is read
+    # without a copy and the result is Fortran-ordered, as the item side's
+    # is made, so Fusion adds the two in one memory order
+    if user_based:
+        return lambda lo, hi: sim[lo:hi].toarray(order="F") @ train_ui
+    return lambda lo, hi: (train_ui[lo:hi] @ sim).toarray(order="F")
 
 
 def user_cf_scores(
@@ -155,8 +181,7 @@ def user_cf_scores(
     """score(u, j) = sum over neighbors v of sim(u, v) * train[v, j], with
     cosine similarity over user rows (optionally extended with extra profile
     columns that do not contribute to the scored items)."""
-    sim = _truncate_neighbors(_cosine(_profile(train_ui, profile_ext)), k_neighbors)
-    return _dense_scores(sim @ train_ui)
+    return _cf_scorer(train_ui, True, k_neighbors, profile_ext)(0, train_ui.shape[0])
 
 
 def item_cf_scores(
@@ -166,19 +191,23 @@ def item_cf_scores(
 ) -> np.ndarray:
     """score(u, j) = sum over u's training items i of sim(i, j), with cosine
     similarity over item columns (optionally extended)."""
-    sim = _truncate_neighbors(_cosine(_profile(train_ui.T.tocsr(), profile_ext)), k_neighbors)
-    return _dense_scores(train_ui @ sim)
+    return _cf_scorer(train_ui, False, k_neighbors, profile_ext)(0, train_ui.shape[0])
+
+
+def _fusion_scorer(ds: TaggingDataset, fuse_weight: float) -> BlockScorer:
+    """Rows of the Fusion CF scores (see :func:`fusion_cf_scores`)."""
+    if not 0.0 <= fuse_weight <= 1.0:
+        raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
+    user = _cf_scorer(ds.UI, True, profile_ext=ds.UT)
+    item = _cf_scorer(ds.UI, False, profile_ext=ds.IT)
+    return lambda lo, hi: fuse(user(lo, hi), item(lo, hi), fuse_weight)
 
 
 def fusion_cf_scores(ds: TaggingDataset, fuse_weight: float) -> np.ndarray:
     """Convex combination of user-based CF with tag-extended user profiles
     and item-based CF with tag-extended item profiles. Tags act only as
     profile features; scores cover real items only."""
-    if not 0.0 <= fuse_weight <= 1.0:
-        raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
-    user_scores = user_cf_scores(ds.UI, profile_ext=ds.UT)
-    item_scores = item_cf_scores(ds.UI, profile_ext=ds.IT)
-    return fuse(user_scores, item_scores, fuse_weight)
+    return _fusion_scorer(ds, fuse_weight)(0, ds.num_users)
 
 
 def _walk_operator(
@@ -213,32 +242,43 @@ def ablation_scores(
     pRW-IT: tag-only item similarity, item walk alone. pRW-UT: tag-only user
     similarity, user walk alone. pRW-UI: interaction-only similarities, both
     walks fused. pRW: the full configured pipeline. Each walk is solved
-    exactly; these are the scores :func:`run_algorithm` ranks, for every
-    user at once.
+    exactly; these are the scores :func:`run_algorithm` ranks a block of
+    users at a time.
     """
     return _walk_operator(kind, ds, walk, similarity).scores(0, ds.num_users)
 
 
+def _block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:
+    """The row-block scorer of a non-Random algorithm trained on ``ds``."""
+    params = spec.params
+    if spec.kind in ABLATION_KINDS:
+        return _walk_operator(spec.kind, ds, params.get("walk"), params.get("similarity")).scores
+    if spec.kind == "Fusion":
+        return _fusion_scorer(ds, params.get("fuse_weight", 0.5))
+    return _cf_scorer(ds.UI, spec.kind == "UserCF", params.get("k_neighbors"))
+
+
 def run_algorithm(
-    spec: AlgorithmSpec, ds: TaggingDataset, top_n: int, seed: int
+    spec: AlgorithmSpec, ds: TaggingDataset, top_n: int, seed: int, user: int | None = None
 ) -> dict[int, list[int]]:
     """Top-N lists of one algorithm trained on ``ds``, never naming an item
-    the user saved in ``ds``. Random draws with ``seed``."""
-    params = spec.params
+    the user saved in ``ds``. Random draws with ``seed``. Every other
+    algorithm is scored and ranked ``BLOCK_USERS`` users at a time, so no
+    users x items score matrix is built.
+
+    With ``user``, the lists cover only that user's block (Random, whose
+    draws are sequential, draws for users 0..user)."""
     if spec.kind == "Random":
-        return random_recommender(ds, seed, top_n)
-    if spec.kind in ABLATION_KINDS:
-        operator = _walk_operator(spec.kind, ds, params.get("walk"), params.get("similarity"))
-        recs = {}
-        for lo in range(0, ds.num_users, BLOCK_USERS):
-            hi = min(lo + BLOCK_USERS, ds.num_users)
-            block = recommend_all(operator.scores(lo, hi), ds.UI[lo:hi], top_n)
-            recs.update((lo + u, items) for u, items in block.items())
-        return recs
-    if spec.kind == "UserCF":
-        scores = user_cf_scores(ds.UI, params.get("k_neighbors"))
-    elif spec.kind == "ItemCF":
-        scores = item_cf_scores(ds.UI, params.get("k_neighbors"))
-    else:
-        scores = fusion_cf_scores(ds, params.get("fuse_weight", 0.5))
-    return recommend_all(scores, ds.UI, top_n)
+        return random_recommender(ds, seed, top_n, None if user is None else user + 1)
+    scores = _block_scorer(spec, ds)
+    starts = range(0, ds.num_users, BLOCK_USERS)
+    if user is not None:
+        starts = [user - user % BLOCK_USERS]
+    # every block is ranked in one buffer
+    work = np.empty(2 * BLOCK_USERS * ds.num_items)
+    recs = {}
+    for lo in starts:
+        hi = min(lo + BLOCK_USERS, ds.num_users)
+        block = recommend_all(scores(lo, hi), ds.UI[lo:hi], top_n, work)
+        recs.update((lo + u, items) for u, items in block.items())
+    return recs

@@ -190,16 +190,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_recommend(args: argparse.Namespace) -> int:
     spec = _algorithm_spec(args.algorithm, args)
     ds = _load_dataset(args.dataset)
+    user = None
     if args.user is not None:
         try:
-            users = [ds.user_index(args.user)]
+            user = ds.user_index(args.user)
         except KeyError:
             print(f"error: unknown user id {args.user!r}", file=sys.stderr)
             return 1
-    else:
-        users = list(range(ds.num_users))
-    # every save is training data, so no saved item is ever recommended
-    recs = run_algorithm(spec, ds, args.top_n, args.seed)
+    # every save is training data, so no saved item is ever recommended;
+    # with --user only that user's block is scored
+    recs = run_algorithm(spec, ds, args.top_n, args.seed, user)
+    users = range(ds.num_users) if user is None else [user]
     payload = {ds.users[u]: [ds.items[j] for j in recs[u]] for u in users}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

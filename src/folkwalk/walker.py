@@ -20,8 +20,9 @@ F's rows come from R @ G^T. A walk whose similarity is its tag chain alone
 tags x tags inverse. :class:`FusedOperator` evaluates F a block of users at
 a time, so no users x items score matrix is needed to rank. Score
 matrices are dense ndarrays. :func:`fuse` blends Fusion CF's user and item
-scores, and :func:`recommend_all` ranks every non-random algorithm's
-scores.
+scores, and :func:`recommend_all` ranks the scores of every non-random
+algorithm, one block of users at a time, each block in the same work
+buffer.
 """
 
 from __future__ import annotations
@@ -316,47 +317,75 @@ def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:
     return first
 
 
-def smallest_k_mask(keys: np.ndarray, k: int) -> np.ndarray:
+def _work_view(work: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    """A C-ordered float64 array of ``shape`` on the front of the 1-d
+    buffer ``work``, or a new array without one."""
+    if work is None:
+        return np.empty(shape)
+    size = shape[0] * shape[1]
+    if work.dtype != np.float64 or work.ndim != 1 or not work.flags.c_contiguous or work.size < size:
+        raise ValueError(f"work must be a contiguous 1-d float64 buffer of at least {size} entries")
+    return work[:size].reshape(shape)
+
+
+def smallest_k_mask(keys: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
     """Boolean mask of each row's k smallest keys, ties broken by lower
     column index: every key below the row's k-th smallest, then the
-    lowest-indexed keys equal to it. Selects by partition, not a sort."""
+    lowest-indexed keys equal to it. Selects by partition, not a sort; the
+    partitioned copy of ``keys`` is made in ``work`` when given."""
     m, n = keys.shape
     if k >= n:
         return np.ones((m, n), dtype=bool)
     if k < 1:
         return np.zeros((m, n), dtype=bool)
-    # fancy indexing copies the k-th column, so the partitioned copy is freed
-    kth = np.partition(keys, k - 1, axis=1)[:, [k - 1]]
+    part = _work_view(work, keys.shape)
+    np.copyto(part, keys)
+    part.partition(k - 1, axis=1)
+    # fancy indexing copies the k-th column out of the partitioned buffer
+    kth = part[:, [k - 1]]
     mask = keys <= kth
     # where ties at the k-th key overflow a row, keep its lowest-indexed ones
     excess = np.count_nonzero(mask, axis=1) - k
     over = np.flatnonzero(excess > 0)
     if len(over):
-        tied = (keys == kth)[over]
-        keep = np.count_nonzero(tied, axis=1) - excess[over]
-        mask[over] &= ~tied | (np.cumsum(tied, axis=1, dtype=np.int32) <= keep[:, None])
+        # the overflowing rows' tied keys, row by row in column order: each
+        # row keeps its first ones and drops its last `excess`
+        tied = np.flatnonzero((keys == kth)[over])
+        runs = np.bincount(tied // n, minlength=len(over)) - excess[over]
+        runs = np.column_stack([runs, excess[over]]).ravel()
+        dropped = tied[np.repeat(np.tile([False, True], len(over)), runs)]
+        mask[over[dropped // n], dropped % n] = False
     return mask
 
 
 def recommend_all(
-    scores: np.ndarray, train_ui: sp.csr_matrix, top_n: int
+    scores: np.ndarray, train_ui: sp.csr_matrix, top_n: int, work: np.ndarray | None = None
 ) -> dict[int, list[int]]:
     """Top-N items per user by descending score, excluding the user's
     training items; ties broken by ascending item index. A user with fewer
-    than ``top_n`` candidates gets all of them."""
+    than ``top_n`` candidates gets all of them.
+
+    ``work``, a 1-d float64 buffer of at least twice the scores' size, holds
+    the ranking's two users x items temporaries. A caller that ranks blocks
+    of users in turn passes each the same buffer, so the blocks reuse
+    memory instead of each faulting in fresh pages."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != train_ui.shape:
         raise ShapeError(f"scores {scores.shape} do not match training matrix {train_ui.shape}")
+    m, n = scores.shape
+    if work is None:
+        work = np.empty(2 * m * n)
     rows, cols = train_ui.nonzero()
     # scores are finite, so +inf sorts every training item behind all candidates
-    key = np.negative(scores, order="C")
+    key = _work_view(work, (m, n))
+    np.negative(scores, out=key)
     key[rows, cols] = np.inf
-    m, n = key.shape
     # the selected columns come out ascending per row, so a stable sort of
     # their keys keeps the lower index first among ties
-    picked = np.nonzero(smallest_k_mask(key, top_n))[1].reshape(m, min(top_n, n))
+    mask = smallest_k_mask(key, top_n, work[m * n:])
+    picked = (np.flatnonzero(mask) % n).reshape(m, min(top_n, n))
     order = np.argsort(np.take_along_axis(key, picked, axis=1), axis=1, kind="stable")
     top = np.take_along_axis(picked, order, axis=1)
     counts = np.minimum(top_n, n - np.diff(train_ui.indptr))

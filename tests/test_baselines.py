@@ -110,6 +110,12 @@ class TestRandomRecommender:
             for top_n in (1, 4, 20):
                 assert random_recommender(train, seed, top_n) == per_user_random(train, seed, top_n)
 
+    def test_stop_draws_the_first_users_lists(self):
+        ds = edge_user_dataset(np.random.default_rng(8))
+        everyone = random_recommender(ds, 3, 4)
+        for stop in (0, 1, 7, ds.num_users):
+            assert random_recommender(ds, 3, 4, stop) == {u: everyone[u] for u in range(stop)}
+
     def test_top1_frequency_is_uniform(self):
         # one user, 1 train item, 10 candidates: each should lead ~10% of trials
         ds = dense_ds(np.ones((1, 11)))
@@ -178,7 +184,7 @@ class TestCosine:
             profile_ext = ext if form == "ndarray" else scipy.sparse.csr_matrix(ext)
         sim = _cosine(_profile(scipy.sparse.csr_matrix(profile), profile_ext))
         want = cosine_oracle(np.hstack([profile, ext]))
-        assert np.abs(_truncate_neighbors(sim, None) - want).max() < 1e-12
+        assert np.abs(_truncate_neighbors(sim, None).toarray() - want).max() < 1e-12
         # k >= rows keeps every neighbor, sparse
         assert np.abs(_truncate_neighbors(sim, rows).toarray() - want).max() < 1e-12
 
@@ -332,6 +338,81 @@ def test_cf_scores_bitwise_equal_dense_truncation():
         for k in (1, 5, 20, None):
             assert np.array_equal(user_cf_scores(train, k), dense_truncation_scores(train, "user", k))
             assert np.array_equal(item_cf_scores(train, k), dense_truncation_scores(train, "item", k))
+
+
+def full_cf_scores(train_ui, user_based, k_neighbors=None, profile_ext=None):
+    """UserCF/ItemCF scores by the full-matrix formulas: the cosine, for
+    k = None densified with its diagonal zeroed, times the interactions as
+    one product over every user."""
+    profile = train_ui if user_based else train_ui.T.tocsr()
+    sim = _cosine(_profile(profile, profile_ext))
+    if k_neighbors is None:
+        sim = sim.toarray()
+        np.fill_diagonal(sim, 0.0)
+    else:
+        sim = _truncate_neighbors(sim, k_neighbors)
+    scores = sim @ train_ui if user_based else train_ui @ sim
+    return scores.toarray() if scipy.sparse.issparse(scores) else scores
+
+
+def ranked_blocks(monkeypatch):
+    """Record the score block of every ``recommend_all`` call that
+    ``run_algorithm`` makes, and rank it as before."""
+    blocks = []
+
+    def recording_recommend_all(scores, train_ui, top_n, work=None):
+        blocks.append(np.array(scores))
+        return recommend_all(scores, train_ui, top_n, work)
+
+    monkeypatch.setattr("folkwalk.baselines.recommend_all", recording_recommend_all)
+    return blocks
+
+
+def cf_fixtures():
+    planted = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    return [make_split(planted, 0.2, seed).train for seed in range(3)] + [
+        edge_user_dataset(np.random.default_rng(8))
+    ]
+
+
+def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
+    # 7-user blocks score every entry from the same terms in the same order
+    # as the full-matrix product, so not even the last bit moves
+    monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
+    blocks = ranked_blocks(monkeypatch)
+
+    def blocked(kind, ds, **params):
+        blocks.clear()
+        run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
+        assert len(blocks) == -(-ds.num_users // 7)
+        return np.vstack(blocks)
+
+    for ds in cf_fixtures():
+        for k in (1, 5, 20, None):
+            assert np.array_equal(
+                blocked("UserCF", ds, k_neighbors=k), full_cf_scores(ds.UI, True, k)
+            )
+            assert np.array_equal(
+                blocked("ItemCF", ds, k_neighbors=k), full_cf_scores(ds.UI, False, k)
+            )
+        user = full_cf_scores(ds.UI, True, profile_ext=ds.UT)
+        item = full_cf_scores(ds.UI, False, profile_ext=ds.IT)
+        for weight in (0.0, 0.3, 1.0):
+            want = fuse(user.copy(), item.copy(), weight)
+            assert np.array_equal(blocked("Fusion", ds, fuse_weight=weight), want)
+            assert np.array_equal(fusion_cf_scores(ds, weight), want)
+
+
+@pytest.mark.parametrize("kind", ("UserCF", "ItemCF", "Fusion") + ABLATION_KINDS)
+def test_no_users_by_items_matrix_is_ranked(monkeypatch, kind):
+    monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
+    blocks = ranked_blocks(monkeypatch)
+    ds = make_split(random_dataset(np.random.default_rng(2), 30, 20, n_tags=5)).train
+    for params in ({}, {"k_neighbors": 3}) if kind.endswith("CF") else ({},):
+        blocks.clear()
+        run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
+        assert max(len(b) for b in blocks) <= 7
+        assert sum(len(b) for b in blocks) == ds.num_users
 
 
 def iterated_scores(ds, walk, sim):
@@ -618,7 +699,12 @@ class TestInvariants:
         got = _truncate_neighbors(stored, k)
         assert_neighborhoods(got, k)
         np.testing.assert_array_equal(got.toarray(), expected)
-        np.testing.assert_array_equal(_truncate_neighbors(stored, None), off_diagonal)
+        # without k every neighbor stays: the diagonal is zeroed in place,
+        # in the stored pattern
+        indices = stored.indices.copy()
+        assert _truncate_neighbors(stored, None) is stored
+        np.testing.assert_array_equal(stored.indices, indices)
+        np.testing.assert_array_equal(stored.toarray(), off_diagonal)
 
     @pytest.mark.parametrize(
         "k,expected",

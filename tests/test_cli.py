@@ -7,6 +7,7 @@ import pytest
 from folkwalk.baselines import ALGORITHM_KINDS
 from folkwalk.cli import main
 from folkwalk.dataset import dataset_from_json, dataset_to_json
+from folkwalk.walker import recommend_all
 
 from gen import random_dataset, random_posts
 
@@ -125,6 +126,40 @@ class TestRecommend:
         doc = json.loads(capsys.readouterr().out)
         assert list(doc) == ["u1"]
         assert len(doc["u1"]) == 3
+
+
+    @pytest.mark.parametrize("fixture", ["tiny", "acceptance 9"])
+    @pytest.mark.parametrize("kind", ALGORITHM_KINDS)
+    def test_one_user_gets_their_entry_of_the_all_users_output(
+        self, kind, fixture, tmp_path, capsys, monkeypatch
+    ):
+        # 4-user blocks: tiny.tsv's 12 users make 3, acceptance 9's 15 users 4
+        monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 4)
+        ranked = []
+
+        def recording_recommend_all(scores, train_ui, top_n, work=None):
+            ranked.append(len(scores))
+            return recommend_all(scores, train_ui, top_n, work)
+
+        monkeypatch.setattr("folkwalk.baselines.recommend_all", recording_recommend_all)
+        path = tmp_path / "ds.json"
+        if fixture == "tiny":
+            assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", str(path)]) == 0
+        else:
+            ds = random_dataset(np.random.default_rng(909), n_users=15, n_items=20, n_tags=6)
+            path.write_text(dataset_to_json(ds))
+        users = dataset_from_json(path.read_text()).users
+        argv = ["recommend", "--dataset", str(path), "--algorithm", kind, "--format", "json"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        everyone = json.loads(capsys.readouterr().out)
+        # a user in the first, a middle and the last block
+        for u in (1, len(users) // 2, len(users) - 1):
+            ranked.clear()
+            assert main(argv + ["--user", users[u]]) == 0
+            assert json.loads(capsys.readouterr().out) == {users[u]: everyone[users[u]]}
+            if kind != "Random":
+                assert ranked == [min(4, len(users) - (u - u % 4))]
 
 
 class TestEvaluate:

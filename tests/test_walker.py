@@ -215,6 +215,24 @@ class TestRecommend:
         with pytest.raises(ShapeError):
             recommend_all(np.zeros((2, 3)), csr_matrix((2, 2)), 1)
 
+    def test_work_buffer(self):
+        rng = np.random.default_rng(34)
+        scores = rng.random((6, 9))
+        scores[2] = 0.5
+        held = rng.random((6, 9)) < 0.3
+        train = csr_matrix(held.astype(float))
+        want = sort_oracle(scores, held, 4)
+        given_scores = scores.copy()
+        work = np.full(2 * scores.size + 3, np.nan)
+        assert recommend_all(scores, train, 4, work) == want
+        # a block ranked next in the same buffer sees none of the first's keys
+        assert recommend_all(scores[3:], train[3:], 4, work) == {u - 3: want[u] for u in range(3, 6)}
+        assert np.array_equal(scores, given_scores)
+        for bad in (np.empty(2 * scores.size - 1), np.empty((2, scores.size)),
+                    np.empty(2 * scores.size, dtype=np.float32), np.empty(4 * scores.size)[::2]):
+            with pytest.raises(ValueError, match="work"):
+                recommend_all(scores, train, 4, bad)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_sort_oracle_property(self, data):
