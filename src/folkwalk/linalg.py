@@ -3,22 +3,25 @@
 Sparse matrices are plain scipy CSR (float64) throughout; products,
 transposes and blends are scipy's own operators. This module holds what
 scipy does not: the entry check where a matrix enters the program
-(:func:`csr_from_coo`), row normalization, and the one dense kernel: the
-in-place LU inverse that turns each walk system, the pRW operator's and
-the reference closed forms' alike, into its inverse in the system's own
-buffer. No function writes to its arguments except ``invert_in_place``,
-which exists to.
+(:func:`csr_from_coo`), row normalization, and two dense kernels that
+invert a matrix in its own buffer. :func:`invert_spd_in_place` is the
+Cholesky inverse of a symmetric positive definite matrix, optionally read
+as a diagonal similarity of an unsymmetric one: it builds each base of the
+pRW operator. :func:`invert_in_place` is the LU inverse of any square
+matrix: it serves the operator's small Woodbury systems and the reference
+closed forms. No function writes to its arguments except these two, which
+exist to.
 """
 
 from __future__ import annotations
-
-import ctypes
-from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 
 PIVOT_EPS = 1e-12
+_SINGULAR = f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
+# columns per step of the SPD inverse's triangle mirroring
+_MIRROR_BLOCK = 256
 
 
 class ShapeError(ValueError):
@@ -77,24 +80,14 @@ def row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
     return sp.diags(scale) @ m
 
 
-@cache
-def _dgetri():
-    """LAPACK's ``dgetri`` as a ctypes function over scipy's Cython LAPACK
-    export. scipy's Python wrapper of ``getri`` holds the GIL for the whole
-    inversion; a ctypes call releases it, so inversions on two threads
-    overlap."""
-    from scipy.linalg import cython_lapack
-
-    capsule = cython_lapack.__pyx_capi__["dgetri"]
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi)
-    )(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi)
-    )(capsule, name)
-    # dgetri(n, a, lda, ipiv, work, lwork, info), every argument by pointer
-    int_p, double_p = ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
-    return ctypes.CFUNCTYPE(None, int_p, double_p, int_p, int_p, double_p, int_p, int_p)(address)
+def _check_square_buffer(a: np.ndarray) -> None:
+    """Raise unless ``a`` is a square, Fortran-ordered, finite float64 array."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"matrix to invert must be square, got {a.shape}")
+    if a.dtype != np.float64 or not a.flags.f_contiguous:
+        raise ValueError("matrix to invert must be a Fortran-ordered float64 array")
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def invert_in_place(a: np.ndarray) -> np.ndarray:
@@ -105,40 +98,73 @@ def invert_in_place(a: np.ndarray) -> np.ndarray:
     A pivot with absolute value below ``PIVOT_EPS`` raises
     :class:`SingularMatrixError`, leaving part of the LU factorization in
     ``a``; a non-finite entry raises ``ValueError``. Each call has its own
-    pivot and work arrays and both LAPACK calls release the GIL, so
-    inversions of distinct matrices on several threads run at once.
+    pivot and work arrays, so inversions of distinct matrices on several
+    threads are safe.
     """
     import scipy.linalg
 
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"matrix to invert must be square, got {a.shape}")
-    if a.dtype != np.float64 or not a.flags.f_contiguous:
-        raise ValueError("matrix to invert must be a Fortran-ordered float64 array")
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    k = a.shape[0]
-    if not k:
+    _check_square_buffer(a)
+    if not a.shape[0]:
         return a
-    getrf, getri_lwork = scipy.linalg.get_lapack_funcs(("getrf", "getri_lwork"), (a,))
+    getrf, getri, getri_lwork = scipy.linalg.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork"), (a,)
+    )
     lu, piv, info = getrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     # info > 0 marks an exactly zero pivot, which the threshold also catches
     if np.abs(np.diag(lu)).min() < PIVOT_EPS:
-        raise SingularMatrixError(
-            f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
-        )
-    # scipy returns pivot rows counted from 0; LAPACK counts them from 1
-    ipiv = np.add(piv, 1, dtype=np.intc)
-    lwork = max(int(getri_lwork(k)[0]), 1)
-    work = np.empty(lwork)
-    n, lw, status = ctypes.c_int(k), ctypes.c_int(lwork), ctypes.c_int(0)
-    double_p, int_p = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int)
-    _dgetri()(
-        ctypes.byref(n), lu.ctypes.data_as(double_p), ctypes.byref(n),
-        ipiv.ctypes.data_as(int_p), work.ctypes.data_as(double_p), ctypes.byref(lw),
-        ctypes.byref(status),
-    )
-    if status.value != 0:
-        raise ValueError(f"getri failed with status {status.value}")
-    return lu
+        raise SingularMatrixError(_SINGULAR)
+    lwork = max(int(getri_lwork(a.shape[0])[0]), 1)
+    inv, info = getri(lu, piv, lwork=lwork, overwrite_lu=True)
+    if info != 0:
+        raise ValueError(f"getri failed with status {info}")
+    return inv
+
+
+def invert_spd_in_place(a: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
+    """The inverse of diag(scale)^-1 @ A @ diag(scale), for a symmetric
+    positive definite, float64, Fortran-ordered ``a``, computed in ``a``'s own
+    buffer and returned: diag(scale)^-1 @ A^-1 @ diag(scale), with no scaling
+    when ``scale`` is None. Only ``a``'s upper triangle enters the inverse.
+
+    ``potrf`` factors A = U^T U and ``potri`` writes A^-1's upper triangle
+    over it, k^3 flops against ``getrf``+``getri``'s 2k^3; the lower
+    triangle is then mirrored and the scaling applied, in place. A Cholesky
+    pivot below ``PIVOT_EPS`` (a matrix that is not positive definite has a
+    non-positive one) raises :class:`SingularMatrixError`; a non-finite
+    entry raises ``ValueError``.
+    """
+    import scipy.linalg
+
+    _check_square_buffer(a)
+    k = a.shape[0]
+    if scale is not None:
+        scale = np.asarray(scale, dtype=np.float64)
+        if scale.shape != (k,) or not (np.isfinite(scale).all() and (scale > 0).all()):
+            raise ValueError(f"scale must hold {k} positive finite entries")
+    if not k:
+        return a
+    potrf, potri = scipy.linalg.get_lapack_funcs(("potrf", "potri"), (a,))
+    u, info = potrf(a, lower=False, clean=False, overwrite_a=True)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    # info > 0 marks a non-positive pivot; U's diagonal holds the pivots'
+    # square roots
+    if info > 0 or np.diag(u).min() ** 2 < PIVOT_EPS:
+        raise SingularMatrixError(_SINGULAR)
+    inv, info = potri(u, lower=False, overwrite_c=True)
+    if info != 0:
+        raise ValueError(f"potri failed with status {info}")
+    # mirror the upper triangle a block of columns at a time, so no k x k
+    # index or copy array is made
+    for lo in range(0, k, _MIRROR_BLOCK):
+        hi = min(lo + _MIRROR_BLOCK, k)
+        diag = inv[lo:hi, lo:hi]
+        lower = np.tril_indices(hi - lo, -1)
+        diag[lower] = diag.T[lower]
+        inv[hi:, lo:hi] = inv[lo:hi, hi:].T
+    if scale is not None:
+        inv /= scale[:, None]
+        inv *= scale
+    return inv

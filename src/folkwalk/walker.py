@@ -12,11 +12,16 @@ The pipeline never forms either similarity. Both walks restart from R and
 both similarities hold the interaction chain R @ C (C = rownorm(UI^T)) or
 its mirror C @ R, so the fused score matrix is exactly
 F = s * R + G @ R + P @ Q, where G is one dense k x k matrix with
-k = min(users, items) and P @ Q carries the tag chains (rank at most twice
-the number of tags), folded in by the Woodbury identity. When there are
-fewer items than users, the same builder runs on transposed inputs and
-F's rows come from R @ G^T. A walk whose similarity is its tag chain alone
-(pRW-IT, pRW-UT, alpha or beta = 1) needs no k x k system, only a
+k = min(users, items) and P @ Q has rank at most twice the number of tags.
+When there are fewer items than users, the same builder runs on transposed
+inputs and F's rows come from R @ G^T. Each walk's system is I - c * RC
+minus its tag chain's term, of rank at most tags, with c = d * (1 - w) the
+interaction chain's weight. RC is similar to a symmetric matrix, so
+X_c = (I - c * RC)^{-1} is one Cholesky inverse
+(:func:`linalg.invert_spd_in_place`), and Woodbury's identity adds the tag
+term to it. Walks with equal c, as at the paper's defaults, share one X_c,
+and G is built in its buffer. A walk whose similarity is its tag chain
+alone (pRW-IT, pRW-UT, alpha or beta = 1) needs no k x k system, only a
 tags x tags inverse. :class:`FusedOperator` evaluates F a block of users at
 a time, so no users x items score matrix is needed to rank. Score
 matrices are dense ndarrays. :func:`fuse` blends Fusion CF's user and item
@@ -27,14 +32,12 @@ buffer.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, invert_in_place, row_normalize
+from .linalg import ShapeError, invert_in_place, invert_spd_in_place, row_normalize
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,16 @@ class _Side:
     weight: float
     coef: float
 
+    @property
+    def tag(self) -> float:
+        """The tag chain's weight in the walk's system, d * w."""
+        return self.damping * self.weight
+
+    @property
+    def interaction(self) -> float:
+        """The interaction chain's weight in the walk's system, d * (1 - w)."""
+        return self.damping * (1.0 - self.weight)
+
 
 def fused_operator(
     ui: sp.csr_matrix,
@@ -202,102 +215,185 @@ def fused_operator(
     user_tags = row_normalize(ut), row_normalize(ut.T.tocsr())
     item = _Side(walk.eta, alpha, walk.mu * (1.0 - walk.eta))
     user = _Side(walk.lambda_, beta, (1.0 - walk.mu) * (1.0 - walk.lambda_))
-    if ui.shape[0] <= ui.shape[1]:
-        system, scale, p, q = _operator(r, c, item_tags, user_tags, item, user)
+    item_space = ui.shape[0] > ui.shape[1]
+    chain = None
+    if any(side.coef and side.interaction for side in (item, user)):
+        chain = _interaction_chain(ui, item_space)
+    if not item_space:
+        system, scale, p, q = _operator(r, c, chain, item_tags, user_tags, item, user)
         return FusedOperator(r, system, False, scale, p, q)
     # F^T = c_u * R^T (I - lambda S_user^T)^-1 + c_i (I - eta S_item^T)^-1 R^T is
     # the same operator on the transposed factors, with the two walks swapped
     transposed = [(b.T, a.T) for a, b in (user_tags, item_tags)]
-    system, scale, p, q = _operator(r.T, c.T, *transposed, user, item)
+    system, scale, p, q = _operator(r.T, c.T, chain, *transposed, user, item)
     return FusedOperator(r, system, True, scale, q.T, p.T)
 
 
-def _operator(r, c, pushed_tags, direct_tags, pushed: _Side, direct: _Side):
+def _interaction_chain(ui: sp.csr_matrix, item_space: bool) -> tuple[sp.csr_matrix, np.ndarray]:
+    """(S, g) with S symmetric and the walk space's interaction chain equal
+    to diag(g)^-1 @ S @ diag(g): RC in user space, (CR)^T in item space.
+
+    With D_u and D_i the row and column sums of UI (1 for an entity with no
+    saves) and Z = D_u^-1/2 UI D_i^-1/2, RC = D_u^-1 UI D_i^-1 UI^T is
+    D_u^-1/2 (Z Z^T) D_u^1/2, and (CR)^T = UI^T D_u^-1 UI D_i^-1 is
+    D_i^1/2 (Z^T Z) D_i^-1/2. S's eigenvalues lie in [0, 1], so I - c * S
+    is positive definite for every c < 1 (Zhou et al., NIPS 2003)."""
+    degrees = [np.asarray(ui.sum(axis=axis)).ravel() for axis in (1, 0)]
+    for d in degrees:
+        d[d == 0] = 1.0
+    root_u, root_i = (np.sqrt(d) for d in degrees)
+    z = sp.diags(1.0 / root_u) @ ui @ sp.diags(1.0 / root_i)
+    if item_space:
+        return (z.T @ z).tocsr(), 1.0 / root_i
+    return (z @ z.T).tocsr(), root_u
+
+
+@dataclass(frozen=True)
+class _Fold:
+    """A side with an interaction chain: its system is X^-1 - weight * U V,
+    where X is the base (I - c * RC)^-1 of the side's interaction weight c,
+    and ``u`` (k x r) and ``v`` (r x k), dense or sparse, are None when it
+    has no tag chain. ``q`` is the side's factor in F's low-rank term, if it
+    has one, with coefficient ``q_coef``."""
+
+    coef: float
+    u: np.ndarray | sp.spmatrix | None = None
+    v: np.ndarray | sp.spmatrix | None = None
+    weight: float = 0.0
+    q: np.ndarray | None = None
+    q_coef: float = 0.0
+
+
+def _operator(r, c, chain, pushed_tags, direct_tags, pushed: _Side, direct: _Side):
     """(G, s, P, Q) with s * R + G @ R + P @ Q equal to
 
         pushed.coef * R (I - d1 * (w1 * A1 B1 + (1 - w1) * C R))^-1
       + direct.coef * (I - d2 * (w2 * A2 B2 + (1 - w2) * R C))^-1 R,
 
-    where R is k x n' with k <= n', (A1, B1) = ``pushed_tags`` and
-    (A2, B2) = ``direct_tags``. G is k x k, or None when neither side needs
-    a system. The two sides run on two threads."""
-    needs_rc = any(side.coef and side.damping * (1.0 - side.weight) for side in (pushed, direct))
-    rc = (r @ c).tocoo() if needs_rc else None
-    jobs = []
+    where R is k x n' with k <= n', (A1, B1) = ``pushed_tags``,
+    (A2, B2) = ``direct_tags`` and ``chain`` is :func:`_interaction_chain`'s
+    (S, g) for RC. G is k x k, or None when neither side needs a system.
+
+    A side with interaction weight c = d * (1 - w) > 0 has the system
+    I - c * RC - t * U V, with a tag term of rank at most tags. Sides that
+    share c share one base X_c = (I - c * RC)^-1, a Cholesky inverse, and
+    Woodbury's identity adds each side's tag term to it: G is
+    (coef1 + coef2) * X_c plus the sides' rank-r updates, built in X_c's
+    buffer (Tong, Faloutsos and Pan, ICDM 2006)."""
+    k, n = r.shape
+    ps, qs = [np.zeros((k, 0))], [np.zeros((0, n))]
+    folds: dict[float, list[_Fold]] = {}
     if pushed.coef:
-        jobs.append(partial(_pushed_side, r, c, rc, *pushed_tags, pushed))
+        _pushed_side(r, c, *pushed_tags, pushed, folds, ps, qs)
     if direct.coef:
-        jobs.append(partial(_direct_side, r, rc, *direct_tags, direct))
-    if len(jobs) == 2:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            parts = [future.result() for future in futures]
-    else:
-        parts = [job() for job in jobs]
-    systems = [g for g, _, _, _ in parts if g is not None]
-    if len(systems) == 2:
-        systems[0] += systems.pop()
-    return (
-        systems[0] if systems else None,
-        sum(s for _, s, _, _ in parts),
-        np.hstack([p for _, _, p, _ in parts]),
-        np.vstack([q for _, _, _, q in parts]),
-    )
+        _direct_side(r, *direct_tags, direct, folds, ps, qs)
+    # a side with no interaction chain contributes coef * R
+    scale = sum(side.coef for side in (pushed, direct) if not side.interaction)
+    system = None
+    for interaction, sides in folds.items():
+        part = _fold_in(_base(chain, interaction), sides, ps, qs)
+        if system is None:
+            system = part
+        else:
+            system += part
+    return system, scale, np.hstack(ps), np.vstack(qs)
 
 
-def _pushed_side(r, c, rc, a, b, side: _Side):
-    """The side c * R (I - d * (w * A B + (1 - w) * C R))^-1, pushed through
-    into R's row space: c * N^-1 R + c*d*w * N^-1 W B, where
-    K = (I - d*w * B A)^-1, W = R A K and
-    N = I - d*(1 - w) * (R C + d*w * W B C). With w = 1 (or no damping) N
-    is the identity and no k x k system is built."""
-    tag, interaction = side.damping * side.weight, side.damping * (1.0 - side.weight)
-    w_mat, q = np.zeros((r.shape[0], 0)), np.zeros((0, r.shape[1]))
-    if tag:
-        w_mat = (r @ a).toarray() @ _damped_inverse(b @ a, tag)
-        q = b.toarray()
-    if not interaction:
-        return None, side.coef, side.coef * tag * w_mat, q
-    system = _system(rc, interaction, w_mat, (b @ c).toarray() if tag else None, interaction * tag)
-    invert_in_place(system)
-    p = (side.coef * tag) * (system @ w_mat)
-    system *= side.coef
-    return system, 0.0, p, q
-
-
-def _direct_side(r, rc, a, b, side: _Side):
-    """The side c * (I - d * (w * A B + (1 - w) * R C))^-1 R. With w = 1 (or
-    no damping) the inverse is Woodbury's, and no k x k system is built:
-    (I - d*w * A B)^-1 R = R + d*w * A (I - d*w * B A)^-1 (B R)."""
-    tag, interaction = side.damping * side.weight, side.damping * (1.0 - side.weight)
-    p, q = np.zeros((r.shape[0], 0)), np.zeros((0, r.shape[1]))
+def _pushed_side(r, c, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
+    """The side coef * R (I - d (w A B + (1 - w) C R))^-1, pushed through
+    into R's row space: coef * N^-1 R + coef*d*w * N^-1 W B, where
+    K = (I - d*w B A)^-1, W = R A K and
+    N = I - d*(1 - w) * RC - d*(1 - w) * d*w * W (B C). With an interaction
+    chain it joins ``folds``; without one N is the identity, and its
+    low-rank term joins ``ps`` and ``qs``."""
+    tag, interaction = side.tag, side.interaction
+    w_mat = (r @ a).toarray() @ _damped_inverse(b @ a, tag) if tag else None
     if interaction:
-        left, right = (a.toarray(), b.toarray()) if tag else (None, None)
-        system = _system(rc, interaction, left, right, tag)
-        invert_in_place(system)
-        system *= side.coef
-        return system, 0.0, p, q
-    if tag:
-        p = (side.coef * tag) * a.toarray()
-        q = _damped_inverse(b @ a, tag) @ (b @ r).toarray()
-    return None, side.coef, p, q
+        fold = _Fold(side.coef)
+        if tag:
+            fold = _Fold(side.coef, w_mat, b @ c, interaction * tag, b.toarray(), side.coef * tag)
+        folds.setdefault(interaction, []).append(fold)
+    elif tag:
+        ps.append((side.coef * tag) * w_mat)
+        qs.append(b.toarray())
 
 
-def _system(rc, rc_weight: float, left, right, weight: float) -> np.ndarray:
-    """I - rc_weight * RC - weight * left @ right, k x k, built in one
-    Fortran-ordered buffer: one dense product for the low-rank chain, then
-    RC's sparse entries added in place."""
-    k = rc.shape[0]
-    if weight:
-        system = np.empty((k, k), order="F")
-        # system^T is C-ordered, so the transposed product fills it in place
-        np.matmul(right.T, left.T, out=system.T)
-        system *= -weight
-    else:
-        system = np.zeros((k, k), order="F")
-    system[rc.row, rc.col] -= rc_weight * rc.data
-    system[np.diag_indices(k)] += 1.0
-    return system
+def _direct_side(r, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
+    """The side coef * N^-1 R with N = I - d*(1 - w) * RC - d*w * A B. With
+    an interaction chain it joins ``folds``; without one the inverse is
+    Woodbury's alone, (I - d*w A B)^-1 R = R + d*w * A (I - d*w B A)^-1 (B R),
+    and its low-rank term joins ``ps`` and ``qs``."""
+    tag, interaction = side.tag, side.interaction
+    if interaction:
+        fold = _Fold(side.coef, a, b, tag) if tag else _Fold(side.coef)
+        folds.setdefault(interaction, []).append(fold)
+    elif tag:
+        ps.append((side.coef * tag) * a.toarray())
+        qs.append(_damped_inverse(b @ a, tag) @ (b @ r).toarray())
+
+
+def _fold_in(base: np.ndarray, sides: list[_Fold], ps: list, qs: list) -> np.ndarray:
+    """The sum of coef * (X^-1 - weight * U V)^-1 over ``sides``, which share
+    the base X, written into X's buffer and returned. Each side's factors
+    X U K and V X are taken before X is scaled, then the rank-r updates
+    join it in one product; ``sides`` is emptied as they are used, so each
+    side's inputs are freed in turn. A pushed side's low-rank term of F is
+    appended to ``ps`` and ``qs``."""
+    from scipy.linalg.blas import dgemm
+
+    k = base.shape[0]
+    coef = sum(fold.coef for fold in sides)
+    rank = sum(fold.v.shape[0] for fold in sides if fold.u is not None)
+    lefts, rights = np.empty((k, rank), order="F"), np.empty((rank, k))
+    lo = 0
+    while sides:
+        fold = sides.pop(0)
+        if fold.u is None:
+            continue
+        hi = lo + fold.v.shape[0]
+        left = lefts[:, lo:hi]
+        _woodbury(base, fold.u, fold.v, fold.weight, left, rights[lo:hi])
+        if fold.q is not None:
+            # N^-1 U = X U K, so the pushed side's N^-1 W B is left @ q
+            ps.append(fold.q_coef * left)
+            qs.append(fold.q)
+        left *= fold.coef * fold.weight
+        lo = hi
+    base *= coef
+    if not rank:
+        return base
+    # base += lefts @ rights, in base's own buffer: both factors are handed
+    # to BLAS as Fortran-ordered arrays, so neither is copied
+    return dgemm(1.0, lefts, rights.T, beta=1.0, c=base, trans_b=True, overwrite_c=True)
+
+
+def _base(chain, interaction: float) -> np.ndarray:
+    """X_c = (I - c * RC)^-1 = diag(g)^-1 (I - c * S)^-1 diag(g) for the
+    chain (S, g), in one Fortran-ordered k x k buffer."""
+    s, g = chain
+    # S is symmetric, so its C-ordered dense form written into the
+    # transposed view fills the Fortran-ordered buffer with S^T = S
+    system = np.empty(s.shape, order="F")
+    s.toarray(out=system.T)
+    system *= -interaction
+    system[np.diag_indices_from(system)] += 1.0
+    return invert_spd_in_place(system, g)
+
+
+def _woodbury(x: np.ndarray, u, v, weight: float, left: np.ndarray, right: np.ndarray) -> None:
+    """Write X U K into ``left`` (k x r) and V X into ``right`` (r x k),
+    with K = (I - weight * V X U)^-1: the factors of Woodbury's
+    (X^-1 - weight * U V)^-1 = X + weight * (X U K) @ (V X). X U K is also
+    (X^-1 - weight * U V)^-1 U."""
+    # a sparse U multiplies X^T, X's buffer read as a C-ordered array, so
+    # X is not copied; V is made dense, since a sparse V would copy X
+    xu = (u.T @ x.T).T if sp.issparse(u) else x @ u
+    v = v.toarray() if sp.issparse(v) else v
+    np.matmul(v, x, out=right)
+    inner = v @ xu
+    inner *= -weight
+    inner[np.diag_indices_from(inner)] += 1.0
+    np.matmul(xu, invert_in_place(np.asfortranarray(inner)), out=left)
 
 
 def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:

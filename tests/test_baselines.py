@@ -22,7 +22,7 @@ from folkwalk.baselines import (
     user_cf_scores,
 )
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
-from folkwalk.linalg import SingularMatrixError, invert_in_place, row_normalize
+from folkwalk.linalg import SingularMatrixError, invert_in_place, invert_spd_in_place, row_normalize
 from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
 from folkwalk.walker import (
     WalkConfig,
@@ -441,6 +441,34 @@ def closed_form_scores(kind, ds, walk, sim):
     return fuse(item, user, mu)
 
 
+def record_inversions(monkeypatch, build):
+    """Run ``build`` and return the shapes of the matrices the walk build
+    inverted: (Cholesky bases, LU inverses)."""
+    bases, lu = [], []
+
+    def recording(log, invert):
+        def wrapped(a, *args):
+            log.append(a.shape)
+            return invert(a, *args)
+
+        return wrapped
+
+    monkeypatch.setattr("folkwalk.walker.invert_spd_in_place", recording(bases, invert_spd_in_place))
+    monkeypatch.setattr("folkwalk.walker.invert_in_place", recording(lu, invert_in_place))
+    build()
+    monkeypatch.undo()
+    return bases, lu
+
+
+def without_saves(ds, user, item):
+    """``ds`` with the saves of one user and of one item removed."""
+    keep_users, keep_items = np.ones(ds.num_users), np.ones(ds.num_items)
+    keep_users[user] = keep_items[item] = 0.0
+    ui = (scipy.sparse.diags(keep_users) @ ds.UI @ scipy.sparse.diags(keep_items)).tocsr()
+    ui.eliminate_zeros()
+    return replace(ds, UI=ui)
+
+
 def assert_same_top_n(got, want, train, top_n=5, atol=1e-9):
     """Equal top-N lists, except that items whose reference scores agree
     within the score tolerance ``atol`` may trade places: the tie rule then
@@ -536,26 +564,22 @@ class TestAblation:
         assert warnings.filters == filters
 
     def test_worker_error_propagates_and_threads_end(self, monkeypatch):
+        # the build runs on the calling thread: a failed base inversion
+        # reaches the caller, and no thread is left behind
         ds = random_dataset(np.random.default_rng(11), n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
         calls = []
-        lock = threading.Lock()
 
-        def first_call_fails(a):
-            with lock:
-                calls.append(a.shape)
-                fails = len(calls) == 1
-            if fails:
-                raise SingularMatrixError("injected")
-            return invert_in_place(a)
+        def fails(a, scale):
+            calls.append(threading.current_thread())
+            raise SingularMatrixError("injected")
 
-        monkeypatch.setattr("folkwalk.walker.invert_in_place", first_call_fails)
+        monkeypatch.setattr("folkwalk.walker.invert_spd_in_place", fails)
         threads = threading.active_count()
         filters = list(warnings.filters)
         with pytest.raises(SingularMatrixError, match="injected"):
             ablation_scores("pRW", sp.train)
-        # the walk that did not fail went on to invert its own system
-        assert (ds.num_users, ds.num_users) in calls[1:]
+        assert calls == [threading.main_thread()]
         assert threading.active_count() == threads
         assert warnings.filters == filters
 
@@ -587,19 +611,14 @@ class TestFusedOperator:
         ds = make_split(random_dataset(np.random.default_rng(sum(shape)), *shape, n_tags=4)).train
         assert ds.UI.shape == shape
         k = min(shape)
-        inverted = []
-
-        def recording_inverse(a):
-            inverted.append(a.shape)
-            return invert_in_place(a)
-
-        monkeypatch.setattr("folkwalk.walker.invert_in_place", recording_inverse)
         sim = SimilarityConfig(alpha=alpha, beta=beta)
+        # eta and lambda differ, so each walk with an interaction chain has
+        # its own Cholesky base
+        bases, lu = record_inversions(monkeypatch, lambda: ablation_scores(kind, ds, self.WALK, sim))
+        assert bases == [(k, k)] * systems
+        # the LU inverses are the r x r ones of Woodbury's identity, r <= tags
+        assert all(inner[0] <= ds.num_tags for inner in lu)
         got = ablation_scores(kind, ds, self.WALK, sim)
-        # the other inverses are the tags x tags ones of Woodbury's identity;
-        # counted before the closed forms run, since they invert too
-        assert inverted.count((k, k)) == systems
-        assert set(inverted) <= {(k, k), (ds.num_tags, ds.num_tags)}
         want = closed_form_scores(kind, ds, self.WALK, sim)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         operator = _walk_operator(kind, ds, self.WALK, sim)
@@ -607,6 +626,49 @@ class TestFusedOperator:
         assert (operator.system is None) == (systems == 0)
         if systems:
             assert operator.system.shape == (k, k)
+
+    @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
+    @pytest.mark.parametrize("empty", [False, True], ids=["saves", "empty_user_and_item"])
+    @pytest.mark.parametrize(
+        "walk,alpha,beta,bases",
+        [
+            # eta (1 - alpha) = lambda (1 - beta): the walks share one base,
+            # whether their tag chains have equal weights or not
+            (WalkConfig(mu=0.4), 0.5, 0.5, 1),
+            (WalkConfig(eta=0.8, lambda_=0.5, mu=0.3), 0.5, 0.2, 1),
+            (WalkConfig(mu=0.4), 0.0, 0.0, 1),
+            # unequal interaction weights: one base per walk
+            (WalkConfig(eta=0.85, lambda_=0.6, mu=0.4), 0.3, 0.7, 2),
+            # w = 0: a walk with no tag chain is its base alone
+            (WalkConfig(eta=0.85, lambda_=0.6, mu=0.4), 0.0, 0.7, 2),
+            (WalkConfig(eta=0.85, lambda_=0.6, mu=0.4), 0.3, 0.0, 2),
+            # w = 1: a walk with no interaction chain needs no base
+            (WalkConfig(mu=0.4), 1.0, 0.5, 1),
+            (WalkConfig(mu=0.4), 0.5, 1.0, 1),
+            (WalkConfig(mu=0.4), 1.0, 1.0, 0),
+        ],
+    )
+    def test_cholesky_bases_match_closed_forms(self, monkeypatch, shape, empty, walk, alpha, beta, bases):
+        ds = make_split(random_dataset(np.random.default_rng(sum(shape)), *shape, n_tags=4)).train
+        if empty:
+            ds = without_saves(ds, user=1, item=2)
+            assert ds.UI[1].nnz == 0 and ds.UI[:, 2].nnz == 0
+        sim = SimilarityConfig(alpha=alpha, beta=beta)
+        built, lu = record_inversions(monkeypatch, lambda: ablation_scores("pRW", ds, walk, sim))
+        assert built == [(min(shape),) * 2] * bases
+        assert all(inner[0] <= ds.num_tags for inner in lu)
+        got = ablation_scores("pRW", ds, walk, sim)
+        want = closed_form_scores("pRW", ds, walk, sim)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
+    @pytest.mark.parametrize("kind", ["pRW", "pRW-UI"])
+    def test_default_build_runs_one_cholesky_base_and_no_k_by_k_lu(self, monkeypatch, shape, kind):
+        ds = make_split(random_dataset(np.random.default_rng(3), *shape, n_tags=4)).train
+        k = min(shape)
+        bases, lu = record_inversions(monkeypatch, lambda: _walk_operator(kind, ds, None, None))
+        assert bases == [(k, k)]
+        assert (k, k) not in lu and all(inner[0] <= ds.num_tags for inner in lu)
 
     @pytest.mark.parametrize("shape", [(30, 20), (16, 25)])
     def test_blocked_ranking_equals_ranking_all_scores(self, monkeypatch, shape):

@@ -13,6 +13,7 @@ from folkwalk.linalg import (
     SingularMatrixError,
     csr_from_coo,
     invert_in_place,
+    invert_spd_in_place,
     row_normalize,
 )
 
@@ -242,8 +243,8 @@ class TestInvertInPlace:
             invert_in_place(a)
 
     def test_concurrent_inversions_match_sequential(self):
-        # getri runs without the GIL, so inversions on many threads overlap;
-        # each needs its own pivot and work arrays
+        # nothing in the pipeline inverts on threads, but the kernel stays
+        # safe there: each call has its own pivot and work arrays
         rng = np.random.default_rng(13)
         mats = [rng.random((60, 60)) + 60 * np.eye(60) for _ in range(6)]
         expected = [invert_in_place(np.asfortranarray(m)) for m in mats]
@@ -265,3 +266,79 @@ class TestInvertInPlace:
         for i, inv in enumerate(results):
             if i % 3 != 2:
                 np.testing.assert_allclose(inv, expected[i % 6], rtol=0, atol=1e-12)
+
+
+def spd(rng, k):
+    """A random k x k symmetric positive definite matrix, Fortran-ordered."""
+    b = rng.random((k, k))
+    return np.asfortranarray(b @ b.T / k + np.eye(k))
+
+
+class TestInvertSpdInPlace:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_numpy_inverse_of_similar_matrix_in_own_buffer(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 40))
+        a = spd(rng, k)
+        scale = rng.uniform(0.2, 5.0, k)
+        # diag(scale)^-1 A diag(scale) is not symmetric
+        similar = a / scale[:, None] * scale
+        expected = np.linalg.inv(similar)
+        inv = invert_spd_in_place(a, scale)
+        assert np.shares_memory(inv, a)
+        assert np.abs(inv - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_unscaled_inverse_is_symmetric(self):
+        a = spd(np.random.default_rng(5), 300)
+        expected = np.linalg.inv(a)
+        inv = invert_spd_in_place(a)
+        # the lower triangle is mirrored from potri's upper one, across
+        # several column blocks at k = 300
+        np.testing.assert_array_equal(inv, inv.T)
+        assert np.abs(inv - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_reads_only_the_upper_triangle(self):
+        a = spd(np.random.default_rng(6), 7)
+        expected = np.linalg.inv(a)
+        a[np.tril_indices(7, -1)] = 99.0
+        np.testing.assert_allclose(invert_spd_in_place(a), expected, rtol=0, atol=1e-12)
+
+    def test_one_by_one_and_empty(self):
+        a = np.full((1, 1), 4.0, order="F")
+        np.testing.assert_array_equal(invert_spd_in_place(a, np.array([3.0])), [[0.25]])
+        empty = np.zeros((0, 0), order="F")
+        assert invert_spd_in_place(empty, np.zeros(0)).shape == (0, 0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+            [[-1.0, 0.0], [0.0, 1.0]],
+            [[1.0, 1.0], [1.0, 1.0 + PIVOT_EPS / 10]],  # second pivot below PIVOT_EPS
+        ],
+    )
+    def test_not_positive_definite_raises(self, a):
+        with pytest.raises(SingularMatrixError):
+            invert_spd_in_place(np.asfortranarray(a))
+
+    def test_non_finite_raises(self):
+        for bad in (np.inf, np.nan):
+            a = np.eye(3, order="F")
+            a[0, 2] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                invert_spd_in_place(a)
+
+    @pytest.mark.parametrize(
+        "a,scale,error",
+        [
+            (np.ones((2, 3), order="F"), None, ShapeError),
+            (np.eye(3), None, ValueError),  # C-ordered
+            (np.eye(3, dtype=np.float32, order="F"), None, ValueError),
+            (np.eye(3, order="F"), np.ones(2), ValueError),
+            (np.eye(3, order="F"), np.array([1.0, 0.0, 1.0]), ValueError),
+            (np.eye(3, order="F"), np.array([1.0, np.inf, 1.0]), ValueError),
+        ],
+    )
+    def test_rejects_other_buffers(self, a, scale, error):
+        with pytest.raises(error):
+            invert_spd_in_place(a, scale)
