@@ -5,12 +5,11 @@ transposes and blends are scipy's own operators. This module holds what
 scipy does not: the entry check where a matrix enters the program
 (:func:`csr_from_coo`), row normalization, and two dense kernels that
 invert a matrix in its own buffer. :func:`invert_spd_in_place` is the
-Cholesky inverse of a symmetric positive definite matrix, optionally read
-as a diagonal similarity of an unsymmetric one: it builds each base of the
-pRW operator. :func:`invert_in_place` is the LU inverse of any square
-matrix: it serves the operator's small Woodbury systems and the reference
-closed forms. No function writes to its arguments except these two, which
-exist to.
+Cholesky inverse of a symmetric positive definite matrix: it builds each
+base of the pRW operator. :func:`invert_in_place` is the LU inverse of
+any square matrix: it serves the operator's small Woodbury systems and
+the reference closed forms. No function writes to its arguments except
+these two, which exist to.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ class NegativeEntryError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """LU factorization hit a pivot below the singularity threshold."""
+    """A factorization (LU or Cholesky) hit a pivot below ``PIVOT_EPS``."""
 
 
 def csr_from_coo(rows: int, cols: int, i, j, values) -> sp.csr_matrix:
@@ -122,16 +121,15 @@ def invert_in_place(a: np.ndarray) -> np.ndarray:
     return inv
 
 
-def invert_spd_in_place(a: np.ndarray, scale: np.ndarray | None = None) -> np.ndarray:
-    """The inverse of diag(scale)^-1 @ A @ diag(scale), for a symmetric
-    positive definite, float64, Fortran-ordered ``a``, computed in ``a``'s own
-    buffer and returned: diag(scale)^-1 @ A^-1 @ diag(scale), with no scaling
-    when ``scale`` is None. Only ``a``'s upper triangle enters the inverse.
+def invert_spd_in_place(a: np.ndarray) -> np.ndarray:
+    """A^-1 for a symmetric positive definite, float64, Fortran-ordered
+    ``a``, computed in ``a``'s own buffer and returned. Only ``a``'s upper
+    triangle enters the inverse.
 
     ``potrf`` factors A = U^T U and ``potri`` writes A^-1's upper triangle
     over it, k^3 flops against ``getrf``+``getri``'s 2k^3; the lower
-    triangle is then mirrored and the scaling applied, in place. A Cholesky
-    pivot below ``PIVOT_EPS`` (a matrix that is not positive definite has a
+    triangle is then mirrored in place. A Cholesky pivot below
+    ``PIVOT_EPS`` (a matrix that is not positive definite has a
     non-positive one) raises :class:`SingularMatrixError`; a non-finite
     entry raises ``ValueError``.
     """
@@ -139,10 +137,6 @@ def invert_spd_in_place(a: np.ndarray, scale: np.ndarray | None = None) -> np.nd
 
     _check_square_buffer(a)
     k = a.shape[0]
-    if scale is not None:
-        scale = np.asarray(scale, dtype=np.float64)
-        if scale.shape != (k,) or not (np.isfinite(scale).all() and (scale > 0).all()):
-            raise ValueError(f"scale must hold {k} positive finite entries")
     if not k:
         return a
     potrf, potri = scipy.linalg.get_lapack_funcs(("potrf", "potri"), (a,))
@@ -164,7 +158,4 @@ def invert_spd_in_place(a: np.ndarray, scale: np.ndarray | None = None) -> np.nd
         lower = np.tril_indices(hi - lo, -1)
         diag[lower] = diag.T[lower]
         inv[hi:, lo:hi] = inv[lo:hi, hi:].T
-    if scale is not None:
-        inv /= scale[:, None]
-        inv *= scale
     return inv

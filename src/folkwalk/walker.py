@@ -216,36 +216,51 @@ def fused_operator(
     item = _Side(walk.eta, alpha, walk.mu * (1.0 - walk.eta))
     user = _Side(walk.lambda_, beta, (1.0 - walk.mu) * (1.0 - walk.lambda_))
     item_space = ui.shape[0] > ui.shape[1]
-    chain = None
-    if any(side.coef and side.interaction for side in (item, user)):
-        chain = _interaction_chain(ui, item_space)
+    interactions = {side.interaction for side in (item, user) if side.coef and side.interaction}
+    systems, g = _interaction_systems(ui, item_space, interactions)
     if not item_space:
-        system, scale, p, q = _operator(r, c, chain, item_tags, user_tags, item, user)
+        system, scale, p, q = _operator(r, c, systems, g, item_tags, user_tags, item, user)
         return FusedOperator(r, system, False, scale, p, q)
     # F^T = c_u * R^T (I - lambda S_user^T)^-1 + c_i (I - eta S_item^T)^-1 R^T is
     # the same operator on the transposed factors, with the two walks swapped
     transposed = [(b.T, a.T) for a, b in (user_tags, item_tags)]
-    system, scale, p, q = _operator(r.T, c.T, chain, *transposed, user, item)
+    system, scale, p, q = _operator(r.T, c.T, systems, g, *transposed, user, item)
     return FusedOperator(r, system, True, scale, q.T, p.T)
 
 
-def _interaction_chain(ui: sp.csr_matrix, item_space: bool) -> tuple[sp.csr_matrix, np.ndarray]:
-    """(S, g) with S symmetric and the walk space's interaction chain equal
-    to diag(g)^-1 @ S @ diag(g): RC in user space, (CR)^T in item space.
+def _interaction_systems(
+    ui: sp.csr_matrix, item_space: bool, interactions: set[float]
+) -> tuple[dict[float, np.ndarray], np.ndarray | None]:
+    """({c: I - c * S for each c in ``interactions``}, g), each system in
+    its own Fortran-ordered k x k buffer, with S symmetric and the walk
+    space's interaction chain equal to diag(g)^-1 @ S @ diag(g): RC in user
+    space, (CR)^T in item space. The sparse S is dropped on return, so it
+    is not held while the systems are inverted; g is None when
+    ``interactions`` is empty.
 
     With D_u and D_i the row and column sums of UI (1 for an entity with no
     saves) and Z = D_u^-1/2 UI D_i^-1/2, RC = D_u^-1 UI D_i^-1 UI^T is
     D_u^-1/2 (Z Z^T) D_u^1/2, and (CR)^T = UI^T D_u^-1 UI D_i^-1 is
     D_i^1/2 (Z^T Z) D_i^-1/2. S's eigenvalues lie in [0, 1], so I - c * S
     is positive definite for every c < 1 (Zhou et al., NIPS 2003)."""
+    if not interactions:
+        return {}, None
     degrees = [np.asarray(ui.sum(axis=axis)).ravel() for axis in (1, 0)]
     for d in degrees:
         d[d == 0] = 1.0
     root_u, root_i = (np.sqrt(d) for d in degrees)
     z = sp.diags(1.0 / root_u) @ ui @ sp.diags(1.0 / root_i)
-    if item_space:
-        return (z.T @ z).tocsr(), 1.0 / root_i
-    return (z @ z.T).tocsr(), root_u
+    s, g = ((z.T @ z).tocsr(), 1.0 / root_i) if item_space else ((z @ z.T).tocsr(), root_u)
+    systems = {}
+    for interaction in interactions:
+        # S is symmetric, so its C-ordered dense form written into the
+        # transposed view fills the Fortran-ordered buffer with S^T = S
+        system = np.empty(s.shape, order="F")
+        s.toarray(out=system.T)
+        system *= -interaction
+        system[np.diag_indices_from(system)] += 1.0
+        systems[interaction] = system
+    return systems, g
 
 
 @dataclass(frozen=True)
@@ -264,15 +279,17 @@ class _Fold:
     q_coef: float = 0.0
 
 
-def _operator(r, c, chain, pushed_tags, direct_tags, pushed: _Side, direct: _Side):
+def _operator(r, c, systems, g, pushed_tags, direct_tags, pushed: _Side, direct: _Side):
     """(G, s, P, Q) with s * R + G @ R + P @ Q equal to
 
         pushed.coef * R (I - d1 * (w1 * A1 B1 + (1 - w1) * C R))^-1
       + direct.coef * (I - d2 * (w2 * A2 B2 + (1 - w2) * R C))^-1 R,
 
     where R is k x n' with k <= n', (A1, B1) = ``pushed_tags``,
-    (A2, B2) = ``direct_tags`` and ``chain`` is :func:`_interaction_chain`'s
-    (S, g) for RC. G is k x k, or None when neither side needs a system.
+    (A2, B2) = ``direct_tags``, and ``systems`` and ``g`` are
+    :func:`_interaction_systems`' for RC; each system is taken out of
+    ``systems`` and inverted in its buffer. G is k x k, or None when
+    neither side needs a system.
 
     A side with interaction weight c = d * (1 - w) > 0 has the system
     I - c * RC - t * U V, with a tag term of rank at most tags. Sides that
@@ -291,7 +308,7 @@ def _operator(r, c, chain, pushed_tags, direct_tags, pushed: _Side, direct: _Sid
     scale = sum(side.coef for side in (pushed, direct) if not side.interaction)
     system = None
     for interaction, sides in folds.items():
-        part = _fold_in(_base(chain, interaction), sides, ps, qs)
+        part = _fold_in(_base(systems.pop(interaction), g), sides, ps, qs)
         if system is None:
             system = part
         else:
@@ -367,17 +384,13 @@ def _fold_in(base: np.ndarray, sides: list[_Fold], ps: list, qs: list) -> np.nda
     return dgemm(1.0, lefts, rights.T, beta=1.0, c=base, trans_b=True, overwrite_c=True)
 
 
-def _base(chain, interaction: float) -> np.ndarray:
-    """X_c = (I - c * RC)^-1 = diag(g)^-1 (I - c * S)^-1 diag(g) for the
-    chain (S, g), in one Fortran-ordered k x k buffer."""
-    s, g = chain
-    # S is symmetric, so its C-ordered dense form written into the
-    # transposed view fills the Fortran-ordered buffer with S^T = S
-    system = np.empty(s.shape, order="F")
-    s.toarray(out=system.T)
-    system *= -interaction
-    system[np.diag_indices_from(system)] += 1.0
-    return invert_spd_in_place(system, g)
+def _base(system: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """X_c = (I - c * RC)^-1 = diag(g)^-1 (I - c * S)^-1 diag(g), from the
+    system I - c * S, in its own buffer."""
+    inv = invert_spd_in_place(system)
+    inv /= g[:, None]
+    inv *= g
+    return inv
 
 
 def _woodbury(x: np.ndarray, u, v, weight: float, left: np.ndarray, right: np.ndarray) -> None:

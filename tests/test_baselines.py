@@ -1,3 +1,4 @@
+import gc
 import threading
 import warnings
 from dataclasses import replace
@@ -570,7 +571,7 @@ class TestAblation:
         sp = make_split(ds)
         calls = []
 
-        def fails(a, scale):
+        def fails(a):
             calls.append(threading.current_thread())
             raise SingularMatrixError("injected")
 
@@ -669,6 +670,28 @@ class TestFusedOperator:
         bases, lu = record_inversions(monkeypatch, lambda: _walk_operator(kind, ds, None, None))
         assert bases == [(k, k)]
         assert (k, k) not in lu and all(inner[0] <= ds.num_tags for inner in lu)
+
+    @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
+    @pytest.mark.parametrize("walk", [WalkConfig(), WALK], ids=["one_base", "two_bases"])
+    def test_sparse_chain_is_freed_before_any_inversion(self, monkeypatch, shape, walk):
+        ds = make_split(random_dataset(np.random.default_rng(3), *shape, n_tags=4)).train
+        k = min(shape)
+
+        def square_sparse():
+            gc.collect()
+            return sum(scipy.sparse.issparse(o) and o.shape == (k, k) for o in gc.get_objects())
+
+        before = square_sparse()
+        during = []
+
+        def counting(a):
+            during.append(square_sparse())
+            return invert_spd_in_place(a)
+
+        monkeypatch.setattr("folkwalk.walker.invert_spd_in_place", counting)
+        _walk_operator("pRW", ds, walk, None)
+        # S (k x k, symmetric) is dropped once every base's dense system is written
+        assert during == [before] * (1 if walk == WalkConfig() else 2)
 
     @pytest.mark.parametrize("shape", [(30, 20), (16, 25)])
     def test_blocked_ranking_equals_ranking_all_scores(self, monkeypatch, shape):

@@ -276,15 +276,12 @@ def spd(rng, k):
 
 class TestInvertSpdInPlace:
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_numpy_inverse_of_similar_matrix_in_own_buffer(self, seed):
+    def test_matches_numpy_inverse_in_own_buffer(self, seed):
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 40))
         a = spd(rng, k)
-        scale = rng.uniform(0.2, 5.0, k)
-        # diag(scale)^-1 A diag(scale) is not symmetric
-        similar = a / scale[:, None] * scale
-        expected = np.linalg.inv(similar)
-        inv = invert_spd_in_place(a, scale)
+        expected = np.linalg.inv(a)
+        inv = invert_spd_in_place(a)
         assert np.shares_memory(inv, a)
         assert np.abs(inv - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -305,9 +302,9 @@ class TestInvertSpdInPlace:
 
     def test_one_by_one_and_empty(self):
         a = np.full((1, 1), 4.0, order="F")
-        np.testing.assert_array_equal(invert_spd_in_place(a, np.array([3.0])), [[0.25]])
+        np.testing.assert_array_equal(invert_spd_in_place(a), [[0.25]])
         empty = np.zeros((0, 0), order="F")
-        assert invert_spd_in_place(empty, np.zeros(0)).shape == (0, 0)
+        assert invert_spd_in_place(empty).shape == (0, 0)
 
     @pytest.mark.parametrize(
         "a",
@@ -329,16 +326,13 @@ class TestInvertSpdInPlace:
                 invert_spd_in_place(a)
 
     @pytest.mark.parametrize(
-        "a,scale,error",
+        "a,error",
         [
-            (np.ones((2, 3), order="F"), None, ShapeError),
-            (np.eye(3), None, ValueError),  # C-ordered
-            (np.eye(3, dtype=np.float32, order="F"), None, ValueError),
-            (np.eye(3, order="F"), np.ones(2), ValueError),
-            (np.eye(3, order="F"), np.array([1.0, 0.0, 1.0]), ValueError),
-            (np.eye(3, order="F"), np.array([1.0, np.inf, 1.0]), ValueError),
+            (np.ones((2, 3), order="F"), ShapeError),
+            (np.eye(3), ValueError),  # C-ordered
+            (np.eye(3, dtype=np.float32, order="F"), ValueError),
         ],
     )
-    def test_rejects_other_buffers(self, a, scale, error):
+    def test_rejects_other_buffers(self, a, error):
         with pytest.raises(error):
-            invert_spd_in_place(a, scale)
+            invert_spd_in_place(a)

@@ -11,6 +11,7 @@ from folkwalk.linalg import (
 from folkwalk.similarity import item_similarity, user_similarity
 from folkwalk.walker import (
     WalkConfig,
+    _base,
     closed_form_item,
     closed_form_user,
     fuse,
@@ -177,6 +178,21 @@ class TestFuse:
             fuse(item, user, mu)
         np.testing.assert_array_equal(item, np.ones(item.shape))
         np.testing.assert_array_equal(user, np.ones((2, 3)))
+
+
+class TestBase:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inverts_the_similar_unsymmetric_matrix_in_own_buffer(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 40))
+        b = rng.random((k, k))
+        system = np.asfortranarray(b @ b.T / k + np.eye(k))
+        g = rng.uniform(0.2, 5.0, k)
+        # diag(g)^-1 @ system @ diag(g) is not symmetric
+        expected = np.linalg.inv(system / g[:, None] * g)
+        base = _base(system, g)
+        assert np.shares_memory(base, system)
+        assert np.abs(base - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def sort_oracle(scores, train, top_n):
