@@ -22,7 +22,7 @@ from .dataset import (
     InvalidDatasetError,
     ParseError,
     dataset_from_json,
-    dataset_to_json,
+    dataset_json_pieces,
     format_stats_table,
     ingest,
     parse_triples,
@@ -43,6 +43,17 @@ from .walker import WalkConfig
 
 class UsageError(Exception):
     pass
+
+
+class InputError(Exception):
+    """Input data that cannot be read (exit 1)."""
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    """The error for a file that is not UTF-8 text. The codec's position
+    counts from the start of a read buffer, not of the file, so it is left
+    out."""
+    return f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} ({exc.reason})"
 
 
 def _sha256(path: str) -> str:
@@ -69,15 +80,18 @@ def _write_manifest(path: str, args: argparse.Namespace, inputs: list[str]) -> N
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat key-value config: one ``key = value`` per line, # comments."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {line_no}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise UsageError(f"config line {line_no}: expected key = value")
+                key, value = line.split("=", 1)
+                values[key.strip().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise UsageError(_not_utf8(path, exc)) from None
     return values
 
 
@@ -164,8 +178,11 @@ def _load_dataset(path: str):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    with open(args.input, encoding="utf-8") as fh:
-        posts = parse_triples(fh.read())
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            posts = parse_triples(fh)
+    except UnicodeDecodeError as exc:
+        raise InputError(_not_utf8(args.input, exc)) from None
     ds = ingest(
         posts,
         min_items_per_user=args.min_items_per_user,
@@ -177,7 +194,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         print("error: dataset empty after filtering", file=sys.stderr)
         return 2
     with open(args.dataset, "w", encoding="utf-8") as fh:
-        fh.write(dataset_to_json(ds))
+        fh.writelines(dataset_json_pieces(ds))
     s = stats(ds)
     if args.format == "json":
         print(json.dumps(s.to_dict(), indent=2, sort_keys=True))
@@ -464,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, EmptyDatasetError, InvalidDatasetError, OSError) as exc:
+    except (ParseError, InputError, EmptyDatasetError, InvalidDatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,23 @@
 """Folksonomy ingestion: triple parsing, density filtering, tag selection,
-co-occurrence matrix construction, statistics, and train/test splitting."""
+co-occurrence matrix construction, statistics, and train/test splitting.
+
+:func:`parse_triples` accepts the triple text as a ``str`` or as an open
+text file, and reads either a piece of :data:`_PIECE_CHARS` characters at a
+time; :func:`dataset_json_pieces` gives a snapshot's text a piece at a time.
+Ingesting a file therefore never holds its whole text or the whole snapshot.
+"""
 
 from __future__ import annotations
 
+import array
+import io
 import json
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import islice, repeat
-from typing import NoReturn
+from itertools import filterfalse, islice, repeat
+from typing import NoReturn, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,18 +195,21 @@ def _factorize(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return ids, np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
 
 
-def _factorize_stripped(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """:func:`_factorize` of the values stripped of surrounding whitespace,
-    stripping each distinct value once."""
-    raw, raw_code = _factorize(values)
-    ids, code = _factorize([value.strip() for value in raw])
-    return ids, code[raw_code]
+def _encode(values: list[str], ids: dict[str, int], raw: dict[str, int]) -> Iterator[int]:
+    """Codes of ``values`` stripped of surrounding whitespace in the running
+    id table ``ids`` (id -> code, in order of first appearance), adding the
+    new ids. ``raw`` maps each raw value seen so far to its code, so each
+    distinct raw value is stripped once."""
+    for value in filterfalse(raw.__contains__, dict.fromkeys(values)):
+        raw[value] = ids.setdefault(value.strip(), len(ids))
+    return map(raw.__getitem__, values)
 
 
-def _raise_first_bad_line(lines: list[str]) -> NoReturn:
-    """Raise :class:`ParseError` naming the first malformed line; called
-    only after a whole-input check has found one."""
-    for line_no, line in enumerate(lines, start=1):
+def _raise_first_bad_line(lines: list[str], first_line_no: int) -> NoReturn:
+    """Raise :class:`ParseError` naming the first malformed line among
+    ``lines``, the first of which is line ``first_line_no``; called only
+    after a check of these lines has found one."""
+    for line_no, line in enumerate(lines, start=first_line_no):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -209,47 +220,87 @@ def _raise_first_bad_line(lines: list[str]) -> NoReturn:
     raise AssertionError("no malformed line found")
 
 
-def parse_triples(text: str) -> PostTable:
+# Characters of triple text that parse_triples reads at a time. Only the
+# current piece's lines are held, plus the line a piece boundary cuts.
+_PIECE_CHARS = 1 << 16
+
+
+def _line_blocks(source: TextIO) -> Iterator[list[str]]:
+    """The lines of ``source``, whose line ends are already ``\\n``, in
+    blocks of one piece each; a line cut by a piece boundary goes to the
+    next block, and the last block is the text after the last ``\\n``."""
+    rest = ""
+    while piece := source.read(_PIECE_CHARS):
+        lines = (rest + piece).split("\n")
+        rest = lines.pop()
+        yield lines
+    yield [rest]
+
+
+def _read_columns(source: TextIO) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray]:
+    """The user, item and tag id tables of the triples in ``source``, each
+    triple's (user, item) pair key ``user * len(items) + item``, and its tag
+    code; see :func:`parse_triples`."""
+    ids = ({}, {}, {})  # user, item and tag id tables
+    raw = ({}, {}, {})
+    codes = tuple(array.array("q") for _ in range(3))
+    line_no = 1  # of the block's first line
+    for lines in _line_blocks(source):
+        triples = [line for line in lines if line.strip()]
+        if set(map(str.count, triples, repeat("\t"))) - {2}:
+            _raise_first_bad_line(lines, line_no)
+        # one split of the block's triples: field k of triple r is fields[3 * r + k]
+        fields = "\t".join(triples).split("\t") if triples else []
+        for k in range(3):
+            codes[k].extend(_encode(fields[k::3], ids[k], raw[k]))
+        if "" in ids[0] or "" in ids[1]:
+            _raise_first_bad_line(lines, line_no)
+        line_no += len(lines)
+    user, item, tag = (np.frombuffer(c, dtype=np.int64) for c in codes)
+    pair_key = user * len(ids[1])
+    pair_key += item
+    return tuple(map(tuple, ids)), pair_key, tag
+
+
+def _post_numbers(pair_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair keys in order of first appearance, and each
+    triple's post: the position of its pair key among them. The sort's
+    temporaries are freed on return."""
+    keys, first, pair = np.unique(pair_key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    post = np.empty_like(order)
+    post[order] = np.arange(len(order))
+    return keys[order], post[pair.ravel()]
+
+
+def parse_triples(source: str | TextIO) -> PostTable:
     """Parse (user, item, tag) triples into posts, merging per (user, item).
 
     The tab format is one ``user\\titem\\ttag`` triple per line; the tag field
     may be empty (a tagless save). Duplicate triples accumulate tag frequency.
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only (as text read with
-    universal newlines has them); other line separators such as ``\\x85``
-    belong to a field. Posts are ordered by their pair's first triple.
+    Posts are ordered by their pair's first triple.
+
+    ``source`` is the text, or a text file opened with universal newlines
+    (``open``'s default). Either is read :data:`_PIECE_CHARS` characters at
+    a time, and only one piece's lines and fields are held. Lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r`` only; other line separators such as
+    ``\\x85`` belong to a field.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    triples = [line for line in lines if line.strip()]
-    if set(map(str.count, triples, repeat("\t"))) - {2}:
-        _raise_first_bad_line(lines)
-    # one split of all triples at once: field k of triple r is fields[3 * r + k]
-    fields = "\t".join(triples).split("\t") if triples else []
-    users, user = _factorize_stripped(fields[0::3])
-    items, item = _factorize_stripped(fields[1::3])
-    if "" in users or "" in items:
-        _raise_first_bad_line(lines)
-    tags, tag = _factorize_stripped(fields[2::3])
-    tagged = np.ones(len(tag), dtype=bool)
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    (users, items, tags), pair_key, tag = _read_columns(source)
+    post_key, post = _post_numbers(pair_key)
+    del pair_key  # freed before the tag assignments are built
     if "" in tags:  # tagless saves carry no tag assignment
         empty = tags.index("")
         tags = tags[:empty] + tags[empty + 1:]
         tagged = tag != empty
-        tag = tag - (tag > empty)
-    _, first, pair = np.unique(user * len(items) + item, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    post_of_pair = np.empty_like(order)
-    post_of_pair[order] = np.arange(len(order))
-    tag_post = post_of_pair[pair.ravel()][tagged]
-    by_post = np.argsort(tag_post, kind="stable")
-    return PostTable(
-        users=users,
-        items=items,
-        tags=tags,
-        user=user[first[order]],
-        item=item[first[order]],
-        tag_post=tag_post[by_post],
-        tag=tag[tagged][by_post],
-    )
+        post, tag = post[tagged], tag[tagged]
+        tag -= tag > empty
+    by_post = np.argsort(post, kind="stable")
+    post, tag = post[by_post], tag[by_post]
+    user, item = np.divmod(post_key, max(len(items), 1))  # no items: no keys
+    return PostTable(users, items, tags, user, item, tag_post=post, tag=tag)
 
 
 def density_filter(
@@ -408,29 +459,62 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     return Split(train=replace(ds, UI=train_ui), test_sets=test_sets)
 
 
-def _csr_arrays(m: sp.csr_matrix) -> dict[str, list]:
-    """``m``'s canonical CSR arrays as lists: column indices sorted within
-    each row and no stored zeros. Works on a copy, so ``m`` is left as it
-    is."""
+def _csr_arrays(m: sp.csr_matrix) -> dict[str, np.ndarray]:
+    """``m``'s canonical CSR arrays: column indices sorted within each row
+    and no stored zeros. Works on a copy, so ``m`` is left as it is."""
     m = m.sorted_indices()
     m.eliminate_zeros()
-    return {"indptr": m.indptr.tolist(), "indices": m.indices.tolist(), "data": m.data.tolist()}
+    return {"indptr": m.indptr, "indices": m.indices, "data": m.data}
+
+
+# Array elements that _json_pieces turns into text at a time.
+_JSON_ELEMENTS = 1 << 14
+
+
+def _json_pieces(value) -> Iterator[str]:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))`` in
+    pieces: a dict entry by entry, a sparse matrix as the object of its
+    :func:`_csr_arrays` (made when its turn comes), an array
+    :data:`_JSON_ELEMENTS` elements at a time, and any other value whole."""
+    if sp.issparse(value):
+        value = _csr_arrays(value)
+    if isinstance(value, dict):
+        yield "{"
+        for k, key in enumerate(sorted(value)):
+            yield ("," if k else "") + json.dumps(key) + ":"
+            yield from _json_pieces(value[key])
+        yield "}"
+    elif isinstance(value, np.ndarray):
+        yield "["
+        for start in range(0, len(value), _JSON_ELEMENTS):
+            text = json.dumps(value[start:start + _JSON_ELEMENTS].tolist(), separators=(",", ":"))
+            yield ("," if start else "") + text[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(value, separators=(",", ":"))
+
+
+def dataset_json_pieces(ds: TaggingDataset) -> Iterator[str]:
+    """:func:`dataset_to_json`'s text in pieces; writing them in turn holds
+    one matrix's canonical arrays and the text of one slice of them at a
+    time, never the whole snapshot."""
+    return _json_pieces({
+        "format_version": 2,
+        "users": ds.users,
+        "items": ds.items,
+        "tags": ds.tags,
+        "total_tag_count": ds.total_tag_count,
+        "UI": ds.UI,
+        "UT": ds.UT,
+        "IT": ds.IT,
+    })
 
 
 def dataset_to_json(ds: TaggingDataset) -> str:
     """Portable snapshot, format version 2: id tables plus the CSR arrays
-    (``indptr``, ``indices``, ``data``) of UI/UT/IT."""
-    payload = {
-        "format_version": 2,
-        "users": list(ds.users),
-        "items": list(ds.items),
-        "tags": list(ds.tags),
-        "total_tag_count": ds.total_tag_count,
-        "UI": _csr_arrays(ds.UI),
-        "UT": _csr_arrays(ds.UT),
-        "IT": _csr_arrays(ds.IT),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    (``indptr``, ``indices``, ``data``) of UI/UT/IT, as one JSON object with
+    sorted keys and no whitespace."""
+    return "".join(dataset_json_pieces(ds))
 
 
 def _entry_columns(entries: list) -> tuple[list, list, list]:

@@ -153,3 +153,20 @@ def planted_cluster_posts(
                 t = ic * tags_per_cluster + int(rng.integers(tags_per_cluster))
                 posts.append(Post(f"u{u}", f"i{i}", (f"t{t}",)))
     return posts
+
+
+def random_triples_tsv(
+    rng: np.random.Generator,
+    n_triples: int,
+    n_users: int = 4000,
+    n_items: int = 3000,
+    n_tags: int = 200,
+) -> str:
+    """``n_triples`` tab-separated (user, item, tag) lines with uniformly
+    drawn ids; about one line in ten has an empty tag field."""
+    columns = [rng.integers(n, size=n_triples).tolist() for n in (n_users, n_items, n_tags)]
+    tagged = (rng.random(n_triples) >= 0.1).tolist()
+    return "".join(
+        f"u{u}\ti{i}\t{f't{t}' if has_tag else ''}\n"
+        for u, i, t, has_tag in zip(*columns, tagged)
+    )

@@ -84,6 +84,14 @@ class TestIngest:
         assert main(["ingest", "--input", str(src), "--dataset", str(tmp_path / "x.json")]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_crlf_input_gives_the_lf_snapshot(self, tmp_path):
+        lf, crlf = DATA / "tiny.tsv", tmp_path / "tiny_crlf.tsv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = tmp_path / "lf.json", tmp_path / "crlf.json"
+        assert main(["ingest", "--input", str(lf), "--dataset", str(a)]) == 0
+        assert main(["ingest", "--input", str(crlf), "--dataset", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestRecommend:
     def test_deterministic(self, dataset_file, capsys):
@@ -514,6 +522,26 @@ class TestBadInput:
             "--algorithms", "Random", "--runs", "1", "--output-dir", str(tmp_path / "o"),
         ]) == 2
         assert message in one_line_error(capsys)
+
+    @pytest.mark.parametrize("content", [b"u1\ti1\tt\xff\n", b"u1\ti1\ta\n" * 5000 + b"\xc3("])
+    def test_non_utf8_triple_file_exits_1(self, tmp_path, capsys, content):
+        src = tmp_path / "bad.tsv"
+        src.write_bytes(content)
+        out = tmp_path / "x.json"
+        assert main(["ingest", "--input", str(src), "--dataset", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert f"{src}: not UTF-8 text" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_utf8_config_file_exits_2(self, dataset_file, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"eta = 0.5\n\xff\n")
+        assert main([
+            "--config", str(cfg), "evaluate", "--dataset", dataset_file,
+            "--algorithms", "Random", "--runs", "1", "--output-dir", str(tmp_path / "o"),
+        ]) == 2
+        err = one_line_error(capsys)
+        assert f"{cfg}: not UTF-8 text: byte 0xff" in err and "Traceback" not in err
 
     def test_config_keys_of_other_commands_are_accepted(self, dataset_file, tmp_path):
         cfg = tmp_path / "folkwalk.cfg"
