@@ -6,7 +6,8 @@ training dataset (``Split.train``), so no held-out save reaches a model; its
 tag matrices are still the full dataset's. :func:`run_algorithm` is the one
 entry point: every algorithm but Random has a row-block scorer, and
 :func:`run_algorithm` ranks its scores with :func:`recommend_all` a block of
-users at a time. The CF similarities stay CSR throughout."""
+users at a time. The CF similarities are CSR; the user side forms only a
+block's rows of its users x users similarity at a time."""
 
 from __future__ import annotations
 
@@ -94,34 +95,43 @@ def random_recommender(
     return recs
 
 
+def _unit_rows(profile: sp.csr_matrix) -> sp.csr_matrix:
+    """A sparse profile's rows scaled to unit length; zero rows stay zero."""
+    norms = np.sqrt(np.asarray(profile.multiply(profile).sum(axis=1)).ravel())
+    safe = np.where(norms > 0, norms, 1.0)
+    data = profile.data / np.repeat(safe, np.diff(profile.indptr))
+    return sp.csr_matrix((data, profile.indices, profile.indptr), shape=profile.shape)
+
+
 def _cosine(profile: sp.csr_matrix) -> sp.csr_matrix:
     """Pairwise cosine similarity between the rows of a sparse profile, as
     the CSR matrix of one sparse product, so the cost follows
     co-occurrences; zero rows give zero similarity. The diagonal (a row's
     similarity to itself) is still stored: :func:`_truncate_neighbors`
     drops or zeroes it."""
-    norms = np.sqrt(np.asarray(profile.multiply(profile).sum(axis=1)).ravel())
-    safe = np.where(norms > 0, norms, 1.0)
-    data = profile.data / np.repeat(safe, np.diff(profile.indptr))
-    unit = sp.csr_matrix((data, profile.indices, profile.indptr), shape=profile.shape)
+    unit = _unit_rows(profile)
     return unit @ unit.T
 
 
-def _truncate_neighbors(sim: sp.csr_matrix, k_neighbors: int | None) -> sp.csr_matrix:
-    """Each row's neighborhood in a pairwise similarity, as CSR, never the
-    row itself. With ``k_neighbors``, the row's k largest stored
-    similarities (ties by lower index) with ascending column indices, so a
-    product with it sums neighbors in index order as a dense one does.
-    None keeps every neighbor: it zeroes ``sim``'s diagonal in place and
-    returns ``sim``, its sparsity structure unchanged."""
+def _truncate_neighbors(
+    sim: sp.csr_matrix, k_neighbors: int | None, offset: int = 0
+) -> sp.csr_matrix:
+    """Each row's neighborhood in rows ``offset``.. of a pairwise similarity,
+    as CSR, never the row itself: row r of ``sim`` stands for row
+    ``offset + r``, so its self entry is in column ``offset + r``. With
+    ``k_neighbors``, the row's k largest stored similarities (ties by lower
+    index) with ascending column indices, so a product with it sums
+    neighbors in index order as a dense one does. None keeps every
+    neighbor: it zeroes the self entries of ``sim`` in place and returns
+    ``sim``, its sparsity structure unchanged."""
     if k_neighbors is None:
         # only stored entries are written, so none is inserted
-        stored = np.flatnonzero(sim.diagonal())
-        sim[stored, stored] = 0.0
+        stored = np.flatnonzero(sim.diagonal(offset))
+        sim[stored, stored + offset] = 0.0
         return sim
     sim = sim.sorted_indices()
     rows = np.repeat(np.arange(sim.shape[0]), np.diff(sim.indptr))
-    off_diagonal = np.flatnonzero(sim.indices != rows)
+    off_diagonal = np.flatnonzero(sim.indices != rows + offset)
     # by row, then descending similarity; the sort is stable, so ties stay
     # in ascending column order and a row's first k entries are its neighbors
     order = off_diagonal[np.lexsort((-sim.data[off_diagonal], rows[off_diagonal]))]
@@ -154,22 +164,36 @@ def _cf_scorer(
     profile_ext: sp.csr_matrix | np.ndarray | None = None,
 ) -> BlockScorer:
     """Rows of user-based (sim @ UI) or item-based (UI @ sim) CF scores,
-    with the cosine similarity of user or item profiles kept as CSR. Every
-    score sums the same terms in the same order as the product with the
-    similarity densified, so the rows are bitwise those of that product."""
-    profile = train_ui if user_based else train_ui.T.tocsr()
-    sim = _truncate_neighbors(_cosine(_profile(profile, profile_ext)), k_neighbors)
-    if k_neighbors is not None:
-        # with k neighbors a row the product stays small: form it once
-        product = sim @ train_ui if user_based else train_ui @ sim
-        return lambda lo, hi: product[lo:hi].toarray()
-    # an untruncated similarity is too dense to multiply whole. A dense
+    with the cosine similarity of user or item profiles as CSR. Every score
+    sums the same terms in the same order as the product with the
+    similarity densified, so the rows are bitwise those of that product.
+
+    The user side never holds the users x users similarity: a block forms
+    only its own rows of it, and scipy computes each row of a sparse
+    product from that row alone. The item side keeps its items x items
+    similarity whole, since a block of users needs the row of every item
+    they saved."""
+    # an untruncated similarity is too dense to multiply as CSR. A dense
     # block leading sparse UI sums over neighbors in index order; scipy
     # computes it as (UI^T @ block^T)^T, so a Fortran-ordered block is read
     # without a copy and the result is Fortran-ordered, as the item side's
     # is made, so Fusion adds the two in one memory order
     if user_based:
-        return lambda lo, hi: sim[lo:hi].toarray(order="F") @ train_ui
+        unit = _unit_rows(_profile(train_ui, profile_ext))
+        unit_t = unit.T.tocsr()
+
+        def scores(lo: int, hi: int) -> np.ndarray:
+            sim = _truncate_neighbors(unit[lo:hi] @ unit_t, k_neighbors, lo)
+            if k_neighbors is None:
+                return sim.toarray(order="F") @ train_ui
+            return (sim @ train_ui).toarray()
+
+        return scores
+    sim = _truncate_neighbors(_cosine(_profile(train_ui.T.tocsr(), profile_ext)), k_neighbors)
+    if k_neighbors is not None:
+        # with k neighbors a row the product stays small: form it once
+        product = train_ui @ sim
+        return lambda lo, hi: product[lo:hi].toarray()
     return lambda lo, hi: (train_ui[lo:hi] @ sim).toarray(order="F")
 
 

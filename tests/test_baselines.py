@@ -416,6 +416,30 @@ def test_no_users_by_items_matrix_is_ranked(monkeypatch, kind):
         assert sum(len(b) for b in blocks) == ds.num_users
 
 
+@pytest.mark.parametrize(
+    "kind,params",
+    [("UserCF", {}), ("UserCF", {"k_neighbors": 1}), ("Fusion", {})],
+)
+def test_no_users_by_users_similarity_is_formed(monkeypatch, kind, params):
+    # 30 users, 20 items: a sparse product with a users-wide result is one
+    # of the user cosine's products, and each covers one 7-user block
+    monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
+    ds = make_split(random_dataset(np.random.default_rng(2), 30, 20, n_tags=5)).train
+    matmul = scipy.sparse.csr_matrix.__matmul__
+    user_rows = []
+
+    def recording_matmul(a, b):
+        product = matmul(a, b)
+        if product.shape[1] == ds.num_users:
+            user_rows.append(a.shape[0])
+        return product
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", recording_matmul)
+    run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
+    assert max(user_rows) <= 7
+    assert sum(user_rows) == ds.num_users
+
+
 def iterated_scores(ds, walk, sim):
     """The pRW scores from the reference iteration run to tol=1e-12."""
     ui_norm = row_normalize(ds.UI)

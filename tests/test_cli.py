@@ -137,7 +137,11 @@ class TestRecommend:
 
 
     @pytest.mark.parametrize("fixture", ["tiny", "acceptance 9"])
-    @pytest.mark.parametrize("kind", ALGORITHM_KINDS)
+    # with --k-neighbors, ItemCF slices a product formed once and UserCF
+    # scores each block's truncated rows of the user cosine
+    @pytest.mark.parametrize(
+        "kind", ALGORITHM_KINDS + ("UserCF --k-neighbors 2", "ItemCF --k-neighbors 2")
+    )
     def test_one_user_gets_their_entry_of_the_all_users_output(
         self, kind, fixture, tmp_path, capsys, monkeypatch
     ):
@@ -157,7 +161,7 @@ class TestRecommend:
             ds = random_dataset(np.random.default_rng(909), n_users=15, n_items=20, n_tags=6)
             path.write_text(dataset_to_json(ds))
         users = dataset_from_json(path.read_text()).users
-        argv = ["recommend", "--dataset", str(path), "--algorithm", kind, "--format", "json"]
+        argv = ["recommend", "--dataset", str(path), "--algorithm", *kind.split(), "--format", "json"]
         capsys.readouterr()
         assert main(argv) == 0
         everyone = json.loads(capsys.readouterr().out)
