@@ -2,8 +2,8 @@
 
 from .baselines import AlgorithmSpec
 from .dataset import Post, Split, TaggingDataset
-from .similarity import SimilarityConfig, item_similarity, user_similarity
-from .walker import WalkConfig
+from .similarity import item_similarity, user_similarity
+from .walker import SimilarityConfig, WalkConfig
 
 __version__ = "0.1.0"
 

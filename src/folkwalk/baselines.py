@@ -4,10 +4,11 @@ tag-extended fusion CF, and the ablation wiring for the walk variants.
 Every recommender reads one dataset, which in an experiment is the split's
 training dataset (``Split.train``), so no held-out save reaches a model; its
 tag matrices are still the full dataset's. :func:`run_algorithm` is the one
-entry point: every algorithm but Random has a row-block scorer, and
-:func:`run_algorithm` ranks its scores with :func:`recommend_all` a block of
-users at a time. The CF similarities are CSR; the user side forms only a
-block's rows of its users x users similarity at a time."""
+entry point: every algorithm but Random has a row-block scorer,
+:func:`block_scorer`, and :func:`run_algorithm` ranks its scores with
+:func:`recommend_all` a block of users at a time. The CF similarities are
+CSR; the user side forms only a block's rows of its users x users
+similarity at a time."""
 
 from __future__ import annotations
 
@@ -18,8 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import TaggingDataset
-from .similarity import SimilarityConfig, chain_weight
-from .walker import FusedOperator, WalkConfig, fuse, fused_operator, recommend_all
+from .walker import (
+    FusedOperator, SimilarityConfig, WalkConfig, chain_weight, fuse, fused_operator, recommend_all
+)
 
 ABLATION_KINDS = ("pRW-IT", "pRW-UT", "pRW-UI", "pRW")
 ALGORITHM_KINDS = ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS
@@ -55,6 +57,9 @@ class AlgorithmSpec:
         k_neighbors = self.params.get("k_neighbors")
         if k_neighbors is not None and k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
+        fuse_weight = self.params.get("fuse_weight", 0.5)
+        if not 0.0 <= fuse_weight <= 1.0:
+            raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
 
 
 def walk_params(values: dict[str, float]) -> dict:
@@ -143,14 +148,11 @@ def _truncate_neighbors(
     return sp.csr_matrix((sim.data[kept], sim.indices[kept], indptr), shape=sim.shape)
 
 
-def _profile(
-    interactions: sp.csr_matrix, profile_ext: sp.csr_matrix | np.ndarray | None
-) -> sp.csr_matrix:
-    """Interaction rows, optionally extended with extra profile columns (a
-    CSR matrix or an ndarray)."""
+def _profile(interactions: sp.csr_matrix, profile_ext: sp.csr_matrix | None) -> sp.csr_matrix:
+    """Interaction rows, optionally extended with extra profile columns."""
     if profile_ext is None:
         return interactions
-    return sp.hstack([interactions, sp.csr_matrix(profile_ext)], format="csr")
+    return sp.hstack([interactions, profile_ext], format="csr")
 
 
 # rows lo:hi of a users x items score matrix
@@ -161,7 +163,7 @@ def _cf_scorer(
     train_ui: sp.csr_matrix,
     user_based: bool,
     k_neighbors: int | None = None,
-    profile_ext: sp.csr_matrix | np.ndarray | None = None,
+    profile_ext: sp.csr_matrix | None = None,
 ) -> BlockScorer:
     """Rows of user-based (sim @ UI) or item-based (UI @ sim) CF scores,
     with the cosine similarity of user or item profiles as CSR. Every score
@@ -197,49 +199,22 @@ def _cf_scorer(
     return lambda lo, hi: (train_ui[lo:hi] @ sim).toarray(order="F")
 
 
-def user_cf_scores(
-    train_ui: sp.csr_matrix,
-    k_neighbors: int | None = None,
-    profile_ext: sp.csr_matrix | np.ndarray | None = None,
-) -> np.ndarray:
-    """score(u, j) = sum over neighbors v of sim(u, v) * train[v, j], with
-    cosine similarity over user rows (optionally extended with extra profile
-    columns that do not contribute to the scored items)."""
-    return _cf_scorer(train_ui, True, k_neighbors, profile_ext)(0, train_ui.shape[0])
-
-
-def item_cf_scores(
-    train_ui: sp.csr_matrix,
-    k_neighbors: int | None = None,
-    profile_ext: sp.csr_matrix | np.ndarray | None = None,
-) -> np.ndarray:
-    """score(u, j) = sum over u's training items i of sim(i, j), with cosine
-    similarity over item columns (optionally extended)."""
-    return _cf_scorer(train_ui, False, k_neighbors, profile_ext)(0, train_ui.shape[0])
-
-
 def _fusion_scorer(ds: TaggingDataset, fuse_weight: float) -> BlockScorer:
-    """Rows of the Fusion CF scores (see :func:`fusion_cf_scores`)."""
-    if not 0.0 <= fuse_weight <= 1.0:
-        raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
+    """Rows of the convex combination of user-based CF with tag-extended
+    user profiles and item-based CF with tag-extended item profiles. Tags
+    act only as profile features; scores cover real items only."""
     user = _cf_scorer(ds.UI, True, profile_ext=ds.UT)
     item = _cf_scorer(ds.UI, False, profile_ext=ds.IT)
     return lambda lo, hi: fuse(user(lo, hi), item(lo, hi), fuse_weight)
 
 
-def fusion_cf_scores(ds: TaggingDataset, fuse_weight: float) -> np.ndarray:
-    """Convex combination of user-based CF with tag-extended user profiles
-    and item-based CF with tag-extended item profiles. Tags act only as
-    profile features; scores cover real items only."""
-    return _fusion_scorer(ds, fuse_weight)(0, ds.num_users)
-
-
 def _walk_operator(
     kind: str, ds: TaggingDataset, walk: WalkConfig | None, similarity: SimilarityConfig | None
 ) -> FusedOperator:
-    """The fused score operator of one walk variant (see :func:`ablation_scores`)."""
-    if kind not in ABLATION_KINDS:
-        raise ValueError(f"unknown ablation kind {kind!r}")
+    """The fused score operator of one walk variant, each walk solved
+    exactly. pRW-IT: tag-only item similarity, item walk alone. pRW-UT:
+    tag-only user similarity, user walk alone. pRW-UI: interaction-only
+    similarities, both walks fused. pRW: the full configured pipeline."""
     walk = walk or WalkConfig()
     similarity = similarity or SimilarityConfig()
     alpha, beta, mu = similarity.alpha, similarity.beta, walk.mu
@@ -255,25 +230,9 @@ def _walk_operator(
     )
 
 
-def ablation_scores(
-    kind: str,
-    ds: TaggingDataset,
-    walk: WalkConfig | None = None,
-    similarity: SimilarityConfig | None = None,
-) -> np.ndarray:
-    """Score matrix of one walk variant on the dataset's interactions.
-
-    pRW-IT: tag-only item similarity, item walk alone. pRW-UT: tag-only user
-    similarity, user walk alone. pRW-UI: interaction-only similarities, both
-    walks fused. pRW: the full configured pipeline. Each walk is solved
-    exactly; these are the scores :func:`run_algorithm` ranks a block of
-    users at a time.
-    """
-    return _walk_operator(kind, ds, walk, similarity).scores(0, ds.num_users)
-
-
-def _block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:
-    """The row-block scorer of a non-Random algorithm trained on ``ds``."""
+def block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:
+    """The row-block scorer of a non-Random algorithm trained on ``ds``:
+    ``block_scorer(spec, ds)(lo, hi)`` is rows lo:hi of its scores."""
     params = spec.params
     if spec.kind in ABLATION_KINDS:
         return _walk_operator(spec.kind, ds, params.get("walk"), params.get("similarity")).scores
@@ -294,7 +253,7 @@ def run_algorithm(
     draws are sequential, draws for users 0..user)."""
     if spec.kind == "Random":
         return random_recommender(ds, seed, top_n, None if user is None else user + 1)
-    scores = _block_scorer(spec, ds)
+    scores = block_scorer(spec, ds)
     starts = range(0, ds.num_users, BLOCK_USERS)
     if user is not None:
         starts = [user - user % BLOCK_USERS]

@@ -37,8 +37,7 @@ from .evaluation import (
     run_experiment,
     runs_to_csv,
 )
-from .similarity import SimilarityConfig
-from .walker import WalkConfig
+from .walker import SimilarityConfig, WalkConfig
 
 
 class UsageError(Exception):

@@ -1,4 +1,5 @@
-"""Transition-probability similarity matrices.
+"""The paper's formulas, the references the pRW pipeline is tested against;
+no pipeline module imports them.
 
 The item similarity blends two two-hop transition chains: item -> tag -> item
 (from the item-tag matrix) and item -> user -> item (from the interaction
@@ -6,49 +7,29 @@ matrix). Each hop is row-normalized over its target set, so every chain is
 row-stochastic wherever the data gives the row any support. The user
 similarity is the same blend with roles swapped: user -> tag -> user and
 user -> item -> user chains.
+
+The user-centric walk iterates X(t+1) = lambda * S_user @ X(t) + (1 - lambda) * R
+from X(0) = R, where R is the row-normalized interaction matrix. The
+item-centric walk X(t+1) = eta * X(t) @ S_item + (1 - eta) * R is the same
+walk on transposed inputs, so both sides share one iteration and one
+closed form, R times (1 - d) * (I - d * S)^{-1} on the walk's side, an
+explicit inverse from :func:`linalg.invert_in_place`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import numpy as np
 import scipy.sparse as sp
 
 from .dataset import TaggingDataset
-from .linalg import row_normalize
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    alpha: float = 0.5
-    beta: float = 0.5
-
-    def __post_init__(self):
-        _check_weight(self.alpha, "alpha")
-        _check_weight(self.beta, "beta")
-
-
-def _check_weight(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+from .linalg import ShapeError, row_normalize
+from .walker import _check_damping, _check_weight, _damped_inverse, chain_weight
 
 
 def _two_hop(out_hop: sp.csr_matrix) -> sp.csr_matrix:
     """rownorm(out_hop) @ rownorm(out_hop^T): probability of a two-step jump
     out over the columns and back."""
     return row_normalize(out_hop) @ row_normalize(out_hop.T.tocsr())
-
-
-def chain_weight(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> float:
-    """The weight the tag chain of ``tags`` gets against the interaction
-    chain of ``interactions``: ``weight``, unless a component is completely
-    empty. An empty component contributes no chain at all; its weight falls
-    to the other component, so tag-free data degrades gracefully."""
-    if tags.nnz == 0:
-        return 0.0
-    if interactions.nnz == 0:
-        return 1.0
-    return weight
 
 
 def _similarity(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> sp.csr_matrix:
@@ -80,3 +61,77 @@ def user_similarity(ds: TaggingDataset, beta: float) -> sp.csr_matrix:
     chains rownorm(UT) @ rownorm(UT^T) and rownorm(UI) @ rownorm(UI^T)."""
     _check_weight(beta, "beta")
     return _similarity(ds.UT, ds.UI, beta)
+
+
+def _check_similarity(s: sp.csr_matrix, size: int, side: str, scores_shape) -> None:
+    if s.shape != (size, size):
+        raise ShapeError(f"{side} similarity {s.shape} incompatible with scores {scores_shape}")
+
+
+def _walk(
+    restart: np.ndarray,
+    s: sp.csr_matrix,
+    damping: float,
+    tol: float,
+    max_iters: int,
+    trace: list[float] | None,
+) -> tuple[np.ndarray, int]:
+    """Iterate X <- damping * S @ X + (1 - damping) * R from X = R until the
+    max-abs change drops below ``tol`` or ``max_iters`` steps ran."""
+    x = restart
+    for it in range(1, max_iters + 1):
+        x_next = damping * (s @ x) + (1.0 - damping) * restart
+        change = float(np.max(np.abs(x_next - x))) if x.size else 0.0
+        if trace is not None:
+            trace.append(change)
+        x = x_next
+        if change < tol:
+            return x, it
+    return x, max_iters
+
+
+def walk_item(
+    ui_norm: sp.csr_matrix,
+    s_item: sp.csr_matrix,
+    eta: float,
+    tol: float = 1e-6,
+    max_iters: int = 100,
+    trace: list[float] | None = None,
+) -> tuple[np.ndarray, int]:
+    """Item-centric walk; returns the score matrix and the number of
+    iterations performed. ``trace`` collects per-iteration max-abs changes.
+    """
+    _check_damping(eta, "eta")
+    _check_similarity(s_item, ui_norm.shape[1], "item", ui_norm.shape)
+    x, iters = _walk(ui_norm.T.toarray(), s_item.T.tocsr(), eta, tol, max_iters, trace)
+    return x.T, iters
+
+
+def walk_user(
+    ui_norm: sp.csr_matrix,
+    s_user: sp.csr_matrix,
+    lambda_: float,
+    tol: float = 1e-6,
+    max_iters: int = 100,
+    trace: list[float] | None = None,
+) -> tuple[np.ndarray, int]:
+    """User-centric walk: left multiplication by the user similarity."""
+    _check_damping(lambda_, "lambda")
+    _check_similarity(s_user, ui_norm.shape[0], "user", ui_norm.shape)
+    return _walk(ui_norm.toarray(), s_user, lambda_, tol, max_iters, trace)
+
+
+def closed_form_user(ui_norm: sp.csr_matrix, s_user: sp.csr_matrix, lambda_: float) -> np.ndarray:
+    """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R.
+    The inputs are left unchanged."""
+    _check_damping(lambda_, "lambda")
+    _check_similarity(s_user, ui_norm.shape[0], "user", ui_norm.shape)
+    return (1.0 - lambda_) * _damped_inverse(s_user, lambda_) @ ui_norm
+
+
+def closed_form_item(ui_norm: sp.csr_matrix, s_item: sp.csr_matrix, eta: float) -> np.ndarray:
+    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}.
+    The inputs are left unchanged."""
+    _check_damping(eta, "eta")
+    _check_similarity(s_item, ui_norm.shape[1], "item", ui_norm.shape)
+    return ui_norm @ ((1.0 - eta) * _damped_inverse(s_item, eta))

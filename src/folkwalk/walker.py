@@ -1,17 +1,11 @@
-"""Random walks with restart over the item and user graphs.
+"""The pRW pipeline: the item and user walks with restart solved exactly,
+fused and ranked. :mod:`folkwalk.similarity` holds the paper's formulas,
+the references the pipeline is tested against.
 
-The user-centric walk iterates X(t+1) = lambda * S_user @ X(t) + (1 - lambda) * R
-from X(0) = R, where R is the row-normalized interaction matrix. The
-item-centric walk X(t+1) = eta * X(t) @ S_item + (1 - eta) * R is the same
-walk on transposed inputs, so both sides share one iteration and one
-closed form, R times (1 - d) * (I - d * S)^{-1} on the walk's side, an
-explicit inverse from :func:`linalg.invert_in_place`; these are the
-reference implementations of the paper's algorithm.
-
-The pipeline never forms either similarity. Both walks restart from R and
-both similarities hold the interaction chain R @ C (C = rownorm(UI^T)) or
-its mirror C @ R, so the fused score matrix is exactly
-F = s * R + G @ R + P @ Q, where G is one dense k x k matrix with
+The pipeline never forms either similarity. Both walks restart from
+R = rownorm(UI) and both similarities hold the interaction chain R @ C
+(C = rownorm(UI^T)) or its mirror C @ R, so the fused score matrix is
+exactly F = s * R + G @ R + P @ Q, where G is one dense k x k matrix with
 k = min(users, items) and P @ Q has rank at most twice the number of tags.
 When there are fewer items than users, the same builder runs on transposed
 inputs and F's rows come from R @ G^T. Each walk's system is I - c * RC
@@ -51,8 +45,7 @@ class WalkConfig:
     def __post_init__(self):
         _check_damping(self.eta, "eta")
         _check_damping(self.lambda_, "lambda")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu must be in [0, 1], got {self.mu}")
+        _check_weight(self.mu, "mu")
 
 
 def _check_damping(value: float, name: str) -> None:
@@ -60,62 +53,33 @@ def _check_damping(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1), got {value}")
 
 
-def _check_similarity(s: sp.csr_matrix, size: int, side: str, scores_shape) -> None:
-    if s.shape != (size, size):
-        raise ShapeError(f"{side} similarity {s.shape} incompatible with scores {scores_shape}")
+@dataclass(frozen=True)
+class SimilarityConfig:
+    """The tag chains' weights in the item (alpha) and user (beta) similarities."""
+
+    alpha: float = 0.5
+    beta: float = 0.5
+
+    def __post_init__(self):
+        _check_weight(self.alpha, "alpha")
+        _check_weight(self.beta, "beta")
 
 
-def _walk(
-    restart: np.ndarray,
-    s: sp.csr_matrix,
-    damping: float,
-    tol: float,
-    max_iters: int,
-    trace: list[float] | None,
-) -> tuple[np.ndarray, int]:
-    """Iterate X <- damping * S @ X + (1 - damping) * R from X = R until the
-    max-abs change drops below ``tol`` or ``max_iters`` steps ran."""
-    x = restart
-    for it in range(1, max_iters + 1):
-        x_next = damping * (s @ x) + (1.0 - damping) * restart
-        change = float(np.max(np.abs(x_next - x))) if x.size else 0.0
-        if trace is not None:
-            trace.append(change)
-        x = x_next
-        if change < tol:
-            return x, it
-    return x, max_iters
+def _check_weight(value: float, name: str) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-def walk_item(
-    ui_norm: sp.csr_matrix,
-    s_item: sp.csr_matrix,
-    eta: float,
-    tol: float = 1e-6,
-    max_iters: int = 100,
-    trace: list[float] | None = None,
-) -> tuple[np.ndarray, int]:
-    """Item-centric walk; returns the score matrix and the number of
-    iterations performed. ``trace`` collects per-iteration max-abs changes.
-    """
-    _check_damping(eta, "eta")
-    _check_similarity(s_item, ui_norm.shape[1], "item", ui_norm.shape)
-    x, iters = _walk(ui_norm.T.toarray(), s_item.T.tocsr(), eta, tol, max_iters, trace)
-    return x.T, iters
-
-
-def walk_user(
-    ui_norm: sp.csr_matrix,
-    s_user: sp.csr_matrix,
-    lambda_: float,
-    tol: float = 1e-6,
-    max_iters: int = 100,
-    trace: list[float] | None = None,
-) -> tuple[np.ndarray, int]:
-    """User-centric walk: left multiplication by the user similarity."""
-    _check_damping(lambda_, "lambda")
-    _check_similarity(s_user, ui_norm.shape[0], "user", ui_norm.shape)
-    return _walk(ui_norm.toarray(), s_user, lambda_, tol, max_iters, trace)
+def chain_weight(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> float:
+    """The weight the tag chain of ``tags`` gets against the interaction
+    chain of ``interactions``: ``weight``, unless a component is completely
+    empty. An empty component contributes no chain at all; its weight falls
+    to the other component, so tag-free data degrades gracefully."""
+    if tags.nnz == 0:
+        return 0.0
+    if interactions.nnz == 0:
+        return 1.0
+    return weight
 
 
 def _damped_inverse(x: sp.csr_matrix, damping: float) -> np.ndarray:
@@ -125,22 +89,6 @@ def _damped_inverse(x: sp.csr_matrix, damping: float) -> np.ndarray:
     system *= -damping
     system[np.diag_indices_from(system)] += 1.0
     return invert_in_place(system)
-
-
-def closed_form_user(ui_norm: sp.csr_matrix, s_user: sp.csr_matrix, lambda_: float) -> np.ndarray:
-    """Limit of the user walk: (1 - lambda) * (I - lambda * S_user)^{-1} @ R.
-    The inputs are left unchanged."""
-    _check_damping(lambda_, "lambda")
-    _check_similarity(s_user, ui_norm.shape[0], "user", ui_norm.shape)
-    return (1.0 - lambda_) * _damped_inverse(s_user, lambda_) @ ui_norm
-
-
-def closed_form_item(ui_norm: sp.csr_matrix, s_item: sp.csr_matrix, eta: float) -> np.ndarray:
-    """Limit of the item walk: (1 - eta) * R @ (I - eta * S_item)^{-1}.
-    The inputs are left unchanged."""
-    _check_damping(eta, "eta")
-    _check_similarity(s_item, ui_norm.shape[1], "item", ui_norm.shape)
-    return ui_norm @ ((1.0 - eta) * _damped_inverse(s_item, eta))
 
 
 @dataclass(frozen=True)
@@ -416,8 +364,7 @@ def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:
     Consumes its inputs: both float64 arrays are scaled in place, and the
     sum is written into ``first`` and returned, so no third score matrix is
     allocated. The result keeps ``first``'s memory order."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
+    _check_weight(mu, "mu")
     if first.shape != second.shape:
         raise ShapeError(f"shape mismatch {first.shape} vs {second.shape}")
     first *= mu

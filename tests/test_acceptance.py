@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from folkwalk.baselines import AlgorithmSpec, fusion_cf_scores, item_cf_scores, run_algorithm, user_cf_scores
+from folkwalk.baselines import AlgorithmSpec, block_scorer, run_algorithm
 from folkwalk.cli import main
 from folkwalk.dataset import (
     PostTable,
@@ -25,20 +25,26 @@ from folkwalk.evaluation import (
     run_experiment,
 )
 from folkwalk.linalg import row_normalize
-from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
-from folkwalk.walker import (
-    WalkConfig,
+from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
+    item_similarity,
+    user_similarity,
     walk_item,
     walk_user,
 )
+from folkwalk.walker import SimilarityConfig, WalkConfig
 
 from gen import csr, planted_cluster_posts, random_dataset, slow_mix_dataset
 
 
 def report(name: str) -> None:
     print(f"ACCEPTANCE {name}: PASS")
+
+
+def all_scores(kind, ds, **params):
+    """Every user's scores from one algorithm's row-block scorer."""
+    return block_scorer(AlgorithmSpec(kind, params), ds)(0, ds.num_users)
 
 
 def random_walk_instance(rng):
@@ -250,10 +256,10 @@ def test_10_baseline_score_oracles():
         ds = random_dataset(rng, n_users=m, n_items=n, n_tags=4)
         sp = make_split(ds, 0.4, int(rng.integers(1000)))
         train = sp.train.UI.toarray()
-        assert np.abs(user_cf_scores(sp.train.UI) - cosine(train) @ train).max() < 1e-12
-        assert np.abs(item_cf_scores(sp.train.UI) - train @ cosine(train.T)).max() < 1e-12
+        assert np.abs(all_scores("UserCF", sp.train) - cosine(train) @ train).max() < 1e-12
+        assert np.abs(all_scores("ItemCF", sp.train) - train @ cosine(train.T)).max() < 1e-12
         user_ext = np.hstack([train, ds.UT.toarray()])
         item_ext = np.hstack([train.T, ds.IT.toarray()])
         expected = 0.5 * (cosine(user_ext) @ train) + 0.5 * (train @ cosine(item_ext))
-        assert np.abs(fusion_cf_scores(sp.train, 0.5) - expected).max() < 1e-12
+        assert np.abs(all_scores("Fusion", sp.train, fuse_weight=0.5) - expected).max() < 1e-12
     report("10 baseline score oracles")

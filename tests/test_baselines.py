@@ -15,26 +15,21 @@ from folkwalk.baselines import (
     _profile,
     _truncate_neighbors,
     _walk_operator,
-    ablation_scores,
-    fusion_cf_scores,
-    item_cf_scores,
+    block_scorer,
     random_recommender,
     run_algorithm,
-    user_cf_scores,
 )
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
 from folkwalk.linalg import SingularMatrixError, invert_in_place, invert_spd_in_place, row_normalize
-from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
-from folkwalk.walker import (
-    WalkConfig,
+from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
-    fuse,
-    recommend_all,
-    smallest_k_mask,
+    item_similarity,
+    user_similarity,
     walk_item,
     walk_user,
 )
+from folkwalk.walker import SimilarityConfig, WalkConfig, fuse, recommend_all, smallest_k_mask
 
 from gen import edge_user_dataset, planted_cluster_posts, random_dataset
 
@@ -45,6 +40,11 @@ def make_split(ds, fraction=0.4, seed=7):
 
 def top_n_lists(kind, ds, top_n=5, **params):
     return run_algorithm(AlgorithmSpec(kind, params), ds, top_n, 0)
+
+
+def all_scores(kind, ds, **params):
+    """Every user's scores from one algorithm's row-block scorer."""
+    return block_scorer(AlgorithmSpec(kind, params), ds)(0, ds.num_users)
 
 
 def dense_ds(ui: np.ndarray, ut=None, it=None) -> TaggingDataset:
@@ -178,11 +178,10 @@ class TestCosine:
         profile = matrix(rows, cols, "profile")
         profile[data.draw(st.integers(0, rows - 1), label="zero row")] = 0.0
         ext = matrix(rows, ext_cols, "ext")
-        form = data.draw(st.sampled_from(["none", "ndarray", "csr"]), label="profile_ext")
-        if form == "none":
-            ext, profile_ext = ext[:, :0], None
+        if data.draw(st.booleans(), label="profile_ext"):
+            profile_ext = scipy.sparse.csr_matrix(ext)
         else:
-            profile_ext = ext if form == "ndarray" else scipy.sparse.csr_matrix(ext)
+            ext, profile_ext = ext[:, :0], None
         sim = _cosine(_profile(scipy.sparse.csr_matrix(profile), profile_ext))
         want = cosine_oracle(np.hstack([profile, ext]))
         assert np.abs(_truncate_neighbors(sim, None).toarray() - want).max() < 1e-12
@@ -198,7 +197,7 @@ class TestUserCF:
         ds = dense_ds(ui)
         sp = make_split(ds, 0.5, 1)
         train = sp.train.UI.toarray()
-        scores = user_cf_scores(sp.train.UI)
+        scores = all_scores("UserCF", sp.train)
         # user 0's top score among its candidates comes from its twin's items
         for j in np.flatnonzero(train[1]):
             if train[0, j] == 0:
@@ -207,7 +206,7 @@ class TestUserCF:
     def test_orthogonal_users_score_zero(self):
         ds = dense_ds(np.eye(3))
         sp = make_split(ds, 0.5, 0)
-        scores = user_cf_scores(sp.train.UI)
+        scores = all_scores("UserCF", sp.train)
         assert np.all(scores == 0)
         recs = top_n_lists("UserCF", sp.train, top_n=2)
         assert recs[0] == sorted(recs[0])  # tie rule: ascending index
@@ -219,14 +218,14 @@ class TestUserCF:
         sp = make_split(ds)
         train = sp.train.UI.toarray()
         expected = cosine_oracle(train) @ train
-        assert np.abs(user_cf_scores(sp.train.UI) - expected).max() < 1e-12
+        assert np.abs(all_scores("UserCF", sp.train) - expected).max() < 1e-12
 
     def test_k_neighbors_restricts(self):
         rng = np.random.default_rng(9)
         ds = random_dataset(rng, n_users=7, n_items=9)
         sp = make_split(ds)
-        full = user_cf_scores(sp.train.UI)
-        k1 = user_cf_scores(sp.train.UI, k_neighbors=1)
+        full = all_scores("UserCF", sp.train)
+        k1 = all_scores("UserCF", sp.train, k_neighbors=1)
         train = sp.train.UI.toarray()
         sim = cosine_oracle(train)
         for u in range(7):
@@ -239,7 +238,7 @@ class TestItemCF:
     def test_correlated_item_promoted_over_unrelated(self):
         # items 0 and 1 co-saved by user 1; user 0 holds item 0 only
         ds = dense_ds(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
-        scores = item_cf_scores(ds.UI)
+        scores = all_scores("ItemCF", ds)
         assert scores[0, 1] > scores[0, 2]
         assert top_n_lists("ItemCF", ds, top_n=1)[0] == [1]
 
@@ -250,7 +249,7 @@ class TestItemCF:
         sp = make_split(ds)
         train = sp.train.UI.toarray()
         expected = train @ cosine_oracle(train.T)
-        assert np.abs(item_cf_scores(sp.train.UI) - expected).max() < 1e-12
+        assert np.abs(all_scores("ItemCF", sp.train) - expected).max() < 1e-12
 
 
 class TestFusionCF:
@@ -259,8 +258,8 @@ class TestFusionCF:
         ds = random_dataset(rng, n_users=6, n_items=8)
         bare = dense_ds(ds.UI.toarray())
         sp = make_split(bare)
-        got = fusion_cf_scores(sp.train, 0.3)
-        expected = 0.3 * user_cf_scores(sp.train.UI) + 0.7 * item_cf_scores(sp.train.UI)
+        got = all_scores("Fusion", sp.train, fuse_weight=0.3)
+        expected = 0.3 * all_scores("UserCF", sp.train) + 0.7 * all_scores("ItemCF", sp.train)
         assert np.abs(got - expected).max() < 1e-12
 
     def test_weight_one_is_tag_extended_user_ranking(self):
@@ -268,7 +267,7 @@ class TestFusionCF:
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
         got = top_n_lists("Fusion", sp.train, top_n=3, fuse_weight=1.0)
-        expected_scores = user_cf_scores(sp.train.UI, profile_ext=ds.UT.toarray())
+        expected_scores = full_cf_scores(sp.train.UI, True, profile_ext=ds.UT)
         assert got == recommend_all(expected_scores, sp.train.UI, 3)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -282,7 +281,7 @@ class TestFusionCF:
         expected = 0.5 * (cosine_oracle(user_ext) @ train) + 0.5 * (
             train @ cosine_oracle(item_ext)
         )
-        assert np.abs(fusion_cf_scores(sp.train, 0.5) - expected).max() < 1e-12
+        assert np.abs(all_scores("Fusion", sp.train, fuse_weight=0.5) - expected).max() < 1e-12
 
     def test_tags_never_recommended(self):
         rng = np.random.default_rng(6)
@@ -335,10 +334,11 @@ def test_cf_scores_bitwise_equal_dense_truncation():
     # product, so not even the last bit of a score moves
     ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
     for seed in range(3):
-        train = make_split(ds, 0.2, seed).train.UI
+        train = make_split(ds, 0.2, seed).train
         for k in (1, 5, 20, None):
-            assert np.array_equal(user_cf_scores(train, k), dense_truncation_scores(train, "user", k))
-            assert np.array_equal(item_cf_scores(train, k), dense_truncation_scores(train, "item", k))
+            for kind, side in (("UserCF", "user"), ("ItemCF", "item")):
+                got = all_scores(kind, train, k_neighbors=k)
+                assert np.array_equal(got, dense_truncation_scores(train.UI, side, k))
 
 
 def full_cf_scores(train_ui, user_based, k_neighbors=None, profile_ext=None):
@@ -401,7 +401,7 @@ def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
         for weight in (0.0, 0.3, 1.0):
             want = fuse(user.copy(), item.copy(), weight)
             assert np.array_equal(blocked("Fusion", ds, fuse_weight=weight), want)
-            assert np.array_equal(fusion_cf_scores(ds, weight), want)
+            assert np.array_equal(all_scores("Fusion", ds, fuse_weight=weight), want)
 
 
 @pytest.mark.parametrize("kind", ("UserCF", "ItemCF", "Fusion") + ABLATION_KINDS)
@@ -536,10 +536,8 @@ class TestAblation:
         assert top_n_lists("pRW-UI", sp.train) == top_n_lists("pRW", sp.train)
 
     def test_unknown_kind(self):
-        rng = np.random.default_rng(1)
-        ds = random_dataset(rng)
-        with pytest.raises(ValueError):
-            ablation_scores("pRW-XX", make_split(ds).train)
+        with pytest.raises(ValueError, match="unknown algorithm kind"):
+            AlgorithmSpec("pRW-XX")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -555,7 +553,7 @@ class TestAblation:
         sp = make_split(ds, fraction, seed)
         walk = WalkConfig(eta=damping[0], lambda_=damping[1], mu=weights[0])
         sim = SimilarityConfig(alpha=weights[1], beta=weights[2])
-        got = ablation_scores("pRW", sp.train, walk, sim)
+        got = all_scores("pRW", sp.train, walk=walk, similarity=sim)
         want = iterated_scores(sp.train, walk, sim)
         assert np.abs(got - want).max() < 1e-9
         assert_same_top_n(got, want, sp.train.UI)
@@ -566,7 +564,7 @@ class TestAblation:
         sim = SimilarityConfig(alpha=1.0, beta=0.5)
         for seed in range(3):
             sp = make_split(ds, 0.2, seed)
-            got = ablation_scores("pRW", sp.train, walk, sim)
+            got = all_scores("pRW", sp.train, walk=walk, similarity=sim)
             want = iterated_scores(sp.train, walk, sim)
             assert np.abs(got - want).max() < 1e-9
             assert recommend_all(got, sp.train.UI, 5) == recommend_all(want, sp.train.UI, 5)
@@ -581,7 +579,7 @@ class TestAblation:
         for ds in fixtures:
             sp = make_split(ds, 0.3, 5)
             want = closed_form_scores(kind, sp.train, walk, sim)
-            got = ablation_scores(kind, sp.train, walk, sim)
+            got = all_scores(kind, sp.train, walk=walk, similarity=sim)
             atol = 1e-12 * np.abs(want).max()
             assert np.abs(got - want).max() <= atol
             # items tied in exact arithmetic may trade places on rounding noise
@@ -603,7 +601,7 @@ class TestAblation:
         threads = threading.active_count()
         filters = list(warnings.filters)
         with pytest.raises(SingularMatrixError, match="injected"):
-            ablation_scores("pRW", sp.train)
+            all_scores("pRW", sp.train)
         assert calls == [threading.main_thread()]
         assert threading.active_count() == threads
         assert warnings.filters == filters
@@ -639,11 +637,12 @@ class TestFusedOperator:
         sim = SimilarityConfig(alpha=alpha, beta=beta)
         # eta and lambda differ, so each walk with an interaction chain has
         # its own Cholesky base
-        bases, lu = record_inversions(monkeypatch, lambda: ablation_scores(kind, ds, self.WALK, sim))
+        params = {"walk": self.WALK, "similarity": sim}
+        bases, lu = record_inversions(monkeypatch, lambda: all_scores(kind, ds, **params))
         assert bases == [(k, k)] * systems
         # the LU inverses are the r x r ones of Woodbury's identity, r <= tags
         assert all(inner[0] <= ds.num_tags for inner in lu)
-        got = ablation_scores(kind, ds, self.WALK, sim)
+        got = all_scores(kind, ds, **params)
         want = closed_form_scores(kind, ds, self.WALK, sim)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         operator = _walk_operator(kind, ds, self.WALK, sim)
@@ -679,10 +678,11 @@ class TestFusedOperator:
             ds = without_saves(ds, user=1, item=2)
             assert ds.UI[1].nnz == 0 and ds.UI[:, 2].nnz == 0
         sim = SimilarityConfig(alpha=alpha, beta=beta)
-        built, lu = record_inversions(monkeypatch, lambda: ablation_scores("pRW", ds, walk, sim))
+        params = {"walk": walk, "similarity": sim}
+        built, lu = record_inversions(monkeypatch, lambda: all_scores("pRW", ds, **params))
         assert built == [(min(shape),) * 2] * bases
         assert all(inner[0] <= ds.num_tags for inner in lu)
-        got = ablation_scores("pRW", ds, walk, sim)
+        got = all_scores("pRW", ds, **params)
         want = closed_form_scores("pRW", ds, walk, sim)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -723,7 +723,7 @@ class TestFusedOperator:
         monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
         ds = make_split(random_dataset(np.random.default_rng(shape[0]), *shape, n_tags=5)).train
         for kind in ABLATION_KINDS:
-            want = recommend_all(ablation_scores(kind, ds, self.WALK), ds.UI, 5)
+            want = recommend_all(all_scores(kind, ds, walk=self.WALK), ds.UI, 5)
             assert run_algorithm(AlgorithmSpec(kind, {"walk": self.WALK}), ds, 5, 0) == want
 
 
@@ -862,3 +862,12 @@ def test_algorithm_spec_validation():
         for k in (0, -1):
             with pytest.raises(ValueError, match="k_neighbors"):
                 AlgorithmSpec(kind, {"k_neighbors": k})
+
+
+def test_fuse_weight_is_checked_when_the_spec_is_built():
+    # an out-of-range weight fails before any algorithm is scored
+    for weight in (0.0, 0.5, 1.0):
+        AlgorithmSpec("Fusion", {"fuse_weight": weight})
+    for weight in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"fuse_weight must be in \[0, 1\]"):
+            AlgorithmSpec("Fusion", {"fuse_weight": weight})

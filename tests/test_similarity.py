@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import folkwalk
 from folkwalk.dataset import Post, PostTable, build_matrices
-from folkwalk.similarity import SimilarityConfig, item_similarity, user_similarity
+from folkwalk.similarity import item_similarity, user_similarity
 
 from gen import random_dataset
 
@@ -137,10 +141,42 @@ class TestProperties:
                 assert abs(s[i, j] - total) < 1e-12
 
 
-def test_similarity_config_validation():
-    SimilarityConfig(alpha=0.0, beta=1.0)
-    with pytest.raises(ValueError):
-        SimilarityConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
-        SimilarityConfig(beta=1.5)
+# every module but the reference itself and the package's own exports
+PIPELINE_MODULES = ("linalg", "dataset", "walker", "baselines", "evaluation", "cli")
 
+
+def imported_names(tree: ast.AST):
+    """Every module and module attribute an AST imports, as absolute names;
+    a relative import resolves inside the folkwalk package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "folkwalk" + (f".{node.module}" if node.module else "")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import folkwalk.similarity",
+        "import folkwalk.similarity as reference",
+        "from folkwalk.similarity import walk_item",
+        "from .similarity import walk_item",
+        "from . import similarity",
+        "from folkwalk import similarity",
+    ],
+)
+def test_import_check_sees_every_form(source):
+    assert "folkwalk.similarity" in set(imported_names(ast.parse(source)))
+
+
+@pytest.mark.parametrize("module", PIPELINE_MODULES)
+def test_no_pipeline_module_imports_the_reference(module):
+    # the pipeline is tested against this module, so it must not use it
+    path = Path(folkwalk.__file__).with_name(f"{module}.py")
+    names = set(imported_names(ast.parse(path.read_text(encoding="utf-8"))))
+    assert "folkwalk.similarity" not in names

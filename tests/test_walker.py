@@ -8,17 +8,15 @@ from folkwalk.linalg import (
     SingularMatrixError,
     row_normalize,
 )
-from folkwalk.similarity import item_similarity, user_similarity
-from folkwalk.walker import (
-    WalkConfig,
-    _base,
+from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
-    fuse,
-    recommend_all,
+    item_similarity,
+    user_similarity,
     walk_item,
     walk_user,
 )
+from folkwalk.walker import SimilarityConfig, WalkConfig, _base, chain_weight, fuse, recommend_all
 
 from gen import random_dataset, slow_mix_dataset
 
@@ -321,3 +319,21 @@ def test_walk_config_validation():
     with pytest.raises(ValueError):
         WalkConfig(mu=-0.2)
 
+
+def test_similarity_config_validation():
+    SimilarityConfig(alpha=0.0, beta=1.0)
+    with pytest.raises(ValueError):
+        SimilarityConfig(alpha=-0.1)
+    with pytest.raises(ValueError):
+        SimilarityConfig(beta=1.5)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+def test_chain_weight_falls_to_the_nonempty_component(weight):
+    # 3 rows: tags over 2 columns, interactions over 4
+    tags, no_tags = csr_matrix([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), csr_matrix((3, 2))
+    saves, no_saves = csr_matrix(np.eye(3, 4)), csr_matrix((3, 4))
+    assert chain_weight(no_tags, saves, weight) == 0.0
+    assert chain_weight(tags, no_saves, weight) == 1.0
+    assert chain_weight(no_tags, no_saves, weight) == 0.0
+    assert chain_weight(tags, saves, weight) == weight
