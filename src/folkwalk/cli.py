@@ -111,6 +111,7 @@ _OPTION_RANGES = (
     ("half_life", ">= 2", lambda v: v >= 2),
     ("fuse_weight", "in [0, 1]", lambda v: 0.0 <= v <= 1.0),
     ("top_n", ">= 1", lambda v: v >= 1),
+    ("seed", ">= 0", lambda v: v >= 0),
     ("k_neighbors", ">= 1", lambda v: v >= 1),
     ("min_items_per_user", ">= 1", lambda v: v >= 1),
     ("min_users_per_item", ">= 1", lambda v: v >= 1),
@@ -196,7 +197,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         fh.writelines(dataset_json_pieces(ds))
     s = stats(ds)
     if args.format == "json":
-        print(json.dumps(s.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(asdict(s), indent=2, sort_keys=True))
     else:
         print(format_stats_table(s))
     _write_manifest(args.dataset + ".manifest.json", args, [args.input])
@@ -257,7 +258,7 @@ def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
 
 
 def _emit_reports(reports, args, extras: dict | None = None) -> None:
-    doc = [r.to_dict() for r in reports]
+    doc = [asdict(r) for r in reports]
     if extras:
         doc = {"reports": doc, **extras}
     report_json = json.dumps(doc, sort_keys=True, indent=2)
@@ -299,9 +300,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ds = _load_dataset(args.dataset)
     grid = density_sweep(ds, specs, fractions, **_run_options(args))
     table = format_sweep_table(grid)
-    doc = {
-        f"{kind}@{frac:g}": report.to_dict() for (kind, frac), report in grid.items()
-    }
+    doc = {f"{kind}@{frac:g}": asdict(report) for (kind, frac), report in grid.items()}
     _write_outputs(args, {
         "sweep.json": json.dumps(doc, sort_keys=True, indent=2) + "\n", "sweep.txt": table + "\n",
     })
@@ -329,9 +328,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     doc = {
         "best": best,
         "objective": args.objective,
-        "grid": [
-            {"params": point, "means": report.means.as_dict()} for point, report in results
-        ],
+        "grid": [{"params": point, "means": asdict(report.means)} for point, report in results],
     }
     _write_outputs(args, {"grid.json": json.dumps(doc, sort_keys=True, indent=2) + "\n"})
     print(json.dumps({"best": best, "objective": args.objective}, sort_keys=True))

@@ -153,26 +153,17 @@ class TaggingDataset:
 
 @dataclass(frozen=True)
 class DatasetStats:
-    m: int
-    n: int
-    l_selected: int
-    l_total: int
-    p: int
-    density: float
+    """The paper's dataset statistics; the field names are the keys of
+    ``ingest --format json``."""
+
+    num_users: int
+    num_items: int
+    num_selected_tags: int
+    num_total_tags: int
+    num_transactions: int
+    density_percent: float
     avg_items_per_user: float
     avg_users_per_item: float
-
-    def to_dict(self) -> dict:
-        return {
-            "num_users": self.m,
-            "num_items": self.n,
-            "num_selected_tags": self.l_selected,
-            "num_total_tags": self.l_total,
-            "num_transactions": self.p,
-            "density_percent": self.density * 100.0,
-            "avg_items_per_user": self.avg_items_per_user,
-            "avg_users_per_item": self.avg_users_per_item,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,12 +395,12 @@ def stats(ds: TaggingDataset) -> DatasetStats:
         raise EmptyDatasetError("dataset has no users or no items")
     p = ds.UI.nnz
     return DatasetStats(
-        m=m,
-        n=n,
-        l_selected=ds.num_tags,
-        l_total=ds.total_tag_count,
-        p=p,
-        density=p / (m * n),
+        num_users=m,
+        num_items=n,
+        num_selected_tags=ds.num_tags,
+        num_total_tags=ds.total_tag_count,
+        num_transactions=p,
+        density_percent=p / (m * n) * 100.0,
         avg_items_per_user=p / m,
         avg_users_per_item=p / n,
     )
@@ -418,11 +409,11 @@ def stats(ds: TaggingDataset) -> DatasetStats:
 def format_stats_table(s: DatasetStats) -> str:
     """Aligned text table of the dataset statistics."""
     rows = [
-        ("Number of users: m", str(s.m)),
-        ("Number of items: n", str(s.n)),
-        ("Number of selected/total tags: l", f"{s.l_selected}/{s.l_total}"),
-        ("Number of total transactions: p", str(s.p)),
-        ("Data density: p/(mn) (%)", f"{s.density * 100:.2f}"),
+        ("Number of users: m", str(s.num_users)),
+        ("Number of items: n", str(s.num_items)),
+        ("Number of selected/total tags: l", f"{s.num_selected_tags}/{s.num_total_tags}"),
+        ("Number of total transactions: p", str(s.num_transactions)),
+        ("Data density: p/(mn) (%)", f"{s.density_percent:.2f}"),
         ("Avg. number of items per user", f"{s.avg_items_per_user:.2f}"),
         ("Avg. number of users per item", f"{s.avg_users_per_item:.2f}"),
     ]
@@ -577,9 +568,10 @@ def dataset_from_json(text: str) -> TaggingDataset:
     entries.
 
     Raises :class:`InvalidDatasetError` for malformed JSON, another format
-    version, missing or mistyped fields, duplicate ids, a version-2
-    ``indptr`` of the wrong length, not of integers, not starting at 0,
-    decreasing or not ending at the number of indices and values, and
+    version, missing or mistyped fields, duplicate ids, a
+    ``total_tag_count`` below the number of tags, a version-2 ``indptr`` of
+    the wrong length, not of integers, not starting at 0, decreasing or not
+    ending at the number of indices and values, and
     matrix entries that are not three numbers (a JSON boolean is not one),
     have a non-integer index, or are out of range, repeated, non-finite or
     negative.
@@ -603,9 +595,9 @@ def dataset_from_json(text: str) -> TaggingDataset:
         if len(set(ids)) != len(ids):
             repeated = next(x for x, count in Counter(ids).items() if count > 1)
             raise InvalidDatasetError(f"duplicate {key[:-1]} id {repeated!r}")
-    if not isinstance(d["total_tag_count"], int):
-        raise InvalidDatasetError("total_tag_count must be an integer")
     m, n, l = len(d["users"]), len(d["items"]), len(d["tags"])
+    if type(d["total_tag_count"]) is not int or d["total_tag_count"] < l:
+        raise InvalidDatasetError(f"total_tag_count must be an integer >= {l}, the number of tags")
     matrices = {}
     # only text that spells a JSON boolean can hold one
     check_booleans = "true" in text or "false" in text

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -23,34 +23,17 @@ class MetricTuple:
     f_measure: float
     rankscore: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "rankscore": self.rankscore,
-        }
-
-    def get(self, name: str) -> float:
-        return self.as_dict()[name]
-
 
 @dataclass(frozen=True)
 class EvalReport:
+    """One algorithm's runs and their means; ``dataclasses.asdict`` of it is
+    one entry of ``report.json``."""
+
     algorithm: AlgorithmSpec
     runs: list[MetricTuple]
     means: MetricTuple
     top_n: int
-    seed_list: list[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": asdict(self.algorithm),
-            "top_n": self.top_n,
-            "seeds": self.seed_list,
-            "runs": [r.as_dict() for r in self.runs],
-            "means": self.means.as_dict(),
-        }
+    seeds: list[int]
 
 
 def _counted_users(recs: Recs, test_sets: TestSets) -> list[int]:
@@ -181,7 +164,7 @@ def paired_t_test(runs_a: list[float], runs_b: list[float]) -> tuple[float, floa
     from scipy.special import stdtr
 
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * (1.0 - float(stdtr(n - 1, abs(t))))
+    p = 2.0 * float(stdtr(n - 1, -abs(t)))
     return t, p
 
 
@@ -208,7 +191,7 @@ def grid_search(
     ]
     specs = [AlgorithmSpec("pRW", walk_params(p)) for p in points]
     reports = run_experiment(ds, specs, train_fraction, top_n, n_runs, base_seed, half_life)
-    scores = [report.means.get(objective) for report in reports]
+    scores = [getattr(report.means, objective) for report in reports]
     return points[scores.index(max(scores))], list(zip(points, reports))
 
 
@@ -227,7 +210,7 @@ def format_sweep_table(
     fractions = sorted({f for _, f in grid})
     header = ["Algorithm"] + [f"{f * 100:g}%" for f in fractions]
     rows = [
-        [kind] + [f"{grid[(kind, f)].means.get(metric):.2f}" for f in fractions]
+        [kind] + [f"{getattr(grid[(kind, f)].means, metric):.2f}" for f in fractions]
         for kind in kinds
     ]
     return _aligned(header, rows)
@@ -243,7 +226,7 @@ def runs_to_csv(reports: list[EvalReport]) -> str:
     """Per-run metric values for external analysis."""
     lines = ["algorithm,run_seed,precision,recall,f_measure,rankscore"]
     for r in reports:
-        for seed, run in zip(r.seed_list, r.runs):
+        for seed, run in zip(r.seeds, r.runs):
             lines.append(
                 f"{r.algorithm.kind},{seed},{run.precision:.10g},"
                 f"{run.recall:.10g},{run.f_measure:.10g},{run.rankscore:.10g}"

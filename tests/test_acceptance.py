@@ -150,7 +150,7 @@ def test_05_reference_table_arithmetic():
     ]
     for m, n, p, density, avg_i, avg_u in cases:
         s = stats(synthetic_interactions(m, n, p))
-        assert round(s.density * 100, 2) == density
+        assert round(s.density_percent, 2) == density
         assert round(s.avg_items_per_user, 2) == avg_i
         assert round(s.avg_users_per_item, 2) == avg_u
     report("5 reference statistics arithmetic")

@@ -107,6 +107,12 @@ class TestRecommend:
         assert code == 2
         assert "top-n" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2_before_loading(self, tmp_path, capsys):
+        code = main(["recommend", "--dataset", str(tmp_path / "missing.json"),
+                     "--algorithm", "Random", "--seed", "-1"])
+        assert code == 2
+        assert "--seed must be >= 0" in one_line_error(capsys)
+
     def test_unknown_user_named_in_error(self, dataset_file, capsys):
         code = main(["recommend", "--dataset", dataset_file, "--user", "nobody"])
         assert code == 1
@@ -219,6 +225,32 @@ class TestEvaluate:
         assert reports[0] == reports[1]
 
 
+def test_output_keys_are_the_record_fields(tmp_path, capsys):
+    # the keys that readers of the outputs rely on; renaming a record field
+    # renames its key
+    metric_keys = {"precision", "recall", "f_measure", "rankscore"}
+    ds = str(tmp_path / "tiny.json")
+    assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", ds,
+                 "--format", "json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "num_users", "num_items", "num_selected_tags", "num_total_tags", "num_transactions",
+        "density_percent", "avg_items_per_user", "avg_users_per_item",
+    }
+    out = tmp_path / "out"
+    common = ["--dataset", ds, "--runs", "2", "--output-dir", str(out)]
+    assert main(["evaluate", *common, "--algorithms", "Random,pRW"]) == 0
+    entries = json.loads((out / "report.json").read_text())
+    assert main(["sweep", *common, "--algorithms", "UserCF", "--fractions", "0.5"]) == 0
+    entries += json.loads((out / "sweep.json").read_text()).values()
+    assert len(entries) == 3
+    for entry in entries:
+        assert set(entry) == {"algorithm", "means", "runs", "seeds", "top_n"}
+        assert [set(m) for m in [entry["means"], *entry["runs"]]] == [metric_keys] * 3
+    assert main(["grid", *common, "--eta", "0.5,0.9"]) == 0
+    grid = json.loads((out / "grid.json").read_text())["grid"]
+    assert [set(point["means"]) for point in grid] == [metric_keys] * 2
+
+
 class TestAblate:
     def test_four_rows_with_identities(self, dataset_file, tmp_path):
         out = str(tmp_path / "ab")
@@ -318,7 +350,7 @@ BAD_OPTIONS = [
     ("--train-fraction", "1.5"), ("--train-fraction", "0"), ("--runs", "0"),
     ("--half-life", "1"), ("--half-life", "0"), ("--fuse-weight", "2"),
     ("--fuse-weight", "-0.1"), ("--top-n", "0"), ("--k-neighbors", "0"),
-    ("--k-neighbors", "-1"),
+    ("--k-neighbors", "-1"), ("--seed", "-1"),
 ]
 # out of range, or a density minimum given without the other one
 BAD_INGEST_OPTIONS = [
@@ -467,6 +499,17 @@ class TestBadInput:
             (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
              b'"total_tag_count": 0, "UI": [[0, 0, 1.0]], "UT": [], "IT": []}',
              "UI: expected an object with indptr, indices and data"),
+            (b'{"format_version": 1, "users": ["a"], "items": ["x"], "tags": [], '
+             b'"total_tag_count": true, "UI": [], "UT": [], "IT": []}',
+             "total_tag_count must be an integer >= 0"),
+            (b'{"format_version": 1, "users": ["a"], "items": ["x"], "tags": ["t", "s"], '
+             b'"total_tag_count": 1, "UI": [], "UT": [], "IT": []}',
+             "total_tag_count must be an integer >= 2"),
+            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": ["t"], '
+             b'"total_tag_count": -1, "UI": {"indptr": [0, 0], "indices": [], "data": []}, '
+             b'"UT": {"indptr": [0, 0], "indices": [], "data": []}, '
+             b'"IT": {"indptr": [0, 0], "indices": [], "data": []}}',
+             "total_tag_count must be an integer >= 1"),
         ],
     )
     def test_bad_dataset_file_exits_1(self, tmp_path, capsys, content, message):

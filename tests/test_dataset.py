@@ -242,7 +242,7 @@ class TestBuildMatrices:
         col_sums = ds.UI.toarray().sum(axis=0)
         for i, name in enumerate(ds.items):
             assert col_sums[i] == item_pop[name]
-        assert ds.UI.nnz == stats(ds).p
+        assert ds.UI.nnz == stats(ds).num_transactions
 
     def test_ids_indexed_by_first_appearance_among_kept_posts(self):
         # i1 is filtered away, so u2's post comes before u1's first kept one
@@ -476,7 +476,7 @@ class TestStats:
     )
     def test_reference_statistics(self, m, n, p, density, avg_items):
         s = stats(synthetic_ds(m, n, p))
-        assert round(s.density * 100, 2) == density
+        assert round(s.density_percent, 2) == density
         assert round(s.avg_items_per_user, 2) == avg_items
 
     def test_all_ones(self):
@@ -489,7 +489,7 @@ class TestStats:
             IT=csr_matrix((4, 0)),
         )
         s = stats(ds)
-        assert s.density == 1.0
+        assert s.density_percent == 100.0
         assert s.avg_items_per_user == 4
         assert s.avg_users_per_item == 3
 

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -127,14 +128,14 @@ class TestRunExperiment:
         ds = random_dataset(np.random.default_rng(0), n_users=8, n_items=10)
         rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.3, 3, 1, 5)[0]
         assert rep.means == rep.runs[0]
-        assert rep.seed_list == [5]
+        assert rep.seeds == [5]
 
     def test_deterministic(self):
         ds = random_dataset(np.random.default_rng(1), n_users=8, n_items=10)
         spec = AlgorithmSpec("pRW")
         a = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
         b = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
     def test_random_baseline_matches_analytic_expectation(self):
         # dense uniform saves: precision of a random list ~ test share of candidates
@@ -194,7 +195,7 @@ class TestOneSplitPerSeed:
         specs = [AlgorithmSpec(kind) for kind in ("Random", "UserCF", "ItemCF", "Fusion", "pRW")]
         together = run_experiment(ds, specs, 0.3, 3, 2, 1)
         alone = [run_experiment(ds, [spec], 0.3, 3, 2, 1)[0] for spec in specs]
-        assert [r.to_dict() for r in together] == [r.to_dict() for r in alone]
+        assert [asdict(r) for r in together] == [asdict(r) for r in alone]
 
     def test_grid_search_splits_once(self, split_calls):
         ds = random_dataset(np.random.default_rng(14), n_users=8, n_items=10)
@@ -256,6 +257,18 @@ class TestPairedTTest:
         assert t == pytest.approx(ref.statistic)
         assert p == pytest.approx(ref.pvalue)
 
+    @pytest.mark.parametrize("spread", [5e-4, 5e-2])
+    def test_large_t_keeps_p(self, spread):
+        # t is about 6000 and 60: the upper tail 1 - cdf rounds to 0 or
+        # loses digits, the lower tail keeps them
+        b = [float(x) for x in range(10)]
+        a = [x + 1.0 + spread * (-1) ** k for k, x in enumerate(b)]
+        t, p = paired_t_test(a, b)
+        ref = scipy_stats.ttest_rel(a, b)
+        assert p > 0.0
+        assert t == pytest.approx(ref.statistic, rel=1e-9)
+        assert p == pytest.approx(ref.pvalue, rel=1e-9, abs=0.0)
+
     def test_degenerate_input(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])
@@ -303,13 +316,13 @@ class TestReports:
     def test_means_and_bounds_invariant(self):
         rep = self.make_report()
         for name in ("precision", "recall", "f_measure", "rankscore"):
-            vals = [r.get(name) for r in rep.runs]
-            assert rep.means.get(name) == pytest.approx(float(np.mean(vals)), abs=1e-12)
+            vals = [getattr(r, name) for r in rep.runs]
+            assert getattr(rep.means, name) == pytest.approx(float(np.mean(vals)), abs=1e-12)
             assert all(0 <= v <= 100 for v in vals)
 
     def test_json_and_csv_shapes(self):
         rep = self.make_report()
-        doc = json.loads(json.dumps([rep.to_dict()]))
+        doc = json.loads(json.dumps([asdict(rep)]))
         assert doc[0]["algorithm"]["kind"] == "Random"
         assert len(doc[0]["runs"]) == 3
         csv = runs_to_csv([rep]).splitlines()
