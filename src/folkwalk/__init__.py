@@ -2,7 +2,6 @@
 
 from .baselines import AlgorithmSpec
 from .dataset import Post, Split, TaggingDataset
-from .similarity import item_similarity, user_similarity
 from .walker import SimilarityConfig, WalkConfig
 
 __version__ = "0.1.0"
@@ -18,3 +17,13 @@ __all__ = [
     "user_similarity",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # the paper's formulas are references the pipeline never calls, so
+    # importing the package does not load their module
+    if name in ("item_similarity", "user_similarity"):
+        from . import similarity
+
+        return getattr(similarity, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,7 +8,8 @@ entry point: every algorithm but Random has a row-block scorer,
 :func:`block_scorer`, and :func:`run_algorithm` ranks its scores with
 :func:`recommend_all` a block of users at a time. The CF similarities are
 CSR; the user side forms only a block's rows of its users x users
-similarity at a time."""
+similarity at a time, and the untruncated item side never forms its items
+x items similarity: it scores a block of users by associativity."""
 
 from __future__ import annotations
 
@@ -166,37 +167,59 @@ def _cf_scorer(
     profile_ext: sp.csr_matrix | None = None,
 ) -> BlockScorer:
     """Rows of user-based (sim @ UI) or item-based (UI @ sim) CF scores,
-    with the cosine similarity of user or item profiles as CSR. Every score
-    sums the same terms in the same order as the product with the
-    similarity densified, so the rows are bitwise those of that product.
+    with the cosine similarity of user or item profiles, its diagonal (a
+    profile's similarity to itself) zero.
 
-    The user side never holds the users x users similarity: a block forms
-    only its own rows of it, and scipy computes each row of a sparse
-    product from that row alone. The item side keeps its items x items
-    similarity whole, since a block of users needs the row of every item
-    they saved."""
-    # an untruncated similarity is too dense to multiply as CSR. A dense
-    # block leading sparse UI sums over neighbors in index order; scipy
-    # computes it as (UI^T @ block^T)^T, so a Fortran-ordered block is read
-    # without a copy and the result is Fortran-ordered, as the item side's
-    # is made, so Fusion adds the two in one memory order
+    Only the truncated item side forms a whole cosine, as CSR. The user side
+    forms a block's own rows of the users x users one; scipy computes each
+    row of a sparse product from that row alone, so they are bitwise the
+    rows of the whole product. The untruncated item side never forms the
+    items x items cosine U @ U^T of the unit item profiles U: by
+    associativity it scores a block B as (UI[B] @ U) @ U^T, less each saved
+    item's self-similarity. That sums in another order than UI[B] @ (U @
+    U^T), so it matches that product to rounding, and an exact tie may rank
+    either way. Every other score sums the same terms in the same order as
+    the product with the similarity densified, so it is bitwise that
+    product's."""
     if user_based:
+        # an untruncated block of rows is too dense to multiply as CSR. A
+        # dense block leading sparse UI sums over neighbors in index order;
+        # scipy computes it as (UI^T @ block^T)^T, so a Fortran-ordered block
+        # is read without a copy and the result is Fortran-ordered, as the
+        # item side's is made, so Fusion adds the two in one memory order
         unit = _unit_rows(_profile(train_ui, profile_ext))
         unit_t = unit.T.tocsr()
 
         def scores(lo: int, hi: int) -> np.ndarray:
             sim = _truncate_neighbors(unit[lo:hi] @ unit_t, k_neighbors, lo)
             if k_neighbors is None:
-                return sim.toarray(order="F") @ train_ui
+                # written straight into a Fortran-ordered block:
+                # toarray(order="F") would convert the rows to CSC first
+                dense = np.zeros(sim.shape, order="F")
+                dense[np.repeat(np.arange(hi - lo), np.diff(sim.indptr)), sim.indices] = sim.data
+                return dense @ train_ui
             return (sim @ train_ui).toarray()
 
         return scores
-    sim = _truncate_neighbors(_cosine(_profile(train_ui.T.tocsr(), profile_ext)), k_neighbors)
+    profile = _profile(train_ui.T.tocsr(), profile_ext)
     if k_neighbors is not None:
         # with k neighbors a row the product stays small: form it once
-        product = train_ui @ sim
+        product = train_ui @ _truncate_neighbors(_cosine(profile), k_neighbors)
         return lambda lo, hi: product[lo:hi].toarray()
-    return lambda lo, hi: (train_ui[lo:hi] @ sim).toarray(order="F")
+    unit = _unit_rows(profile)
+    self_similarity = np.asarray(unit.multiply(unit).sum(axis=1)).ravel()
+
+    def scores(lo: int, hi: int) -> np.ndarray:
+        block = train_ui[lo:hi]
+        # both factors stay sparse, so the work follows their nonzeros; the
+        # product U @ (UI[B] @ U)^T is the block's scores transposed, so
+        # densified C-ordered the block comes out Fortran-ordered
+        out = (unit @ (block @ unit).T).toarray().T
+        rows = np.repeat(np.arange(hi - lo), np.diff(block.indptr))
+        out[rows, block.indices] -= block.data * self_similarity[block.indices]
+        return out
+
+    return scores
 
 
 def _fusion_scorer(ds: TaggingDataset, fuse_weight: float) -> BlockScorer:

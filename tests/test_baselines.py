@@ -14,6 +14,7 @@ from folkwalk.baselines import (
     _cosine,
     _profile,
     _truncate_neighbors,
+    _unit_rows,
     _walk_operator,
     block_scorer,
     random_recommender,
@@ -31,6 +32,7 @@ from folkwalk.similarity import (
 )
 from folkwalk.walker import SimilarityConfig, WalkConfig, fuse, recommend_all, smallest_k_mask
 
+from gate import certified, flips
 from gen import edge_user_dataset, planted_cluster_posts, random_dataset
 
 
@@ -292,7 +294,17 @@ class TestFusionCF:
             assert all(0 <= j < ds.num_items for j in lst)
 
 
+def assert_lists_certified(kind, ds, want, **params):
+    """The algorithm's top-5 lists differ from ``want`` only by ties at
+    rounding level."""
+    spec = AlgorithmSpec(kind, params)
+    assert certified(flips(ds, spec, run_algorithm(spec, ds, 5, 0), want))
+
+
 def test_cf_lists_match_dense_oracle_on_planted_clusters():
+    # the untruncated item side sums in another order than the dense
+    # product, so its lists may break exact ties differently: they go
+    # through the rounding gate; every other list is equal
     ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
     ut, it = ds.UT.toarray(), ds.IT.toarray()
     for seed in range(3):
@@ -302,13 +314,15 @@ def test_cf_lists_match_dense_oracle_on_planted_clusters():
             assert top_n_lists("UserCF", sp.train, k_neighbors=k) == recommend_all(
                 dense_cf_scores(train, "user", k), sp.train.UI, 5
             )
-            assert top_n_lists("ItemCF", sp.train, k_neighbors=k) == recommend_all(
-                dense_cf_scores(train, "item", k), sp.train.UI, 5
-            )
+        assert top_n_lists("ItemCF", sp.train, k_neighbors=20) == recommend_all(
+            dense_cf_scores(train, "item", 20), sp.train.UI, 5
+        )
+        want = recommend_all(dense_cf_scores(train, "item"), sp.train.UI, 5)
+        assert_lists_certified("ItemCF", sp.train, want)
         fused = 0.5 * dense_cf_scores(train, "user", profile_ext=ut) + 0.5 * dense_cf_scores(
             train, "item", profile_ext=it
         )
-        assert top_n_lists("Fusion", sp.train) == recommend_all(fused, sp.train.UI, 5)
+        assert_lists_certified("Fusion", sp.train, recommend_all(fused, sp.train.UI, 5))
 
 
 def dense_truncation_scores(train_ui, side, k_neighbors):
@@ -331,22 +345,37 @@ def dense_truncation_scores(train_ui, side, k_neighbors):
 
 def test_cf_scores_bitwise_equal_dense_truncation():
     # sparse neighborhoods sum the same terms in the same order as the dense
-    # product, so not even the last bit of a score moves
+    # product, so not even the last bit of a score moves; the untruncated
+    # item side sums by associativity, so it matches to rounding and its
+    # lists go through the rounding gate
     ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
     for seed in range(3):
         train = make_split(ds, 0.2, seed).train
         for k in (1, 5, 20, None):
             for kind, side in (("UserCF", "user"), ("ItemCF", "item")):
                 got = all_scores(kind, train, k_neighbors=k)
-                assert np.array_equal(got, dense_truncation_scores(train.UI, side, k))
+                want = dense_truncation_scores(train.UI, side, k)
+                if kind == "UserCF" or k is not None:
+                    assert np.array_equal(got, want)
+                    continue
+                assert np.abs(got - want).max() < 1e-12
+                assert_lists_certified(kind, train, recommend_all(want, train.UI, 5))
 
 
 def full_cf_scores(train_ui, user_based, k_neighbors=None, profile_ext=None):
-    """UserCF/ItemCF scores by the full-matrix formulas: the cosine, for
-    k = None densified with its diagonal zeroed, times the interactions as
-    one product over every user."""
+    """UserCF/ItemCF scores by the full-matrix formulas, as one product over
+    every user: the user side and a truncated item side multiply the
+    interactions with the cosine, for k = None densified with its diagonal
+    zeroed; the untruncated item side is (UI @ U) @ U^T for the unit item
+    profiles U, less each save's self-similarity."""
     profile = train_ui if user_based else train_ui.T.tocsr()
-    sim = _cosine(_profile(profile, profile_ext))
+    profile = _profile(profile, profile_ext)
+    if not user_based and k_neighbors is None:
+        unit = _unit_rows(profile)
+        self_similarity = np.asarray(unit.multiply(unit).sum(axis=1)).ravel()
+        scores = (unit @ (train_ui @ unit).T).toarray().T
+        return scores - train_ui.multiply(self_similarity).toarray()
+    sim = _cosine(profile)
     if k_neighbors is None:
         sim = sim.toarray()
         np.fill_diagonal(sim, 0.0)
@@ -438,6 +467,32 @@ def test_no_users_by_users_similarity_is_formed(monkeypatch, kind, params):
     run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
     assert max(user_rows) <= 7
     assert sum(user_rows) == ds.num_users
+
+
+@pytest.mark.parametrize("kind", ["ItemCF", "Fusion"])
+def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
+    # the untruncated item side scores a block by associativity: no cosine
+    # is built and no product comes out items wide
+    monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
+    ds = make_split(
+        build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    ).train
+
+    def no_cosine(profile):
+        raise AssertionError("the items x items cosine was built")
+
+    monkeypatch.setattr("folkwalk.baselines._cosine", no_cosine)
+    matmul = scipy.sparse.csr_matrix.__matmul__
+    widths = []
+
+    def recording_matmul(a, b):
+        product = matmul(a, b)
+        widths.append(product.shape[1])
+        return product
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", recording_matmul)
+    run_algorithm(AlgorithmSpec(kind), ds, 5, 0)
+    assert widths and ds.num_items not in widths
 
 
 def iterated_scores(ds, walk, sim):

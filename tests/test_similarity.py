@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -180,3 +183,18 @@ def test_no_pipeline_module_imports_the_reference(module):
     path = Path(folkwalk.__file__).with_name(f"{module}.py")
     names = set(imported_names(ast.parse(path.read_text(encoding="utf-8"))))
     assert "folkwalk.similarity" not in names
+
+
+def test_importing_the_cli_leaves_the_reference_unloaded():
+    # the package exports the reference similarities lazily, so a command
+    # run never loads the paper's formulas
+    code = "import sys, folkwalk.cli; sys.exit('folkwalk.similarity' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(folkwalk.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_package_exports_the_reference_similarities():
+    assert folkwalk.item_similarity is item_similarity
+    assert folkwalk.user_similarity is user_similarity
+    with pytest.raises(AttributeError):
+        folkwalk.no_such_name
