@@ -119,6 +119,11 @@ def _cosine(profile: sp.csr_matrix) -> sp.csr_matrix:
     return unit @ unit.T
 
 
+def _entry_rows(matrix: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+
+
 def _truncate_neighbors(
     sim: sp.csr_matrix, k_neighbors: int | None, offset: int = 0
 ) -> sp.csr_matrix:
@@ -136,7 +141,7 @@ def _truncate_neighbors(
         sim[stored, stored + offset] = 0.0
         return sim
     sim = sim.sorted_indices()
-    rows = np.repeat(np.arange(sim.shape[0]), np.diff(sim.indptr))
+    rows = _entry_rows(sim)
     off_diagonal = np.flatnonzero(sim.indices != rows + offset)
     # by row, then descending similarity; the sort is stable, so ties stay
     # in ascending column order and a row's first k entries are its neighbors
@@ -196,7 +201,7 @@ def _cf_scorer(
                 # written straight into a Fortran-ordered block:
                 # toarray(order="F") would convert the rows to CSC first
                 dense = np.zeros(sim.shape, order="F")
-                dense[np.repeat(np.arange(hi - lo), np.diff(sim.indptr)), sim.indices] = sim.data
+                dense[_entry_rows(sim), sim.indices] = sim.data
                 return dense @ train_ui
             return (sim @ train_ui).toarray()
 
@@ -215,8 +220,7 @@ def _cf_scorer(
         # product U @ (UI[B] @ U)^T is the block's scores transposed, so
         # densified C-ordered the block comes out Fortran-ordered
         out = (unit @ (block @ unit).T).toarray().T
-        rows = np.repeat(np.arange(hi - lo), np.diff(block.indptr))
-        out[rows, block.indices] -= block.data * self_similarity[block.indices]
+        out[_entry_rows(block), block.indices] -= block.data * self_similarity[block.indices]
         return out
 
     return scores
