@@ -1,8 +1,7 @@
 """Random-walk-with-restart item recommender for social tagging data."""
 
-from .baselines import AlgorithmSpec
 from .dataset import Post, Split, TaggingDataset
-from .walker import SimilarityConfig, WalkConfig
+from .params import AlgorithmSpec, SimilarityConfig, WalkConfig
 
 __version__ = "0.1.0"
 

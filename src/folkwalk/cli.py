@@ -3,6 +3,9 @@
 Every command writes a run manifest (config snapshot, input digests, seeds,
 tool version) next to its outputs so a run can be reproduced byte-for-byte.
 Config precedence: CLI flag > config file > built-in default.
+
+Importing this module, ``--help`` and ``ingest`` load numpy only; the commands
+that score import the scoring modules, and with them scipy, when they run.
 """
 
 from __future__ import annotations
@@ -16,28 +19,20 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .baselines import ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec, run_algorithm, walk_params
 from .dataset import (
     EmptyDatasetError,
     InvalidDatasetError,
     ParseError,
     dataset_from_json,
-    dataset_json_pieces,
     format_stats_table,
-    ingest,
+    ingest_snapshot,
+    json_pieces,
     parse_triples,
-    stats,
+    snapshot_stats,
 )
-from .evaluation import (
-    density_sweep,
-    format_report_table,
-    format_sweep_table,
-    grid_search,
-    paired_t_test,
-    run_experiment,
-    runs_to_csv,
+from .params import (
+    ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec, SimilarityConfig, WalkConfig, walk_params
 )
-from .walker import SimilarityConfig, WalkConfig
 
 
 class UsageError(Exception):
@@ -183,19 +178,21 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             posts = parse_triples(fh)
     except UnicodeDecodeError as exc:
         raise InputError(_not_utf8(args.input, exc)) from None
-    ds = ingest(
+    if not len(posts):
+        raise InputError(f"{args.input}: no triples")
+    snapshot = ingest_snapshot(
         posts,
         min_items_per_user=args.min_items_per_user,
         min_users_per_item=args.min_users_per_item,
         unqualified_item_threshold=args.unqualified_threshold,
         num_tags=args.select_tags,
     )
-    if ds.num_users == 0 or ds.num_items == 0:
+    if not snapshot["users"]:
         print("error: dataset empty after filtering", file=sys.stderr)
         return 2
     with open(args.dataset, "w", encoding="utf-8") as fh:
-        fh.writelines(dataset_json_pieces(ds))
-    s = stats(ds)
+        fh.writelines(json_pieces(snapshot))
+    s = snapshot_stats(snapshot)
     if args.format == "json":
         print(json.dumps(asdict(s), indent=2, sort_keys=True))
     else:
@@ -205,6 +202,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_recommend(args: argparse.Namespace) -> int:
+    from .baselines import run_algorithm
+
     spec = _algorithm_spec(args.algorithm, args)
     ds = _load_dataset(args.dataset)
     user = None
@@ -258,6 +257,8 @@ def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
 
 
 def _emit_reports(reports, args, extras: dict | None = None) -> None:
+    from .evaluation import format_report_table, runs_to_csv
+
     doc = [asdict(r) for r in reports]
     if extras:
         doc = {"reports": doc, **extras}
@@ -272,6 +273,8 @@ def _emit_reports(reports, args, extras: dict | None = None) -> None:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import paired_t_test, run_experiment
+
     specs = _parse_algorithms(args.algorithms, args)
     ds = _load_dataset(args.dataset)
     reports = run_experiment(ds, specs, args.train_fraction, **_run_options(args))
@@ -293,6 +296,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .evaluation import density_sweep, format_sweep_table
+
     fractions = _csv_floats(args.fractions)
     if not fractions or not all(0.0 < f < 1.0 for f in fractions):
         raise UsageError("--fractions must be a non-empty list within (0, 1)")
@@ -309,6 +314,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    from .evaluation import grid_search
+
     grid_axes = {}
     for key in _HYPERPARAMETERS:
         raw = getattr(args, key)

@@ -5,6 +5,8 @@ co-occurrence matrix construction, statistics, and train/test splitting.
 text file, and reads either a piece of :data:`_PIECE_CHARS` characters at a
 time; :func:`dataset_json_pieces` gives a snapshot's text a piece at a time.
 Ingesting a file therefore never holds its whole text or the whole snapshot.
+The module loads numpy only: scipy enters with :mod:`folkwalk.linalg`, which
+the functions that make a :class:`TaggingDataset` import when they run.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import json
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import filterfalse, islice, repeat
-from typing import NoReturn, TextIO
+from typing import TYPE_CHECKING, NoReturn, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import csr_from_coo
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class ParseError(ValueError):
@@ -333,36 +335,33 @@ def select_tags(posts: PostTable, l: int) -> PostTable:
 
 def _first_appearance(codes: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Renumber ``codes`` 0, 1, ... in order of first appearance; return the
-    new codes and the ids they index."""
-    used, first = np.unique(codes, return_index=True)
-    used = used[np.argsort(first)]
+    new codes and the ids they index. Only the distinct codes are sorted."""
+    first = np.full(len(ids), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    used = np.argsort(first)[:np.count_nonzero(first < len(codes))]
     renumber = np.empty(len(ids), dtype=np.int64)
     renumber[used] = np.arange(len(used))
     return renumber[codes], tuple(map(ids.__getitem__, used.tolist()))
 
 
-def _count_matrix(rows: int, cols: int, i: np.ndarray, j: np.ndarray, binary: bool = False) -> sp.csr_matrix:
-    """rows x cols matrix counting each (i, j) pair, or 1.0 per pair if binary."""
+def _count_arrays(rows: int, cols: int, i: np.ndarray, j: np.ndarray, binary: bool = False) -> dict:
+    """The :func:`_csr_arrays` of the rows x cols matrix counting each (i, j)
+    pair, or 1.0 per pair if binary: np.unique's keys ``i * cols + j`` are
+    sorted and distinct, so they are its entries in CSR order already."""
     keys, counts = np.unique(i * cols + j, return_counts=True)
-    values = np.ones(len(keys)) if binary else counts.astype(np.float64)
-    return csr_from_coo(rows, cols, keys // cols, keys % cols, values)
+    row, col = np.divmod(keys, max(cols, 1))  # no columns: no keys
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=rows))))
+    data = np.ones(len(keys)) if binary else counts.astype(np.float64)
+    return {"indptr": indptr, "indices": col, "data": data}
 
 
 def build_matrices(posts: PostTable, total_tag_count: int | None = None) -> TaggingDataset:
-    """Index ids by first appearance among the posts and assemble UI/UT/IT."""
-    user, users = _first_appearance(posts.user, posts.users)
-    item, items = _first_appearance(posts.item, posts.items)
-    tag, tags = _first_appearance(posts.tag, posts.tags)
-    m, n, l = len(users), len(items), len(tags)
-    return TaggingDataset(
-        users=users,
-        items=items,
-        tags=tags,
-        UI=_count_matrix(m, n, user, item, binary=True),
-        UT=_count_matrix(m, l, user[posts.tag_post], tag),
-        IT=_count_matrix(n, l, item[posts.tag_post], tag),
-        total_tag_count=l if total_tag_count is None else total_tag_count,
-    )
+    """Index ids by first appearance among the posts and assemble UI/UT/IT
+    from the arrays of :func:`ingest_snapshot`, through a dataset file's checks."""
+    snapshot = ingest_snapshot(posts)
+    if total_tag_count is not None:
+        snapshot["total_tag_count"] = total_tag_count
+    return _dataset(snapshot)
 
 
 def ingest(
@@ -372,7 +371,23 @@ def ingest(
     unqualified_item_threshold: int = 20,
     num_tags: int | None = None,
 ) -> TaggingDataset:
-    """Full preprocessing pipeline: density filter, tag selection, matrices.
+    """Full preprocessing pipeline: the dataset of :func:`ingest_snapshot`."""
+    return _dataset(ingest_snapshot(
+        posts, min_items_per_user, min_users_per_item, unqualified_item_threshold, num_tags
+    ))
+
+
+def ingest_snapshot(
+    posts: PostTable,
+    min_items_per_user: int | None = None,
+    min_users_per_item: int | None = None,
+    unqualified_item_threshold: int = 20,
+    num_tags: int | None = None,
+) -> dict:
+    """Density filter, tag selection, and the dataset's snapshot object,
+    built with numpy alone: ids by first appearance among the kept posts,
+    and UI/UT/IT as their :func:`_count_arrays`. :func:`json_pieces` writes
+    it as :func:`dataset_to_json` writes the dataset.
 
     The density filter runs when both minimum degrees are given; giving
     only one is an error.
@@ -386,19 +401,36 @@ def ingest(
     total = len(np.unique(posts.tag))
     if num_tags is not None:
         posts = select_tags(posts, num_tags)
-    return build_matrices(posts, total_tag_count=total)
+    user, users = _first_appearance(posts.user, posts.users)
+    item, items = _first_appearance(posts.item, posts.items)
+    tag, tags = _first_appearance(posts.tag, posts.tags)
+    m, n, l = len(users), len(items), len(tags)
+    return {
+        "format_version": 2, "users": users, "items": items, "tags": tags, "total_tag_count": total,
+        "UI": _count_arrays(m, n, user, item, binary=True),
+        "UT": _count_arrays(m, l, user[posts.tag_post], tag),
+        "IT": _count_arrays(n, l, item[posts.tag_post], tag),
+    }
 
 
 def stats(ds: TaggingDataset) -> DatasetStats:
-    m, n = ds.num_users, ds.num_items
+    return _stats(ds.num_users, ds.num_items, ds.num_tags, ds.total_tag_count, ds.UI.nnz)
+
+
+def snapshot_stats(snapshot: dict) -> DatasetStats:
+    """:func:`stats` of the dataset that a snapshot object holds."""
+    ids = (snapshot[key] for key in ("users", "items", "tags"))
+    return _stats(*map(len, ids), snapshot["total_tag_count"], len(snapshot["UI"]["data"]))
+
+
+def _stats(m: int, n: int, l: int, total_tags: int, p: int) -> DatasetStats:
     if m < 1 or n < 1:
         raise EmptyDatasetError("dataset has no users or no items")
-    p = ds.UI.nnz
     return DatasetStats(
         num_users=m,
         num_items=n,
-        num_selected_tags=ds.num_tags,
-        num_total_tags=ds.total_tag_count,
+        num_selected_tags=l,
+        num_total_tags=total_tags,
         num_transactions=p,
         density_percent=p / (m * n) * 100.0,
         avg_items_per_user=p / m,
@@ -429,6 +461,8 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     Each user with saves draws positions in their ascending support, which
     is what drawing from the support itself draws; the draws mark UI's
     entries, and the marked and unmarked entries make the two sides."""
+    from .linalg import csr_from_coo
+
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -458,22 +492,22 @@ def _csr_arrays(m: sp.csr_matrix) -> dict[str, np.ndarray]:
     return {"indptr": m.indptr, "indices": m.indices, "data": m.data}
 
 
-# Array elements that _json_pieces turns into text at a time.
+# Array elements that json_pieces turns into text at a time.
 _JSON_ELEMENTS = 1 << 14
 
 
-def _json_pieces(value) -> Iterator[str]:
+def json_pieces(value) -> Iterator[str]:
     """``json.dumps(value, sort_keys=True, separators=(",", ":"))`` in
-    pieces: a dict entry by entry, a sparse matrix as the object of its
-    :func:`_csr_arrays` (made when its turn comes), an array
-    :data:`_JSON_ELEMENTS` elements at a time, and any other value whole."""
-    if sp.issparse(value):
-        value = _csr_arrays(value)
+    pieces: a dict entry by entry, a callable as the value it returns (made
+    when its turn comes), an array :data:`_JSON_ELEMENTS` elements at a
+    time, and any other value whole."""
+    if callable(value):
+        value = value()
     if isinstance(value, dict):
         yield "{"
         for k, key in enumerate(sorted(value)):
             yield ("," if k else "") + json.dumps(key) + ":"
-            yield from _json_pieces(value[key])
+            yield from json_pieces(value[key])
         yield "}"
     elif isinstance(value, np.ndarray):
         yield "["
@@ -489,15 +523,13 @@ def dataset_json_pieces(ds: TaggingDataset) -> Iterator[str]:
     """:func:`dataset_to_json`'s text in pieces; writing them in turn holds
     one matrix's canonical arrays and the text of one slice of them at a
     time, never the whole snapshot."""
-    return _json_pieces({
+    return json_pieces({
         "format_version": 2,
         "users": ds.users,
         "items": ds.items,
         "tags": ds.tags,
         "total_tag_count": ds.total_tag_count,
-        "UI": ds.UI,
-        "UT": ds.UT,
-        "IT": ds.IT,
+        **{key: partial(_csr_arrays, getattr(ds, key)) for key in ("UI", "UT", "IT")},
     })
 
 
@@ -546,6 +578,8 @@ def _checked_matrix(rows: int, cols: int, i, j, v, check_booleans: bool) -> sp.c
     read (lists) or derived from checked arrays: the indices must be
     integers and the values non-negative numbers. A boolean among numbers
     would read as 0 or 1, so ``check_booleans`` scans the lists for one."""
+    from .linalg import csr_from_coo
+
     if check_booleans and any(bool in set(map(type, c)) for c in (i, j, v) if isinstance(c, list)):
         raise ValueError("entry holds a boolean")
     i, j, v = np.asarray(i), np.asarray(j), np.asarray(v)
@@ -595,15 +629,21 @@ def dataset_from_json(text: str) -> TaggingDataset:
         if len(set(ids)) != len(ids):
             repeated = next(x for x, count in Counter(ids).items() if count > 1)
             raise InvalidDatasetError(f"duplicate {key[:-1]} id {repeated!r}")
-    m, n, l = len(d["users"]), len(d["items"]), len(d["tags"])
+    l = len(d["tags"])
     if type(d["total_tag_count"]) is not int or d["total_tag_count"] < l:
         raise InvalidDatasetError(f"total_tag_count must be an integer >= {l}, the number of tags")
-    matrices = {}
     # only text that spells a JSON boolean can hold one
-    check_booleans = "true" in text or "false" in text
+    return _dataset(d, check_booleans="true" in text or "false" in text)
+
+
+def _dataset(d: dict, check_booleans: bool = False) -> TaggingDataset:
+    """The dataset of snapshot object ``d``, each matrix built by
+    :func:`_checked_matrix`; a failed check raises InvalidDatasetError."""
+    m, n, l = len(d["users"]), len(d["items"]), len(d["tags"])
+    matrices = {}
     for key, rows, cols in (("UI", m, n), ("UT", m, l), ("IT", n, l)):
         try:
-            columns = _entry_columns(d[key]) if version == 1 else _csr_columns(rows, d[key])
+            columns = _entry_columns(d[key]) if d["format_version"] == 1 else _csr_columns(rows, d[key])
             matrices[key] = _checked_matrix(rows, cols, *columns, check_booleans)
         except (TypeError, ValueError, LookupError) as exc:
             raise InvalidDatasetError(f"{key}: {exc}") from None

@@ -9,8 +9,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .baselines import AlgorithmSpec, run_algorithm, walk_params
+from .baselines import run_algorithm
 from .dataset import EmptyDatasetError, TaggingDataset, split as make_split
+from .params import AlgorithmSpec, walk_params
 
 Recs = dict[int, list[int]]
 TestSets = dict[int, frozenset[int]]

@@ -23,7 +23,8 @@ import scipy.sparse as sp
 
 from .dataset import TaggingDataset
 from .linalg import ShapeError, row_normalize
-from .walker import _check_damping, _check_weight, _damped_inverse, chain_weight
+from .params import _check_damping, _check_weight
+from .walker import _damped_inverse, chain_weight
 
 
 def _two_hop(out_hop: sp.csr_matrix) -> sp.csr_matrix:

@@ -32,42 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import ShapeError, invert_in_place, invert_spd_in_place, row_normalize
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    """Hyperparameters for the two walks and their fusion."""
-
-    eta: float = 0.8
-    lambda_: float = 0.8
-    mu: float = 0.5
-
-    def __post_init__(self):
-        _check_damping(self.eta, "eta")
-        _check_damping(self.lambda_, "lambda")
-        _check_weight(self.mu, "mu")
-
-
-def _check_damping(value: float, name: str) -> None:
-    if not 0.0 <= value < 1.0:
-        raise ValueError(f"{name} must be in [0, 1), got {value}")
-
-
-@dataclass(frozen=True)
-class SimilarityConfig:
-    """The tag chains' weights in the item (alpha) and user (beta) similarities."""
-
-    alpha: float = 0.5
-    beta: float = 0.5
-
-    def __post_init__(self):
-        _check_weight(self.alpha, "alpha")
-        _check_weight(self.beta, "beta")
-
-
-def _check_weight(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+from .params import SimilarityConfig, WalkConfig, _check_weight
 
 
 def chain_weight(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> float:

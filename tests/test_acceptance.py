@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from folkwalk.baselines import AlgorithmSpec, block_scorer, run_algorithm
+from folkwalk.baselines import block_scorer, run_algorithm
 from folkwalk.cli import main
 from folkwalk.dataset import (
     PostTable,
@@ -25,6 +25,7 @@ from folkwalk.evaluation import (
     run_experiment,
 )
 from folkwalk.linalg import row_normalize
+from folkwalk.params import AlgorithmSpec, SimilarityConfig, WalkConfig
 from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
@@ -33,7 +34,6 @@ from folkwalk.similarity import (
     walk_item,
     walk_user,
 )
-from folkwalk.walker import SimilarityConfig, WalkConfig
 
 from gen import csr, planted_cluster_posts, random_dataset, slow_mix_dataset
 

@@ -9,8 +9,6 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from folkwalk.baselines import (
-    ABLATION_KINDS,
-    AlgorithmSpec,
     _cosine,
     _profile,
     _truncate_neighbors,
@@ -22,6 +20,7 @@ from folkwalk.baselines import (
 )
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
 from folkwalk.linalg import SingularMatrixError, invert_in_place, invert_spd_in_place, row_normalize
+from folkwalk.params import ABLATION_KINDS, AlgorithmSpec, SimilarityConfig, WalkConfig
 from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
@@ -30,7 +29,7 @@ from folkwalk.similarity import (
     walk_item,
     walk_user,
 )
-from folkwalk.walker import SimilarityConfig, WalkConfig, fuse, recommend_all, smallest_k_mask
+from folkwalk.walker import fuse, recommend_all, smallest_k_mask
 
 from gate import certified, flips
 from gen import edge_user_dataset, planted_cluster_posts, random_dataset

@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from folkwalk.baselines import ALGORITHM_KINDS
+import folkwalk
 from folkwalk.cli import main
-from folkwalk.dataset import dataset_from_json, dataset_to_json
+from folkwalk.dataset import dataset_from_json, dataset_to_json, ingest, parse_triples, stats
+from folkwalk.params import ALGORITHM_KINDS
 from folkwalk.walker import recommend_all
 
 from gen import random_dataset, random_posts
@@ -58,6 +63,32 @@ class TestIngest:
         ])
         assert code == 2
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n\r\n"])
+    def test_input_with_no_triples_exits_1(self, tmp_path, capsys, text):
+        # bad input data, not a filter that removed everything
+        src, out = tmp_path / "empty.tsv", tmp_path / "empty.json"
+        src.write_text(text)
+        assert main(["ingest", "--input", str(src), "--dataset", str(out)]) == 1
+        assert one_line_error(capsys) == f"error: {src}: no triples\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, options", [
+        ([], {}),
+        (["--select-tags", "3"], {"num_tags": 3}),
+        (["--min-items-per-user", "3", "--min-users-per-item", "2", "--select-tags", "4"],
+         {"min_items_per_user": 3, "min_users_per_item": 2, "num_tags": 4}),
+    ])
+    def test_snapshot_and_stats_are_those_of_ingest(self, tmp_path, capsys, flags, options):
+        # the command writes count arrays without building the scipy dataset
+        out = tmp_path / "ds.json"
+        tsv = DATA / "tiny.tsv"
+        assert main(["ingest", "--input", str(tsv), "--dataset", str(out), "--format", "json",
+                     *flags]) == 0
+        with open(tsv, encoding="utf-8") as fh:
+            ds = ingest(parse_triples(fh), **options)
+        assert out.read_text(encoding="utf-8") == dataset_to_json(ds)
+        assert json.loads(capsys.readouterr().out) == asdict(stats(ds))
 
     def test_reingest_is_byte_identical(self, triples_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -617,3 +648,48 @@ class TestBadInput:
             "--algorithms", "Random", "--runs=1", "--output-dir", str(out),
         ]) == 0
         assert len(json.loads((out / "report.json").read_text())[0]["runs"]) == 1
+
+
+def loaded_modules(tmp_path, statement: str) -> set[str]:
+    """The modules a fresh interpreter has loaded when it ends, after it ran
+    ``statement`` in ``tmp_path``; the statement must exit with status 0."""
+    code = (
+        "import atexit, pathlib, sys\n"
+        "atexit.register(lambda: pathlib.Path('modules.txt').write_text(' '.join(sys.modules)))\n"
+        + statement
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(folkwalk.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    return set((tmp_path / "modules.txt").read_text().split())
+
+
+def scipy_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
+class TestImports:
+    @pytest.mark.parametrize("statement", [
+        "import folkwalk",
+        "import folkwalk.cli",
+        # the console script's entry point, as `folkwalk --help` runs it
+        "from folkwalk.cli import main\nsys.argv[1:] = ['--help']\nsys.exit(main())",
+        "import runpy\nsys.argv[1:] = ['ingest', '--help']\n"
+        "runpy.run_module('folkwalk.cli', run_name='__main__')",
+        f"from folkwalk.cli import main\nsys.exit(main(['ingest', '--input', {str(DATA / 'tiny.tsv')!r},"
+        " '--dataset', 'ds.json', '--select-tags', '3']))",
+    ])
+    def test_leave_scipy_unloaded(self, tmp_path, statement):
+        modules = loaded_modules(tmp_path, statement)
+        assert "numpy" in modules
+        assert not scipy_modules(modules)
+
+    def test_cf_evaluation_leaves_scipy_linalg_unloaded(self, tmp_path):
+        assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset",
+                     str(tmp_path / "ds.json")]) == 0
+        modules = loaded_modules(tmp_path, (
+            "from folkwalk.cli import main\nsys.exit(main(['evaluate', '--dataset', 'ds.json',"
+            " '--algorithms', 'Random,UserCF', '--runs', '1', '--output-dir', 'out']))"
+        ))
+        assert "scipy.sparse" in modules
+        assert "scipy.linalg" not in modules

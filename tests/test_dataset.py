@@ -8,8 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
-from scipy.sparse import csr_matrix
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.sparse import coo_matrix, csr_matrix
 
 import reference_ingest as reference
 from folkwalk import dataset as dataset_module
@@ -282,6 +282,63 @@ _options = st.fixed_dictionaries({
     "unqualified_item_threshold": st.integers(1, 3),
     "num_tags": st.none() | st.integers(1, 5),
 })
+
+
+class TestCountArrays:
+    """The ``ingest`` command writes the count arrays it builds with numpy;
+    they must be the canonical arrays of the matrices scipy builds."""
+
+    @staticmethod
+    def scipy_arrays(shape, i, j, binary=False):
+        # coo -> csr sums repeated coordinates, which counts them
+        m = coo_matrix((np.ones(len(i)), (i, j)), shape=shape).tocsr()
+        if binary:
+            m.data[:] = 1.0
+        return dataset_module._csr_arrays(m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=tsv_text(), num_tags=st.none() | st.integers(1, 3))
+    @example(text="u1\ti1\t\nu1\ti1\t\nu2\ti1\t\n", num_tags=None)  # tag-free
+    @example(text="u1\ti1\tx\nu1\ti1\tx\nu2\ti2\t\nu2\ti1\ty\n", num_tags=1)
+    def test_equal_the_scipy_build(self, text, num_tags):
+        posts = parse_triples(text)
+        snapshot = dataset_module.ingest_snapshot(posts, num_tags=num_tags)
+        ds = ingest(posts, num_tags=num_tags)
+        if num_tags is not None:
+            posts = select_tags(posts, num_tags)
+        code = {k: {x: c for c, x in enumerate(snapshot[k])} for k in ("users", "items", "tags")}
+        user = np.array([code["users"][posts.users[u]] for u in posts.user.tolist()], dtype=int)
+        item = np.array([code["items"][posts.items[i]] for i in posts.item.tolist()], dtype=int)
+        tag = np.array([code["tags"][posts.tags[t]] for t in posts.tag.tolist()], dtype=int)
+        m, n, l = len(snapshot["users"]), len(snapshot["items"]), len(snapshot["tags"])
+        want = {
+            "UI": self.scipy_arrays((m, n), user, item, binary=True),
+            "UT": self.scipy_arrays((m, l), user[posts.tag_post], tag),
+            "IT": self.scipy_arrays((n, l), item[posts.tag_post], tag),
+        }
+        built = build_matrices(posts)
+        for key, arrays in want.items():
+            for name, array in arrays.items():
+                np.testing.assert_array_equal(snapshot[key][name], array)
+                for matrix in (getattr(ds, key), getattr(built, key)):
+                    np.testing.assert_array_equal(dataset_module._csr_arrays(matrix)[name], array)
+        assert "".join(dataset_module.json_pieces(snapshot)) == dataset_to_json(ds)
+        if m:
+            assert dataset_module.snapshot_stats(snapshot) == stats(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(codes=st.lists(st.integers(0, 9), max_size=40), spare=st.integers(0, 3))
+    def test_first_appearance_equals_the_sorting_renumbering(self, codes, spare):
+        codes = np.array(codes, dtype=np.int64)
+        ids = tuple(f"id{k}" for k in range(10 + spare))
+        used, first = np.unique(codes, return_index=True)
+        used = used[np.argsort(first)]
+        renumber = np.empty(len(ids), dtype=np.int64)
+        renumber[used] = np.arange(len(used))
+        got_codes, got_ids = dataset_module._first_appearance(codes, ids)
+        # the codes the former np.unique(..., return_index=True) renumbering gave
+        np.testing.assert_array_equal(got_codes, renumber[codes])
+        assert got_ids == tuple(ids[k] for k in used.tolist())
 
 
 class TestAgainstReferencePipeline:

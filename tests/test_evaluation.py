@@ -7,7 +7,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from folkwalk import evaluation
-from folkwalk.baselines import AlgorithmSpec
+from folkwalk.params import AlgorithmSpec
 from folkwalk.dataset import split
 from folkwalk.evaluation import (
     EvalReport,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from folkwalk.baselines import AlgorithmSpec, block_scorer, run_algorithm
+from folkwalk.baselines import block_scorer, run_algorithm
 from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
+from folkwalk.params import AlgorithmSpec
 from folkwalk.walker import recommend_all
 
 from gate import TOLERANCE, Flip, certified, exact_scores, flips

@@ -8,6 +8,7 @@ from folkwalk.linalg import (
     SingularMatrixError,
     row_normalize,
 )
+from folkwalk.params import SimilarityConfig, WalkConfig
 from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
@@ -16,7 +17,7 @@ from folkwalk.similarity import (
     walk_item,
     walk_user,
 )
-from folkwalk.walker import SimilarityConfig, WalkConfig, _base, chain_weight, fuse, recommend_all
+from folkwalk.walker import _base, chain_weight, fuse, recommend_all
 
 from gen import random_dataset, slow_mix_dataset
 
