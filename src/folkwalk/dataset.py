@@ -3,10 +3,10 @@ co-occurrence matrix construction, statistics, and train/test splitting.
 
 :func:`parse_triples` accepts the triple text as a ``str`` or as an open
 text file, and reads either a piece of :data:`_PIECE_CHARS` characters at a
-time; :func:`dataset_json_pieces` gives a snapshot's text a piece at a time.
+time; :func:`json_pieces` gives a snapshot's text a piece at a time.
 Ingesting a file therefore never holds its whole text or the whole snapshot.
-The module loads numpy only: scipy enters with :mod:`folkwalk.linalg`, which
-the functions that make a :class:`TaggingDataset` import when they run.
+The module loads numpy only: the functions that make a
+:class:`TaggingDataset` import scipy when they run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import filterfalse, islice, repeat
 from typing import TYPE_CHECKING, NoReturn, TextIO
 
@@ -355,15 +355,6 @@ def _count_arrays(rows: int, cols: int, i: np.ndarray, j: np.ndarray, binary: bo
     return {"indptr": indptr, "indices": col, "data": data}
 
 
-def build_matrices(posts: PostTable, total_tag_count: int | None = None) -> TaggingDataset:
-    """Index ids by first appearance among the posts and assemble UI/UT/IT
-    from the arrays of :func:`ingest_snapshot`, through a dataset file's checks."""
-    snapshot = ingest_snapshot(posts)
-    if total_tag_count is not None:
-        snapshot["total_tag_count"] = total_tag_count
-    return _dataset(snapshot)
-
-
 def ingest(
     posts: PostTable,
     min_items_per_user: int | None = None,
@@ -371,7 +362,8 @@ def ingest(
     unqualified_item_threshold: int = 20,
     num_tags: int | None = None,
 ) -> TaggingDataset:
-    """Full preprocessing pipeline: the dataset of :func:`ingest_snapshot`."""
+    """Full preprocessing pipeline: the dataset of :func:`ingest_snapshot`,
+    through a dataset file's checks."""
     return _dataset(ingest_snapshot(
         posts, min_items_per_user, min_users_per_item, unqualified_item_threshold, num_tags
     ))
@@ -460,8 +452,9 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
 
     Each user with saves draws positions in their ascending support, which
     is what drawing from the support itself draws; the draws mark UI's
-    entries, and the marked and unmarked entries make the two sides."""
-    from .linalg import csr_from_coo
+    entries. The marked entries, in the checked UI's order, are the training
+    UI's CSR arrays as they stand; the unmarked ones make the test sets."""
+    import scipy.sparse as sp
 
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
@@ -473,11 +466,9 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     savers = np.flatnonzero(counts)
     for start, size, n in zip(*(a[savers].tolist() for a in (ui.indptr, counts, n_train))):
         in_train[start + rng.choice(size, size=n, replace=False)] = True
+    indptr = np.concatenate(([0], np.cumsum(n_train)))
+    train_ui = sp.csr_matrix((np.ones(indptr[-1]), ui.indices[in_train], indptr), shape=ui.shape)
     rows = np.repeat(np.arange(ds.num_users), counts)
-    train_ui = csr_from_coo(
-        ds.num_users, ds.num_items, rows[in_train], ui.indices[in_train],
-        np.ones(int(in_train.sum())),
-    )
     held = iter(ui.indices[~in_train].tolist())
     held_counts = np.bincount(rows[~in_train], minlength=ds.num_users).tolist()
     test_sets = {u: frozenset(islice(held, c)) for u, c in enumerate(held_counts)}
@@ -498,11 +489,8 @@ _JSON_ELEMENTS = 1 << 14
 
 def json_pieces(value) -> Iterator[str]:
     """``json.dumps(value, sort_keys=True, separators=(",", ":"))`` in
-    pieces: a dict entry by entry, a callable as the value it returns (made
-    when its turn comes), an array :data:`_JSON_ELEMENTS` elements at a
-    time, and any other value whole."""
-    if callable(value):
-        value = value()
+    pieces: a dict entry by entry, an array :data:`_JSON_ELEMENTS` elements
+    at a time, and any other value whole."""
     if isinstance(value, dict):
         yield "{"
         for k, key in enumerate(sorted(value)):
@@ -519,47 +507,34 @@ def json_pieces(value) -> Iterator[str]:
         yield json.dumps(value, separators=(",", ":"))
 
 
-def dataset_json_pieces(ds: TaggingDataset) -> Iterator[str]:
-    """:func:`dataset_to_json`'s text in pieces; writing them in turn holds
-    one matrix's canonical arrays and the text of one slice of them at a
-    time, never the whole snapshot."""
-    return json_pieces({
-        "format_version": 2,
-        "users": ds.users,
-        "items": ds.items,
-        "tags": ds.tags,
-        "total_tag_count": ds.total_tag_count,
-        **{key: partial(_csr_arrays, getattr(ds, key)) for key in ("UI", "UT", "IT")},
-    })
-
-
 def dataset_to_json(ds: TaggingDataset) -> str:
-    """Portable snapshot, format version 2: id tables plus the CSR arrays
-    (``indptr``, ``indices``, ``data``) of UI/UT/IT, as one JSON object with
-    sorted keys and no whitespace."""
-    return "".join(dataset_json_pieces(ds))
+    """Portable snapshot, format version 2: id tables plus the canonical CSR
+    arrays (``indptr``, ``indices``, ``data``) of UI/UT/IT, as one JSON
+    object with sorted keys and no whitespace."""
+    return "".join(json_pieces({
+        "format_version": 2, "users": ds.users, "items": ds.items, "tags": ds.tags,
+        "total_tag_count": ds.total_tag_count,
+        **{key: _csr_arrays(getattr(ds, key)) for key in ("UI", "UT", "IT")},
+    }))
 
 
-def _entry_columns(entries: list) -> tuple[list, list, list]:
-    """Row indices, column indices and values of format-1 ``[row, col,
-    value]`` entries."""
-    if set(map(len, entries)) - {3}:
-        raise ValueError("each entry must be [row, col, value]")
-    return tuple([e[k] for e in entries] for k in range(3))
+def _checked_matrix(rows: int, cols: int, arrays, check_booleans: bool) -> sp.csr_matrix:
+    """A snapshot matrix from its CSR arrays, as read (lists) or built
+    (numpy): ``indptr`` must be integers from 0 that never decrease and end
+    at the number of indices and values, the indices integers and the values
+    non-negative numbers. A boolean among numbers would read as 0 or 1, so
+    ``check_booleans`` scans the arrays for one."""
+    from .linalg import csr_from_coo
 
-
-def _csr_columns(rows: int, arrays: dict) -> tuple[np.ndarray, list, list]:
-    """Row indices, column indices and values of format-2 CSR arrays; the
-    row indices expand ``indptr``, which is checked here."""
     if not isinstance(arrays, dict) or not arrays.keys() >= {"indptr", "indices", "data"}:
         raise ValueError("expected an object with indptr, indices and data")
     indptr, indices, data = arrays["indptr"], arrays["indices"], arrays["data"]
     if len(indptr) != rows + 1:
         raise ValueError(f"indptr has length {len(indptr)}, expected {rows + 1}")
-    ptr = np.array(indptr)
+    ptr = np.asarray(indptr)
     if ptr.dtype.kind != "i":
         raise ValueError("indptr is not a list of integers")
-    if bool in set(map(type, indptr)):
+    if check_booleans and bool in set(map(type, indptr)):
         raise ValueError("indptr holds a boolean")
     if ptr[0] != 0:
         raise ValueError(f"indptr starts at {ptr[0]}, not 0")
@@ -570,24 +545,14 @@ def _csr_columns(rows: int, arrays: dict) -> tuple[np.ndarray, list, list]:
         raise ValueError(
             f"indptr ends at {ptr[-1]}, with {len(indices)} indices and {len(data)} values"
         )
-    return np.repeat(np.arange(rows), counts), indices, data
-
-
-def _checked_matrix(rows: int, cols: int, i, j, v, check_booleans: bool) -> sp.csr_matrix:
-    """A snapshot matrix from its row indices, column indices and values, as
-    read (lists) or derived from checked arrays: the indices must be
-    integers and the values non-negative numbers. A boolean among numbers
-    would read as 0 or 1, so ``check_booleans`` scans the lists for one."""
-    from .linalg import csr_from_coo
-
-    if check_booleans and any(bool in set(map(type, c)) for c in (i, j, v) if isinstance(c, list)):
+    if check_booleans and any(bool in set(map(type, c)) for c in (indices, data)):
         raise ValueError("entry holds a boolean")
-    i, j, v = np.asarray(i), np.asarray(j), np.asarray(v)
-    if len(v) and not (i.dtype.kind == j.dtype.kind == "i" and i.ndim == j.ndim == 1):
+    j, v = np.asarray(indices), np.asarray(data)
+    if len(v) and not (j.dtype.kind == "i" and j.ndim == 1):
         raise ValueError("entry index is not an integer")
     if len(v) and not (v.dtype.kind in "if" and v.ndim == 1):
         raise ValueError("entry value is not a number")
-    matrix = csr_from_coo(rows, cols, i, j, v)
+    matrix = csr_from_coo(rows, cols, np.repeat(np.arange(rows), counts), j, v)
     if matrix.nnz and matrix.data.min() < 0:
         raise ValueError("negative entry")
     return matrix
@@ -597,22 +562,21 @@ _SNAPSHOT_FIELDS = ("format_version", "users", "items", "tags", "total_tag_count
 
 
 def dataset_from_json(text: str) -> TaggingDataset:
-    """Read a snapshot written by :func:`dataset_to_json`, in format version
-    2 or in version 1, which stores each matrix as ``[row, col, value]``
-    entries.
+    """Read a snapshot written by :func:`dataset_to_json` (format version 2).
 
-    Raises :class:`InvalidDatasetError` for malformed JSON, another format
+    Raises :class:`InvalidDatasetError` for text that is not JSON (also
+    nested too deeply or holding too long an integer), another format
     version, missing or mistyped fields, duplicate ids, a
-    ``total_tag_count`` below the number of tags, a version-2 ``indptr`` of
-    the wrong length, not of integers, not starting at 0, decreasing or not
-    ending at the number of indices and values, and
-    matrix entries that are not three numbers (a JSON boolean is not one),
-    have a non-integer index, or are out of range, repeated, non-finite or
+    ``total_tag_count`` below the number of tags, an ``indptr`` of the
+    wrong length, not of integers, not starting at 0, decreasing or not
+    ending at the number of indices and values, and matrix entries whose
+    index is not an integer or whose value is not a number (a JSON boolean
+    is neither), or that are out of range, repeated, non-finite or
     negative.
     """
     try:
         d = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidDatasetError(f"not JSON: {exc}") from None
     if not isinstance(d, dict):
         raise InvalidDatasetError("expected a JSON object")
@@ -620,7 +584,7 @@ def dataset_from_json(text: str) -> TaggingDataset:
     if missing:
         raise InvalidDatasetError(f"missing fields {missing}")
     version = d["format_version"]
-    if type(version) is not int or version not in (1, 2):
+    if type(version) is not int or version != 2:
         raise InvalidDatasetError(f"unsupported dataset format_version {version!r}")
     for key in ("users", "items", "tags"):
         ids = d[key]
@@ -643,8 +607,7 @@ def _dataset(d: dict, check_booleans: bool = False) -> TaggingDataset:
     matrices = {}
     for key, rows, cols in (("UI", m, n), ("UT", m, l), ("IT", n, l)):
         try:
-            columns = _entry_columns(d[key]) if d["format_version"] == 1 else _csr_columns(rows, d[key])
-            matrices[key] = _checked_matrix(rows, cols, *columns, check_booleans)
+            matrices[key] = _checked_matrix(rows, cols, d[key], check_booleans)
         except (TypeError, ValueError, LookupError) as exc:
             raise InvalidDatasetError(f"{key}: {exc}") from None
     return TaggingDataset(

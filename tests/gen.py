@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 
 import numpy as np
 import scipy.sparse as sp
 
-from folkwalk.dataset import Post, PostTable, TaggingDataset, build_matrices
+from folkwalk.dataset import Post, PostTable, TaggingDataset, ingest
 from folkwalk.linalg import csr_from_coo
 
 
@@ -23,22 +22,6 @@ def entry_list(m: sp.csr_matrix) -> list[tuple[int, int, float]]:
     coo = m.tocoo()
     order = np.lexsort((coo.col, coo.row))
     return list(zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()))
-
-
-def v1_json(ds: TaggingDataset) -> str:
-    """The dataset as a format-1 snapshot, byte for byte as the format-1
-    writer produced it: each matrix is a list of [row, col, value] entries."""
-    payload = {
-        "format_version": 1,
-        "users": list(ds.users),
-        "items": list(ds.items),
-        "tags": list(ds.tags),
-        "total_tag_count": ds.total_tag_count,
-        "UI": entry_list(ds.UI),
-        "UT": entry_list(ds.UT),
-        "IT": entry_list(ds.IT),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def random_posts(
@@ -79,7 +62,7 @@ def random_dataset(
     for p in posts:
         merged.setdefault((p.user, p.item), []).extend(p.tags)
     flat = [Post(u, i, tuple(t)) for (u, i), t in merged.items()]
-    return build_matrices(PostTable.from_posts(flat))
+    return ingest(PostTable.from_posts(flat))
 
 
 def edge_user_dataset(rng: np.random.Generator, sorted_rows: bool = True) -> TaggingDataset:
@@ -126,7 +109,7 @@ def slow_mix_dataset(rng: np.random.Generator) -> TaggingDataset:
     merged: dict[tuple[str, str], list[str]] = {}
     for p in posts:
         merged.setdefault((p.user, p.item), []).extend(p.tags)
-    return build_matrices(PostTable.from_posts(Post(u, i, tuple(t)) for (u, i), t in merged.items()))
+    return ingest(PostTable.from_posts(Post(u, i, tuple(t)) for (u, i), t in merged.items()))
 
 
 def planted_cluster_posts(

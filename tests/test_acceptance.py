@@ -13,7 +13,7 @@ from folkwalk.cli import main
 from folkwalk.dataset import (
     PostTable,
     TaggingDataset,
-    build_matrices,
+    ingest,
     split as make_split,
     stats,
 )
@@ -175,7 +175,7 @@ def test_06_metric_unit_suite():
 def test_07_ordering_on_planted_clusters():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    ds = build_matrices(PostTable.from_posts(planted_cluster_posts(rng)))
+    ds = ingest(PostTable.from_posts(planted_cluster_posts(rng)))
     walk = WalkConfig(eta=0.9, lambda_=0.8, mu=0.7)
     sim = SimilarityConfig(alpha=1.0, beta=0.5)
     prw = run_experiment(

@@ -243,19 +243,6 @@ class TestEvaluate:
         assert {"best", "second", "t", "p"} <= set(doc["t_test"])
 
 
-    def test_v1_dataset_and_its_v2_rewrite_give_the_same_report(self, tmp_path):
-        v2 = tmp_path / "random_v2.json"
-        v2.write_text(dataset_to_json(dataset_from_json((DATA / "random_v1.json").read_text())))
-        reports = []
-        for name, path in (("v1", DATA / "random_v1.json"), ("v2", v2)):
-            out = tmp_path / name
-            assert main([
-                "evaluate", "--dataset", str(path), "--runs", "2", "--output-dir", str(out),
-            ]) == 0
-            reports.append((out / "report.json").read_bytes())
-        assert reports[0] == reports[1]
-
-
 def test_output_keys_are_the_record_fields(tmp_path, capsys):
     # the keys that readers of the outputs rely on; renaming a record field
     # renames its key
@@ -363,6 +350,16 @@ class TestConfigFile:
         assert len(doc[0]["runs"]) == 1  # flag beats config
         assert doc[0]["seeds"] == [9]  # config beats default
         assert doc[0]["top_n"] == 4
+
+
+def snapshot(users, items, tags=(), total_tag_count=0, **matrices) -> bytes:
+    """A dataset file's bytes; a matrix not given is empty."""
+    rows = {"UI": len(users), "UT": len(users), "IT": len(items)}
+    empty = {key: {"indptr": [0] * (m + 1), "indices": [], "data": []} for key, m in rows.items()}
+    return json.dumps({
+        "format_version": 2, "users": users, "items": items, "tags": list(tags),
+        "total_tag_count": total_tag_count, **empty, **matrices,
+    }).encode()
 
 
 def one_line_error(capsys) -> str:
@@ -507,15 +504,19 @@ class TestBadInput:
         "content, message",
         [
             (b'{"format_version": 1, "users": [', "not JSON"),
+            pytest.param(b"[" * 100000, "not JSON", id="nested-past-the-recursion-limit"),
+            pytest.param(b'{"format_version": ' + b"1" * 5000 + b"}", "not JSON",
+                         id="integer-over-4300-digits"),
             (b"\xff\xfe\x00", "utf-8"),
             (b'{"format_version": 1}', "missing fields"),
-            (b'{"format_version": 1, "users": ["a", "a"], "items": [], "tags": [], '
-             b'"total_tag_count": 0, "UI": [], "UT": [], "IT": []}', "duplicate user id 'a'"),
-            (b'{"format_version": 1, "users": ["a"], "items": ["x", "y"], "tags": [], '
-             b'"total_tag_count": 0, "UI": [[0, 0.7, 1.0]], "UT": [], "IT": []}',
+            (b'{"format_version": 1, "users": ["a"], "items": ["x"], "tags": [], '
+             b'"total_tag_count": 0, "UI": [[0, 0, 1.0]], "UT": [], "IT": []}',
+             "unsupported dataset format_version 1"),
+            (snapshot(["a", "a"], []), "duplicate user id 'a'"),
+            (snapshot(["a"], ["x", "y"], UI={"indptr": [0, 1], "indices": [0.7], "data": [1.0]}),
              "UI: entry index is not an integer"),
-            (b'{"format_version": 1, "users": ["a", "b"], "items": ["x", "y"], "tags": [], '
-             b'"total_tag_count": 0, "UI": [[0, 0, 1.0], [true, 1, 1.0]], "UT": [], "IT": []}',
+            (snapshot(["a", "b"], ["x", "y"],
+                      UI={"indptr": [0, 1, 2], "indices": [0, True], "data": [1.0, 1.0]}),
              "UI: entry holds a boolean"),
             (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
              b'"total_tag_count": 0, "UI": {"indptr": [0, 2], "indices": [0], "data": [1.0]}, '
@@ -530,11 +531,8 @@ class TestBadInput:
             (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
              b'"total_tag_count": 0, "UI": [[0, 0, 1.0]], "UT": [], "IT": []}',
              "UI: expected an object with indptr, indices and data"),
-            (b'{"format_version": 1, "users": ["a"], "items": ["x"], "tags": [], '
-             b'"total_tag_count": true, "UI": [], "UT": [], "IT": []}',
-             "total_tag_count must be an integer >= 0"),
-            (b'{"format_version": 1, "users": ["a"], "items": ["x"], "tags": ["t", "s"], '
-             b'"total_tag_count": 1, "UI": [], "UT": [], "IT": []}',
+            (snapshot(["a"], ["x"], total_tag_count=True), "total_tag_count must be an integer >= 0"),
+            (snapshot(["a"], ["x"], ["t", "s"], total_tag_count=1),
              "total_tag_count must be an integer >= 2"),
             (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": ["t"], '
              b'"total_tag_count": -1, "UI": {"indptr": [0, 0], "indices": [], "data": []}, '
@@ -555,10 +553,7 @@ class TestBadInput:
     def test_dataset_without_users_or_items_exits_1(self, tmp_path, capsys, command,
                                                     users, items):
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps({
-            "format_version": 1, "users": users, "items": items, "tags": [],
-            "total_tag_count": 0, "UI": [], "UT": [], "IT": [],
-        }))
+        path.write_bytes(snapshot(users, items))
         argv = [command, "--dataset", str(path)]
         if command == "evaluate":
             argv += ["--runs", "1", "--output-dir", str(tmp_path / "o")]

@@ -21,9 +21,7 @@ from folkwalk.dataset import (
     PostTable,
     Split,
     TaggingDataset,
-    build_matrices,
     dataset_from_json,
-    dataset_json_pieces,
     dataset_to_json,
     density_filter,
     format_stats_table,
@@ -42,7 +40,6 @@ from gen import (
     random_dataset,
     random_posts,
     random_triples_tsv,
-    v1_json,
 )
 
 
@@ -204,13 +201,13 @@ class TestSelectTags:
 
 class TestBuildMatrices:
     def test_multiset_repeats_counted(self):
-        ds = build_matrices(table([Post("u1", "i1", ("t1", "t1"))]))
+        ds = ingest(table([Post("u1", "i1", ("t1", "t1"))]))
         assert ds.UI.toarray().tolist() == [[1.0]]
         assert ds.UT.toarray().tolist() == [[2.0]]
         assert ds.IT.toarray().tolist() == [[2.0]]
 
     def test_disjoint_posts_block_diagonal(self):
-        ds = build_matrices(table(
+        ds = ingest(table(
             [Post("u1", "i1", ("t1",)), Post("u2", "i2", ("t2",))]
         ))
         np.testing.assert_array_equal(ds.UI.toarray(), np.eye(2))
@@ -220,7 +217,7 @@ class TestBuildMatrices:
     def test_matches_dictionary_count_oracle(self):
         rng = np.random.default_rng(6)
         posts = random_posts(rng, n_users=15, n_items=12, n_tags=7)
-        ds = build_matrices(table(posts))
+        ds = ingest(table(posts))
         ut = Counter((p.user, t) for p in posts for t in p.tags)
         it = Counter((p.item, t) for p in posts for t in p.tags)
         for (u, t), c in ut.items():
@@ -232,7 +229,7 @@ class TestBuildMatrices:
     def test_row_and_column_sum_invariants(self):
         rng = np.random.default_rng(13)
         posts = random_posts(rng, n_users=10, n_items=10)
-        ds = build_matrices(table(posts))
+        ds = ingest(table(posts))
         per_user_tags = Counter()
         for p in posts:
             per_user_tags[p.user] += len(p.tags)
@@ -247,12 +244,12 @@ class TestBuildMatrices:
     def test_ids_indexed_by_first_appearance_among_kept_posts(self):
         # i1 is filtered away, so u2's post comes before u1's first kept one
         posts = [Post("u1", "i1", ("a",)), Post("u2", "i2", ("b",)), Post("u1", "i2", ("a",))]
-        ds = build_matrices(density_filter(table(posts), 1, 2, 1))
+        ds = ingest(density_filter(table(posts), 1, 2, 1))
         assert (ds.users, ds.items, ds.tags) == (("u2", "u1"), ("i2",), ("b", "a"))
 
     def test_repeated_pair_posts_are_one_save(self):
         posts = [Post("u1", "i1", ("a",)), Post("u1", "i1", ("a", "b"))]
-        ds = build_matrices(table(posts))
+        ds = ingest(table(posts))
         assert entry_list(ds.UI) == [(0, 0, 1.0)]
         assert entry_list(ds.UT) == [(0, 0, 2.0), (0, 1, 1.0)]
 
@@ -316,7 +313,7 @@ class TestCountArrays:
             "UT": self.scipy_arrays((m, l), user[posts.tag_post], tag),
             "IT": self.scipy_arrays((n, l), item[posts.tag_post], tag),
         }
-        built = build_matrices(posts)
+        built = ingest(posts)
         for key, arrays in want.items():
             for name, array in arrays.items():
                 np.testing.assert_array_equal(snapshot[key][name], array)
@@ -387,7 +384,7 @@ class TestAgainstReferencePipeline:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_split_matches_entry_list_split(self, seed):
-        ds = build_matrices(table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
+        ds = ingest(table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
         for fraction in (0.2, 0.5, 0.9):
             got, want = split(ds, fraction, seed), reference.split(ds, fraction, seed)
             assert entry_list(got.train.UI) == entry_list(want.train.UI)
@@ -640,8 +637,8 @@ class TestSplit:
             split(synthetic_ds(2, 2, 2), 1.0, 0)
 
 
-def planted_mid_dataset() -> TaggingDataset:
-    """A planted-cluster dataset at the benchmark's mid size: 1500 users and
+def planted_mid_posts() -> PostTable:
+    """Planted-cluster posts at the benchmark's mid size: 1500 users and
     2000 items in 5 x 5 clusters, saved with probability 0.05 within a
     cluster and 0.002 across, each save tagged from its item cluster's block
     of 40 of the 200 tags (:func:`gen.planted_cluster_posts`, drawn at once)."""
@@ -651,23 +648,19 @@ def planted_mid_dataset() -> TaggingDataset:
     user, item = np.nonzero(rng.random((m, n)) < np.where(same, 0.05, 0.002))
     block = l // clusters
     tag = item * clusters // n * block + rng.integers(block, size=len(item))
-    return build_matrices(PostTable(
+    return PostTable(
         users=tuple(f"u{u}" for u in range(m)),
         items=tuple(f"i{i}" for i in range(n)),
         tags=tuple(f"t{t}" for t in range(l)),
         user=user, item=item, tag_post=np.arange(len(user)), tag=tag,
-    ))
+    )
 
 
 ROUNDTRIP_DATASETS = {
     **{f"random{seed}": lambda seed=seed: random_dataset(np.random.default_rng(seed), 30, 40, 8)
        for seed in range(3)},
-    "planted_mid": planted_mid_dataset,
+    "planted_mid": lambda: ingest(planted_mid_posts()),
 }
-
-# written by the format-1 dataset_to_json (commit 63e3830) from
-# random_dataset(np.random.default_rng(12), n_users=10, n_items=14, n_tags=5)
-V1_FIXTURE = Path(__file__).parent / "data" / "random_v1.json"
 
 
 def assert_same_dataset(got: TaggingDataset, want: TaggingDataset) -> None:
@@ -702,23 +695,20 @@ def whole_v2_json(ds: TaggingDataset) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-PIECES_DATASETS = {
-    **ROUNDTRIP_DATASETS,
-    "odd_ids": lambda: build_matrices(table([
+PIECES_POSTS = {
+    **{f"random{seed}": lambda seed=seed: table(random_posts(
+        np.random.default_rng(seed), 30, 40, 8, tags_per_save=(0, 3))) for seed in range(3)},
+    "planted_mid": planted_mid_posts,
+    "odd_ids": lambda: table([
         Post('ü"1', "i\\1", ("t\u2028", "é")), Post("u2", "i\\1"), Post("u2", "j", ("é",)),
-    ])),
-    # unsorted column indices and a stored zero; no tags
-    "uncanonical": lambda: TaggingDataset(
-        ("u",), ("a", "b", "c"), (),
-        csr_matrix((np.array([2.0, 0.0, 1.0]), np.array([2, 1, 0]), np.array([0, 3])), shape=(1, 3)),
-        csr_matrix((1, 0)), csr_matrix((3, 0)),
-    ),
+    ]),
+    "no_tags": lambda: table([Post("u1", "a"), Post("u1", "b"), Post("u2", "a")]),
 }
 
 
-def snapshot_doc(version: int) -> dict:
-    ds = build_matrices(table(random_posts(np.random.default_rng(2))))
-    return json.loads(v1_json(ds) if version == 1 else dataset_to_json(ds))
+def snapshot_doc() -> dict:
+    ds = ingest(table(random_posts(np.random.default_rng(2))))
+    return json.loads(dataset_to_json(ds))
 
 
 def v2_insert(arrays: dict, row: int, col: int, value) -> None:
@@ -737,7 +727,7 @@ def v2_set(key: str, name: str, k: int, value):
 class TestSnapshot:
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
-        ds = build_matrices(table(random_posts(rng)))
+        ds = ingest(table(random_posts(rng)))
         again = dataset_from_json(dataset_to_json(ds))
         assert again.users == ds.users
         assert again.items == ds.items
@@ -754,11 +744,13 @@ class TestSnapshot:
         assert_same_dataset(dataset_from_json(text), ds)
 
     @pytest.mark.parametrize("elements", [1, 2, 7, dataset_module._JSON_ELEMENTS])
-    @pytest.mark.parametrize("name", PIECES_DATASETS)
+    @pytest.mark.parametrize("name", PIECES_POSTS)
     def test_pieces_are_the_whole_object_dumped_at_once(self, monkeypatch, name, elements):
+        # the ingest command writes json_pieces of the snapshot object
         monkeypatch.setattr(dataset_module, "_JSON_ELEMENTS", elements)
-        ds = PIECES_DATASETS[name]()
-        pieces = list(dataset_json_pieces(ds))
+        posts = PIECES_POSTS[name]()
+        pieces = list(dataset_module.json_pieces(dataset_module.ingest_snapshot(posts)))
+        ds = ingest(posts)
         assert "".join(pieces) == dataset_to_json(ds) == whole_v2_json(ds)
         if elements == 1:  # each matrix array is written one element per piece
             assert not any("," in p[1:] for p in pieces if "[" not in p)
@@ -770,61 +762,24 @@ class TestSnapshot:
         ds = TaggingDataset(("u",), ("a", "b", "c"), (), ui, csr_matrix((1, 0)), csr_matrix((3, 0)))
         doc = json.loads(dataset_to_json(ds))
         assert doc["UI"] == {"data": [1.0, 2.0], "indices": [0, 2], "indptr": [0, 2]}
+        assert dataset_to_json(ds) == whole_v2_json(ds)
         assert ui.indices.tolist() == [2, 1, 0] and ui.data.tolist() == [2.0, 0.0, 1.0]
-
-    def test_v1_fixture_reads_as_its_v2_rewrite(self):
-        old = dataset_from_json(V1_FIXTURE.read_text())
-        rewrite = dataset_to_json(old)
-        assert json.loads(rewrite)["format_version"] == 2
-        assert_same_dataset(dataset_from_json(rewrite), old)
-
-    def test_v1_fixture_is_the_format_1_snapshot_of_its_dataset(self):
-        ds = random_dataset(np.random.default_rng(12), n_users=10, n_items=14, n_tags=5)
-        assert V1_FIXTURE.read_text() == v1_json(ds)
-        assert_same_dataset(dataset_from_json(V1_FIXTURE.read_text()), ds)
 
     @pytest.mark.parametrize("key", ["users", "items", "tags"])
     def test_duplicate_ids_rejected(self, key):
-        doc = snapshot_doc(2)
+        doc = snapshot_doc()
         doc[key][-1] = doc[key][0]
         with pytest.raises(InvalidDatasetError, match=f"duplicate {key[:-1]} id {doc[key][0]!r}"):
             dataset_from_json(json.dumps(doc))
 
+    # an entry has no fields of its own, so a missing or extra field is an
+    # indices/data length error
     @pytest.mark.parametrize(
         "corrupt, message",
         [
             (lambda d: d.pop("UI"), "missing fields"),
             (lambda d: d.update(format_version=3), "format_version 3"),
-            (lambda d: d.update(users="u0"), "users must be a list of strings"),
-            (lambda d: d.update(items=[1, 2]), "items must be a list of strings"),
-            (lambda d: d.update(total_tag_count="3"), "total_tag_count"),
-            (lambda d: d["UI"].append(d["UI"][0]), "UI: duplicate"),
-            (lambda d: d["UI"].append([len(d["users"]), 0, 1.0]), "UI: entry index out of bounds"),
-            (lambda d: d["UT"][0].__setitem__(2, -1.0), "UT: negative entry"),
-            (lambda d: d["IT"].__setitem__(0, [0]), "IT: "),
-            (lambda d: d["IT"].__setitem__(0, [0, 0, "x"]), "IT: "),
-            (lambda d: d["UI"].__setitem__(0, [0, 0.7, 1.0]), "UI: entry index is not an integer"),
-            (lambda d: d["UI"].__setitem__(0, [0, 0, 1.0, 9]), "UI: each entry must be"),
-            (lambda d: d["UT"].__setitem__(0, [0, 0, "1"]), "UT: entry value is not a number"),
-            (lambda d: d["UI"].__setitem__(0, [0, 0, float("nan")]), "UI: non-finite"),
-            (lambda d: d["UI"].append([True, 1, 1.0]), "UI: entry holds a boolean"),
-            (lambda d: d["UT"][0].__setitem__(1, False), "UT: entry holds a boolean"),
-            (lambda d: d["IT"][0].__setitem__(2, True), "IT: entry holds a boolean"),
-        ],
-    )
-    def test_invalid_snapshots_rejected(self, corrupt, message):
-        doc = snapshot_doc(1)
-        corrupt(doc)
-        with pytest.raises(InvalidDatasetError, match=message):
-            dataset_from_json(json.dumps(doc))
-
-    # the format-1 cases above, in format 2; a format-2 entry has no fields
-    # of its own, so a missing or extra field is an indices/data length error
-    @pytest.mark.parametrize(
-        "corrupt, message",
-        [
-            (lambda d: d.pop("UI"), "missing fields"),
-            (lambda d: d.update(format_version=3), "format_version 3"),
+            (lambda d: d.update(format_version=1), "format_version 1"),
             (lambda d: d.update(users="u0"), "users must be a list of strings"),
             (lambda d: d.update(items=[1, 2]), "items must be a list of strings"),
             (lambda d: d.update(total_tag_count="3"), "total_tag_count"),
@@ -844,7 +799,7 @@ class TestSnapshot:
         ],
     )
     def test_invalid_v2_snapshots_rejected(self, corrupt, message):
-        doc = snapshot_doc(2)
+        doc = snapshot_doc()
         corrupt(doc)
         with pytest.raises(InvalidDatasetError, match=message):
             dataset_from_json(json.dumps(doc))
@@ -865,7 +820,7 @@ class TestSnapshot:
         ],
     )
     def test_bad_indptr_rejected(self, corrupt, message):
-        doc = snapshot_doc(2)
+        doc = snapshot_doc()
         corrupt(doc)
         with pytest.raises(InvalidDatasetError, match=message):
             dataset_from_json(json.dumps(doc))
@@ -877,25 +832,29 @@ class TestSnapshot:
     )
     def test_boolean_in_any_v2_array_rejected(self, name, message):
         # False in indptr[0] and True in the others read as valid numbers
-        doc = snapshot_doc(2)
+        doc = snapshot_doc()
         doc["UT"][name][0] = name != "indptr"
         with pytest.raises(InvalidDatasetError, match=f"UT: {message}"):
             dataset_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("version, matrix", [(1, {"indptr": [0]}), (2, [[0, 0, 1.0]])])
-    def test_matrix_in_the_other_format_rejected(self, version, matrix):
-        doc = snapshot_doc(version)
-        doc["IT"] = matrix
+    def test_matrix_in_the_other_format_rejected(self):
+        # a format-1 matrix: a list of [row, col, value] entries
+        doc = snapshot_doc()
+        doc["IT"] = [[0, 0, 1.0]]
         with pytest.raises(InvalidDatasetError, match="IT: "):
             dataset_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("text", ["", '{"format_version": 1', "[1, 2]", "null"])
+    @pytest.mark.parametrize("text", [
+        "", '{"format_version": 1', "[1, 2]", "null",
+        pytest.param("[" * 100000, id="nested-past-the-recursion-limit"),
+        pytest.param("1" * 5000, id="integer-over-4300-digits"),
+    ])
     def test_non_snapshot_text_rejected(self, text):
         with pytest.raises(InvalidDatasetError):
             dataset_from_json(text)
 
     def test_user_index(self):
-        ds = build_matrices(table(random_posts(np.random.default_rng(3))))
+        ds = ingest(table(random_posts(np.random.default_rng(3))))
         assert [ds.user_index(user) for user in ds.users] == list(range(ds.num_users))
         with pytest.raises(KeyError, match="nobody"):
             ds.user_index("nobody")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from folkwalk.baselines import block_scorer, run_algorithm
-from folkwalk.dataset import PostTable, TaggingDataset, build_matrices, split
+from folkwalk.dataset import PostTable, TaggingDataset, ingest, split
 from folkwalk.params import AlgorithmSpec
 from folkwalk.walker import recommend_all
 
@@ -25,7 +25,7 @@ TAGGED_USER_CF = AlgorithmSpec("Fusion", {"fuse_weight": 1.0})
 
 
 def planted_train(seed=0):
-    ds = build_matrices(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    ds = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
     return split(ds, 0.2, seed).train
 
 
