@@ -636,6 +636,16 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(synthetic_ds(2, 2, 2), 1.0, 0)
 
+    @pytest.mark.parametrize("sorted_rows", [True, False])
+    @pytest.mark.parametrize("fraction", [0.05, 0.5, 0.95])
+    def test_train_passes_the_reader_check(self, fraction, sorted_rows):
+        # split builds the training UI's CSR arrays without a check of its
+        # own; the file reader's check must take them as they stand
+        ds = edge_user_dataset(np.random.default_rng(9), sorted_rows)
+        train = split(ds, fraction, 3).train
+        assert train.UI.has_canonical_format
+        assert_same_dataset(dataset_from_json(dataset_to_json(train)), replace(ds, UI=train.UI))
+
 
 def planted_mid_posts() -> PostTable:
     """Planted-cluster posts at the benchmark's mid size: 1500 users and
@@ -706,6 +716,20 @@ PIECES_POSTS = {
 }
 
 
+# datasets built in code, which dataset_to_json writes but ingest_snapshot
+# never holds
+WRITER_DATASETS = {
+    # unsorted column indices and a stored zero; no tags
+    "uncanonical": lambda: TaggingDataset(
+        ("u",), ("a", "b", "c"), (),
+        csr_matrix((np.array([2.0, 0.0, 1.0]), np.array([2, 1, 0]), np.array([0, 3])), shape=(1, 3)),
+        csr_matrix((1, 0)), csr_matrix((3, 0)),
+    ),
+    "descending_rows": lambda: edge_user_dataset(np.random.default_rng(4), sorted_rows=False),
+    "split_train": lambda: split(random_dataset(np.random.default_rng(5), 30, 40, 8), 0.5, 0).train,
+}
+
+
 def snapshot_doc() -> dict:
     ds = ingest(table(random_posts(np.random.default_rng(2))))
     return json.loads(dataset_to_json(ds))
@@ -754,6 +778,18 @@ class TestSnapshot:
         assert "".join(pieces) == dataset_to_json(ds) == whole_v2_json(ds)
         if elements == 1:  # each matrix array is written one element per piece
             assert not any("," in p[1:] for p in pieces if "[" not in p)
+
+    @pytest.mark.parametrize("elements", [1, 2, 7, dataset_module._JSON_ELEMENTS])
+    @pytest.mark.parametrize("name", WRITER_DATASETS)
+    def test_dataset_writer_pieces_are_the_whole_object_dumped_at_once(
+        self, monkeypatch, name, elements
+    ):
+        monkeypatch.setattr(dataset_module, "_JSON_ELEMENTS", elements)
+        ds = WRITER_DATASETS[name]()
+        text = dataset_to_json(ds)
+        assert text == whole_v2_json(ds)
+        monkeypatch.undo()
+        assert dataset_to_json(dataset_from_json(text)) == text
 
     def test_writer_canonicalizes_a_copy(self):
         # unsorted column indices and a stored zero in the caller's matrix
