@@ -520,11 +520,15 @@ def dataset_to_json(ds: TaggingDataset) -> str:
 
 def _checked_matrix(rows: int, cols: int, arrays, check_booleans: bool) -> sp.csr_matrix:
     """A snapshot matrix from its CSR arrays, as read (lists) or built
-    (numpy): ``indptr`` must be integers from 0 that never decrease and end
-    at the number of indices and values, the indices integers and the values
-    non-negative numbers. A boolean among numbers would read as 0 or 1, so
-    ``check_booleans`` scans the arrays for one."""
-    from .linalg import csr_from_coo
+    (numpy): the one check each matrix passes where it enters the program.
+    ``indptr`` must be integers from 0 that never decrease and end at the
+    number of indices and values, the indices integers in [0, ``cols``) and
+    the values finite, non-negative numbers. Each row is sorted in place and
+    must not repeat a column; stored zeros are dropped, so the stored
+    pattern is the nonzero pattern. Numpy arrays passed in may be sorted and
+    compacted where they stand. A boolean among numbers would read as 0 or
+    1, so ``check_booleans`` scans the arrays for one."""
+    import scipy.sparse as sp
 
     if not isinstance(arrays, dict) or not arrays.keys() >= {"indptr", "indices", "data"}:
         raise ValueError("expected an object with indptr, indices and data")
@@ -538,8 +542,7 @@ def _checked_matrix(rows: int, cols: int, arrays, check_booleans: bool) -> sp.cs
         raise ValueError("indptr holds a boolean")
     if ptr[0] != 0:
         raise ValueError(f"indptr starts at {ptr[0]}, not 0")
-    counts = np.diff(ptr)
-    if len(counts) and counts.min() < 0:
+    if rows and np.diff(ptr).min() < 0:
         raise ValueError("indptr decreases")
     if ptr[-1] != len(indices) or len(indices) != len(data):
         raise ValueError(
@@ -548,11 +551,22 @@ def _checked_matrix(rows: int, cols: int, arrays, check_booleans: bool) -> sp.cs
     if check_booleans and any(bool in set(map(type, c)) for c in (indices, data)):
         raise ValueError("entry holds a boolean")
     j, v = np.asarray(indices), np.asarray(data)
-    if len(v) and not (j.dtype.kind == "i" and j.ndim == 1):
+    if not len(v):
+        return sp.csr_matrix((rows, cols), dtype=np.float64)
+    if not (j.dtype.kind == "i" and j.ndim == 1):
         raise ValueError("entry index is not an integer")
-    if len(v) and not (v.dtype.kind in "if" and v.ndim == 1):
+    if not (v.dtype.kind in "if" and v.ndim == 1):
         raise ValueError("entry value is not a number")
-    matrix = csr_from_coo(rows, cols, np.repeat(np.arange(rows), counts), j, v)
+    if j.min() < 0 or j.max() >= cols:
+        raise ValueError(f"entry index out of bounds for shape ({rows}, {cols})")
+    matrix = sp.csr_matrix((v, j, ptr), shape=(rows, cols), dtype=np.float64)
+    matrix.sort_indices()  # one linear scan when the rows are sorted already
+    # strictly rising columns per row: a sorted row repeats none
+    if not matrix.has_canonical_format:
+        raise ValueError("duplicate (row, col) coordinates in entry list")
+    if not np.all(np.isfinite(matrix.data)):
+        raise ValueError("non-finite value in entry list")
+    matrix.eliminate_zeros()
     if matrix.nnz and matrix.data.min() < 0:
         raise ValueError("negative entry")
     return matrix

@@ -1,15 +1,16 @@
-"""Matrix checks and kernels of the recommender pipeline.
+"""Matrix kernels of the recommender pipeline.
 
-Sparse matrices are plain scipy CSR (float64) throughout; products,
-transposes and blends are scipy's own operators. This module holds what
-scipy does not: the entry check where a matrix enters the program
-(:func:`csr_from_coo`), row normalization, and two dense kernels that
-invert a matrix in its own buffer. :func:`invert_spd_in_place` is the
-Cholesky inverse of a symmetric positive definite matrix: it builds each
-base of the pRW operator. :func:`invert_in_place` is the LU inverse of
-any square matrix: it serves the operator's small Woodbury systems and
-the reference closed forms. No function writes to its arguments except
-these two, which exist to.
+Sparse matrices are plain scipy CSR (float64) throughout. A dataset's
+matrices enter the program through one check,
+:func:`folkwalk.dataset._checked_matrix`, and what is computed from them
+is not re-checked; products, transposes and blends are scipy's own
+operators. This module holds what scipy does not: row normalization, and
+two dense kernels that invert a matrix in its own buffer.
+:func:`invert_spd_in_place` is the Cholesky inverse of a symmetric
+positive definite matrix: it builds each base of the pRW operator.
+:func:`invert_in_place` is the LU inverse of any square matrix: it serves
+the operator's small Woodbury systems and the reference closed forms. No
+function writes to its arguments except these two, which exist to.
 """
 
 from __future__ import annotations
@@ -33,33 +34,6 @@ class NegativeEntryError(ValueError):
 
 class SingularMatrixError(ArithmeticError):
     """A factorization (LU or Cholesky) hit a pivot below ``PIVOT_EPS``."""
-
-
-def csr_from_coo(rows: int, cols: int, i, j, values) -> sp.csr_matrix:
-    """CSR matrix with ``values[k]`` at ``(i[k], j[k])``: the check every
-    matrix passes where it enters the program. Rejects a negative shape,
-    indices out of bounds, a repeated coordinate and non-finite values;
-    drops stored zeros, so the stored pattern equals the nonzero pattern.
-    Results computed from checked matrices are not re-checked."""
-    if rows < 0 or cols < 0:
-        raise ShapeError(f"negative dimensions ({rows}, {cols})")
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    v = np.asarray(values, dtype=np.float64)
-    if not len(i):
-        return sp.csr_matrix((rows, cols), dtype=np.float64)
-    if i.min() < 0 or j.min() < 0 or i.max() >= rows or j.max() >= cols:
-        raise ShapeError(f"entry index out of bounds for shape ({rows}, {cols})")
-    # sorted, a repeated coordinate sits next to its twin; a sort is many
-    # times faster than np.unique's hash table here
-    flat = np.sort(i * cols + j)
-    if np.any(flat[1:] == flat[:-1]):
-        raise ValueError("duplicate (row, col) coordinates in entry list")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite value in entry list")
-    mat = sp.coo_matrix((v, (i, j)), shape=(rows, cols)).tocsr()
-    mat.eliminate_zeros()
-    return mat
 
 
 def row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:

@@ -8,13 +8,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from folkwalk.dataset import Post, PostTable, TaggingDataset, ingest
-from folkwalk.linalg import csr_from_coo
 
 
 def csr(rows: int, cols: int, entries: Iterable[tuple[int, int, float]] = ()) -> sp.csr_matrix:
-    """Checked rows x cols CSR matrix from (row, col, value) entries."""
+    """rows x cols float64 CSR matrix from (row, col, value) entries, built
+    by scipy alone; no coordinate may repeat, and stored zeros are dropped."""
     entries = list(entries)
-    return csr_from_coo(rows, cols, *(np.array([e[k] for e in entries]) for k in range(3)))
+    assert len({(i, j) for i, j, _ in entries}) == len(entries), "repeated coordinate"
+    i, j = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(2))
+    v = np.array([e[2] for e in entries], dtype=np.float64)
+    m = sp.coo_matrix((v, (i, j)), shape=(rows, cols)).tocsr()
+    m.eliminate_zeros()
+    return m
 
 
 def entry_list(m: sp.csr_matrix) -> list[tuple[int, int, float]]:

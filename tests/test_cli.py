@@ -673,7 +673,7 @@ class TestImports:
         "runpy.run_module('folkwalk.cli', run_name='__main__')",
         f"from folkwalk.cli import main\nsys.exit(main(['ingest', '--input', {str(DATA / 'tiny.tsv')!r},"
         " '--dataset', 'ds.json', '--select-tags', '3']))",
-    ])
+    ], ids=["import-package", "import-cli", "help", "module-ingest-help", "ingest-tiny"])
     def test_leave_scipy_unloaded(self, tmp_path, statement):
         modules = loaded_modules(tmp_path, statement)
         assert "numpy" in modules

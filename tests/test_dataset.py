@@ -31,7 +31,6 @@ from folkwalk.dataset import (
     split,
     stats,
 )
-from folkwalk.linalg import csr_from_coo
 
 from gen import (
     csr,
@@ -574,11 +573,9 @@ def per_user_split(ds: TaggingDataset, train_fraction: float, seed: int) -> Spli
         chosen = np.sort(rng.choice(support, size=n_train, replace=False))
         train_items.append(chosen)
         test_sets[u] = frozenset(np.setdiff1d(support, chosen, assume_unique=True).tolist())
-    train_users = np.repeat(np.arange(ds.num_users), [len(items) for items in train_items])
-    train_cols = np.concatenate(train_items)
-    train_ui = csr_from_coo(
-        ds.num_users, ds.num_items, train_users, train_cols, np.ones(len(train_cols))
-    )
+    train_ui = csr(ds.num_users, ds.num_items, [
+        (u, j, 1.0) for u, items in enumerate(train_items) for j in items.tolist()
+    ])
     return Split(train=replace(ds, UI=train_ui), test_sets=test_sets)
 
 
@@ -680,7 +677,8 @@ def assert_same_dataset(got: TaggingDataset, want: TaggingDataset) -> None:
         a, b = getattr(got, key), getattr(want, key)
         assert a.shape == b.shape, key
         for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (key, name)
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.array_equal(x, y) and x.dtype == y.dtype, (key, name)
 
 
 def whole_v2_json(ds: TaggingDataset) -> str:
@@ -743,6 +741,11 @@ def v2_insert(arrays: dict, row: int, col: int, value) -> None:
     arrays["indptr"][row + 1:] = [p + 1 for p in arrays["indptr"][row + 1:]]
 
 
+def v2_row(arrays: dict, row: int) -> slice:
+    """Where ``row``'s entries sit in a format-2 matrix's indices and data."""
+    return slice(arrays["indptr"][row], arrays["indptr"][row + 1])
+
+
 def v2_set(key: str, name: str, k: int, value):
     """Corruption setting ``doc[key][name][k] = value``."""
     return lambda d: d[key][name].__setitem__(k, value)
@@ -800,6 +803,34 @@ class TestSnapshot:
         assert doc["UI"] == {"data": [1.0, 2.0], "indices": [0, 2], "indptr": [0, 2]}
         assert dataset_to_json(ds) == whole_v2_json(ds)
         assert ui.indices.tolist() == [2, 1, 0] and ui.data.tolist() == [2.0, 0.0, 1.0]
+
+    def test_reader_sorts_rows_and_drops_stored_zeros(self):
+        # a UI row in descending column order, holding a stored zero
+        doc = snapshot_doc()
+        want = dataset_from_json(json.dumps(doc))
+        ui = doc["UI"]
+        r = next(r for r in range(len(doc["users"])) if len(ui["indices"][v2_row(ui, r)]) > 1)
+        absent = set(range(len(doc["items"]))) - set(ui["indices"][v2_row(ui, r)])
+        v2_insert(ui, r, min(absent), 0.0)
+        row = v2_row(ui, r)
+        entries = sorted(zip(ui["indices"][row], ui["data"][row]), reverse=True)
+        ui["indices"][row], ui["data"][row] = map(list, zip(*entries))
+        assert ui["indices"][row] != sorted(ui["indices"][row])
+        got = dataset_from_json(json.dumps(doc))
+        assert got.UI.has_canonical_format
+        assert_same_dataset(got, want)
+
+    def test_repeat_split_apart_within_a_row_rejected(self):
+        # a row [b, a, b]: the repeated column is not next to its twin
+        doc = snapshot_doc()
+        ui = doc["UI"]
+        r = next(r for r in range(len(doc["users"])) if len(ui["indices"][v2_row(ui, r)]) == 2)
+        a, b = ui["indices"][v2_row(ui, r)]
+        ui["indices"][v2_row(ui, r)] = [b, a]
+        v2_insert(ui, r, b, 1.0)
+        assert ui["indices"][v2_row(ui, r)] == [b, a, b]
+        with pytest.raises(InvalidDatasetError, match="UI: duplicate"):
+            dataset_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["users", "items", "tags"])
     def test_duplicate_ids_rejected(self, key):

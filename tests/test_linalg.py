@@ -11,7 +11,6 @@ from folkwalk.linalg import (
     NegativeEntryError,
     ShapeError,
     SingularMatrixError,
-    csr_from_coo,
     invert_in_place,
     invert_spd_in_place,
     row_normalize,
@@ -45,69 +44,78 @@ def csr_lists(rows, i, j, v) -> dict:
     return {"indptr": indptr.tolist(), "indices": indices, "data": data}
 
 
+def checked(rows, cols, i, j, v):
+    """:func:`_checked_matrix` of the entries ``(i[k], j[k], v[k])`` given in
+    row order."""
+    return _checked_matrix(rows, cols, csr_lists(rows, i, j, v), check_booleans=True)
+
+
 class TestSparseMatrix:
-    """Where a sparse matrix enters the program: the :func:`csr_from_coo`
-    check, and the dataset file reader's check of a matrix's CSR arrays."""
+    """Where a sparse matrix enters the program: the dataset reader's
+    :func:`_checked_matrix` check of a matrix's CSR arrays."""
 
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            csr(2, 2, [(0, 0, 1.0), (0, 0, 2.0)])
+            checked(2, 2, [0, 0], [0, 0], [1.0, 2.0])
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(ShapeError):
-            csr(2, 2, [(0, 2, 1.0)])
-        with pytest.raises(ShapeError):
-            csr(2, 2, [(2, 0, 1.0)])
+        # CSR arrays hold rows 0 .. rows - 1, so only a column can be out of bounds
+        with pytest.raises(ValueError, match="out of bounds"):
+            checked(2, 2, [0], [2], [1.0])
+        with pytest.raises(ValueError, match="out of bounds"):
+            checked(2, 2, [1], [-1], [1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            csr(1, 1, [(0, 0, float("nan"))])
+            checked(1, 1, [0], [0], [float("nan")])
         with pytest.raises(ValueError, match="non-finite"):
-            csr(1, 1, [(0, 0, float("inf"))])
+            checked(1, 1, [0], [0], [float("inf")])
 
     def test_explicit_zeros_dropped(self):
-        m = csr(2, 2, [(0, 0, 0.0), (1, 1, 3.0)])
+        m = checked(2, 2, [0, 1], [0, 1], [0.0, 3.0])
         assert m.nnz == 1
         assert entry_list(m) == [(1, 1, 3.0)]
 
     def test_entries_roundtrip(self):
         rng = np.random.default_rng(0)
         m = rand_sparse(rng, 6, 4)
-        again = csr(6, 4, entry_list(m))
+        again = checked(6, 4, *zip(*entry_list(m)))
         np.testing.assert_array_equal(m.toarray(), dense(again))
 
-    def test_entries_are_sorted_python_scalars(self):
-        m = csr(3, 3, [(2, 0, 1.5), (0, 2, 2.0), (0, 1, 1.0)])
+    def test_unsorted_rows_sorted(self):
+        m = checked(3, 3, [0, 0, 2], [2, 1, 0], [2.0, 1.0, 1.5])
+        assert m.indices.tolist() == [1, 2, 0] and m.data.tolist() == [1.0, 2.0, 1.5]
+        assert m.has_canonical_format
         assert entry_list(m) == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 1.5)]
         assert all(type(x) is t for e in entry_list(m) for x, t in zip(e, (int, int, float)))
 
-    def test_from_coo_matches_entry_constructor(self):
-        # the snapshot reader builds its matrices from lists of CSR arrays
+    def test_matches_the_scipy_build(self):
         rng = np.random.default_rng(1)
         entries = entry_list(rand_sparse(rng, 5, 7)) + [(4, 6, 0.0)]
-        i, j, v = (np.array(column) for column in zip(*entries))
-        got = csr_from_coo(5, 7, i, j, v)
-        want = _checked_matrix(5, 7, csr_lists(5, i, j, v), check_booleans=True)
-        assert entry_list(got) == entry_list(want)
-        assert got.shape == (5, 7) and csr_from_coo(2, 3, [], [], []).shape == (2, 3)
+        got = checked(5, 7, *zip(*entries))
+        want = csr(5, 7, entries)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        empty = checked(2, 3, [], [], [])
+        assert empty.shape == (2, 3) and empty.nnz == 0 and empty.dtype == np.float64
 
+    # ingest hands the check numpy arrays, with no boolean scan
     @pytest.mark.parametrize(
-        "shape, i, j, v, error",
+        "j, v, error",
         [
-            ((2, 2), [0, 0], [0, 0], [1.0, 2.0], "duplicate"),
-            ((2, 2), [0], [2], [1.0], "out of bounds"),
-            ((2, 2), [-1], [0], [1.0], "out of bounds"),
-            ((1, 1), [0], [0], [np.nan], "non-finite"),
-            ((1, 1), [0], [0], [np.inf], "non-finite"),
-            ((-1, 2), [], [], [], "negative dimensions"),
+            ([0, 0], [1.0, 2.0], "duplicate"),
+            ([1, 0, 1], [1.0, 1.0, 1.0], "duplicate"),
+            ([2], [1.0], "out of bounds"),
+            ([-1], [1.0], "out of bounds"),
+            ([0], [np.nan], "non-finite"),
+            ([0], [np.inf], "non-finite"),
+            ([0], [-1.0], "negative entry"),
         ],
     )
-    def test_from_coo_runs_the_entry_checks(self, shape, i, j, v, error):
+    def test_numpy_arrays_run_the_entry_checks(self, j, v, error):
+        arrays = {"indptr": np.array([0, len(j)]), "indices": np.array(j), "data": np.array(v)}
         with pytest.raises(ValueError, match=error):
-            csr_from_coo(*shape, np.array(i), np.array(j), np.array(v))
-        if min(shape) >= 0 and min(i, default=0) >= 0:  # CSR arrays hold rows 0 .. rows - 1
-            with pytest.raises(ValueError, match=error):
-                _checked_matrix(*shape, csr_lists(shape[0], i, j, v), check_booleans=False)
+            _checked_matrix(1, 2, arrays, check_booleans=False)
 
 
 class TestRowNormalize:
