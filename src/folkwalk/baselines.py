@@ -29,28 +29,27 @@ BLOCK_USERS = 128
 
 def random_recommender(
     ds: TaggingDataset, seed: int, top_n: int, stop: int | None = None
-) -> dict[int, list[int]]:
+) -> np.ndarray:
     """Uniform sample without replacement from each user's unsaved items,
-    for users 0..stop-1 (default: every user).
+    for users 0..stop-1 (default: every user; later rows stay -1).
 
     Each user draws positions among their unsaved items in ascending item
     order, which is what drawing from those items themselves draws; a
     position maps to its item by counting the saved items below it."""
     rng = np.random.default_rng(seed)
     ui = ds.UI.sorted_indices()
-    recs = {}
+    lists = np.full((ui.shape[0], top_n), -1)
     for u in range(ui.shape[0] if stop is None else stop):
         saved = ui.indices[ui.indptr[u]:ui.indptr[u + 1]]
         unsaved = ui.shape[1] - len(saved)
         k = min(top_n, unsaved)
         if not k:
-            recs[u] = []
             continue
         picked = rng.choice(unsaved, size=k, replace=False)
         # saved[r] - r unsaved items lie below the r-th saved item
         below = np.searchsorted(saved - np.arange(len(saved)), picked, side="right")
-        recs[u] = (picked + below).tolist()
-    return recs
+        lists[u, :k] = picked + below
+    return lists
 
 
 def _unit_rows(profile: sp.csr_matrix) -> sp.csr_matrix:
@@ -222,14 +221,14 @@ def block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:
 
 def run_algorithm(
     spec: AlgorithmSpec, ds: TaggingDataset, top_n: int, seed: int, user: int | None = None
-) -> dict[int, list[int]]:
-    """Top-N lists of one algorithm trained on ``ds``, never naming an item
-    the user saved in ``ds``. Random draws with ``seed``. Every other
-    algorithm is scored and ranked ``BLOCK_USERS`` users at a time, so no
-    users x items score matrix is built.
+) -> np.ndarray:
+    """:func:`recommend_all`'s top-N lists of one algorithm trained on
+    ``ds``, never naming an item the user saved in ``ds``. Random draws with
+    ``seed``. Every other algorithm is scored and ranked ``BLOCK_USERS``
+    users at a time, so no users x items score matrix is built.
 
-    With ``user``, the lists cover only that user's block (Random, whose
-    draws are sequential, draws for users 0..user)."""
+    With ``user``, only that user's block is ranked (Random, whose draws
+    are sequential, draws for users 0..user); the other rows stay -1."""
     if spec.kind == "Random":
         return random_recommender(ds, seed, top_n, None if user is None else user + 1)
     scores = block_scorer(spec, ds)
@@ -238,9 +237,8 @@ def run_algorithm(
         starts = [user - user % BLOCK_USERS]
     # every block is ranked in one buffer
     work = np.empty(2 * BLOCK_USERS * ds.num_items)
-    recs = {}
+    lists = np.full((ds.num_users, top_n), -1)
     for lo in starts:
         hi = min(lo + BLOCK_USERS, ds.num_users)
-        block = recommend_all(scores(lo, hi), ds.UI[lo:hi], top_n, work)
-        recs.update((lo + u, items) for u, items in block.items())
-    return recs
+        lists[lo:hi] = recommend_all(scores(lo, hi), ds.UI[lo:hi], top_n, work)
+    return lists

@@ -215,9 +215,9 @@ def cmd_recommend(args: argparse.Namespace) -> int:
             return 1
     # every save is training data, so no saved item is ever recommended;
     # with --user only that user's block is scored
-    recs = run_algorithm(spec, ds, args.top_n, args.seed, user)
+    lists = run_algorithm(spec, ds, args.top_n, args.seed, user)
     users = range(ds.num_users) if user is None else [user]
-    payload = {ds.users[u]: [ds.items[j] for j in recs[u]] for u in users}
+    payload = {ds.users[u]: [ds.items[j] for j in lists[u].tolist() if j >= 0] for u in users}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import filterfalse, islice, repeat
+from itertools import filterfalse, repeat
 from typing import TYPE_CHECKING, NoReturn, TextIO
 
 import numpy as np
@@ -174,11 +174,11 @@ class Split:
 
     ``train`` is everything a model may read: the dataset with UI cut down
     to the training saves. It shares the ids, UT and IT with the full
-    dataset, so UT and IT still count the tags of held-out posts. Splits
-    compare by identity."""
+    dataset, so UT and IT still count the tags of held-out posts; ``test``
+    is the CSR matrix of the held-out saves. Splits compare by identity."""
 
     train: TaggingDataset
-    test_sets: dict[int, frozenset[int]]
+    test: sp.csr_matrix
 
 
 def _factorize(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -453,7 +453,7 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     Each user with saves draws positions in their ascending support, which
     is what drawing from the support itself draws; the draws mark UI's
     entries. The marked entries, in the checked UI's order, are the training
-    UI's CSR arrays as they stand; the unmarked ones make the test sets."""
+    UI's CSR arrays as they stand; the unmarked ones are the test matrix's."""
     import scipy.sparse as sp
 
     if not 0.0 < train_fraction < 1.0:
@@ -466,13 +466,10 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     savers = np.flatnonzero(counts)
     for start, size, n in zip(*(a[savers].tolist() for a in (ui.indptr, counts, n_train))):
         in_train[start + rng.choice(size, size=n, replace=False)] = True
-    indptr = np.concatenate(([0], np.cumsum(n_train)))
-    train_ui = sp.csr_matrix((np.ones(indptr[-1]), ui.indices[in_train], indptr), shape=ui.shape)
-    rows = np.repeat(np.arange(ds.num_users), counts)
-    held = iter(ui.indices[~in_train].tolist())
-    held_counts = np.bincount(rows[~in_train], minlength=ds.num_users).tolist()
-    test_sets = {u: frozenset(islice(held, c)) for u, c in enumerate(held_counts)}
-    return Split(train=replace(ds, UI=train_ui), test_sets=test_sets)
+    train_ptr, test_ptr = (np.concatenate(([0], np.cumsum(c))) for c in (n_train, counts - n_train))
+    train = sp.csr_matrix((np.ones(train_ptr[-1]), ui.indices[in_train], train_ptr), shape=ui.shape)
+    test = sp.csr_matrix((np.ones(test_ptr[-1]), ui.indices[~in_train], test_ptr), shape=ui.shape)
+    return Split(train=replace(ds, UI=train), test=test)
 
 
 def _csr_arrays(m: sp.csr_matrix) -> dict[str, np.ndarray]:

@@ -8,13 +8,11 @@ import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .baselines import run_algorithm
 from .dataset import EmptyDatasetError, TaggingDataset, split as make_split
 from .params import AlgorithmSpec, walk_params
-
-Recs = dict[int, list[int]]
-TestSets = dict[int, frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -37,29 +35,6 @@ class EvalReport:
     seeds: list[int]
 
 
-def _counted_users(recs: Recs, test_sets: TestSets) -> list[int]:
-    users = [u for u, t in test_sets.items() if t]
-    if not users:
-        raise EmptyDatasetError("no user has a non-empty test set")
-    for u in users:
-        if u not in recs:
-            raise KeyError(f"no recommendation list for user {u}")
-    return users
-
-
-def precision_recall(recs: Recs, test_sets: TestSets) -> tuple[float, float]:
-    """Mean per-user precision and recall over users with non-empty test
-    sets, as percentages. A user's precision is hits over the length of the
-    user's list."""
-    users = _counted_users(recs, test_sets)
-    precisions, recalls = [], []
-    for u in users:
-        hits = len(set(recs[u]) & test_sets[u])
-        precisions.append(hits / len(recs[u]) if recs[u] else 0.0)
-        recalls.append(hits / len(test_sets[u]))
-    return 100.0 * float(np.mean(precisions)), 100.0 * float(np.mean(recalls))
-
-
 def f_measure(precision: float, recall: float) -> float:
     """Harmonic mean 2PR/(P+R); zero when both are zero."""
     if precision < 0 or recall < 0:
@@ -68,26 +43,45 @@ def f_measure(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / total if total > 0 else 0.0
 
 
-def rankscore(recs: Recs, test_sets: TestSets, half_life: int = 5) -> float:
-    """Half-life utility: hits at 1-based rank r earn 2^{-(r-1)/(half_life-1)};
-    normalized by the best achievable utility, as a percentage."""
+def _in_order(terms: np.ndarray) -> float:
+    """The sum of ``terms`` from 0.0 in row-major order, one at a time as a
+    loop adds them: ``np.cumsum`` adds in sequence, ``np.sum`` pairwise."""
+    return float(np.cumsum(np.append(0.0, terms))[-1])
+
+
+def evaluate_lists(lists: np.ndarray, test: sp.csr_matrix, half_life: int = 5) -> MetricTuple:
+    """Precision, recall, F-measure and half-life rankscore, as percentages,
+    of top-N lists (row u: user u's distinct items, then -1) against the
+    held-out items ``test``, from one hits matrix of the users with a
+    non-empty test set. Precision and recall are means over those users; a
+    user's precision is hits over the length of the user's list. A hit at
+    1-based rank r earns 2^{-(r-1)/(half_life-1)}; rankscore is the utility
+    over the best achievable one, each summed in (user, rank) order."""
     if half_life < 2:
         raise ValueError("half_life must be >= 2")
-    users = _counted_users(recs, test_sets)
-    utility = max_utility = 0.0
-    for u in users:
-        for r, item in enumerate(recs[u], start=1):
-            if item in test_sets[u]:
-                utility += 2.0 ** (-(r - 1) / (half_life - 1))
-        best = min(len(test_sets[u]), len(recs[u]))
-        for r in range(1, best + 1):
-            max_utility += 2.0 ** (-(r - 1) / (half_life - 1))
-    return 100.0 * utility / max_utility if max_utility > 0 else 0.0
-
-
-def evaluate_lists(recs: Recs, test_sets: TestSets, half_life: int = 5) -> MetricTuple:
-    p, r = precision_recall(recs, test_sets)
-    return MetricTuple(p, r, f_measure(p, r), rankscore(recs, test_sets, half_life))
+    sizes = np.diff(test.indptr)
+    users = np.flatnonzero(sizes)
+    if not len(users):
+        raise EmptyDatasetError("no user has a non-empty test set")
+    if users[-1] >= len(lists):
+        raise KeyError(f"no recommendation list for user {users[users >= len(lists)][0]}")
+    n = test.shape[1]
+    held = np.repeat(np.arange(len(sizes)), sizes) * n + test.indices
+    rows = lists[users]
+    # a pad's key is -1, which no held-out item has
+    keys = np.where(rows >= 0, users[:, None] * n + rows, -1)
+    hits = np.isin(keys, held)
+    n_hits, lengths, sizes = hits.sum(axis=1), (rows >= 0).sum(axis=1), sizes[users]
+    # an empty list has no hits, so dividing by 1 gives its precision of 0
+    p = 100.0 * float(np.mean(n_hits / np.maximum(lengths, 1)))
+    r = 100.0 * float(np.mean(n_hits / sizes))
+    width = rows.shape[1]
+    weights = np.array([2.0 ** (-(rank - 1) / (half_life - 1)) for rank in range(1, width + 1)])
+    utility = _in_order(np.where(hits, weights, 0.0))
+    best = np.minimum(sizes, lengths)[:, None]
+    max_utility = _in_order(np.where(np.arange(width) < best, weights, 0.0))
+    rankscore = 100.0 * utility / max_utility if max_utility > 0 else 0.0
+    return MetricTuple(p, r, f_measure(p, r), rankscore)
 
 
 def run_experiment(
@@ -108,10 +102,10 @@ def run_experiment(
     seeds = [base_seed + r for r in range(n_runs)]
     runs: list[list[MetricTuple]] = [[] for _ in algorithms]
     for seed in seeds:
-        sp = make_split(ds, train_fraction, seed)
+        split = make_split(ds, train_fraction, seed)
         for spec, spec_runs in zip(algorithms, runs):
-            recs = run_algorithm(spec, sp.train, top_n, seed)
-            spec_runs.append(evaluate_lists(recs, sp.test_sets, half_life))
+            lists = run_algorithm(spec, split.train, top_n, seed)
+            spec_runs.append(evaluate_lists(lists, split.test, half_life))
     return [
         EvalReport(spec, spec_runs, _means(spec_runs), top_n, seeds)
         for spec, spec_runs in zip(algorithms, runs)

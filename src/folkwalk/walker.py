@@ -381,10 +381,11 @@ def smallest_k_mask(keys: np.ndarray, k: int, work: np.ndarray | None = None) ->
 
 def recommend_all(
     scores: np.ndarray, train_ui: sp.csr_matrix, top_n: int, work: np.ndarray | None = None
-) -> dict[int, list[int]]:
+) -> np.ndarray:
     """Top-N items per user by descending score, excluding the user's
-    training items; ties broken by ascending item index. A user with fewer
-    than ``top_n`` candidates gets all of them.
+    training items; ties broken by ascending item index. Row u of the
+    (users x top_n) int array is user u's list; a user with fewer than
+    ``top_n`` candidates gets all of them, then -1 to the width.
 
     ``work``, a 1-d float64 buffer of at least twice the scores' size, holds
     the ranking's two users x items temporaries. A caller that ranks blocks
@@ -410,4 +411,6 @@ def recommend_all(
     order = np.argsort(np.take_along_axis(key, picked, axis=1), axis=1, kind="stable")
     top = np.take_along_axis(picked, order, axis=1)
     counts = np.minimum(top_n, n - np.diff(train_ui.indptr))
-    return {u: top[u, :k].tolist() for u, k in enumerate(counts.tolist())}
+    lists = np.full((m, top_n), -1)
+    lists[:, :top.shape[1]] = np.where(np.arange(top.shape[1]) < counts[:, None], top, -1)
+    return lists

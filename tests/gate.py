@@ -105,22 +105,25 @@ def _swapped(first: list[int], second: list[int]) -> list[tuple[int, int]]:
 def flips(
     ds: TaggingDataset,
     spec: AlgorithmSpec,
-    first: dict[int, list[int]],
-    second: dict[int, list[int]],
+    first: np.ndarray,
+    second: np.ndarray,
 ) -> list[Flip]:
     """Every pair of items that two sets of top-N lists of ``spec`` trained
-    on ``ds`` order differently, with its extended-precision gap."""
+    on ``ds`` order differently, with its extended-precision gap. Each set
+    is one row per user, -1 after the user's last item, as
+    ``run_algorithm`` returns it."""
     if spec.kind not in ("UserCF", "ItemCF", "Fusion"):
         raise NotImplementedError(f"no extended-precision scores for {spec.kind}")
-    if first.keys() != second.keys():
+    if first.shape != second.shape:
         raise ValueError("the two sets of lists cover different users")
     found = []
-    for user in sorted(u for u in first if first[u] != second[u]):
+    for user in np.flatnonzero(np.any(first != second, axis=1)).tolist():
         scores = exact_scores(ds, spec, user)
         unsaved = np.ones(ds.num_items, dtype=bool)
         unsaved[ds.UI[user].indices] = False
         top = scores[unsaved].max()
-        for a, b in _swapped(first[user], second[user]):
+        lists = (row[row >= 0].tolist() for row in (first[user], second[user]))
+        for a, b in _swapped(*lists):
             gap = abs(scores[a] - scores[b])
             found.append(Flip(user, a, b, float(gap / top) if gap else 0.0))
     return found

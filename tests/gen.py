@@ -22,6 +22,24 @@ def csr(rows: int, cols: int, entries: Iterable[tuple[int, int, float]] = ()) ->
     return m
 
 
+def padded(lists: Iterable[Iterable[int]], width: int) -> np.ndarray:
+    """Top-N lists as the recommenders return them: row u is the u-th list,
+    then -1 to ``width``."""
+    lists = [list(items) for items in lists]
+    out = np.full((len(lists), width), -1)
+    for u, items in enumerate(lists):
+        out[u, :len(items)] = items
+    return out
+
+
+def held_out(test_sets: Iterable[Iterable[int]], n_items: int) -> sp.csr_matrix:
+    """Test sets as ``Split.test``, the CSR matrix whose row u holds the u-th
+    set's items, built by scipy alone."""
+    test_sets = [set(items) for items in test_sets]
+    entries = ((u, j, 1.0) for u, items in enumerate(test_sets) for j in items)
+    return csr(len(test_sets), n_items, entries)
+
+
 def entry_list(m: sp.csr_matrix) -> list[tuple[int, int, float]]:
     """Stored entries as (row, col, value) Python scalars, sorted by (row, col)."""
     coo = m.tocoo()

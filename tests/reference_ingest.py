@@ -101,18 +101,17 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     rng = np.random.default_rng(seed)
     ui = ds.UI
     train_entries: list[tuple[int, int, float]] = []
-    test_sets: dict[int, frozenset[int]] = {}
+    test_entries: list[tuple[int, int, float]] = []
     for u in range(ds.num_users):
         support = ui.indices[ui.indptr[u]:ui.indptr[u + 1]]
         if len(support) == 0:
-            test_sets[u] = frozenset()
             continue
         n_train = min(len(support), max(1, math.ceil(train_fraction * len(support))))
         chosen = rng.choice(np.sort(support), size=n_train, replace=False)
         chosen_set = set(int(j) for j in chosen)
         train_entries.extend((u, j, 1.0) for j in sorted(chosen_set))
-        test_sets[u] = frozenset(int(j) for j in support if int(j) not in chosen_set)
+        test_entries.extend((u, int(j), 1.0) for j in support if int(j) not in chosen_set)
     return Split(
         train=replace(ds, UI=csr(ds.num_users, ds.num_items, train_entries)),
-        test_sets=test_sets,
+        test=csr(ds.num_users, ds.num_items, test_entries),
     )

@@ -18,10 +18,9 @@ from folkwalk.dataset import (
     stats,
 )
 from folkwalk.evaluation import (
+    evaluate_lists,
     f_measure,
     paired_t_test,
-    precision_recall,
-    rankscore,
     run_experiment,
 )
 from folkwalk.linalg import row_normalize
@@ -35,7 +34,7 @@ from folkwalk.similarity import (
     walk_user,
 )
 
-from gen import csr, planted_cluster_posts, random_dataset, slow_mix_dataset
+from gen import csr, held_out, padded, planted_cluster_posts, random_dataset, slow_mix_dataset
 
 
 def report(name: str) -> None:
@@ -157,18 +156,20 @@ def test_05_reference_table_arithmetic():
 
 
 def test_06_metric_unit_suite():
-    recs = {0: [1, 2, 3, 4, 5]}
-    test_sets = {0: frozenset([5, 20, 21, 22, 23, 24, 25, 26])}
-    p, r = precision_recall(recs, test_sets)
+    def metrics(items, test_items, half_life=5):
+        return evaluate_lists(padded([items], len(items)), held_out([test_items], 30), half_life)
+
+    m = metrics([1, 2, 3, 4, 5], [5, 20, 21, 22, 23, 24, 25, 26])
+    p, r = m.precision, m.recall
     assert p == pytest.approx(20.0)
     assert r == pytest.approx(12.5)
     assert f_measure(p, r) == pytest.approx(15.384615384615385)
-    single_hit = {0: [10, 11, 7, 12, 13]}
-    assert rankscore(single_hit, {0: frozenset([7])}, half_life=5) == pytest.approx(
+    single_hit = [10, 11, 7, 12, 13]
+    assert metrics(single_hit, [7], half_life=5).rankscore == pytest.approx(
         100 * 2 ** (-2 / 4)
     )
-    assert rankscore({0: [1, 2]}, {0: frozenset([1, 2, 3])}, 5) == pytest.approx(100.0)
-    assert rankscore({0: [8, 9]}, {0: frozenset([1])}, 5) == 0.0
+    assert metrics([1, 2], [1, 2, 3], 5).rankscore == pytest.approx(100.0)
+    assert metrics([8, 9], [1], 5).rankscore == 0.0
     report("6 metric unit suite")
 
 
@@ -203,15 +204,15 @@ def test_08_ablation_identities():
     def lists(kind, ds, **params):
         return run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
 
-    assert lists(
+    assert np.array_equal(lists(
         "pRW", train, walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0)
-    ) == lists("pRW-IT", train)
-    assert lists(
+    ), lists("pRW-IT", train))
+    assert np.array_equal(lists(
         "pRW", train, walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0)
-    ) == lists("pRW-UT", train)
+    ), lists("pRW-UT", train))
     perm = np.random.default_rng(5).permutation(ds.num_users)
     permuted = replace(train, UT=ds.UT[perm])
-    assert lists("pRW-IT", train) == lists("pRW-IT", permuted)
+    assert np.array_equal(lists("pRW-IT", train), lists("pRW-IT", permuted))
     report("8 ablation identities")
 
 

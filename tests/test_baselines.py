@@ -32,7 +32,7 @@ from folkwalk.similarity import (
 from folkwalk.walker import fuse, recommend_all, smallest_k_mask
 
 from gate import certified, flips
-from gen import edge_user_dataset, planted_cluster_posts, random_dataset
+from gen import edge_user_dataset, padded, planted_cluster_posts, random_dataset
 
 
 def make_split(ds, fraction=0.4, seed=7):
@@ -68,14 +68,14 @@ def per_user_random(ds, seed, top_n):
     unsaved items."""
     rng = np.random.default_rng(seed)
     ui = ds.UI
-    recs = {}
+    recs = []
     for u in range(ui.shape[0]):
         unsaved = np.ones(ui.shape[1], dtype=bool)
         unsaved[ui.indices[ui.indptr[u]:ui.indptr[u + 1]]] = False
         candidates = np.flatnonzero(unsaved)
         k = min(top_n, len(candidates))
-        recs[u] = [int(j) for j in rng.choice(candidates, size=k, replace=False)] if k else []
-    return recs
+        recs.append([int(j) for j in rng.choice(candidates, size=k, replace=False)] if k else [])
+    return padded(recs, top_n)
 
 
 class TestRandomRecommender:
@@ -83,7 +83,7 @@ class TestRandomRecommender:
         ds = dense_ds(np.array([[1.0, 1.0, 0.0, 0.0]]))
         sp = make_split(ds, 0.5, 0)
         recs = random_recommender(sp.train, seed=3, top_n=5)
-        assert sorted(recs[0]) == sorted(
+        assert sorted(j for j in recs[0] if j >= 0) == sorted(
             j for j in range(4) if sp.train.UI.toarray()[0, j] == 0
         )
 
@@ -91,14 +91,16 @@ class TestRandomRecommender:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, n_users=6, n_items=12)
         sp = make_split(ds)
-        assert random_recommender(sp.train, 11, 4) == random_recommender(sp.train, 11, 4)
+        first, second = random_recommender(sp.train, 11, 4), random_recommender(sp.train, 11, 4)
+        assert np.array_equal(first, second)
 
     def test_matches_dense_candidate_lists(self):
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, n_users=9, n_items=14)
         sp = make_split(ds)
         for seed in range(5):
-            assert random_recommender(sp.train, seed, 4) == per_user_random(sp.train, seed, 4)
+            got = random_recommender(sp.train, seed, 4)
+            assert np.array_equal(got, per_user_random(sp.train, seed, 4))
 
     @pytest.mark.parametrize("sorted_rows", [True, False])
     @pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5, 0.95])
@@ -106,17 +108,19 @@ class TestRandomRecommender:
         ds = edge_user_dataset(np.random.default_rng(8), sorted_rows)
         full = ds.num_users - 1
         for seed in range(5):
-            assert random_recommender(ds, seed, 4) == per_user_random(ds, seed, 4)
-            assert random_recommender(ds, seed, 4)[full] == []
+            assert np.array_equal(random_recommender(ds, seed, 4), per_user_random(ds, seed, 4))
+            assert np.all(random_recommender(ds, seed, 4)[full] == -1)
             train = make_split(ds, fraction, seed).train
             for top_n in (1, 4, 20):
-                assert random_recommender(train, seed, top_n) == per_user_random(train, seed, top_n)
+                got = random_recommender(train, seed, top_n)
+                assert np.array_equal(got, per_user_random(train, seed, top_n))
 
     def test_stop_draws_the_first_users_lists(self):
         ds = edge_user_dataset(np.random.default_rng(8))
         everyone = random_recommender(ds, 3, 4)
         for stop in (0, 1, 7, ds.num_users):
-            assert random_recommender(ds, 3, 4, stop) == {u: everyone[u] for u in range(stop)}
+            got = random_recommender(ds, 3, 4, stop)
+            assert np.array_equal(got[:stop], everyone[:stop]) and np.all(got[stop:] == -1)
 
     def test_top1_frequency_is_uniform(self):
         # one user, 1 train item, 10 candidates: each should lead ~10% of trials
@@ -210,7 +214,7 @@ class TestUserCF:
         scores = all_scores("UserCF", sp.train)
         assert np.all(scores == 0)
         recs = top_n_lists("UserCF", sp.train, top_n=2)
-        assert recs[0] == sorted(recs[0])  # tie rule: ascending index
+        assert recs[0].tolist() == sorted(recs[0])  # tie rule: ascending index
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_oracle(self, seed):
@@ -241,7 +245,7 @@ class TestItemCF:
         ds = dense_ds(np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
         scores = all_scores("ItemCF", ds)
         assert scores[0, 1] > scores[0, 2]
-        assert top_n_lists("ItemCF", ds, top_n=1)[0] == [1]
+        assert top_n_lists("ItemCF", ds, top_n=1)[0].tolist() == [1]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_dense_oracle(self, seed):
@@ -269,7 +273,7 @@ class TestFusionCF:
         sp = make_split(ds)
         got = top_n_lists("Fusion", sp.train, top_n=3, fuse_weight=1.0)
         expected_scores = full_cf_scores(sp.train.UI, True, profile_ext=ds.UT)
-        assert got == recommend_all(expected_scores, sp.train.UI, 3)
+        assert np.array_equal(got, recommend_all(expected_scores, sp.train.UI, 3))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_concatenation_oracle(self, seed):
@@ -289,8 +293,8 @@ class TestFusionCF:
         ds = random_dataset(rng, n_users=5, n_items=6, n_tags=4)
         sp = make_split(ds)
         recs = top_n_lists("Fusion", sp.train, top_n=6)
-        for lst in recs.values():
-            assert all(0 <= j < ds.num_items for j in lst)
+        for lst in recs:
+            assert all(0 <= j < ds.num_items for j in lst[lst >= 0])
 
 
 def assert_lists_certified(kind, ds, want, **params):
@@ -310,11 +314,13 @@ def test_cf_lists_match_dense_oracle_on_planted_clusters():
         sp = make_split(ds, 0.2, seed)
         train = sp.train.UI.toarray()
         for k in (None, 20):
-            assert top_n_lists("UserCF", sp.train, k_neighbors=k) == recommend_all(
-                dense_cf_scores(train, "user", k), sp.train.UI, 5
+            assert np.array_equal(
+                top_n_lists("UserCF", sp.train, k_neighbors=k),
+                recommend_all(dense_cf_scores(train, "user", k), sp.train.UI, 5),
             )
-        assert top_n_lists("ItemCF", sp.train, k_neighbors=20) == recommend_all(
-            dense_cf_scores(train, "item", 20), sp.train.UI, 5
+        assert np.array_equal(
+            top_n_lists("ItemCF", sp.train, k_neighbors=20),
+            recommend_all(dense_cf_scores(train, "item", 20), sp.train.UI, 5),
         )
         want = recommend_all(dense_cf_scores(train, "item"), sp.train.UI, 5)
         assert_lists_certified("ItemCF", sp.train, want)
@@ -554,9 +560,10 @@ def assert_same_top_n(got, want, train, top_n=5, atol=1e-9):
     sees rounding noise."""
     got_lists = recommend_all(got, train, top_n)
     want_lists = recommend_all(want, train, top_n)
-    for u, lst in got_lists.items():
-        if lst != want_lists[u]:
-            np.testing.assert_allclose(want[u, lst], want[u, want_lists[u]], rtol=0, atol=atol)
+    for u, (lst, want_lst) in enumerate(zip(got_lists, want_lists)):
+        if not np.array_equal(lst, want_lst):
+            lst, want_lst = lst[lst >= 0], want_lst[want_lst >= 0]
+            np.testing.assert_allclose(want[u, lst], want[u, want_lst], rtol=0, atol=atol)
 
 
 class TestAblation:
@@ -567,7 +574,7 @@ class TestAblation:
         scrambled = replace(
             sp.train, UT=scipy.sparse.csr_matrix(np.roll(ds.UT.toarray(), 2, axis=0))
         )
-        assert top_n_lists("pRW-IT", sp.train) == top_n_lists("pRW-IT", scrambled)
+        assert np.array_equal(top_n_lists("pRW-IT", sp.train), top_n_lists("pRW-IT", scrambled))
 
     def test_parameter_identity_with_full_walk(self):
         rng = np.random.default_rng(8)
@@ -576,18 +583,18 @@ class TestAblation:
         full_item = top_n_lists(
             "pRW", sp.train, walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0)
         )
-        assert full_item == top_n_lists("pRW-IT", sp.train)
+        assert np.array_equal(full_item, top_n_lists("pRW-IT", sp.train))
         full_user = top_n_lists(
             "pRW", sp.train, walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0)
         )
-        assert full_user == top_n_lists("pRW-UT", sp.train)
+        assert np.array_equal(full_user, top_n_lists("pRW-UT", sp.train))
 
     def test_tag_free_dataset_makes_ui_variant_equal_full(self):
         rng = np.random.default_rng(9)
         base = random_dataset(rng, n_users=6, n_items=8)
         ds = dense_ds(base.UI.toarray())  # strip all tags
         sp = make_split(ds)
-        assert top_n_lists("pRW-UI", sp.train) == top_n_lists("pRW", sp.train)
+        assert np.array_equal(top_n_lists("pRW-UI", sp.train), top_n_lists("pRW", sp.train))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown algorithm kind"):
@@ -621,7 +628,9 @@ class TestAblation:
             got = all_scores("pRW", sp.train, walk=walk, similarity=sim)
             want = iterated_scores(sp.train, walk, sim)
             assert np.abs(got - want).max() < 1e-9
-            assert recommend_all(got, sp.train.UI, 5) == recommend_all(want, sp.train.UI, 5)
+            assert np.array_equal(
+                recommend_all(got, sp.train.UI, 5), recommend_all(want, sp.train.UI, 5)
+            )
 
     @pytest.mark.parametrize("kind", ABLATION_KINDS)
     def test_operator_matches_sequential_fusion(self, kind):
@@ -778,7 +787,8 @@ class TestFusedOperator:
         ds = make_split(random_dataset(np.random.default_rng(shape[0]), *shape, n_tags=5)).train
         for kind in ABLATION_KINDS:
             want = recommend_all(all_scores(kind, ds, walk=self.WALK), ds.UI, 5)
-            assert run_algorithm(AlgorithmSpec(kind, {"walk": self.WALK}), ds, 5, 0) == want
+            got = run_algorithm(AlgorithmSpec(kind, {"walk": self.WALK}), ds, 5, 0)
+            assert np.array_equal(got, want)
 
 
 def tag_matrices(posts, ds, saves):
@@ -810,8 +820,8 @@ def test_training_dataset_keeps_held_out_tags():
     assert (ut != ds.UT).nnz == 0 and (it != ds.IT).nnz == 0
     ut, it = tag_matrices(posts, ds, sp.train.UI.toarray())
     train_tags = replace(sp.train, UT=ut, IT=it)
-    assert top_n_lists("pRW-IT", train_tags) != top_n_lists("pRW-IT", sp.train)
-    assert top_n_lists("pRW-UI", train_tags) == top_n_lists("pRW-UI", sp.train)
+    assert not np.array_equal(top_n_lists("pRW-IT", train_tags), top_n_lists("pRW-IT", sp.train))
+    assert np.array_equal(top_n_lists("pRW-UI", train_tags), top_n_lists("pRW-UI", sp.train))
 
 
 def assert_neighborhoods(sim: scipy.sparse.csr_matrix, k: int) -> None:
@@ -833,7 +843,8 @@ class TestInvariants:
         sp = make_split(ds)
         recs = run_algorithm(AlgorithmSpec(kind), sp.train, top_n=5, seed=7)
         train = sp.train.UI.toarray()
-        for u, lst in recs.items():
+        for u, lst in enumerate(recs):
+            lst = lst[lst >= 0]
             assert len(lst) == min(5, int((train[u] == 0).sum()))
             assert all(train[u, j] == 0 for j in lst)
 

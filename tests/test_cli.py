@@ -173,6 +173,37 @@ class TestRecommend:
         assert len(doc["u1"]) == 3
 
 
+    @pytest.mark.parametrize("one_user", [False, True])
+    @pytest.mark.parametrize("output", ["table", "json"])
+    @pytest.mark.parametrize("kind", ["pRW", "Random"])
+    def test_short_lists_name_exactly_the_unsaved_items(
+        self, kind, output, one_user, tmp_path, capsys
+    ):
+        # tiny.tsv has 15 items, so a top-20 list is all of a user's unsaved
+        # items; a pad printed as an item would repeat one or name a saved one
+        path = tmp_path / "tiny.json"
+        assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", str(path)]) == 0
+        ds = dataset_from_json(path.read_text())
+        assert ds.num_items < 20
+        argv = ["recommend", "--dataset", str(path), "--algorithm", kind, "--top-n", "20",
+                "--format", output]
+        users = list(ds.users)
+        if one_user:
+            users = [ds.users[7]]
+            argv += ["--user", users[0]]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if output == "json":
+            got = json.loads(out)
+        else:
+            got = {user: items for user, *items in (line.split("\t") for line in out.splitlines())}
+        assert sorted(got) == sorted(users)
+        ui = ds.UI.toarray()
+        for user, items in got.items():
+            unsaved = {ds.items[j] for j in np.flatnonzero(ui[ds.user_index(user)] == 0)}
+            assert len(items) == len(set(items)) and set(items) == unsaved
+
     @pytest.mark.parametrize("fixture", ["tiny", "acceptance 9"])
     # with --k-neighbors, ItemCF slices a product formed once and UserCF
     # scores each block's truncated rows of the user cosine

@@ -387,7 +387,7 @@ class TestAgainstReferencePipeline:
         for fraction in (0.2, 0.5, 0.9):
             got, want = split(ds, fraction, seed), reference.split(ds, fraction, seed)
             assert entry_list(got.train.UI) == entry_list(want.train.UI)
-            assert got.test_sets == want.test_sets
+            assert entry_list(got.test) == entry_list(want.test)
 
 
 def text_file(text: str, chunk_bytes: int = 8192) -> io.TextIOWrapper:
@@ -562,21 +562,23 @@ def per_user_split(ds: TaggingDataset, train_fraction: float, seed: int) -> Spli
     rng = np.random.default_rng(seed)
     ui = ds.UI
     train_items: list[np.ndarray] = []
-    test_sets: dict[int, frozenset[int]] = {}
+    test_items: list[np.ndarray] = []
     for u in range(ds.num_users):
         support = np.sort(ui.indices[ui.indptr[u]:ui.indptr[u + 1]])
         if len(support) == 0:
             train_items.append(support)
-            test_sets[u] = frozenset()
+            test_items.append(support)
             continue
         n_train = min(len(support), max(1, math.ceil(train_fraction * len(support))))
         chosen = np.sort(rng.choice(support, size=n_train, replace=False))
         train_items.append(chosen)
-        test_sets[u] = frozenset(np.setdiff1d(support, chosen, assume_unique=True).tolist())
-    train_ui = csr(ds.num_users, ds.num_items, [
-        (u, j, 1.0) for u, items in enumerate(train_items) for j in items.tolist()
-    ])
-    return Split(train=replace(ds, UI=train_ui), test_sets=test_sets)
+        test_items.append(np.setdiff1d(support, chosen, assume_unique=True))
+
+    def matrix(rows: list[np.ndarray]):
+        entries = [(u, j, 1.0) for u, items in enumerate(rows) for j in items.tolist()]
+        return csr(ds.num_users, ds.num_items, entries)
+
+    return Split(train=replace(ds, UI=matrix(train_items)), test=matrix(test_items))
 
 
 class TestSplit:
@@ -584,13 +586,13 @@ class TestSplit:
         ds = synthetic_ds(1, 10, 10)
         sp = split(ds, 0.2, 0)
         assert sp.train.UI.nnz == 2
-        assert len(sp.test_sets[0]) == 8
+        assert sp.test[0].nnz == 8
 
     def test_deterministic(self):
         ds = synthetic_ds(20, 30, 200)
         a, b = split(ds, 0.2, 99), split(ds, 0.2, 99)
         assert entry_list(a.train.UI) == entry_list(b.train.UI)
-        assert a.test_sets == b.test_sets
+        assert entry_list(a.test) == entry_list(b.test)
 
     def test_partition_invariant(self):
         ds = synthetic_ds(15, 25, 150, seed=4)
@@ -600,8 +602,9 @@ class TestSplit:
         for u in range(15):
             support = set(np.flatnonzero(ui[u]))
             train_items = set(np.flatnonzero(train[u]))
-            assert train_items | sp.test_sets[u] == support
-            assert not (train_items & sp.test_sets[u])
+            test_items = set(sp.test[u].indices)
+            assert train_items | test_items == support
+            assert not (train_items & test_items)
 
     def test_exact_train_share(self):
         ds = TaggingDataset(
@@ -624,10 +627,10 @@ class TestSplit:
             got, want = split(ds, fraction, seed), per_user_split(ds, fraction, seed)
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got.train.UI, name), getattr(want.train.UI, name))
-            assert got.test_sets == want.test_sets
-            assert got.test_sets[empty] == got.test_sets[single] == frozenset()
+                assert np.array_equal(getattr(got.test, name), getattr(want.test, name))
+            assert got.test[empty].nnz == got.test[single].nnz == 0
             assert got.train.UI[single].nnz == 1
-            assert got.train.UI[full].nnz + len(got.test_sets[full]) == ds.num_items
+            assert got.train.UI[full].nnz + got.test[full].nnz == ds.num_items
 
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from scipy import stats as scipy_stats
 
 from folkwalk import evaluation
 from folkwalk.params import AlgorithmSpec
-from folkwalk.dataset import split
+from folkwalk.dataset import EmptyDatasetError, split
 from folkwalk.evaluation import (
     EvalReport,
     density_sweep,
@@ -18,60 +18,119 @@ from folkwalk.evaluation import (
     format_sweep_table,
     grid_search,
     paired_t_test,
-    precision_recall,
-    rankscore,
     run_experiment,
     runs_to_csv,
 )
 
-from gen import random_dataset
+from gen import held_out, padded, random_dataset
+
+
+def oracle_precision_recall(recs: dict, test_sets: dict) -> tuple[float, float]:
+    """The metrics' definition as per-user loops over dicts of lists and
+    frozensets: mean per-user precision and recall over users with a
+    non-empty test set, as percentages."""
+    users = [u for u, t in test_sets.items() if t]
+    precisions, recalls = [], []
+    for u in users:
+        hits = len(set(recs[u]) & test_sets[u])
+        precisions.append(hits / len(recs[u]) if recs[u] else 0.0)
+        recalls.append(hits / len(test_sets[u]))
+    return 100.0 * float(np.mean(precisions)), 100.0 * float(np.mean(recalls))
+
+
+def oracle_rankscore(recs: dict, test_sets: dict, half_life: int = 5) -> float:
+    """Half-life rankscore as per-user loops, summed in (user, rank) order."""
+    utility = max_utility = 0.0
+    for u in [u for u, t in test_sets.items() if t]:
+        for r, item in enumerate(recs[u], start=1):
+            if item in test_sets[u]:
+                utility += 2.0 ** (-(r - 1) / (half_life - 1))
+        best = min(len(test_sets[u]), len(recs[u]))
+        for r in range(1, best + 1):
+            max_utility += 2.0 ** (-(r - 1) / (half_life - 1))
+    return 100.0 * utility / max_utility if max_utility > 0 else 0.0
+
+
+def metrics(lists, test_sets, n_items=30, half_life=5):
+    """evaluate_lists on one list and one test set per user, given as Python
+    lists, in the array form: lists padded with -1, test sets as CSR."""
+    width = max(1, *map(len, lists))
+    return evaluate_lists(padded(lists, width), held_out(test_sets, n_items), half_life)
 
 
 class TestPrecisionRecall:
     def test_worked_example(self):
-        recs = {0: [1, 2, 3, 4, 5]}
-        test_sets = {0: frozenset(range(10, 18)) | {3}}
-        p, r = precision_recall(recs, test_sets)
-        assert p == pytest.approx(20.0)
-        assert r == pytest.approx(100.0 / 9 * 1)  # 1 of 9 test items
+        m = metrics([[1, 2, 3, 4, 5]], [[*range(10, 18), 3]])
+        assert m.precision == pytest.approx(20.0)
+        assert m.recall == pytest.approx(100.0 / 9 * 1)  # 1 of 9 test items
 
     def test_exact_definition_values(self):
         # 1 hit in a 5-item list, 8 test items
-        recs = {0: [1, 2, 3, 4, 5]}
-        test_sets = {0: frozenset([5, 20, 21, 22, 23, 24, 25, 26])}
-        p, r = precision_recall(recs, test_sets)
-        assert p == pytest.approx(20.0)
-        assert r == pytest.approx(12.5)
+        m = metrics([[1, 2, 3, 4, 5]], [[5, 20, 21, 22, 23, 24, 25, 26]])
+        assert m.precision == pytest.approx(20.0)
+        assert m.recall == pytest.approx(12.5)
 
     def test_perfect_list(self):
-        recs = {0: [1, 2, 3, 4, 5]}
-        test_sets = {0: frozenset([1, 2, 3, 4, 5])}
-        assert precision_recall(recs, test_sets) == (100.0, 100.0)
+        m = metrics([[1, 2, 3, 4, 5]], [[1, 2, 3, 4, 5]])
+        assert (m.precision, m.recall) == (100.0, 100.0)
 
     def test_empty_test_users_excluded(self):
-        recs = {0: [1], 1: [2]}
-        test_sets = {0: frozenset([1]), 1: frozenset()}
-        assert precision_recall(recs, test_sets) == (100.0, 100.0)
+        m = metrics([[1], [2]], [[1], []])
+        assert (m.precision, m.recall) == (100.0, 100.0)
 
     def test_all_empty_errors(self):
-        with pytest.raises(ValueError):
-            precision_recall({0: [1]}, {0: frozenset()})
+        with pytest.raises(EmptyDatasetError, match="no user has a non-empty test set"):
+            metrics([[1]], [[]])
+
+    def test_missing_list_names_first_counted_user(self):
+        # users 2 and 3 are counted; the lists stop after user 1
+        test = held_out([[1], [], [4], [5]], 6)
+        with pytest.raises(KeyError, match="no recommendation list for user 2"):
+            evaluate_lists(padded([[1], [2]], 2), test)
+        # user 2's test set is empty, so user 3 is the first one lacking a list
+        test = held_out([[1], [], [], [5]], 6)
+        with pytest.raises(KeyError, match="no recommendation list for user 3"):
+            evaluate_lists(padded([[1], [2], [3]], 2), test)
+        evaluate_lists(padded([[1], [2], [3], [5]], 2), test)
+
+    def test_pads_are_never_hits(self):
+        # every pad sits next to test sets holding the last item, n - 1, and
+        # item 0: a pad read as the previous user's item n - 1, as the last
+        # column, or as item 0 would count as a hit
+        n = 6
+        lists = [[1, 2], [3], [], [2], []]
+        test_sets = [[0, n - 1], [0, n - 1], [0, n - 1], [0, 2, n - 1], [0]]
+        m = metrics(lists, test_sets, n)
+        recs = dict(enumerate(lists))
+        tests = {u: frozenset(t) for u, t in enumerate(test_sets)}
+        assert (m.precision, m.recall) == oracle_precision_recall(recs, tests)
+        assert m.rankscore == oracle_rankscore(recs, tests)
+        # user 3's one hit is the only one
+        assert m.precision == pytest.approx(100.0 / 5)
+        assert m.recall == pytest.approx(100.0 / 3 / 5)
 
     def test_matches_set_intersection_oracle(self):
-        rng = np.random.default_rng(3)
-        recs = {u: list(rng.choice(30, size=5, replace=False)) for u in range(8)}
-        test_sets = {
-            u: frozenset(int(x) for x in rng.choice(30, size=rng.integers(1, 8), replace=False))
-            for u in range(8)
-        }
-        p, r = precision_recall(recs, test_sets)
-        ps, rs = [], []
-        for u in range(8):
-            hits = sum(1 for j in recs[u] if j in test_sets[u])
-            ps.append(hits / 5)
-            rs.append(hits / len(test_sets[u]))
-        assert p == pytest.approx(100 * sum(ps) / 8)
-        assert r == pytest.approx(100 * sum(rs) / 8)
+        # equal to the last bit: a sum in another order than the loops' moves
+        # the rankscore of most of these instances
+        n_users, n_items, top_n = 40, 30, 6
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            # mixed lengths: empty, short and full lists
+            lists = [
+                rng.choice(n_items, size=rng.integers(0, top_n + 1), replace=False).tolist()
+                for _ in range(n_users)
+            ]
+            test_sets = [
+                rng.choice(n_items, size=rng.integers(0, 8), replace=False).tolist()
+                for _ in range(n_users)
+            ]
+            recs = dict(enumerate(lists))
+            tests = {u: frozenset(t) for u, t in enumerate(test_sets)}
+            test = held_out(test_sets, n_items)
+            for half_life in (2, 5, 7):
+                m = evaluate_lists(padded(lists, top_n), test, half_life)
+                assert (m.precision, m.recall) == oracle_precision_recall(recs, tests)
+                assert m.rankscore == oracle_rankscore(recs, tests, half_life)
 
 
 class TestFMeasure:
@@ -95,32 +154,25 @@ class TestFMeasure:
 
 class TestRankscore:
     def test_all_hits_at_top(self):
-        recs = {0: [3, 1, 2]}
-        test_sets = {0: frozenset([1, 2, 3, 9])}
-        assert rankscore(recs, test_sets, half_life=5) == pytest.approx(100.0)
+        assert metrics([[3, 1, 2]], [[1, 2, 3, 9]]).rankscore == pytest.approx(100.0)
 
     def test_no_hits(self):
-        assert rankscore({0: [1, 2]}, {0: frozenset([9])}, 5) == 0.0
+        assert metrics([[1, 2]], [[9]]).rankscore == 0.0
 
     def test_single_hit_rank_three(self):
-        recs = {0: [10, 11, 7, 12, 13]}
-        test_sets = {0: frozenset([7])}
         # oracle: enumerate positions; single hit at rank 3, best case rank 1
         expected = 100 * (2 ** (-(3 - 1) / (5 - 1))) / (2 ** (-(1 - 1) / (5 - 1)))
-        got = rankscore(recs, test_sets, half_life=5)
+        got = metrics([[10, 11, 7, 12, 13]], [[7]], half_life=5).rankscore
         assert got == pytest.approx(expected)
         assert got == pytest.approx(70.71067811865476)
 
     def test_hundred_iff_all_top_positions_hit(self):
-        recs = {0: [1, 2, 9]}
-        test_sets = {0: frozenset([1, 2])}
-        assert rankscore(recs, test_sets, 5) == pytest.approx(100.0)
-        recs_miss = {0: [1, 9, 2]}
-        assert rankscore(recs_miss, test_sets, 5) < 100.0
+        assert metrics([[1, 2, 9]], [[1, 2]]).rankscore == pytest.approx(100.0)
+        assert metrics([[1, 9, 2]], [[1, 2]]).rankscore < 100.0
 
     def test_half_life_validation(self):
         with pytest.raises(ValueError):
-            rankscore({0: [1]}, {0: frozenset([1])}, half_life=1)
+            metrics([[1]], [[1]], half_life=1)
 
 
 class TestRunExperiment:
@@ -336,8 +388,6 @@ class TestReports:
 
 
 def test_evaluate_lists_composite():
-    recs = {0: [1, 2, 3, 4, 5]}
-    test_sets = {0: frozenset([5, 20, 21, 22, 23, 24, 25, 26])}
-    m = evaluate_lists(recs, test_sets)
+    m = metrics([[1, 2, 3, 4, 5]], [[5, 20, 21, 22, 23, 24, 25, 26]])
     assert (m.precision, m.recall) == (pytest.approx(20.0), pytest.approx(12.5))
     assert m.f_measure == pytest.approx(15.384615384615385)

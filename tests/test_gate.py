@@ -31,11 +31,11 @@ def planted_train(seed=0):
 
 def test_an_entry_moved_across_a_real_gap_fails():
     lists = run_algorithm(TAGGED_USER_CF, NEAR_TIE, 2, 0)
-    assert lists[0] == [1, 3]
+    assert lists[0].tolist() == [1, 3]
     scores = block_scorer(TAGGED_USER_CF, NEAR_TIE)(0, 4)
     scores[0, 2] += 1e-6
     moved = recommend_all(scores, NEAR_TIE.UI, 2)
-    assert moved[0] == [2, 1]
+    assert moved[0].tolist() == [2, 1]
     found = flips(NEAR_TIE, TAGGED_USER_CF, lists, moved)
     assert {(f.user, f.first, f.second) for f in found} == {(0, 1, 2), (0, 3, 2)}
     assert all(f.gap == pytest.approx(0.5 / (1000**2 + 2)) for f in found)
@@ -44,7 +44,8 @@ def test_an_entry_moved_across_a_real_gap_fails():
 
 def test_a_swap_of_exactly_tied_items_passes():
     lists = run_algorithm(TAGGED_USER_CF, NEAR_TIE, 2, 0)
-    swapped = {**lists, 0: [3, 1]}
+    swapped = lists.copy()
+    swapped[0] = [3, 1]
     found = flips(NEAR_TIE, TAGGED_USER_CF, lists, swapped)
     assert found == [Flip(0, 1, 3, 0.0)]
     assert certified(found)
@@ -80,7 +81,10 @@ def test_a_real_swap_in_planted_lists_fails():
     for kind in ("UserCF", "ItemCF", "Fusion"):
         spec = AlgorithmSpec(kind)
         lists = run_algorithm(spec, ds, 5, 0)
-        swapped = {u: items[-1:] + items[1:-1] + items[:1] for u, items in lists.items()}
+        # every list is full, so its first and last columns are its ends
+        assert np.all(lists >= 0)
+        swapped = lists.copy()
+        swapped[:, [0, -1]] = lists[:, [-1, 0]]
         found = flips(ds, spec, lists, swapped)
         assert found and not certified(found)
         assert max(f.gap for f in found) > 1e-3 > TOLERANCE
@@ -88,6 +92,6 @@ def test_a_real_swap_in_planted_lists_fails():
 
 @pytest.mark.parametrize("kind", ["pRW", "pRW-UI", "Random"])
 def test_kinds_without_exact_scores_raise(kind):
-    lists = {0: [1, 2]}
+    lists = np.array([[1, 2]])
     with pytest.raises(NotImplementedError):
         flips(NEAR_TIE, AlgorithmSpec(kind), lists, lists)

@@ -19,7 +19,7 @@ from folkwalk.similarity import (
 )
 from folkwalk.walker import _base, chain_weight, fuse, recommend_all
 
-from gen import random_dataset, slow_mix_dataset
+from gen import padded, random_dataset, slow_mix_dataset
 
 
 def eye_matrix(n):
@@ -195,34 +195,38 @@ class TestBase:
 
 
 def sort_oracle(scores, train, top_n):
-    """Per-user sort of the non-training items by (-score, item index)."""
-    return {
-        u: sorted(
-            (j for j in range(scores.shape[1]) if train[u, j] == 0.0),
-            key=lambda j: (-scores[u, j], j),
-        )[:top_n]
-        for u in range(scores.shape[0])
-    }
+    """Per-user sort of the non-training items by (-score, item index), as
+    -1-padded lists."""
+    return padded(
+        [
+            sorted(
+                (j for j in range(scores.shape[1]) if train[u, j] == 0.0),
+                key=lambda j: (-scores[u, j], j),
+            )[:top_n]
+            for u in range(scores.shape[0])
+        ],
+        top_n,
+    )
 
 
 class TestRecommend:
     def test_sort_and_exclusion(self):
         train = csr_matrix([[1.0, 0.0, 0.0]])
-        assert recommend_all(np.array([[0.9, 0.1, 0.5]]), train, 2) == {0: [2, 1]}
+        assert np.array_equal(recommend_all(np.array([[0.9, 0.1, 0.5]]), train, 2), [[2, 1]])
 
     def test_tie_rule(self):
         train = csr_matrix([[0.0, 1.0, 0.0, 0.0]])
-        assert recommend_all(np.full((1, 4), 0.3), train, 2) == {0: [0, 2]}
+        assert np.array_equal(recommend_all(np.full((1, 4), 0.3), train, 2), [[0, 2]])
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(33)
         scores = rng.random((5, 12))
         train = csr_matrix((rng.random((5, 12)) < 0.3).astype(float))
-        assert recommend_all(scores, train, 4) == sort_oracle(scores, train.toarray(), 4)
+        assert np.array_equal(recommend_all(scores, train, 4), sort_oracle(scores, train.toarray(), 4))
 
     def test_scarce_and_empty_candidates(self):
         train = csr_matrix([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        assert recommend_all(np.ones((2, 3)), train, 5) == {0: [2], 1: []}
+        assert np.array_equal(recommend_all(np.ones((2, 3)), train, 5), padded([[2], []], 5))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -239,9 +243,9 @@ class TestRecommend:
         want = sort_oracle(scores, held, 4)
         given_scores = scores.copy()
         work = np.full(2 * scores.size + 3, np.nan)
-        assert recommend_all(scores, train, 4, work) == want
+        assert np.array_equal(recommend_all(scores, train, 4, work), want)
         # a block ranked next in the same buffer sees none of the first's keys
-        assert recommend_all(scores[3:], train[3:], 4, work) == {u - 3: want[u] for u in range(3, 6)}
+        assert np.array_equal(recommend_all(scores[3:], train[3:], 4, work), want[3:])
         assert np.array_equal(scores, given_scores)
         for bad in (np.empty(2 * scores.size - 1), np.empty((2, scores.size)),
                     np.empty(2 * scores.size, dtype=np.float32), np.empty(4 * scores.size)[::2]):
@@ -265,7 +269,7 @@ class TestRecommend:
         held[data.draw(st.integers(0, m - 1), label="full row")] = True
         top_n = data.draw(st.integers(1, n + 2), label="top_n")
         train = csr_matrix(held.astype(float))
-        assert recommend_all(scores, train, top_n) == sort_oracle(scores, held, top_n)
+        assert np.array_equal(recommend_all(scores, train, top_n), sort_oracle(scores, held, top_n))
 
 
 class TestProperties:
@@ -309,9 +313,7 @@ class TestProperties:
         ui_user, _ = walk_user(ui_norm, s_user, 0.8)
         for mu, side in ((1.0, ui_item), (0.0, ui_user)):
             fused = fuse(ui_item.copy(), ui_user.copy(), mu)
-            assert recommend_all(fused, train, 5) == recommend_all(
-                side, train, 5
-            )
+            assert np.array_equal(recommend_all(fused, train, 5), recommend_all(side, train, 5))
 
 
 def test_walk_config_validation():
