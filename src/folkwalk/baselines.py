@@ -228,7 +228,10 @@ def run_algorithm(
     users at a time, so no users x items score matrix is built.
 
     With ``user``, only that user's block is ranked (Random, whose draws
-    are sequential, draws for users 0..user); the other rows stay -1."""
+    are sequential, draws for users 0..user); the other rows stay -1.
+
+    The lists are ``min(top_n, num_items)`` wide: no list is longer."""
+    top_n = min(top_n, ds.num_items)
     if spec.kind == "Random":
         return random_recommender(ds, seed, top_n, None if user is None else user + 1)
     scores = block_scorer(spec, ds)

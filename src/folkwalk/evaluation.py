@@ -49,6 +49,21 @@ def _in_order(terms: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
+def _hits(rows: np.ndarray, users: np.ndarray, test: sp.csr_matrix) -> np.ndarray:
+    """Whether each entry of ``rows``, the -1-padded lists of ``users``, is
+    one of its user's held-out items in ``test``, which holds at least one.
+    Each (user, item) is one integer key, found by binary search among the
+    held-out keys."""
+    n = test.shape[1]
+    sizes = np.diff(test.indptr)
+    # a checked CSR's keys are in order already; the sort serves any other
+    held = np.sort(np.repeat(np.arange(len(sizes)), sizes) * n + test.indices)
+    # a pad's key is -1, which no held-out item has
+    keys = np.where(rows >= 0, users[:, None] * n + rows, -1)
+    found = np.searchsorted(held, keys)
+    return held[np.minimum(found, len(held) - 1)] == keys
+
+
 def evaluate_lists(lists: np.ndarray, test: sp.csr_matrix, half_life: int = 5) -> MetricTuple:
     """Precision, recall, F-measure and half-life rankscore, as percentages,
     of top-N lists (row u: user u's distinct items, then -1) against the
@@ -65,12 +80,8 @@ def evaluate_lists(lists: np.ndarray, test: sp.csr_matrix, half_life: int = 5) -
         raise EmptyDatasetError("no user has a non-empty test set")
     if users[-1] >= len(lists):
         raise KeyError(f"no recommendation list for user {users[users >= len(lists)][0]}")
-    n = test.shape[1]
-    held = np.repeat(np.arange(len(sizes)), sizes) * n + test.indices
     rows = lists[users]
-    # a pad's key is -1, which no held-out item has
-    keys = np.where(rows >= 0, users[:, None] * n + rows, -1)
-    hits = np.isin(keys, held)
+    hits = _hits(rows, users, test)
     n_hits, lengths, sizes = hits.sum(axis=1), (rows >= 0).sum(axis=1), sizes[users]
     # an empty list has no hits, so dividing by 1 gives its precision of 0
     p = 100.0 * float(np.mean(n_hits / np.maximum(lengths, 1)))

@@ -13,10 +13,15 @@ minus its tag chain's term, of rank at most tags, with c = d * (1 - w) the
 interaction chain's weight. RC is similar to a symmetric matrix, so
 X_c = (I - c * RC)^{-1} is one Cholesky inverse
 (:func:`linalg.invert_spd_in_place`), and Woodbury's identity adds the tag
-term to it. Walks with equal c, as at the paper's defaults, share one X_c,
-and G is built in its buffer. A walk whose similarity is its tag chain
-alone (pRW-IT, pRW-UT, alpha or beta = 1) needs no k x k system, only a
-tags x tags inverse. :class:`FusedOperator` evaluates F a block of users at
+term to it. The walk whose space is k's (the direct walk) adds its whole
+inverse to G. The other one is pushed through R into k's space: it adds
+its base X_c to G, and its Woodbury term is already a product with R, so
+it joins P @ Q as one block of rank tags. G is thus the walks' bases plus
+the direct walk's rank-tags update alone. Walks with equal c, as at the
+paper's defaults, share one X_c, and G is built in its buffer. A walk
+whose similarity is its tag chain alone (pRW-IT, pRW-UT, alpha or
+beta = 1) needs no k x k system, only a tags x tags inverse; its whole
+term joins P @ Q. :class:`FusedOperator` evaluates F a block of users at
 a time, so no users x items score matrix is needed to rank. Score
 matrices are dense ndarrays. :func:`fuse` blends Fusion CF's user and item
 scores, and :func:`recommend_all` ranks the scores of every non-random
@@ -33,6 +38,9 @@ import scipy.sparse as sp
 
 from .linalg import ShapeError, invert_in_place, invert_spd_in_place, row_normalize
 from .params import SimilarityConfig, WalkConfig, _check_weight
+
+# rows of X U per product with K in :func:`_woodbury`
+_ROW_BLOCK = 256
 
 
 def chain_weight(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float) -> float:
@@ -63,8 +71,10 @@ class FusedOperator:
 
     ``restart`` is R = rownorm(UI), m x n. ``system`` is G: m x m in user
     space, or n x n in item space, where its term is R @ system^T; None when
-    neither walk needed a k x k system. ``left`` (m x r) and ``right``
-    (r x n) are the tag chains' low-rank term."""
+    neither walk needed a k x k system. It holds the walks' bases and the
+    direct walk's tag term. ``left`` (m x r) and ``right`` (r x n) are the
+    low-rank term: the pushed walk's tag term, and the tag term of a walk
+    with no interaction chain."""
 
     restart: sp.csr_matrix
     system: np.ndarray | None
@@ -178,17 +188,22 @@ def _interaction_systems(
 
 @dataclass(frozen=True)
 class _Fold:
-    """A side with an interaction chain: its system is X^-1 - weight * U V,
+    """A side with an interaction chain: its system is N = X^-1 - weight * U V,
     where X is the base (I - c * RC)^-1 of the side's interaction weight c,
-    and ``u`` (k x r) and ``v`` (r x k), dense or sparse, are None when it
-    has no tag chain. ``q`` is the side's factor in F's low-rank term, if it
-    has one, with coefficient ``q_coef``."""
+    and ``u`` (k x r) and ``v`` (r x k, sparse) are None when it has no tag
+    chain. Woodbury's identity gives N^-1 = X + weight * (X U K) @ (V X)
+    with K = (I - weight * V X U)^-1.
+
+    A direct side (``b`` None) adds coef * N^-1 to G. A pushed side's term
+    is coef * N^-1 R + q_coef * N^-1 U B, with ``b`` its tag chain's sparse
+    B (r x n), so coef * X joins G and the rest is F's low-rank block
+    (X U K) @ (q_coef * B + coef * weight * (V X) R)."""
 
     coef: float
     u: np.ndarray | sp.spmatrix | None = None
-    v: np.ndarray | sp.spmatrix | None = None
+    v: sp.spmatrix | None = None
     weight: float = 0.0
-    q: np.ndarray | None = None
+    b: sp.spmatrix | None = None
     q_coef: float = 0.0
 
 
@@ -207,9 +222,11 @@ def _operator(r, c, systems, g, pushed_tags, direct_tags, pushed: _Side, direct:
     A side with interaction weight c = d * (1 - w) > 0 has the system
     I - c * RC - t * U V, with a tag term of rank at most tags. Sides that
     share c share one base X_c = (I - c * RC)^-1, a Cholesky inverse, and
-    Woodbury's identity adds each side's tag term to it: G is
-    (coef1 + coef2) * X_c plus the sides' rank-r updates, built in X_c's
-    buffer (Tong, Faloutsos and Pan, ICDM 2006)."""
+    Woodbury's identity adds each side's tag term to it (Tong, Faloutsos
+    and Pan, ICDM 2006). G is (coef1 + coef2) * X_c plus the direct side's
+    rank-r update alone, built in X_c's buffer. P @ Q holds the pushed
+    side's tag term and the whole tag term of a side with no interaction
+    chain: rank at most twice the tags."""
     k, n = r.shape
     ps, qs = [np.zeros((k, 0))], [np.zeros((0, n))]
     folds: dict[float, list[_Fold]] = {}
@@ -221,7 +238,7 @@ def _operator(r, c, systems, g, pushed_tags, direct_tags, pushed: _Side, direct:
     scale = sum(side.coef for side in (pushed, direct) if not side.interaction)
     system = None
     for interaction, sides in folds.items():
-        part = _fold_in(_base(systems.pop(interaction), g), sides, ps, qs)
+        part = _fold_in(_base(systems.pop(interaction), g), sides, r, ps, qs)
         if system is None:
             system = part
         else:
@@ -234,14 +251,14 @@ def _pushed_side(r, c, a, b, side: _Side, folds: dict, ps: list, qs: list) -> No
     into R's row space: coef * N^-1 R + coef*d*w * N^-1 W B, where
     K = (I - d*w B A)^-1, W = R A K and
     N = I - d*(1 - w) * RC - d*(1 - w) * d*w * W (B C). With an interaction
-    chain it joins ``folds``; without one N is the identity, and its
-    low-rank term joins ``ps`` and ``qs``."""
+    chain it joins ``folds``, B still sparse; without one N is the
+    identity, and its low-rank term joins ``ps`` and ``qs``."""
     tag, interaction = side.tag, side.interaction
     w_mat = (r @ a).toarray() @ _damped_inverse(b @ a, tag) if tag else None
     if interaction:
         fold = _Fold(side.coef)
         if tag:
-            fold = _Fold(side.coef, w_mat, b @ c, interaction * tag, b.toarray(), side.coef * tag)
+            fold = _Fold(side.coef, w_mat, b @ c, interaction * tag, b, side.coef * tag)
         folds.setdefault(interaction, []).append(fold)
     elif tag:
         ps.append((side.coef * tag) * w_mat)
@@ -262,39 +279,53 @@ def _direct_side(r, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
         qs.append(_damped_inverse(b @ a, tag) @ (b @ r).toarray())
 
 
-def _fold_in(base: np.ndarray, sides: list[_Fold], ps: list, qs: list) -> np.ndarray:
-    """The sum of coef * (X^-1 - weight * U V)^-1 over ``sides``, which share
-    the base X, written into X's buffer and returned. Each side's factors
-    X U K and V X are taken before X is scaled, then the rank-r updates
-    join it in one product; ``sides`` is emptied as they are used, so each
-    side's inputs are freed in turn. A pushed side's low-rank term of F is
-    appended to ``ps`` and ``qs``."""
+def _fold_in(base: np.ndarray, sides: list[_Fold], r, ps: list, qs: list) -> np.ndarray:
+    """G, the sum of ``sides``' coef * X plus the direct side's rank-r
+    update coef * weight * (X U K) @ (V X), written into the base X's
+    buffer and returned. A pushed side's block of F's low-rank term,
+    P = X U K and Q = q_coef * B + coef * weight * (V X) R (see
+    :class:`_Fold`), is appended to ``ps`` and ``qs``.
+
+    Every factor is taken from X before X is scaled. ``sides`` lists the
+    pushed side first and is emptied as it is used, so the pushed side's
+    inputs and its V X are freed before the direct side's factors are
+    allocated."""
     from scipy.linalg.blas import dgemm
 
-    k = base.shape[0]
     coef = sum(fold.coef for fold in sides)
-    rank = sum(fold.v.shape[0] for fold in sides if fold.u is not None)
-    lefts, rights = np.empty((k, rank), order="F"), np.empty((rank, k))
-    lo = 0
+    update = None
     while sides:
         fold = sides.pop(0)
         if fold.u is None:
             continue
-        hi = lo + fold.v.shape[0]
-        left = lefts[:, lo:hi]
-        _woodbury(base, fold.u, fold.v, fold.weight, left, rights[lo:hi])
-        if fold.q is not None:
-            # N^-1 U = X U K, so the pushed side's N^-1 W B is left @ q
-            ps.append(fold.q_coef * left)
-            qs.append(fold.q)
-        left *= fold.coef * fold.weight
-        lo = hi
+        if fold.b is None:
+            left, right = _woodbury(base, fold.u, fold.v, fold.weight)
+            left *= fold.coef * fold.weight
+            update = left, right
+        else:
+            p, q = _pushed_block(base, fold, r)
+            ps.append(p)
+            qs.append(q)
     base *= coef
-    if not rank:
+    if update is None:
         return base
-    # base += lefts @ rights, in base's own buffer: both factors are handed
-    # to BLAS as Fortran-ordered arrays, so neither is copied
-    return dgemm(1.0, lefts, rights.T, beta=1.0, c=base, trans_b=True, overwrite_c=True)
+    # base += left @ right, in base's own buffer: both factors are
+    # Fortran-ordered, so BLAS reads them as they are
+    return dgemm(1.0, *update, beta=1.0, c=base, overwrite_c=True)
+
+
+def _pushed_block(x: np.ndarray, fold: _Fold, r) -> tuple[np.ndarray, np.ndarray]:
+    """A pushed side's block (P, Q) of F's low-rank term: P = X U K and
+    Q = q_coef * B + coef * weight * (V X) R, with B added entry by entry,
+    so it is never dense on its own."""
+    left, right = _woodbury(x, fold.u, fold.v, fold.weight)
+    # R^T (V X)^T reads V X's Fortran-ordered buffer as the C-ordered (V X)^T
+    q = (r.T @ right.T).T
+    del right
+    q *= fold.coef * fold.weight
+    b = fold.b.tocoo()
+    q[b.row, b.col] += fold.q_coef * b.data
+    return left, q
 
 
 def _base(system: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -306,20 +337,36 @@ def _base(system: np.ndarray, g: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _woodbury(x: np.ndarray, u, v, weight: float, left: np.ndarray, right: np.ndarray) -> None:
-    """Write X U K into ``left`` (k x r) and V X into ``right`` (r x k),
-    with K = (I - weight * V X U)^-1: the factors of Woodbury's
+def _woodbury(x: np.ndarray, u, v: sp.spmatrix, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """(X U K, V X), Fortran-ordered k x r and r x k, with
+    K = (I - weight * V X U)^-1: the factors of Woodbury's
     (X^-1 - weight * U V)^-1 = X + weight * (X U K) @ (V X). X U K is also
-    (X^-1 - weight * U V)^-1 U."""
-    # a sparse U multiplies X^T, X's buffer read as a C-ordered array, so
-    # X is not copied; V is made dense, since a sparse V would copy X
-    xu = (u.T @ x.T).T if sp.issparse(u) else x @ u
-    v = v.toarray() if sp.issparse(v) else v
-    np.matmul(v, x, out=right)
-    inner = v @ xu
+    (X^-1 - weight * U V)^-1 U.
+
+    V X is formed first, while V's dense copy lives; X U is then made in
+    the buffer it is returned in, and K is applied to it there, a block of
+    rows at a time."""
+    from scipy.linalg.blas import dgemm
+
+    # the products with X run in scipy's BLAS, which also inverts the base
+    # and adds G's update, so the build pages in one BLAS library's work
+    # buffers, not numpy's as well. Each operand is handed over as a
+    # Fortran-ordered array or the transpose of a C-ordered one, so none is
+    # copied. V is made dense, since a sparse V times X would copy X.
+    right = dgemm(1.0, v.toarray().T, x, trans_a=True)
+    if sp.issparse(u):
+        # U^T X^T reads X's buffer as the C-ordered X^T
+        left = (u.T @ x.T).T
+    else:
+        left = dgemm(1.0, x, u.T, trans_b=True)
+    inner = (u.T @ right.T).T
     inner *= -weight
     inner[np.diag_indices_from(inner)] += 1.0
-    np.matmul(xu, invert_in_place(np.asfortranarray(inner)), out=left)
+    inner = invert_in_place(np.asfortranarray(inner))
+    for lo in range(0, len(left), _ROW_BLOCK):
+        rows = left[lo:lo + _ROW_BLOCK]
+        rows[...] = rows @ inner
+    return left, right
 
 
 def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import gc
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -29,7 +30,7 @@ from folkwalk.similarity import (
     walk_item,
     walk_user,
 )
-from folkwalk.walker import fuse, recommend_all, smallest_k_mask
+from folkwalk.walker import fuse, fused_operator, recommend_all, smallest_k_mask
 
 from gate import certified, flips
 from gen import edge_user_dataset, padded, planted_cluster_posts, random_dataset
@@ -450,6 +451,17 @@ def test_no_users_by_items_matrix_is_ranked(monkeypatch, kind):
         assert sum(len(b) for b in blocks) == ds.num_users
 
 
+@pytest.mark.parametrize("kind", ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS)
+def test_lists_are_at_most_num_items_wide(kind):
+    # a (users x top_n) allocation of this width fails at once with MemoryError
+    ds = make_split(random_dataset(np.random.default_rng(2), 30, 20, n_tags=5)).train
+    spec = AlgorithmSpec(kind)
+    wide = run_algorithm(spec, ds, 10**12, 4)
+    assert wide.shape == (ds.num_users, ds.num_items)
+    assert np.array_equal(wide, run_algorithm(spec, ds, ds.num_items, 4))
+    assert np.array_equal(run_algorithm(spec, ds, 10**12, 4, user=9)[9], wide[9])
+
+
 @pytest.mark.parametrize(
     "kind,params",
     [("UserCF", {}), ("UserCF", {"k_neighbors": 1}), ("Fusion", {})],
@@ -757,6 +769,68 @@ class TestFusedOperator:
         bases, lu = record_inversions(monkeypatch, lambda: _walk_operator(kind, ds, None, None))
         assert bases == [(k, k)]
         assert (k, k) not in lu and all(inner[0] <= ds.num_tags for inner in lu)
+
+    @staticmethod
+    def dense_parts(ds, walk, sim):
+        """The operator's system G and its low-rank term P @ Q in closed
+        form, by ``np.linalg.inv``. The pushed walk's term is
+        coef * R' (I - d S)^-1 with R' the restart in the system's space;
+        its base, coef * (I - d (1 - w) chain)^-1, joins G and the rest is
+        P @ Q, while the direct walk's whole coef * (I - d S)^-1 joins G."""
+        r = row_normalize(ds.UI).toarray()
+        c = row_normalize(ds.UI.T.tocsr()).toarray()
+        s_item = item_similarity(ds, sim.alpha).toarray()
+        s_user = user_similarity(ds, sim.beta).toarray()
+        coef_item, coef_user = walk.mu * (1 - walk.eta), (1 - walk.mu) * (1 - walk.lambda_)
+        inv = np.linalg.inv
+        if ds.num_users <= ds.num_items:
+            eye = np.eye(ds.num_users)
+            base = coef_item * inv(eye - walk.eta * (1 - sim.alpha) * r @ c)
+            system = base + coef_user * inv(eye - walk.lambda_ * s_user)
+            pushed = coef_item * r @ inv(np.eye(ds.num_items) - walk.eta * s_item) - base @ r
+            return system, pushed
+        eye = np.eye(ds.num_items)
+        base = coef_user * inv(eye - walk.lambda_ * (1 - sim.beta) * c @ r)
+        system = base + coef_item * inv(eye - walk.eta * s_item)
+        pushed = coef_user * inv(np.eye(ds.num_users) - walk.lambda_ * s_user) @ r - r @ base
+        return system.T, pushed
+
+    @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
+    @pytest.mark.parametrize(
+        "walk,sim",
+        [(WalkConfig(mu=0.4), SimilarityConfig()), (WALK, SimilarityConfig(alpha=0.3, beta=0.7))],
+        ids=["one_base", "two_bases"],
+    )
+    def test_system_is_the_bases_and_the_direct_update_alone(self, shape, walk, sim):
+        ds = make_split(random_dataset(np.random.default_rng(sum(shape)), *shape, n_tags=4)).train
+        operator = _walk_operator("pRW", ds, walk, sim)
+        system, pushed = self.dense_parts(ds, walk, sim)
+        assert np.abs(operator.system - system).max() <= 1e-12 * np.abs(system).max()
+        # left and right are the pushed walk's block, of rank its tags
+        assert operator.left.shape[1] == operator.right.shape[0] == ds.num_tags
+        low_rank = operator.left @ operator.right
+        assert np.abs(low_rank - pushed).max() <= 1e-12 * np.abs(pushed).max()
+
+    @pytest.mark.parametrize("shape", [(600, 800), (800, 600)])
+    def test_build_peak_is_the_base_and_four_tag_factors(self, shape):
+        ds = random_dataset(np.random.default_rng(0), *shape, n_tags=100)
+        k, tags = min(shape), ds.num_tags
+        args = (ds.UI, ds.UT, ds.IT, WalkConfig(), 0.5, 0.5)
+        # the first build imports scipy.linalg, whose objects would be traced
+        fused_operator(*args)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fused_operator(*args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the k x k base and four k x tags factors, with 30% for the sparse
+        # inputs and the small temporaries
+        assert peak <= 1.3 * (8 * k * k + 4 * 8 * k * tags)
 
     @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
     @pytest.mark.parametrize("walk", [WalkConfig(), WALK], ids=["one_base", "two_bases"])

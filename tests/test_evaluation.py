@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.sparse import csr_matrix
 
 from folkwalk import evaluation
 from folkwalk.params import AlgorithmSpec
@@ -131,6 +132,24 @@ class TestPrecisionRecall:
                 m = evaluate_lists(padded(lists, top_n), test, half_life)
                 assert (m.precision, m.recall) == oracle_precision_recall(recs, tests)
                 assert m.rankscore == oracle_rankscore(recs, tests, half_life)
+
+    def test_hits_match_isin_on_unsorted_rows(self):
+        rng = np.random.default_rng(5)
+        n_users, n_items, top_n = 40, 30, 6
+        lists = padded(
+            [rng.choice(n_items, size=rng.integers(0, top_n + 1), replace=False) for _ in range(n_users)],
+            top_n,
+        )
+        test = held_out([rng.choice(n_items, size=rng.integers(0, 8)) for _ in range(n_users)], n_items)
+        # each row's entries reversed: no row of several entries is sorted
+        ptr = test.indptr
+        indices = np.concatenate([test.indices[lo:hi][::-1] for lo, hi in zip(ptr[:-1], ptr[1:])])
+        unsorted = csr_matrix((test.data, indices, ptr), shape=test.shape)
+        assert not unsorted.has_sorted_indices
+        users = np.flatnonzero(np.diff(ptr))
+        want = np.array([np.isin(lists[u], unsorted.indices[ptr[u]:ptr[u + 1]]) for u in users])
+        assert np.array_equal(evaluation._hits(lists[users], users, unsorted), want)
+        assert evaluate_lists(lists, unsorted) == evaluate_lists(lists, test)
 
 
 class TestFMeasure:
