@@ -20,8 +20,8 @@ import scipy.sparse as sp
 
 PIVOT_EPS = 1e-12
 _SINGULAR = f"pivot below {PIVOT_EPS:g}; matrix is singular or near-singular"
-# columns per step of the SPD inverse's triangle mirroring
-_MIRROR_BLOCK = 256
+# columns per step of the finiteness check on a matrix to invert
+_CHECK_COLUMNS = 32
 
 
 class ShapeError(ValueError):
@@ -54,13 +54,16 @@ def row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _check_square_buffer(a: np.ndarray) -> None:
-    """Raise unless ``a`` is a square, Fortran-ordered, finite float64 array."""
+    """Raise unless ``a`` is a square, Fortran-ordered, finite float64 array.
+    Finiteness is checked a block of columns at a time, so no k x k boolean
+    array is made."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"matrix to invert must be square, got {a.shape}")
     if a.dtype != np.float64 or not a.flags.f_contiguous:
         raise ValueError("matrix to invert must be a Fortran-ordered float64 array")
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+    for lo in range(0, a.shape[1], _CHECK_COLUMNS):
+        if not np.isfinite(a[:, lo:lo + _CHECK_COLUMNS]).all():
+            raise ValueError("array must not contain infs or NaNs")
 
 
 def invert_in_place(a: np.ndarray) -> np.ndarray:
@@ -102,7 +105,9 @@ def invert_spd_in_place(a: np.ndarray) -> np.ndarray:
 
     ``potrf`` factors A = U^T U and ``potri`` writes A^-1's upper triangle
     over it, k^3 flops against ``getrf``+``getri``'s 2k^3; the lower
-    triangle is then mirrored in place. A Cholesky pivot below
+    triangle is then mirrored in place, one column at a time, so the
+    function allocates no k x k temporary and no index array: its own
+    memory beyond ``a`` is O(k). A Cholesky pivot below
     ``PIVOT_EPS`` (a matrix that is not positive definite has a
     non-positive one) raises :class:`SingularMatrixError`; a non-finite
     entry raises ``ValueError``.
@@ -124,12 +129,8 @@ def invert_spd_in_place(a: np.ndarray) -> np.ndarray:
     inv, info = potri(u, lower=False, overwrite_c=True)
     if info != 0:
         raise ValueError(f"potri failed with status {info}")
-    # mirror the upper triangle a block of columns at a time, so no k x k
-    # index or copy array is made
-    for lo in range(0, k, _MIRROR_BLOCK):
-        hi = min(lo + _MIRROR_BLOCK, k)
-        diag = inv[lo:hi, lo:hi]
-        lower = np.tril_indices(hi - lo, -1)
-        diag[lower] = diag.T[lower]
-        inv[hi:, lo:hi] = inv[lo:hi, hi:].T
+    # column j below the diagonal is row j right of it; the two 1-d views
+    # do not overlap, so numpy copies one into the other without a temporary
+    for j in range(k - 1):
+        inv[j + 1:, j] = inv[j, j + 1:]
     return inv

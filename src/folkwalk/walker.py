@@ -22,11 +22,14 @@ paper's defaults, share one X_c, and G is built in its buffer. A walk
 whose similarity is its tag chain alone (pRW-IT, pRW-UT, alpha or
 beta = 1) needs no k x k system, only a tags x tags inverse; its whole
 term joins P @ Q. :class:`FusedOperator` evaluates F a block of users at
-a time, so no users x items score matrix is needed to rank. Score
-matrices are dense ndarrays. :func:`fuse` blends Fusion CF's user and item
-scores, and :func:`recommend_all` ranks the scores of every non-random
-algorithm, one block of users at a time, each block in the same work
-buffer.
+a time, so no users x items score matrix is needed to rank; each block is
+made in the sparse product's buffer and the low-rank term is added there.
+Every dense product on this path runs in scipy's ``dgemm``
+(:func:`_gemm`), the BLAS library that also inverts the base, so the
+process pages in one library's work buffers. Score matrices are dense
+ndarrays. :func:`fuse` blends Fusion CF's user and item scores, and
+:func:`recommend_all` ranks the scores of every non-random algorithm, one
+block of users at a time, each block in the same work buffer.
 """
 
 from __future__ import annotations
@@ -53,6 +56,28 @@ def chain_weight(tags: sp.csr_matrix, interactions: sp.csr_matrix, weight: float
     if interactions.nnz == 0:
         return 1.0
     return weight
+
+
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b by scipy's ``dgemm``, Fortran-ordered; with ``out``, added
+    into ``out``'s own buffer, which is returned.
+
+    Every dense product of the pRW path runs here, in the BLAS library
+    that also inverts the base, so one library's work buffers are paged
+    in, not numpy's as well. Each operand is handed over in the order it
+    is stored, as itself when Fortran-ordered or as the transpose of a
+    C-ordered one, so a contiguous operand is not copied. A C-ordered
+    ``out`` takes out^T += b^T @ a^T, which is Fortran-ordered."""
+    from scipy.linalg.blas import dgemm
+
+    if out is not None and not out.flags.f_contiguous:
+        _gemm(b.T, a.T, out.T)
+        return out
+    trans_a, trans_b = not a.flags.f_contiguous, not b.flags.f_contiguous
+    return dgemm(
+        1.0, a.T if trans_a else a, b.T if trans_b else b, trans_a=trans_a, trans_b=trans_b,
+        beta=0.0 if out is None else 1.0, c=out, overwrite_c=out is not None,
+    )
 
 
 def _damped_inverse(x: sp.csr_matrix, damping: float) -> np.ndarray:
@@ -84,14 +109,20 @@ class FusedOperator:
     right: np.ndarray
 
     def scores(self, lo: int, hi: int) -> np.ndarray:
-        """Rows lo:hi of F, as a C-ordered array."""
+        """Rows lo:hi of F, in one buffer: the sparse product allocates the
+        block, and ``dgemm`` adds left[lo:hi] @ right into it in place. The
+        block is Fortran-ordered in user space, where scipy forms
+        G[B] @ R as (R^T G[B]^T)^T, and when there is no system; it is
+        C-ordered in item space, where it is R[B] @ G^T."""
         block = self.restart[lo:hi]
-        out = self.left[lo:hi] @ self.right
-        if self.system is not None:
+        if self.system is None:
+            out = _gemm(self.left[lo:hi], self.right)
+        else:
             if self.item_space:
-                out += block @ self.system.T
+                out = block @ self.system.T
             else:
-                out += self.system[lo:hi] @ self.restart
+                out = self.system[lo:hi] @ self.restart
+            _gemm(self.left[lo:hi], self.right, out)
         if self.scale:
             entries = block.tocoo()
             out[entries.row, entries.col] += self.scale * entries.data
@@ -186,7 +217,7 @@ def _interaction_systems(
     return systems, g
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Fold:
     """A side with an interaction chain: its system is N = X^-1 - weight * U V,
     where X is the base (I - c * RC)^-1 of the side's interaction weight c,
@@ -197,7 +228,10 @@ class _Fold:
     A direct side (``b`` None) adds coef * N^-1 to G. A pushed side's term
     is coef * N^-1 R + q_coef * N^-1 U B, with ``b`` its tag chain's sparse
     B (r x n), so coef * X joins G and the rest is F's low-rank block
-    (X U K) @ (q_coef * B + coef * weight * (V X) R)."""
+    (X U K) @ (q_coef * B + coef * weight * (V X) R).
+
+    :func:`_woodbury` takes ``u`` out of the fold, so a pushed side's dense
+    U, its W, is freed as soon as X U exists."""
 
     coef: float
     u: np.ndarray | sp.spmatrix | None = None
@@ -226,9 +260,15 @@ def _operator(r, c, systems, g, pushed_tags, direct_tags, pushed: _Side, direct:
     and Pan, ICDM 2006). G is (coef1 + coef2) * X_c plus the direct side's
     rank-r update alone, built in X_c's buffer. P @ Q holds the pushed
     side's tag term and the whole tag term of a side with no interaction
-    chain: rank at most twice the tags."""
+    chain: rank at most twice the tags.
+
+    Each side's block of P is C-ordered and its block of Q
+    Fortran-ordered, so :class:`FusedOperator`'s ``left`` (P, or Q^T in
+    item space) is C-ordered and a block of its rows is contiguous. A
+    single block, the default case, is returned as it is; several are
+    copied side by side."""
     k, n = r.shape
-    ps, qs = [np.zeros((k, 0))], [np.zeros((0, n))]
+    ps, qs = [], []
     folds: dict[float, list[_Fold]] = {}
     if pushed.coef:
         _pushed_side(r, c, *pushed_tags, pushed, folds, ps, qs)
@@ -243,7 +283,9 @@ def _operator(r, c, systems, g, pushed_tags, direct_tags, pushed: _Side, direct:
             system = part
         else:
             system += part
-    return system, scale, np.hstack(ps), np.vstack(qs)
+    if len(ps) == 1:
+        return system, scale, ps[0], qs[0]
+    return system, scale, np.hstack([np.zeros((k, 0)), *ps]), np.vstack([np.zeros((0, n)), *qs])
 
 
 def _pushed_side(r, c, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
@@ -254,15 +296,17 @@ def _pushed_side(r, c, a, b, side: _Side, folds: dict, ps: list, qs: list) -> No
     chain it joins ``folds``, B still sparse; without one N is the
     identity, and its low-rank term joins ``ps`` and ``qs``."""
     tag, interaction = side.tag, side.interaction
-    w_mat = (r @ a).toarray() @ _damped_inverse(b @ a, tag) if tag else None
+    # W made C-ordered, as (K^T (R A)^T)^T
+    w_mat = _gemm(_damped_inverse(b @ a, tag).T, (r @ a).toarray().T).T if tag else None
     if interaction:
         fold = _Fold(side.coef)
         if tag:
             fold = _Fold(side.coef, w_mat, b @ c, interaction * tag, b, side.coef * tag)
         folds.setdefault(interaction, []).append(fold)
     elif tag:
-        ps.append((side.coef * tag) * w_mat)
-        qs.append(b.toarray())
+        w_mat *= side.coef * tag
+        ps.append(w_mat)
+        qs.append(b.toarray(order="F"))
 
 
 def _direct_side(r, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
@@ -275,8 +319,8 @@ def _direct_side(r, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
         fold = _Fold(side.coef, a, b, tag) if tag else _Fold(side.coef)
         folds.setdefault(interaction, []).append(fold)
     elif tag:
-        ps.append((side.coef * tag) * a.toarray())
-        qs.append(_damped_inverse(b @ a, tag) @ (b @ r).toarray())
+        ps.append((side.coef * tag) * a.toarray(order="C"))
+        qs.append(_gemm(_damped_inverse(b @ a, tag), (b @ r).toarray()))
 
 
 def _fold_in(base: np.ndarray, sides: list[_Fold], r, ps: list, qs: list) -> np.ndarray:
@@ -290,8 +334,6 @@ def _fold_in(base: np.ndarray, sides: list[_Fold], r, ps: list, qs: list) -> np.
     pushed side first and is emptied as it is used, so the pushed side's
     inputs and its V X are freed before the direct side's factors are
     allocated."""
-    from scipy.linalg.blas import dgemm
-
     coef = sum(fold.coef for fold in sides)
     update = None
     while sides:
@@ -299,7 +341,7 @@ def _fold_in(base: np.ndarray, sides: list[_Fold], r, ps: list, qs: list) -> np.
         if fold.u is None:
             continue
         if fold.b is None:
-            left, right = _woodbury(base, fold.u, fold.v, fold.weight)
+            left, right = _woodbury(base, fold)
             left *= fold.coef * fold.weight
             update = left, right
         else:
@@ -309,17 +351,16 @@ def _fold_in(base: np.ndarray, sides: list[_Fold], r, ps: list, qs: list) -> np.
     base *= coef
     if update is None:
         return base
-    # base += left @ right, in base's own buffer: both factors are
-    # Fortran-ordered, so BLAS reads them as they are
-    return dgemm(1.0, *update, beta=1.0, c=base, overwrite_c=True)
+    return _gemm(*update, base)
 
 
 def _pushed_block(x: np.ndarray, fold: _Fold, r) -> tuple[np.ndarray, np.ndarray]:
     """A pushed side's block (P, Q) of F's low-rank term: P = X U K and
     Q = q_coef * B + coef * weight * (V X) R, with B added entry by entry,
     so it is never dense on its own."""
-    left, right = _woodbury(x, fold.u, fold.v, fold.weight)
-    # R^T (V X)^T reads V X's Fortran-ordered buffer as the C-ordered (V X)^T
+    left, right = _woodbury(x, fold)
+    # R^T (V X)^T reads V X's Fortran-ordered buffer as the C-ordered
+    # (V X)^T, and Q comes out Fortran-ordered
     q = (r.T @ right.T).T
     del right
     q *= fold.coef * fold.weight
@@ -337,35 +378,35 @@ def _base(system: np.ndarray, g: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _woodbury(x: np.ndarray, u, v: sp.spmatrix, weight: float) -> tuple[np.ndarray, np.ndarray]:
-    """(X U K, V X), Fortran-ordered k x r and r x k, with
+def _woodbury(x: np.ndarray, fold: _Fold) -> tuple[np.ndarray, np.ndarray]:
+    """(X U K, V X) of ``fold``'s U, V and weight, with
     K = (I - weight * V X U)^-1: the factors of Woodbury's
     (X^-1 - weight * U V)^-1 = X + weight * (X U K) @ (V X). X U K is also
-    (X^-1 - weight * U V)^-1 U.
+    (X^-1 - weight * U V)^-1 U. V X is Fortran-ordered; X U K is
+    C-ordered when U is dense, Fortran-ordered when it is sparse.
 
-    V X is formed first, while V's dense copy lives; X U is then made in
-    the buffer it is returned in, and K is applied to it there, a block of
-    rows at a time."""
-    from scipy.linalg.blas import dgemm
-
-    # the products with X run in scipy's BLAS, which also inverts the base
-    # and adds G's update, so the build pages in one BLAS library's work
-    # buffers, not numpy's as well. Each operand is handed over as a
-    # Fortran-ordered array or the transpose of a C-ordered one, so none is
-    # copied. V is made dense, since a sparse V times X would copy X.
-    right = dgemm(1.0, v.toarray().T, x, trans_a=True)
+    V X is formed first, while V's dense copy lives, then V X U. X U is
+    made last, in the buffer it is returned in, and U is taken out of the
+    fold, so a dense U is freed as soon as X U exists. K is applied to
+    X U there, a block of rows at a time."""
+    u, fold.u = fold.u, None
+    # V is made dense, since a sparse V times X would copy X
+    right = _gemm(fold.v.toarray(), x)
     if sp.issparse(u):
+        inner = (u.T @ right.T).T
         # U^T X^T reads X's buffer as the C-ordered X^T
         left = (u.T @ x.T).T
     else:
-        left = dgemm(1.0, x, u.T, trans_b=True)
-    inner = (u.T @ right.T).T
-    inner *= -weight
+        inner = _gemm(right, u)
+        # X U made C-ordered, as (U^T X^T)^T, so its rows are contiguous
+        left = _gemm(u.T, x.T).T
+    del u
+    inner *= -fold.weight
     inner[np.diag_indices_from(inner)] += 1.0
     inner = invert_in_place(np.asfortranarray(inner))
     for lo in range(0, len(left), _ROW_BLOCK):
         rows = left[lo:lo + _ROW_BLOCK]
-        rows[...] = rows @ inner
+        rows[...] = _gemm(rows, inner)
     return left, right
 
 

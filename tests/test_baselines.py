@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
+from folkwalk import baselines
 from folkwalk.baselines import (
     _cosine,
     _profile,
@@ -831,6 +832,39 @@ class TestFusedOperator:
         # the k x k base and four k x tags factors, with 30% for the sparse
         # inputs and the small temporaries
         assert peak <= 1.3 * (8 * k * k + 4 * 8 * k * tags)
+
+    @pytest.mark.parametrize("shape", [(600, 800), (800, 600)])
+    def test_blocks_add_one_score_block_and_the_work_buffer(self, monkeypatch, shape):
+        ds = random_dataset(np.random.default_rng(0), *shape, n_tags=100)
+        spec = AlgorithmSpec("pRW")
+        # the first run imports scipy.linalg, whose objects would be traced
+        run_algorithm(spec, ds, 5, 0)
+        scorer, built = baselines.block_scorer, []
+
+        def scorer_then_reset_peak(*args):
+            scores = scorer(*args)
+            built.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return scores
+
+        monkeypatch.setattr(baselines, "block_scorer", scorer_then_reset_peak)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            run_algorithm(spec, ds, 5, 0)
+            peak = tracemalloc.get_traced_memory()[1] - built[0]
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        m, n = shape
+        block = 8 * baselines.BLOCK_USERS * n
+        g_rows = 8 * baselines.BLOCK_USERS * m if m <= n else 0
+        # scoring and ranking every block adds to the built operator the
+        # ranking's two-block work buffer, one block of scores and two
+        # boolean masks of its shape, and in user space the row slice of G
+        # that scipy copies to form G[B] @ R; 10% covers the lists and the
+        # small temporaries
+        assert peak <= 1.1 * (3 * block + 2 * block / 8 + g_rows)
 
     @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
     @pytest.mark.parametrize("walk", [WalkConfig(), WALK], ids=["one_base", "two_bases"])

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -335,12 +336,34 @@ class TestInvertSpdInPlace:
         with pytest.raises(SingularMatrixError):
             invert_spd_in_place(np.asfortranarray(a))
 
-    def test_non_finite_raises(self):
-        for bad in (np.inf, np.nan):
-            a = np.eye(3, order="F")
-            a[0, 2] = bad
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                invert_spd_in_place(a)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("column", [2, 40, 69])
+    def test_non_finite_raises(self, bad, column):
+        # finiteness is checked a block of columns at a time: a bad entry
+        # in the first, a middle or the last, partial block is found
+        a = np.eye(70, order="F")
+        a[0, column] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            invert_spd_in_place(a)
+
+    @pytest.mark.parametrize("k", [600, 1500])
+    def test_allocates_no_k_by_k_temporary(self, k):
+        a = spd(np.random.default_rng(k), k)
+        # the first call imports scipy.linalg, whose objects would be traced
+        invert_spd_in_place(np.eye(2, order="F"))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            invert_spd_in_place(a)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        # the check and the mirroring work a column or a block of columns
+        # at a time
+        assert peak <= 0.05 * 8 * k * k
 
     @pytest.mark.parametrize(
         "a,error",
