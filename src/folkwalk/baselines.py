@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .dataset import TaggingDataset
 from .params import ABLATION_KINDS, AlgorithmSpec, SimilarityConfig, WalkConfig
-from .walker import FusedOperator, chain_weight, fuse, fused_operator, recommend_all
+from .walker import FusedOperator, fuse, fused_operator, recommend_all
 
 # users whose scores are computed and ranked at once
 BLOCK_USERS = 128
@@ -202,10 +202,7 @@ def _walk_operator(
         beta, mu = 1.0, 0.0
     elif kind == "pRW-UI":
         alpha, beta = 0.0, 0.0
-    return fused_operator(
-        ds.UI, ds.UT, ds.IT, replace(walk, mu=mu),
-        chain_weight(ds.IT, ds.UI, alpha), chain_weight(ds.UT, ds.UI, beta),
-    )
+    return fused_operator(ds.UI, ds.UT, ds.IT, replace(walk, mu=mu), alpha, beta)
 
 
 def block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:

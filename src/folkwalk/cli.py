@@ -114,8 +114,14 @@ _OPTION_RANGES = (
     ("select_tags", ">= 1", lambda v: v >= 1),
 )
 
-# the density filter needs both minimum degrees: one alone would do nothing
-_DENSITY_MINIMUMS = ("min_items_per_user", "min_users_per_item")
+# (option, option it needs): an option given without the one it needs would
+# do nothing. The density filter needs both minimum degrees, and its
+# threshold needs the filter.
+_NEEDS = (
+    ("min_items_per_user", "min_users_per_item"),
+    ("min_users_per_item", "min_items_per_user"),
+    ("unqualified_threshold", "min_items_per_user"),
+)
 
 
 def _flag(name: str) -> str:
@@ -128,7 +134,7 @@ def _check_option_ranges(args: argparse.Namespace) -> None:
         value = getattr(args, name, None)
         if value is not None and not ok(value):
             raise UsageError(f"{_flag(name)} must be {rule}, got {value}")
-    for name, other in (_DENSITY_MINIMUMS, _DENSITY_MINIMUMS[::-1]):
+    for name, other in _NEEDS:
         if getattr(args, name, None) is not None and getattr(args, other, None) is None:
             raise UsageError(f"{_flag(name)} must be given with {_flag(other)}")
     if getattr(args, "t_test", False):
@@ -180,12 +186,14 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         raise InputError(_not_utf8(args.input, exc)) from None
     if not len(posts):
         raise InputError(f"{args.input}: no triples")
+    # without the flag the filter keeps the library's threshold
+    threshold = args.unqualified_threshold
     snapshot = ingest_snapshot(
         posts,
         min_items_per_user=args.min_items_per_user,
         min_users_per_item=args.min_users_per_item,
-        unqualified_item_threshold=args.unqualified_threshold,
         num_tags=args.select_tags,
+        **({} if threshold is None else {"unqualified_item_threshold": threshold}),
     )
     if not snapshot["users"]:
         print("error: dataset empty after filtering", file=sys.stderr)
@@ -375,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="output dataset path (JSON)")
     p.add_argument("--min-items-per-user", type=int, default=None)
     p.add_argument("--min-users-per-item", type=int, default=None)
-    p.add_argument("--unqualified-threshold", type=int, default=20)
+    p.add_argument("--unqualified-threshold", type=int, default=None,
+                   help="density filter threshold (default 20; needs the minimums)")
     p.add_argument("--select-tags", type=int, default=None)
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_ingest)

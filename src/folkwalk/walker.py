@@ -21,9 +21,13 @@ the direct walk's rank-tags update alone. Walks with equal c, as at the
 paper's defaults, share one X_c, and G is built in its buffer. A walk
 whose similarity is its tag chain alone (pRW-IT, pRW-UT, alpha or
 beta = 1) needs no k x k system, only a tags x tags inverse; its whole
-term joins P @ Q. :class:`FusedOperator` evaluates F a block of users at
-a time, so no users x items score matrix is needed to rank; each block is
-made in the sparse product's buffer and the low-rank term is added there.
+term joins P @ Q. The build inverts each base first, the direct walk's
+before the pushed walk's, and each walk then makes its term from the base
+it holds: the pushed walk its block of P @ Q, the direct walk its update
+of G, or coef * X_c alone. :class:`FusedOperator` evaluates F a block of
+users at a time, so no users x items score matrix is needed to rank; each
+block is made in the sparse product's buffer and the low-rank term is
+added there.
 Every dense product on this path runs in scipy's ``dgemm``
 (:func:`_gemm`), the BLAS library that also inverts the base, so the
 process pages in one library's work buffers. Score matrices are dense
@@ -34,13 +38,14 @@ block of users at a time, each block in the same work buffer.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .linalg import ShapeError, invert_in_place, invert_spd_in_place, row_normalize
-from .params import SimilarityConfig, WalkConfig, _check_weight
+from .params import WalkConfig, _check_weight
 
 # rows of X U per product with K in :func:`_woodbury`
 _ROW_BLOCK = 256
@@ -160,37 +165,43 @@ def fused_operator(
     """mu * (item walk limit) + (1 - mu) * (user walk limit) on the
     interactions ``ui``, exactly, as a :class:`FusedOperator`. ``alpha`` and
     ``beta`` weight the tag chains of ``it`` and ``ut`` in the item and user
-    similarities; an empty chain's fallback weight must already be applied.
+    similarities, or fall to :func:`chain_weight`'s fallback when a chain is
+    empty.
 
     The dense system lives in the smaller side's space: users when there
-    are no more users than items, else items."""
+    are no more users than items, else items. The walk of that space is
+    the direct one and the other is pushed through R; the direct walk's
+    base comes first in ``systems``, so it is inverted first."""
     r, c = row_normalize(ui), row_normalize(ui.T.tocsr())
     item_tags = row_normalize(it), row_normalize(it.T.tocsr())
     user_tags = row_normalize(ut), row_normalize(ut.T.tocsr())
-    item = _Side(walk.eta, alpha, walk.mu * (1.0 - walk.eta))
-    user = _Side(walk.lambda_, beta, (1.0 - walk.mu) * (1.0 - walk.lambda_))
+    item = _Side(walk.eta, chain_weight(it, ui, alpha), walk.mu * (1.0 - walk.eta))
+    user = _Side(walk.lambda_, chain_weight(ut, ui, beta), (1.0 - walk.mu) * (1.0 - walk.lambda_))
     item_space = ui.shape[0] > ui.shape[1]
-    interactions = {side.interaction for side in (item, user) if side.coef and side.interaction}
+    pushed, direct = (user, item) if item_space else (item, user)
+    interactions = dict.fromkeys(
+        side.interaction for side in (direct, pushed) if side.coef and side.interaction
+    )
     systems, g = _interaction_systems(ui, item_space, interactions)
     if not item_space:
-        system, scale, p, q = _operator(r, c, systems, g, item_tags, user_tags, item, user)
+        system, scale, p, q = _operator(r, c, systems, g, item_tags, user_tags, pushed, direct)
         return FusedOperator(r, system, False, scale, p, q)
     # F^T = c_u * R^T (I - lambda S_user^T)^-1 + c_i (I - eta S_item^T)^-1 R^T is
     # the same operator on the transposed factors, with the two walks swapped
     transposed = [(b.T, a.T) for a, b in (user_tags, item_tags)]
-    system, scale, p, q = _operator(r.T, c.T, systems, g, *transposed, user, item)
+    system, scale, p, q = _operator(r.T, c.T, systems, g, *transposed, pushed, direct)
     return FusedOperator(r, system, True, scale, q.T, p.T)
 
 
 def _interaction_systems(
-    ui: sp.csr_matrix, item_space: bool, interactions: set[float]
+    ui: sp.csr_matrix, item_space: bool, interactions: Collection[float]
 ) -> tuple[dict[float, np.ndarray], np.ndarray | None]:
-    """({c: I - c * S for each c in ``interactions``}, g), each system in
-    its own Fortran-ordered k x k buffer, with S symmetric and the walk
-    space's interaction chain equal to diag(g)^-1 @ S @ diag(g): RC in user
-    space, (CR)^T in item space. The sparse S is dropped on return, so it
-    is not held while the systems are inverted; g is None when
-    ``interactions`` is empty.
+    """({c: I - c * S for each c in ``interactions``, in its order}, g),
+    each system in its own Fortran-ordered k x k buffer, with S symmetric
+    and the walk space's interaction chain equal to
+    diag(g)^-1 @ S @ diag(g): RC in user space, (CR)^T in item space. The
+    sparse S is dropped on return, so it is not held while the systems are
+    inverted; g is None when ``interactions`` is empty.
 
     With D_u and D_i the row and column sums of UI (1 for an entity with no
     saves) and Z = D_u^-1/2 UI D_i^-1/2, RC = D_u^-1 UI D_i^-1 UI^T is
@@ -217,30 +228,6 @@ def _interaction_systems(
     return systems, g
 
 
-@dataclass
-class _Fold:
-    """A side with an interaction chain: its system is N = X^-1 - weight * U V,
-    where X is the base (I - c * RC)^-1 of the side's interaction weight c,
-    and ``u`` (k x r) and ``v`` (r x k, sparse) are None when it has no tag
-    chain. Woodbury's identity gives N^-1 = X + weight * (X U K) @ (V X)
-    with K = (I - weight * V X U)^-1.
-
-    A direct side (``b`` None) adds coef * N^-1 to G. A pushed side's term
-    is coef * N^-1 R + q_coef * N^-1 U B, with ``b`` its tag chain's sparse
-    B (r x n), so coef * X joins G and the rest is F's low-rank block
-    (X U K) @ (q_coef * B + coef * weight * (V X) R).
-
-    :func:`_woodbury` takes ``u`` out of the fold, so a pushed side's dense
-    U, its W, is freed as soon as X U exists."""
-
-    coef: float
-    u: np.ndarray | sp.spmatrix | None = None
-    v: sp.spmatrix | None = None
-    weight: float = 0.0
-    b: sp.spmatrix | None = None
-    q_coef: float = 0.0
-
-
 def _operator(r, c, systems, g, pushed_tags, direct_tags, pushed: _Side, direct: _Side):
     """(G, s, P, Q) with s * R + G @ R + P @ Q equal to
 
@@ -249,123 +236,101 @@ def _operator(r, c, systems, g, pushed_tags, direct_tags, pushed: _Side, direct:
 
     where R is k x n' with k <= n', (A1, B1) = ``pushed_tags``,
     (A2, B2) = ``direct_tags``, and ``systems`` and ``g`` are
-    :func:`_interaction_systems`' for RC; each system is taken out of
-    ``systems`` and inverted in its buffer. G is k x k, or None when
-    neither side needs a system.
+    :func:`_interaction_systems`' for RC, the direct walk's system first.
+    G is k x k, or None when neither walk needs a system.
 
-    A side with interaction weight c = d * (1 - w) > 0 has the system
-    I - c * RC - t * U V, with a tag term of rank at most tags. Sides that
+    A walk with interaction weight c = d * (1 - w) > 0 has the system
+    I - c * RC - t * U V, with a tag term of rank at most tags. Walks that
     share c share one base X_c = (I - c * RC)^-1, a Cholesky inverse, and
-    Woodbury's identity adds each side's tag term to it (Tong, Faloutsos
-    and Pan, ICDM 2006). G is (coef1 + coef2) * X_c plus the direct side's
-    rank-r update alone, built in X_c's buffer. P @ Q holds the pushed
-    side's tag term and the whole tag term of a side with no interaction
-    chain: rank at most twice the tags.
+    Woodbury's identity adds each walk's tag term to it (Tong, Faloutsos
+    and Pan, ICDM 2006). The bases are inverted in ``systems``' order, each
+    in its system's buffer, and each walk on X_c makes its term from it
+    before the next base is inverted: the pushed walk its block of P @ Q
+    (:func:`_pushed_block`), the direct walk its rank-r update
+    (:func:`_woodbury`). X_c is then scaled by the sum of its walks'
+    coefficients and the update is added in its buffer, so G is
+    (coef1 + coef2) * X_c plus the direct walk's update alone. With two
+    bases the direct walk's comes first: its update is in G before the
+    second base is inverted, so only the pushed walk's block is made
+    beside both bases, where the other order would hold that block while
+    the direct walk's update is made. A walk with no interaction chain
+    needs no base: it adds coef * R to s, and its whole tag term, made
+    before any base, joins P @ Q, whose rank is thus at most twice the
+    tags.
 
-    Each side's block of P is C-ordered and its block of Q
+    Each walk's block of P is C-ordered and its block of Q
     Fortran-ordered, so :class:`FusedOperator`'s ``left`` (P, or Q^T in
     item space) is C-ordered and a block of its rows is contiguous. A
     single block, the default case, is returned as it is; several are
-    copied side by side."""
+    copied side by side, a walk with no interaction chain's first."""
     k, n = r.shape
     ps, qs = [], []
-    folds: dict[float, list[_Fold]] = {}
-    if pushed.coef:
-        _pushed_side(r, c, *pushed_tags, pushed, folds, ps, qs)
-    if direct.coef:
-        _direct_side(r, *direct_tags, direct, folds, ps, qs)
-    # a side with no interaction chain contributes coef * R
     scale = sum(side.coef for side in (pushed, direct) if not side.interaction)
+    if pushed.coef and pushed.tag and not pushed.interaction:
+        # (I - d A B)^-1 pushed through R is R + d * W B
+        a, b = pushed_tags
+        p = _tag_walk(r, a, b, pushed.tag)
+        p *= pushed.coef * pushed.tag
+        ps.append(p)
+        qs.append(b.toarray(order="F"))
+    if direct.coef and direct.tag and not direct.interaction:
+        # (I - d A B)^-1 R = R + d * A (I - d B A)^-1 (B R)
+        a, b = direct_tags
+        ps.append((direct.coef * direct.tag) * a.toarray(order="C"))
+        qs.append(_gemm(_damped_inverse(b @ a, direct.tag), (b @ r).toarray()))
     system = None
-    for interaction, sides in folds.items():
-        part = _fold_in(_base(systems.pop(interaction), g), sides, r, ps, qs)
+    for interaction, x in systems.items():
+        x = _base(x, g)
+        walks = [side for side in (pushed, direct) if side.coef and side.interaction == interaction]
+        if walks[0] is pushed and pushed.tag:
+            p, q = _pushed_block(x, r, c, *pushed_tags, pushed)
+            ps.append(p)
+            qs.append(q)
+        left = None
+        if walks[-1] is direct and direct.tag:
+            left, right = _woodbury(x, *direct_tags, direct.tag)
+            left *= direct.coef * direct.tag
+        x *= sum(side.coef for side in walks)
+        if left is not None:
+            _gemm(left, right, x)
+            del left, right
         if system is None:
-            system = part
+            system = x
         else:
-            system += part
+            system += x
     if len(ps) == 1:
         return system, scale, ps[0], qs[0]
     return system, scale, np.hstack([np.zeros((k, 0)), *ps]), np.vstack([np.zeros((0, n)), *qs])
 
 
-def _pushed_side(r, c, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
-    """The side coef * R (I - d (w A B + (1 - w) C R))^-1, pushed through
-    into R's row space: coef * N^-1 R + coef*d*w * N^-1 W B, where
-    K = (I - d*w B A)^-1, W = R A K and
-    N = I - d*(1 - w) * RC - d*(1 - w) * d*w * W (B C). With an interaction
-    chain it joins ``folds``, B still sparse; without one N is the
-    identity, and its low-rank term joins ``ps`` and ``qs``."""
-    tag, interaction = side.tag, side.interaction
-    # W made C-ordered, as (K^T (R A)^T)^T
-    w_mat = _gemm(_damped_inverse(b @ a, tag).T, (r @ a).toarray().T).T if tag else None
-    if interaction:
-        fold = _Fold(side.coef)
-        if tag:
-            fold = _Fold(side.coef, w_mat, b @ c, interaction * tag, b, side.coef * tag)
-        folds.setdefault(interaction, []).append(fold)
-    elif tag:
-        w_mat *= side.coef * tag
-        ps.append(w_mat)
-        qs.append(b.toarray(order="F"))
+def _tag_walk(r, a, b, tag: float) -> np.ndarray:
+    """W = R A (I - tag * B A)^-1, C-ordered, made as (K^T (R A)^T)^T: the
+    tag chain A B of a walk pushed through R, as (I - tag * A B)^-1 pushed
+    through R is R + tag * W B."""
+    return _gemm(_damped_inverse(b @ a, tag).T, (r @ a).toarray().T).T
 
 
-def _direct_side(r, a, b, side: _Side, folds: dict, ps: list, qs: list) -> None:
-    """The side coef * N^-1 R with N = I - d*(1 - w) * RC - d*w * A B. With
-    an interaction chain it joins ``folds``; without one the inverse is
-    Woodbury's alone, (I - d*w A B)^-1 R = R + d*w * A (I - d*w B A)^-1 (B R),
-    and its low-rank term joins ``ps`` and ``qs``."""
-    tag, interaction = side.tag, side.interaction
-    if interaction:
-        fold = _Fold(side.coef, a, b, tag) if tag else _Fold(side.coef)
-        folds.setdefault(interaction, []).append(fold)
-    elif tag:
-        ps.append((side.coef * tag) * a.toarray(order="C"))
-        qs.append(_gemm(_damped_inverse(b @ a, tag), (b @ r).toarray()))
+def _pushed_block(x: np.ndarray, r, c, a, b, side: _Side) -> tuple[np.ndarray, np.ndarray]:
+    """The pushed walk's block (P, Q) of F's low-rank term, from its base X.
 
-
-def _fold_in(base: np.ndarray, sides: list[_Fold], r, ps: list, qs: list) -> np.ndarray:
-    """G, the sum of ``sides``' coef * X plus the direct side's rank-r
-    update coef * weight * (X U K) @ (V X), written into the base X's
-    buffer and returned. A pushed side's block of F's low-rank term,
-    P = X U K and Q = q_coef * B + coef * weight * (V X) R (see
-    :class:`_Fold`), is appended to ``ps`` and ``qs``.
-
-    Every factor is taken from X before X is scaled. ``sides`` lists the
-    pushed side first and is emptied as it is used, so the pushed side's
-    inputs and its V X are freed before the direct side's factors are
-    allocated."""
-    coef = sum(fold.coef for fold in sides)
-    update = None
-    while sides:
-        fold = sides.pop(0)
-        if fold.u is None:
-            continue
-        if fold.b is None:
-            left, right = _woodbury(base, fold)
-            left *= fold.coef * fold.weight
-            update = left, right
-        else:
-            p, q = _pushed_block(base, fold, r)
-            ps.append(p)
-            qs.append(q)
-    base *= coef
-    if update is None:
-        return base
-    return _gemm(*update, base)
-
-
-def _pushed_block(x: np.ndarray, fold: _Fold, r) -> tuple[np.ndarray, np.ndarray]:
-    """A pushed side's block (P, Q) of F's low-rank term: P = X U K and
-    Q = q_coef * B + coef * weight * (V X) R, with B added entry by entry,
-    so it is never dense on its own."""
-    left, right = _woodbury(x, fold)
+    The walk's term coef * R (I - d (w A B + (1 - w) C R))^-1, pushed
+    through into R's row space, is coef * N^-1 R + coef*d*w * N^-1 W B,
+    with W = :func:`_tag_walk`'s R A (I - d*w B A)^-1 and
+    N = X^-1 - t * W V, where V = B C and t = d*(1 - w) * d*w. Woodbury's
+    identity (:func:`_woodbury`) gives N^-1 = X + t * P (V X) with
+    P = N^-1 W, so coef * X joins G and the rest is P @ Q with
+    Q = coef*d*w * B + coef * t * (V X) R, B added entry by entry, so it is
+    never dense on its own. W is made in the call to :func:`_woodbury`,
+    which drops it once X W exists."""
+    weight = side.interaction * side.tag
+    left, right = _woodbury(x, _tag_walk(r, a, b, side.tag), b @ c, weight)
     # R^T (V X)^T reads V X's Fortran-ordered buffer as the C-ordered
     # (V X)^T, and Q comes out Fortran-ordered
     q = (r.T @ right.T).T
     del right
-    q *= fold.coef * fold.weight
-    b = fold.b.tocoo()
-    q[b.row, b.col] += fold.q_coef * b.data
+    q *= side.coef * weight
+    b = b.tocoo()
+    q[b.row, b.col] += (side.coef * side.tag) * b.data
     return left, q
 
 
@@ -378,20 +343,20 @@ def _base(system: np.ndarray, g: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _woodbury(x: np.ndarray, fold: _Fold) -> tuple[np.ndarray, np.ndarray]:
-    """(X U K, V X) of ``fold``'s U, V and weight, with
-    K = (I - weight * V X U)^-1: the factors of Woodbury's
-    (X^-1 - weight * U V)^-1 = X + weight * (X U K) @ (V X). X U K is also
+def _woodbury(x: np.ndarray, u, v: sp.spmatrix, weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """(X U K, V X) with K = (I - weight * V X U)^-1: the factors of
+    Woodbury's (X^-1 - weight * U V)^-1 = X + weight * (X U K) @ (V X),
+    made from a base X that its caller holds. X U K is also
     (X^-1 - weight * U V)^-1 U. V X is Fortran-ordered; X U K is
     C-ordered when U is dense, Fortran-ordered when it is sparse.
 
     V X is formed first, while V's dense copy lives, then V X U. X U is
-    made last, in the buffer it is returned in, and U is taken out of the
-    fold, so a dense U is freed as soon as X U exists. K is applied to
-    X U there, a block of rows at a time."""
-    u, fold.u = fold.u, None
+    made last, in the buffer it is returned in, and ``u`` is dropped
+    there, so a dense U made in the call (the pushed walk's W) is freed as
+    soon as X U exists. K is applied to X U there, a block of rows at a
+    time."""
     # V is made dense, since a sparse V times X would copy X
-    right = _gemm(fold.v.toarray(), x)
+    right = _gemm(v.toarray(), x)
     if sp.issparse(u):
         inner = (u.T @ right.T).T
         # U^T X^T reads X's buffer as the C-ordered X^T
@@ -401,7 +366,7 @@ def _woodbury(x: np.ndarray, fold: _Fold) -> tuple[np.ndarray, np.ndarray]:
         # X U made C-ordered, as (U^T X^T)^T, so its rows are contiguous
         left = _gemm(u.T, x.T).T
     del u
-    inner *= -fold.weight
+    inner *= -weight
     inner[np.diag_indices_from(inner)] += 1.0
     inner = invert_in_place(np.asfortranarray(inner))
     for lo in range(0, len(left), _ROW_BLOCK):

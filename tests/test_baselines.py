@@ -746,6 +746,11 @@ class TestFusedOperator:
             (WalkConfig(mu=0.4), 1.0, 0.5, 1),
             (WalkConfig(mu=0.4), 0.5, 1.0, 1),
             (WalkConfig(mu=0.4), 1.0, 1.0, 0),
+            # damping 0: a pure-restart walk beside a walk with its base, and
+            # with both walks pure restarts no system and no low-rank term
+            (WalkConfig(eta=0.0, mu=0.4), 0.5, 0.5, 1),
+            (WalkConfig(lambda_=0.0, mu=0.4), 0.5, 0.5, 1),
+            (WalkConfig(eta=0.0, lambda_=0.0, mu=0.4), 0.5, 0.5, 0),
         ],
     )
     def test_cholesky_bases_match_closed_forms(self, monkeypatch, shape, empty, walk, alpha, beta, bases):
@@ -812,11 +817,16 @@ class TestFusedOperator:
         low_rank = operator.left @ operator.right
         assert np.abs(low_rank - pushed).max() <= 1e-12 * np.abs(pushed).max()
 
-    @pytest.mark.parametrize("shape", [(600, 800), (800, 600)])
-    def test_build_peak_is_the_base_and_four_tag_factors(self, shape):
+    @pytest.mark.parametrize(
+        "shape, walk",
+        [((600, 800), WalkConfig()), ((800, 600), WalkConfig()),
+         ((600, 800), WalkConfig(eta=0.7)), ((800, 600), WalkConfig(eta=0.7))],
+        ids=["shape0", "shape1", "two_bases-shape0", "two_bases-shape1"],
+    )
+    def test_build_peak_is_the_base_and_four_tag_factors(self, shape, walk):
         ds = random_dataset(np.random.default_rng(0), *shape, n_tags=100)
         k, tags = min(shape), ds.num_tags
-        args = (ds.UI, ds.UT, ds.IT, WalkConfig(), 0.5, 0.5)
+        args = (ds.UI, ds.UT, ds.IT, walk, 0.5, 0.5)
         # the first build imports scipy.linalg, whose objects would be traced
         fused_operator(*args)
         was_tracing = tracemalloc.is_tracing()
@@ -829,9 +839,16 @@ class TestFusedOperator:
         finally:
             if not was_tracing:
                 tracemalloc.stop()
-        # the k x k base and four k x tags factors, with 30% for the sparse
-        # inputs and the small temporaries
-        assert peak <= 1.3 * (8 * k * k + 4 * 8 * k * tags)
+        if walk == WalkConfig():
+            # the k x k base and four k x tags factors, with 30% for the sparse
+            # inputs and the small temporaries
+            assert peak <= 1.3 * (8 * k * k + 4 * 8 * k * tags)
+        else:
+            # two bases: the direct walk's is inverted first and its update is
+            # in G before the pushed walk's base is, so beside both bases only
+            # the pushed walk's block is made, in five k x tags factors; the
+            # other order holds that block while the direct update is made
+            assert peak <= 2 * 8 * k * k + 5 * 8 * k * tags
 
     @pytest.mark.parametrize("shape", [(600, 800), (800, 600)])
     def test_blocks_add_one_score_block_and_the_work_buffer(self, monkeypatch, shape):

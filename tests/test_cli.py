@@ -411,11 +411,12 @@ BAD_OPTIONS = [
     ("--fuse-weight", "-0.1"), ("--top-n", "0"), ("--k-neighbors", "0"),
     ("--k-neighbors", "-1"), ("--seed", "-1"),
 ]
-# out of range, or a density minimum given without the other one
+# out of range, a density minimum given without the other one, or the
+# density filter's threshold without the filter
 BAD_INGEST_OPTIONS = [
     ("--select-tags", "0"), ("--min-items-per-user", "0"), ("--min-users-per-item", "0"),
     ("--unqualified-threshold", "0"), ("--min-items-per-user", "2"),
-    ("--min-users-per-item", "2"),
+    ("--min-users-per-item", "2"), ("--unqualified-threshold", "5"),
 ]
 
 
@@ -467,6 +468,17 @@ class TestBadInput:
                   "--output-dir", str(tmp_path / "o")])
         assert exit_info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_unqualified_threshold_from_config_without_the_minimums_exits_2(self, tmp_path,
+                                                                           capsys):
+        # the input does not exist: reading it would exit 1, not 2
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text("unqualified-threshold = 5\n")
+        assert main([
+            "--config", str(cfg), "ingest", "--input", str(tmp_path / "missing.tsv"),
+            "--dataset", str(tmp_path / "ds.json"),
+        ]) == 2
+        assert "--unqualified-threshold must be given with" in one_line_error(capsys)
 
     def test_out_of_range_option_from_config_exits_2(self, dataset_file, tmp_path, capsys):
         cfg = tmp_path / "folkwalk.cfg"
