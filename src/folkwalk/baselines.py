@@ -6,10 +6,11 @@ training dataset (``Split.train``), so no held-out save reaches a model; its
 tag matrices are still the full dataset's. :func:`run_algorithm` is the one
 entry point: every algorithm but Random has a row-block scorer,
 :func:`block_scorer`, and :func:`run_algorithm` ranks its scores with
-:func:`recommend_all` a block of users at a time. The CF similarities are
-CSR; the user side forms only a block's rows of its users x users
-similarity at a time, and the untruncated item side never forms its items
-x items similarity: it scores a block of users by associativity."""
+:func:`recommend_all` a block of users at a time. Each CF cosine is the
+product of the unit profiles with their CSR transpose, in three branches:
+the user side forms a block's rows at a time, the truncated item side (k
+clamped to the row width) forms it once, and the untruncated item side
+scores by associativity."""
 
 from __future__ import annotations
 
@@ -60,37 +61,19 @@ def _unit_rows(profile: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((data, profile.indices, profile.indptr), shape=profile.shape)
 
 
-def _cosine(profile: sp.csr_matrix) -> sp.csr_matrix:
-    """Pairwise cosine similarity between the rows of a sparse profile, as
-    the CSR matrix of one sparse product, so the cost follows
-    co-occurrences; zero rows give zero similarity. The diagonal (a row's
-    similarity to itself) is still stored: :func:`_truncate_neighbors`
-    drops or zeroes it."""
-    unit = _unit_rows(profile)
-    return unit @ unit.T
-
-
 def _entry_rows(matrix: sp.csr_matrix) -> np.ndarray:
     """The row of each stored entry of a CSR matrix, in storage order."""
     return np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
 
 
-def _truncate_neighbors(
-    sim: sp.csr_matrix, k_neighbors: int | None, offset: int = 0
-) -> sp.csr_matrix:
-    """Each row's neighborhood in rows ``offset``.. of a pairwise similarity,
-    as CSR, never the row itself: row r of ``sim`` stands for row
-    ``offset + r``, so its self entry is in column ``offset + r``. With
-    ``k_neighbors``, the row's k largest stored similarities (ties by lower
-    index) with ascending column indices, so a product with it sums
-    neighbors in index order as a dense one does. None keeps every
-    neighbor: it zeroes the self entries of ``sim`` in place and returns
-    ``sim``, its sparsity structure unchanged."""
-    if k_neighbors is None:
-        # only stored entries are written, so none is inserted
-        stored = np.flatnonzero(sim.diagonal(offset))
-        sim[stored, stored + offset] = 0.0
-        return sim
+def _truncate_neighbors(sim: sp.csr_matrix, k_neighbors: int, offset: int = 0) -> sp.csr_matrix:
+    """Each row's k largest stored similarities (ties by lower index) in
+    rows ``offset``.. of a pairwise similarity, as CSR with ascending column
+    indices, never the row itself: row r of ``sim`` stands for row
+    ``offset + r``, so its self entry is in column ``offset + r``. A
+    product with the result sums neighbors in index order as a dense one
+    does. A k at or above the row width keeps every neighbor."""
+    k_neighbors = min(k_neighbors, sim.shape[1])
     sim = sim.sorted_indices()
     rows = _entry_rows(sim)
     off_diagonal = np.flatnonzero(sim.indices != rows + offset)
@@ -124,48 +107,44 @@ def _cf_scorer(
 ) -> BlockScorer:
     """Rows of user-based (sim @ UI) or item-based (UI @ sim) CF scores,
     with the cosine similarity of user or item profiles, its diagonal (a
-    profile's similarity to itself) zero.
+    profile's similarity to itself) zero, and with ``k_neighbors`` only each
+    row's k nearest neighbors, all of them if k is at least the row width.
 
-    Only the truncated item side forms a whole cosine, as CSR. The user side
-    forms a block's own rows of the users x users one; scipy computes each
-    row of a sparse product from that row alone, so they are bitwise the
-    rows of the whole product. The untruncated item side never forms the
-    items x items cosine U @ U^T of the unit item profiles U: by
-    associativity it scores a block B as (UI[B] @ U) @ U^T, less each saved
-    item's self-similarity. That sums in another order than UI[B] @ (U @
-    U^T), so it matches that product to rounding, and an exact tie may rank
-    either way. Every other score sums the same terms in the same order as
-    the product with the similarity densified, so it is bitwise that
-    product's."""
+    Each cosine is the product of the unit profiles U with U^T as CSR. The
+    untruncated item side never forms U @ U^T: it scores a block B as
+    (UI[B] @ U) @ U^T, less each saved item's self-similarity, which matches
+    UI[B] @ (U @ U^T) to rounding, so an exact tie may rank either way. The
+    truncated item side forms U @ U^T once; the user side forms a block's
+    rows, U[B] @ U^T, which scipy computes bitwise as the rows of the whole
+    product. Every other score sums the same terms in the same order as the
+    product with the similarity densified, so it is bitwise that product's."""
+    unit = _unit_rows(_profile(train_ui if user_based else train_ui.T.tocsr(), profile_ext))
     if user_based:
-        # an untruncated block of rows is too dense to multiply as CSR. A
-        # dense block leading sparse UI sums over neighbors in index order;
-        # scipy computes it as (UI^T @ block^T)^T, so a Fortran-ordered block
-        # is read without a copy and the result is Fortran-ordered, as the
-        # item side's is made, so Fusion adds the two in one memory order
-        unit = _unit_rows(_profile(train_ui, profile_ext))
         unit_t = unit.T.tocsr()
 
-        def scores(lo: int, hi: int) -> np.ndarray:
-            sim = _truncate_neighbors(unit[lo:hi] @ unit_t, k_neighbors, lo)
-            if k_neighbors is None:
-                # written straight into a Fortran-ordered block:
-                # toarray(order="F") would convert the rows to CSC first
-                dense = np.zeros(sim.shape, order="F")
-                dense[_entry_rows(sim), sim.indices] = sim.data
-                return dense @ train_ui
-            return (sim @ train_ui).toarray()
+        def user_scores(lo: int, hi: int) -> np.ndarray:
+            sim = unit[lo:hi] @ unit_t
+            if k_neighbors is not None:
+                return (_truncate_neighbors(sim, k_neighbors, lo) @ train_ui).toarray()
+            # an untruncated block of rows is too dense to multiply as CSR. A
+            # dense block leading sparse UI sums over neighbors in index order;
+            # scipy computes it as (UI^T @ block^T)^T, so a Fortran-ordered
+            # block (written directly: toarray(order="F") converts to CSC) is
+            # read without a copy and the result is Fortran-ordered, as the
+            # item side's is made, so Fusion adds the two in one memory order
+            dense = np.zeros(sim.shape, order="F")
+            dense[_entry_rows(sim), sim.indices] = sim.data
+            np.fill_diagonal(dense[:, lo:hi], 0.0)  # row r's self entry is column lo + r
+            return dense @ train_ui
 
-        return scores
-    profile = _profile(train_ui.T.tocsr(), profile_ext)
+        return user_scores
     if k_neighbors is not None:
         # with k neighbors a row the product stays small: form it once
-        product = train_ui @ _truncate_neighbors(_cosine(profile), k_neighbors)
+        product = train_ui @ _truncate_neighbors(unit @ unit.T.tocsr(), k_neighbors)
         return lambda lo, hi: product[lo:hi].toarray()
-    unit = _unit_rows(profile)
     self_similarity = np.asarray(unit.multiply(unit).sum(axis=1)).ravel()
 
-    def scores(lo: int, hi: int) -> np.ndarray:
+    def item_scores(lo: int, hi: int) -> np.ndarray:
         block = train_ui[lo:hi]
         # both factors stay sparse, so the work follows their nonzeros; the
         # product U @ (UI[B] @ U)^T is the block's scores transposed, so
@@ -174,7 +153,7 @@ def _cf_scorer(
         out[_entry_rows(block), block.indices] -= block.data * self_similarity[block.indices]
         return out
 
-    return scores
+    return item_scores
 
 
 def _fusion_scorer(ds: TaggingDataset, fuse_weight: float) -> BlockScorer:

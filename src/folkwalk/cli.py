@@ -459,35 +459,48 @@ def _config_value(action: argparse.Action, key: str, raw: str) -> object:
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, command: str, cfg: dict[str, str]) -> None:
-    """Make config-file values the defaults of ``command``'s options, so a
-    flag on the command line, in any spelling argparse accepts, still wins.
-    A key that names no option of any command is an error."""
+def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Before argv is parsed, make the values of its ``--config`` file the
+    defaults of its command's options, and not required: a flag on the
+    command line, in any spelling argparse accepts, still wins. A key that
+    names no option of any command is an error. Without a command name after
+    ``--config``, argparse's own error is left to the parse."""
+    ahead = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    ahead.add_argument("--config")
+    ahead.add_argument("command", nargs=argparse.REMAINDER)
+    try:
+        given = ahead.parse_known_args(argv)[0]
+    except argparse.ArgumentError:  # e.g. --config without its value
+        return
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = given.command[0] if given.command else None
+    if not given.config or command not in subparsers.choices:
+        return
     known = {
         a.dest for sub in subparsers.choices.values() for a in sub._actions if a.option_strings
     } - {"help"}
     subparser = subparsers.choices[command]
     own = {a.dest: a for a in subparser._actions}
     defaults = {}
-    for key, raw in cfg.items():
+    for key, raw in _load_config_file(given.config).items():
         if key == "lambda":
             key = "lambda_"
         if key not in known:
             raise UsageError(f"unknown config key {key!r}")
-        if key in own:
+        # ingest writes its --dataset; the config's dataset is what the others read
+        if key in own and (command, key) != ("ingest", "dataset"):
             defaults[key] = _config_value(own[key], key, raw)
     subparser.set_defaults(**defaults)
+    for action in subparser._actions:
+        action.required = action.required and action.dest not in defaults
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            _apply_config(parser, args.command, _load_config_file(args.config))
-            args = parser.parse_args(argv)
+        _apply_config(parser, argv)
+        args = parser.parse_args(argv)
         _check_option_ranges(args)
         return args.func(args)
     except UsageError as exc:

@@ -69,8 +69,8 @@ class PostTable:
     applies ``tags[tag[a]]`` to post ``tag_post[a]``; assignments are ordered
     by post, then by input order, and a repeated tag counts once per
     assignment. The id tables keep every id read, in order of first
-    appearance, including ids whose posts were filtered away. ``len()`` is
-    the number of posts.
+    appearance, including ids whose posts were filtered away. Each (user,
+    item) pair is at most one post. ``len()`` is the number of posts.
     """
 
     users: tuple[str, ...]
@@ -86,14 +86,15 @@ class PostTable:
 
     @classmethod
     def from_posts(cls, posts: Iterable[Post]) -> "PostTable":
-        """Table of the posts in order; posts of the same (user, item) pair
-        stay separate posts."""
+        """The posts merged per (user, item) pair, as :func:`parse_triples`
+        merges triples: tags in input order, pairs by their first post."""
         posts = list(posts)
         users, user = _factorize([p.user for p in posts])
         items, item = _factorize([p.item for p in posts])
         tags, tag = _factorize([t for p in posts for t in p.tags])
-        tag_post = np.repeat(np.arange(len(posts)), [len(p.tags) for p in posts])
-        return cls(users, items, tags, user, item, tag_post, tag)
+        post_key, post = _post_numbers(user * len(items) + item)
+        tag_post = np.repeat(post, [len(p.tags) for p in posts])
+        return _post_table((users, items, tags), post_key, tag_post, tag)
 
     def _keep_posts(self, keep: np.ndarray) -> "PostTable":
         """The posts where ``keep`` is true, with their tag assignments."""
@@ -290,10 +291,16 @@ def parse_triples(source: str | TextIO) -> PostTable:
         tagged = tag != empty
         post, tag = post[tagged], tag[tagged]
         tag -= tag > empty
-    by_post = np.argsort(post, kind="stable")
-    post, tag = post[by_post], tag[by_post]
-    user, item = np.divmod(post_key, max(len(items), 1))  # no items: no keys
-    return PostTable(users, items, tags, user, item, tag_post=post, tag=tag)
+    return _post_table((users, items, tags), post_key, post, tag)
+
+
+def _post_table(ids: tuple[tuple[str, ...], ...], post_key: np.ndarray,
+                tag_post: np.ndarray, tag: np.ndarray) -> PostTable:
+    """The table of the posts :func:`_post_numbers` made, tag assignment a
+    applying ``tag[a]`` to post ``tag_post[a]``; stably sorted by post."""
+    by_post = np.argsort(tag_post, kind="stable")
+    user, item = np.divmod(post_key, max(len(ids[1]), 1))  # no items: no keys
+    return PostTable(*ids, user, item, tag_post[by_post], tag[by_post])
 
 
 def density_filter(
@@ -344,15 +351,14 @@ def _first_appearance(codes: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarr
     return renumber[codes], tuple(map(ids.__getitem__, used.tolist()))
 
 
-def _count_arrays(rows: int, cols: int, i: np.ndarray, j: np.ndarray, binary: bool = False) -> dict:
+def _count_arrays(rows: int, cols: int, i: np.ndarray, j: np.ndarray) -> dict:
     """The :func:`_csr_arrays` of the rows x cols matrix counting each (i, j)
-    pair, or 1.0 per pair if binary: np.unique's keys ``i * cols + j`` are
-    sorted and distinct, so they are its entries in CSR order already."""
+    pair: np.unique's keys ``i * cols + j`` are sorted and distinct, so they
+    are its entries in CSR order already."""
     keys, counts = np.unique(i * cols + j, return_counts=True)
     row, col = np.divmod(keys, max(cols, 1))  # no columns: no keys
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=rows))))
-    data = np.ones(len(keys)) if binary else counts.astype(np.float64)
-    return {"indptr": indptr, "indices": col, "data": data}
+    return {"indptr": indptr, "indices": col, "data": counts.astype(np.float64)}
 
 
 def ingest(
@@ -399,7 +405,7 @@ def ingest_snapshot(
     m, n, l = len(users), len(items), len(tags)
     return {
         "format_version": 2, "users": users, "items": items, "tags": tags, "total_tag_count": total,
-        "UI": _count_arrays(m, n, user, item, binary=True),
+        "UI": _count_arrays(m, n, user, item),
         "UT": _count_arrays(m, l, user[posts.tag_post], tag),
         "IT": _count_arrays(n, l, item[posts.tag_post], tag),
     }

@@ -81,11 +81,7 @@ def random_dataset(
     for i in range(n_items):
         u = i % n_users
         posts.append(Post(f"u{u}", f"i{i}", (f"t{i % n_tags}",)))
-    merged: dict[tuple[str, str], list[str]] = {}
-    for p in posts:
-        merged.setdefault((p.user, p.item), []).extend(p.tags)
-    flat = [Post(u, i, tuple(t)) for (u, i), t in merged.items()]
-    return ingest(PostTable.from_posts(flat))
+    return ingest(PostTable.from_posts(posts))
 
 
 def edge_user_dataset(rng: np.random.Generator, sorted_rows: bool = True) -> TaggingDataset:
@@ -129,10 +125,7 @@ def slow_mix_dataset(rng: np.random.Generator) -> TaggingDataset:
     for c in range(n_clusters):
         for i in range(int(rng.integers(2, 4))):
             posts.append(Post("bridge", f"i{c}_{i}", (f"t{c}",)))
-    merged: dict[tuple[str, str], list[str]] = {}
-    for p in posts:
-        merged.setdefault((p.user, p.item), []).extend(p.tags)
-    return ingest(PostTable.from_posts(Post(u, i, tuple(t)) for (u, i), t in merged.items()))
+    return ingest(PostTable.from_posts(posts))
 
 
 def planted_cluster_posts(

@@ -84,8 +84,17 @@ def build_matrices(posts: list[Post], total_tag_count: int | None = None) -> Tag
     )
 
 
+def merge_posts(posts) -> list[Post]:
+    """One post per (user, item) pair, with the pair's tags in input order."""
+    merged: dict[tuple[str, str], list[str]] = {}
+    for p in posts:
+        merged.setdefault((p.user, p.item), []).extend(p.tags)
+    return [Post(user, item, tuple(tags)) for (user, item), tags in merged.items()]
+
+
 def ingest(posts, min_items_per_user=None, min_users_per_item=None,
            unqualified_item_threshold=20, num_tags=None) -> TaggingDataset:
+    posts = merge_posts(posts)
     if min_items_per_user is not None and min_users_per_item is not None:
         posts = density_filter(
             posts, min_items_per_user, min_users_per_item, unqualified_item_threshold

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from folkwalk import baselines
 from folkwalk.baselines import (
-    _cosine,
     _profile,
     _truncate_neighbors,
     _unit_rows,
@@ -189,11 +188,12 @@ class TestCosine:
             profile_ext = scipy.sparse.csr_matrix(ext)
         else:
             ext, profile_ext = ext[:, :0], None
-        sim = _cosine(_profile(scipy.sparse.csr_matrix(profile), profile_ext))
+        unit = _unit_rows(_profile(scipy.sparse.csr_matrix(profile), profile_ext))
+        sim = unit @ unit.T.tocsr()
         want = cosine_oracle(np.hstack([profile, ext]))
-        assert np.abs(_truncate_neighbors(sim, None).toarray() - want).max() < 1e-12
         # k >= rows keeps every neighbor, sparse
-        assert np.abs(_truncate_neighbors(sim, rows).toarray() - want).max() < 1e-12
+        for k in (rows, 10**20):
+            assert np.abs(_truncate_neighbors(sim, k).toarray() - want).max() < 1e-12
 
 
 class TestUserCF:
@@ -332,11 +332,14 @@ def test_cf_lists_match_dense_oracle_on_planted_clusters():
         assert_lists_certified("Fusion", sp.train, recommend_all(fused, sp.train.UI, 5))
 
 
-def dense_truncation_scores(train_ui, side, k_neighbors):
-    """UserCF/ItemCF scores from a dense similarity: the cosine densified
-    with its diagonal zeroed, each row truncated by partition (ties by lower
-    index), and a product of the dense similarity with the interactions."""
+def dense_truncation_scores(train_ui, side, k_neighbors, profile_ext=None):
+    """UserCF/ItemCF scores from a dense similarity: the cosine of the
+    (optionally extended) profiles densified with its diagonal zeroed, each
+    row truncated by partition (ties by lower index), and a product of the
+    dense similarity with the interactions."""
     profile = train_ui if side == "user" else train_ui.T.tocsr()
+    if profile_ext is not None:
+        profile = scipy.sparse.hstack([profile, profile_ext], format="csr")
     norms = np.sqrt(np.asarray(profile.multiply(profile).sum(axis=1)).ravel())
     safe = np.where(norms > 0, norms, 1.0)
     data = profile.data / np.repeat(safe, np.diff(profile.indptr))
@@ -358,7 +361,8 @@ def test_cf_scores_bitwise_equal_dense_truncation():
     ds = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
     for seed in range(3):
         train = make_split(ds, 0.2, seed).train
-        for k in (1, 5, 20, None):
+        # a k too large for int64 keeps every neighbor
+        for k in (1, 5, 20, 10**20, None):
             for kind, side in (("UserCF", "user"), ("ItemCF", "item")):
                 got = all_scores(kind, train, k_neighbors=k)
                 want = dense_truncation_scores(train.UI, side, k)
@@ -371,25 +375,18 @@ def test_cf_scores_bitwise_equal_dense_truncation():
 
 def full_cf_scores(train_ui, user_based, k_neighbors=None, profile_ext=None):
     """UserCF/ItemCF scores by the full-matrix formulas, as one product over
-    every user: the user side and a truncated item side multiply the
-    interactions with the cosine, for k = None densified with its diagonal
-    zeroed; the untruncated item side is (UI @ U) @ U^T for the unit item
-    profiles U, less each save's self-similarity."""
-    profile = train_ui if user_based else train_ui.T.tocsr()
-    profile = _profile(profile, profile_ext)
-    if not user_based and k_neighbors is None:
-        unit = _unit_rows(profile)
-        self_similarity = np.asarray(unit.multiply(unit).sum(axis=1)).ravel()
-        scores = (unit @ (train_ui @ unit).T).toarray().T
-        return scores - train_ui.multiply(self_similarity).toarray()
-    sim = _cosine(profile)
-    if k_neighbors is None:
-        sim = sim.toarray()
-        np.fill_diagonal(sim, 0.0)
-    else:
-        sim = _truncate_neighbors(sim, k_neighbors)
-    scores = sim @ train_ui if user_based else train_ui @ sim
-    return scores.toarray() if scipy.sparse.issparse(scores) else scores
+    every user: the untruncated item side is (UI @ U) @ U^T for the unit
+    item profiles U, less each save's self-similarity; the user side and a
+    truncated item side multiply the interactions with the dense, truncated
+    cosine of :func:`dense_truncation_scores`."""
+    if user_based or k_neighbors is not None:
+        return dense_truncation_scores(
+            train_ui, "user" if user_based else "item", k_neighbors, profile_ext
+        )
+    unit = _unit_rows(_profile(train_ui.T.tocsr(), profile_ext))
+    self_similarity = np.asarray(unit.multiply(unit).sum(axis=1)).ravel()
+    scores = (unit @ (train_ui @ unit).T).toarray().T
+    return scores - train_ui.multiply(self_similarity).toarray()
 
 
 def ranked_blocks(monkeypatch):
@@ -489,17 +486,12 @@ def test_no_users_by_users_similarity_is_formed(monkeypatch, kind, params):
 
 @pytest.mark.parametrize("kind", ["ItemCF", "Fusion"])
 def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
-    # the untruncated item side scores a block by associativity: no cosine
-    # is built and no product comes out items wide
+    # the untruncated item side scores a block by associativity: no product
+    # comes out items wide, so no cosine is built
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     ds = make_split(
         ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
     ).train
-
-    def no_cosine(profile):
-        raise AssertionError("the items x items cosine was built")
-
-    monkeypatch.setattr("folkwalk.baselines._cosine", no_cosine)
     matmul = scipy.sparse.csr_matrix.__matmul__
     widths = []
 
@@ -998,12 +990,6 @@ class TestInvariants:
         got = _truncate_neighbors(stored, k)
         assert_neighborhoods(got, k)
         np.testing.assert_array_equal(got.toarray(), expected)
-        # without k every neighbor stays: the diagonal is zeroed in place,
-        # in the stored pattern
-        indices = stored.indices.copy()
-        assert _truncate_neighbors(stored, None) is stored
-        np.testing.assert_array_equal(stored.indices, indices)
-        np.testing.assert_array_equal(stored.toarray(), off_diagonal)
 
     @pytest.mark.parametrize(
         "k,expected",

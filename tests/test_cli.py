@@ -687,6 +687,56 @@ class TestBadInput:
         ]) == 0
         assert len(json.loads((out / "report.json").read_text())[0]["runs"]) == 1
 
+    def test_config_supplies_required_options(self, triples_file, dataset_file, tmp_path):
+        # argparse checks required options before the config file is read
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text(f"input = {triples_file}\ndataset = {dataset_file}\n")
+        assert main(["--config", str(cfg), "ingest", "--dataset", str(tmp_path / "cfg.json")]) == 0
+        assert (tmp_path / "cfg.json").read_bytes() == Path(dataset_file).read_bytes()
+        runs = ["--algorithms", "Random", "--runs", "1", "--output-dir"]
+        configured, flagged = tmp_path / "cfg_out", tmp_path / "out"
+        assert main(["--config", str(cfg), "evaluate", *runs, str(configured)]) == 0
+        assert main(["evaluate", "--dataset", dataset_file, *runs, str(flagged)]) == 0
+        for name in ("report.json", "runs.csv"):
+            assert (configured / name).read_bytes() == (flagged / name).read_bytes()
+        # a flag still wins
+        cfg.write_text(f"dataset = {tmp_path / 'missing.json'}\n")
+        argv = ["--config", str(cfg), "evaluate", "--dataset", dataset_file, *runs]
+        assert main([*argv, str(tmp_path / "flag_out")]) == 0
+
+    def test_config_dataset_is_never_the_ingest_output(self, triples_file, dataset_file,
+                                                       tmp_path, capsys):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text(f"dataset = {dataset_file}\n")
+        before = Path(dataset_file).read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "ingest", "--input", triples_file])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --dataset" in capsys.readouterr().err
+        assert Path(dataset_file).read_bytes() == before
+
+    def test_config_error_is_reported_when_it_supplies_the_dataset(self, dataset_file, tmp_path,
+                                                                   capsys):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text(f"dataset = {dataset_file}\nbogus = 1\n")
+        assert main(["--config", str(cfg), "evaluate", "--runs", "1"]) == 2
+        assert "unknown config key 'bogus'" in capsys.readouterr().err
+        assert main(["--config", str(tmp_path / "missing.cfg"), "evaluate", "--runs", "1"]) == 1
+        assert "missing.cfg" in capsys.readouterr().err
+
+    def test_required_option_in_neither_place_is_the_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "folkwalk.cfg"
+        cfg.write_text("runs = 2\n")
+        with pytest.raises(SystemExit) as plain:
+            main(["evaluate", "--runs", "1"])
+        want = capsys.readouterr().err
+        with pytest.raises(SystemExit) as configured:
+            main(["--config", str(cfg), "evaluate", "--runs", "1"])
+        assert plain.value.code == configured.value.code == 2
+        assert capsys.readouterr().err == want
+        assert want.startswith("usage: folkwalk evaluate ") and "[--dataset" not in want
+        assert want.endswith("error: the following arguments are required: --dataset\n")
+
 
 def loaded_modules(tmp_path, statement: str) -> set[str]:
     """The modules a fresh interpreter has loaded when it ends, after it ran

@@ -115,11 +115,15 @@ class TestParseTriples:
 
 class TestPostTable:
     def test_from_posts_keeps_posts_and_order(self):
+        # posts of one (user, item) pair merge into the pair's first post,
+        # their tags in input order, as parse_triples merges triples
         posts = [Post("u1", "i1", ("a", "a")), Post("u2", "i1"), Post("u1", "i1", ("b",))]
         t = table(posts)
-        assert len(t) == 3
-        assert as_posts(t) == posts
+        assert len(t) == 2
+        assert as_posts(t) == [Post("u1", "i1", ("a", "a", "b")), Post("u2", "i1")]
         assert (t.users, t.items, t.tags) == (("u1", "u2"), ("i1",), ("a", "b"))
+        triples = "u1\ti1\ta\nu1\ti1\ta\nu2\ti1\t\nu1\ti1\tb\n"
+        assert as_posts(t) == as_posts(parse_triples(triples))
 
 
 def brute_force_filter(posts, min_u, min_i, theta):
@@ -151,12 +155,19 @@ class TestDensityFilter:
     def test_cascade_to_empty(self):
         assert as_posts(density_filter(table([Post("u1", "i1")]), 2, 2, 1)) == []
 
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, "repeated_pair"])
     def test_matches_brute_force_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        posts = random_posts(rng, n_users=50, n_items=30, items_per_user=(1, 8))
-        got = as_posts(density_filter(table(posts), 3, 3, 2))
-        expected = brute_force_filter(posts, 3, 3, 2)
+        if seed == "repeated_pair":
+            # u1 saved one item in two posts: its degree is 1, so it goes
+            posts = [Post("u1", "i1", ("a",)), Post("u1", "i1", ("b",)),
+                     Post("u2", "i1", ("a",)), Post("u2", "i2", ("a",))]
+            thresholds = (2, 1, 1)
+        else:
+            rng = np.random.default_rng(seed)
+            posts = random_posts(rng, n_users=50, n_items=30, items_per_user=(1, 8))
+            thresholds = (3, 3, 2)
+        got = as_posts(density_filter(table(posts), *thresholds))
+        expected = brute_force_filter(posts, *thresholds)
         assert {(p.user, p.item) for p in got} == {(p.user, p.item) for p in expected}
 
     def test_threshold_validation(self):
@@ -351,7 +362,8 @@ class TestAgainstReferencePipeline:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), options=_options)
     def test_same_dataset_from_post_records(self, seed, options):
-        # Post lists may repeat a (user, item) pair: each repeat is a post
+        # Post lists may repeat a (user, item) pair: the repeats merge into
+        # one post, as parse_triples merges repeated triples
         rng = np.random.default_rng(seed)
         posts = random_posts(rng, n_users=6, n_items=5, n_tags=4, items_per_user=(1, 4),
                              tags_per_save=(0, 3))
