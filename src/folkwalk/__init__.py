@@ -1,5 +1,10 @@
 """Random-walk-with-restart item recommender for social tagging data."""
 
+import importlib.util
+import sys
+
+import numpy
+
 from .dataset import Post, Split, TaggingDataset
 from .params import AlgorithmSpec, SimilarityConfig, WalkConfig
 
@@ -26,3 +31,29 @@ def __getattr__(name: str):
 
         return getattr(similarity, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _defer_numpy_submodules() -> None:
+    """Register numpy's ``f2py``, ``testing`` and ``polynomial`` as lazy
+    modules, whose bodies run at their first attribute access.
+
+    numpy exports them lazily, but ``import scipy.sparse`` (scipy 1.17's
+    vendored ``array_api_compat``) runs ``hasattr(numpy, name)`` on every
+    public name, which would import all three: ~0.1 s and ~10 MB that no
+    command needs. This runs before any scipy import, on every path into
+    the package. ``numpy.ma`` stays eager, because ``np.unique`` calls it
+    on the scoring path. A submodule already imported, or that this numpy
+    lacks, is left alone."""
+    for name in ("f2py", "testing", "polynomial"):
+        full = f"numpy.{name}"
+        spec = None if full in sys.modules else importlib.util.find_spec(full)
+        if spec is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name, module)
+
+
+_defer_numpy_submodules()

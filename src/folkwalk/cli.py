@@ -235,7 +235,12 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _algorithm_kinds(text: str) -> list[str]:
-    return [k.strip() for k in text.split(",") if k.strip()]
+    """The kinds ``--algorithms`` names; naming one twice is a usage error."""
+    kinds = [k.strip() for k in text.split(",") if k.strip()]
+    for i, k in enumerate(kinds):
+        if k in kinds[:i]:
+            raise UsageError(f"--algorithms names {k!r} more than once")
+    return kinds
 
 
 def _parse_algorithms(text: str, args: argparse.Namespace) -> list[AlgorithmSpec]:

@@ -455,7 +455,14 @@ def recommend_all(
     rows, cols = train_ui.nonzero()
     # scores are finite, so +inf sorts every training item behind all candidates
     key = _work_view(work, (m, n))
-    np.negative(scores, out=key)
+    if scores.flags.c_contiguous:
+        np.negative(scores, out=key)
+    else:
+        # the user-space blocks are Fortran-ordered: one transposing copy of
+        # the whole block misses cache on every row, so copy 256 columns at
+        # a time, each read and written while it is in cache
+        for lo in range(0, n, 256):
+            np.negative(scores[:, lo:lo + 256], out=key[:, lo:lo + 256])
     key[rows, cols] = np.inf
     # the selected columns come out ascending per row, so a stable sort of
     # their keys keeps the lower index first among ties

@@ -533,6 +533,19 @@ class TestBadInput:
         ]) == 2
         assert "--t-test needs at least two --algorithms" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--algorithms", "pRW,pRW"]),
+        ("evaluate", ["--algorithms", "UserCF, pRW,pRW ", "--t-test", "--runs", "3"]),
+        ("sweep", ["--algorithms", "pRW,ItemCF,pRW"]),
+    ], ids=["evaluate", "evaluate-t-test", "sweep"])
+    def test_repeated_algorithm_exits_2_before_loading(self, tmp_path, capsys, command, flags):
+        # the dataset does not exist: reading it would exit 1, not 2
+        assert main([
+            command, "--dataset", str(tmp_path / "missing.json"), *flags,
+            "--output-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert "--algorithms names 'pRW' more than once" in one_line_error(capsys)
+
     def test_t_test_in_config_leaves_ablate_alone(self, dataset_file, tmp_path):
         cfg = tmp_path / "folkwalk.cfg"
         cfg.write_text("t-test = true\n")
@@ -756,6 +769,12 @@ def scipy_modules(modules: set[str]) -> set[str]:
     return {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
 
+# a module each numpy submodule the package defers imports when its body runs
+DEFERRED_BODIES = (
+    "numpy.f2py.crackfortran", "numpy.testing._private.utils", "numpy.polynomial.polynomial",
+)
+
+
 class TestImports:
     @pytest.mark.parametrize("statement", [
         "import folkwalk",
@@ -781,3 +800,34 @@ class TestImports:
         ))
         assert "scipy.sparse" in modules
         assert "scipy.linalg" not in modules
+
+    def test_scoring_leaves_deferred_numpy_modules_unexecuted(self, tmp_path):
+        # scipy.sparse's array-API shim touches numpy.f2py, numpy.testing and
+        # numpy.polynomial; the package registers them lazily, so none runs
+        assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset",
+                     str(tmp_path / "ds.json")]) == 0
+        modules = loaded_modules(tmp_path, (
+            "from folkwalk.cli import main\nsys.exit(main(['evaluate', '--dataset', 'ds.json',"
+            f" '--algorithms', {','.join(ALGORITHM_KINDS)!r}, '--runs', '2', '--t-test',"
+            " '--output-dir', 'out']))"
+        ))
+        assert {"scipy.sparse", "scipy.linalg", "numpy.testing"} <= modules
+        assert not modules & set(DEFERRED_BODIES)
+
+    def test_deferred_numpy_modules_run_on_first_use(self, tmp_path):
+        modules = loaded_modules(tmp_path, (
+            "import folkwalk, os, numpy as np\n"
+            "np.testing.assert_array_equal(np.arange(3), [0, 1, 2])\n"
+            "assert np.polynomial.Polynomial([1, 2])(3) == 7\n"
+            "assert os.path.isdir(np.f2py.get_include())\n"
+        ))
+        assert set(DEFERRED_BODIES) <= modules
+
+    def test_module_imported_before_the_package_is_kept(self, tmp_path):
+        loaded_modules(tmp_path, (
+            "import types, numpy.testing\n"
+            "before = numpy.testing\n"
+            "import folkwalk\n"
+            "assert sys.modules['numpy.testing'] is before and numpy.testing is before\n"
+            "assert type(before) is types.ModuleType\n"
+        ))

@@ -252,6 +252,20 @@ class TestRecommend:
             with pytest.raises(ValueError, match="work"):
                 recommend_all(scores, train, 4, bad)
 
+    @pytest.mark.parametrize("n", [9, 256, 600])
+    def test_memory_order_leaves_lists_unchanged(self, n):
+        # a block that is not C-ordered is negated into the keys 256 columns
+        # at a time; the keys, so the tied runs, must be the same bits
+        rng = np.random.default_rng(35)
+        scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=(7, n))
+        held = rng.random((7, n)) < 0.3
+        train = csr_matrix(held.astype(float))
+        want = sort_oracle(scores, held, 40)
+        strided = np.asfortranarray(np.vstack([scores, scores]))[7:]
+        assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+        for block in (scores, np.asfortranarray(scores), strided):
+            assert np.array_equal(recommend_all(block, train, 40), want)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_sort_oracle_property(self, data):
