@@ -89,11 +89,21 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _csv_floats(text: str) -> list[float]:
+def _named_once(values: list, flag: str, show=repr) -> list:
+    """``values``, given as ``flag``'s comma list; naming one twice is a
+    usage error, whose message shows the value with ``show``."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise UsageError(f"{flag} names {show(v)} more than once")
+    return values
+
+
+def _csv_floats(text: str, flag: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad numeric list {text!r}") from exc
+    return _named_once(values, flag, "{:g}".format)
 
 
 # hyperparameter defaults by option dest (lambda_ is the --lambda flag)
@@ -236,11 +246,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
 
 def _algorithm_kinds(text: str) -> list[str]:
     """The kinds ``--algorithms`` names; naming one twice is a usage error."""
-    kinds = [k.strip() for k in text.split(",") if k.strip()]
-    for i, k in enumerate(kinds):
-        if k in kinds[:i]:
-            raise UsageError(f"--algorithms names {k!r} more than once")
-    return kinds
+    return _named_once([k.strip() for k in text.split(",") if k.strip()], "--algorithms")
 
 
 def _parse_algorithms(text: str, args: argparse.Namespace) -> list[AlgorithmSpec]:
@@ -311,7 +317,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .evaluation import density_sweep, format_sweep_table
 
-    fractions = _csv_floats(args.fractions)
+    fractions = _csv_floats(args.fractions, "--fractions")
     if not fractions or not all(0.0 < f < 1.0 for f in fractions):
         raise UsageError("--fractions must be a non-empty list within (0, 1)")
     specs = _parse_algorithms(args.algorithms, args)
@@ -334,7 +340,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         raw = getattr(args, key)
         if raw is not None:
             name = key.rstrip("_")
-            grid_axes[name] = _csv_floats(raw)
+            grid_axes[name] = _csv_floats(raw, f"--{name}")
             if not grid_axes[name]:
                 raise UsageError(f"--{name} needs at least one value")
             for value in grid_axes[name]:

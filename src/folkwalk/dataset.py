@@ -15,7 +15,7 @@ import array
 import io
 import json
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import filterfalse, repeat
@@ -43,29 +43,12 @@ class InvalidDatasetError(ValueError):
     """Text is not a dataset snapshot written by :func:`dataset_to_json`."""
 
 
-@dataclass(frozen=True)
-class Post:
-    """One (user, item) save event with the tags applied to it, for building
-    a dataset in code (see :meth:`PostTable.from_posts`).
-
-    ``tags`` is a multiset stored as a tuple; repeats count toward tag
-    frequencies.
-    """
-
-    user: str
-    item: str
-    tags: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.user or not self.item:
-            raise ValueError("user and item ids must be non-empty")
-
-
 @dataclass(frozen=True, eq=False)
 class PostTable:
-    """Posts as integer codes into id tables.
+    """Posts as integer codes into id tables, as :func:`parse_triples` reads
+    them.
 
-    Post p saves ``items[item[p]]`` for ``users[user[p]]``. Tag assignment a
+    The p-th post saves ``items[item[p]]`` for ``users[user[p]]``. Tag assignment a
     applies ``tags[tag[a]]`` to post ``tag_post[a]``; assignments are ordered
     by post, then by input order, and a repeated tag counts once per
     assignment. The id tables keep every id read, in order of first
@@ -83,18 +66,6 @@ class PostTable:
 
     def __len__(self) -> int:
         return len(self.user)
-
-    @classmethod
-    def from_posts(cls, posts: Iterable[Post]) -> "PostTable":
-        """The posts merged per (user, item) pair, as :func:`parse_triples`
-        merges triples: tags in input order, pairs by their first post."""
-        posts = list(posts)
-        users, user = _factorize([p.user for p in posts])
-        items, item = _factorize([p.item for p in posts])
-        tags, tag = _factorize([t for p in posts for t in p.tags])
-        post_key, post = _post_numbers(user * len(items) + item)
-        tag_post = np.repeat(post, [len(p.tags) for p in posts])
-        return _post_table((users, items, tags), post_key, tag_post, tag)
 
     def _keep_posts(self, keep: np.ndarray) -> "PostTable":
         """The posts where ``keep`` is true, with their tag assignments."""
@@ -180,13 +151,6 @@ class Split:
 
     train: TaggingDataset
     test: sp.csr_matrix
-
-
-def _factorize(values: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Distinct values in first-appearance order, and each value's code."""
-    ids = tuple(dict.fromkeys(values))
-    index = dict(zip(ids, range(len(ids))))
-    return ids, np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
 
 
 def _encode(values: list[str], ids: dict[str, int], raw: dict[str, int]) -> Iterator[int]:
@@ -291,16 +255,9 @@ def parse_triples(source: str | TextIO) -> PostTable:
         tagged = tag != empty
         post, tag = post[tagged], tag[tagged]
         tag -= tag > empty
-    return _post_table((users, items, tags), post_key, post, tag)
-
-
-def _post_table(ids: tuple[tuple[str, ...], ...], post_key: np.ndarray,
-                tag_post: np.ndarray, tag: np.ndarray) -> PostTable:
-    """The table of the posts :func:`_post_numbers` made, tag assignment a
-    applying ``tag[a]`` to post ``tag_post[a]``; stably sorted by post."""
-    by_post = np.argsort(tag_post, kind="stable")
-    user, item = np.divmod(post_key, max(len(ids[1]), 1))  # no items: no keys
-    return PostTable(*ids, user, item, tag_post[by_post], tag[by_post])
+    by_post = np.argsort(post, kind="stable")  # assignments by post, then input order
+    user, item = np.divmod(post_key, max(len(items), 1))  # no items: no keys
+    return PostTable(users, items, tags, user, item, post[by_post], tag[by_post])
 
 
 def density_filter(

@@ -7,7 +7,11 @@ from collections.abc import Iterable
 import numpy as np
 import scipy.sparse as sp
 
-from folkwalk.dataset import Post, PostTable, TaggingDataset, ingest
+from folkwalk.dataset import PostTable, TaggingDataset, ingest, parse_triples
+
+# A post record: (user, item, tags), the tags a tuple in which a repeat
+# counts toward the tag's frequency.
+Record = tuple[str, str, tuple[str, ...]]
 
 
 def csr(rows: int, cols: int, entries: Iterable[tuple[int, int, float]] = ()) -> sp.csr_matrix:
@@ -47,6 +51,20 @@ def entry_list(m: sp.csr_matrix) -> list[tuple[int, int, float]]:
     return list(zip(coo.row[order].tolist(), coo.col[order].tolist(), coo.data[order].tolist()))
 
 
+def triple_lines(records: Iterable[Record]) -> str:
+    """The records as ``user\\titem\\ttag`` lines, the text ``folkwalk
+    ingest`` reads: one line per tag, so a repeated tag is a repeated line,
+    and one line with an empty tag field for a tagless save."""
+    return "".join(f"{user}\t{item}\t{tag}\n" for user, item, tags in records
+                   for tag in tags or ("",))
+
+
+def post_table(records: Iterable[Record]) -> PostTable:
+    """The posts of the records, read as ``ingest`` reads its input: as
+    :func:`triple_lines` through :func:`parse_triples`."""
+    return parse_triples(triple_lines(records))
+
+
 def random_posts(
     rng: np.random.Generator,
     n_users: int = 8,
@@ -54,16 +72,17 @@ def random_posts(
     n_tags: int = 5,
     items_per_user: tuple[int, int] = (2, 5),
     tags_per_save: tuple[int, int] = (1, 3),
-) -> list[Post]:
-    """Posts where every user saves and tags something; item/tag coverage is
-    not guaranteed (use :func:`random_dataset` for post-filter-like data)."""
+) -> list[Record]:
+    """Post records where every user saves and tags something; item/tag
+    coverage is not guaranteed (use :func:`random_dataset` for
+    post-filter-like data)."""
     posts = []
     for u in range(n_users):
         k = rng.integers(items_per_user[0], items_per_user[1] + 1)
         for i in rng.choice(n_items, size=min(k, n_items), replace=False):
             nt = rng.integers(tags_per_save[0], tags_per_save[1] + 1)
             tags = tuple(f"t{t}" for t in rng.choice(n_tags, size=nt))
-            posts.append(Post(f"u{u}", f"i{i}", tags))
+            posts.append((f"u{u}", f"i{i}", tags))
     return posts
 
 
@@ -80,8 +99,8 @@ def random_dataset(
     # guarantee item coverage: round-robin a save with a tag onto each item
     for i in range(n_items):
         u = i % n_users
-        posts.append(Post(f"u{u}", f"i{i}", (f"t{i % n_tags}",)))
-    return ingest(PostTable.from_posts(posts))
+        posts.append((f"u{u}", f"i{i}", (f"t{i % n_tags}",)))
+    return ingest(post_table(posts))
 
 
 def edge_user_dataset(rng: np.random.Generator, sorted_rows: bool = True) -> TaggingDataset:
@@ -121,11 +140,11 @@ def slow_mix_dataset(rng: np.random.Generator) -> TaggingDataset:
         items = int(rng.integers(5, 9))
         for u in range(users):
             for i in range(items):
-                posts.append(Post(f"u{c}_{u}", f"i{c}_{i}", (f"t{c}",)))
+                posts.append((f"u{c}_{u}", f"i{c}_{i}", (f"t{c}",)))
     for c in range(n_clusters):
         for i in range(int(rng.integers(2, 4))):
-            posts.append(Post("bridge", f"i{c}_{i}", (f"t{c}",)))
-    return ingest(PostTable.from_posts(posts))
+            posts.append(("bridge", f"i{c}_{i}", (f"t{c}",)))
+    return ingest(post_table(posts))
 
 
 def planted_cluster_posts(
@@ -137,10 +156,10 @@ def planted_cluster_posts(
     n_tags: int = 40,
     p_within: float = 0.3,
     p_cross: float = 0.01,
-) -> list[Post]:
-    """Block-structured corpus: user cluster c saves items of item cluster c
-    with probability p_within and others with p_cross; saves carry tags drawn
-    from the item cluster's dedicated tag block."""
+) -> list[Record]:
+    """Block-structured post records: user cluster c saves items of item
+    cluster c with probability p_within and others with p_cross; saves carry
+    tags drawn from the item cluster's dedicated tag block."""
     tags_per_cluster = n_tags // n_item_clusters
     posts = []
     for u in range(n_users):
@@ -150,7 +169,7 @@ def planted_cluster_posts(
             p = p_within if uc == ic else p_cross
             if rng.random() < p:
                 t = ic * tags_per_cluster + int(rng.integers(tags_per_cluster))
-                posts.append(Post(f"u{u}", f"i{i}", (f"t{t}",)))
+                posts.append((f"u{u}", f"i{i}", (f"t{t}",)))
     return posts
 
 

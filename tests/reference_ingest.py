@@ -1,7 +1,8 @@
 """Reference ingest: the per-post object pipeline that the columnar one in
 ``folkwalk.dataset`` replaced, kept as an oracle for the tests.
 
-Each function handles one post at a time with Python containers. Line
+Each function handles one post at a time with Python containers; a post
+is a ``(user, item, tags)`` tuple, a :mod:`gen` record. Line
 splitting is ``str.splitlines``, so inputs compared against the columnar
 parser must end lines with ``\\n``, ``\\r\\n`` or ``\\r`` only and keep
 other line separators (``\\x0c``, ``\\x85``, U+2028, ...) out of fields.
@@ -15,12 +16,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from folkwalk.dataset import ParseError, Post, Split, TaggingDataset
+from folkwalk.dataset import ParseError, Split, TaggingDataset
 
-from gen import csr
+from gen import Record, csr
 
 
-def parse_triples(text: str) -> list[Post]:
+def parse_triples(text: str) -> list[Record]:
     merged: dict[tuple[str, str], list[str]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -34,41 +35,41 @@ def parse_triples(text: str) -> list[Post]:
         tags = merged.setdefault((user, item), [])
         if tag:
             tags.append(tag)
-    return [Post(user, item, tuple(tags)) for (user, item), tags in merged.items()]
+    return [(user, item, tuple(tags)) for (user, item), tags in merged.items()]
 
 
 def density_filter(posts, min_items_per_user, min_users_per_item, unqualified_item_threshold):
     current = list(posts)
     while True:
         before = len(current)
-        user_deg = Counter(p.user for p in current)
-        current = [p for p in current if user_deg[p.user] >= min_items_per_user]
-        item_deg = Counter(p.item for p in current)
-        current = [p for p in current if item_deg[p.item] >= min_users_per_item]
-        item_deg = Counter(p.item for p in current)
+        user_deg = Counter(user for user, _, _ in current)
+        current = [p for p in current if user_deg[p[0]] >= min_items_per_user]
+        item_deg = Counter(item for _, item, _ in current)
+        current = [p for p in current if item_deg[p[1]] >= min_users_per_item]
+        item_deg = Counter(item for _, item, _ in current)
         unqualified = sum(1 for c in item_deg.values() if c < min_users_per_item)
         if unqualified < unqualified_item_threshold or len(current) == before:
             return current
 
 
-def select_tags(posts: list[Post], l: int) -> list[Post]:
-    freq = Counter(t for p in posts for t in p.tags)
+def select_tags(posts: list[Record], l: int) -> list[Record]:
+    freq = Counter(t for _, _, tags in posts for t in tags)
     keep = {t for t, _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:l]}
-    return [Post(p.user, p.item, tuple(t for t in p.tags if t in keep)) for p in posts]
+    return [(user, item, tuple(t for t in tags if t in keep)) for user, item, tags in posts]
 
 
-def build_matrices(posts: list[Post], total_tag_count: int | None = None) -> TaggingDataset:
+def build_matrices(posts: list[Record], total_tag_count: int | None = None) -> TaggingDataset:
     users: dict[str, int] = {}
     items: dict[str, int] = {}
     tags: dict[str, int] = {}
     ui: dict[tuple[int, int], float] = {}
     ut: Counter = Counter()
     it: Counter = Counter()
-    for p in posts:
-        u = users.setdefault(p.user, len(users))
-        i = items.setdefault(p.item, len(items))
+    for user, item, post_tags in posts:
+        u = users.setdefault(user, len(users))
+        i = items.setdefault(item, len(items))
         ui[(u, i)] = 1.0
-        for t in p.tags:
+        for t in post_tags:
             k = tags.setdefault(t, len(tags))
             ut[(u, k)] += 1
             it[(i, k)] += 1
@@ -84,12 +85,12 @@ def build_matrices(posts: list[Post], total_tag_count: int | None = None) -> Tag
     )
 
 
-def merge_posts(posts) -> list[Post]:
+def merge_posts(posts) -> list[Record]:
     """One post per (user, item) pair, with the pair's tags in input order."""
     merged: dict[tuple[str, str], list[str]] = {}
-    for p in posts:
-        merged.setdefault((p.user, p.item), []).extend(p.tags)
-    return [Post(user, item, tuple(tags)) for (user, item), tags in merged.items()]
+    for user, item, tags in posts:
+        merged.setdefault((user, item), []).extend(tags)
+    return [(user, item, tuple(tags)) for (user, item), tags in merged.items()]
 
 
 def ingest(posts, min_items_per_user=None, min_users_per_item=None,
@@ -99,7 +100,7 @@ def ingest(posts, min_items_per_user=None, min_users_per_item=None,
         posts = density_filter(
             posts, min_items_per_user, min_users_per_item, unqualified_item_threshold
         )
-    total = len({t for p in posts for t in p.tags})
+    total = len({t for _, _, tags in posts for t in tags})
     if num_tags is not None:
         posts = select_tags(posts, num_tags)
     return build_matrices(posts, total_tag_count=total)

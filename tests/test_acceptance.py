@@ -11,7 +11,6 @@ import pytest
 from folkwalk.baselines import block_scorer, run_algorithm
 from folkwalk.cli import main
 from folkwalk.dataset import (
-    PostTable,
     TaggingDataset,
     ingest,
     split as make_split,
@@ -34,7 +33,15 @@ from folkwalk.similarity import (
     walk_user,
 )
 
-from gen import csr, held_out, padded, planted_cluster_posts, random_dataset, slow_mix_dataset
+from gen import (
+    csr,
+    held_out,
+    padded,
+    planted_cluster_posts,
+    post_table,
+    random_dataset,
+    slow_mix_dataset,
+)
 
 
 def report(name: str) -> None:
@@ -176,7 +183,7 @@ def test_06_metric_unit_suite():
 def test_07_ordering_on_planted_clusters():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
-    ds = ingest(PostTable.from_posts(planted_cluster_posts(rng)))
+    ds = ingest(post_table(planted_cluster_posts(rng)))
     walk = WalkConfig(eta=0.9, lambda_=0.8, mu=0.7)
     sim = SimilarityConfig(alpha=1.0, beta=0.5)
     prw = run_experiment(

@@ -19,7 +19,7 @@ from folkwalk.baselines import (
     random_recommender,
     run_algorithm,
 )
-from folkwalk.dataset import PostTable, TaggingDataset, ingest, split
+from folkwalk.dataset import TaggingDataset, ingest, split
 from folkwalk.linalg import SingularMatrixError, invert_in_place, invert_spd_in_place, row_normalize
 from folkwalk.params import ABLATION_KINDS, AlgorithmSpec, SimilarityConfig, WalkConfig
 from folkwalk.similarity import (
@@ -33,7 +33,7 @@ from folkwalk.similarity import (
 from folkwalk.walker import fuse, fused_operator, recommend_all, smallest_k_mask
 
 from gate import certified, flips
-from gen import edge_user_dataset, padded, planted_cluster_posts, random_dataset
+from gen import edge_user_dataset, padded, planted_cluster_posts, post_table, random_dataset
 
 
 def make_split(ds, fraction=0.4, seed=7):
@@ -310,7 +310,7 @@ def test_cf_lists_match_dense_oracle_on_planted_clusters():
     # the untruncated item side sums in another order than the dense
     # product, so its lists may break exact ties differently: they go
     # through the rounding gate; every other list is equal
-    ds = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    ds = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
     ut, it = ds.UT.toarray(), ds.IT.toarray()
     for seed in range(3):
         sp = make_split(ds, 0.2, seed)
@@ -358,7 +358,7 @@ def test_cf_scores_bitwise_equal_dense_truncation():
     # product, so not even the last bit of a score moves; the untruncated
     # item side sums by associativity, so it matches to rounding and its
     # lists go through the rounding gate
-    ds = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    ds = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
     for seed in range(3):
         train = make_split(ds, 0.2, seed).train
         # a k too large for int64 keeps every neighbor
@@ -403,7 +403,7 @@ def ranked_blocks(monkeypatch):
 
 
 def cf_fixtures():
-    planted = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    planted = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
     return [make_split(planted, 0.2, seed).train for seed in range(3)] + [
         edge_user_dataset(np.random.default_rng(8))
     ]
@@ -490,7 +490,7 @@ def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
     # comes out items wide, so no cosine is built
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     ds = make_split(
-        ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+        ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
     ).train
     matmul = scipy.sparse.csr_matrix.__matmul__
     widths = []
@@ -625,7 +625,7 @@ class TestAblation:
         assert_same_top_n(got, want, sp.train.UI)
 
     def test_pipeline_matches_iterative_walks_on_planted_clusters(self):
-        ds = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+        ds = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
         walk = WalkConfig(eta=0.9, lambda_=0.8, mu=0.7)
         sim = SimilarityConfig(alpha=1.0, beta=0.5)
         for seed in range(3):
@@ -641,7 +641,7 @@ class TestAblation:
     def test_operator_matches_sequential_fusion(self, kind):
         walk = WalkConfig(eta=0.9, lambda_=0.7, mu=0.3)
         sim = SimilarityConfig(alpha=0.6, beta=0.4)
-        planted = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+        planted = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
         fixtures = [random_dataset(np.random.default_rng(s), 9, 12, 4) for s in range(3)] + [planted]
         filters = list(warnings.filters)
         for ds in fixtures:
@@ -915,10 +915,10 @@ def tag_matrices(posts, ds, saves):
     tag_index = {tag: k for k, tag in enumerate(ds.tags)}
     ut = np.zeros((ds.num_users, ds.num_tags))
     it = np.zeros((ds.num_items, ds.num_tags))
-    for post in posts:
-        u, j = ds.user_index(post.user), item_index[post.item]
+    for user, item, tags in posts:
+        u, j = ds.user_index(user), item_index[item]
         if saves[u, j]:
-            for tag in post.tags:
+            for tag in tags:
                 ut[u, tag_index[tag]] += 1
                 it[j, tag_index[tag]] += 1
     return scipy.sparse.csr_matrix(ut), scipy.sparse.csr_matrix(it)
@@ -930,7 +930,7 @@ def test_training_dataset_keeps_held_out_tags():
     # training posts alone moves the tag-driven pRW-IT lists and leaves the
     # tag-free pRW-UI lists as they are
     posts = planted_cluster_posts(np.random.default_rng(7))
-    ds = ingest(PostTable.from_posts(posts))
+    ds = ingest(post_table(posts))
     sp = make_split(ds, 0.2, 0)
     assert sp.train.UT is ds.UT and sp.train.IT is ds.IT
     ut, it = tag_matrices(posts, ds, ds.UI.toarray())

@@ -14,7 +14,7 @@ from folkwalk.dataset import dataset_from_json, dataset_to_json, ingest, parse_t
 from folkwalk.params import ALGORITHM_KINDS
 from folkwalk.walker import recommend_all
 
-from gen import random_dataset, random_posts
+from gen import random_dataset, random_posts, triple_lines
 
 DATA = Path(__file__).parent / "data"
 
@@ -23,14 +23,8 @@ DATA = Path(__file__).parent / "data"
 def triples_file(tmp_path):
     rng = np.random.default_rng(0)
     posts = random_posts(rng, n_users=20, n_items=25, n_tags=6, items_per_user=(4, 9))
-    lines = []
-    for p in posts:
-        if p.tags:
-            lines.extend(f"{p.user}\t{p.item}\t{t}" for t in p.tags)
-        else:
-            lines.append(f"{p.user}\t{p.item}\t")
     path = tmp_path / "posts.tsv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(triple_lines(posts))
     return str(path)
 
 
@@ -495,6 +489,22 @@ class TestBadInput:
             "--output-dir", str(tmp_path / "g"),
         ]) == 2
         assert "eta" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("sweep", ["--fractions", "0.1,0.1"], "--fractions names 0.1 more than once"),
+        ("sweep", ["--fractions", "0.2,0.5,0.20"], "--fractions names 0.2 more than once"),
+        ("grid", ["--alpha", "0,0"], "--alpha names 0 more than once"),
+        ("grid", ["--mu", "0.5", "--lambda", "0.3, 0.9,0.3"], "--lambda names 0.3 more than once"),
+    ], ids=["sweep", "sweep-same-float", "grid", "grid-lambda"])
+    def test_repeated_value_exits_2_before_loading(self, tmp_path, capsys, command, flags,
+                                                   message):
+        # the dataset does not exist: reading it would exit 1, not 2; run
+        # twice, a repeated value would give a point twice or merge its cells
+        assert main([
+            command, "--dataset", str(tmp_path / "missing.json"), *flags,
+            "--output-dir", str(tmp_path / "o"),
+        ]) == 2
+        assert message in one_line_error(capsys)
 
     def test_empty_grid_axis_exits_2(self, tmp_path, capsys):
         assert main([

@@ -17,7 +17,6 @@ from folkwalk.dataset import (
     EmptyDatasetError,
     InvalidDatasetError,
     ParseError,
-    Post,
     PostTable,
     Split,
     TaggingDataset,
@@ -33,37 +32,35 @@ from folkwalk.dataset import (
 )
 
 from gen import (
+    Record,
     csr,
     edge_user_dataset,
     entry_list,
+    post_table,
     random_dataset,
     random_posts,
     random_triples_tsv,
 )
 
 
-def as_posts(table: PostTable) -> list[Post]:
+def as_posts(table: PostTable) -> list[Record]:
     """The table's posts as records, tags in assignment order."""
     tags = [[] for _ in range(len(table))]
     for p, k in zip(table.tag_post.tolist(), table.tag.tolist()):
         tags[p].append(table.tags[k])
     return [
-        Post(table.users[u], table.items[i], tuple(t))
+        (table.users[u], table.items[i], tuple(t))
         for u, i, t in zip(table.user.tolist(), table.item.tolist(), tags)
     ]
-
-
-def table(posts: list[Post]) -> PostTable:
-    return PostTable.from_posts(posts)
 
 
 class TestParseTriples:
     def test_merges_tags_per_save(self):
         posts = parse_triples("u1\ti1\tml\nu1\ti1\tweb\n")
-        assert as_posts(posts) == [Post("u1", "i1", ("ml", "web"))]
+        assert as_posts(posts) == [("u1", "i1", ("ml", "web"))]
 
     def test_tagless_save_allowed(self):
-        assert as_posts(parse_triples("u1\ti1\t\n")) == [Post("u1", "i1", ())]
+        assert as_posts(parse_triples("u1\ti1\t\n")) == [("u1", "i1", ())]
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 1"):
@@ -77,18 +74,21 @@ class TestParseTriples:
 
     def test_duplicate_triples_accumulate(self):
         posts = parse_triples("u1\ti1\tml\nu1\ti1\tml\n")
-        assert as_posts(posts) == [Post("u1", "i1", ("ml", "ml"))]
+        assert as_posts(posts) == [("u1", "i1", ("ml", "ml"))]
 
     def test_posts_in_order_of_first_triple(self):
         posts = parse_triples("u2\ti1\tb\nu1\ti2\ta\nu2\ti1\tc\nu1\ti1\t\n")
         assert as_posts(posts) == [
-            Post("u2", "i1", ("b", "c")), Post("u1", "i2", ("a",)), Post("u1", "i1", ()),
+            ("u2", "i1", ("b", "c")), ("u1", "i2", ("a",)), ("u1", "i1", ()),
         ]
         assert len(posts) == 3
+        # the id tables are in order of first appearance too
+        ids = (posts.users, posts.items, posts.tags)
+        assert ids == (("u2", "u1"), ("i1", "i2"), ("b", "a", "c"))
 
     def test_fields_are_stripped(self):
         posts = parse_triples(" u1 \t i1\t ml \nu1\ti1 \tml\n")
-        assert as_posts(posts) == [Post("u1", "i1", ("ml", "ml"))]
+        assert as_posts(posts) == [("u1", "i1", ("ml", "ml"))]
 
     @pytest.mark.parametrize("text, line", [
         ("u1\ti1\ta\n\t \tb\n", 2),
@@ -102,7 +102,7 @@ class TestParseTriples:
     @pytest.mark.parametrize("separator", ["\x0c", "\x85", "\u2028", "\x1e"])
     def test_other_line_separators_stay_in_the_field(self, separator):
         posts = parse_triples(f"u1\ti1\tfoo{separator}bar\n")
-        assert as_posts(posts) == [Post("u1", "i1", (f"foo{separator}bar",))]
+        assert as_posts(posts) == [("u1", "i1", (f"foo{separator}bar",))]
 
     def test_line_numbers_count_crlf_and_cr_endings(self):
         with pytest.raises(ParseError, match="line 3:"):
@@ -110,20 +110,7 @@ class TestParseTriples:
         with pytest.raises(ParseError, match="line 2:"):
             parse_triples("u1\ti1\ta\rbad\r")
         crlf = parse_triples("u1\ti1\ta\r\nu1\ti2\tb\r\n")
-        assert as_posts(crlf) == [Post("u1", "i1", ("a",)), Post("u1", "i2", ("b",))]
-
-
-class TestPostTable:
-    def test_from_posts_keeps_posts_and_order(self):
-        # posts of one (user, item) pair merge into the pair's first post,
-        # their tags in input order, as parse_triples merges triples
-        posts = [Post("u1", "i1", ("a", "a")), Post("u2", "i1"), Post("u1", "i1", ("b",))]
-        t = table(posts)
-        assert len(t) == 2
-        assert as_posts(t) == [Post("u1", "i1", ("a", "a", "b")), Post("u2", "i1")]
-        assert (t.users, t.items, t.tags) == (("u1", "u2"), ("i1",), ("a", "b"))
-        triples = "u1\ti1\ta\nu1\ti1\ta\nu2\ti1\t\nu1\ti1\tb\n"
-        assert as_posts(t) == as_posts(parse_triples(triples))
+        assert as_posts(crlf) == [("u1", "i1", ("a",)), ("u1", "i2", ("b",))]
 
 
 def brute_force_filter(posts, min_u, min_i, theta):
@@ -131,16 +118,16 @@ def brute_force_filter(posts, min_u, min_i, theta):
     current = list(posts)
     while True:
         users = {}
-        for p in current:
-            users.setdefault(p.user, set()).add(p.item)
-        survivors = [p for p in current if len(users[p.user]) >= min_u]
+        for user, item, _ in current:
+            users.setdefault(user, set()).add(item)
+        survivors = [p for p in current if len(users[p[0]]) >= min_u]
         items = {}
-        for p in survivors:
-            items.setdefault(p.item, set()).add(p.user)
-        survivors = [p for p in survivors if len(items[p.item]) >= min_i]
+        for user, item, _ in survivors:
+            items.setdefault(item, set()).add(user)
+        survivors = [p for p in survivors if len(items[p[1]]) >= min_i]
         items = {}
-        for p in survivors:
-            items.setdefault(p.item, set()).add(p.user)
+        for user, item, _ in survivors:
+            items.setdefault(item, set()).add(user)
         unqualified = sum(1 for us in items.values() if len(us) < min_i)
         if unqualified < theta or len(survivors) == len(current):
             return survivors
@@ -149,77 +136,76 @@ def brute_force_filter(posts, min_u, min_i, theta):
 
 class TestDensityFilter:
     def test_fixed_point_when_all_qualified(self):
-        posts = [Post(f"u{u}", f"i{i}") for u in range(3) for i in range(3)]
-        assert as_posts(density_filter(table(posts), 2, 2, 1)) == posts
+        posts = [(f"u{u}", f"i{i}", ()) for u in range(3) for i in range(3)]
+        assert as_posts(density_filter(post_table(posts), 2, 2, 1)) == posts
 
     def test_cascade_to_empty(self):
-        assert as_posts(density_filter(table([Post("u1", "i1")]), 2, 2, 1)) == []
+        assert as_posts(density_filter(post_table([("u1", "i1", ())]), 2, 2, 1)) == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, "repeated_pair"])
     def test_matches_brute_force_oracle(self, seed):
         if seed == "repeated_pair":
             # u1 saved one item in two posts: its degree is 1, so it goes
-            posts = [Post("u1", "i1", ("a",)), Post("u1", "i1", ("b",)),
-                     Post("u2", "i1", ("a",)), Post("u2", "i2", ("a",))]
+            posts = [("u1", "i1", ("a",)), ("u1", "i1", ("b",)),
+                     ("u2", "i1", ("a",)), ("u2", "i2", ("a",))]
             thresholds = (2, 1, 1)
         else:
             rng = np.random.default_rng(seed)
             posts = random_posts(rng, n_users=50, n_items=30, items_per_user=(1, 8))
             thresholds = (3, 3, 2)
-        got = as_posts(density_filter(table(posts), *thresholds))
+        got = as_posts(density_filter(post_table(posts), *thresholds))
         expected = brute_force_filter(posts, *thresholds)
-        assert {(p.user, p.item) for p in got} == {(p.user, p.item) for p in expected}
+        assert {(user, item) for user, item, _ in got} == {(u, i) for u, i, _ in expected}
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            density_filter(table([]), 0, 1, 1)
+            density_filter(post_table([]), 0, 1, 1)
 
     def test_tags_follow_their_posts(self):
-        posts = [Post("u1", "i1", ("a",)), Post("u2", "i2", ("b", "c")), Post("u2", "i1", ("d",))]
-        assert as_posts(density_filter(table(posts), 1, 2, 1)) == [posts[0], posts[2]]
+        posts = [("u1", "i1", ("a",)), ("u2", "i2", ("b", "c")), ("u2", "i1", ("d",))]
+        assert as_posts(density_filter(post_table(posts), 1, 2, 1)) == [posts[0], posts[2]]
 
 
 class TestSelectTags:
     def test_large_l_is_identity(self):
-        posts = [Post("u1", "i1", ("a", "b"))]
-        assert as_posts(select_tags(table(posts), 10)) == posts
+        posts = [("u1", "i1", ("a", "b"))]
+        assert as_posts(select_tags(post_table(posts), 10)) == posts
 
     def test_keeps_most_frequent(self):
         posts = [
-            Post("u1", "i1", ("a",) * 5 + ("b",) * 3 + ("c",)),
+            ("u1", "i1", ("a",) * 5 + ("b",) * 3 + ("c",)),
         ]
-        assert as_posts(select_tags(table(posts), 2)) == [Post("u1", "i1", ("a",) * 5 + ("b",) * 3)]
+        want = [("u1", "i1", ("a",) * 5 + ("b",) * 3)]
+        assert as_posts(select_tags(post_table(posts), 2)) == want
 
     def test_ties_broken_lexicographically(self):
-        posts = [Post("u1", "i1", ("b", "a"))]
-        assert as_posts(select_tags(table(posts), 1)) == [Post("u1", "i1", ("a",))]
+        posts = [("u1", "i1", ("b", "a"))]
+        assert as_posts(select_tags(post_table(posts), 1)) == [("u1", "i1", ("a",))]
 
     def test_matches_histogram_oracle(self):
         rng = np.random.default_rng(5)
         posts = random_posts(rng, n_users=20, n_items=15, n_tags=12)
         l = 4
-        freq = Counter(t for p in posts for t in p.tags)
+        freq = Counter(t for _, _, tags in posts for t in tags)
         expected = set(sorted(freq, key=lambda t: (-freq[t], t))[:l])
-        surviving = {t for p in as_posts(select_tags(table(posts), l)) for t in p.tags}
+        surviving = {t for _, _, tags in as_posts(select_tags(post_table(posts), l)) for t in tags}
         assert surviving == expected
 
     def test_tagless_posts_retained(self):
-        posts = [Post("u1", "i1", ("x",)), Post("u2", "i2", ("y",) * 3)]
-        out = as_posts(select_tags(table(posts), 1))
-        assert len(out) == 2 and out[0].tags == ()
+        posts = [("u1", "i1", ("x",)), ("u2", "i2", ("y",) * 3)]
+        out = as_posts(select_tags(post_table(posts), 1))
+        assert len(out) == 2 and out[0][2] == ()
 
 
 class TestBuildMatrices:
     def test_multiset_repeats_counted(self):
-        ds = ingest(table([Post("u1", "i1", ("t1", "t1"))]))
+        ds = ingest(post_table([("u1", "i1", ("t1", "t1"))]))
         assert ds.UI.toarray().tolist() == [[1.0]]
         assert ds.UT.toarray().tolist() == [[2.0]]
         assert ds.IT.toarray().tolist() == [[2.0]]
 
     def test_disjoint_posts_block_diagonal(self):
-        ds = ingest(table(
-            [Post("u1", "i1", ("t1",)), Post("u2", "i2", ("t2",))]
-        ))
+        ds = ingest(post_table([("u1", "i1", ("t1",)), ("u2", "i2", ("t2",))]))
         np.testing.assert_array_equal(ds.UI.toarray(), np.eye(2))
         np.testing.assert_array_equal(ds.UT.toarray(), np.eye(2))
         np.testing.assert_array_equal(ds.IT.toarray(), np.eye(2))
@@ -227,25 +213,25 @@ class TestBuildMatrices:
     def test_matches_dictionary_count_oracle(self):
         rng = np.random.default_rng(6)
         posts = random_posts(rng, n_users=15, n_items=12, n_tags=7)
-        ds = ingest(table(posts))
-        ut = Counter((p.user, t) for p in posts for t in p.tags)
-        it = Counter((p.item, t) for p in posts for t in p.tags)
+        ds = ingest(post_table(posts))
+        ut = Counter((user, t) for user, _, tags in posts for t in tags)
+        it = Counter((item, t) for _, item, tags in posts for t in tags)
         for (u, t), c in ut.items():
             assert ds.UT.toarray()[ds.users.index(u), ds.tags.index(t)] == c
         for (i, t), c in it.items():
             assert ds.IT.toarray()[ds.items.index(i), ds.tags.index(t)] == c
-        assert ds.UI.nnz == len({(p.user, p.item) for p in posts})
+        assert ds.UI.nnz == len({(user, item) for user, item, _ in posts})
 
     def test_row_and_column_sum_invariants(self):
         rng = np.random.default_rng(13)
         posts = random_posts(rng, n_users=10, n_items=10)
-        ds = ingest(table(posts))
+        ds = ingest(post_table(posts))
         per_user_tags = Counter()
-        for p in posts:
-            per_user_tags[p.user] += len(p.tags)
+        for user, _, tags in posts:
+            per_user_tags[user] += len(tags)
         for u, name in enumerate(ds.users):
             assert ds.UT[u].sum() == per_user_tags[name]
-        item_pop = Counter(p.item for p in posts)
+        item_pop = Counter(item for _, item, _ in posts)
         col_sums = ds.UI.toarray().sum(axis=0)
         for i, name in enumerate(ds.items):
             assert col_sums[i] == item_pop[name]
@@ -253,13 +239,13 @@ class TestBuildMatrices:
 
     def test_ids_indexed_by_first_appearance_among_kept_posts(self):
         # i1 is filtered away, so u2's post comes before u1's first kept one
-        posts = [Post("u1", "i1", ("a",)), Post("u2", "i2", ("b",)), Post("u1", "i2", ("a",))]
-        ds = ingest(density_filter(table(posts), 1, 2, 1))
+        posts = [("u1", "i1", ("a",)), ("u2", "i2", ("b",)), ("u1", "i2", ("a",))]
+        ds = ingest(density_filter(post_table(posts), 1, 2, 1))
         assert (ds.users, ds.items, ds.tags) == (("u2", "u1"), ("i2",), ("b", "a"))
 
     def test_repeated_pair_posts_are_one_save(self):
-        posts = [Post("u1", "i1", ("a",)), Post("u1", "i1", ("a", "b"))]
-        ds = ingest(table(posts))
+        posts = [("u1", "i1", ("a",)), ("u1", "i1", ("a", "b"))]
+        ds = ingest(post_table(posts))
         assert entry_list(ds.UI) == [(0, 0, 1.0)]
         assert entry_list(ds.UT) == [(0, 0, 2.0), (0, 1, 1.0)]
 
@@ -362,15 +348,16 @@ class TestAgainstReferencePipeline:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), options=_options)
     def test_same_dataset_from_post_records(self, seed, options):
-        # Post lists may repeat a (user, item) pair: the repeats merge into
-        # one post, as parse_triples merges repeated triples
+        # the records may repeat a (user, item) pair: parse_triples merges
+        # the repeats' triple lines into one post, as the reference merges
+        # the records
         rng = np.random.default_rng(seed)
         posts = random_posts(rng, n_users=6, n_items=5, n_tags=4, items_per_user=(1, 4),
                              tags_per_save=(0, 3))
         posts += [posts[k] for k in rng.integers(len(posts), size=3)]
         min_u, min_i = options.pop("min_degrees") or (None, None)
         kwargs = dict(options, min_items_per_user=min_u, min_users_per_item=min_i)
-        got = ingest(table(posts), **kwargs)
+        got = ingest(post_table(posts), **kwargs)
         want = reference.ingest(posts, **kwargs)
         assert got.total_tag_count == want.total_tag_count
         assert dataset_to_json(got) == dataset_to_json(want)
@@ -395,7 +382,7 @@ class TestAgainstReferencePipeline:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_split_matches_entry_list_split(self, seed):
-        ds = ingest(table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
+        ds = ingest(post_table(random_posts(np.random.default_rng(seed), n_users=30, n_items=20)))
         for fraction in (0.2, 0.5, 0.9):
             got, want = split(ds, fraction, seed), reference.split(ds, fraction, seed)
             assert entry_list(got.train.UI) == entry_list(want.train.UI)
@@ -719,13 +706,14 @@ def whole_v2_json(ds: TaggingDataset) -> str:
 
 
 PIECES_POSTS = {
-    **{f"random{seed}": lambda seed=seed: table(random_posts(
+    **{f"random{seed}": lambda seed=seed: post_table(random_posts(
         np.random.default_rng(seed), 30, 40, 8, tags_per_save=(0, 3))) for seed in range(3)},
     "planted_mid": planted_mid_posts,
-    "odd_ids": lambda: table([
-        Post('ü"1', "i\\1", ("t\u2028", "é")), Post("u2", "i\\1"), Post("u2", "j", ("é",)),
+    # U+2028 inside the tag: parse_triples strips it from a field's ends
+    "odd_ids": lambda: post_table([
+        ('ü"1', "i\\1", ("t\u2028t", "é")), ("u2", "i\\1", ()), ("u2", "j", ("é",)),
     ]),
-    "no_tags": lambda: table([Post("u1", "a"), Post("u1", "b"), Post("u2", "a")]),
+    "no_tags": lambda: post_table([("u1", "a", ()), ("u1", "b", ()), ("u2", "a", ())]),
 }
 
 
@@ -744,7 +732,7 @@ WRITER_DATASETS = {
 
 
 def snapshot_doc() -> dict:
-    ds = ingest(table(random_posts(np.random.default_rng(2))))
+    ds = ingest(post_table(random_posts(np.random.default_rng(2))))
     return json.loads(dataset_to_json(ds))
 
 
@@ -769,7 +757,7 @@ def v2_set(key: str, name: str, k: int, value):
 class TestSnapshot:
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
-        ds = ingest(table(random_posts(rng)))
+        ds = ingest(post_table(random_posts(rng)))
         again = dataset_from_json(dataset_to_json(ds))
         assert again.users == ds.users
         assert again.items == ds.items
@@ -936,7 +924,7 @@ class TestSnapshot:
             dataset_from_json(text)
 
     def test_user_index(self):
-        ds = ingest(table(random_posts(np.random.default_rng(3))))
+        ds = ingest(post_table(random_posts(np.random.default_rng(3))))
         assert [ds.user_index(user) for user in ds.users] == list(range(ds.num_users))
         with pytest.raises(KeyError, match="nobody"):
             ds.user_index("nobody")

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from folkwalk.baselines import block_scorer, run_algorithm
-from folkwalk.dataset import PostTable, TaggingDataset, ingest, split
+from folkwalk.dataset import TaggingDataset, ingest, split
 from folkwalk.params import AlgorithmSpec
 from folkwalk.walker import recommend_all
 
 from gate import TOLERANCE, Flip, certified, exact_scores, flips
-from gen import csr, edge_user_dataset, planted_cluster_posts
+from gen import csr, edge_user_dataset, planted_cluster_posts, post_table
 
 # Every user saves item 0 and uses tag 0 a thousand times; users 1, 2 and 3
 # also save items 1, 2 and 3, and user 2 uses tag 1 once. For user 0, items 1
@@ -25,7 +25,7 @@ TAGGED_USER_CF = AlgorithmSpec("Fusion", {"fuse_weight": 1.0})
 
 
 def planted_train(seed=0):
-    ds = ingest(PostTable.from_posts(planted_cluster_posts(np.random.default_rng(7))))
+    ds = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
     return split(ds, 0.2, seed).train
 
 

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import folkwalk
-from folkwalk.dataset import Post, PostTable, ingest
+from folkwalk.dataset import ingest
 from folkwalk.similarity import item_similarity, user_similarity
 
-from gen import random_dataset
+from gen import post_table, random_dataset
 
 
 def two_hop_oracle(out_hop: np.ndarray, back_hop: np.ndarray) -> np.ndarray:
@@ -49,16 +49,12 @@ def user_oracle(ds, beta):
 class TestItemSimilarity:
     def test_unique_tags_give_identity(self):
         # each item carries its own tag only: no inter-item tag paths
-        ds = ingest(PostTable.from_posts(
-            [Post(f"u{i}", f"i{i}", (f"t{i}",)) for i in range(3)]
-        ))
+        ds = ingest(post_table([(f"u{i}", f"i{i}", (f"t{i}",)) for i in range(3)]))
         s = item_similarity(ds, alpha=1.0)
         np.testing.assert_allclose(s.toarray(), np.eye(3))
 
     def test_shared_tag_splits_mass(self):
-        ds = ingest(PostTable.from_posts(
-            [Post("u1", "i1", ("t",)), Post("u2", "i2", ("t",))]
-        ))
+        ds = ingest(post_table([("u1", "i1", ("t",)), ("u2", "i2", ("t",))]))
         s = item_similarity(ds, alpha=1.0)
         np.testing.assert_allclose(s.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
@@ -76,16 +72,12 @@ class TestItemSimilarity:
 
 class TestUserSimilarity:
     def test_identical_tag_usage_splits_mass(self):
-        ds = ingest(PostTable.from_posts(
-            [Post("u1", "i1", ("t",)), Post("u2", "i2", ("t",))]
-        ))
+        ds = ingest(post_table([("u1", "i1", ("t",)), ("u2", "i2", ("t",))]))
         s = user_similarity(ds, beta=1.0)
         np.testing.assert_allclose(s.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
     def test_disjoint_users_are_identity_patterned(self):
-        ds = ingest(PostTable.from_posts(
-            [Post("u1", "i1", ("a",)), Post("u2", "i2", ("b",))]
-        ))
+        ds = ingest(post_table([("u1", "i1", ("a",)), ("u2", "i2", ("b",))]))
         for beta in (0.0, 0.5, 1.0):
             s = user_similarity(ds, beta)
             np.testing.assert_allclose(s.toarray(), np.eye(2))
@@ -117,11 +109,11 @@ class TestProperties:
 
     def test_isolated_item_keeps_unit_mass(self):
         posts = [
-            Post("u1", "i1", ("a",)),
-            Post("u1", "i2", ("a",)),
-            Post("u2", "lone", ("only",)),
+            ("u1", "i1", ("a",)),
+            ("u1", "i2", ("a",)),
+            ("u2", "lone", ("only",)),
         ]
-        ds = ingest(PostTable.from_posts(posts))
+        ds = ingest(post_table(posts))
         lone = ds.items.index("lone")
         for alpha in (0.0, 0.5, 1.0):
             row = item_similarity(ds, alpha).toarray()[lone]
@@ -144,8 +136,10 @@ class TestProperties:
                 assert abs(s[i, j] - total) < 1e-12
 
 
-# every module but the reference itself and the package's own exports
-PIPELINE_MODULES = ("linalg", "dataset", "walker", "baselines", "evaluation", "cli")
+# every module but the reference itself
+PIPELINE_MODULES = (
+    "__init__", "params", "linalg", "dataset", "walker", "baselines", "evaluation", "cli",
+)
 
 
 def imported_names(tree: ast.AST):
@@ -186,15 +180,23 @@ def test_no_pipeline_module_imports_the_reference(module):
 
 
 def test_importing_the_cli_leaves_the_reference_unloaded():
-    # the package exports the reference similarities lazily, so a command
-    # run never loads the paper's formulas
+    # no pipeline module imports the reference, so a command run never
+    # loads the paper's formulas
     code = "import sys, folkwalk.cli; sys.exit('folkwalk.similarity' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(folkwalk.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
-def test_package_exports_the_reference_similarities():
-    assert folkwalk.item_similarity is item_similarity
-    assert folkwalk.user_similarity is user_similarity
-    with pytest.raises(AttributeError):
-        folkwalk.no_such_name
+def test_star_import_stays_light():
+    # every exported name resolves, and none of them is the reference or
+    # needs scipy
+    code = (
+        "import sys\n"
+        "from folkwalk import *\n"
+        "import folkwalk\n"
+        "assert all(name in globals() for name in folkwalk.__all__)\n"
+        "sys.exit(bool({'scipy.sparse', 'folkwalk.similarity'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(folkwalk.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
