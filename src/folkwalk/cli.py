@@ -1,5 +1,8 @@
-"""Command-line front end: ingest, recommend, evaluate, ablate, sweep, grid.
+"""Command-line front end: ingest, recommend, evaluate, and evaluate's
+presets ablate, sweep and grid.
 
+``evaluate`` takes comma lists of training fractions and hyperparameters; an
+algorithm with several candidates is tuned on a validation split in each run.
 Every command writes a run manifest (config snapshot, input digests, seeds,
 tool version) next to its outputs so a run can be reproduced byte-for-byte.
 Config precedence: CLI flag > config file > built-in default.
@@ -98,12 +101,19 @@ def _named_once(values: list, flag: str, show=repr) -> list:
     return values
 
 
-def _csv_floats(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad numeric list {text!r}") from exc
-    return _named_once(values, flag, "{:g}".format)
+def _comma_list(convert, flag: str):
+    """The argparse type of ``flag``'s comma list: its values, each read by
+    ``convert``. A value ``convert`` rejects is reported as a bad value of
+    its type; an empty list or a value named twice is a usage error."""
+
+    def values(text: str) -> list:
+        parsed = [convert(x) for x in text.split(",") if x.strip()]
+        if not parsed:
+            raise UsageError(f"{flag} needs at least one value")
+        return _named_once(parsed, flag, "{:g}".format)
+
+    values.__name__ = convert.__name__
+    return values
 
 
 # hyperparameter defaults by option dest (lambda_ is the --lambda flag)
@@ -139,11 +149,13 @@ def _flag(name: str) -> str:
 
 
 def _check_option_ranges(args: argparse.Namespace) -> None:
-    """Reject out-of-range and unpaired options before any input is read."""
+    """Reject out-of-range and unpaired options, each value of a comma list
+    included, before any input is read."""
     for name, rule, ok in _OPTION_RANGES:
         value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise UsageError(f"{_flag(name)} must be {rule}, got {value}")
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and not ok(v):
+                raise UsageError(f"{_flag(name)} must be {rule}, got {v}")
     for name, other in _NEEDS:
         if getattr(args, name, None) is not None and getattr(args, other, None) is None:
             raise UsageError(f"{_flag(name)} must be given with {_flag(other)}")
@@ -163,16 +175,21 @@ def _hyperparameters(values: dict[str, float]) -> dict:
         raise UsageError(str(exc)) from None
 
 
-def _algorithm_spec(kind: str, args: argparse.Namespace) -> AlgorithmSpec:
-    if kind == "Random":
-        return AlgorithmSpec("Random")
-    if kind in ("UserCF", "ItemCF"):
-        return AlgorithmSpec(kind, {"k_neighbors": args.k_neighbors})
-    if kind == "Fusion":
-        return AlgorithmSpec(kind, {"fuse_weight": args.fuse_weight})
-    return AlgorithmSpec(
-        kind, _hyperparameters({k.rstrip("_"): getattr(args, k) for k in _HYPERPARAMETERS})
-    )
+def _candidates(kind: str, args: argparse.Namespace) -> list[AlgorithmSpec]:
+    """One spec of ``kind`` per combination of the values of the flags it
+    takes, the last flag varying fastest; a flag holds one value or a list."""
+    names = {"Random": (), "UserCF": ("k_neighbors",), "ItemCF": ("k_neighbors",),
+             "Fusion": ("fuse_weight",)}.get(kind, tuple(_HYPERPARAMETERS))
+    combinations = [{}]
+    for name in names:
+        value = getattr(args, name)
+        values = value if isinstance(value, list) else [value]
+        combinations = [{**c, name: v} for c in combinations for v in values]
+    if kind in ABLATION_KINDS:
+        combinations = [
+            _hyperparameters({k.rstrip("_"): v for k, v in c.items()}) for c in combinations
+        ]
+    return [AlgorithmSpec(kind, params) for params in combinations]
 
 
 def _load_dataset(path: str):
@@ -222,7 +239,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_recommend(args: argparse.Namespace) -> int:
     from .baselines import run_algorithm
 
-    spec = _algorithm_spec(args.algorithm, args)
+    spec, = _candidates(args.algorithm, args)
     ds = _load_dataset(args.dataset)
     user = None
     if args.user is not None:
@@ -250,13 +267,14 @@ def _algorithm_kinds(text: str) -> list[str]:
 
 
 def _parse_algorithms(text: str, args: argparse.Namespace) -> list[AlgorithmSpec]:
+    """Every candidate of every algorithm ``text`` names, by algorithm."""
     kinds = _algorithm_kinds(text)
     for k in kinds:
         if k not in ALGORITHM_KINDS:
             raise UsageError(f"unknown algorithm {k!r}; choose from {ALGORITHM_KINDS}")
     if not kinds:
         raise UsageError("no algorithms given")
-    return [_algorithm_spec(k, args) for k in kinds]
+    return [spec for k in kinds for spec in _candidates(k, args)]
 
 
 def _run_options(args: argparse.Namespace) -> dict:
@@ -265,110 +283,85 @@ def _run_options(args: argparse.Namespace) -> dict:
             "half_life": args.half_life}
 
 
-def _write_outputs(args: argparse.Namespace, files: dict[str, str]) -> None:
-    """Write each named file, then manifest.json, into --output-dir,
-    creating the directory if needed."""
-    os.makedirs(args.output_dir, exist_ok=True)
-    for name, text in files.items():
-        with open(os.path.join(args.output_dir, name), "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _write_manifest(os.path.join(args.output_dir, "manifest.json"), args, [args.dataset])
-
-
-def _emit_reports(reports, args, extras: dict | None = None) -> None:
+def _emit_reports(reports, args, directory: str, extras: dict) -> tuple:
+    """Write report.json, report.txt, runs.csv and manifest.json into
+    ``directory``, creating it if needed; with ``extras``, report.json is an
+    object of them beside its ``reports``. Returns report.json's document
+    and the table."""
     from .evaluation import format_report_table, runs_to_csv
 
     doc = [asdict(r) for r in reports]
     if extras:
         doc = {"reports": doc, **extras}
-    report_json = json.dumps(doc, sort_keys=True, indent=2)
     table = format_report_table(reports)
-    _write_outputs(args, {
-        "report.json": report_json + "\n",
-        "report.txt": table + "\n",
-        "runs.csv": runs_to_csv(reports),
-    })
-    print(report_json if args.format == "json" else table)
+    os.makedirs(directory, exist_ok=True)
+    for name, text in (("report.json", json.dumps(doc, sort_keys=True, indent=2) + "\n"),
+                       ("report.txt", table + "\n"), ("runs.csv", runs_to_csv(reports))):
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    _write_manifest(os.path.join(directory, "manifest.json"), args, [args.dataset])
+    return doc, table
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    """Evaluate the algorithms at each training fraction. With several
+    fractions, each one's files go into ``train-<fraction>/`` under
+    --output-dir, and stdout shows each one's report under that name."""
     from .evaluation import paired_t_test, run_experiment
 
     specs = _parse_algorithms(args.algorithms, args)
     ds = _load_dataset(args.dataset)
-    reports = run_experiment(ds, specs, args.train_fraction, **_run_options(args))
-    extras = None
-    if args.t_test:
-        best, second = sorted(reports, key=lambda r: -r.means.precision)[:2]
-        t, p = paired_t_test([r.precision for r in best.runs], [r.precision for r in second.runs])
-        extras = {
-            "t_test": {
+    shown = {}
+    for fraction in args.train_fraction:
+        # the shortest repr, which is :g's text up to six significant digits,
+        # names no two fractions alike
+        name = f"train-{fraction!r}"
+        directory = args.output_dir
+        if len(args.train_fraction) > 1:
+            directory = os.path.join(directory, name)
+        reports, selection = run_experiment(ds, specs, fraction, **_run_options(args))
+        extras = {"selection": {k: asdict(s) for k, s in selection.items()}} if selection else {}
+        if args.t_test:
+            best, second = sorted(reports, key=lambda r: -r.means.precision)[:2]
+            t, p = paired_t_test([r.precision for r in best.runs], [r.precision for r in second.runs])
+            extras["t_test"] = {
                 "best": best.algorithm.kind,
                 "second": second.algorithm.kind,
                 "metric": "precision",
-                "t": t,
+                # a constant nonzero difference gives an infinite t, which JSON cannot hold
+                "t": t if abs(t) != float("inf") else None,
                 "p": p,
             }
-        }
-    _emit_reports(reports, args, extras)
+        shown[name] = _emit_reports(reports, args, directory, extras)
+    if len(shown) == 1:
+        doc, table = shown[name]
+        print(json.dumps(doc, sort_keys=True, indent=2) if args.format == "json" else table)
+    elif args.format == "json":
+        print(json.dumps({n: doc for n, (doc, _) in shown.items()}, sort_keys=True, indent=2))
+    else:
+        print("\n\n".join(f"{n}\n{table}" for n, (_, table) in shown.items()))
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    from .evaluation import density_sweep, format_sweep_table
-
-    fractions = _csv_floats(args.fractions, "--fractions")
-    if not fractions or not all(0.0 < f < 1.0 for f in fractions):
-        raise UsageError("--fractions must be a non-empty list within (0, 1)")
-    specs = _parse_algorithms(args.algorithms, args)
-    ds = _load_dataset(args.dataset)
-    grid = density_sweep(ds, specs, fractions, **_run_options(args))
-    table = format_sweep_table(grid)
-    doc = {f"{kind}@{frac:g}": asdict(report) for (kind, frac), report in grid.items()}
-    _write_outputs(args, {
-        "sweep.json": json.dumps(doc, sort_keys=True, indent=2) + "\n", "sweep.txt": table + "\n",
-    })
-    print(table)
-    return 0
+def _add_value_flag(p: argparse.ArgumentParser, name: str, convert, default,
+                    lists: bool) -> None:
+    """Add the option ``name`` of one value, or with ``lists`` of a comma list."""
+    flag = _flag(name.rstrip("_"))
+    if lists:
+        p.add_argument(flag, dest=name, type=_comma_list(convert, flag), default=[default],
+                       help="comma list")
+    else:
+        p.add_argument(flag, dest=name, type=convert, default=default)
 
 
-def cmd_grid(args: argparse.Namespace) -> int:
-    from .evaluation import grid_search
-
-    grid_axes = {}
-    for key in _HYPERPARAMETERS:
-        raw = getattr(args, key)
-        if raw is not None:
-            name = key.rstrip("_")
-            grid_axes[name] = _csv_floats(raw, f"--{name}")
-            if not grid_axes[name]:
-                raise UsageError(f"--{name} needs at least one value")
-            for value in grid_axes[name]:
-                _hyperparameters({name: value})
-    if not grid_axes:
-        raise UsageError("give at least one grid axis (--alpha/--beta/--eta/--lambda/--mu)")
-    ds = _load_dataset(args.dataset)
-    best, results = grid_search(
-        ds, grid_axes, args.objective, args.train_fraction, **_run_options(args)
-    )
-    doc = {
-        "best": best,
-        "objective": args.objective,
-        "grid": [{"params": point, "means": asdict(report.means)} for point, report in results],
-    }
-    _write_outputs(args, {"grid.json": json.dumps(doc, sort_keys=True, indent=2) + "\n"})
-    print(json.dumps({"best": best, "objective": args.objective}, sort_keys=True))
-    return 0
-
-
-def _add_walk_flags(p: argparse.ArgumentParser) -> None:
+def _add_walk_flags(p: argparse.ArgumentParser, lists: bool = True) -> None:
     for name, default in _HYPERPARAMETERS.items():
-        p.add_argument(_flag(name.rstrip("_")), dest=name, type=float, default=default)
+        _add_value_flag(p, name, float, default, lists)
 
 
-def _add_baseline_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k-neighbors", type=int, default=None)
-    p.add_argument("--fuse-weight", type=float, default=0.5)
+def _add_baseline_flags(p: argparse.ArgumentParser, lists: bool = True) -> None:
+    _add_value_flag(p, "k_neighbors", int, None, lists)
+    _add_value_flag(p, "fuse_weight", float, 0.5, lists)
 
 
 def _add_experiment_flags(
@@ -376,7 +369,7 @@ def _add_experiment_flags(
 ) -> None:
     p.add_argument("--dataset", required=True)
     if train_fraction:
-        p.add_argument("--train-fraction", type=float, default=0.2)
+        _add_value_flag(p, "train_fraction", float, 0.2, lists=True)
     p.add_argument("--top-n", type=int, default=5)
     p.add_argument("--runs", type=int, default=runs)
     p.add_argument("--seed", type=int, default=0)
@@ -407,8 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top-n", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "table"), default="table")
-    _add_walk_flags(p)
-    _add_baseline_flags(p)
+    _add_walk_flags(p, lists=False)
+    _add_baseline_flags(p, lists=False)
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="repeated-split evaluation of algorithms")
@@ -427,22 +420,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "table"), default="table")
     p.set_defaults(func=cmd_evaluate, algorithms=",".join(ABLATION_KINDS), t_test=False)
 
-    p = sub.add_parser("sweep", help="evaluation across training-fraction levels")
-    p.add_argument("--fractions", default="0.05,0.10,0.20")
+    p = sub.add_parser("sweep", help="evaluate at training fractions 0.05, 0.1 and 0.2")
     p.add_argument("--algorithms", default="UserCF,ItemCF,Fusion,pRW")
     _add_experiment_flags(p, train_fraction=False)
     _add_walk_flags(p)
     _add_baseline_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_evaluate, train_fraction=[0.05, 0.10, 0.20], t_test=False,
+                   format="table")
 
-    p = sub.add_parser("grid", help="exhaustive hyperparameter search for pRW")
-    for name in _HYPERPARAMETERS:
-        p.add_argument(_flag(name.rstrip("_")), dest=name, default=None,
-                       help="comma list, e.g. 0,0.5,1")
-    p.add_argument("--objective", default="precision",
-                   choices=("precision", "recall", "f_measure", "rankscore"))
+    p = sub.add_parser("grid", help="evaluate pRW, tuned over comma lists of its hyperparameters")
     _add_experiment_flags(p, runs=1)
-    p.set_defaults(func=cmd_grid)
+    _add_walk_flags(p)
+    p.set_defaults(func=cmd_evaluate, algorithms="pRW", t_test=False, format="table")
     return parser
 
 

@@ -1,9 +1,9 @@
 """Top-N evaluation: precision/recall/F-measure, half-life rankscore,
-repeated-split experiments, density sweeps, paired t-tests, and grid search."""
+repeated-split experiments that tune an algorithm with several candidates on
+a validation split, paired t-tests, and the report writers."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import astuple, dataclass
 
@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from .baselines import run_algorithm
 from .dataset import EmptyDatasetError, TaggingDataset, split as make_split
-from .params import AlgorithmSpec, walk_params
+from .params import AlgorithmSpec
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,18 @@ class EvalReport:
     means: MetricTuple
     top_n: int
     seeds: list[int]
+
+
+@dataclass(frozen=True)
+class Selection:
+    """A tuned algorithm's choices: its candidates' params and, per run,
+    the index of the candidate chosen and every candidate's precision on
+    the run's validation split. ``dataclasses.asdict`` of it is one entry
+    of ``report.json``'s ``selection``."""
+
+    candidates: list[dict]
+    chosen: list[int]
+    validation_precision: list[list[float]]
 
 
 def f_measure(precision: float, recall: float) -> float:
@@ -103,49 +115,66 @@ def run_experiment(
     n_runs: int = 10,
     base_seed: int = 0,
     half_life: int = 5,
-) -> list[EvalReport]:
-    """One report per algorithm over n_runs splits seeded base_seed,
-    base_seed+1, ...; each seed's split is drawn once for every algorithm."""
+) -> tuple[list[EvalReport], dict[str, Selection]]:
+    """One report per algorithm kind over n_runs splits seeded base_seed,
+    base_seed+1, ...; each seed's split is drawn once for every algorithm.
+
+    The specs of one kind are that algorithm's candidates. With more than
+    one, the algorithm is tuned: each run scores every candidate on a
+    validation split of the run's training dataset, and the candidate of
+    best validation precision (the first on a tie) is trained on the whole
+    training dataset and scored on test. Its report names the kind with no
+    params, and its :class:`Selection`, keyed by kind, records the choices.
+    A run's validation split is drawn once, by :func:`split`'s per-user
+    rule at ``train_fraction``, from the first child of the run seed's
+    ``SeedSequence``: a stream that no integer seed gives."""
     if not algorithms:
         raise ValueError("no algorithms given")
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    candidates: dict[str, list[AlgorithmSpec]] = {}
+    for spec in algorithms:
+        candidates.setdefault(spec.kind, []).append(spec)
     seeds = [base_seed + r for r in range(n_runs)]
-    runs: list[list[MetricTuple]] = [[] for _ in algorithms]
+    runs: dict[str, list[MetricTuple]] = {kind: [] for kind in candidates}
+    tuned = {kind: Selection([c.params for c in specs], [], [])
+             for kind, specs in candidates.items() if len(specs) > 1}
     for seed in seeds:
         split = make_split(ds, train_fraction, seed)
-        for spec, spec_runs in zip(algorithms, runs):
+        validation = None
+        for kind, specs in candidates.items():
+            spec = specs[0]
+            if kind in tuned:
+                if validation is None:
+                    validation = make_split(
+                        split.train, train_fraction, np.random.SeedSequence(seed).spawn(1)[0]
+                    )
+                    if not validation.test.nnz:
+                        raise EmptyDatasetError(
+                            f"run seed {seed}: no user has a held-out save in the validation split"
+                        )
+                precision = [
+                    evaluate_lists(
+                        run_algorithm(c, validation.train, top_n, seed), validation.test, half_life
+                    ).precision
+                    for c in specs
+                ]
+                best = precision.index(max(precision))
+                tuned[kind].chosen.append(best)
+                tuned[kind].validation_precision.append(precision)
+                spec = specs[best]
             lists = run_algorithm(spec, split.train, top_n, seed)
-            spec_runs.append(evaluate_lists(lists, split.test, half_life))
-    return [
-        EvalReport(spec, spec_runs, _means(spec_runs), top_n, seeds)
-        for spec, spec_runs in zip(algorithms, runs)
+            runs[kind].append(evaluate_lists(lists, split.test, half_life))
+    reports = [
+        EvalReport(AlgorithmSpec(kind) if kind in tuned else specs[0], runs[kind],
+                   _means(runs[kind]), top_n, seeds)
+        for kind, specs in candidates.items()
     ]
+    return reports, tuned
 
 
 def _means(runs: list[MetricTuple]) -> MetricTuple:
     return MetricTuple(*(float(np.mean(column)) for column in zip(*map(astuple, runs))))
-
-
-def density_sweep(
-    ds: TaggingDataset,
-    algorithms: list[AlgorithmSpec],
-    fractions: list[float],
-    top_n: int = 5,
-    n_runs: int = 10,
-    base_seed: int = 0,
-    half_life: int = 5,
-) -> dict[tuple[str, float], EvalReport]:
-    """One run_experiment of all algorithms per training fraction, keyed by
-    (algorithm kind, fraction)."""
-    for f in fractions:
-        if not 0.0 < f < 1.0:
-            raise ValueError(f"training fraction {f} outside (0, 1)")
-    return {
-        (report.algorithm.kind, frac): report
-        for frac in fractions
-        for report in run_experiment(ds, algorithms, frac, top_n, n_runs, base_seed, half_life)
-    }
 
 
 def paired_t_test(runs_a: list[float], runs_b: list[float]) -> tuple[float, float]:
@@ -174,51 +203,10 @@ def paired_t_test(runs_a: list[float], runs_b: list[float]) -> tuple[float, floa
     return t, p
 
 
-def grid_search(
-    ds: TaggingDataset,
-    param_grid: dict[str, list[float]],
-    objective: str = "precision",
-    train_fraction: float = 0.2,
-    top_n: int = 5,
-    n_runs: int = 1,
-    base_seed: int = 0,
-    half_life: int = 5,
-) -> tuple[dict[str, float], list[tuple[dict[str, float], EvalReport]]]:
-    """Exhaustive search over walk/similarity hyperparameters for the full
-    walk algorithm; ties keep the first grid point. Grid axes: any of alpha,
-    beta, eta, lambda, mu."""
-    if not param_grid:
-        raise ValueError("param_grid must be non-empty")
-    if objective not in MetricTuple.__dataclass_fields__:
-        raise ValueError(f"unknown objective {objective!r}")
-    keys = list(param_grid)
-    points = [
-        dict(zip(keys, values)) for values in itertools.product(*(param_grid[k] for k in keys))
-    ]
-    specs = [AlgorithmSpec("pRW", walk_params(p)) for p in points]
-    reports = run_experiment(ds, specs, train_fraction, top_n, n_runs, base_seed, half_life)
-    scores = [getattr(report.means, objective) for report in reports]
-    return points[scores.index(max(scores))], list(zip(points, reports))
-
-
 def format_report_table(reports: list[EvalReport]) -> str:
     """Aligned text table: one row per algorithm, one column per metric."""
     header = ["Alg.", "Precision (%)", "Recall (%)", "F-measure (%)", "Rankscore (%)"]
     rows = [[r.algorithm.kind] + [f"{v:.2f}" for v in astuple(r.means)] for r in reports]
-    return _aligned(header, rows)
-
-
-def format_sweep_table(
-    grid: dict[tuple[str, float], EvalReport], metric: str = "precision"
-) -> str:
-    """Grid of one metric: algorithms as rows, training fractions as columns."""
-    kinds = list(dict.fromkeys(k for k, _ in grid))
-    fractions = sorted({f for _, f in grid})
-    header = ["Algorithm"] + [f"{f * 100:g}%" for f in fractions]
-    rows = [
-        [kind] + [f"{getattr(grid[(kind, f)].means, metric):.2f}" for f in fractions]
-        for kind in kinds
-    ]
     return _aligned(header, rows)
 
 

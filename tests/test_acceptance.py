@@ -188,11 +188,11 @@ def test_07_ordering_on_planted_clusters():
     sim = SimilarityConfig(alpha=1.0, beta=0.5)
     prw = run_experiment(
         ds, [AlgorithmSpec("pRW", {"walk": walk, "similarity": sim})], 0.2, 5, 10, 0
-    )[0]
+    )[0][0]
     prw_ui = run_experiment(
         ds, [AlgorithmSpec("pRW-UI", {"walk": walk})], 0.2, 5, 10, 0
-    )[0]
-    rand = run_experiment(ds, [AlgorithmSpec("Random")], 0.2, 5, 10, 0)[0]
+    )[0][0]
+    rand = run_experiment(ds, [AlgorithmSpec("Random")], 0.2, 5, 10, 0)[0][0]
     assert prw.means.precision >= 5.0 * rand.means.precision
     assert prw.means.precision >= prw_ui.means.precision
     _, p_value = paired_t_test(

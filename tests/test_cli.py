@@ -267,6 +267,87 @@ class TestEvaluate:
         doc = json.loads(Path(out, "report.json").read_text())
         assert {"best", "second", "t", "p"} <= set(doc["t_test"])
 
+    def test_infinite_t_is_written_as_null(self, tmp_path):
+        # UserCF and pRW-IT differ by the same precision in both runs: the
+        # paired t is infinite, which strict JSON cannot hold
+        src = tmp_path / "constant_gap.tsv"
+        src.write_text("".join("\t".join(triple.split()) + "\n" for triple in (
+            "u0 i0 t2", "u0 i2 t2", "u1 i0 t1", "u1 i1 t0", "u1 i2 t2", "u2 i1 t1", "u3 i0 t2",
+            "u3 i2 t2", "u4 i0 t1", "u4 i1 t2", "u4 i2 t2", "u5 i0 t1", "u5 i1 t1", "u5 i2 t1",
+        )))
+        ds = str(tmp_path / "constant_gap.json")
+        assert main(["ingest", "--input", str(src), "--dataset", ds]) == 0
+        out = tmp_path / "tt"
+        assert main([
+            "evaluate", "--dataset", ds, "--algorithms", "UserCF,pRW-IT", "--runs", "2",
+            "--top-n", "1", "--train-fraction", "0.5", "--t-test", "--output-dir", str(out),
+        ]) == 0
+
+        def not_json(name):
+            raise ValueError(f"report.json holds {name}, which is not JSON")
+
+        doc = json.loads((out / "report.json").read_text(), parse_constant=not_json)
+        assert doc["t_test"]["t"] is None and doc["t_test"]["p"] == 0.0
+
+    def test_one_value_list_is_the_scalar_flag(self, dataset_file, tmp_path):
+        # 0.5 is --alpha's default: giving it as a list of one value changes no byte
+        common = ["--dataset", dataset_file, "--algorithms", "UserCF,pRW", "--runs", "2"]
+        for name, flags in (("default", []), ("given", ["--alpha", "0.5"])):
+            assert main(["evaluate", *common, *flags, "--output-dir", str(tmp_path / name)]) == 0
+        for name in ("report.json", "report.txt", "runs.csv"):
+            assert (tmp_path / "default" / name).read_bytes() == (
+                tmp_path / "given" / name).read_bytes()
+
+
+class TestSelection:
+    def test_each_run_records_its_choice(self, tmp_path, capsys):
+        ds = str(tmp_path / "tiny.json")
+        assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", ds]) == 0
+        out = tmp_path / "sel"
+        assert main([
+            "evaluate", "--dataset", ds, "--algorithms", "pRW,UserCF", "--alpha", "0,1",
+            "--k-neighbors", "10,20", "--runs", "2", "--output-dir", str(out),
+        ]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert [r["algorithm"] for r in doc["reports"]] == [
+            {"kind": "pRW", "params": {}}, {"kind": "UserCF", "params": {}}
+        ]
+        prw, user_cf = doc["selection"]["pRW"], doc["selection"]["UserCF"]
+        assert [c["similarity"]["alpha"] for c in prw["candidates"]] == [0.0, 1.0]
+        assert user_cf["candidates"] == [{"k_neighbors": 10}, {"k_neighbors": 20}]
+        for tuned in (prw, user_cf):
+            assert len(tuned["chosen"]) == len(tuned["validation_precision"]) == 2
+            for best, precision in zip(tuned["chosen"], tuned["validation_precision"]):
+                assert len(precision) == 2 and best == precision.index(max(precision))
+
+    def test_candidates_are_every_combination(self, dataset_file, tmp_path):
+        out = tmp_path / "sel"
+        assert main([
+            "evaluate", "--dataset", dataset_file, "--algorithms", "pRW-IT,Fusion", "--runs", "1",
+            "--alpha", "0,1", "--mu", "0.5,1", "--lambda", "0.5,0.9", "--fuse-weight", "0.3,0.7",
+            "--output-dir", str(out),
+        ]) == 0
+        selection = json.loads((out / "report.json").read_text())["selection"]
+        assert [(c["similarity"]["alpha"], c["walk"]["lambda_"], c["walk"]["mu"])
+                for c in selection["pRW-IT"]["candidates"]] == [
+            (a, lam, mu) for a in (0.0, 1.0) for lam in (0.5, 0.9) for mu in (0.5, 1.0)
+        ]
+        assert selection["Fusion"]["candidates"] == [{"fuse_weight": 0.3}, {"fuse_weight": 0.7}]
+
+    def test_empty_validation_split_exits_1(self, tmp_path, capsys):
+        # each user saved two items: one trains and one is held out, and the
+        # validation split of one training save holds nothing out
+        src = tmp_path / "two_each.tsv"
+        src.write_text("".join(f"u{u}\ti{(u + k) % 4}\tt\n" for u in range(4) for k in range(2)))
+        path = str(tmp_path / "two_each.json")
+        assert main(["ingest", "--input", str(src), "--dataset", path]) == 0
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--dataset", path, "--algorithms", "pRW", "--alpha", "0,1",
+            "--train-fraction", "0.5", "--runs", "1", "--output-dir", str(tmp_path / "o"),
+        ]) == 1
+        assert "no user has a held-out save in the validation split" in one_line_error(capsys)
+
 
 def test_output_keys_are_the_record_fields(tmp_path, capsys):
     # the keys that readers of the outputs rely on; renaming a record field
@@ -283,15 +364,19 @@ def test_output_keys_are_the_record_fields(tmp_path, capsys):
     common = ["--dataset", ds, "--runs", "2", "--output-dir", str(out)]
     assert main(["evaluate", *common, "--algorithms", "Random,pRW"]) == 0
     entries = json.loads((out / "report.json").read_text())
-    assert main(["sweep", *common, "--algorithms", "UserCF", "--fractions", "0.5"]) == 0
-    entries += json.loads((out / "sweep.json").read_text()).values()
-    assert len(entries) == 3
+    assert main(["evaluate", *common, "--algorithms", "UserCF", "--train-fraction", "0.5,0.6"]) == 0
+    for fraction in ("0.5", "0.6"):
+        entries += json.loads((out / f"train-{fraction}" / "report.json").read_text())
+    assert main(["evaluate", *common, "--algorithms", "pRW", "--eta", "0.5,0.9"]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert set(doc) == {"reports", "selection"}
+    entries += doc["reports"]
+    assert len(entries) == 5
     for entry in entries:
         assert set(entry) == {"algorithm", "means", "runs", "seeds", "top_n"}
         assert [set(m) for m in [entry["means"], *entry["runs"]]] == [metric_keys] * 3
-    assert main(["grid", *common, "--eta", "0.5,0.9"]) == 0
-    grid = json.loads((out / "grid.json").read_text())["grid"]
-    assert [set(point["means"]) for point in grid] == [metric_keys] * 2
+    assert set(doc["selection"]) == {"pRW"}
+    assert set(doc["selection"]["pRW"]) == {"candidates", "chosen", "validation_precision"}
 
 
 class TestAblate:
@@ -319,47 +404,80 @@ class TestAblate:
             tmp_path / "ev" / "report.json").read_bytes()
 
 
-class TestSweep:
-    def test_table_layout(self, dataset_file, tmp_path, capsys):
-        out = str(tmp_path / "sw")
-        assert main([
-            "sweep", "--dataset", dataset_file, "--fractions", "0.2,0.4",
-            "--algorithms", "Random,pRW", "--runs", "1", "--output-dir", out,
-        ]) == 0
-        table = capsys.readouterr().out.splitlines()
-        assert table[0].split() == ["Algorithm", "20%", "40%"]
-        assert table[1].split()[0] == "Random"
+class TestFractions:
+    def test_one_directory_per_fraction(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "fr"
+        common = ["--dataset", dataset_file, "--algorithms", "Random,pRW", "--runs", "1"]
+        assert main(["evaluate", *common, "--train-fraction", "0.2,0.4",
+                     "--output-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [lines[0], lines[5]] == ["train-0.2", "train-0.4"]
+        assert lines[1].split()[0] == "Alg." and lines[2].split()[0] == "Random"
+        assert sorted(p.name for p in out.iterdir()) == ["train-0.2", "train-0.4"]
+        # each fraction's files are those of a run at that fraction alone
+        for fraction in ("0.2", "0.4"):
+            alone = tmp_path / fraction
+            assert main(["evaluate", *common, "--train-fraction", fraction,
+                         "--output-dir", str(alone)]) == 0
+            directory = out / f"train-{fraction}"
+            for name in ("report.json", "report.txt", "runs.csv"):
+                assert (directory / name).read_bytes() == (alone / name).read_bytes()
+            assert (directory / "manifest.json").exists()
+
+    def test_json_output_names_each_fraction(self, dataset_file, tmp_path, capsys):
+        out = tmp_path / "fr"
+        assert main(["evaluate", "--dataset", dataset_file, "--algorithms", "Random",
+                     "--runs", "1", "--train-fraction", "0.2,0.4", "--format", "json",
+                     "--output-dir", str(out)]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown == {f"train-{f}": json.loads((out / f"train-{f}" / "report.json").read_text())
+                         for f in ("0.2", "0.4")}
+
+    def test_fractions_that_print_alike_get_their_own_directory(self, dataset_file, tmp_path):
+        out = tmp_path / "fr"
+        assert main(["evaluate", "--dataset", dataset_file, "--algorithms", "Random",
+                     "--runs", "1", "--train-fraction", "0.30,0.3000001",
+                     "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["train-0.3", "train-0.3000001"]
 
     def test_bad_fraction_usage_error(self, dataset_file, tmp_path):
         assert main([
-            "sweep", "--dataset", dataset_file, "--fractions", "0.2,1.4",
+            "evaluate", "--dataset", dataset_file, "--train-fraction", "0.2,1.4",
             "--output-dir", str(tmp_path / "x"),
         ]) == 2
 
 
-class TestGrid:
-    def test_grid_outputs(self, dataset_file, tmp_path, capsys):
-        out = str(tmp_path / "gr")
-        assert main([
-            "grid", "--dataset", dataset_file, "--alpha", "0,1",
-            "--mu", "0.5,1", "--output-dir", out,
-        ]) == 0
-        doc = json.loads(Path(out, "grid.json").read_text())
-        assert len(doc["grid"]) == 4
-        assert set(doc["best"]) == {"alpha", "mu"}
+class TestAliases:
+    @pytest.mark.parametrize("alias, flags, evaluate_flags", [
+        ("sweep", ["--runs", "2"], ["--runs", "2", "--algorithms", "UserCF,ItemCF,Fusion,pRW",
+                                    "--train-fraction", "0.05,0.1,0.2"]),
+        ("grid", ["--alpha", "0,1"], ["--runs", "1", "--algorithms", "pRW", "--alpha", "0,1"]),
+        ("grid", [], ["--runs", "1", "--algorithms", "pRW"]),
+    ], ids=["sweep", "grid", "grid-one-candidate"])
+    def test_alias_is_evaluate(self, dataset_file, tmp_path, alias, flags, evaluate_flags):
+        alias_out, evaluate_out = tmp_path / "alias", tmp_path / "ev"
+        assert main([alias, "--dataset", dataset_file, *flags, "--output-dir", str(alias_out)]) == 0
+        assert main(["evaluate", "--dataset", dataset_file, *evaluate_flags,
+                     "--output-dir", str(evaluate_out)]) == 0
 
-    def test_lambda_axis(self, dataset_file, tmp_path):
-        out = str(tmp_path / "gr")
-        assert main([
-            "grid", "--dataset", dataset_file, "--lambda", "0.5,0.9", "--output-dir", out,
-        ]) == 0
-        doc = json.loads(Path(out, "grid.json").read_text())
-        assert [point["params"] for point in doc["grid"]] == [{"lambda": 0.5}, {"lambda": 0.9}]
+        def report_files(out):
+            return sorted(p.relative_to(out) for p in out.rglob("*")
+                          if p.is_file() and p.name != "manifest.json")
 
-    def test_no_axis_usage_error(self, dataset_file, tmp_path):
+        assert report_files(alias_out) == report_files(evaluate_out)
+        assert len(report_files(alias_out)) == (9 if alias == "sweep" else 3)
+        for name in report_files(alias_out):
+            assert (alias_out / name).read_bytes() == (evaluate_out / name).read_bytes()
+
+    def test_grid_runs_once_by_default(self, dataset_file, tmp_path):
+        out = tmp_path / "gr"
         assert main([
-            "grid", "--dataset", dataset_file, "--output-dir", str(tmp_path / "y"),
-        ]) == 2
+            "grid", "--dataset", dataset_file, "--lambda", "0.5,0.9", "--output-dir", str(out),
+        ]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert [r["algorithm"]["kind"] for r in doc["reports"]] == ["pRW"]
+        assert doc["reports"][0]["seeds"] == [0]
+        assert [c["walk"]["lambda_"] for c in doc["selection"]["pRW"]["candidates"]] == [0.5, 0.9]
 
 
 class TestConfigFile:
@@ -404,6 +522,8 @@ BAD_OPTIONS = [
     ("--half-life", "1"), ("--half-life", "0"), ("--fuse-weight", "2"),
     ("--fuse-weight", "-0.1"), ("--top-n", "0"), ("--k-neighbors", "0"),
     ("--k-neighbors", "-1"), ("--seed", "-1"),
+    # one value of a comma list
+    ("--train-fraction", "0.2,1.5"), ("--k-neighbors", "5,0"), ("--fuse-weight", "0.5,1.5"),
 ]
 # out of range, a density minimum given without the other one, or the
 # density filter's threshold without the filter
@@ -415,7 +535,7 @@ BAD_INGEST_OPTIONS = [
 
 
 class TestBadInput:
-    @pytest.mark.parametrize("command", ["recommend", "evaluate", "ablate", "sweep"])
+    @pytest.mark.parametrize("command", ["recommend", "evaluate", "ablate", "sweep", "grid"])
     @pytest.mark.parametrize(
         "flag, value", [("--eta", "1.0"), ("--lambda", "1"), ("--alpha", "2"), ("--mu", "-1"),
                         ("--beta", "-0.5")]
@@ -445,15 +565,14 @@ class TestBadInput:
         else:
             argv = [command, "--dataset", str(tmp_path / "missing.json"), flag, value,
                     "--output-dir", str(tmp_path / "out")]
-        if command == "grid":
-            argv += ["--eta", "0.5"]
         assert main(argv) == 2
         assert f"{flag} must be" in one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "command, flag, value",
         [("sweep", "--train-fraction", "0.3"), ("ablate", "--k-neighbors", "5"),
-         ("ablate", "--fuse-weight", "0.3")],
+         ("ablate", "--fuse-weight", "0.3"), ("sweep", "--fractions", "0.2"),
+         ("grid", "--objective", "recall")],
     )
     def test_flag_the_command_does_not_use_exits_2(self, dataset_file, tmp_path, capsys,
                                                     command, flag, value):
@@ -483,35 +602,43 @@ class TestBadInput:
         ]) == 2
         assert "--k-neighbors must be >= 1" in one_line_error(capsys)
 
-    def test_out_of_range_grid_axis_exits_2(self, dataset_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["evaluate", "grid"])
+    def test_out_of_range_list_value_exits_2_before_loading(self, tmp_path, capsys, command):
+        # the dataset does not exist: reading it would exit 1, not 2
         assert main([
-            "grid", "--dataset", dataset_file, "--eta", "0.5,1.0",
+            command, "--dataset", str(tmp_path / "missing.json"), "--eta", "0.5,1.0",
             "--output-dir", str(tmp_path / "g"),
         ]) == 2
-        assert "eta" in one_line_error(capsys)
+        assert "eta must be in [0, 1), got 1.0" in one_line_error(capsys)
 
     @pytest.mark.parametrize("command, flags, message", [
-        ("sweep", ["--fractions", "0.1,0.1"], "--fractions names 0.1 more than once"),
-        ("sweep", ["--fractions", "0.2,0.5,0.20"], "--fractions names 0.2 more than once"),
+        ("evaluate", ["--train-fraction", "0.1,0.1"], "--train-fraction names 0.1 more than once"),
+        ("evaluate", ["--train-fraction", "0.2,0.5,0.20"],
+         "--train-fraction names 0.2 more than once"),
+        ("evaluate", ["--alpha", "0,0"], "--alpha names 0 more than once"),
+        ("evaluate", ["--mu", "0.5", "--lambda", "0.3, 0.9,0.3"],
+         "--lambda names 0.3 more than once"),
+        ("evaluate", ["--k-neighbors", "10,20,10"], "--k-neighbors names 10 more than once"),
         ("grid", ["--alpha", "0,0"], "--alpha names 0 more than once"),
-        ("grid", ["--mu", "0.5", "--lambda", "0.3, 0.9,0.3"], "--lambda names 0.3 more than once"),
-    ], ids=["sweep", "sweep-same-float", "grid", "grid-lambda"])
+    ], ids=["fraction", "fraction-same-float", "alpha", "lambda", "k-neighbors", "grid"])
     def test_repeated_value_exits_2_before_loading(self, tmp_path, capsys, command, flags,
                                                    message):
         # the dataset does not exist: reading it would exit 1, not 2; run
-        # twice, a repeated value would give a point twice or merge its cells
+        # twice, a repeated value would give a candidate twice or write a
+        # fraction's directory twice
         assert main([
             command, "--dataset", str(tmp_path / "missing.json"), *flags,
             "--output-dir", str(tmp_path / "o"),
         ]) == 2
         assert message in one_line_error(capsys)
 
-    def test_empty_grid_axis_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--eta", "--train-fraction", "--k-neighbors"])
+    def test_empty_list_exits_2(self, tmp_path, capsys, flag):
         assert main([
-            "grid", "--dataset", str(tmp_path / "missing.json"), "--eta", ",",
+            "evaluate", "--dataset", str(tmp_path / "missing.json"), flag, ",",
             "--output-dir", str(tmp_path / "g"),
         ]) == 2
-        assert "--eta needs at least one value" in one_line_error(capsys)
+        assert f"{flag} needs at least one value" in one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "config, flags",
@@ -636,8 +763,6 @@ class TestBadInput:
         assert main(["ingest", "--input", str(src), "--dataset", path]) == 0
         capsys.readouterr()
         argv = [command, "--dataset", path, "--runs", "1", "--output-dir", str(tmp_path / "o")]
-        if command == "grid":
-            argv += ["--eta", "0.5"]
         assert main(argv) == 1
         assert "no user has a non-empty test set" in one_line_error(capsys)
 
@@ -651,6 +776,10 @@ class TestBadInput:
             ("runs = 2.5", "config key 'runs': expected int, got '2.5'"),
             ("format = xml", "config key 'format'"),
             ("t-test = maybe", "config key 't_test'"),
+            ("k-neighbors = 10,x", "config key 'k_neighbors': expected int, got '10,x'"),
+            ("alpha = 0.5,0.5", "--alpha names 0.5 more than once"),
+            ("objective = recall", "unknown config key 'objective'"),
+            ("fractions = 0.2,0.4", "unknown config key 'fractions'"),
         ],
     )
     def test_bad_config_line_exits_2(self, dataset_file, tmp_path, capsys, line, message):
@@ -684,7 +813,7 @@ class TestBadInput:
 
     def test_config_keys_of_other_commands_are_accepted(self, dataset_file, tmp_path):
         cfg = tmp_path / "folkwalk.cfg"
-        cfg.write_text("select-tags = 10\nobjective = recall\n")
+        cfg.write_text("select-tags = 10\nalgorithm = ItemCF\n")
         assert main([
             "--config", str(cfg), "evaluate", "--dataset", dataset_file,
             "--algorithms", "Random", "--runs", "1", "--output-dir", str(tmp_path / "o"),

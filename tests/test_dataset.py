@@ -87,8 +87,10 @@ class TestParseTriples:
         assert ids == (("u2", "u1"), ("i1", "i2"), ("b", "a", "c"))
 
     def test_fields_are_stripped(self):
-        posts = parse_triples(" u1 \t i1\t ml \nu1\ti1 \tml\n")
-        assert as_posts(posts) == [("u1", "i1", ("ml", "ml"))]
+        # str.strip: every Unicode whitespace character at a field's ends
+        # goes (U+00A0 and U+2028 too), and one inside a field stays
+        posts = parse_triples(" u1 \t i1\t ml \nu1\u00a0\ti1 \tml\nu2\ti1\ta\u2028b\u2028\n")
+        assert as_posts(posts) == [("u1", "i1", ("ml", "ml")), ("u2", "i1", ("a\u2028b",))]
 
     @pytest.mark.parametrize("text, line", [
         ("u1\ti1\ta\n\t \tb\n", 2),

@@ -8,22 +8,21 @@ from scipy import stats as scipy_stats
 from scipy.sparse import csr_matrix
 
 from folkwalk import evaluation
-from folkwalk.params import AlgorithmSpec
-from folkwalk.dataset import EmptyDatasetError, split
+from folkwalk.baselines import run_algorithm
+from folkwalk.cli import main
+from folkwalk.params import AlgorithmSpec, walk_params
+from folkwalk.dataset import EmptyDatasetError, dataset_to_json, ingest, split
 from folkwalk.evaluation import (
     EvalReport,
-    density_sweep,
     evaluate_lists,
     f_measure,
     format_report_table,
-    format_sweep_table,
-    grid_search,
     paired_t_test,
     run_experiment,
     runs_to_csv,
 )
 
-from gen import held_out, padded, random_dataset
+from gen import held_out, padded, post_table, random_dataset
 
 
 def oracle_precision_recall(recs: dict, test_sets: dict) -> tuple[float, float]:
@@ -197,15 +196,15 @@ class TestRankscore:
 class TestRunExperiment:
     def test_single_run_means_equal_run(self):
         ds = random_dataset(np.random.default_rng(0), n_users=8, n_items=10)
-        rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.3, 3, 1, 5)[0]
+        rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.3, 3, 1, 5)[0][0]
         assert rep.means == rep.runs[0]
         assert rep.seeds == [5]
 
     def test_deterministic(self):
         ds = random_dataset(np.random.default_rng(1), n_users=8, n_items=10)
         spec = AlgorithmSpec("pRW")
-        a = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
-        b = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0]
+        a = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0][0]
+        b = run_experiment(ds, [spec], 0.3, 3, 3, 7)[0][0]
         assert asdict(a) == asdict(b)
 
     def test_random_baseline_matches_analytic_expectation(self):
@@ -224,7 +223,7 @@ class TestRunExperiment:
             UT=csr_matrix((100, 0)),
             IT=csr_matrix((100, 0)),
         )
-        rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.2, 5, 10, 0)[0]
+        rep = run_experiment(ds, [AlgorithmSpec("Random")], 0.2, 5, 10, 0)[0][0]
         per_user = []
         for u in range(100):
             saved = int(ui[u].sum())
@@ -253,32 +252,60 @@ def split_calls(monkeypatch):
     return calls
 
 
+def validation_seed(seed: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed).spawn(1)[0]
+
+
+def same_seed(a, b) -> bool:
+    """Whether two split seeds, integers or seed sequences, are one seed."""
+    state = lambda s: s.state if isinstance(s, np.random.SeedSequence) else s  # noqa: E731
+    return state(a) == state(b)
+
+
 class TestOneSplitPerSeed:
     def test_run_experiment_splits_once_per_seed(self, split_calls):
         ds = random_dataset(np.random.default_rng(12), n_users=8, n_items=10)
         specs = [AlgorithmSpec(kind) for kind in ("Random", "UserCF", "ItemCF", "Fusion")]
-        reports = run_experiment(ds, specs, 0.3, 3, 3, 4)
+        reports, selection = run_experiment(ds, specs, 0.3, 3, 3, 4)
         assert split_calls == [(0.3, 4), (0.3, 5), (0.3, 6)]
         assert [r.algorithm for r in reports] == specs
+        assert selection == {}
 
     def test_shared_split_reports_equal_single_algorithm_reports(self):
         ds = random_dataset(np.random.default_rng(13), n_users=8, n_items=10)
         specs = [AlgorithmSpec(kind) for kind in ("Random", "UserCF", "ItemCF", "Fusion", "pRW")]
-        together = run_experiment(ds, specs, 0.3, 3, 2, 1)
-        alone = [run_experiment(ds, [spec], 0.3, 3, 2, 1)[0] for spec in specs]
+        together, _ = run_experiment(ds, specs, 0.3, 3, 2, 1)
+        alone = [run_experiment(ds, [spec], 0.3, 3, 2, 1)[0][0] for spec in specs]
         assert [asdict(r) for r in together] == [asdict(r) for r in alone]
 
-    def test_grid_search_splits_once(self, split_calls):
+    def test_tuned_algorithms_share_one_validation_split_per_seed(self, split_calls):
         ds = random_dataset(np.random.default_rng(14), n_users=8, n_items=10)
-        grid = {"alpha": [0.0, 0.5, 1.0], "mu": [0.3, 0.5, 0.7]}
-        _, results = grid_search(ds, grid, train_fraction=0.3, n_runs=1, base_seed=2)
-        assert len(results) == 9
-        assert split_calls == [(0.3, 2)]
+        specs = [AlgorithmSpec("pRW", walk_params({"alpha": a, "mu": m}))
+                 for a in (0.0, 0.5, 1.0) for m in (0.3, 0.5, 0.7)]
+        specs += [AlgorithmSpec("UserCF", {"k_neighbors": k}) for k in (2, 4)]
+        _, selection = run_experiment(ds, specs, 0.3, n_runs=2, base_seed=2)
+        assert [len(s.candidates) for s in selection.values()] == [9, 2]
+        # per run, its own split, then one validation split for both algorithms
+        expected = [2, validation_seed(2), 3, validation_seed(3)]
+        assert [f for f, _ in split_calls] == [0.3] * 4
+        assert all(same_seed(seed, e) for (_, seed), e in zip(split_calls, expected))
 
-    def test_density_sweep_splits_once_per_fraction_and_seed(self, split_calls):
+    def test_validation_seed_is_no_run_seed(self):
+        # the validation split's stream is that of no integer seed, so no
+        # run of any experiment draws it as its own split
+        draws = lambda seed: np.random.default_rng(seed).random(4).tolist()  # noqa: E731
+        for seed in (0, 1, 7):
+            child = draws(validation_seed(seed))
+            assert all(child != draws(s) for s in (seed, seed + 1, seed + 2**32, 0, 1, 2))
+
+    def test_evaluate_splits_once_per_fraction_and_seed(self, split_calls, tmp_path):
         ds = random_dataset(np.random.default_rng(15), n_users=8, n_items=10)
-        specs = [AlgorithmSpec("Random"), AlgorithmSpec("UserCF")]
-        density_sweep(ds, specs, [0.2, 0.4], top_n=3, n_runs=2)
+        path = tmp_path / "ds.json"
+        path.write_text(dataset_to_json(ds))
+        assert main([
+            "evaluate", "--dataset", str(path), "--algorithms", "Random,UserCF", "--top-n", "3",
+            "--runs", "2", "--train-fraction", "0.2,0.4", "--output-dir", str(tmp_path / "o"),
+        ]) == 0
         assert split_calls == [(0.2, 0), (0.2, 1), (0.4, 0), (0.4, 1)]
 
     def test_no_algorithms(self):
@@ -287,28 +314,84 @@ class TestOneSplitPerSeed:
             run_experiment(ds, [])
 
 
-class TestDensitySweep:
-    def test_single_cell_equals_run_experiment(self):
-        ds = random_dataset(np.random.default_rng(4), n_users=8, n_items=10)
-        spec = AlgorithmSpec("Random")
-        grid = density_sweep(ds, [spec], [0.3], top_n=3, n_runs=2, base_seed=1)
-        direct = run_experiment(ds, [spec], 0.3, 3, 2, 1)[0]
-        assert grid[("Random", 0.3)].means == direct.means
+class TestTuning:
+    def test_one_candidate_is_not_tuned(self, split_calls):
+        ds = random_dataset(np.random.default_rng(7), n_users=8, n_items=10)
+        spec = AlgorithmSpec("pRW", walk_params({"eta": 0.5}))
+        (report,), selection = run_experiment(ds, [spec], n_runs=1)
+        assert report.algorithm == spec and selection == {}
+        assert split_calls == [(0.2, 0)]
 
-    def test_layout(self):
-        ds = random_dataset(np.random.default_rng(5), n_users=10, n_items=12)
-        specs = [AlgorithmSpec("Random"), AlgorithmSpec("UserCF")]
-        grid = density_sweep(ds, specs, [0.2, 0.4, 0.6], top_n=3, n_runs=1)
-        assert set(grid) == {
-            (k, f) for k in ("Random", "UserCF") for f in (0.2, 0.4, 0.6)
-        }
-        table = format_sweep_table(grid)
-        assert table.splitlines()[0].split() == ["Algorithm", "20%", "40%", "60%"]
+    def test_tie_keeps_first(self):
+        # both neighbourhoods hold every other user, so the candidates score alike
+        ds = random_dataset(np.random.default_rng(8), n_users=8, n_items=10)
+        specs = [AlgorithmSpec("UserCF", {"k_neighbors": k}) for k in (8, 9)]
+        (report,), selection = run_experiment(ds, specs, 0.5, n_runs=3)
+        tuned = selection["UserCF"]
+        assert tuned.chosen == [0, 0, 0]
+        assert all(a == b for a, b in tuned.validation_precision)
+        assert report.algorithm == AlgorithmSpec("UserCF")
 
-    def test_fraction_validation(self):
-        ds = random_dataset(np.random.default_rng(6))
-        with pytest.raises(ValueError):
-            density_sweep(ds, [AlgorithmSpec("Random")], [1.5])
+    def test_choice_matches_reevaluation(self):
+        # each run's validation precisions are the candidates' scores on the
+        # validation split of its training dataset, the choice is the first
+        # best of them, and the run's metrics are the choice's on test
+        ds = random_dataset(np.random.default_rng(9), n_users=12, n_items=14)
+        points = [{"alpha": a, "mu": m} for a in (0.0, 0.5, 1.0) for m in (0.3, 0.8, 1.0)]
+        specs = [AlgorithmSpec("pRW", walk_params(p)) for p in points]
+        (report,), selection = run_experiment(ds, specs, 0.4, 3, n_runs=2, base_seed=5)
+        tuned = selection["pRW"]
+        assert tuned.candidates == [spec.params for spec in specs]
+        for run, seed, best, precision in zip(
+            report.runs, report.seeds, tuned.chosen, tuned.validation_precision
+        ):
+            outer = split(ds, 0.4, seed)
+            inner = split(outer.train, 0.4, validation_seed(seed))
+            assert precision == [
+                evaluate_lists(run_algorithm(c, inner.train, 3, seed), inner.test).precision
+                for c in specs
+            ]
+            assert best == precision.index(max(precision))
+            lists = run_algorithm(specs[best], outer.train, 3, seed)
+            assert run == evaluate_lists(lists, outer.test)
+
+    def test_candidates_see_training_saves_only(self, monkeypatch):
+        # a candidate scored during selection is trained on a dataset whose
+        # saves all lie in the run's training split
+        ds = random_dataset(np.random.default_rng(10), n_users=12, n_items=14)
+        splits, trained = [], []
+
+        def spy_split(*args):
+            splits.append(split(*args))
+            return splits[-1]
+
+        def spy_run(spec, train, *args):
+            # the run's own split is the second to last drawn so far
+            trained.append((train, splits[-2].train))
+            return run_algorithm(spec, train, *args)
+
+        monkeypatch.setattr(evaluation, "make_split", spy_split)
+        monkeypatch.setattr(evaluation, "run_algorithm", spy_run)
+        specs = [AlgorithmSpec("Fusion", {"fuse_weight": w}) for w in (0.2, 0.8)]
+        run_experiment(ds, specs, 0.5, 3, n_runs=2)
+        # per run: two candidates on the validation split, then the choice
+        assert len(splits) == 4
+        assert [train is run_train for train, run_train in trained] == [False, False, True] * 2
+        for train, run_train in trained:
+            assert (train.UI - train.UI.multiply(run_train.UI)).nnz == 0
+
+    def test_empty_validation_split(self):
+        # every user saved two items: half a user's saves train, and the
+        # training half of one save leaves nothing for validation
+        posts = [(f"u{u}", f"i{(u + k) % 6}", ("t",)) for u in range(6) for k in range(2)]
+        ds = ingest(post_table(posts))
+        specs = [AlgorithmSpec("ItemCF", {"k_neighbors": k}) for k in (1, 2)]
+        with pytest.raises(EmptyDatasetError, match="held-out save in the validation split"):
+            run_experiment(ds, specs, 0.5, n_runs=1)
+
+    def test_unknown_hyperparameter_name(self):
+        with pytest.raises(ValueError, match="gamma"):
+            walk_params({"gamma": 1.0})
 
 
 class TestPairedTTest:
@@ -347,42 +430,10 @@ class TestPairedTTest:
             paired_t_test([1.0, 2.0], [1.0])
 
 
-class TestGridSearch:
-    def test_singleton_grid(self):
-        ds = random_dataset(np.random.default_rng(7), n_users=8, n_items=10)
-        best, results = grid_search(ds, {"eta": [0.5]}, n_runs=1)
-        assert best == {"eta": 0.5}
-        assert len(results) == 1
-
-    def test_tie_keeps_first(self):
-        ds = random_dataset(np.random.default_rng(8), n_users=8, n_items=10)
-        best, results = grid_search(ds, {"eta": [0.5, 0.5]}, n_runs=1)
-        assert best == {"eta": 0.5}
-        assert results[0][1].means == results[1][1].means
-
-    def test_argmax_matches_reevaluation(self):
-        ds = random_dataset(np.random.default_rng(9), n_users=8, n_items=10)
-        grid = {"alpha": [0.0, 0.5, 1.0], "mu": [0.3, 0.8, 1.0]}
-        best, results = grid_search(ds, grid, objective="precision", n_runs=1)
-        assert len(results) == 9
-        scores = [rep.means.precision for _, rep in results]
-        first_max = scores.index(max(scores))
-        assert results[first_max][0] == best
-
-    def test_validation(self):
-        ds = random_dataset(np.random.default_rng(10))
-        with pytest.raises(ValueError):
-            grid_search(ds, {})
-        with pytest.raises(ValueError):
-            grid_search(ds, {"gamma": [1.0]})
-        with pytest.raises(ValueError, match="unknown objective 'bogus'"):
-            grid_search(ds, {"eta": [0.5]}, objective="bogus")
-
-
 class TestReports:
     def make_report(self):
         ds = random_dataset(np.random.default_rng(11), n_users=8, n_items=10)
-        return run_experiment(ds, [AlgorithmSpec("Random")], 0.3, 3, 3, 0)[0]
+        return run_experiment(ds, [AlgorithmSpec("Random")], 0.3, 3, 3, 0)[0][0]
 
     def test_means_and_bounds_invariant(self):
         rep = self.make_report()
