@@ -1,5 +1,6 @@
 """Comparison recommenders: random, user-based CF, item-based CF, the
-tag-extended fusion CF, and the ablation wiring for the walk variants.
+tag-extended fusion CF, and the walk variants: pRW at the values
+:func:`~folkwalk.params.walk_params` fixes.
 
 Every recommender reads one dataset, which in an experiment is the split's
 training dataset (``Split.train``), so no held-out save reaches a model; its
@@ -15,14 +16,16 @@ scores by associativity."""
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import asdict
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dataset import TaggingDataset
-from .params import ABLATION_KINDS, AlgorithmSpec, SimilarityConfig, WalkConfig
-from .walker import FusedOperator, fuse, fused_operator, recommend_all
+from .params import (
+    ABLATION_KINDS, FUSE_WEIGHT, AlgorithmSpec, SimilarityConfig, WalkConfig, walk_params
+)
+from .walker import fuse, fused_operator, recommend_all
 
 # users whose scores are computed and ranked at once
 BLOCK_USERS = 128
@@ -165,33 +168,19 @@ def _fusion_scorer(ds: TaggingDataset, fuse_weight: float) -> BlockScorer:
     return lambda lo, hi: fuse(user(lo, hi), item(lo, hi), fuse_weight)
 
 
-def _walk_operator(
-    kind: str, ds: TaggingDataset, walk: WalkConfig | None, similarity: SimilarityConfig | None
-) -> FusedOperator:
-    """The fused score operator of one walk variant, each walk solved
-    exactly. pRW-IT: tag-only item similarity, item walk alone. pRW-UT:
-    tag-only user similarity, user walk alone. pRW-UI: interaction-only
-    similarities, both walks fused. pRW: the full configured pipeline."""
-    walk = walk or WalkConfig()
-    similarity = similarity or SimilarityConfig()
-    alpha, beta, mu = similarity.alpha, similarity.beta, walk.mu
-    if kind == "pRW-IT":
-        alpha, mu = 1.0, 1.0
-    elif kind == "pRW-UT":
-        beta, mu = 1.0, 0.0
-    elif kind == "pRW-UI":
-        alpha, beta = 0.0, 0.0
-    return fused_operator(ds.UI, ds.UT, ds.IT, replace(walk, mu=mu), alpha, beta)
-
-
 def block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:
     """The row-block scorer of a non-Random algorithm trained on ``ds``:
     ``block_scorer(spec, ds)(lo, hi)`` is rows lo:hi of its scores."""
     params = spec.params
     if spec.kind in ABLATION_KINDS:
-        return _walk_operator(spec.kind, ds, params.get("walk"), params.get("similarity")).scores
+        # a walk variant runs at the values it fixes, whatever its spec holds
+        given = {**asdict(params.get("similarity", SimilarityConfig())),
+                 **asdict(params.get("walk", WalkConfig()))}
+        fixed = walk_params(spec.kind, given)
+        walk, similarity = fixed["walk"], fixed["similarity"]
+        return fused_operator(ds.UI, ds.UT, ds.IT, walk, similarity.alpha, similarity.beta).scores
     if spec.kind == "Fusion":
-        return _fusion_scorer(ds, params.get("fuse_weight", 0.5))
+        return _fusion_scorer(ds, params.get("fuse_weight", FUSE_WEIGHT))
     return _cf_scorer(ds.UI, spec.kind == "UserCF", params.get("k_neighbors"))
 
 

@@ -34,7 +34,8 @@ from .dataset import (
     snapshot_stats,
 )
 from .params import (
-    ABLATION_KINDS, ALGORITHM_KINDS, AlgorithmSpec, SimilarityConfig, WalkConfig, walk_params
+    ABLATION_KINDS, ALGORITHM_KINDS, ALGORITHMS, FUSE_WEIGHT, WALK_DEFAULTS, AlgorithmSpec,
+    SimilarityConfig, WalkConfig, walk_params,
 )
 
 
@@ -116,9 +117,6 @@ def _comma_list(convert, flag: str):
     return values
 
 
-# hyperparameter defaults by option dest (lambda_ is the --lambda flag)
-_HYPERPARAMETERS = {**asdict(SimilarityConfig()), **asdict(WalkConfig())}
-
 # (option, valid range as text, predicate); an option a command lacks is skipped
 _OPTION_RANGES = (
     ("train_fraction", "in (0, 1)", lambda v: 0.0 < v < 1.0),
@@ -148,14 +146,25 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _as_list(value) -> list:
+    """An option's values: its comma list, or its one value."""
+    return value if isinstance(value, list) else [value]
+
+
 def _check_option_ranges(args: argparse.Namespace) -> None:
     """Reject out-of-range and unpaired options, each value of a comma list
-    included, before any input is read."""
+    included (walk hyperparameters by their configs), before any input is read."""
     for name, rule, ok in _OPTION_RANGES:
-        value = getattr(args, name, None)
-        for v in value if isinstance(value, list) else [value]:
+        for v in _as_list(getattr(args, name, None)):
             if v is not None and not ok(v):
                 raise UsageError(f"{_flag(name)} must be {rule}, got {v}")
+    for config in (SimilarityConfig, WalkConfig):
+        for name in asdict(config()):
+            for v in _as_list(getattr(args, name, [])):
+                try:
+                    config(**{name: v})
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from None
     for name, other in _NEEDS:
         if getattr(args, name, None) is not None and getattr(args, other, None) is None:
             raise UsageError(f"{_flag(name)} must be given with {_flag(other)}")
@@ -166,29 +175,16 @@ def _check_option_ranges(args: argparse.Namespace) -> None:
             raise UsageError(f"--t-test needs at least two --algorithms, got {args.algorithms!r}")
 
 
-def _hyperparameters(values: dict[str, float]) -> dict:
-    """:func:`walk_params` of the values; an out-of-range value is a usage
-    error."""
-    try:
-        return walk_params(values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _candidates(kind: str, args: argparse.Namespace) -> list[AlgorithmSpec]:
-    """One spec of ``kind`` per combination of the values of the flags it
-    takes, the last flag varying fastest; a flag holds one value or a list."""
-    names = {"Random": (), "UserCF": ("k_neighbors",), "ItemCF": ("k_neighbors",),
-             "Fusion": ("fuse_weight",)}.get(kind, tuple(_HYPERPARAMETERS))
+    """One spec of ``kind`` per combination of the values of the options it
+    reads, the last option varying fastest; an option holds one value or a
+    list. A walk variant's spec holds the values its walk runs with."""
+    reads, _ = ALGORITHMS[kind]
     combinations = [{}]
-    for name in names:
-        value = getattr(args, name)
-        values = value if isinstance(value, list) else [value]
-        combinations = [{**c, name: v} for c in combinations for v in values]
+    for name in reads:
+        combinations = [{**c, name: v} for c in combinations for v in _as_list(getattr(args, name))]
     if kind in ABLATION_KINDS:
-        combinations = [
-            _hyperparameters({k.rstrip("_"): v for k, v in c.items()}) for c in combinations
-        ]
+        combinations = [walk_params(kind, c) for c in combinations]
     return [AlgorithmSpec(kind, params) for params in combinations]
 
 
@@ -355,13 +351,13 @@ def _add_value_flag(p: argparse.ArgumentParser, name: str, convert, default,
 
 
 def _add_walk_flags(p: argparse.ArgumentParser, lists: bool = True) -> None:
-    for name, default in _HYPERPARAMETERS.items():
+    for name, default in WALK_DEFAULTS.items():
         _add_value_flag(p, name, float, default, lists)
 
 
 def _add_baseline_flags(p: argparse.ArgumentParser, lists: bool = True) -> None:
     _add_value_flag(p, "k_neighbors", int, None, lists)
-    _add_value_flag(p, "fuse_weight", float, 0.5, lists)
+    _add_value_flag(p, "fuse_weight", float, FUSE_WEIGHT, lists)
 
 
 def _add_experiment_flags(

@@ -1,8 +1,10 @@
 """The recommenders' parameters: the walk and similarity hyperparameters,
-their range checks, and the algorithm selector. Standard library only, so
-the command line reads them without loading numpy or scipy."""
+their range checks, the algorithm selector, and :data:`ALGORITHMS`, the one
+table of the options each algorithm reads and of the walk values that
+:func:`walk_params` fixes. Standard library only, so the command line reads
+them without loading numpy or scipy."""
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -41,49 +43,60 @@ def _check_weight(value: float, name: str) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-ABLATION_KINDS = ("pRW-IT", "pRW-UT", "pRW-UI", "pRW")
-ALGORITHM_KINDS = ("Random", "UserCF", "ItemCF", "Fusion") + ABLATION_KINDS
+# the walk hyperparameters' defaults by option name (lambda_ is --lambda)
+WALK_DEFAULTS = {**asdict(SimilarityConfig()), **asdict(WalkConfig())}
+FUSE_WEIGHT = 0.5
+
+# each algorithm's options, by option name, and the walk hyperparameters it
+# fixes: pRW-IT is the item walk alone on tag similarity, pRW-UT the user walk
+# alone on tag similarity, and pRW-UI both walks on interaction similarity
+ALGORITHMS = {
+    "Random": ((), {}),
+    "UserCF": (("k_neighbors",), {}),
+    "ItemCF": (("k_neighbors",), {}),
+    "Fusion": (("fuse_weight",), {}),
+    "pRW-IT": (("eta",), {"alpha": 1.0, "mu": 1.0}),
+    "pRW-UT": (("lambda_",), {"beta": 1.0, "mu": 0.0}),
+    "pRW-UI": (("eta", "lambda_", "mu"), {"alpha": 0.0, "beta": 0.0}),
+    "pRW": (tuple(WALK_DEFAULTS), {}),
+}
+ALGORITHM_KINDS = tuple(ALGORITHMS)
+ABLATION_KINDS = tuple(kind for kind in ALGORITHMS if kind.startswith("pRW"))
 
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Algorithm selector plus its kind-specific parameters.
-
-    Recognized params: ``k_neighbors`` (UserCF/ItemCF), ``fuse_weight``
-    (Fusion), ``walk`` (WalkConfig) and ``similarity`` (SimilarityConfig)
-    for the walk variants; Random takes none.
-    """
+    """Algorithm selector plus its kind-specific parameters: the options
+    :data:`ALGORITHMS` lists for it, or for a walk variant ``walk``
+    (WalkConfig) and ``similarity`` (SimilarityConfig)."""
 
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ALGORITHM_KINDS:
+        if self.kind not in ALGORITHMS:
             raise ValueError(f"unknown algorithm kind {self.kind!r}")
-        known = {
-            "Random": set(),
-            "UserCF": {"k_neighbors"},
-            "ItemCF": {"k_neighbors"},
-            "Fusion": {"fuse_weight"},
-        }.get(self.kind, {"walk", "similarity"})
+        reads, _ = ALGORITHMS[self.kind]
+        known = {"walk", "similarity"} if self.kind in ABLATION_KINDS else set(reads)
         extra = set(self.params) - known
         if extra:
             raise ValueError(f"unknown params for {self.kind}: {sorted(extra)}")
         k_neighbors = self.params.get("k_neighbors")
         if k_neighbors is not None and k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
-        fuse_weight = self.params.get("fuse_weight", 0.5)
-        if not 0.0 <= fuse_weight <= 1.0:
+        fuse_weight = self.params.get("fuse_weight")
+        if fuse_weight is not None and not 0.0 <= fuse_weight <= 1.0:
             raise ValueError(f"fuse_weight must be in [0, 1], got {fuse_weight}")
 
 
-def walk_params(values: dict[str, float]) -> dict:
-    """A walk variant's ``walk`` and ``similarity`` params from hyperparameter
-    values named alpha, beta, eta, lambda or mu; a missing one takes its
-    default. An unknown name or an out-of-range value raises ``ValueError``."""
-    unknown = set(values) - {"alpha", "beta", "eta", "lambda", "mu"}
+def walk_params(kind: str, values: dict[str, float]) -> dict:
+    """The ``walk`` and ``similarity`` params that walk variant ``kind`` runs
+    with, from values by option name: a value the variant fixes replaces the
+    given one, and a missing one takes its default. An unknown name or an
+    out-of-range value raises ``ValueError``."""
+    unknown = set(values) - set(WALK_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown hyperparameters: {sorted(unknown)}")
-    similarity = {k: v for k, v in values.items() if k in ("alpha", "beta")}
-    walk = {"lambda_" if k == "lambda" else k: v for k, v in values.items() if k not in similarity}
-    return {"walk": WalkConfig(**walk), "similarity": SimilarityConfig(**similarity)}
+    v = {**WALK_DEFAULTS, **values, **ALGORITHMS[kind][1]}
+    return {"walk": WalkConfig(v["eta"], v["lambda_"], v["mu"]),
+            "similarity": SimilarityConfig(v["alpha"], v["beta"])}

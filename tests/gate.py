@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from folkwalk.baselines import AlgorithmSpec
+from folkwalk.params import FUSE_WEIGHT, AlgorithmSpec
 from folkwalk.dataset import TaggingDataset
 
 TOLERANCE = 1e-12
@@ -78,7 +78,7 @@ def exact_scores(ds: TaggingDataset, spec: AlgorithmSpec, user: int) -> np.ndarr
     if spec.kind == "ItemCF":
         return item_based(ds.UI.T.tocsr())
     if spec.kind == "Fusion":
-        weight = np.longdouble(spec.params.get("fuse_weight", 0.5))
+        weight = np.longdouble(spec.params.get("fuse_weight", FUSE_WEIGHT))
         user_side = user_based(sp.hstack([ds.UI, ds.UT], format="csr"))
         item_side = item_based(sp.hstack([ds.UI.T, ds.IT], format="csr"))
         return weight * user_side + (1 - weight) * item_side

@@ -2,7 +2,7 @@ import gc
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,14 +14,16 @@ from folkwalk.baselines import (
     _profile,
     _truncate_neighbors,
     _unit_rows,
-    _walk_operator,
     block_scorer,
     random_recommender,
     run_algorithm,
 )
 from folkwalk.dataset import TaggingDataset, ingest, split
 from folkwalk.linalg import SingularMatrixError, invert_in_place, invert_spd_in_place, row_normalize
-from folkwalk.params import ABLATION_KINDS, AlgorithmSpec, SimilarityConfig, WalkConfig
+from folkwalk.params import (
+    ABLATION_KINDS, ALGORITHMS, WALK_DEFAULTS, AlgorithmSpec, SimilarityConfig, WalkConfig,
+    walk_params,
+)
 from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
@@ -47,6 +49,12 @@ def top_n_lists(kind, ds, top_n=5, **params):
 def all_scores(kind, ds, **params):
     """Every user's scores from one algorithm's row-block scorer."""
     return block_scorer(AlgorithmSpec(kind, params), ds)(0, ds.num_users)
+
+
+def walk_operator(kind, ds, **params):
+    """The fused operator whose bound ``scores`` is a walk variant's
+    row-block scorer."""
+    return block_scorer(AlgorithmSpec(kind, params), ds).__self__
 
 
 def dense_ds(ui: np.ndarray, ut=None, it=None) -> TaggingDataset:
@@ -605,6 +613,39 @@ class TestAblation:
         with pytest.raises(ValueError, match="unknown algorithm kind"):
             AlgorithmSpec("pRW-XX")
 
+    @pytest.mark.parametrize("kind", ABLATION_KINDS)
+    def test_table_lists_what_the_walk_reads(self, kind):
+        # a hand-built spec reaches the walk with every value it holds but
+        # those its variant fixes: a value the variant does not read leaves
+        # its scores bit for bit, and each one it reads moves them. With
+        # alpha = beta = 0 and eta = lambda both walks give the same scores,
+        # which mu then cannot move, so eta and lambda differ here
+        ds = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
+        reads, _ = ALGORITHMS[kind]
+        values = {"alpha": 0.2, "beta": 0.4, "eta": 0.5, "lambda_": 0.7, "mu": 0.6}
+
+        def scores(**changed):
+            # pRW fixes nothing, so its params hold the values as given
+            return all_scores(kind, ds, **walk_params("pRW", {**values, **changed}))
+
+        base = scores()
+        for name in WALK_DEFAULTS:
+            moved = [not np.array_equal(scores(**{name: v}), base) for v in (0.0, 0.3, 0.9)]
+            assert any(moved) if name in reads else not any(moved), name
+
+    @pytest.mark.parametrize("kind, fixed", [
+        ("pRW-IT", {"alpha": 1.0, "mu": 1.0}),
+        ("pRW-UT", {"beta": 1.0, "mu": 0.0}),
+        ("pRW-UI", {"alpha": 0.0, "beta": 0.0}),
+        ("pRW", {}),
+    ])
+    def test_walk_params_apply_the_values_a_variant_fixes(self, kind, fixed):
+        given = {"alpha": 0.2, "beta": 0.3, "eta": 0.4, "lambda_": 0.6, "mu": 0.7}
+        for values in (given, {}):
+            params = walk_params(kind, values)
+            got = {**asdict(params["similarity"]), **asdict(params["walk"])}
+            assert got == {**WALK_DEFAULTS, **values, **fixed}
+
     @settings(max_examples=100, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -713,7 +754,7 @@ class TestFusedOperator:
         got = all_scores(kind, ds, **params)
         want = closed_form_scores(kind, ds, self.WALK, sim)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        operator = _walk_operator(kind, ds, self.WALK, sim)
+        operator = walk_operator(kind, ds, **params)
         assert operator.item_space == (shape[0] > shape[1])
         assert (operator.system is None) == (systems == 0)
         if systems:
@@ -764,7 +805,7 @@ class TestFusedOperator:
     def test_default_build_runs_one_cholesky_base_and_no_k_by_k_lu(self, monkeypatch, shape, kind):
         ds = make_split(random_dataset(np.random.default_rng(3), *shape, n_tags=4)).train
         k = min(shape)
-        bases, lu = record_inversions(monkeypatch, lambda: _walk_operator(kind, ds, None, None))
+        bases, lu = record_inversions(monkeypatch, lambda: walk_operator(kind, ds))
         assert bases == [(k, k)]
         assert (k, k) not in lu and all(inner[0] <= ds.num_tags for inner in lu)
 
@@ -801,7 +842,7 @@ class TestFusedOperator:
     )
     def test_system_is_the_bases_and_the_direct_update_alone(self, shape, walk, sim):
         ds = make_split(random_dataset(np.random.default_rng(sum(shape)), *shape, n_tags=4)).train
-        operator = _walk_operator("pRW", ds, walk, sim)
+        operator = walk_operator("pRW", ds, walk=walk, similarity=sim)
         system, pushed = self.dense_parts(ds, walk, sim)
         assert np.abs(operator.system - system).max() <= 1e-12 * np.abs(system).max()
         # left and right are the pushed walk's block, of rank its tags
@@ -893,7 +934,7 @@ class TestFusedOperator:
             return invert_spd_in_place(a)
 
         monkeypatch.setattr("folkwalk.walker.invert_spd_in_place", counting)
-        _walk_operator("pRW", ds, walk, None)
+        walk_operator("pRW", ds, walk=walk)
         # S (k x k, symmetric) is dropped once every base's dense system is written
         assert during == [before] * (1 if walk == WalkConfig() else 2)
 
@@ -1032,6 +1073,8 @@ def test_algorithm_spec_validation():
         AlgorithmSpec("PLSA")
     with pytest.raises(ValueError):
         AlgorithmSpec("UserCF", {"fuse_weight": 0.5})
+    with pytest.raises(ValueError, match="unknown params for pRW-IT"):
+        AlgorithmSpec("pRW-IT", {"eta": 0.5})
     AlgorithmSpec("ItemCF", {"k_neighbors": None})
     AlgorithmSpec("ItemCF", {"k_neighbors": 1})
     for kind in ("UserCF", "ItemCF"):

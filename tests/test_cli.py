@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import folkwalk
+from folkwalk import evaluation
+from folkwalk.baselines import run_algorithm
 from folkwalk.cli import main
 from folkwalk.dataset import dataset_from_json, dataset_to_json, ingest, parse_triples, stats
 from folkwalk.params import ALGORITHM_KINDS
@@ -323,13 +326,13 @@ class TestSelection:
     def test_candidates_are_every_combination(self, dataset_file, tmp_path):
         out = tmp_path / "sel"
         assert main([
-            "evaluate", "--dataset", dataset_file, "--algorithms", "pRW-IT,Fusion", "--runs", "1",
+            "evaluate", "--dataset", dataset_file, "--algorithms", "pRW,Fusion", "--runs", "1",
             "--alpha", "0,1", "--mu", "0.5,1", "--lambda", "0.5,0.9", "--fuse-weight", "0.3,0.7",
             "--output-dir", str(out),
         ]) == 0
         selection = json.loads((out / "report.json").read_text())["selection"]
         assert [(c["similarity"]["alpha"], c["walk"]["lambda_"], c["walk"]["mu"])
-                for c in selection["pRW-IT"]["candidates"]] == [
+                for c in selection["pRW"]["candidates"]] == [
             (a, lam, mu) for a in (0.0, 1.0) for lam in (0.5, 0.9) for mu in (0.5, 1.0)
         ]
         assert selection["Fusion"]["candidates"] == [{"fuse_weight": 0.3}, {"fuse_weight": 0.7}]
@@ -392,6 +395,50 @@ class TestAblate:
         by_kind = {r["algorithm"]["kind"]: r["means"] for r in doc}
         # with alpha=1, mu=1 the full walk is the item-only variant
         assert by_kind["pRW"] == by_kind["pRW-IT"]
+
+    def test_each_variant_is_tuned_over_the_options_it_reads(self, dataset_file, tmp_path,
+                                                             monkeypatch):
+        calls = []
+
+        def spy_run(spec, *args):
+            calls.append(spec.kind)
+            return run_algorithm(spec, *args)
+
+        monkeypatch.setattr(evaluation, "run_algorithm", spy_run)
+        assert main([
+            "ablate", "--dataset", dataset_file, "--runs", "2", "--alpha", "0,0.5,1",
+            "--mu", "0.3,0.5,0.7", "--output-dir", str(tmp_path / "ab"),
+        ]) == 0
+        # per run: pRW's 9 candidates and pRW-UI's 3 (mu) on validation, then
+        # each variant's choice on test; pRW-IT and pRW-UT read neither flag
+        assert Counter(calls) == {"pRW": 2 * 10, "pRW-UI": 2 * 4, "pRW-IT": 2, "pRW-UT": 2}
+        assert len(calls) == 2 * 16
+
+    def test_reports_the_values_each_variant_ran_with(self, dataset_file, tmp_path):
+        common = ["--dataset", dataset_file, "--runs", "2"]
+        assert main(["ablate", *common, "--alpha", "0,1", "--mu", "0.5,1",
+                     "--output-dir", str(tmp_path / "lists")]) == 0
+        assert main(["ablate", *common, "--output-dir", str(tmp_path / "plain")]) == 0
+        assert main(["evaluate", *common, "--algorithms", "pRW", "--alpha", "0", "--beta", "0",
+                     "--mu", "0.5,1", "--output-dir", str(tmp_path / "ui")]) == 0
+        doc = json.loads((tmp_path / "lists" / "report.json").read_text())
+        plain = json.loads((tmp_path / "plain" / "report.json").read_text())
+        ui = json.loads((tmp_path / "ui" / "report.json").read_text())
+        selection = doc["selection"]
+        assert {kind: len(s["candidates"]) for kind, s in selection.items()} == {
+            "pRW": 4, "pRW-UI": 2}
+        assert [c["walk"]["mu"] for c in selection["pRW-UI"]["candidates"]] == [0.5, 1.0]
+        reports = {r["algorithm"]["kind"]: r for r in doc["reports"]}
+        # the untuned variants report the values their walks ran with, and
+        # the flags they do not read leave their reports as they are
+        it, ut = (reports[kind]["algorithm"]["params"] for kind in ("pRW-IT", "pRW-UT"))
+        assert (it["similarity"]["alpha"], it["walk"]["mu"]) == (1.0, 1.0)
+        assert (ut["similarity"]["beta"], ut["walk"]["mu"]) == (1.0, 0.0)
+        for kind in ("pRW-IT", "pRW-UT"):
+            assert reports[kind] == next(r for r in plain if r["algorithm"]["kind"] == kind)
+        # pRW-UI is pRW at alpha = beta = 0, tuned over mu alone
+        assert reports["pRW-UI"]["means"] == ui["reports"][0]["means"]
+        assert selection["pRW-UI"] == ui["selection"]["pRW"]
 
     def test_same_report_as_evaluate_of_the_walk_variants(self, dataset_file, tmp_path):
         common = ["--dataset", dataset_file, "--runs", "2", "--alpha", "0.3", "--mu", "0.6"]
@@ -601,6 +648,23 @@ class TestBadInput:
             "--algorithms", "UserCF", "--runs", "1", "--output-dir", str(tmp_path / "o"),
         ]) == 2
         assert "--k-neighbors must be >= 1" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("evaluate", ["--algorithms", "Random", "--eta", "1"], "eta must be in [0, 1), got 1.0"),
+        ("evaluate", ["--algorithms", "Random,UserCF", "--lambda", "0.5,1"],
+         "lambda must be in [0, 1), got 1.0"),
+        ("recommend", ["--algorithm", "pRW-IT", "--alpha", "5"], "alpha must be in [0, 1], got 5.0"),
+        ("recommend", ["--algorithm", "ItemCF", "--mu", "-1"], "mu must be in [0, 1], got -1.0"),
+    ], ids=["evaluate", "evaluate-list", "recommend-fixed", "recommend"])
+    def test_walk_value_is_checked_whatever_the_algorithms(self, tmp_path, capsys, command,
+                                                          flags, message):
+        # no named algorithm reads the value (pRW-IT fixes alpha), and the
+        # dataset does not exist: reading it would exit 1, not 2
+        argv = [command, "--dataset", str(tmp_path / "missing.json"), *flags]
+        if command != "recommend":
+            argv += ["--output-dir", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert one_line_error(capsys) == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "grid"])
     def test_out_of_range_list_value_exits_2_before_loading(self, tmp_path, capsys, command):
