@@ -6,13 +6,12 @@ import sys
 import numpy
 
 from .dataset import Split, TaggingDataset
-from .params import AlgorithmSpec, SimilarityConfig, WalkConfig
+from .params import AlgorithmSpec, WalkConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmSpec",
-    "SimilarityConfig",
     "Split",
     "TaggingDataset",
     "WalkConfig",

@@ -16,15 +16,12 @@ scores by associativity."""
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dataset import TaggingDataset
-from .params import (
-    ABLATION_KINDS, FUSE_WEIGHT, AlgorithmSpec, SimilarityConfig, WalkConfig, walk_params
-)
+from .params import ABLATION_KINDS, FUSE_WEIGHT, AlgorithmSpec, walk_params
 from .walker import fuse, fused_operator, recommend_all
 
 # users whose scores are computed and ranked at once
@@ -170,15 +167,12 @@ def _fusion_scorer(ds: TaggingDataset, fuse_weight: float) -> BlockScorer:
 
 def block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:
     """The row-block scorer of a non-Random algorithm trained on ``ds``:
-    ``block_scorer(spec, ds)(lo, hi)`` is rows lo:hi of its scores."""
+    ``block_scorer(spec, ds)(lo, hi)`` is rows lo:hi of its scores. A walk
+    variant runs at :func:`walk_params`' values: its spec's, with those the
+    variant fixes in their place."""
     params = spec.params
     if spec.kind in ABLATION_KINDS:
-        # a walk variant runs at the values it fixes, whatever its spec holds
-        given = {**asdict(params.get("similarity", SimilarityConfig())),
-                 **asdict(params.get("walk", WalkConfig()))}
-        fixed = walk_params(spec.kind, given)
-        walk, similarity = fixed["walk"], fixed["similarity"]
-        return fused_operator(ds.UI, ds.UT, ds.IT, walk, similarity.alpha, similarity.beta).scores
+        return fused_operator(ds.UI, ds.UT, ds.IT, walk_params(spec.kind, params)).scores
     if spec.kind == "Fusion":
         return _fusion_scorer(ds, params.get("fuse_weight", FUSE_WEIGHT))
     return _cf_scorer(ds.UI, spec.kind == "UserCF", params.get("k_neighbors"))

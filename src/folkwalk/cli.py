@@ -35,7 +35,7 @@ from .dataset import (
 )
 from .params import (
     ABLATION_KINDS, ALGORITHM_KINDS, ALGORITHMS, FUSE_WEIGHT, WALK_DEFAULTS, AlgorithmSpec,
-    SimilarityConfig, WalkConfig, walk_params,
+    WalkConfig, walk_params,
 )
 
 
@@ -79,7 +79,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     """Flat key-value config: one ``key = value`` per line, # comments."""
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -153,18 +153,17 @@ def _as_list(value) -> list:
 
 def _check_option_ranges(args: argparse.Namespace) -> None:
     """Reject out-of-range and unpaired options, each value of a comma list
-    included (walk hyperparameters by their configs), before any input is read."""
+    included (walk hyperparameters by :class:`WalkConfig`), before any input is read."""
     for name, rule, ok in _OPTION_RANGES:
         for v in _as_list(getattr(args, name, None)):
             if v is not None and not ok(v):
                 raise UsageError(f"{_flag(name)} must be {rule}, got {v}")
-    for config in (SimilarityConfig, WalkConfig):
-        for name in asdict(config()):
-            for v in _as_list(getattr(args, name, [])):
-                try:
-                    config(**{name: v})
-                except ValueError as exc:
-                    raise UsageError(str(exc)) from None
+    for name in WALK_DEFAULTS:
+        for v in _as_list(getattr(args, name, [])):
+            try:
+                WalkConfig(**{name: v})
+            except ValueError as exc:
+                raise UsageError(str(exc)) from None
     for name, other in _NEEDS:
         if getattr(args, name, None) is not None and getattr(args, other, None) is None:
             raise UsageError(f"{_flag(name)} must be given with {_flag(other)}")
@@ -184,7 +183,7 @@ def _candidates(kind: str, args: argparse.Namespace) -> list[AlgorithmSpec]:
     for name in reads:
         combinations = [{**c, name: v} for c in combinations for v in _as_list(getattr(args, name))]
     if kind in ABLATION_KINDS:
-        combinations = [walk_params(kind, c) for c in combinations]
+        combinations = [asdict(walk_params(kind, c)) for c in combinations]
     return [AlgorithmSpec(kind, params) for params in combinations]
 
 
@@ -203,7 +202,7 @@ def _load_dataset(path: str):
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             posts = parse_triples(fh)
     except UnicodeDecodeError as exc:
         raise InputError(_not_utf8(args.input, exc)) from None

@@ -159,14 +159,12 @@ def fused_operator(
     ut: sp.csr_matrix,
     it: sp.csr_matrix,
     walk: WalkConfig,
-    alpha: float,
-    beta: float,
 ) -> FusedOperator:
     """mu * (item walk limit) + (1 - mu) * (user walk limit) on the
-    interactions ``ui``, exactly, as a :class:`FusedOperator`. ``alpha`` and
-    ``beta`` weight the tag chains of ``it`` and ``ut`` in the item and user
-    similarities, or fall to :func:`chain_weight`'s fallback when a chain is
-    empty.
+    interactions ``ui``, exactly, as a :class:`FusedOperator`, with ``walk``'s
+    hyperparameters. Its ``alpha`` and ``beta`` weight the tag chains of
+    ``it`` and ``ut`` in the item and user similarities, or fall to
+    :func:`chain_weight`'s fallback when a chain is empty.
 
     The dense system lives in the smaller side's space: users when there
     are no more users than items, else items. The walk of that space is
@@ -175,8 +173,10 @@ def fused_operator(
     r, c = row_normalize(ui), row_normalize(ui.T.tocsr())
     item_tags = row_normalize(it), row_normalize(it.T.tocsr())
     user_tags = row_normalize(ut), row_normalize(ut.T.tocsr())
-    item = _Side(walk.eta, chain_weight(it, ui, alpha), walk.mu * (1.0 - walk.eta))
-    user = _Side(walk.lambda_, chain_weight(ut, ui, beta), (1.0 - walk.mu) * (1.0 - walk.lambda_))
+    item = _Side(walk.eta, chain_weight(it, ui, walk.alpha), walk.mu * (1.0 - walk.eta))
+    user = _Side(
+        walk.lambda_, chain_weight(ut, ui, walk.beta), (1.0 - walk.mu) * (1.0 - walk.lambda_)
+    )
     item_space = ui.shape[0] > ui.shape[1]
     pushed, direct = (user, item) if item_space else (item, user)
     interactions = dict.fromkeys(

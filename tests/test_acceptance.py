@@ -23,7 +23,7 @@ from folkwalk.evaluation import (
     run_experiment,
 )
 from folkwalk.linalg import row_normalize
-from folkwalk.params import AlgorithmSpec, SimilarityConfig, WalkConfig
+from folkwalk.params import AlgorithmSpec
 from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
@@ -184,13 +184,12 @@ def test_07_ordering_on_planted_clusters():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     ds = ingest(post_table(planted_cluster_posts(rng)))
-    walk = WalkConfig(eta=0.9, lambda_=0.8, mu=0.7)
-    sim = SimilarityConfig(alpha=1.0, beta=0.5)
+    walk = {"eta": 0.9, "lambda_": 0.8, "mu": 0.7}
     prw = run_experiment(
-        ds, [AlgorithmSpec("pRW", {"walk": walk, "similarity": sim})], 0.2, 5, 10, 0
+        ds, [AlgorithmSpec("pRW", {**walk, "alpha": 1.0, "beta": 0.5})], 0.2, 5, 10, 0
     )[0][0]
     prw_ui = run_experiment(
-        ds, [AlgorithmSpec("pRW-UI", {"walk": walk})], 0.2, 5, 10, 0
+        ds, [AlgorithmSpec("pRW-UI", walk)], 0.2, 5, 10, 0
     )[0][0]
     rand = run_experiment(ds, [AlgorithmSpec("Random")], 0.2, 5, 10, 0)[0][0]
     assert prw.means.precision >= 5.0 * rand.means.precision
@@ -212,10 +211,10 @@ def test_08_ablation_identities():
         return run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
 
     assert np.array_equal(lists(
-        "pRW", train, walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0)
+        "pRW", train, mu=1.0, alpha=1.0
     ), lists("pRW-IT", train))
     assert np.array_equal(lists(
-        "pRW", train, walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0)
+        "pRW", train, mu=0.0, beta=1.0
     ), lists("pRW-UT", train))
     perm = np.random.default_rng(5).permutation(ds.num_users)
     permuted = replace(train, UT=ds.UT[perm])

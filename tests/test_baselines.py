@@ -21,8 +21,7 @@ from folkwalk.baselines import (
 from folkwalk.dataset import TaggingDataset, ingest, split
 from folkwalk.linalg import SingularMatrixError, invert_in_place, invert_spd_in_place, row_normalize
 from folkwalk.params import (
-    ABLATION_KINDS, ALGORITHMS, WALK_DEFAULTS, AlgorithmSpec, SimilarityConfig, WalkConfig,
-    walk_params,
+    ABLATION_KINDS, ALGORITHMS, WALK_DEFAULTS, AlgorithmSpec, WalkConfig, walk_params
 )
 from folkwalk.similarity import (
     closed_form_item,
@@ -513,20 +512,20 @@ def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
     assert widths and ds.num_items not in widths
 
 
-def iterated_scores(ds, walk, sim):
+def iterated_scores(ds, walk):
     """The pRW scores from the reference iteration run to tol=1e-12."""
     ui_norm = row_normalize(ds.UI)
-    s_item = item_similarity(ds, sim.alpha)
-    s_user = user_similarity(ds, sim.beta)
+    s_item = item_similarity(ds, walk.alpha)
+    s_user = user_similarity(ds, walk.beta)
     x, _ = walk_item(ui_norm, s_item, walk.eta, tol=1e-12, max_iters=10_000)
     y, _ = walk_user(ui_norm, s_user, walk.lambda_, tol=1e-12, max_iters=10_000)
     return fuse(x, y, walk.mu)
 
 
-def closed_form_scores(kind, ds, walk, sim):
+def closed_form_scores(kind, ds, walk):
     """The reference scores of a walk variant: each walk's closed form on
     its similarity, then the two fused."""
-    alpha, beta, mu = sim.alpha, sim.beta, walk.mu
+    alpha, beta, mu = walk.alpha, walk.beta, walk.mu
     if kind == "pRW-IT":
         alpha, mu = 1.0, 1.0
     elif kind == "pRW-UT":
@@ -593,13 +592,9 @@ class TestAblation:
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, n_users=6, n_items=8, n_tags=4)
         sp = make_split(ds)
-        full_item = top_n_lists(
-            "pRW", sp.train, walk=WalkConfig(mu=1.0), similarity=SimilarityConfig(alpha=1.0)
-        )
+        full_item = top_n_lists("pRW", sp.train, mu=1.0, alpha=1.0)
         assert np.array_equal(full_item, top_n_lists("pRW-IT", sp.train))
-        full_user = top_n_lists(
-            "pRW", sp.train, walk=WalkConfig(mu=0.0), similarity=SimilarityConfig(beta=1.0)
-        )
+        full_user = top_n_lists("pRW", sp.train, mu=0.0, beta=1.0)
         assert np.array_equal(full_user, top_n_lists("pRW-UT", sp.train))
 
     def test_tag_free_dataset_makes_ui_variant_equal_full(self):
@@ -625,13 +620,22 @@ class TestAblation:
         values = {"alpha": 0.2, "beta": 0.4, "eta": 0.5, "lambda_": 0.7, "mu": 0.6}
 
         def scores(**changed):
-            # pRW fixes nothing, so its params hold the values as given
-            return all_scores(kind, ds, **walk_params("pRW", {**values, **changed}))
+            return all_scores(kind, ds, **{**values, **changed})
 
         base = scores()
         for name in WALK_DEFAULTS:
             moved = [not np.array_equal(scores(**{name: v}), base) for v in (0.0, 0.3, 0.9)]
             assert any(moved) if name in reads else not any(moved), name
+
+    def test_mu_moves_no_ui_score_at_equal_damping(self):
+        # with alpha = beta = 0 the user walk is the item walk on the
+        # transposed chain, so at eta = lambda both score alike and pRW-UI's
+        # mu candidates score as one
+        ds = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
+        low, high = (all_scores("pRW-UI", ds, eta=0.8, lambda_=0.8, mu=mu) for mu in (0.3, 0.7))
+        assert np.abs(low - high).max() <= 1e-12 * np.abs(low).max()
+        assert np.array_equal(top_n_lists("pRW-UI", ds, eta=0.8, lambda_=0.8, mu=0.3),
+                              top_n_lists("pRW-UI", ds, eta=0.8, lambda_=0.8, mu=0.7))
 
     @pytest.mark.parametrize("kind, fixed", [
         ("pRW-IT", {"alpha": 1.0, "mu": 1.0}),
@@ -642,9 +646,7 @@ class TestAblation:
     def test_walk_params_apply_the_values_a_variant_fixes(self, kind, fixed):
         given = {"alpha": 0.2, "beta": 0.3, "eta": 0.4, "lambda_": 0.6, "mu": 0.7}
         for values in (given, {}):
-            params = walk_params(kind, values)
-            got = {**asdict(params["similarity"]), **asdict(params["walk"])}
-            assert got == {**WALK_DEFAULTS, **values, **fixed}
+            assert asdict(walk_params(kind, values)) == {**WALK_DEFAULTS, **values, **fixed}
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -658,21 +660,20 @@ class TestAblation:
         ds = random_dataset(rng, int(rng.integers(2, 15)), int(rng.integers(2, 15)),
                             int(rng.integers(1, 6)))
         sp = make_split(ds, fraction, seed)
-        walk = WalkConfig(eta=damping[0], lambda_=damping[1], mu=weights[0])
-        sim = SimilarityConfig(alpha=weights[1], beta=weights[2])
-        got = all_scores("pRW", sp.train, walk=walk, similarity=sim)
-        want = iterated_scores(sp.train, walk, sim)
+        walk = WalkConfig(alpha=weights[1], beta=weights[2], eta=damping[0], lambda_=damping[1],
+                          mu=weights[0])
+        got = all_scores("pRW", sp.train, **asdict(walk))
+        want = iterated_scores(sp.train, walk)
         assert np.abs(got - want).max() < 1e-9
         assert_same_top_n(got, want, sp.train.UI)
 
     def test_pipeline_matches_iterative_walks_on_planted_clusters(self):
         ds = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
-        walk = WalkConfig(eta=0.9, lambda_=0.8, mu=0.7)
-        sim = SimilarityConfig(alpha=1.0, beta=0.5)
+        walk = WalkConfig(alpha=1.0, beta=0.5, eta=0.9, lambda_=0.8, mu=0.7)
         for seed in range(3):
             sp = make_split(ds, 0.2, seed)
-            got = all_scores("pRW", sp.train, walk=walk, similarity=sim)
-            want = iterated_scores(sp.train, walk, sim)
+            got = all_scores("pRW", sp.train, **asdict(walk))
+            want = iterated_scores(sp.train, walk)
             assert np.abs(got - want).max() < 1e-9
             assert np.array_equal(
                 recommend_all(got, sp.train.UI, 5), recommend_all(want, sp.train.UI, 5)
@@ -680,15 +681,14 @@ class TestAblation:
 
     @pytest.mark.parametrize("kind", ABLATION_KINDS)
     def test_operator_matches_sequential_fusion(self, kind):
-        walk = WalkConfig(eta=0.9, lambda_=0.7, mu=0.3)
-        sim = SimilarityConfig(alpha=0.6, beta=0.4)
+        walk = WalkConfig(alpha=0.6, beta=0.4, eta=0.9, lambda_=0.7, mu=0.3)
         planted = ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
         fixtures = [random_dataset(np.random.default_rng(s), 9, 12, 4) for s in range(3)] + [planted]
         filters = list(warnings.filters)
         for ds in fixtures:
             sp = make_split(ds, 0.3, 5)
-            want = closed_form_scores(kind, sp.train, walk, sim)
-            got = all_scores(kind, sp.train, walk=walk, similarity=sim)
+            want = closed_form_scores(kind, sp.train, walk)
+            got = all_scores(kind, sp.train, **asdict(walk))
             atol = 1e-12 * np.abs(want).max()
             assert np.abs(got - want).max() <= atol
             # items tied in exact arithmetic may trade places on rounding noise
@@ -743,16 +743,16 @@ class TestFusedOperator:
         ds = make_split(random_dataset(np.random.default_rng(sum(shape)), *shape, n_tags=4)).train
         assert ds.UI.shape == shape
         k = min(shape)
-        sim = SimilarityConfig(alpha=alpha, beta=beta)
+        walk = replace(self.WALK, alpha=alpha, beta=beta)
         # eta and lambda differ, so each walk with an interaction chain has
         # its own Cholesky base
-        params = {"walk": self.WALK, "similarity": sim}
+        params = asdict(walk)
         bases, lu = record_inversions(monkeypatch, lambda: all_scores(kind, ds, **params))
         assert bases == [(k, k)] * systems
         # the LU inverses are the r x r ones of Woodbury's identity, r <= tags
         assert all(inner[0] <= ds.num_tags for inner in lu)
         got = all_scores(kind, ds, **params)
-        want = closed_form_scores(kind, ds, self.WALK, sim)
+        want = closed_form_scores(kind, ds, walk)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         operator = walk_operator(kind, ds, **params)
         assert operator.item_space == (shape[0] > shape[1])
@@ -791,13 +791,13 @@ class TestFusedOperator:
         if empty:
             ds = without_saves(ds, user=1, item=2)
             assert ds.UI[1].nnz == 0 and ds.UI[:, 2].nnz == 0
-        sim = SimilarityConfig(alpha=alpha, beta=beta)
-        params = {"walk": walk, "similarity": sim}
+        walk = replace(walk, alpha=alpha, beta=beta)
+        params = asdict(walk)
         built, lu = record_inversions(monkeypatch, lambda: all_scores("pRW", ds, **params))
         assert built == [(min(shape),) * 2] * bases
         assert all(inner[0] <= ds.num_tags for inner in lu)
         got = all_scores("pRW", ds, **params)
-        want = closed_form_scores("pRW", ds, walk, sim)
+        want = closed_form_scores("pRW", ds, walk)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
@@ -810,7 +810,7 @@ class TestFusedOperator:
         assert (k, k) not in lu and all(inner[0] <= ds.num_tags for inner in lu)
 
     @staticmethod
-    def dense_parts(ds, walk, sim):
+    def dense_parts(ds, walk):
         """The operator's system G and its low-rank term P @ Q in closed
         form, by ``np.linalg.inv``. The pushed walk's term is
         coef * R' (I - d S)^-1 with R' the restart in the system's space;
@@ -818,32 +818,32 @@ class TestFusedOperator:
         P @ Q, while the direct walk's whole coef * (I - d S)^-1 joins G."""
         r = row_normalize(ds.UI).toarray()
         c = row_normalize(ds.UI.T.tocsr()).toarray()
-        s_item = item_similarity(ds, sim.alpha).toarray()
-        s_user = user_similarity(ds, sim.beta).toarray()
+        s_item = item_similarity(ds, walk.alpha).toarray()
+        s_user = user_similarity(ds, walk.beta).toarray()
         coef_item, coef_user = walk.mu * (1 - walk.eta), (1 - walk.mu) * (1 - walk.lambda_)
         inv = np.linalg.inv
         if ds.num_users <= ds.num_items:
             eye = np.eye(ds.num_users)
-            base = coef_item * inv(eye - walk.eta * (1 - sim.alpha) * r @ c)
+            base = coef_item * inv(eye - walk.eta * (1 - walk.alpha) * r @ c)
             system = base + coef_user * inv(eye - walk.lambda_ * s_user)
             pushed = coef_item * r @ inv(np.eye(ds.num_items) - walk.eta * s_item) - base @ r
             return system, pushed
         eye = np.eye(ds.num_items)
-        base = coef_user * inv(eye - walk.lambda_ * (1 - sim.beta) * c @ r)
+        base = coef_user * inv(eye - walk.lambda_ * (1 - walk.beta) * c @ r)
         system = base + coef_item * inv(eye - walk.eta * s_item)
         pushed = coef_user * inv(np.eye(ds.num_users) - walk.lambda_ * s_user) @ r - r @ base
         return system.T, pushed
 
     @pytest.mark.parametrize("shape", [(9, 12), (12, 9)])
     @pytest.mark.parametrize(
-        "walk,sim",
-        [(WalkConfig(mu=0.4), SimilarityConfig()), (WALK, SimilarityConfig(alpha=0.3, beta=0.7))],
+        "walk",
+        [WalkConfig(mu=0.4), replace(WALK, alpha=0.3, beta=0.7)],
         ids=["one_base", "two_bases"],
     )
-    def test_system_is_the_bases_and_the_direct_update_alone(self, shape, walk, sim):
+    def test_system_is_the_bases_and_the_direct_update_alone(self, shape, walk):
         ds = make_split(random_dataset(np.random.default_rng(sum(shape)), *shape, n_tags=4)).train
-        operator = walk_operator("pRW", ds, walk=walk, similarity=sim)
-        system, pushed = self.dense_parts(ds, walk, sim)
+        operator = walk_operator("pRW", ds, **asdict(walk))
+        system, pushed = self.dense_parts(ds, walk)
         assert np.abs(operator.system - system).max() <= 1e-12 * np.abs(system).max()
         # left and right are the pushed walk's block, of rank its tags
         assert operator.left.shape[1] == operator.right.shape[0] == ds.num_tags
@@ -859,7 +859,7 @@ class TestFusedOperator:
     def test_build_peak_is_the_base_and_four_tag_factors(self, shape, walk):
         ds = random_dataset(np.random.default_rng(0), *shape, n_tags=100)
         k, tags = min(shape), ds.num_tags
-        args = (ds.UI, ds.UT, ds.IT, walk, 0.5, 0.5)
+        args = (ds.UI, ds.UT, ds.IT, walk)
         # the first build imports scipy.linalg, whose objects would be traced
         fused_operator(*args)
         was_tracing = tracemalloc.is_tracing()
@@ -934,7 +934,7 @@ class TestFusedOperator:
             return invert_spd_in_place(a)
 
         monkeypatch.setattr("folkwalk.walker.invert_spd_in_place", counting)
-        walk_operator("pRW", ds, walk=walk)
+        walk_operator("pRW", ds, **asdict(walk))
         # S (k x k, symmetric) is dropped once every base's dense system is written
         assert during == [before] * (1 if walk == WalkConfig() else 2)
 
@@ -944,8 +944,8 @@ class TestFusedOperator:
         monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
         ds = make_split(random_dataset(np.random.default_rng(shape[0]), *shape, n_tags=5)).train
         for kind in ABLATION_KINDS:
-            want = recommend_all(all_scores(kind, ds, walk=self.WALK), ds.UI, 5)
-            got = run_algorithm(AlgorithmSpec(kind, {"walk": self.WALK}), ds, 5, 0)
+            want = recommend_all(all_scores(kind, ds, **asdict(self.WALK)), ds.UI, 5)
+            got = run_algorithm(AlgorithmSpec(kind, asdict(self.WALK)), ds, 5, 0)
             assert np.array_equal(got, want)
 
 
@@ -1073,14 +1073,26 @@ def test_algorithm_spec_validation():
         AlgorithmSpec("PLSA")
     with pytest.raises(ValueError):
         AlgorithmSpec("UserCF", {"fuse_weight": 0.5})
-    with pytest.raises(ValueError, match="unknown params for pRW-IT"):
-        AlgorithmSpec("pRW-IT", {"eta": 0.5})
     AlgorithmSpec("ItemCF", {"k_neighbors": None})
     AlgorithmSpec("ItemCF", {"k_neighbors": 1})
     for kind in ("UserCF", "ItemCF"):
         for k in (0, -1):
             with pytest.raises(ValueError, match="k_neighbors"):
                 AlgorithmSpec(kind, {"k_neighbors": k})
+
+
+def test_walk_spec_is_checked_when_it_is_built():
+    # a walk variant's params are walk values by option name, each in range,
+    # a value the variant replaces (pRW-IT's alpha) included
+    AlgorithmSpec("pRW-IT", {"alpha": 0.3, "eta": 0.5})
+    with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got 2.0"):
+        AlgorithmSpec("pRW", {"alpha": 2.0})
+    with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got 2.0"):
+        AlgorithmSpec("pRW-IT", {"alpha": 2.0})
+    with pytest.raises(ValueError, match=r"lambda must be in \[0, 1\), got 1.0"):
+        AlgorithmSpec("pRW-UI", {"lambda_": 1.0})
+    with pytest.raises(ValueError, match=r"unknown params for pRW-IT: \['gamma'\]"):
+        AlgorithmSpec("pRW-IT", {"gamma": 1.0})
 
 
 def test_fuse_weight_is_checked_when_the_spec_is_built():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,9 +13,9 @@ import pytest
 import folkwalk
 from folkwalk import evaluation
 from folkwalk.baselines import run_algorithm
-from folkwalk.cli import main
+from folkwalk.cli import build_parser, main
 from folkwalk.dataset import dataset_from_json, dataset_to_json, ingest, parse_triples, stats
-from folkwalk.params import ALGORITHM_KINDS
+from folkwalk.params import ABLATION_KINDS, ALGORITHM_KINDS, WALK_DEFAULTS
 from folkwalk.walker import recommend_all
 
 from gen import random_dataset, random_posts, triple_lines
@@ -119,6 +120,19 @@ class TestIngest:
         assert main(["ingest", "--input", str(lf), "--dataset", str(a)]) == 0
         assert main(["ingest", "--input", str(crlf), "--dataset", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_byte_order_mark_gives_the_plain_snapshot(self, tmp_path):
+        # a UTF-8 byte-order mark is no part of the first user's id
+        plain, bom = DATA / "tiny.tsv", tmp_path / "tiny_bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = tmp_path / "plain.json", tmp_path / "bom.json"
+        assert main(["ingest", "--input", str(plain), "--dataset", str(a)]) == 0
+        assert main(["ingest", "--input", str(bom), "--dataset", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        two_users = tmp_path / "two.tsv"
+        two_users.write_bytes(b"\xef\xbb\xbfu1\ti1\tt1\nu1\ti2\tt2\nu2\ti1\tt1\n")
+        assert main(["ingest", "--input", str(two_users), "--dataset", str(a)]) == 0
+        assert dataset_from_json(a.read_text()).users == ("u1", "u2")
 
 
 class TestRecommend:
@@ -316,7 +330,7 @@ class TestSelection:
             {"kind": "pRW", "params": {}}, {"kind": "UserCF", "params": {}}
         ]
         prw, user_cf = doc["selection"]["pRW"], doc["selection"]["UserCF"]
-        assert [c["similarity"]["alpha"] for c in prw["candidates"]] == [0.0, 1.0]
+        assert [c["alpha"] for c in prw["candidates"]] == [0.0, 1.0]
         assert user_cf["candidates"] == [{"k_neighbors": 10}, {"k_neighbors": 20}]
         for tuned in (prw, user_cf):
             assert len(tuned["chosen"]) == len(tuned["validation_precision"]) == 2
@@ -331,8 +345,7 @@ class TestSelection:
             "--output-dir", str(out),
         ]) == 0
         selection = json.loads((out / "report.json").read_text())["selection"]
-        assert [(c["similarity"]["alpha"], c["walk"]["lambda_"], c["walk"]["mu"])
-                for c in selection["pRW"]["candidates"]] == [
+        assert [(c["alpha"], c["lambda_"], c["mu"]) for c in selection["pRW"]["candidates"]] == [
             (a, lam, mu) for a in (0.0, 1.0) for lam in (0.5, 0.9) for mu in (0.5, 1.0)
         ]
         assert selection["Fusion"]["candidates"] == [{"fuse_weight": 0.3}, {"fuse_weight": 0.7}]
@@ -382,6 +395,34 @@ def test_output_keys_are_the_record_fields(tmp_path, capsys):
     assert set(doc["selection"]["pRW"]) == {"candidates", "chosen", "validation_precision"}
 
 
+def test_params_are_named_after_evaluate_flags(tmp_path):
+    # every algorithm's params and candidates are its options by the dest of
+    # evaluate's flag, and a walk variant's are the five its walk runs with
+    ds = str(tmp_path / "tiny.json")
+    assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", ds]) == 0
+    common = ["--dataset", ds, "--algorithms", ",".join(ALGORITHM_KINDS), "--runs", "1"]
+    assert main(["evaluate", *common, "--output-dir", str(tmp_path / "one")]) == 0
+    assert main(["evaluate", *common, "--alpha", "0,1", "--eta", "0.5,0.8", "--lambda", "0.5,0.8",
+                 "--k-neighbors", "2,4",
+                 "--fuse-weight", "0.3,0.7", "--output-dir", str(tmp_path / "tuned")]) == 0
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices["evaluate"]._actions if a.option_strings}
+    reports = json.loads((tmp_path / "one" / "report.json").read_text())
+    assert [r["algorithm"]["kind"] for r in reports] == list(ALGORITHM_KINDS)
+    for report in reports:
+        params = report["algorithm"]["params"]
+        assert set(params) <= dests
+        if report["algorithm"]["kind"] in ABLATION_KINDS:
+            assert set(params) == set(WALK_DEFAULTS)
+    selection = json.loads((tmp_path / "tuned" / "report.json").read_text())["selection"]
+    assert set(selection) == set(ALGORITHM_KINDS) - {"Random"}
+    for kind, tuned in selection.items():
+        for candidate in tuned["candidates"]:
+            assert set(candidate) <= dests
+            assert kind not in ABLATION_KINDS or set(candidate) == set(WALK_DEFAULTS)
+
+
 class TestAblate:
     def test_four_rows_with_identities(self, dataset_file, tmp_path):
         out = str(tmp_path / "ab")
@@ -427,13 +468,13 @@ class TestAblate:
         selection = doc["selection"]
         assert {kind: len(s["candidates"]) for kind, s in selection.items()} == {
             "pRW": 4, "pRW-UI": 2}
-        assert [c["walk"]["mu"] for c in selection["pRW-UI"]["candidates"]] == [0.5, 1.0]
+        assert [c["mu"] for c in selection["pRW-UI"]["candidates"]] == [0.5, 1.0]
         reports = {r["algorithm"]["kind"]: r for r in doc["reports"]}
         # the untuned variants report the values their walks ran with, and
         # the flags they do not read leave their reports as they are
         it, ut = (reports[kind]["algorithm"]["params"] for kind in ("pRW-IT", "pRW-UT"))
-        assert (it["similarity"]["alpha"], it["walk"]["mu"]) == (1.0, 1.0)
-        assert (ut["similarity"]["beta"], ut["walk"]["mu"]) == (1.0, 0.0)
+        assert (it["alpha"], it["mu"]) == (1.0, 1.0)
+        assert (ut["beta"], ut["mu"]) == (1.0, 0.0)
         for kind in ("pRW-IT", "pRW-UT"):
             assert reports[kind] == next(r for r in plain if r["algorithm"]["kind"] == kind)
         # pRW-UI is pRW at alpha = beta = 0, tuned over mu alone
@@ -524,7 +565,7 @@ class TestAliases:
         doc = json.loads((out / "report.json").read_text())
         assert [r["algorithm"]["kind"] for r in doc["reports"]] == ["pRW"]
         assert doc["reports"][0]["seeds"] == [0]
-        assert [c["walk"]["lambda_"] for c in doc["selection"]["pRW"]["candidates"]] == [0.5, 0.9]
+        assert [c["lambda_"] for c in doc["selection"]["pRW"]["candidates"]] == [0.5, 0.9]
 
 
 class TestConfigFile:
@@ -540,6 +581,17 @@ class TestConfigFile:
         assert len(doc[0]["runs"]) == 1  # flag beats config
         assert doc[0]["seeds"] == [9]  # config beats default
         assert doc[0]["top_n"] == 4
+
+    def test_byte_order_mark_is_no_part_of_the_first_key(self, dataset_file, tmp_path):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfruns = 2\nseed = 9\n")
+        common = ["--dataset", dataset_file, "--algorithms", "Random,pRW"]
+        assert main(["--config", str(cfg), "evaluate", *common,
+                     "--output-dir", str(tmp_path / "cfg")]) == 0
+        assert main(["evaluate", *common, "--runs", "2", "--seed", "9",
+                     "--output-dir", str(tmp_path / "flags")]) == 0
+        for name in ("report.json", "report.txt", "runs.csv"):
+            assert (tmp_path / "cfg" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
 
 
 def snapshot(users, items, tags=(), total_tag_count=0, **matrices) -> bytes:

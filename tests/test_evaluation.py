@@ -280,7 +280,7 @@ class TestOneSplitPerSeed:
 
     def test_tuned_algorithms_share_one_validation_split_per_seed(self, split_calls):
         ds = random_dataset(np.random.default_rng(14), n_users=8, n_items=10)
-        specs = [AlgorithmSpec("pRW", walk_params("pRW", {"alpha": a, "mu": m}))
+        specs = [AlgorithmSpec("pRW", {"alpha": a, "mu": m})
                  for a in (0.0, 0.5, 1.0) for m in (0.3, 0.5, 0.7)]
         specs += [AlgorithmSpec("UserCF", {"k_neighbors": k}) for k in (2, 4)]
         _, selection = run_experiment(ds, specs, 0.3, n_runs=2, base_seed=2)
@@ -317,7 +317,7 @@ class TestOneSplitPerSeed:
 class TestTuning:
     def test_one_candidate_is_not_tuned(self, split_calls):
         ds = random_dataset(np.random.default_rng(7), n_users=8, n_items=10)
-        spec = AlgorithmSpec("pRW", walk_params("pRW", {"eta": 0.5}))
+        spec = AlgorithmSpec("pRW", {"eta": 0.5})
         (report,), selection = run_experiment(ds, [spec], n_runs=1)
         assert report.algorithm == spec and selection == {}
         assert split_calls == [(0.2, 0)]
@@ -338,7 +338,7 @@ class TestTuning:
         # best of them, and the run's metrics are the choice's on test
         ds = random_dataset(np.random.default_rng(9), n_users=12, n_items=14)
         points = [{"alpha": a, "mu": m} for a in (0.0, 0.5, 1.0) for m in (0.3, 0.8, 1.0)]
-        specs = [AlgorithmSpec("pRW", walk_params("pRW", p)) for p in points]
+        specs = [AlgorithmSpec("pRW", p) for p in points]
         (report,), selection = run_experiment(ds, specs, 0.4, 3, n_runs=2, base_seed=5)
         tuned = selection["pRW"]
         assert tuned.candidates == [spec.params for spec in specs]

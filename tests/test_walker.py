@@ -8,7 +8,7 @@ from folkwalk.linalg import (
     SingularMatrixError,
     row_normalize,
 )
-from folkwalk.params import SimilarityConfig, WalkConfig
+from folkwalk.params import WalkConfig
 from folkwalk.similarity import (
     closed_form_item,
     closed_form_user,
@@ -331,18 +331,10 @@ class TestProperties:
 
 
 def test_walk_config_validation():
-    with pytest.raises(ValueError):
-        WalkConfig(eta=1.0)
-    with pytest.raises(ValueError):
-        WalkConfig(mu=-0.2)
-
-
-def test_similarity_config_validation():
-    SimilarityConfig(alpha=0.0, beta=1.0)
-    with pytest.raises(ValueError):
-        SimilarityConfig(alpha=-0.1)
-    with pytest.raises(ValueError):
-        SimilarityConfig(beta=1.5)
+    WalkConfig(alpha=0.0, beta=1.0)
+    for name, value in (("eta", 1.0), ("mu", -0.2), ("alpha", -0.1), ("beta", 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            WalkConfig(**{name: value})
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
