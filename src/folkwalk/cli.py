@@ -306,6 +306,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     specs = _parse_algorithms(args.algorithms, args)
     ds = _load_dataset(args.dataset)
+    # an --output-dir that cannot be a directory fails here, not after every split has run
+    os.makedirs(args.output_dir, exist_ok=True)
     shown = {}
     for fraction in args.train_fraction:
         # the shortest repr, which is :g's text up to six significant digits,

@@ -1,8 +1,5 @@
 import argparse
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
 from dataclasses import asdict
 from pathlib import Path
@@ -10,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import folkwalk
 from folkwalk import evaluation
 from folkwalk.baselines import run_algorithm
 from folkwalk.cli import build_parser, main
@@ -18,6 +14,7 @@ from folkwalk.dataset import dataset_from_json, dataset_to_json, ingest, parse_t
 from folkwalk.params import ABLATION_KINDS, ALGORITHM_KINDS, WALK_DEFAULTS
 from folkwalk.walker import recommend_all
 
+from conftest import run_python
 from gen import random_dataset, random_posts, triple_lines
 
 DATA = Path(__file__).parent / "data"
@@ -882,6 +879,21 @@ class TestBadInput:
         assert main(argv) == 1
         assert "no user has a non-empty test set" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep", "grid"])
+    def test_output_dir_that_is_a_file_exits_1_before_any_split(
+        self, dataset_file, tmp_path, capsys, monkeypatch, command
+    ):
+        def unreached(*args, **kwargs):
+            raise AssertionError("run_experiment ran before --output-dir was made")
+
+        monkeypatch.setattr(evaluation, "run_experiment", unreached)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = [command, "--dataset", dataset_file, "--runs", "1", "--output-dir", str(taken)]
+        assert main(argv) == 1
+        err = one_line_error(capsys)
+        assert "File exists" in err and str(taken) in err
+
     @pytest.mark.parametrize(
         "line, message",
         [
@@ -1014,8 +1026,7 @@ def loaded_modules(tmp_path, statement: str) -> set[str]:
         "atexit.register(lambda: pathlib.Path('modules.txt').write_text(' '.join(sys.modules)))\n"
         + statement
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(folkwalk.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True)
+    run = run_python("-c", code, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     return set((tmp_path / "modules.txt").read_text().split())
 

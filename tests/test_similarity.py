@@ -1,7 +1,4 @@
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +8,7 @@ import folkwalk
 from folkwalk.dataset import ingest
 from folkwalk.similarity import item_similarity, user_similarity
 
+from conftest import run_python
 from gen import post_table, random_dataset
 
 
@@ -183,8 +181,8 @@ def test_importing_the_cli_leaves_the_reference_unloaded():
     # no pipeline module imports the reference, so a command run never
     # loads the paper's formulas
     code = "import sys, folkwalk.cli; sys.exit('folkwalk.similarity' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(folkwalk.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    run = run_python("-c", code)
+    assert run.returncode == 0, run.stderr
 
 
 def test_star_import_stays_light():
@@ -197,6 +195,5 @@ def test_star_import_stays_light():
         "assert all(name in globals() for name in folkwalk.__all__)\n"
         "sys.exit(bool({'scipy.sparse', 'folkwalk.similarity'} & set(sys.modules)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(folkwalk.__file__).parents[1])}
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    run = run_python("-c", code)
     assert run.returncode == 0, run.stderr
