@@ -20,17 +20,19 @@ __all__ = [
 
 
 def _defer_numpy_submodules() -> None:
-    """Register numpy's ``f2py``, ``testing`` and ``polynomial`` as lazy
-    modules, whose bodies run at their first attribute access.
+    """Register numpy's ``f2py``, ``testing``, ``polynomial`` and ``ma`` as
+    lazy modules, whose bodies run at their first attribute access.
 
     numpy exports them lazily, but ``import scipy.sparse`` (scipy 1.17's
     vendored ``array_api_compat``) runs ``hasattr(numpy, name)`` on every
-    public name, which would import all three: ~0.1 s and ~10 MB that no
-    command needs. This runs before any scipy import, on every path into
-    the package. ``numpy.ma`` stays eager, because ``np.unique`` calls it
-    on the scoring path. A submodule already imported, or that this numpy
-    lacks, is left alone."""
-    for name in ("f2py", "testing", "polynomial"):
+    public name, which would import all four: ~0.1 s and ~11 MB that no
+    scoring command needs. ``np.unique`` runs ``numpy.ma``; the scoring
+    path calls it nowhere (its diagonal scalings are built as CSR by
+    :func:`folkwalk.linalg.diagonal`, not by ``sp.diags``), while
+    ``ingest`` does, and loads it then. This runs before any scipy import,
+    on every path into the package. A submodule already imported, or that
+    this numpy lacks, is left alone."""
+    for name in ("f2py", "testing", "polynomial", "ma"):
         full = f"numpy.{name}"
         spec = None if full in sys.modules else importlib.util.find_spec(full)
         if spec is None:

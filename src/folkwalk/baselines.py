@@ -36,20 +36,29 @@ def random_recommender(
 
     Each user draws positions among their unsaved items in ascending item
     order, which is what drawing from those items themselves draws; a
-    position maps to its item by counting the saved items below it."""
+    position maps to its item by counting the saved items below it. Only
+    the draws run a user at a time, in user order; the counting is one
+    search over all users' saved items."""
     rng = np.random.default_rng(seed)
     ui = ds.UI.sorted_indices()
-    lists = np.full((ui.shape[0], top_n), -1)
-    for u in range(ui.shape[0] if stop is None else stop):
-        saved = ui.indices[ui.indptr[u]:ui.indptr[u + 1]]
-        unsaved = ui.shape[1] - len(saved)
-        k = min(top_n, unsaved)
-        if not k:
-            continue
-        picked = rng.choice(unsaved, size=k, replace=False)
-        # saved[r] - r unsaved items lie below the r-th saved item
-        below = np.searchsorted(saved - np.arange(len(saved)), picked, side="right")
-        lists[u, :k] = picked + below
+    n_users, n_items = ui.shape
+    users = n_users if stop is None else stop
+    ptr = ui.indptr[:users + 1]
+    n_saved = np.diff(ptr)
+    k = np.minimum(top_n, n_items - n_saved)
+    picked = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        rng.choice(n_items - int(n_saved[u]), size=int(k[u]), replace=False)
+        for u in np.flatnonzero(k)
+    ])
+    # the r-th saved item of user u has item - r unsaved items below it;
+    # keyed as u * width + (item - r), all users' keys ascend in CSR order
+    width = n_items + 1
+    rows = np.repeat(np.arange(users), n_saved)
+    keys = rows * width + ui.indices[:ptr[-1]] - (np.arange(ptr[-1]) - ptr[rows])
+    owner = np.repeat(np.arange(users), k)
+    below = np.searchsorted(keys, owner * width + picked, side="right") - ptr[owner]
+    lists = np.full((n_users, top_n), -1)
+    lists[:users][np.arange(top_n) < k[:, None]] = picked + below
     return lists
 
 

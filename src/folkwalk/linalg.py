@@ -4,8 +4,9 @@ Sparse matrices are plain scipy CSR (float64) throughout. A dataset's
 matrices enter the program through one check,
 :func:`folkwalk.dataset._checked_matrix`, and what is computed from them
 is not re-checked; products, transposes and blends are scipy's own
-operators. This module holds what scipy does not: row normalization, and
-two dense kernels that invert a matrix in its own buffer.
+operators. This module holds what scipy does not: row normalization, a
+diagonal matrix built directly as CSR, and two dense kernels that invert a
+matrix in its own buffer.
 :func:`invert_spd_in_place` is the Cholesky inverse of a symmetric
 positive definite matrix: it builds each base of the pRW operator.
 :func:`invert_in_place` is the LU inverse of any square matrix: it serves
@@ -50,7 +51,18 @@ def row_normalize(m: sp.csr_matrix) -> sp.csr_matrix:
         )
     sums = np.asarray(m.sum(axis=1)).ravel()
     scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
-    return sp.diags(scale) @ m
+    return diagonal(scale) @ m
+
+
+def diagonal(v: np.ndarray) -> sp.csr_matrix:
+    """diag(v) as CSR, one stored entry a row. A product with it is the
+    CSR product that ``sp.diags(v)`` gives (scipy converts DIA to CSR to
+    multiply), with the same data, stored index order and indptr, a zero
+    of ``v`` included: the product drops the zeros it makes. ``sp.diags``
+    would also load ``numpy.ma``, as its DIA constructor calls
+    ``np.unique``, which the scoring commands otherwise never run."""
+    k = len(v)
+    return sp.csr_matrix((v, np.arange(k), np.arange(k + 1)), shape=(k, k))
 
 
 def _check_square_buffer(a: np.ndarray) -> None:

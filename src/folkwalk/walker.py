@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, invert_in_place, invert_spd_in_place, row_normalize
+from .linalg import ShapeError, diagonal, invert_in_place, invert_spd_in_place, row_normalize
 from .params import WalkConfig, _check_weight
 
 # rows of X U per product with K in :func:`_woodbury`
@@ -214,7 +214,7 @@ def _interaction_systems(
     for d in degrees:
         d[d == 0] = 1.0
     root_u, root_i = (np.sqrt(d) for d in degrees)
-    z = sp.diags(1.0 / root_u) @ ui @ sp.diags(1.0 / root_i)
+    z = diagonal(1.0 / root_u) @ ui @ diagonal(1.0 / root_i)
     s, g = ((z.T @ z).tocsr(), 1.0 / root_i) if item_space else ((z @ z.T).tocsr(), root_u)
     systems = {}
     for interaction in interactions:

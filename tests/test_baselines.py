@@ -124,11 +124,15 @@ class TestRandomRecommender:
                 assert np.array_equal(got, per_user_random(train, seed, top_n))
 
     def test_stop_draws_the_first_users_lists(self):
-        ds = edge_user_dataset(np.random.default_rng(8))
-        everyone = random_recommender(ds, 3, 4)
-        for stop in (0, 1, 7, ds.num_users):
-            got = random_recommender(ds, 3, 4, stop)
-            assert np.array_equal(got[:stop], everyone[:stop]) and np.all(got[stop:] == -1)
+        # the stops end before, between and after the user with no saves,
+        # the user with one and the user with nothing unsaved
+        for sorted_rows in (True, False):
+            ds = edge_user_dataset(np.random.default_rng(8), sorted_rows)
+            for top_n in (1, 4, ds.num_items):
+                want = per_user_random(ds, 3, top_n)
+                for stop in (0, 1, 7, ds.num_users - 2, ds.num_users - 1, ds.num_users):
+                    got = random_recommender(ds, 3, top_n, stop)
+                    assert np.array_equal(got[:stop], want[:stop]) and np.all(got[stop:] == -1)
 
     def test_top1_frequency_is_uniform(self):
         # one user, 1 train item, 10 candidates: each should lead ~10% of trials

@@ -1038,7 +1038,38 @@ def scipy_modules(modules: set[str]) -> set[str]:
 # a module each numpy submodule the package defers imports when its body runs
 DEFERRED_BODIES = (
     "numpy.f2py.crackfortran", "numpy.testing._private.utils", "numpy.polynomial.polynomial",
+    "numpy.ma.core",
 )
+
+# every numpy.<name> whose body a scoring run executes, numpy 2.4 with scipy
+# 1.17; a new name here is a module an upgrade pulls in, and what it costs
+# shows up as peak RSS and setup time
+NUMPY_BODIES_RUN_BY_SCORING = frozenset({
+    "__config__", "_array_api_info", "_core", "_distributor_init", "_expired_attrs_2_0",
+    "_globals", "_pytesttester", "_typing", "_utils", "char", "core", "ctypeslib", "dtypes",
+    "exceptions", "fft", "lib", "linalg", "matrixlib", "random", "rec", "strings", "typing",
+    "version",
+})
+
+
+@pytest.fixture(scope="module")
+def scoring_modules(tmp_path_factory) -> tuple[set[str], set[str]]:
+    """(every module loaded, every numpy.<name> whose body ran) after one
+    fresh interpreter evaluated every algorithm on tiny.tsv with --t-test.
+    A lazy module is a subclass of ModuleType until its body runs."""
+    tmp_path = tmp_path_factory.mktemp("scoring")
+    assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset",
+                 str(tmp_path / "ds.json")]) == 0
+    modules = loaded_modules(tmp_path, (
+        "import types\n"
+        "atexit.register(lambda: pathlib.Path('ran.txt').write_text(' '.join(\n"
+        "    name.split('.')[1] for name, module in list(sys.modules.items())\n"
+        "    if name.startswith('numpy.') and type(module) is types.ModuleType)))\n"
+        "from folkwalk.cli import main\nsys.exit(main(['evaluate', '--dataset', 'ds.json',"
+        f" '--algorithms', {','.join(ALGORITHM_KINDS)!r}, '--runs', '2', '--t-test',"
+        " '--output-dir', 'out']))"
+    ))
+    return modules, set((tmp_path / "ran.txt").read_text().split())
 
 
 class TestImports:
@@ -1067,17 +1098,27 @@ class TestImports:
         assert "scipy.sparse" in modules
         assert "scipy.linalg" not in modules
 
-    def test_scoring_leaves_deferred_numpy_modules_unexecuted(self, tmp_path):
-        # scipy.sparse's array-API shim touches numpy.f2py, numpy.testing and
-        # numpy.polynomial; the package registers them lazily, so none runs
+    def test_scoring_leaves_deferred_numpy_modules_unexecuted(self, scoring_modules):
+        # scipy.sparse's array-API shim touches numpy.f2py, numpy.testing,
+        # numpy.polynomial and numpy.ma; the package registers them lazily,
+        # and no algorithm or the t-test uses one, so none runs
+        modules, _ = scoring_modules
+        assert {"scipy.sparse", "scipy.linalg", "numpy.testing", "numpy.ma"} <= modules
+        assert not modules & set(DEFERRED_BODIES)
+
+    def test_numpy_bodies_run_by_scoring_are_pinned(self, scoring_modules):
+        _, ran = scoring_modules
+        assert ran == NUMPY_BODIES_RUN_BY_SCORING, (
+            f"newly run: {sorted(ran - NUMPY_BODIES_RUN_BY_SCORING)}, "
+            f"no longer run: {sorted(NUMPY_BODIES_RUN_BY_SCORING - ran)}"
+        )
+
+    def test_loading_a_dataset_runs_no_deferred_body(self, tmp_path):
+        # the path the bench's setup measures: import, then read the snapshot
         assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset",
                      str(tmp_path / "ds.json")]) == 0
-        modules = loaded_modules(tmp_path, (
-            "from folkwalk.cli import main\nsys.exit(main(['evaluate', '--dataset', 'ds.json',"
-            f" '--algorithms', {','.join(ALGORITHM_KINDS)!r}, '--runs', '2', '--t-test',"
-            " '--output-dir', 'out']))"
-        ))
-        assert {"scipy.sparse", "scipy.linalg", "numpy.testing"} <= modules
+        modules = loaded_modules(tmp_path, "from folkwalk import cli\ncli._load_dataset('ds.json')\n")
+        assert "scipy.sparse" in modules
         assert not modules & set(DEFERRED_BODIES)
 
     def test_deferred_numpy_modules_run_on_first_use(self, tmp_path):
@@ -1086,6 +1127,7 @@ class TestImports:
             "np.testing.assert_array_equal(np.arange(3), [0, 1, 2])\n"
             "assert np.polynomial.Polynomial([1, 2])(3) == 7\n"
             "assert os.path.isdir(np.f2py.get_include())\n"
+            "assert np.ma.masked_array([1, 2], mask=[False, True]).sum() == 1\n"
         ))
         assert set(DEFERRED_BODIES) <= modules
 

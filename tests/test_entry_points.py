@@ -118,12 +118,12 @@ class TestImportLog:
 
     def test_scoring_runs_no_deferred_numpy_body(self, tmp_path, snapshots):
         # test_cli.py::TestImports::test_scoring_leaves_deferred_numpy_modules_unexecuted;
-        # the package registers numpy's f2py and testing lazily, and scipy.sparse
-        # only looks them up
+        # the package registers numpy's f2py, testing and ma lazily, and
+        # scipy.sparse only looks them up
         run = experiment(tmp_path / "out", "evaluate", "--dataset", str(snapshots["tiny"]),
                          "--runs", "1", flags=("-X", "importtime"))
         assert re.search(r"\| +scipy\.sparse$", run.stderr, re.M)
-        body = re.search(r"\| +numpy\.(f2py\.crackfortran|testing\._private\.utils)$",
+        body = re.search(r"\| +numpy\.(f2py\.crackfortran|testing\._private\.utils|ma\.core)$",
                          run.stderr, re.M)
         assert not body, body
 

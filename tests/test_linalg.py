@@ -12,6 +12,7 @@ from folkwalk.linalg import (
     NegativeEntryError,
     ShapeError,
     SingularMatrixError,
+    diagonal,
     invert_in_place,
     invert_spd_in_place,
     row_normalize,
@@ -157,6 +158,47 @@ class TestRowNormalize:
         m = rand_sparse(rng, 10, 10)
         normed = row_normalize(m)
         assert [(i, j) for i, j, _ in entry_list(m)] == [(i, j) for i, j, _ in entry_list(normed)]
+
+
+def same_arrays(a, b) -> bool:
+    """Whether two CSR matrices store the same arrays: values, column
+    indices in stored order, and row pointers."""
+    pairs = [(getattr(a, n), getattr(b, n)) for n in ("data", "indices", "indptr")]
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
+
+
+class TestDiagonal:
+    # sorted rows of at least two entries, row 2 empty, column 4 empty
+    M = np.array([
+        [1.0, 0.0, 2.0, 0.5, 0.0, 0.0],
+        [0.0, 3.0, 0.0, 1.5, 0.0, 4.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.25, 0.75, 2.5, 0.0, 0.0, 1.0],
+    ])
+    # a zero scales row 1 on the left and column 3 on the right
+    LEFT = np.array([0.5, 0.0, 3.0, 1.0 / 3.0])
+    RIGHT = np.array([2.0, 1.0 / 7.0, 0.1, 0.0, 5.0, 1.5])
+
+    def test_products_store_the_arrays_of_the_sp_diags_products(self):
+        m = sp.csr_matrix(self.M)
+        left, right = diagonal(self.LEFT) @ m, m @ diagonal(self.RIGHT)
+        assert same_arrays(left, sp.diags(self.LEFT) @ m)
+        assert same_arrays(right, m @ sp.diags(self.RIGHT))
+        # scipy's product stores each row's columns reversed; scaling M.data
+        # directly would keep them sorted, and a later sum over the stored
+        # entries would add them in another order
+        scaled = sp.csr_matrix(
+            (m.data * np.repeat(self.LEFT, np.diff(m.indptr)), m.indices.copy(), m.indptr.copy())
+        )
+        scaled.eliminate_zeros()
+        assert np.array_equal(scaled.toarray(), left.toarray())
+        assert not same_arrays(scaled, left)
+
+    def test_row_normalize_stores_the_arrays_of_the_sp_diags_product(self):
+        sums = self.M.sum(axis=1)
+        scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums > 0)
+        m = sp.csr_matrix(self.M)
+        assert same_arrays(row_normalize(m), sp.diags(scale) @ m)
 
 
 class TestMatmul:
