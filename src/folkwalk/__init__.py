@@ -26,12 +26,13 @@ def _defer_numpy_submodules() -> None:
     numpy exports them lazily, but ``import scipy.sparse`` (scipy 1.17's
     vendored ``array_api_compat``) runs ``hasattr(numpy, name)`` on every
     public name, which would import all four: ~0.1 s and ~11 MB that no
-    scoring command needs. ``np.unique`` runs ``numpy.ma``; the scoring
-    path calls it nowhere (its diagonal scalings are built as CSR by
-    :func:`folkwalk.linalg.diagonal`, not by ``sp.diags``), while
-    ``ingest`` does, and loads it then. This runs before any scipy import,
-    on every path into the package. A submodule already imported, or that
-    this numpy lacks, is left alone."""
+    command needs. ``np.unique`` (without ``return_index``,
+    ``return_inverse`` or ``return_counts``) runs ``numpy.ma``; no command
+    calls it (the diagonal scalings are built as CSR by
+    :func:`folkwalk.linalg.diagonal`, not by ``sp.diags``, and ``ingest``
+    counts the tags in use with ``np.bincount``). This runs before any
+    scipy import, on every path into the package. A submodule already
+    imported, or that this numpy lacks, is left alone."""
     for name in ("f2py", "testing", "polynomial", "ma"):
         full = f"numpy.{name}"
         spec = None if full in sys.modules else importlib.util.find_spec(full)

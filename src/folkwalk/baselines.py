@@ -8,10 +8,13 @@ tag matrices are still the full dataset's. :func:`run_algorithm` is the one
 entry point: every algorithm but Random has a row-block scorer,
 :func:`block_scorer`, and :func:`run_algorithm` ranks its scores with
 :func:`recommend_all` a block of users at a time. Each CF cosine is the
-product of the unit profiles with their CSR transpose, in three branches:
-the user side forms a block's rows at a time, the truncated item side (k
+product of the unit profiles with their transpose, in three branches: the
+user side forms a block's rows at a time, the truncated item side (k
 clamped to the row width) forms it once, and the untruncated item side
-scores by associativity."""
+scores by associativity. An untruncated block whose CSR product would make
+at least as many multiply-adds as the block has entries (as Fusion's do:
+its tag columns are shared widely) is made as a CSR x dense product
+instead, with bitwise the same scores."""
 
 from __future__ import annotations
 
@@ -104,6 +107,30 @@ def _profile(interactions: sp.csr_matrix, profile_ext: sp.csr_matrix | None) -> 
     return sp.hstack([interactions, profile_ext], format="csr")
 
 
+def _dense_pays(x: sp.csr_matrix, column_nnz: np.ndarray, n: int) -> bool:
+    """Whether the cosine block x @ U^T of a sparse factor x and n unit
+    profiles U is made as a CSR x dense product: when the CSR product would
+    make at least as many multiply-adds (for each stored entry of x, the
+    stored entries of U's column it meets, which ``column_nnz`` counts) as
+    the block has entries, rows(x) x n; otherwise the CSR product is kept.
+    The threshold is a rule of thumb, not a cost model: near it either
+    form may be the faster one."""
+    return int(column_nnz[x.indices].sum()) >= x.shape[0] * n
+
+
+def _dense_cosine(unit: sp.csr_matrix, x: sp.csr_matrix) -> np.ndarray:
+    """x @ unit^T as a Fortran-ordered dense array, made as the transpose of
+    the CSR x dense product unit @ D for D = x^T. D is written straight into
+    a C-ordered array, which scipy reads without a copy (a Fortran-ordered
+    one it copies). Each entry sums the same terms along unit's row in its
+    stored order as the CSR product unit @ x^T, and D's zeros add exact
+    zeros, so the block is bitwise that product's; with x's and unit's rows
+    in ascending column order, it is bitwise x @ unit^T's too."""
+    dense_t = np.zeros((x.shape[1], x.shape[0]))
+    dense_t[x.indices, _entry_rows(x)] = x.data
+    return (unit @ dense_t).T
+
+
 # rows lo:hi of a users x items score matrix
 BlockScorer = Callable[[int, int], np.ndarray]
 
@@ -119,30 +146,40 @@ def _cf_scorer(
     profile's similarity to itself) zero, and with ``k_neighbors`` only each
     row's k nearest neighbors, all of them if k is at least the row width.
 
-    Each cosine is the product of the unit profiles U with U^T as CSR. The
+    Each cosine is the product of the unit profiles U with U^T. The
     untruncated item side never forms U @ U^T: it scores a block B as
     (UI[B] @ U) @ U^T, less each saved item's self-similarity, which matches
     UI[B] @ (U @ U^T) to rounding, so an exact tie may rank either way. The
-    truncated item side forms U @ U^T once; the user side forms a block's
-    rows, U[B] @ U^T, which scipy computes bitwise as the rows of the whole
-    product. Every other score sums the same terms in the same order as the
-    product with the similarity densified, so it is bitwise that product's."""
+    truncated item side forms U @ U^T once as CSR; the user side forms a
+    block's rows, U[B] @ U^T, which scipy computes bitwise as the rows of
+    the whole product. Both untruncated sides make their block from one
+    product of U with a sparse factor x, U[B] or UI[B] @ U: a CSR x dense
+    product U @ x^T when :func:`_dense_pays`, else the CSR product kept
+    sparse (see :func:`_dense_cosine`). Every other score sums the same
+    terms in the same order as the product with the similarity densified,
+    so it is bitwise that product's."""
     unit = _unit_rows(_profile(train_ui if user_based else train_ui.T.tocsr(), profile_ext))
+    column_nnz = np.bincount(unit.indices, minlength=unit.shape[1])
     if user_based:
         unit_t = unit.T.tocsr()
 
         def user_scores(lo: int, hi: int) -> np.ndarray:
-            sim = unit[lo:hi] @ unit_t
             if k_neighbors is not None:
+                sim = unit[lo:hi] @ unit_t
                 return (_truncate_neighbors(sim, k_neighbors, lo) @ train_ui).toarray()
-            # an untruncated block of rows is too dense to multiply as CSR. A
-            # dense block leading sparse UI sums over neighbors in index order;
-            # scipy computes it as (UI^T @ block^T)^T, so a Fortran-ordered
-            # block (written directly: toarray(order="F") converts to CSC) is
-            # read without a copy and the result is Fortran-ordered, as the
-            # item side's is made, so Fusion adds the two in one memory order
-            dense = np.zeros(sim.shape, order="F")
-            dense[_entry_rows(sim), sim.indices] = sim.data
+            # a dense block leading sparse UI sums over neighbors in index
+            # order; scipy computes it as (UI^T @ block^T)^T, so a
+            # Fortran-ordered block is read without a copy and the result is
+            # Fortran-ordered, as the item side's is made, so Fusion adds the
+            # two in one memory order
+            rows = unit[lo:hi]
+            if _dense_pays(rows, column_nnz, unit.shape[0]):
+                dense = _dense_cosine(unit, rows)
+            else:
+                # written directly: toarray(order="F") converts to CSC
+                sim = rows @ unit_t
+                dense = np.zeros(sim.shape, order="F")
+                dense[_entry_rows(sim), sim.indices] = sim.data
             np.fill_diagonal(dense[:, lo:hi], 0.0)  # row r's self entry is column lo + r
             return dense @ train_ui
 
@@ -155,10 +192,13 @@ def _cf_scorer(
 
     def item_scores(lo: int, hi: int) -> np.ndarray:
         block = train_ui[lo:hi]
-        # both factors stay sparse, so the work follows their nonzeros; the
-        # product U @ (UI[B] @ U)^T is the block's scores transposed, so
-        # densified C-ordered the block comes out Fortran-ordered
-        out = (unit @ (block @ unit).T).toarray().T
+        # U @ (UI[B] @ U)^T is the block's scores transposed, so densified
+        # C-ordered the block comes out Fortran-ordered
+        profile = block @ unit
+        if _dense_pays(profile, column_nnz, unit.shape[0]):
+            out = _dense_cosine(unit, profile)
+        else:
+            out = (unit @ profile.T).toarray().T
         out[_entry_rows(block), block.indices] -= block.data * self_similarity[block.indices]
         return out
 

@@ -353,7 +353,7 @@ def ingest_snapshot(
         posts = density_filter(
             posts, min_items_per_user, min_users_per_item, unqualified_item_threshold
         )
-    total = len(np.unique(posts.tag))
+    total = int(np.count_nonzero(np.bincount(posts.tag, minlength=len(posts.tags))))
     if num_tags is not None:
         posts = select_tags(posts, num_tags)
     user, users = _first_appearance(posts.user, posts.users)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import threading
 import tracemalloc
 import warnings
@@ -420,9 +421,16 @@ def cf_fixtures():
     ]
 
 
+def forced_form(monkeypatch, dense):
+    """Make every untruncated CF block in the dense form (CSR x dense) if
+    ``dense``, else in the sparse form (CSR x CSR), whatever the rule says."""
+    monkeypatch.setattr(baselines, "_dense_pays", lambda *args: dense)
+
+
 def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
     # 7-user blocks score every entry from the same terms in the same order
-    # as the full-matrix product, so not even the last bit moves
+    # as the full-matrix product, so not even the last bit moves, in either
+    # form of the untruncated cosine blocks
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     blocks = ranked_blocks(monkeypatch)
 
@@ -432,7 +440,8 @@ def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
         assert len(blocks) == -(-ds.num_users // 7)
         return np.vstack(blocks)
 
-    for ds in cf_fixtures():
+    for ds, dense in itertools.product(cf_fixtures(), (False, True)):
+        forced_form(monkeypatch, dense)
         for k in (1, 5, 20, None):
             assert np.array_equal(
                 blocked("UserCF", ds, k_neighbors=k), full_cf_scores(ds.UI, True, k)
@@ -446,6 +455,60 @@ def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
             want = fuse(user.copy(), item.copy(), weight)
             assert np.array_equal(blocked("Fusion", ds, fuse_weight=weight), want)
             assert np.array_equal(all_scores("Fusion", ds, fuse_weight=weight), want)
+
+
+def test_dense_form_is_picked_where_its_product_makes_the_work(monkeypatch):
+    # on the planted corpus a tag-free user block's CSR product makes about
+    # a fifth as many multiply-adds as the block has entries; a tag column
+    # is shared by a whole cluster, so with tags both of Fusion's sides make
+    # two to three times as many
+    ds = make_split(ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))).train
+    rule, picks = baselines._dense_pays, []
+
+    def recording_rule(*args):
+        picks.append(rule(*args))
+        return picks[-1]
+
+    def picked(user_based, profile_ext=None):
+        picks.clear()
+        scores = baselines._cf_scorer(ds.UI, user_based, profile_ext=profile_ext)
+        for lo in range(0, ds.num_users, baselines.BLOCK_USERS):
+            scores(lo, min(lo + baselines.BLOCK_USERS, ds.num_users))
+        assert len(picks) == -(-ds.num_users // baselines.BLOCK_USERS)
+        return set(picks)
+
+    monkeypatch.setattr(baselines, "_dense_pays", recording_rule)
+    assert picked(True) == {False}
+    assert picked(True, ds.UT) == {True}
+    assert picked(False, ds.IT) == {True}
+
+
+@pytest.mark.parametrize("user_based", [True, False], ids=["user", "item"])
+def test_dense_form_holds_its_factor_and_its_result(user_based):
+    # D = x^T is written C-ordered, which scipy's CSR x dense product reads
+    # in place; a Fortran-ordered D it would copy, about half as much again
+    ds = make_split(ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))).train
+    if user_based:
+        unit = _unit_rows(_profile(ds.UI, ds.UT))
+        x = unit[:baselines.BLOCK_USERS]
+    else:
+        unit = _unit_rows(_profile(ds.UI.T.tocsr(), ds.IT))
+        x = ds.UI[:baselines.BLOCK_USERS] @ unit
+    baselines._dense_cosine(unit, x)  # anything a first call sets up is not traced
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        block = baselines._dense_cosine(unit, x)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert block.shape == (x.shape[0], unit.shape[0]) and block.flags.f_contiguous
+    factor, result = 8 * x.shape[1] * x.shape[0], 8 * unit.shape[0] * x.shape[0]
+    # 5% covers the index arrays that write D and the small temporaries
+    assert peak <= 1.05 * (factor + result)
 
 
 @pytest.mark.parametrize("kind", ("UserCF", "ItemCF", "Fusion") + ABLATION_KINDS)
@@ -476,8 +539,10 @@ def test_lists_are_at_most_num_items_wide(kind):
     [("UserCF", {}), ("UserCF", {"k_neighbors": 1}), ("Fusion", {})],
 )
 def test_no_users_by_users_similarity_is_formed(monkeypatch, kind, params):
-    # 30 users, 20 items: a sparse product with a users-wide result is one
-    # of the user cosine's products, and each covers one 7-user block
+    # 30 users, 20 items: a CSR product whose result is users wide on either
+    # side is one of the user cosine's products, and each covers one 7-user
+    # block, whether it is U[B] @ U^T (CSR x CSR, users wide across) or
+    # U @ U[B]^T (CSR x dense, users wide down)
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     ds = make_split(random_dataset(np.random.default_rng(2), 30, 20, n_tags=5)).train
     matmul = scipy.sparse.csr_matrix.__matmul__
@@ -486,19 +551,25 @@ def test_no_users_by_users_similarity_is_formed(monkeypatch, kind, params):
     def recording_matmul(a, b):
         product = matmul(a, b)
         if product.shape[1] == ds.num_users:
-            user_rows.append(a.shape[0])
+            user_rows.append(product.shape[0])
+        elif product.shape[0] == ds.num_users:
+            user_rows.append(product.shape[1])
         return product
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", recording_matmul)
-    run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
-    assert max(user_rows) <= 7
-    assert sum(user_rows) == ds.num_users
+    for dense in (False, True):
+        forced_form(monkeypatch, dense)
+        user_rows.clear()
+        run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
+        assert max(user_rows) <= 7
+        assert sum(user_rows) == ds.num_users
 
 
 @pytest.mark.parametrize("kind", ["ItemCF", "Fusion"])
 def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
     # the untruncated item side scores a block by associativity: no product
-    # comes out items wide, so no cosine is built
+    # comes out items wide, so no cosine is built, in either form of the
+    # block (the CSR x dense one is items long and a block wide)
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     ds = make_split(
         ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
@@ -512,8 +583,11 @@ def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
         return product
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", recording_matmul)
-    run_algorithm(AlgorithmSpec(kind), ds, 5, 0)
-    assert widths and ds.num_items not in widths
+    for dense in (False, True):
+        forced_form(monkeypatch, dense)
+        widths.clear()
+        run_algorithm(AlgorithmSpec(kind), ds, 5, 0)
+        assert widths and ds.num_items not in widths
 
 
 def iterated_scores(ds, walk):

@@ -1084,9 +1084,12 @@ class TestImports:
         " '--dataset', 'ds.json', '--select-tags', '3']))",
     ], ids=["import-package", "import-cli", "help", "module-ingest-help", "ingest-tiny"])
     def test_leave_scipy_unloaded(self, tmp_path, statement):
+        # nor does any of them run a deferred numpy body: ingest counts the
+        # tags in use without np.unique, which would run numpy.ma's
         modules = loaded_modules(tmp_path, statement)
         assert "numpy" in modules
         assert not scipy_modules(modules)
+        assert not modules & set(DEFERRED_BODIES)
 
     def test_cf_evaluation_leaves_scipy_linalg_unloaded(self, tmp_path):
         assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset",
