@@ -11,10 +11,8 @@ entry point: every algorithm but Random has a row-block scorer,
 product of the unit profiles with their transpose, in three branches: the
 user side forms a block's rows at a time, the truncated item side (k
 clamped to the row width) forms it once, and the untruncated item side
-scores by associativity. An untruncated block whose CSR product would make
-at least as many multiply-adds as the block has entries (as Fusion's do:
-its tag columns are shared widely) is made as a CSR x dense product
-instead, with bitwise the same scores."""
+scores by associativity. An untruncated block is a CSR x dense product,
+with bitwise the scores of the CSR product."""
 
 from __future__ import annotations
 
@@ -107,17 +105,6 @@ def _profile(interactions: sp.csr_matrix, profile_ext: sp.csr_matrix | None) -> 
     return sp.hstack([interactions, profile_ext], format="csr")
 
 
-def _dense_pays(x: sp.csr_matrix, column_nnz: np.ndarray, n: int) -> bool:
-    """Whether the cosine block x @ U^T of a sparse factor x and n unit
-    profiles U is made as a CSR x dense product: when the CSR product would
-    make at least as many multiply-adds (for each stored entry of x, the
-    stored entries of U's column it meets, which ``column_nnz`` counts) as
-    the block has entries, rows(x) x n; otherwise the CSR product is kept.
-    The threshold is a rule of thumb, not a cost model: near it either
-    form may be the faster one."""
-    return int(column_nnz[x.indices].sum()) >= x.shape[0] * n
-
-
 def _dense_cosine(unit: sp.csr_matrix, x: sp.csr_matrix) -> np.ndarray:
     """x @ unit^T as a Fortran-ordered dense array, made as the transpose of
     the CSR x dense product unit @ D for D = x^T. D is written straight into
@@ -150,36 +137,28 @@ def _cf_scorer(
     untruncated item side never forms U @ U^T: it scores a block B as
     (UI[B] @ U) @ U^T, less each saved item's self-similarity, which matches
     UI[B] @ (U @ U^T) to rounding, so an exact tie may rank either way. The
-    truncated item side forms U @ U^T once as CSR; the user side forms a
-    block's rows, U[B] @ U^T, which scipy computes bitwise as the rows of
-    the whole product. Both untruncated sides make their block from one
-    product of U with a sparse factor x, U[B] or UI[B] @ U: a CSR x dense
-    product U @ x^T when :func:`_dense_pays`, else the CSR product kept
-    sparse (see :func:`_dense_cosine`). Every other score sums the same
-    terms in the same order as the product with the similarity densified,
-    so it is bitwise that product's."""
+    truncated item side forms U @ U^T once as CSR; the truncated user side
+    forms a block's rows, U[B] @ U^T, which scipy computes bitwise as the
+    rows of the whole product. Both untruncated sides make their block as
+    the CSR x dense product of U with a sparse factor x, U[B] or UI[B] @ U
+    (see :func:`_dense_cosine`), bitwise the CSR product's. Every other
+    score sums the same terms in the same order as the product with the
+    similarity densified, so it is bitwise that product's."""
     unit = _unit_rows(_profile(train_ui if user_based else train_ui.T.tocsr(), profile_ext))
-    column_nnz = np.bincount(unit.indices, minlength=unit.shape[1])
     if user_based:
-        unit_t = unit.T.tocsr()
+        if k_neighbors is not None:
+            unit_t = unit.T.tocsr()
+            return lambda lo, hi: (
+                _truncate_neighbors(unit[lo:hi] @ unit_t, k_neighbors, lo) @ train_ui
+            ).toarray()
 
         def user_scores(lo: int, hi: int) -> np.ndarray:
-            if k_neighbors is not None:
-                sim = unit[lo:hi] @ unit_t
-                return (_truncate_neighbors(sim, k_neighbors, lo) @ train_ui).toarray()
             # a dense block leading sparse UI sums over neighbors in index
             # order; scipy computes it as (UI^T @ block^T)^T, so a
             # Fortran-ordered block is read without a copy and the result is
             # Fortran-ordered, as the item side's is made, so Fusion adds the
             # two in one memory order
-            rows = unit[lo:hi]
-            if _dense_pays(rows, column_nnz, unit.shape[0]):
-                dense = _dense_cosine(unit, rows)
-            else:
-                # written directly: toarray(order="F") converts to CSC
-                sim = rows @ unit_t
-                dense = np.zeros(sim.shape, order="F")
-                dense[_entry_rows(sim), sim.indices] = sim.data
+            dense = _dense_cosine(unit, unit[lo:hi])
             np.fill_diagonal(dense[:, lo:hi], 0.0)  # row r's self entry is column lo + r
             return dense @ train_ui
 
@@ -192,13 +171,8 @@ def _cf_scorer(
 
     def item_scores(lo: int, hi: int) -> np.ndarray:
         block = train_ui[lo:hi]
-        # U @ (UI[B] @ U)^T is the block's scores transposed, so densified
-        # C-ordered the block comes out Fortran-ordered
-        profile = block @ unit
-        if _dense_pays(profile, column_nnz, unit.shape[0]):
-            out = _dense_cosine(unit, profile)
-        else:
-            out = (unit @ profile.T).toarray().T
+        # U @ (UI[B] @ U)^T is the block's scores transposed
+        out = _dense_cosine(unit, block @ unit)
         out[_entry_rows(block), block.indices] -= block.data * self_similarity[block.indices]
         return out
 

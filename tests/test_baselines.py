@@ -1,5 +1,4 @@
 import gc
-import itertools
 import threading
 import tracemalloc
 import warnings
@@ -421,16 +420,9 @@ def cf_fixtures():
     ]
 
 
-def forced_form(monkeypatch, dense):
-    """Make every untruncated CF block in the dense form (CSR x dense) if
-    ``dense``, else in the sparse form (CSR x CSR), whatever the rule says."""
-    monkeypatch.setattr(baselines, "_dense_pays", lambda *args: dense)
-
-
 def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
     # 7-user blocks score every entry from the same terms in the same order
-    # as the full-matrix product, so not even the last bit moves, in either
-    # form of the untruncated cosine blocks
+    # as the full-matrix product, so not even the last bit moves
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     blocks = ranked_blocks(monkeypatch)
 
@@ -440,8 +432,7 @@ def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
         assert len(blocks) == -(-ds.num_users // 7)
         return np.vstack(blocks)
 
-    for ds, dense in itertools.product(cf_fixtures(), (False, True)):
-        forced_form(monkeypatch, dense)
+    for ds in cf_fixtures():
         for k in (1, 5, 20, None):
             assert np.array_equal(
                 blocked("UserCF", ds, k_neighbors=k), full_cf_scores(ds.UI, True, k)
@@ -455,32 +446,6 @@ def test_blocked_cf_scores_bitwise_equal_full_formulas(monkeypatch):
             want = fuse(user.copy(), item.copy(), weight)
             assert np.array_equal(blocked("Fusion", ds, fuse_weight=weight), want)
             assert np.array_equal(all_scores("Fusion", ds, fuse_weight=weight), want)
-
-
-def test_dense_form_is_picked_where_its_product_makes_the_work(monkeypatch):
-    # on the planted corpus a tag-free user block's CSR product makes about
-    # a fifth as many multiply-adds as the block has entries; a tag column
-    # is shared by a whole cluster, so with tags both of Fusion's sides make
-    # two to three times as many
-    ds = make_split(ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))).train
-    rule, picks = baselines._dense_pays, []
-
-    def recording_rule(*args):
-        picks.append(rule(*args))
-        return picks[-1]
-
-    def picked(user_based, profile_ext=None):
-        picks.clear()
-        scores = baselines._cf_scorer(ds.UI, user_based, profile_ext=profile_ext)
-        for lo in range(0, ds.num_users, baselines.BLOCK_USERS):
-            scores(lo, min(lo + baselines.BLOCK_USERS, ds.num_users))
-        assert len(picks) == -(-ds.num_users // baselines.BLOCK_USERS)
-        return set(picks)
-
-    monkeypatch.setattr(baselines, "_dense_pays", recording_rule)
-    assert picked(True) == {False}
-    assert picked(True, ds.UT) == {True}
-    assert picked(False, ds.IT) == {True}
 
 
 @pytest.mark.parametrize("user_based", [True, False], ids=["user", "item"])
@@ -541,8 +506,8 @@ def test_lists_are_at_most_num_items_wide(kind):
 def test_no_users_by_users_similarity_is_formed(monkeypatch, kind, params):
     # 30 users, 20 items: a CSR product whose result is users wide on either
     # side is one of the user cosine's products, and each covers one 7-user
-    # block, whether it is U[B] @ U^T (CSR x CSR, users wide across) or
-    # U @ U[B]^T (CSR x dense, users wide down)
+    # block, whether it is the truncated U[B] @ U^T (users wide across) or
+    # the untruncated U @ U[B]^T (CSR x dense, users wide down)
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     ds = make_split(random_dataset(np.random.default_rng(2), 30, 20, n_tags=5)).train
     matmul = scipy.sparse.csr_matrix.__matmul__
@@ -557,19 +522,16 @@ def test_no_users_by_users_similarity_is_formed(monkeypatch, kind, params):
         return product
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", recording_matmul)
-    for dense in (False, True):
-        forced_form(monkeypatch, dense)
-        user_rows.clear()
-        run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
-        assert max(user_rows) <= 7
-        assert sum(user_rows) == ds.num_users
+    run_algorithm(AlgorithmSpec(kind, params), ds, 5, 0)
+    assert max(user_rows) <= 7
+    assert sum(user_rows) == ds.num_users
 
 
 @pytest.mark.parametrize("kind", ["ItemCF", "Fusion"])
 def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
     # the untruncated item side scores a block by associativity: no product
-    # comes out items wide, so no cosine is built, in either form of the
-    # block (the CSR x dense one is items long and a block wide)
+    # comes out items wide, so no cosine is built (the CSR x dense block
+    # is items long and a block wide)
     monkeypatch.setattr("folkwalk.baselines.BLOCK_USERS", 7)
     ds = make_split(
         ingest(post_table(planted_cluster_posts(np.random.default_rng(7))))
@@ -583,11 +545,8 @@ def test_no_items_by_items_similarity_is_formed(monkeypatch, kind):
         return product
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__matmul__", recording_matmul)
-    for dense in (False, True):
-        forced_form(monkeypatch, dense)
-        widths.clear()
-        run_algorithm(AlgorithmSpec(kind), ds, 5, 0)
-        assert widths and ds.num_items not in widths
+    run_algorithm(AlgorithmSpec(kind), ds, 5, 0)
+    assert widths and ds.num_items not in widths
 
 
 def iterated_scores(ds, walk):
