@@ -1,18 +1,18 @@
 """Comparison recommenders: random, user-based CF, item-based CF, the
 tag-extended fusion CF, and the walk variants: pRW at the values
-:func:`~folkwalk.params.walk_params` fixes.
+:func:`~folkwalk.params.walk_params` fixes; and the one top-N ranking.
 
 Every recommender reads one dataset, which in an experiment is the split's
 training dataset (``Split.train``), so no held-out save reaches a model; its
 tag matrices are still the full dataset's. :func:`run_algorithm` is the one
 entry point: every algorithm but Random has a row-block scorer,
 :func:`block_scorer`, and :func:`run_algorithm` ranks its scores with
-:func:`recommend_all` a block of users at a time. Each CF cosine is the
-product of the unit profiles with their transpose, in three branches: the
-user side forms a block's rows at a time, the truncated item side (k
-clamped to the row width) forms it once, and the untruncated item side
-scores by associativity. An untruncated block is a CSR x dense product,
-with bitwise the scores of the CSR product."""
+:func:`recommend_all` a block of users at a time, in one work buffer. Each
+CF cosine is the product of the unit profiles with their transpose, in
+three branches: the user side forms a block's rows at a time, the truncated
+item side (k clamped to the row width) forms it once, and the untruncated
+item side scores by associativity. An untruncated block is a CSR x dense
+product, with bitwise the scores of the CSR product."""
 
 from __future__ import annotations
 
@@ -22,8 +22,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import TaggingDataset
+from .linalg import ShapeError
 from .params import ABLATION_KINDS, FUSE_WEIGHT, AlgorithmSpec, walk_params
-from .walker import fuse, fused_operator, recommend_all
+from .walker import fused_operator
 
 # users whose scores are computed and ranked at once
 BLOCK_USERS = 128
@@ -179,6 +180,19 @@ def _cf_scorer(
     return item_scores
 
 
+def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:
+    """Entrywise convex combination mu * first + (1 - mu) * second of two
+    score blocks of one shape, with mu in [0, 1].
+
+    Consumes its inputs: both float64 arrays are scaled in place, and the
+    sum is written into ``first`` and returned, so no third score matrix is
+    allocated. The result keeps ``first``'s memory order."""
+    first *= mu
+    second *= 1.0 - mu
+    first += second
+    return first
+
+
 def _fusion_scorer(ds: TaggingDataset, fuse_weight: float) -> BlockScorer:
     """Rows of the convex combination of user-based CF with tag-extended
     user profiles and item-based CF with tag-extended item profiles. Tags
@@ -199,6 +213,68 @@ def block_scorer(spec: AlgorithmSpec, ds: TaggingDataset) -> BlockScorer:
     if spec.kind == "Fusion":
         return _fusion_scorer(ds, params.get("fuse_weight", FUSE_WEIGHT))
     return _cf_scorer(ds.UI, spec.kind == "UserCF", params.get("k_neighbors"))
+
+
+def recommend_all(
+    scores: np.ndarray, train_ui: sp.csr_matrix, top_n: int, work: np.ndarray | None = None
+) -> np.ndarray:
+    """Top-N items per user by descending score, excluding the user's
+    training items; ties broken by ascending item index. Row u of the
+    (users x top_n) int array is user u's list; a user with fewer than
+    ``top_n`` candidates gets all of them, then -1 to the width.
+
+    ``work``, a 1-d float64 buffer of at least twice the scores' size, holds
+    the keys (negated scores) and the copy in which each row's
+    k = min(top_n, items) smallest are found by partition, not a sort. A
+    caller that ranks blocks of users in turn passes each the same buffer,
+    so the blocks reuse memory instead of each faulting in fresh pages."""
+    if top_n < 1:
+        raise ValueError("top_n must be >= 1")
+    if scores.shape != train_ui.shape:
+        raise ShapeError(f"scores {scores.shape} do not match training matrix {train_ui.shape}")
+    m, n = scores.shape
+    size, k = m * n, min(top_n, n)
+    if work is None:
+        work = np.empty(2 * size)
+    elif (work.dtype != np.float64 or work.ndim != 1 or not work.flags.c_contiguous
+          or work.size < 2 * size):
+        raise ValueError(f"work must be a contiguous float64 vector of at least {2 * size} entries")
+    key, part = work[:size].reshape(m, n), work[size:2 * size].reshape(m, n)
+    # scores are finite, so +inf sorts every training item behind all candidates
+    if scores.flags.c_contiguous:
+        np.negative(scores, out=key)
+    else:
+        # the user-space blocks are Fortran-ordered: one transposing copy of
+        # the whole block misses cache on every row, so copy 256 columns at
+        # a time, each read and written while it is in cache
+        for lo in range(0, n, 256):
+            np.negative(scores[:, lo:lo + 256], out=key[:, lo:lo + 256])
+    key[train_ui.nonzero()] = np.inf
+    np.copyto(part, key)
+    part.partition(k - 1, axis=1)
+    # fancy indexing copies the k-th column out of the partitioned buffer
+    kth = part[:, [k - 1]]
+    mask = key <= kth
+    # where ties at the k-th key overflow a row, keep its lowest-indexed ones
+    excess = np.count_nonzero(mask, axis=1) - k
+    over = np.flatnonzero(excess > 0)
+    if len(over):
+        # the overflowing rows' tied keys, row by row in column order: each
+        # row keeps its first ones and drops its last `excess`
+        tied = np.flatnonzero((key == kth)[over])
+        runs = np.bincount(tied // n, minlength=len(over)) - excess[over]
+        runs = np.column_stack([runs, excess[over]]).ravel()
+        dropped = tied[np.repeat(np.tile([False, True], len(over)), runs)]
+        mask[over[dropped // n], dropped % n] = False
+    # the selected columns come out ascending per row, so a stable sort of
+    # their keys keeps the lower index first among ties
+    picked = (np.flatnonzero(mask) % n).reshape(m, k)
+    order = np.argsort(np.take_along_axis(key, picked, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(picked, order, axis=1)
+    counts = np.minimum(top_n, n - np.diff(train_ui.indptr))
+    lists = np.full((m, top_n), -1)
+    lists[:, :k] = np.where(np.arange(k) < counts[:, None], top, -1)
+    return lists
 
 
 def run_algorithm(

@@ -218,8 +218,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         **({} if threshold is None else {"unqualified_item_threshold": threshold}),
     )
     if not snapshot["users"]:
-        print("error: dataset empty after filtering", file=sys.stderr)
-        return 2
+        raise UsageError("dataset empty after filtering")
     with open(args.dataset, "w", encoding="utf-8") as fh:
         fh.writelines(json_pieces(snapshot))
     s = snapshot_stats(snapshot)
@@ -241,8 +240,7 @@ def cmd_recommend(args: argparse.Namespace) -> int:
         try:
             user = ds.user_index(args.user)
         except KeyError:
-            print(f"error: unknown user id {args.user!r}", file=sys.stderr)
-            return 1
+            raise InputError(f"unknown user id {args.user!r}") from None
     # every save is training data, so no saved item is ever recommended;
     # with --user only that user's block is scored
     lists = run_algorithm(spec, ds, args.top_n, args.seed, user)
@@ -505,6 +503,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ParseError, InputError, EmptyDatasetError, InvalidDatasetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # imported here, as linalg loads scipy: a scoring command, its only raiser, has loaded it
+        from .linalg import SingularMatrixError
+
+        if not isinstance(exc, SingularMatrixError):
+            raise
+        print(f"error: walk damping (--eta or --lambda) too close to 1: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,8 +1,9 @@
-"""The pRW pipeline: the item and user walks with restart solved exactly,
-fused and ranked. :mod:`folkwalk.similarity` holds the paper's formulas,
-the references the pipeline is tested against.
+"""The pRW operator: the item and user walks with restart solved exactly
+and fused, evaluated a block of users at a time. :mod:`folkwalk.similarity`
+holds the paper's formulas, the references the operator is tested against,
+and :mod:`folkwalk.baselines` ranks its blocks.
 
-The pipeline never forms either similarity. Both walks restart from
+The operator never forms either similarity. Both walks restart from
 R = rownorm(UI) and both similarities hold the interaction chain R @ C
 (C = rownorm(UI^T)) or its mirror C @ R, so the fused score matrix is
 exactly F = s * R + G @ R + P @ Q, where G is one dense k x k matrix with
@@ -31,9 +32,7 @@ added there.
 Every dense product on this path runs in scipy's ``dgemm``
 (:func:`_gemm`), the BLAS library that also inverts the base, so the
 process pages in one library's work buffers. Score matrices are dense
-ndarrays. :func:`fuse` blends Fusion CF's user and item scores, and
-:func:`recommend_all` ranks the scores of every non-random algorithm, one
-block of users at a time, each block in the same work buffer.
+ndarrays.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import ShapeError, diagonal, invert_in_place, invert_spd_in_place, row_normalize
-from .params import WalkConfig, _check_weight
+from .linalg import diagonal, invert_in_place, invert_spd_in_place, row_normalize
+from .params import WalkConfig
 
 # rows of X U per product with K in :func:`_woodbury`
 _ROW_BLOCK = 256
@@ -373,104 +372,3 @@ def _woodbury(x: np.ndarray, u, v: sp.spmatrix, weight: float) -> tuple[np.ndarr
         rows = left[lo:lo + _ROW_BLOCK]
         rows[...] = _gemm(rows, inner)
     return left, right
-
-
-def fuse(first: np.ndarray, second: np.ndarray, mu: float) -> np.ndarray:
-    """Entrywise convex combination mu * first + (1 - mu) * second of two
-    score matrices of one shape.
-
-    Consumes its inputs: both float64 arrays are scaled in place, and the
-    sum is written into ``first`` and returned, so no third score matrix is
-    allocated. The result keeps ``first``'s memory order."""
-    _check_weight(mu, "mu")
-    if first.shape != second.shape:
-        raise ShapeError(f"shape mismatch {first.shape} vs {second.shape}")
-    first *= mu
-    second *= 1.0 - mu
-    first += second
-    return first
-
-
-def _work_view(work: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
-    """A C-ordered float64 array of ``shape`` on the front of the 1-d
-    buffer ``work``, or a new array without one."""
-    if work is None:
-        return np.empty(shape)
-    size = shape[0] * shape[1]
-    if work.dtype != np.float64 or work.ndim != 1 or not work.flags.c_contiguous or work.size < size:
-        raise ValueError(f"work must be a contiguous 1-d float64 buffer of at least {size} entries")
-    return work[:size].reshape(shape)
-
-
-def smallest_k_mask(keys: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
-    """Boolean mask of each row's k smallest keys, ties broken by lower
-    column index: every key below the row's k-th smallest, then the
-    lowest-indexed keys equal to it. Selects by partition, not a sort; the
-    partitioned copy of ``keys`` is made in ``work`` when given."""
-    m, n = keys.shape
-    if k >= n:
-        return np.ones((m, n), dtype=bool)
-    if k < 1:
-        return np.zeros((m, n), dtype=bool)
-    part = _work_view(work, keys.shape)
-    np.copyto(part, keys)
-    part.partition(k - 1, axis=1)
-    # fancy indexing copies the k-th column out of the partitioned buffer
-    kth = part[:, [k - 1]]
-    mask = keys <= kth
-    # where ties at the k-th key overflow a row, keep its lowest-indexed ones
-    excess = np.count_nonzero(mask, axis=1) - k
-    over = np.flatnonzero(excess > 0)
-    if len(over):
-        # the overflowing rows' tied keys, row by row in column order: each
-        # row keeps its first ones and drops its last `excess`
-        tied = np.flatnonzero((keys == kth)[over])
-        runs = np.bincount(tied // n, minlength=len(over)) - excess[over]
-        runs = np.column_stack([runs, excess[over]]).ravel()
-        dropped = tied[np.repeat(np.tile([False, True], len(over)), runs)]
-        mask[over[dropped // n], dropped % n] = False
-    return mask
-
-
-def recommend_all(
-    scores: np.ndarray, train_ui: sp.csr_matrix, top_n: int, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Top-N items per user by descending score, excluding the user's
-    training items; ties broken by ascending item index. Row u of the
-    (users x top_n) int array is user u's list; a user with fewer than
-    ``top_n`` candidates gets all of them, then -1 to the width.
-
-    ``work``, a 1-d float64 buffer of at least twice the scores' size, holds
-    the ranking's two users x items temporaries. A caller that ranks blocks
-    of users in turn passes each the same buffer, so the blocks reuse
-    memory instead of each faulting in fresh pages."""
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != train_ui.shape:
-        raise ShapeError(f"scores {scores.shape} do not match training matrix {train_ui.shape}")
-    m, n = scores.shape
-    if work is None:
-        work = np.empty(2 * m * n)
-    rows, cols = train_ui.nonzero()
-    # scores are finite, so +inf sorts every training item behind all candidates
-    key = _work_view(work, (m, n))
-    if scores.flags.c_contiguous:
-        np.negative(scores, out=key)
-    else:
-        # the user-space blocks are Fortran-ordered: one transposing copy of
-        # the whole block misses cache on every row, so copy 256 columns at
-        # a time, each read and written while it is in cache
-        for lo in range(0, n, 256):
-            np.negative(scores[:, lo:lo + 256], out=key[:, lo:lo + 256])
-    key[rows, cols] = np.inf
-    # the selected columns come out ascending per row, so a stable sort of
-    # their keys keeps the lower index first among ties
-    mask = smallest_k_mask(key, top_n, work[m * n:])
-    picked = (np.flatnonzero(mask) % n).reshape(m, min(top_n, n))
-    order = np.argsort(np.take_along_axis(key, picked, axis=1), axis=1, kind="stable")
-    top = np.take_along_axis(picked, order, axis=1)
-    counts = np.minimum(top_n, n - np.diff(train_ui.indptr))
-    lists = np.full((m, top_n), -1)
-    lists[:, :top.shape[1]] = np.where(np.arange(top.shape[1]) < counts[:, None], top, -1)
-    return lists

@@ -15,7 +15,9 @@ from folkwalk.baselines import (
     _truncate_neighbors,
     _unit_rows,
     block_scorer,
+    fuse,
     random_recommender,
+    recommend_all,
     run_algorithm,
 )
 from folkwalk.dataset import TaggingDataset, ingest, split
@@ -31,7 +33,7 @@ from folkwalk.similarity import (
     walk_item,
     walk_user,
 )
-from folkwalk.walker import fuse, fused_operator, recommend_all, smallest_k_mask
+from folkwalk.walker import fused_operator
 
 from gate import certified, flips
 from gen import edge_user_dataset, padded, planted_cluster_posts, post_table, random_dataset
@@ -346,8 +348,9 @@ def test_cf_lists_match_dense_oracle_on_planted_clusters():
 def dense_truncation_scores(train_ui, side, k_neighbors, profile_ext=None):
     """UserCF/ItemCF scores from a dense similarity: the cosine of the
     (optionally extended) profiles densified with its diagonal zeroed, each
-    row truncated by partition (ties by lower index), and a product of the
-    dense similarity with the interactions."""
+    row truncated to the first k of its stable sort by descending
+    similarity (ties by lower index), and a product of the dense similarity
+    with the interactions."""
     profile = train_ui if side == "user" else train_ui.T.tocsr()
     if profile_ext is not None:
         profile = scipy.sparse.hstack([profile, profile_ext], format="csr")
@@ -358,7 +361,8 @@ def dense_truncation_scores(train_ui, side, k_neighbors, profile_ext=None):
     sim = (unit @ unit.T).toarray()
     np.fill_diagonal(sim, 0.0)
     if k_neighbors is not None and k_neighbors < sim.shape[1]:
-        sim = np.where(smallest_k_mask(-sim, k_neighbors), sim, 0.0)
+        dropped = np.argsort(-sim, axis=1, kind="stable")[:, k_neighbors:]
+        np.put_along_axis(sim, dropped, 0.0, axis=1)
     if side == "user":
         return np.ascontiguousarray((train_ui.T @ sim.T).T)
     return train_ui @ sim

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from folkwalk import evaluation
-from folkwalk.baselines import run_algorithm
+from folkwalk.baselines import recommend_all, run_algorithm
 from folkwalk.cli import build_parser, main
 from folkwalk.dataset import dataset_from_json, dataset_to_json, ingest, parse_triples, stats
 from folkwalk.params import ABLATION_KINDS, ALGORITHM_KINDS, WALK_DEFAULTS
-from folkwalk.walker import recommend_all
 
 from conftest import run_python
 from gen import random_dataset, random_posts, triple_lines
@@ -866,6 +865,27 @@ class TestBadInput:
         assert main(argv) == 1
         err = one_line_error(capsys)
         assert str(path) in err and "no users or no items" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("recommend", "--eta 0.99999999999999 --lambda 0.99999999999999"),
+        # no tag chains: the walks are their Cholesky bases alone
+        ("recommend", "--eta 0.99999999999999 --lambda 0.99999999999999 --alpha 0 --beta 0"),
+        # pRW-IT's walk is a tags x tags LU inverse
+        ("recommend", "--algorithm pRW-IT --eta 0.99999999999999"),
+        ("evaluate", "--algorithms pRW --eta 0.99999999999999 --lambda 0.99999999999999"),
+    ])
+    def test_singular_walk_exits_1_naming_the_damping(self, tmp_path, capsys, command, flags):
+        # a damping this close to 1 leaves the walk's system singular to
+        # working precision
+        path = str(tmp_path / "tiny.json")
+        assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", path]) == 0
+        capsys.readouterr()
+        argv = [command, "--dataset", path, *flags.split()]
+        if command == "evaluate":
+            argv += ["--runs", "1", "--output-dir", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = one_line_error(capsys)
+        assert "damping (--eta or --lambda) too close to 1" in err and "singular" in err
 
     @pytest.mark.parametrize("command", ["evaluate", "ablate", "sweep", "grid"])
     def test_no_held_out_save_exits_1(self, tmp_path, capsys, command):

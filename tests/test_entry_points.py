@@ -242,6 +242,13 @@ class TestRecommend:
         assert len(one) == 1 and one[0] in everyone
 
 
+    def test_singular_walk_exits_1(self, tmp_path, snapshots):
+        # test_cli.py::TestBadInput::test_singular_walk_exits_1_naming_the_damping
+        err = fails(1, "recommend", "--dataset", str(snapshots["tiny"]), "--eta",
+                    "0.99999999999999", "--lambda", "0.99999999999999", cwd=tmp_path)
+        assert "damping (--eta or --lambda) too close to 1" in err, err
+
+
 class TestEvaluate:
     def test_cf_with_k_neighbors(self, tmp_path, snapshots):
         experiment(tmp_path / "out", "evaluate", "--dataset", str(snapshots["tiny"]),

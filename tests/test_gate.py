@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from folkwalk.baselines import block_scorer, run_algorithm
+from folkwalk.baselines import block_scorer, recommend_all, run_algorithm
 from folkwalk.dataset import TaggingDataset, ingest, split
 from folkwalk.params import AlgorithmSpec
-from folkwalk.walker import recommend_all
 
 from gate import TOLERANCE, Flip, certified, exact_scores, flips
 from gen import csr, edge_user_dataset, planted_cluster_posts, post_table

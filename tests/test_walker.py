@@ -17,7 +17,8 @@ from folkwalk.similarity import (
     walk_item,
     walk_user,
 )
-from folkwalk.walker import _base, chain_weight, fuse, recommend_all
+from folkwalk.baselines import fuse, recommend_all
+from folkwalk.walker import _base, chain_weight
 
 from gen import padded, random_dataset, slow_mix_dataset
 
@@ -152,10 +153,6 @@ class TestFuse:
         np.testing.assert_array_equal(fuse(a.copy(), b.copy(), 0.0), b)
         np.testing.assert_allclose(fuse(a.copy(), b.copy(), 0.5), [[1.0, 1.0]])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            fuse(np.zeros((1, 2)), np.zeros((2, 1)), 0.5)
-
     def test_writes_into_item_scores(self):
         rng = np.random.default_rng(4)
         a, b = rng.random((5, 7)), np.asfortranarray(rng.random((5, 7)))
@@ -163,20 +160,6 @@ class TestFuse:
         got = fuse(a, b, 0.3)
         assert got is a and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize(
-        "item, user, mu, error",
-        [
-            (np.ones((2, 3)), np.ones((2, 3)), 1.5, ValueError),
-            (np.ones((2, 3)), np.ones((2, 3)), -0.1, ValueError),
-            (np.ones((3, 2)), np.ones((2, 3)), 0.5, ShapeError),
-        ],
-    )
-    def test_validates_before_writing(self, item, user, mu, error):
-        with pytest.raises(error):
-            fuse(item, user, mu)
-        np.testing.assert_array_equal(item, np.ones(item.shape))
-        np.testing.assert_array_equal(user, np.ones((2, 3)))
 
 
 class TestBase:
@@ -281,9 +264,14 @@ class TestRecommend:
         scores[tied_row] = data.draw(st.sampled_from([0.0, 0.5]), label="tied score")
         # some rows keep fewer than top_n candidates, some none at all
         held[data.draw(st.integers(0, m - 1), label="full row")] = True
-        top_n = data.draw(st.integers(1, n + 2), label="top_n")
+        # a top_n of n or more keeps every candidate of every row
+        top_n = data.draw(st.integers(1, n + 3), label="top_n")
         train = csr_matrix(held.astype(float))
-        assert np.array_equal(recommend_all(scores, train, top_n), sort_oracle(scores, held, top_n))
+        want = sort_oracle(scores, held, top_n)
+        # a Fortran-ordered block, as user-space scorers make, is negated
+        # into the keys a band of columns at a time
+        for block in (scores, np.asfortranarray(scores)):
+            assert np.array_equal(recommend_all(block, train, top_n), want)
 
 
 class TestProperties:
