@@ -40,7 +40,8 @@ class EmptyDatasetError(ValueError):
 
 
 class InvalidDatasetError(ValueError):
-    """Text is not a dataset snapshot written by :func:`dataset_to_json`."""
+    """Text is not a dataset snapshot, format version 3: the
+    :func:`json_pieces` of an :func:`ingest_snapshot` object."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +86,11 @@ class TaggingDataset:
     """Indexed posts plus the derived co-occurrence matrices (CSR).
 
     UI is binary m x n (user saved item), UT is m x l tag-use frequencies per
-    user, IT is n x l tag frequencies per item. ``total_tag_count`` is the
-    distinct-tag count before any tag selection (equals len(tags) when no
-    selection was applied). Datasets compare by identity.
+    user, IT is n x l tag frequencies per item; a dataset file stores UI and
+    PT, and UT/IT are derived from PT (:func:`_tag_counts`).
+    ``total_tag_count`` is the distinct-tag count before any tag selection
+    (equals len(tags) when no selection was applied). Datasets compare by
+    identity.
     """
 
     users: tuple[str, ...]
@@ -308,14 +311,13 @@ def _first_appearance(codes: np.ndarray, ids: tuple[str, ...]) -> tuple[np.ndarr
     return renumber[codes], tuple(map(ids.__getitem__, used.tolist()))
 
 
-def _count_arrays(rows: int, cols: int, i: np.ndarray, j: np.ndarray) -> dict:
-    """The :func:`_csr_arrays` of the rows x cols matrix counting each (i, j)
-    pair: np.unique's keys ``i * cols + j`` are sorted and distinct, so they
-    are its entries in CSR order already."""
-    keys, counts = np.unique(i * cols + j, return_counts=True)
+def _count_arrays(rows: int, cols: int, keys: np.ndarray, counts: np.ndarray) -> dict:
+    """The canonical CSR arrays of the rows x cols matrix holding ``counts``
+    at np.unique's keys ``i * cols + j``: sorted and distinct, they are its
+    entries in CSR order already."""
     row, col = np.divmod(keys, max(cols, 1))  # no columns: no keys
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=rows))))
-    return {"indptr": indptr, "indices": col, "data": counts.astype(np.float64)}
+    return {"indptr": indptr, "indices": col, "data": counts.astype(np.float64, copy=False)}
 
 
 def ingest(
@@ -340,9 +342,9 @@ def ingest_snapshot(
     num_tags: int | None = None,
 ) -> dict:
     """Density filter, tag selection, and the dataset's snapshot object,
-    built with numpy alone: ids by first appearance among the kept posts,
-    and UI/UT/IT as their :func:`_count_arrays`. :func:`json_pieces` writes
-    it as :func:`dataset_to_json` writes the dataset.
+    format version 3, built with numpy alone: ids by first appearance among
+    the kept posts, UI, and the posts x tags matrix PT whose row p counts
+    the tags of UI's p-th stored entry. :func:`json_pieces` writes it.
 
     The density filter runs when both minimum degrees are given; giving
     only one is an error.
@@ -360,11 +362,13 @@ def ingest_snapshot(
     item, items = _first_appearance(posts.item, posts.items)
     tag, tags = _first_appearance(posts.tag, posts.tags)
     m, n, l = len(users), len(items), len(tags)
+    # one sort gives UI's keys and each post's entry: its key's rank among them
+    keys, entry = np.unique(user * n + item, return_inverse=True)
+    tag_keys, counts = np.unique(entry[posts.tag_post] * l + tag, return_counts=True)
     return {
-        "format_version": 2, "users": users, "items": items, "tags": tags, "total_tag_count": total,
-        "UI": _count_arrays(m, n, user, item),
-        "UT": _count_arrays(m, l, user[posts.tag_post], tag),
-        "IT": _count_arrays(n, l, item[posts.tag_post], tag),
+        "format_version": 3, "users": users, "items": items, "tags": tags, "total_tag_count": total,
+        "UI": _count_arrays(m, n, keys, np.ones(len(keys))),
+        "PT": _count_arrays(len(keys), l, tag_keys, counts),
     }
 
 
@@ -435,14 +439,6 @@ def split(ds: TaggingDataset, train_fraction: float, seed: int) -> Split:
     return Split(train=replace(ds, UI=train), test=test)
 
 
-def _csr_arrays(m: sp.csr_matrix) -> dict[str, np.ndarray]:
-    """``m``'s canonical CSR arrays: column indices sorted within each row
-    and no stored zeros. Works on a copy, so ``m`` is left as it is."""
-    m = m.sorted_indices()
-    m.eliminate_zeros()
-    return {"indptr": m.indptr, "indices": m.indices, "data": m.data}
-
-
 # Array elements that json_pieces turns into text at a time.
 _JSON_ELEMENTS = 1 << 14
 
@@ -467,27 +463,16 @@ def json_pieces(value) -> Iterator[str]:
         yield json.dumps(value, separators=(",", ":"))
 
 
-def dataset_to_json(ds: TaggingDataset) -> str:
-    """Portable snapshot, format version 2: id tables plus the canonical CSR
-    arrays (``indptr``, ``indices``, ``data``) of UI/UT/IT, as one JSON
-    object with sorted keys and no whitespace."""
-    return "".join(json_pieces({
-        "format_version": 2, "users": ds.users, "items": ds.items, "tags": ds.tags,
-        "total_tag_count": ds.total_tag_count,
-        **{key: _csr_arrays(getattr(ds, key)) for key in ("UI", "UT", "IT")},
-    }))
-
-
 def _checked_matrix(rows: int, cols: int, arrays, check_booleans: bool) -> sp.csr_matrix:
     """A snapshot matrix from its CSR arrays, as read (lists) or built
     (numpy): the one check each matrix passes where it enters the program.
     ``indptr`` must be integers from 0 that never decrease and end at the
     number of indices and values, the indices integers in [0, ``cols``) and
-    the values finite, non-negative numbers. Each row is sorted in place and
-    must not repeat a column; stored zeros are dropped, so the stored
-    pattern is the nonzero pattern. Numpy arrays passed in may be sorted and
-    compacted where they stand. A boolean among numbers would read as 0 or
-    1, so ``check_booleans`` scans the arrays for one."""
+    the values finite, positive numbers. The arrays must be canonical as
+    written: each row's columns strictly rising, and no stored zero. They
+    are not re-sorted, because PT's rows follow UI's stored entries. A
+    boolean among numbers would read as 0 or 1, so ``check_booleans`` scans
+    the arrays for one."""
     import scipy.sparse as sp
 
     if not isinstance(arrays, dict) or not arrays.keys() >= {"indptr", "indices", "data"}:
@@ -520,33 +505,46 @@ def _checked_matrix(rows: int, cols: int, arrays, check_booleans: bool) -> sp.cs
     if j.min() < 0 or j.max() >= cols:
         raise ValueError(f"entry index out of bounds for shape ({rows}, {cols})")
     matrix = sp.csr_matrix((v, j, ptr), shape=(rows, cols), dtype=np.float64)
-    matrix.sort_indices()  # one linear scan when the rows are sorted already
-    # strictly rising columns per row: a sorted row repeats none
-    if not matrix.has_canonical_format:
-        raise ValueError("duplicate (row, col) coordinates in entry list")
+    if not matrix.has_canonical_format:  # strictly rising columns per row
+        raise ValueError("duplicate or out-of-order column index in a row")
     if not np.all(np.isfinite(matrix.data)):
         raise ValueError("non-finite value in entry list")
-    matrix.eliminate_zeros()
-    if matrix.nnz and matrix.data.min() < 0:
+    if matrix.data.min() < 0:
         raise ValueError("negative entry")
+    if not matrix.data.all():
+        raise ValueError("stored zero in entry list")
     return matrix
 
 
-_SNAPSHOT_FIELDS = ("format_version", "users", "items", "tags", "total_tag_count", "UI", "UT", "IT")
+def _tag_counts(ui: sp.csr_matrix, pt: sp.csr_matrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """UT = E_u PT and IT = E_i PT, row-sorted, where E_u (m x nnz) and E_i
+    (n x nnz) mark the user and the item of each of UI's stored entries.
+    ``ui`` must have passed :func:`_checked_matrix`: scipy does not
+    bound-check the arrays it builds E_u and E_i from."""
+    import scipy.sparse as sp
+
+    entry, ones = np.arange(ui.nnz, dtype=ui.indptr.dtype), np.ones(ui.nnz)
+    e_u = sp.csr_matrix((ones, entry, ui.indptr), shape=(ui.shape[0], ui.nnz))
+    e_i = sp.csr_matrix((ones, (ui.indices, entry)), shape=(ui.shape[1], ui.nnz))
+    return (e_u @ pt).sorted_indices(), (e_i @ pt).sorted_indices()
+
+
+_SNAPSHOT_FIELDS = ("format_version", "users", "items", "tags", "total_tag_count", "UI", "PT")
 
 
 def dataset_from_json(text: str) -> TaggingDataset:
-    """Read a snapshot written by :func:`dataset_to_json` (format version 2).
+    """Read a dataset file, format version 3 (see :func:`ingest_snapshot`).
 
     Raises :class:`InvalidDatasetError` for text that is not JSON (also
     nested too deeply or holding too long an integer), another format
     version, missing or mistyped fields, duplicate ids, a
     ``total_tag_count`` below the number of tags, an ``indptr`` of the
-    wrong length, not of integers, not starting at 0, decreasing or not
-    ending at the number of indices and values, and matrix entries whose
-    index is not an integer or whose value is not a number (a JSON boolean
-    is neither), or that are out of range, repeated, non-finite or
-    negative.
+    wrong length (PT has one row per stored UI entry), not of integers, not
+    starting at 0, decreasing or not ending at the number of indices and
+    values, and matrix entries whose index is not an integer or whose value
+    is not a number (a JSON boolean is neither), or that are out of range,
+    repeated or out of column order within their row, non-finite, negative
+    or zero, and a PT whose counts summed per user or per item overflow.
     """
     try:
         d = json.loads(text)
@@ -554,12 +552,12 @@ def dataset_from_json(text: str) -> TaggingDataset:
         raise InvalidDatasetError(f"not JSON: {exc}") from None
     if not isinstance(d, dict):
         raise InvalidDatasetError("expected a JSON object")
+    version = d.get("format_version", 3)  # a missing version is a missing field below
+    if type(version) is not int or version != 3:
+        raise InvalidDatasetError(f"unsupported dataset format_version {version!r}")
     missing = [key for key in _SNAPSHOT_FIELDS if key not in d]
     if missing:
         raise InvalidDatasetError(f"missing fields {missing}")
-    version = d["format_version"]
-    if type(version) is not int or version != 2:
-        raise InvalidDatasetError(f"unsupported dataset format_version {version!r}")
     for key in ("users", "items", "tags"):
         ids = d[key]
         if not isinstance(ids, list) or not all(isinstance(x, str) for x in ids):
@@ -575,19 +573,19 @@ def dataset_from_json(text: str) -> TaggingDataset:
 
 
 def _dataset(d: dict, check_booleans: bool = False) -> TaggingDataset:
-    """The dataset of snapshot object ``d``, each matrix built by
-    :func:`_checked_matrix`; a failed check raises InvalidDatasetError."""
-    m, n, l = len(d["users"]), len(d["items"]), len(d["tags"])
-    matrices = {}
-    for key, rows, cols in (("UI", m, n), ("UT", m, l), ("IT", n, l)):
+    """The dataset of snapshot object ``d``: UI, then PT, built by
+    :func:`_checked_matrix`, a failed check raising InvalidDatasetError, and
+    UT and IT derived from them."""
+
+    def checked(key: str, rows: int, cols: int) -> sp.csr_matrix:
         try:
-            matrices[key] = _checked_matrix(rows, cols, d[key], check_booleans)
+            return _checked_matrix(rows, cols, d[key], check_booleans)
         except (TypeError, ValueError, LookupError) as exc:
             raise InvalidDatasetError(f"{key}: {exc}") from None
-    return TaggingDataset(
-        users=tuple(d["users"]),
-        items=tuple(d["items"]),
-        tags=tuple(d["tags"]),
-        total_tag_count=d["total_tag_count"],
-        **matrices,
-    )
+
+    ui = checked("UI", len(d["users"]), len(d["items"]))
+    ut, it = _tag_counts(ui, checked("PT", ui.nnz, len(d["tags"])))
+    if not (np.isfinite(ut.data).all() and np.isfinite(it.data).all()):
+        raise InvalidDatasetError("PT: a user's or an item's tag count overflows")
+    ids = (tuple(d[key]) for key in ("users", "items", "tags"))
+    return TaggingDataset(*ids, ui, ut, it, total_tag_count=d["total_tag_count"])

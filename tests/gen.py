@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from collections.abc import Iterable
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from folkwalk.dataset import PostTable, TaggingDataset, ingest, parse_triples
+from folkwalk.dataset import (
+    PostTable, TaggingDataset, dataset_from_json, ingest, ingest_snapshot, json_pieces,
+    parse_triples,
+)
 
 # A post record: (user, item, tags), the tags a tuple in which a repeat
 # counts toward the tag's frequency.
@@ -65,6 +69,15 @@ def post_table(records: Iterable[Record]) -> PostTable:
     return parse_triples(triple_lines(records))
 
 
+def write_dataset(path: Path, records: Iterable[Record]) -> TaggingDataset:
+    """Write the dataset file that ``folkwalk ingest`` writes for the records
+    with no filter or tag selection to ``path``; return the dataset read
+    back from it."""
+    text = "".join(json_pieces(ingest_snapshot(post_table(records))))
+    path.write_text(text, encoding="utf-8")
+    return dataset_from_json(text)
+
+
 def random_posts(
     rng: np.random.Generator,
     n_users: int = 8,
@@ -74,7 +87,7 @@ def random_posts(
     tags_per_save: tuple[int, int] = (1, 3),
 ) -> list[Record]:
     """Post records where every user saves and tags something; item/tag
-    coverage is not guaranteed (use :func:`random_dataset` for
+    coverage is not guaranteed (use :func:`covered_posts` for
     post-filter-like data)."""
     posts = []
     for u in range(n_users):
@@ -86,21 +99,26 @@ def random_posts(
     return posts
 
 
-def random_dataset(
+def covered_posts(
     rng: np.random.Generator,
     n_users: int = 8,
     n_items: int = 10,
     n_tags: int = 5,
     **kwargs,
-) -> TaggingDataset:
-    """Dataset where every user has >= 1 item and tag, and every item has
-    >= 1 user and tag (the shape the density filter guarantees)."""
+) -> list[Record]:
+    """Post records where every user has >= 1 item and tag, and every item
+    has >= 1 user and tag (the shape the density filter guarantees)."""
     posts = random_posts(rng, n_users, n_items, n_tags, **kwargs)
     # guarantee item coverage: round-robin a save with a tag onto each item
     for i in range(n_items):
         u = i % n_users
         posts.append((f"u{u}", f"i{i}", (f"t{i % n_tags}",)))
-    return ingest(post_table(posts))
+    return posts
+
+
+def random_dataset(rng: np.random.Generator, *args, **kwargs) -> TaggingDataset:
+    """The dataset of :func:`covered_posts`."""
+    return ingest(post_table(covered_posts(rng, *args, **kwargs)))
 
 
 def edge_user_dataset(rng: np.random.Generator, sorted_rows: bool = True) -> TaggingDataset:

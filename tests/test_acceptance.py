@@ -34,6 +34,7 @@ from folkwalk.similarity import (
 )
 
 from gen import (
+    covered_posts,
     csr,
     held_out,
     padded,
@@ -41,6 +42,7 @@ from gen import (
     post_table,
     random_dataset,
     slow_mix_dataset,
+    write_dataset,
 )
 
 
@@ -224,11 +226,8 @@ def test_08_ablation_identities():
 
 def test_09_cli_determinism(tmp_path):
     rng = np.random.default_rng(909)
-    ds = random_dataset(rng, n_users=15, n_items=20, n_tags=6)
-    from folkwalk.dataset import dataset_to_json
-
     ds_path = tmp_path / "ds.json"
-    ds_path.write_text(dataset_to_json(ds))
+    write_dataset(ds_path, covered_posts(rng, n_users=15, n_items=20, n_tags=6))
     blobs = []
     for name in ("a", "b"):
         out = tmp_path / name

@@ -10,11 +10,13 @@ import pytest
 from folkwalk import evaluation
 from folkwalk.baselines import recommend_all, run_algorithm
 from folkwalk.cli import build_parser, main
-from folkwalk.dataset import dataset_from_json, dataset_to_json, ingest, parse_triples, stats
+from folkwalk.dataset import (
+    dataset_from_json, ingest, ingest_snapshot, json_pieces, parse_triples, stats,
+)
 from folkwalk.params import ABLATION_KINDS, ALGORITHM_KINDS, WALK_DEFAULTS
 
 from conftest import run_python
-from gen import random_dataset, random_posts, triple_lines
+from gen import covered_posts, random_posts, triple_lines, write_dataset
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,9 +82,10 @@ class TestIngest:
         assert main(["ingest", "--input", str(tsv), "--dataset", str(out), "--format", "json",
                      *flags]) == 0
         with open(tsv, encoding="utf-8") as fh:
-            ds = ingest(parse_triples(fh), **options)
-        assert out.read_text(encoding="utf-8") == dataset_to_json(ds)
-        assert json.loads(capsys.readouterr().out) == asdict(stats(ds))
+            posts = parse_triples(fh)
+        text = "".join(json_pieces(ingest_snapshot(posts, **options)))
+        assert out.read_text(encoding="utf-8") == text
+        assert json.loads(capsys.readouterr().out) == asdict(stats(ingest(posts, **options)))
 
     def test_reingest_is_byte_identical(self, triples_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -90,12 +93,14 @@ class TestIngest:
         assert main(["ingest", "--input", triples_file, "--dataset", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_writes_format_version_2(self, tmp_path):
+    def test_writes_format_version_3(self, tmp_path):
         out = tmp_path / "tiny.json"
         assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["format_version"] == 2
-        assert set(doc["UI"]) == {"indptr", "indices", "data"}
+        assert doc["format_version"] == 3
+        assert set(doc["UI"]) == set(doc["PT"]) == {"indptr", "indices", "data"}
+        assert len(doc["PT"]["indptr"]) == len(doc["UI"]["data"]) + 1
+        assert "UT" not in doc and "IT" not in doc
 
     def test_manifest_written(self, dataset_file):
         manifest = json.loads(Path(dataset_file + ".manifest.json").read_text())
@@ -158,9 +163,9 @@ class TestRecommend:
 
     @pytest.mark.parametrize("kind", ALGORITHM_KINDS)
     def test_never_recommends_saved_items(self, kind, tmp_path, capsys):
-        ds = random_dataset(np.random.default_rng(3), 6, 12, 4, items_per_user=(6, 8))
         path = tmp_path / "ds.json"
-        path.write_text(dataset_to_json(ds))
+        ds = write_dataset(path, covered_posts(np.random.default_rng(3), 6, 12, 4,
+                                               items_per_user=(6, 8)))
         assert main([
             "recommend", "--dataset", str(path), "--algorithm", kind, "--format", "json",
         ]) == 0
@@ -233,8 +238,7 @@ class TestRecommend:
         if fixture == "tiny":
             assert main(["ingest", "--input", str(DATA / "tiny.tsv"), "--dataset", str(path)]) == 0
         else:
-            ds = random_dataset(np.random.default_rng(909), n_users=15, n_items=20, n_tags=6)
-            path.write_text(dataset_to_json(ds))
+            write_dataset(path, covered_posts(np.random.default_rng(909), 15, 20, 6))
         users = dataset_from_json(path.read_text()).users
         argv = ["recommend", "--dataset", str(path), "--algorithm", *kind.split(), "--format", "json"]
         capsys.readouterr()
@@ -591,11 +595,13 @@ class TestConfigFile:
 
 
 def snapshot(users, items, tags=(), total_tag_count=0, **matrices) -> bytes:
-    """A dataset file's bytes; a matrix not given is empty."""
-    rows = {"UI": len(users), "UT": len(users), "IT": len(items)}
+    """A dataset file's bytes; a matrix not given is empty, and an empty PT
+    has one row per entry of the UI given."""
+    ui_entries = len(matrices.get("UI", {"data": []})["data"])
+    rows = {"UI": len(users), "PT": ui_entries}
     empty = {key: {"indptr": [0] * (m + 1), "indices": [], "data": []} for key, m in rows.items()}
     return json.dumps({
-        "format_version": 2, "users": users, "items": items, "tags": list(tags),
+        "format_version": 3, "users": users, "items": items, "tags": list(tags),
         "total_tag_count": total_tag_count, **empty, **matrices,
     }).encode()
 
@@ -813,36 +819,44 @@ class TestBadInput:
             pytest.param(b'{"format_version": ' + b"1" * 5000 + b"}", "not JSON",
                          id="integer-over-4300-digits"),
             (b"\xff\xfe\x00", "utf-8"),
-            (b'{"format_version": 1}', "missing fields"),
+            (b'{"format_version": 3}', "missing fields"),
+            (b'{"users": ["a"]}', "missing fields"),
             (b'{"format_version": 1, "users": ["a"], "items": ["x"], "tags": [], '
              b'"total_tag_count": 0, "UI": [[0, 0, 1.0]], "UT": [], "IT": []}',
              "unsupported dataset format_version 1"),
+            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
+             b'"total_tag_count": 0, "UI": {"indptr": [0, 1], "indices": [0], "data": [1.0]}, '
+             b'"UT": {"indptr": [0, 0], "indices": [], "data": []}, '
+             b'"IT": {"indptr": [0, 0], "indices": [], "data": []}}',
+             "unsupported dataset format_version 2"),
             (snapshot(["a", "a"], []), "duplicate user id 'a'"),
             (snapshot(["a"], ["x", "y"], UI={"indptr": [0, 1], "indices": [0.7], "data": [1.0]}),
              "UI: entry index is not an integer"),
             (snapshot(["a", "b"], ["x", "y"],
                       UI={"indptr": [0, 1, 2], "indices": [0, True], "data": [1.0, 1.0]}),
              "UI: entry holds a boolean"),
-            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
+            (b'{"format_version": 3, "users": ["a"], "items": ["x"], "tags": [], '
              b'"total_tag_count": 0, "UI": {"indptr": [0, 2], "indices": [0], "data": [1.0]}, '
-             b'"UT": {"indptr": [0, 0], "indices": [], "data": []}, '
-             b'"IT": {"indptr": [0, 0], "indices": [], "data": []}}',
+             b'"PT": {"indptr": [0, 0], "indices": [], "data": []}}',
              "UI: indptr ends at 2"),
-            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
+            (b'{"format_version": 3, "users": ["a"], "items": ["x"], "tags": [], '
              b'"total_tag_count": 0, "UI": {"indptr": [0, 1], "indices": [0], "data": [true]}, '
-             b'"UT": {"indptr": [0, 0], "indices": [], "data": []}, '
-             b'"IT": {"indptr": [0, 0], "indices": [], "data": []}}',
+             b'"PT": {"indptr": [0, 0], "indices": [], "data": []}}',
              "UI: entry holds a boolean"),
-            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": [], '
-             b'"total_tag_count": 0, "UI": [[0, 0, 1.0]], "UT": [], "IT": []}',
+            (b'{"format_version": 3, "users": ["a"], "items": ["x"], "tags": [], '
+             b'"total_tag_count": 0, "UI": [[0, 0, 1.0]], "PT": []}',
              "UI: expected an object with indptr, indices and data"),
+            (snapshot(["a"], ["x", "y"], UI={"indptr": [0, 2], "indices": [1, 0], "data": [1, 1]}),
+             "UI: duplicate or out-of-order column index"),
+            (snapshot(["a"], ["x", "y"], UI={"indptr": [0, 2], "indices": [0, 1], "data": [1, 0]}),
+             "UI: stored zero"),
+            (snapshot(["a"], ["x"], ["t"], 1, UI={"indptr": [0, 1], "indices": [0], "data": [1]},
+                      PT={"indptr": [0, 1, 1], "indices": [0], "data": [1]}),
+             "PT: indptr has length 3, expected 2"),
             (snapshot(["a"], ["x"], total_tag_count=True), "total_tag_count must be an integer >= 0"),
             (snapshot(["a"], ["x"], ["t", "s"], total_tag_count=1),
              "total_tag_count must be an integer >= 2"),
-            (b'{"format_version": 2, "users": ["a"], "items": ["x"], "tags": ["t"], '
-             b'"total_tag_count": -1, "UI": {"indptr": [0, 0], "indices": [], "data": []}, '
-             b'"UT": {"indptr": [0, 0], "indices": [], "data": []}, '
-             b'"IT": {"indptr": [0, 0], "indices": [], "data": []}}',
+            (snapshot(["a"], ["x"], ["t"], total_tag_count=-1),
              "total_tag_count must be an integer >= 1"),
         ],
     )

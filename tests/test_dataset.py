@@ -21,10 +21,11 @@ from folkwalk.dataset import (
     Split,
     TaggingDataset,
     dataset_from_json,
-    dataset_to_json,
     density_filter,
     format_stats_table,
     ingest,
+    ingest_snapshot,
+    json_pieces,
     parse_triples,
     select_tags,
     split,
@@ -37,9 +38,9 @@ from gen import (
     edge_user_dataset,
     entry_list,
     post_table,
-    random_dataset,
     random_posts,
     random_triples_tsv,
+    write_dataset,
 )
 
 
@@ -284,12 +285,9 @@ class TestCountArrays:
     they must be the canonical arrays of the matrices scipy builds."""
 
     @staticmethod
-    def scipy_arrays(shape, i, j, binary=False):
-        # coo -> csr sums repeated coordinates, which counts them
-        m = coo_matrix((np.ones(len(i)), (i, j)), shape=shape).tocsr()
-        if binary:
-            m.data[:] = 1.0
-        return dataset_module._csr_arrays(m)
+    def scipy_counts(shape, i, j) -> csr_matrix:
+        # coo -> csr sums repeated coordinates, which counts them, and sorts each row
+        return coo_matrix((np.ones(len(i)), (i, j)), shape=shape).tocsr()
 
     @settings(max_examples=300, deadline=None)
     @given(text=tsv_text(), num_tags=st.none() | st.integers(1, 3))
@@ -306,18 +304,26 @@ class TestCountArrays:
         item = np.array([code["items"][posts.items[i]] for i in posts.item.tolist()], dtype=int)
         tag = np.array([code["tags"][posts.tags[t]] for t in posts.tag.tolist()], dtype=int)
         m, n, l = len(snapshot["users"]), len(snapshot["items"]), len(snapshot["tags"])
+        ui = self.scipy_counts((m, n), user, item)
+        # a post's PT row is its (user, item) entry's position in UI's CSR order
+        coo = ui.tocoo()
+        entry = {pair: p for p, pair in enumerate(zip(coo.row.tolist(), coo.col.tolist()))}
+        post_entry = np.array([entry[p] for p in zip(user.tolist(), item.tolist())], dtype=int)
         want = {
-            "UI": self.scipy_arrays((m, n), user, item, binary=True),
-            "UT": self.scipy_arrays((m, l), user[posts.tag_post], tag),
-            "IT": self.scipy_arrays((n, l), item[posts.tag_post], tag),
+            "UI": ui,
+            "PT": self.scipy_counts((ui.nnz, l), post_entry[posts.tag_post], tag),
+            "UT": self.scipy_counts((m, l), user[posts.tag_post], tag),
+            "IT": self.scipy_counts((n, l), item[posts.tag_post], tag),
         }
         built = ingest(posts)
-        for key, arrays in want.items():
-            for name, array in arrays.items():
-                np.testing.assert_array_equal(snapshot[key][name], array)
-                for matrix in (getattr(ds, key), getattr(built, key)):
-                    np.testing.assert_array_equal(dataset_module._csr_arrays(matrix)[name], array)
-        assert "".join(dataset_module.json_pieces(snapshot)) == dataset_to_json(ds)
+        for key, matrix in want.items():
+            for name in ("indptr", "indices", "data"):
+                if key in snapshot:
+                    np.testing.assert_array_equal(snapshot[key][name], getattr(matrix, name))
+                if key != "PT":
+                    for got in (getattr(ds, key), getattr(built, key)):
+                        np.testing.assert_array_equal(getattr(got, name), getattr(matrix, name))
+        assert_same_dataset(dataset_from_json("".join(json_pieces(snapshot))), ds)
         if m:
             assert dataset_module.snapshot_stats(snapshot) == stats(ds)
 
@@ -344,8 +350,7 @@ class TestAgainstReferencePipeline:
         kwargs = dict(options, min_items_per_user=min_u, min_users_per_item=min_i)
         got = ingest(parse_triples(text), **kwargs)
         want = reference.ingest(reference.parse_triples(text), **kwargs)
-        assert got.total_tag_count == want.total_tag_count
-        assert dataset_to_json(got) == dataset_to_json(want)
+        assert_same_dataset(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), options=_options)
@@ -361,8 +366,7 @@ class TestAgainstReferencePipeline:
         kwargs = dict(options, min_items_per_user=min_u, min_users_per_item=min_i)
         got = ingest(post_table(posts), **kwargs)
         want = reference.ingest(posts, **kwargs)
-        assert got.total_tag_count == want.total_tag_count
-        assert dataset_to_json(got) == dataset_to_json(want)
+        assert_same_dataset(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(text=tsv_text())
@@ -643,9 +647,11 @@ class TestSplit:
         # split builds the training UI's CSR arrays without a check of its
         # own; the file reader's check must take them as they stand
         ds = edge_user_dataset(np.random.default_rng(9), sorted_rows)
-        train = split(ds, fraction, 3).train
-        assert train.UI.has_canonical_format
-        assert_same_dataset(dataset_from_json(dataset_to_json(train)), replace(ds, UI=train.UI))
+        train = split(ds, fraction, 3).train.UI
+        arrays = {name: getattr(train, name) for name in ("indptr", "indices", "data")}
+        checked = dataset_module._checked_matrix(*train.shape, arrays, check_booleans=False)
+        for name, array in arrays.items():
+            assert np.array_equal(getattr(checked, name), array), name
 
 
 def planted_mid_posts() -> PostTable:
@@ -667,13 +673,6 @@ def planted_mid_posts() -> PostTable:
     )
 
 
-ROUNDTRIP_DATASETS = {
-    **{f"random{seed}": lambda seed=seed: random_dataset(np.random.default_rng(seed), 30, 40, 8)
-       for seed in range(3)},
-    "planted_mid": lambda: ingest(planted_mid_posts()),
-}
-
-
 def assert_same_dataset(got: TaggingDataset, want: TaggingDataset) -> None:
     assert (got.users, got.items, got.tags) == (want.users, want.items, want.tags)
     assert got.total_tag_count == want.total_tag_count
@@ -685,29 +684,15 @@ def assert_same_dataset(got: TaggingDataset, want: TaggingDataset) -> None:
             assert np.array_equal(x, y) and x.dtype == y.dtype, (key, name)
 
 
-def whole_v2_json(ds: TaggingDataset) -> str:
-    """The format-2 snapshot as one ``json.dumps`` of the whole object, the
-    way the writer built it before it wrote in pieces."""
-
-    def arrays(m):
-        m = m.sorted_indices()
-        m.eliminate_zeros()
-        return {"indptr": m.indptr.tolist(), "indices": m.indices.tolist(), "data": m.data.tolist()}
-
-    payload = {
-        "format_version": 2,
-        "users": list(ds.users),
-        "items": list(ds.items),
-        "tags": list(ds.tags),
-        "total_tag_count": ds.total_tag_count,
-        "UI": arrays(ds.UI),
-        "UT": arrays(ds.UT),
-        "IT": arrays(ds.IT),
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def whole_json(snapshot: dict) -> str:
+    """The snapshot object as one ``json.dumps``, the way the writer built
+    it before it wrote in pieces."""
+    lists = {key: {name: array.tolist() for name, array in value.items()}
+             if key in ("UI", "PT") else value for key, value in snapshot.items()}
+    return json.dumps(lists, sort_keys=True, separators=(",", ":"))
 
 
-PIECES_POSTS = {
+SNAPSHOT_POSTS = {
     **{f"random{seed}": lambda seed=seed: post_table(random_posts(
         np.random.default_rng(seed), 30, 40, 8, tags_per_save=(0, 3))) for seed in range(3)},
     "planted_mid": planted_mid_posts,
@@ -719,122 +704,97 @@ PIECES_POSTS = {
 }
 
 
-# datasets built in code, which dataset_to_json writes but ingest_snapshot
-# never holds
-WRITER_DATASETS = {
-    # unsorted column indices and a stored zero; no tags
-    "uncanonical": lambda: TaggingDataset(
-        ("u",), ("a", "b", "c"), (),
-        csr_matrix((np.array([2.0, 0.0, 1.0]), np.array([2, 1, 0]), np.array([0, 3])), shape=(1, 3)),
-        csr_matrix((1, 0)), csr_matrix((3, 0)),
-    ),
-    "descending_rows": lambda: edge_user_dataset(np.random.default_rng(4), sorted_rows=False),
-    "split_train": lambda: split(random_dataset(np.random.default_rng(5), 30, 40, 8), 0.5, 0).train,
-}
-
-
 def snapshot_doc() -> dict:
-    ds = ingest(post_table(random_posts(np.random.default_rng(2))))
-    return json.loads(dataset_to_json(ds))
+    posts = post_table(random_posts(np.random.default_rng(2)))
+    return json.loads("".join(json_pieces(ingest_snapshot(posts))))
 
 
-def v2_insert(arrays: dict, row: int, col: int, value) -> None:
-    """Add an entry at the end of ``row`` of a format-2 matrix."""
+def csr_insert(arrays: dict, row: int, col: int, value) -> None:
+    """Add an entry at the end of ``row`` of a snapshot matrix."""
     at = arrays["indptr"][row + 1]
     arrays["indices"].insert(at, col)
     arrays["data"].insert(at, value)
     arrays["indptr"][row + 1:] = [p + 1 for p in arrays["indptr"][row + 1:]]
 
 
-def v2_row(arrays: dict, row: int) -> slice:
-    """Where ``row``'s entries sit in a format-2 matrix's indices and data."""
+def csr_row(arrays: dict, row: int) -> slice:
+    """Where ``row``'s entries sit in a snapshot matrix's indices and data."""
     return slice(arrays["indptr"][row], arrays["indptr"][row + 1])
 
 
-def v2_set(key: str, name: str, k: int, value):
+def set_entry(key: str, name: str, k: int, value):
     """Corruption setting ``doc[key][name][k] = value``."""
     return lambda d: d[key][name].__setitem__(k, value)
 
 
 class TestSnapshot:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(2)
-        ds = ingest(post_table(random_posts(rng)))
-        again = dataset_from_json(dataset_to_json(ds))
-        assert again.users == ds.users
-        assert again.items == ds.items
-        assert again.tags == ds.tags
-        assert entry_list(again.UI) == entry_list(ds.UI)
-        assert entry_list(again.UT) == entry_list(ds.UT)
-        assert entry_list(again.IT) == entry_list(ds.IT)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_derived_tag_counts_equal_the_reference_counts(self, tmp_path, seed):
+        # multi-tag saves, repeated tags and a tagless save, read back from a file
+        posts = random_posts(np.random.default_rng(seed), tags_per_save=(0, 4))
+        assert any(len(set(tags)) > 1 for _, _, tags in posts)
+        assert any(len(set(tags)) < len(tags) for _, _, tags in posts)
+        assert any(not tags for _, _, tags in posts)
+        assert_same_dataset(write_dataset(tmp_path / "ds.json", posts), reference.ingest(posts))
 
-    @pytest.mark.parametrize("name", ROUNDTRIP_DATASETS)
-    def test_v2_roundtrip_keeps_csr_arrays(self, name):
-        ds = ROUNDTRIP_DATASETS[name]()
-        text = dataset_to_json(ds)
-        assert json.loads(text)["format_version"] == 2
-        assert_same_dataset(dataset_from_json(text), ds)
+    @pytest.mark.parametrize("name", SNAPSHOT_POSTS)
+    def test_v3_roundtrip_keeps_csr_arrays(self, name):
+        posts = SNAPSHOT_POSTS[name]()
+        text = "".join(json_pieces(ingest_snapshot(posts)))
+        assert json.loads(text)["format_version"] == 3
+        assert_same_dataset(dataset_from_json(text), ingest(posts))
 
     @pytest.mark.parametrize("elements", [1, 2, 7, dataset_module._JSON_ELEMENTS])
-    @pytest.mark.parametrize("name", PIECES_POSTS)
+    @pytest.mark.parametrize("name", SNAPSHOT_POSTS)
     def test_pieces_are_the_whole_object_dumped_at_once(self, monkeypatch, name, elements):
         # the ingest command writes json_pieces of the snapshot object
         monkeypatch.setattr(dataset_module, "_JSON_ELEMENTS", elements)
-        posts = PIECES_POSTS[name]()
-        pieces = list(dataset_module.json_pieces(dataset_module.ingest_snapshot(posts)))
-        ds = ingest(posts)
-        assert "".join(pieces) == dataset_to_json(ds) == whole_v2_json(ds)
+        snapshot = ingest_snapshot(SNAPSHOT_POSTS[name]())
+        pieces = list(json_pieces(snapshot))
+        assert "".join(pieces) == whole_json(snapshot)
         if elements == 1:  # each matrix array is written one element per piece
             assert not any("," in p[1:] for p in pieces if "[" not in p)
 
-    @pytest.mark.parametrize("elements", [1, 2, 7, dataset_module._JSON_ELEMENTS])
-    @pytest.mark.parametrize("name", WRITER_DATASETS)
-    def test_dataset_writer_pieces_are_the_whole_object_dumped_at_once(
-        self, monkeypatch, name, elements
-    ):
-        monkeypatch.setattr(dataset_module, "_JSON_ELEMENTS", elements)
-        ds = WRITER_DATASETS[name]()
-        text = dataset_to_json(ds)
-        assert text == whole_v2_json(ds)
-        monkeypatch.undo()
-        assert dataset_to_json(dataset_from_json(text)) == text
-
-    def test_writer_canonicalizes_a_copy(self):
-        # unsorted column indices and a stored zero in the caller's matrix
-        ui = csr_matrix((np.array([2.0, 0.0, 1.0]), np.array([2, 1, 0]), np.array([0, 3])),
-                        shape=(1, 3))
-        ds = TaggingDataset(("u",), ("a", "b", "c"), (), ui, csr_matrix((1, 0)), csr_matrix((3, 0)))
-        doc = json.loads(dataset_to_json(ds))
-        assert doc["UI"] == {"data": [1.0, 2.0], "indices": [0, 2], "indptr": [0, 2]}
-        assert dataset_to_json(ds) == whole_v2_json(ds)
-        assert ui.indices.tolist() == [2, 1, 0] and ui.data.tolist() == [2.0, 0.0, 1.0]
-
-    def test_reader_sorts_rows_and_drops_stored_zeros(self):
-        # a UI row in descending column order, holding a stored zero
+    @pytest.mark.parametrize("key", ["UI", "PT"])
+    def test_reader_rejects_a_reversed_row(self, key):
+        # PT's rows follow UI's entries as written, so the reader sorts no row
         doc = snapshot_doc()
-        want = dataset_from_json(json.dumps(doc))
-        ui = doc["UI"]
-        r = next(r for r in range(len(doc["users"])) if len(ui["indices"][v2_row(ui, r)]) > 1)
-        absent = set(range(len(doc["items"]))) - set(ui["indices"][v2_row(ui, r)])
-        v2_insert(ui, r, min(absent), 0.0)
-        row = v2_row(ui, r)
-        entries = sorted(zip(ui["indices"][row], ui["data"][row]), reverse=True)
-        ui["indices"][row], ui["data"][row] = map(list, zip(*entries))
-        assert ui["indices"][row] != sorted(ui["indices"][row])
-        got = dataset_from_json(json.dumps(doc))
-        assert got.UI.has_canonical_format
-        assert_same_dataset(got, want)
+        arrays = doc[key]
+        rows = (csr_row(arrays, r) for r in range(len(arrays["indptr"]) - 1))
+        row = next(row for row in rows if row.stop - row.start > 1)
+        for name in ("indices", "data"):
+            arrays[name][row] = arrays[name][row][::-1]
+        with pytest.raises(InvalidDatasetError, match=f"{key}: duplicate or out-of-order"):
+            dataset_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["UI", "PT"])
+    def test_reader_rejects_a_stored_zero(self, key):
+        doc = snapshot_doc()
+        doc[key]["data"][-1] = 0.0
+        with pytest.raises(InvalidDatasetError, match=f"{key}: stored zero"):
+            dataset_from_json(json.dumps(doc))
+
+    def test_pt_has_one_row_per_ui_entry(self):
+        # a save added to UI without a PT row of its own
+        doc = snapshot_doc()
+        ui, n = doc["UI"], len(doc["items"])
+        r = next(r for r in range(len(doc["users"])) if ui["indices"][csr_row(ui, r)][-1] < n - 1)
+        csr_insert(ui, r, n - 1, 1.0)
+        rows = len(ui["data"])
+        with pytest.raises(InvalidDatasetError,
+                           match=f"PT: indptr has length {rows}, expected {rows + 1}"):
+            dataset_from_json(json.dumps(doc))
 
     def test_repeat_split_apart_within_a_row_rejected(self):
         # a row [b, a, b]: the repeated column is not next to its twin
         doc = snapshot_doc()
         ui = doc["UI"]
-        r = next(r for r in range(len(doc["users"])) if len(ui["indices"][v2_row(ui, r)]) == 2)
-        a, b = ui["indices"][v2_row(ui, r)]
-        ui["indices"][v2_row(ui, r)] = [b, a]
-        v2_insert(ui, r, b, 1.0)
-        assert ui["indices"][v2_row(ui, r)] == [b, a, b]
-        with pytest.raises(InvalidDatasetError, match="UI: duplicate"):
+        r = next(r for r in range(len(doc["users"])) if len(ui["indices"][csr_row(ui, r)]) == 2)
+        a, b = ui["indices"][csr_row(ui, r)]
+        ui["indices"][csr_row(ui, r)] = [b, a]
+        csr_insert(ui, r, b, 1.0)
+        assert ui["indices"][csr_row(ui, r)] == [b, a, b]
+        with pytest.raises(InvalidDatasetError, match="UI: duplicate or out-of-order column index"):
             dataset_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["users", "items", "tags"])
@@ -850,27 +810,37 @@ class TestSnapshot:
         "corrupt, message",
         [
             (lambda d: d.pop("UI"), "missing fields"),
-            (lambda d: d.update(format_version=3), "format_version 3"),
+            (lambda d: d.pop("PT"), "missing fields"),
+            (lambda d: d.pop("format_version"), "missing fields"),
+            (lambda d: d.update(format_version=4), "format_version 4"),
+            (lambda d: d.update(format_version=2), "format_version 2"),
             (lambda d: d.update(format_version=1), "format_version 1"),
+            (lambda d: d.update(format_version=3.0), "format_version 3.0"),
             (lambda d: d.update(users="u0"), "users must be a list of strings"),
             (lambda d: d.update(items=[1, 2]), "items must be a list of strings"),
             (lambda d: d.update(total_tag_count="3"), "total_tag_count"),
-            (lambda d: v2_insert(d["UI"], 0, d["UI"]["indices"][0], 1.0), "UI: duplicate"),
-            (lambda d: v2_insert(d["UI"], 0, len(d["items"]), 1.0),
+            (lambda d: csr_insert(d["UI"], 0, d["UI"]["indices"][0], 1.0),
+             "UI: duplicate or out-of-order"),
+            (lambda d: csr_insert(d["UI"], 0, len(d["items"]), 1.0),
              "UI: entry index out of bounds"),
-            (v2_set("UT", "data", 0, -1.0), "UT: negative entry"),
-            (lambda d: d["IT"]["data"].pop(), "IT: "),
-            (v2_set("IT", "data", 0, "x"), "IT: "),
-            (v2_set("UI", "indices", 0, 0.7), "UI: entry index is not an integer"),
+            (lambda d: csr_insert(d["PT"], 0, len(d["tags"]), 1.0),
+             "PT: entry index out of bounds"),
+            (set_entry("PT", "data", 0, -1.0), "PT: negative entry"),
+            (lambda d: d["PT"]["data"].pop(), "PT: "),
+            (set_entry("PT", "data", 0, "x"), "PT: "),
+            (set_entry("UI", "indices", 0, 0.7), "UI: entry index is not an integer"),
             (lambda d: d["UI"]["data"].append(9), "UI: indptr ends at"),
-            (v2_set("UT", "data", 0, "1"), "UT: entry value is not a number"),
-            (v2_set("UI", "data", 0, float("nan")), "UI: non-finite"),
-            (v2_set("UI", "indices", 0, True), "UI: entry holds a boolean"),
-            (v2_set("UT", "indices", 0, False), "UT: entry holds a boolean"),
-            (v2_set("IT", "data", 0, True), "IT: entry holds a boolean"),
+            (set_entry("PT", "data", 0, "1"), "PT: entry value is not a number"),
+            (set_entry("UI", "data", 0, float("nan")), "UI: non-finite"),
+            (set_entry("PT", "data", 0, float("inf")), "PT: non-finite"),
+            (lambda d: d["PT"].update(data=[1e308] * len(d["PT"]["data"])),
+             "PT: a user's or an item's tag count overflows"),
+            (set_entry("UI", "indices", 0, True), "UI: entry holds a boolean"),
+            (set_entry("PT", "indices", 0, False), "PT: entry holds a boolean"),
+            (set_entry("PT", "data", 0, True), "PT: entry holds a boolean"),
         ],
     )
-    def test_invalid_v2_snapshots_rejected(self, corrupt, message):
+    def test_invalid_snapshots_rejected(self, corrupt, message):
         doc = snapshot_doc()
         corrupt(doc)
         with pytest.raises(InvalidDatasetError, match=message):
@@ -880,14 +850,14 @@ class TestSnapshot:
         "corrupt, message",
         [
             (lambda d: d["UI"]["indptr"].pop(), "UI: indptr has length"),
-            (lambda d: d["UT"]["indptr"].append(d["UT"]["indptr"][-1]), "UT: indptr has length"),
-            (v2_set("UI", "indptr", 1, 0.5), "UI: indptr is not a list of integers"),
-            (v2_set("IT", "indptr", 1, "1"), "IT: indptr is not a list of integers"),
-            (v2_set("UI", "indptr", 0, 1), "UI: indptr starts at 1, not 0"),
-            (lambda d: d["UT"]["indptr"].__setitem__(1, d["UT"]["indptr"][2] + 1),
-             "UT: indptr decreases"),
-            (lambda d: d["IT"]["indptr"].__setitem__(-1, d["IT"]["indptr"][-1] + 1),
-             "IT: indptr ends at"),
+            (lambda d: d["PT"]["indptr"].append(d["PT"]["indptr"][-1]), "PT: indptr has length"),
+            (set_entry("UI", "indptr", 1, 0.5), "UI: indptr is not a list of integers"),
+            (set_entry("PT", "indptr", 1, "1"), "PT: indptr is not a list of integers"),
+            (set_entry("UI", "indptr", 0, 1), "UI: indptr starts at 1, not 0"),
+            (lambda d: d["PT"]["indptr"].__setitem__(1, d["PT"]["indptr"][2] + 1),
+             "PT: indptr decreases"),
+            (lambda d: d["PT"]["indptr"].__setitem__(-1, d["PT"]["indptr"][-1] + 1),
+             "PT: indptr ends at"),
             (lambda d: d["UI"]["indices"].pop(), "UI: indptr ends at"),
         ],
     )
@@ -902,18 +872,18 @@ class TestSnapshot:
         [("indptr", "indptr holds a boolean"), ("indices", "entry holds a boolean"),
          ("data", "entry holds a boolean")],
     )
-    def test_boolean_in_any_v2_array_rejected(self, name, message):
+    def test_boolean_in_any_array_rejected(self, name, message):
         # False in indptr[0] and True in the others read as valid numbers
         doc = snapshot_doc()
-        doc["UT"][name][0] = name != "indptr"
-        with pytest.raises(InvalidDatasetError, match=f"UT: {message}"):
+        doc["PT"][name][0] = name != "indptr"
+        with pytest.raises(InvalidDatasetError, match=f"PT: {message}"):
             dataset_from_json(json.dumps(doc))
 
     def test_matrix_in_the_other_format_rejected(self):
         # a format-1 matrix: a list of [row, col, value] entries
         doc = snapshot_doc()
-        doc["IT"] = [[0, 0, 1.0]]
-        with pytest.raises(InvalidDatasetError, match="IT: "):
+        doc["PT"] = [[0, 0, 1.0]]
+        with pytest.raises(InvalidDatasetError, match="PT: "):
             dataset_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("text", [

@@ -10,6 +10,8 @@ already checks a result in process, the test here names it. Every
 
 import json
 import re
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -131,9 +133,9 @@ class TestImportLog:
 
 
 class TestIngest:
-    def test_writes_format_version_2(self, snapshots):
-        # test_cli.py::TestIngest::test_writes_format_version_2
-        assert json.loads(snapshots["tiny"].read_text())["format_version"] == 2
+    def test_writes_format_version_3(self, snapshots):
+        # test_cli.py::TestIngest::test_writes_format_version_3
+        assert json.loads(snapshots["tiny"].read_text())["format_version"] == 3
 
     @pytest.mark.parametrize("copy", ["crlf", "bom"])
     def test_line_ends_and_byte_order_mark_give_the_plain_snapshot(self, snapshots, copy):
@@ -148,19 +150,39 @@ class TestIngest:
         fails(1, "ingest", "--input", "not_utf8.tsv", "--dataset", "out.json", cwd=tmp_path)
 
 
+def format_2(doc: dict) -> dict:
+    """The format-2 document of format-3 ``doc``: PT replaced by UT and IT,
+    PT's rows summed per user and per item, in canonical CSR arrays."""
+    ptr, col = doc["UI"]["indptr"], doc["UI"]["indices"]
+    pt = doc.pop("PT")
+    user = [u for u in range(len(ptr) - 1) for _ in range(ptr[u], ptr[u + 1])]
+    for key, owner, rows in (("UT", user, len(doc["users"])), ("IT", col, len(doc["items"]))):
+        sums = [Counter() for _ in range(rows)]
+        for p, r in enumerate(owner):
+            for k in range(pt["indptr"][p], pt["indptr"][p + 1]):
+                sums[r][pt["indices"][k]] += pt["data"][k]
+        doc[key] = {"indptr": [0, *accumulate(map(len, sums))],
+                    "indices": [t for row in sums for t in sorted(row)],
+                    "data": [row[t] for row in sums for t in sorted(row)]}
+    return {**doc, "format_version": 2}
+
+
 class TestDatasetFile:
-    def test_format_1_exits_1_naming_it(self, tmp_path, snapshots):
-        # test_cli.py::TestBadInput::test_bad_dataset_file_exits_1 (format_version 1)
-        doc = json.loads(snapshots["tiny"].read_text())
-        for key in ("UI", "UT", "IT"):
-            ptr, col, val = (doc[key][name] for name in ("indptr", "indices", "data"))
-            doc[key] = [[r, col[k], val[k]] for r in range(len(ptr) - 1)
-                        for k in range(ptr[r], ptr[r + 1])]
-        doc["format_version"] = 1
-        (tmp_path / "v1.json").write_text(json.dumps(doc))
-        err = fails(1, "evaluate", "--dataset", "v1.json", "--runs", "1", "--output-dir", "out",
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_format_exits_1_naming_it(self, tmp_path, snapshots, version):
+        # test_cli.py::TestBadInput::test_bad_dataset_file_exits_1 (format_version 1
+        # and 2); re-ingesting the triples is the whole migration
+        doc = format_2(json.loads(snapshots["tiny"].read_text()))
+        if version == 1:
+            for key in ("UI", "UT", "IT"):
+                ptr, col, val = (doc[key][name] for name in ("indptr", "indices", "data"))
+                doc[key] = [[r, col[k], val[k]] for r in range(len(ptr) - 1)
+                            for k in range(ptr[r], ptr[r + 1])]
+            doc["format_version"] = 1
+        (tmp_path / "old.json").write_text(json.dumps(doc))
+        err = fails(1, "evaluate", "--dataset", "old.json", "--runs", "1", "--output-dir", "out",
                     cwd=tmp_path)
-        assert err.endswith("format_version 1"), err
+        assert err.endswith(f"format_version {version}"), err
 
     @staticmethod
     def _edit_a_multi_entry_row(snapshot: Path, out: Path, edit) -> None:
@@ -170,17 +192,17 @@ class TestDatasetFile:
         edit(ptr, col, val, r)
         out.write_text(json.dumps(doc))
 
-    def test_reversed_row_gives_the_same_report(self, tmp_path, snapshots, tiny_eval):
-        # test_dataset.py::TestSnapshot::test_reader_sorts_rows_and_drops_stored_zeros;
-        # the reader sorts each row as it checks it
+    def test_reversed_row_exits_1(self, tmp_path, snapshots):
+        # test_dataset.py::TestSnapshot::test_reader_rejects_a_reversed_row; PT's rows
+        # follow UI's entries as written, so the reader does not sort a row
         def reverse(ptr, col, val, r):
             row = slice(ptr[r], ptr[r + 1])
             col[row], val[row] = col[row][::-1], val[row][::-1]
 
         self._edit_a_multi_entry_row(snapshots["tiny"], tmp_path / "reversed.json", reverse)
-        experiment(tmp_path / "out", "evaluate", "--dataset", "reversed.json", "--runs", "1")
-        assert (tmp_path / "out" / "report.json").read_bytes() == (
-            tiny_eval / "report.json").read_bytes()
+        err = fails(1, "evaluate", "--dataset", "reversed.json", "--runs", "1",
+                    "--output-dir", "out", cwd=tmp_path)
+        assert "UI: duplicate or out-of-order column index" in err, err
 
     def test_repeated_column_exits_1(self, tmp_path, snapshots):
         # test_dataset.py::TestSnapshot::test_repeat_split_apart_within_a_row_rejected

@@ -11,7 +11,7 @@ from folkwalk import evaluation
 from folkwalk.baselines import run_algorithm
 from folkwalk.cli import main
 from folkwalk.params import AlgorithmSpec, walk_params
-from folkwalk.dataset import EmptyDatasetError, dataset_to_json, ingest, split
+from folkwalk.dataset import EmptyDatasetError, ingest, split
 from folkwalk.evaluation import (
     EvalReport,
     evaluate_lists,
@@ -22,7 +22,7 @@ from folkwalk.evaluation import (
     runs_to_csv,
 )
 
-from gen import held_out, padded, post_table, random_dataset
+from gen import covered_posts, held_out, padded, post_table, random_dataset, write_dataset
 
 
 def oracle_precision_recall(recs: dict, test_sets: dict) -> tuple[float, float]:
@@ -299,9 +299,8 @@ class TestOneSplitPerSeed:
             assert all(child != draws(s) for s in (seed, seed + 1, seed + 2**32, 0, 1, 2))
 
     def test_evaluate_splits_once_per_fraction_and_seed(self, split_calls, tmp_path):
-        ds = random_dataset(np.random.default_rng(15), n_users=8, n_items=10)
         path = tmp_path / "ds.json"
-        path.write_text(dataset_to_json(ds))
+        write_dataset(path, covered_posts(np.random.default_rng(15), n_users=8, n_items=10))
         assert main([
             "evaluate", "--dataset", str(path), "--algorithms", "Random,UserCF", "--top-n", "3",
             "--runs", "2", "--train-fraction", "0.2,0.4", "--output-dir", str(tmp_path / "o"),

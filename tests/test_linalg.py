@@ -73,10 +73,10 @@ class TestSparseMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             checked(1, 1, [0], [0], [float("inf")])
 
-    def test_explicit_zeros_dropped(self):
-        m = checked(2, 2, [0, 1], [0, 1], [0.0, 3.0])
-        assert m.nnz == 1
-        assert entry_list(m) == [(1, 1, 3.0)]
+    def test_explicit_zeros_rejected(self):
+        # the stored pattern is the nonzero pattern as written
+        with pytest.raises(ValueError, match="stored zero"):
+            checked(2, 2, [0, 1], [0, 1], [0.0, 3.0])
 
     def test_entries_roundtrip(self):
         rng = np.random.default_rng(0)
@@ -84,16 +84,20 @@ class TestSparseMatrix:
         again = checked(6, 4, *zip(*entry_list(m)))
         np.testing.assert_array_equal(m.toarray(), dense(again))
 
-    def test_unsorted_rows_sorted(self):
-        m = checked(3, 3, [0, 0, 2], [2, 1, 0], [2.0, 1.0, 1.5])
-        assert m.indices.tolist() == [1, 2, 0] and m.data.tolist() == [1.0, 2.0, 1.5]
+    def test_unsorted_rows_rejected(self):
+        # a snapshot's PT rows follow UI's entries as written, so no row is sorted
+        with pytest.raises(ValueError, match="out-of-order column index"):
+            checked(3, 3, [0, 0, 2], [2, 1, 0], [2.0, 1.0, 1.5])
+
+    def test_sorted_rows_kept_as_written(self):
+        m = checked(3, 3, [0, 0, 2], [1, 2, 0], [1.0, 2.0, 1.5])
         assert m.has_canonical_format
         assert entry_list(m) == [(0, 1, 1.0), (0, 2, 2.0), (2, 0, 1.5)]
         assert all(type(x) is t for e in entry_list(m) for x, t in zip(e, (int, int, float)))
 
     def test_matches_the_scipy_build(self):
         rng = np.random.default_rng(1)
-        entries = entry_list(rand_sparse(rng, 5, 7)) + [(4, 6, 0.0)]
+        entries = entry_list(rand_sparse(rng, 5, 7))
         got = checked(5, 7, *zip(*entries))
         want = csr(5, 7, entries)
         for name in ("indptr", "indices", "data"):
@@ -112,6 +116,8 @@ class TestSparseMatrix:
             ([0], [np.nan], "non-finite"),
             ([0], [np.inf], "non-finite"),
             ([0], [-1.0], "negative entry"),
+            ([0], [0.0], "stored zero"),
+            ([1, 0], [1.0, 1.0], "out-of-order"),
         ],
     )
     def test_numpy_arrays_run_the_entry_checks(self, j, v, error):
